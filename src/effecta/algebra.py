@@ -21,6 +21,7 @@ from .errors import (
     BooleanStructureFailure,
     NonUniqueSupplement,
     OrderNotAntisymmetric,
+    ParseError,
     SizeLimitExceeded,
 )
 
@@ -35,7 +36,11 @@ def resolve_max_size(explicit: int | None = None) -> int:
         return explicit
     raw = os.environ.get(ENV_MAX_SIZE)
     if raw is not None:
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise ParseError(
+                f"{ENV_MAX_SIZE} is not an integer: {raw!r}") from exc
     return DEFAULT_MAX_SIZE
 
 

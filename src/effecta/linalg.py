@@ -1,8 +1,10 @@
 """Small exact linear algebra helpers over Fractions.
 
 Only what the polytope and LP code needs: row reduction, affine solution
-spaces and ranks.  Everything is dense and list-based; system sizes here are
-tens of rows, not thousands.
+spaces and ranks.  ``rref`` and ``rank`` are dense and list-based; the
+polytope code calls them on a few rows at a time.  ``solve_affine`` reduces
+sparse rows incrementally, because the state equalities it solves run to
+hundreds of rows with at most three small integer entries each.
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows))
 
 
+def _subtract(target: dict, f: Fraction, source: dict) -> None:
+    """target -= f * source, in place, keeping only nonzero entries."""
+    for col, v in source.items():
+        w = target.get(col, ZERO) - f * v
+        if w:
+            target[col] = w
+        else:
+            target.pop(col, None)
+
+
 def solve_affine(
     coeffs: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]], list[int]] | None:
@@ -57,24 +69,49 @@ def solve_affine(
     Returns (x0, directions, free_columns): the solution set is
     x0 + span(directions), where direction j has a 1 in free column j and the
     free columns are exactly the non-pivot variables.
+
+    Rows are reduced one at a time against a fully reduced sparse basis
+    ``{pivot column: {column: value}}`` with the right-hand side at column n.
+    A row that reduces to zero is dropped; one that reduces to the
+    right-hand side alone proves the system inconsistent.  Otherwise its
+    smallest nonzero column becomes a pivot and is eliminated from the older
+    rows that hold it; their pivots are all smaller, so every row still leads
+    with its own pivot.  The basis is therefore always the unique reduced row
+    echelon form of the augmented matrix, and the result depends neither on
+    the order of the rows nor on duplicate rows.
     """
     if not coeffs:
-        n = 0
         return [], [], []
     n = len(coeffs[0])
-    aug = [list(row) + [b] for row, b in zip(coeffs, rhs)]
-    pivots = rref(aug)
-    if n in pivots:  # pivot in the constant column: 0 = nonzero
-        return None
-    free = [c for c in range(n) if c not in pivots]
+    basis: dict[int, dict[int, Fraction]] = {}
+    for coeff_row, b in zip(coeffs, rhs):
+        row = {col: v for col, v in enumerate(coeff_row) if v}
+        if b:
+            row[n] = b
+        for col in [c for c in row if c in basis]:
+            _subtract(row, row[col], basis[col])
+        pivot = min(row, default=n)
+        if pivot == n:
+            if row:  # 0 = nonzero
+                return None
+            continue
+        inv = ONE / row[pivot]
+        if inv != 1:
+            row = {col: v * inv for col, v in row.items()}
+        for other in basis.values():
+            f = other.get(pivot)
+            if f:
+                _subtract(other, f, row)
+        basis[pivot] = row
+
+    free = [c for c in range(n) if c not in basis]
     x0 = [ZERO] * n
-    for r, col in enumerate(pivots):
-        x0[col] = aug[r][n]
-    dirs = []
-    for f in free:
-        d = [ZERO] * n
-        d[f] = ONE
-        for r, col in enumerate(pivots):
-            d[col] = -aug[r][f]
-        dirs.append(d)
+    dirs = [[ONE if c == f else ZERO for c in range(n)] for f in free]
+    slot = {f: j for j, f in enumerate(free)}
+    for pivot, row in basis.items():
+        for col, v in row.items():
+            if col == n:
+                x0[pivot] = v
+            elif col != pivot:
+                dirs[slot[col]][pivot] = -v
     return x0, dirs, free

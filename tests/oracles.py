@@ -145,6 +145,64 @@ def matrix_rank(rows):
     return rank
 
 
+def _dense_rref(rows):
+    """Reduce in place to reduced row echelon form, return pivot columns."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][col]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def dense_solve_affine(coeffs, rhs):
+    """The affine solve as a dense rref of the whole augmented matrix: the
+    reference for the library's sparse incremental ``solve_affine``.
+
+    Returns None when inconsistent, else (x0, directions, free_columns) with
+    direction j equal to 1 in free column j, read off the reduced rows.
+    """
+    if not coeffs:
+        return [], [], []
+    n = len(coeffs[0])
+    aug = [list(row) + [b] for row, b in zip(coeffs, rhs)]
+    pivots = _dense_rref(aug)
+    if n in pivots:  # pivot in the constant column: 0 = nonzero
+        return None
+    free = [c for c in range(n) if c not in pivots]
+    x0 = [ZERO] * n
+    for r, col in enumerate(pivots):
+        x0[col] = aug[r][n]
+    dirs = []
+    for f in free:
+        d = [ZERO] * n
+        d[f] = ONE
+        for r, col in enumerate(pivots):
+            d[col] = -aug[r][f]
+        dirs.append(d)
+    return x0, dirs, free
+
+
 # ---------------------------------------------------------------------------
 # vertices of {x in [0,1]^n : rows . x = rhs}, by basic feasible solutions
 

@@ -15,9 +15,11 @@ from effecta import (
     sharp_elements,
     validate_effect_algebra,
 )
+from effecta import algebra, cli
 from effecta.errors import (
     AxiomViolation,
     NonUniqueSupplement,
+    ParseError,
     SizeLimitExceeded,
 )
 
@@ -29,6 +31,20 @@ def test_validate_accepts_a_plain_chain():
     assert M.n == 3
     assert M.add(M.index("a"), M.index("a")) == M.index("1")
     assert M.comp(M.index("a")) == M.index("a")
+
+
+def test_non_integer_max_size_environment_is_a_parse_error(monkeypatch):
+    monkeypatch.delenv("EFFECTA_MAX_SIZE", raising=False)
+    assert algebra.resolve_max_size() == 64
+    assert cli.resolve_max_size(None) == 4096
+    monkeypatch.setenv("EFFECTA_MAX_SIZE", "plenty")
+    with pytest.raises(ParseError, match="EFFECTA_MAX_SIZE"):
+        zoo.chain(3)
+    with pytest.raises(ParseError, match="EFFECTA_MAX_SIZE"):
+        validate_effect_algebra(["0", "1"], "0", "1",
+                                [("0", "0", "0"), ("0", "1", "1")])
+    # an explicit bound never reads the environment
+    assert algebra.resolve_max_size(5) == 5
 
 
 def test_validate_rejects_commutativity_clash():
