@@ -29,9 +29,10 @@ DEFAULT_MAX_SIZE = 64
 ENV_MAX_SIZE = "EFFECTA_MAX_SIZE"
 
 
-def resolve_max_size(explicit: int | None = None) -> int:
-    """Size bound for exhaustive checks: explicit argument, else the
-    EFFECTA_MAX_SIZE environment variable, else 64."""
+def resolve_max_size(explicit: int | None = None,
+                     default: int = DEFAULT_MAX_SIZE) -> int:
+    """Element-count bound: explicit argument, else the EFFECTA_MAX_SIZE
+    environment variable, else ``default`` (64 for exhaustive checks)."""
     if explicit is not None:
         return explicit
     raw = os.environ.get(ENV_MAX_SIZE)
@@ -41,7 +42,7 @@ def resolve_max_size(explicit: int | None = None) -> int:
         except ValueError as exc:
             raise ParseError(
                 f"{ENV_MAX_SIZE} is not an integer: {raw!r}") from exc
-    return DEFAULT_MAX_SIZE
+    return default
 
 
 def _bits(mask: int) -> Iterator[int]:

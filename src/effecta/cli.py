@@ -12,10 +12,10 @@ unusable input (parse errors, size limits, I/O problems).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
+from .algebra import resolve_max_size
 from .errors import (
     EmptyStateSpace,
     NonSeparatingStates,
@@ -40,18 +40,6 @@ from .suites import SUITE_NAMES, check_document, resolve_suites
 DEFAULT_MAX_SIZE = 4096
 
 
-def resolve_max_size(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("EFFECTA_MAX_SIZE")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"EFFECTA_MAX_SIZE is not an integer: {env!r}") from exc
-    return DEFAULT_MAX_SIZE
-
-
 def _read_document(path: str):
     return loads(Path(path).read_text(encoding="utf-8"))
 
@@ -69,7 +57,8 @@ def _instance_id(path: str) -> str:
 
 def cmd_generate(args) -> int:
     spec = parse_family_tokens(args.family)
-    M = generate(spec, max_size=resolve_max_size(args.max_size))
+    M = generate(spec,
+                 max_size=resolve_max_size(args.max_size, DEFAULT_MAX_SIZE))
     _emit(dumps(algebra_to_obj(M)), args.output)
     return 0
 
@@ -78,7 +67,8 @@ def cmd_check(args) -> int:
     doc = _read_document(args.input)
     records = check_document(doc, _instance_id(args.input),
                              resolve_suites(args.suite), args.seed,
-                             max_size=resolve_max_size(args.max_size))
+                             max_size=resolve_max_size(args.max_size,
+                                                       DEFAULT_MAX_SIZE))
     records = sort_records(records)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
@@ -87,7 +77,8 @@ def cmd_check(args) -> int:
 def cmd_smear(args) -> int:
     doc = _read_document(args.input)
     instance = _instance_id(args.input)
-    M = algebra_from_obj(doc, max_size=resolve_max_size(args.max_size))
+    M = algebra_from_obj(
+        doc, max_size=resolve_max_size(args.max_size, DEFAULT_MAX_SIZE))
     x = observable_from_obj(M, _read_document(args.observable))
     records = [Record("smearing", instance, "observable-valid", PASS,
                       detail=f"{len(x.support)} outcome points")]

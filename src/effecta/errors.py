@@ -185,12 +185,6 @@ class NotAStateOnSharp(EffectaError):
         super().__init__(f"not a state on the sharp elements ({reason}) at {witnesses!r}")
 
 
-class InfeasibleExtension(EffectaError):
-    """The polytope of full states extending a sharp state is empty.  For
-    canonical representations this is impossible, so reaching it means a
-    verified theorem failed and should be treated as an alarm."""
-
-
 class TheoremViolation(EffectaError):
     """A property that provably holds for the inputs accepted by the calling
     function turned out false.  Raised instead of silently returning wrong

@@ -1,25 +1,22 @@
 """Exact vertex enumeration for bounded polytopes inside a unit box.
 
 The systems handled here live in a low-dimensional parameter space t of the
-unit box [0,1]^d, cut by further halfspaces coeffs . t <= bound.  Two
-methods are provided:
+unit box [0,1]^d, cut by further halfspaces coeffs . t <= bound.  The
+vertices are found by incremental cutting: keep the vertex set, slice with
+one halfspace at a time, generate candidate points as crossings of vertex
+pairs and keep exactly the points whose tight constraints have full rank
+(which is what being a vertex means).
 
-* an incremental cutting method: keep the vertex set, slice with one
-  halfspace at a time, generate candidate points as crossings of vertex
-  pairs and keep exactly the points whose tight constraints have full rank
-  (which is what being a vertex means);
-* a brute-force method for small systems that solves every d-subset of
-  constraints directly.
-
-Both return exact Fraction tuples.  They are cross-checked against each
-other and against an independent oracle in the test suite.
+Vertices are exact Fraction tuples.  The test suite cross-checks them
+against a brute-force solve of every d-subset of constraints and against
+basic-solution enumeration of the raw state equalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .errors import SizeLimitExceeded
 from .linalg import rref
@@ -55,13 +52,10 @@ def _tight_rank(point, constraints) -> int:
     return len(rref(rows))
 
 
-def enumerate_vertices(
-    d: int, cuts: list[HalfSpace], *, method: str = "incremental"
-) -> list[tuple[Fraction, ...]]:
+def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[Fraction, ...]]:
     """Vertices of [0,1]^d intersected with the given halfspaces.
 
-    Empty list when the intersection is empty.  ``method`` is
-    "incremental" or "brute"; the brute path is the small-system fallback.
+    Empty list when the intersection is empty.
     """
     if d > MAX_BOX_DIM:
         raise SizeLimitExceeded(f"parameter dimension {d} exceeds {MAX_BOX_DIM}")
@@ -69,14 +63,6 @@ def enumerate_vertices(
         point: tuple[Fraction, ...] = ()
         ok = all(c.value(point) >= 0 for c in cuts)
         return [point] if ok else []
-    if method == "brute":
-        return _vertices_brute(d, cuts)
-    if method != "incremental":
-        raise ValueError(f"unknown method {method!r}")
-    return _vertices_incremental(d, cuts)
-
-
-def _vertices_incremental(d, cuts):
     frac01 = (ZERO, ONE)
     verts = [tuple(p) for p in iproduct(frac01, repeat=d)]
     seen = _box_constraints(d)
@@ -100,19 +86,3 @@ def _vertices_incremental(d, cuts):
             return []
     return sorted(verts)
 
-
-def _vertices_brute(d, cuts):
-    cons = _box_constraints(d) + list(cuts)
-    found = set()
-    for subset in combinations(range(len(cons)), d):
-        rows = [list(cons[i].coeffs) + [cons[i].bound] for i in subset]
-        pivots = rref(rows)
-        if len(pivots) != d or d in pivots:
-            continue
-        point = [ZERO] * d
-        for r, col in enumerate(pivots):
-            point[col] = rows[r][d]
-        p = tuple(point)
-        if all(c.value(p) >= 0 for c in cons):
-            found.add(p)
-    return sorted(found)

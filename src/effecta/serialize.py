@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .algebra import EffectAlgebra, validate_effect_algebra
-from .errors import ParseError
+from .errors import ParseError, PreconditionFailed, SumNotOne, SumUndefined
 from .observables import Observable, make_observable
 from .representation import Representation
-from .spectral import ExtensionReport, SpectralMeasure
+from .spectral import SpectralMeasure
 from .states import State, StatePolytope
 
 
@@ -134,7 +134,10 @@ def observable_from_obj(M: EffectAlgebra, obj: Any) -> Observable:
             M.index(v)
         except KeyError:
             raise ParseError(f"unknown element label {v!r}") from None
-    return make_observable(M, support, values)
+    try:
+        return make_observable(M, support, values)
+    except (PreconditionFailed, SumNotOne, SumUndefined) as exc:
+        raise ParseError(f"invalid observable: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +161,4 @@ def spectral_to_obj(M: EffectAlgebra, sm: SpectralMeasure) -> dict:
         "element": M.label(sm.element),
         "support": [frac_to_str(t) for t in sm.support],
         "masses": {frac_to_str(t): M.label(sm.masses[t]) for t in sm.support},
-    }
-
-
-def extension_report_to_obj(M: EffectAlgebra, rep: ExtensionReport) -> dict:
-    return {
-        "unique": rep.unique,
-        "bounds": {M.label(a): [frac_to_str(lo), frac_to_str(hi)]
-                   for a, (lo, hi) in zip(M.elements(), rep.bounds)},
-        "extension": state_to_obj(M, rep.extension),
     }

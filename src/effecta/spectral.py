@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
 from .errors import (
-    InfeasibleExtension,
     NotAStateOnSharp,
     NotMeasurable,
     NotSharp,
@@ -28,8 +27,7 @@ from .errors import (
     SupportNotCovered,
     TheoremViolation,
 )
-from .linalg import solve_affine
-from .lp import coordinate_bounds
+from .linalg import rank, solve_affine
 from .observables import OutcomeSet
 from .representation import Representation, measurable
 from .states import State, is_state
@@ -333,41 +331,54 @@ def extend_state(rep: Representation, m: Mapping) -> State:
     return result
 
 
+def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:
+    """None when the sharp values fix every state, else a nonzero direction
+    of the state space that vanishes on every sharp element.
+
+    The differences v_i - v_0 of the vertices span the directions of the
+    state polytope's affine hull, and ``P.dimension`` is their rank.  When
+    their sharp coordinates keep that rank, the restriction to the sharp
+    elements is injective on the hull, so every state on the sharp elements
+    extends in at most one way.  Otherwise some combination of the
+    differences is zero on the sharp elements but not everywhere.
+    """
+    P = rep.polytope
+    if P is None or P.is_empty:
+        raise PreconditionFailed("the extension certificate needs the states")
+    sharp = sharp_elements(rep.target).members
+    v0 = P.vertices[0].values
+    diffs = [[x - y for x, y in zip(v.values, v0)] for v in P.vertices[1:]]
+    if rank([[d[b] for b in sharp] for d in diffs]) == P.dimension:
+        return None
+    # combinations c with sum_i c_i d_i[b] = 0 at every sharp b; one basis
+    # direction of that kernel must leave the kernel of the full map
+    _, combos, _ = solve_affine([[d[b] for d in diffs] for b in sharp],
+                                [ZERO] * len(sharp))
+    for c in combos:
+        k = tuple(sum((ci * d[a] for ci, d in zip(c, diffs)), start=ZERO)
+                  for a in rep.target.elements())
+        if any(k):
+            return k
+    raise TheoremViolation("rank deficit without a kernel direction")
+
+
 @dataclass(frozen=True)
 class ExtensionReport:
     unique: bool
-    bounds: tuple                       # per element: (lo, hi), exact
+    kernel: tuple[Fraction, ...] | None    # see sharp_kernel
     extension: State
 
 
 def extension_uniqueness(rep: Representation, m: Mapping) -> ExtensionReport:
-    """Certify that exactly one full state extends m, by exact coordinate
-    bounding over the constrained state polytope."""
-    M = rep.target
-    vals = validate_sharp_state(M, m)
-    P = rep.polytope
-    if P is None or P.origin is None:
-        raise PreconditionFailed("extension bounding needs the state polytope")
-    pin_rows = []
-    pin_rhs = []
-    for b, v in sorted(vals.items()):
-        row = [ZERO] * M.n
-        row[b] = ONE
-        pin_rows.append(row)
-        pin_rhs.append(v)
-    bounds = coordinate_bounds(list(P.origin), [list(d) for d in P.directions],
-                               pin_rows, pin_rhs)
-    if bounds is None:
-        raise InfeasibleExtension(
-            "no state extends the given sharp-element state")
-    unique = all(lo == hi for lo, hi in bounds)
-    extension = extend_state(rep, vals)
-    for a in M.elements():
-        lo, hi = bounds[a]
-        if not lo <= extension.values[a] <= hi:
-            raise TheoremViolation(
-                f"computed extension leaves its own bounds at {M.label(a)}")
-    return ExtensionReport(unique, tuple(bounds), extension)
+    """The extension of m, and whether it is the only one.
+
+    Uniqueness is the rank certificate of :func:`sharp_kernel`, which does
+    not depend on m; the extension comes from :func:`extend_state`, which
+    asserts its restriction, that it is a state, and its spectral form.
+    """
+    extension = extend_state(rep, m)
+    kernel = sharp_kernel(rep)
+    return ExtensionReport(kernel is None, kernel, extension)
 
 
 # ---------------------------------------------------------------------------

@@ -55,24 +55,15 @@ class StateCheck:
 
 
 class StatePolytope:
-    """Vertices plus the affine parametrization they were computed from.
+    """The extremal states, the rank of their differences (the dimension;
+    -1 when there are no states) and the equality system they solve."""
 
-    ``origin``/``directions``/``free_indices`` describe the solution set of
-    the equality system as origin + span(directions); they are reused by the
-    state-extension LP sweep so that it works in the same low-dimensional
-    parameter space.
-    """
-
-    def __init__(self, algebra, vertices, dimension, equalities, rhs,
-                 origin, directions, free_indices):
+    def __init__(self, algebra, vertices, dimension, equalities, rhs):
         self.algebra: EffectAlgebra = algebra
         self.vertices: tuple[State, ...] = vertices
         self.dimension: int = dimension
         self.equalities = equalities
         self.equality_rhs = rhs
-        self.origin = origin
-        self.directions = directions
-        self.free_indices = free_indices
 
     @property
     def is_empty(self) -> bool:
@@ -106,11 +97,11 @@ def build_state_equalities(M: EffectAlgebra) -> tuple[list[list[Fraction]], list
     return rows, rhs
 
 
-def state_polytope(M: EffectAlgebra, *, method: str = "incremental") -> StatePolytope:
+def state_polytope(M: EffectAlgebra) -> StatePolytope:
     rows, rhs = build_state_equalities(M)
     sol = solve_affine(rows, rhs)
     if sol is None:
-        return StatePolytope(M, (), -1, rows, rhs, None, None, None)
+        return StatePolytope(M, (), -1, rows, rhs)
     x0, dirs, free = sol
     d = len(free)
 
@@ -133,7 +124,7 @@ def state_polytope(M: EffectAlgebra, *, method: str = "incremental") -> StatePol
         if empty:
             verts = []
         else:
-            tverts = enumerate_vertices(d, cuts, method=method)
+            tverts = enumerate_vertices(d, cuts)
             verts = sorted(
                 tuple(x0[i] + sum(t[j] * dirs[j][i] for j in range(d))
                       for i in range(M.n))
@@ -146,7 +137,7 @@ def state_polytope(M: EffectAlgebra, *, method: str = "incremental") -> StatePol
         dim = rank([[a - b for a, b in zip(s.values, v0)] for s in states[1:]])
     else:
         dim = -1
-    return StatePolytope(M, states, dim, rows, rhs, x0, dirs, free)
+    return StatePolytope(M, states, dim, rows, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,10 @@ from .representation import (
 )
 from .serialize import algebra_from_obj, frac_to_str
 from .spectral import (
-    extension_uniqueness,
+    extend_state,
     identity_phi,
     make_phi,
+    sharp_kernel,
     sharp_table,
     spectral_integral,
     spectral_injectivity,
@@ -537,32 +538,26 @@ def run_extension(M: EffectAlgebra, instance: str, seed: int, *,
     records = []
 
     bad_round = None
-    bad_unique = None
     try:
         for i, m in enumerate(states):
-            restricted = {b: m.values[b] for b in sharp}
-            report = extension_uniqueness(rep, restricted)
-            if report.extension.values != m.values:
-                if bad_round is None:
-                    a = next(a for a in M.elements()
-                             if report.extension.values[a] != m.values[a])
-                    bad_round = [i, M.label(a),
-                                 frac_to_str(report.extension.values[a]),
-                                 frac_to_str(m.values[a])]
-            if not report.unique:
-                if bad_unique is None:
-                    a = next(a for a in M.elements()
-                             if report.bounds[a][0] != report.bounds[a][1])
-                    bad_unique = [i, M.label(a),
-                                  [frac_to_str(v) for v in report.bounds[a]]]
+            ext = extend_state(rep, {b: m.values[b] for b in sharp})
+            if ext.values != m.values and bad_round is None:
+                a = next(a for a in M.elements()
+                         if ext.values[a] != m.values[a])
+                bad_round = [i, M.label(a), frac_to_str(ext.values[a]),
+                             frac_to_str(m.values[a])]
     except EffectaError as exc:
         bad_round = bad_round or [i, str(exc)]
-        bad_unique = bad_unique or [i, str(exc)]
     records.append(Record("extension", instance, "roundtrip",
                           PASS if bad_round is None else FAIL,
                           witness=bad_round,
                           detail=f"{len(states)} states restricted to "
                                  f"{len(sharp)} sharp elements"))
+    kernel = sharp_kernel(rep)
+    bad_unique = None
+    if kernel is not None:
+        a = next(a for a in M.elements() if kernel[a])
+        bad_unique = [M.label(a), frac_to_str(kernel[a])]
     records.append(Record("extension", instance, "uniqueness",
                           PASS if bad_unique is None else FAIL,
                           witness=bad_unique))

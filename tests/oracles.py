@@ -243,6 +243,232 @@ def brute_vertices(rows, rhs, n, limit=12):
 
 
 # ---------------------------------------------------------------------------
+# vertices of a cut unit box, by brute force over constraint subsets
+
+
+def box_vertices_brute(d, cuts):
+    """Vertices of [0,1]^d cut by halfspaces (objects with ``coeffs`` and
+    ``bound``, inside meaning coeffs . t <= bound), by solving every d-subset
+    of the box and cut constraints and keeping the feasible solutions: the
+    reference for the library's incremental cutting."""
+    cons = []
+    for i in range(d):
+        e = tuple(ONE if j == i else ZERO for j in range(d))
+        cons.append((tuple(-x for x in e), ZERO))   # -t_i <= 0
+        cons.append((e, ONE))                        # t_i <= 1
+    cons += [(tuple(c.coeffs), c.bound) for c in cuts]
+    found = set()
+    for subset in combinations(range(len(cons)), d):
+        rows = [list(cons[i][0]) + [cons[i][1]] for i in subset]
+        pivots = _dense_rref(rows)
+        if len(pivots) != d or d in pivots:
+            continue
+        point = [ZERO] * d
+        for r, col in enumerate(pivots):
+            point[col] = rows[r][d]
+        p = tuple(point)
+        if all(sum(c * x for c, x in zip(coeffs, p)) <= bound
+               for coeffs, bound in cons):
+            found.add(p)
+    return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# exact linear programming, and coordinate bounds over an affine
+# parametrization: the reference for the rank certificate on extension
+
+
+def simplex_min(c, A, b):
+    """Minimize c . x subject to A x <= b, x free.
+
+    Returns (status, value, x) with status one of "optimal", "infeasible",
+    "unbounded".
+    """
+    n = len(c)
+    m = len(A)
+    # columns: p_0..p_{n-1}, q_0..q_{n-1} (x = p - q), s_0..s_{m-1}
+    base_cols = 2 * n + m
+    T = []
+    rhs = []
+    basis = []
+    art_rows = []
+    for i in range(m):
+        row = [ZERO] * base_cols
+        sign = ONE if b[i] >= 0 else -ONE
+        for j in range(n):
+            row[j] = sign * Fraction(A[i][j])
+            row[n + j] = -sign * Fraction(A[i][j])
+        row[2 * n + i] = sign
+        T.append(row)
+        rhs.append(sign * Fraction(b[i]))
+        if sign == ONE:
+            basis.append(2 * n + i)
+        else:
+            art_rows.append(i)
+            basis.append(-1)  # placeholder, artificial assigned below
+
+    art_cols = []
+    for k, i in enumerate(art_rows):
+        col = base_cols + k
+        art_cols.append(col)
+        for r in range(m):
+            T[r].append(ONE if r == i else ZERO)
+        basis[i] = col
+
+    total_cols = base_cols + len(art_cols)
+
+    if art_cols:
+        cost1 = [ZERO] * total_cols
+        for col in art_cols:
+            cost1[col] = ONE
+        status = _iterate(T, rhs, basis, cost1, allowed=range(total_cols))
+        assert status == "optimal"  # phase 1 is always bounded below by 0
+        val1 = sum(cost1[bv] * rv for bv, rv in zip(basis, rhs))
+        if val1 != 0:
+            return "infeasible", None, None
+        # drive zero-level artificials out of the basis
+        drop = []
+        for r in range(len(T)):
+            if basis[r] in art_cols:
+                piv = next((j for j in range(base_cols) if T[r][j] != 0), None)
+                if piv is None:
+                    drop.append(r)
+                else:
+                    _pivot(T, rhs, basis, r, piv)
+        for r in sorted(drop, reverse=True):
+            del T[r], rhs[r], basis[r]
+
+    cost2 = [ZERO] * total_cols
+    for j in range(n):
+        cost2[j] = Fraction(c[j])
+        cost2[n + j] = -Fraction(c[j])
+    status = _iterate(T, rhs, basis, cost2, allowed=range(base_cols))
+    if status == "unbounded":
+        return "unbounded", None, None
+    value = sum(cost2[bv] * rv for bv, rv in zip(basis, rhs))
+    assign = [ZERO] * total_cols
+    for bv, rv in zip(basis, rhs):
+        assign[bv] = rv
+    x = [assign[j] - assign[n + j] for j in range(n)]
+    return "optimal", value, x
+
+
+def _reduced_costs(T, rhs, basis, cost):
+    rc = list(cost)
+    for r, bv in enumerate(basis):
+        cb = cost[bv]
+        if cb != 0:
+            row = T[r]
+            for j in range(len(rc)):
+                if row[j] != 0:
+                    rc[j] -= cb * row[j]
+    return rc
+
+
+def _iterate(T, rhs, basis, cost, allowed):
+    while True:
+        rc = _reduced_costs(T, rhs, basis, cost)
+        enter = next((j for j in allowed if rc[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for r in range(len(T)):
+            a = T[r][enter]
+            if a > 0:
+                ratio = rhs[r] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            return "unbounded"
+        _pivot(T, rhs, basis, leave, enter)
+
+
+def _pivot(T, rhs, basis, r, col):
+    piv = T[r][col]
+    inv = ONE / piv
+    T[r] = [x * inv for x in T[r]]
+    rhs[r] *= inv
+    for i in range(len(T)):
+        if i != r:
+            f = T[i][col]
+            if f != 0:
+                T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+                rhs[i] -= f * rhs[r]
+    basis[r] = col
+
+
+def coordinate_bounds(x0, directions, pin_rows, pin_rhs):
+    """Exact min and max of every coordinate of x = x0 + directions . t over
+    the set {t : pins hold, 0 <= x <= 1}.
+
+    ``directions`` is a list of d vectors (one per parameter).  Returns None
+    when the set is empty.  When the pinned equations already determine t the
+    LP degenerates to a feasibility check of the single point.
+    """
+    n = len(x0)
+    d = len(directions)
+    if pin_rows:
+        # compose each pin r . x = v with x(t) = x0 + directions . t
+        trows = [[sum(Fraction(r[i]) * directions[j][i] for i in range(n))
+                  for j in range(d)] for r in pin_rows]
+        trhs = [Fraction(v) - sum(Fraction(r[i]) * x0[i] for i in range(n))
+                for r, v in zip(pin_rows, pin_rhs)]
+        sol = dense_solve_affine(trows, trhs)
+    else:
+        sol = ([ZERO] * d, _eye(d), list(range(d)))
+    if sol is None:
+        return None
+    t0, tdirs, _ = sol
+    # compose: x(u) = base + Bu . u
+    base = [x0[i] + sum(directions[j][i] * t0[j] for j in range(d)) for i in range(n)]
+    du = len(tdirs)
+    Bu = [[sum(directions[j][i] * tdirs[k][j] for j in range(d)) for k in range(du)]
+          for i in range(n)]
+
+    if du == 0:
+        if any(v < 0 or v > 1 for v in base):
+            return None
+        return [(v, v) for v in base]
+
+    A = []
+    b = []
+    const_ok = True
+    for i in range(n):
+        row = Bu[i]
+        if all(x == 0 for x in row):
+            if base[i] < 0 or base[i] > 1:
+                const_ok = False
+            continue
+        A.append([x for x in row])             # x_i <= 1
+        b.append(ONE - base[i])
+        A.append([-x for x in row])            # x_i >= 0
+        b.append(base[i])
+    if not const_ok:
+        return None
+
+    bounds = []
+    for i in range(n):
+        row = Bu[i]
+        if all(x == 0 for x in row):
+            bounds.append((base[i], base[i]))
+            continue
+        status, lo, _ = simplex_min(row, A, b)
+        if status == "infeasible":
+            return None
+        assert status == "optimal", status
+        status, hi_neg, _ = simplex_min([-x for x in row], A, b)
+        assert status == "optimal", status
+        bounds.append((base[i] + lo, base[i] - hi_neg))
+    return bounds
+
+
+def _eye(d):
+    return [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+
+
+# ---------------------------------------------------------------------------
 # state equalities straight from the sum table (for feeding the oracle)
 
 

@@ -36,7 +36,7 @@ def test_validate_accepts_a_plain_chain():
 def test_non_integer_max_size_environment_is_a_parse_error(monkeypatch):
     monkeypatch.delenv("EFFECTA_MAX_SIZE", raising=False)
     assert algebra.resolve_max_size() == 64
-    assert cli.resolve_max_size(None) == 4096
+    assert algebra.resolve_max_size(None, cli.DEFAULT_MAX_SIZE) == 4096
     monkeypatch.setenv("EFFECTA_MAX_SIZE", "plenty")
     with pytest.raises(ParseError, match="EFFECTA_MAX_SIZE"):
         zoo.chain(3)

@@ -165,6 +165,24 @@ def test_exit_code_two_for_unusable_input(tmp_path, capsys):
     assert run("smear", "--input", str(path), "--observable", str(obs)) == 2
 
 
+@pytest.mark.parametrize("observable, error", [
+    ({"support": ["0", "1"], "values": ["{1}", "{1}"]}, "is undefined"),
+    ({"support": ["0", "1"], "values": ["{1}", "{2}"]}, "not to the unit"),
+    ({"support": ["0", "0"], "values": ["{1}", "{2,3,4}"]}, "distinct"),
+    ({"support": [], "values": []}, "non-empty"),
+], ids=["sum-undefined", "sum-not-one", "duplicate-point", "empty"])
+def test_smear_rejects_an_invalid_observable(tmp_path, capsys, observable,
+                                             error):
+    path = write_algebra(tmp_path, "b4.json", "boolean", "4")
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps(observable))
+    assert run("smear", "--input", str(path), "--observable", str(obs)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and error in err[0]
+
+
 def test_max_size_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EFFECTA_MAX_SIZE", "10")
     assert run("generate", "chain", "300") == 2

@@ -1,5 +1,5 @@
-"""Exact linear algebra, the simplex core, vertex enumeration, and the
-coordinate-bounding routine used by the state-extension certificates."""
+"""Exact linear algebra and vertex enumeration, plus the reference simplex
+and coordinate-bounding oracles that cross-check the extension certificate."""
 
 from fractions import Fraction
 
@@ -7,9 +7,9 @@ import pytest
 
 import oracles
 from effecta.linalg import rank, rref, solve_affine
-from effecta.lp import coordinate_bounds, simplex_min
 from effecta.polytope import MAX_BOX_DIM, HalfSpace, enumerate_vertices
 from effecta.errors import SizeLimitExceeded
+from oracles import box_vertices_brute, coordinate_bounds, simplex_min
 
 F = Fraction
 Z, O = F(0), F(1)
@@ -69,17 +69,16 @@ def test_halfspace_slack_convention():
 def test_vertex_enumeration_triangle_both_methods():
     cuts = [HalfSpace((O, O), O)]          # x + y <= 1 inside the unit box
     want = sorted([(Z, Z), (Z, O), (O, Z)])
-    for method in ("incremental", "brute"):
-        got = sorted(enumerate_vertices(2, cuts, method=method))
-        assert got == want, method
+    assert sorted(enumerate_vertices(2, cuts)) == want
+    assert box_vertices_brute(2, cuts) == want
 
 
 def test_vertex_enumeration_cube_and_degenerate_cut():
-    assert len(enumerate_vertices(3, [], method="incremental")) == 8
+    assert len(enumerate_vertices(3, [])) == 8
     # slicing the square exactly through two corners changes nothing
     cuts = [HalfSpace((O, -O), Z)]          # x <= y
-    got = sorted(enumerate_vertices(2, cuts, method="incremental"))
-    assert got == sorted(enumerate_vertices(2, cuts, method="brute"))
+    got = sorted(enumerate_vertices(2, cuts))
+    assert got == box_vertices_brute(2, cuts)
     assert (Z, Z) in got and (O, O) in got and (O, Z) not in got
 
 
@@ -89,7 +88,7 @@ def test_vertex_enumeration_dimension_guard():
 
 
 # ---------------------------------------------------------------------------
-# coordinate bounds through an affine parametrization
+# coordinate bounds through an affine parametrization (test oracle)
 
 
 def _b2_parametrization():

@@ -114,7 +114,7 @@ def test_canonical_representation_gates():
     assert err.value.pair == ("h0:1", "h1:1")
 
     M = chain(2)
-    hollow = StatePolytope(M, (), -1, [], [], None, None, None)
+    hollow = StatePolytope(M, (), -1, [], [])
     with pytest.raises(EmptyStateSpace):
         canonical_representation(M, polytope=hollow, enforce_rdp=False)
 

@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import extension_uniqueness, make_observable, spectral_measure, state_polytope
+from effecta import make_observable, spectral_measure, state_polytope
 from effecta.errors import NonUniqueSupplement, ParseError
 from effecta.representation import canonical_representation
 from effecta.serialize import (algebra_from_obj, algebra_to_obj, dumps,
-                               extension_report_to_obj, frac_from_str,
-                               frac_to_str, loads, observable_from_obj,
-                               observable_to_obj, polytope_to_obj,
-                               representation_to_obj, spectral_to_obj,
-                               state_from_obj, state_to_obj)
+                               frac_from_str, frac_to_str, loads,
+                               observable_from_obj, observable_to_obj,
+                               polytope_to_obj, representation_to_obj,
+                               spectral_to_obj, state_from_obj, state_to_obj)
 
 from zoo_instances import boolean, chain
 
@@ -151,7 +150,7 @@ def test_observable_parse_errors():
 
 
 # ---------------------------------------------------------------------------
-# representations, measures, extension reports
+# representations and measures
 
 
 def test_representation_serialization():
@@ -176,15 +175,3 @@ def test_spectral_serialization():
         "masses": {"0": "{1}", "1": "{2}"},
     }
 
-
-def test_extension_report_serialization():
-    M = chain(3)
-    rep = canonical_representation(M)
-    report = extension_uniqueness(rep, {0: F(0), 3: F(1)})
-    obj = extension_report_to_obj(M, report)
-    assert obj == {
-        "unique": True,
-        "bounds": {"0": ["0", "0"], "1": ["1/3", "1/3"],
-                   "2": ["2/3", "2/3"], "3": ["1", "1"]},
-        "extension": {"values": {"0": "0", "1": "1/3", "2": "2/3", "3": "1"}},
-    }

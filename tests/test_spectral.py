@@ -10,19 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import extend_state, extension_uniqueness, spectral_integral, spectral_measure
-from effecta.errors import (InfeasibleExtension, NotAStateOnSharp, NotSharp,
-                            PhiEndpointViolation, PhiNotMonotone,
-                            SupportNotCovered)
+import oracles
+from effecta import (extend_state, extension_uniqueness, sharp_elements,
+                     spectral_integral, spectral_measure)
+from effecta.errors import (NotAStateOnSharp, NotSharp, PhiEndpointViolation,
+                            PhiNotMonotone, SupportNotCovered)
 from effecta.observables import OutcomeSet
+from effecta.report import FAIL
 from effecta.representation import Representation, canonical_representation
-from effecta.spectral import (identity_phi, make_phi, sharp_table,
-                              spectral_injectivity, spectral_uniqueness_probe,
-                              transform_spectral, transformed_injectivity,
-                              validate_sharp_state)
-from effecta.states import StatePolytope, state_polytope
+from effecta.spectral import (identity_phi, make_phi, sharp_kernel,
+                              sharp_table, spectral_injectivity,
+                              spectral_uniqueness_probe, transform_spectral,
+                              transformed_injectivity, validate_sharp_state)
+from effecta.states import State, StatePolytope, seeded_mixtures, state_polytope
+from effecta.suites import run_extension
 
-from zoo_instances import boolean, chain
+from zoo_instances import boolean, chain, rdp_zoo
 
 F = Fraction
 Z = F(0)
@@ -180,8 +183,7 @@ def test_extension_fills_in_the_fuzzy_layers():
     ext = extend_state(rep, {0: Z, 3: O})
     assert ext.values == (Z, THIRD, F(2, 3), O)
     report = extension_uniqueness(rep, {0: Z, 3: O})
-    assert report.unique
-    assert report.bounds == ((Z, Z), (THIRD, THIRD), (F(2, 3), F(2, 3)), (O, O))
+    assert report.unique and report.kernel is None
     assert report.extension.values == ext.values
 
 
@@ -192,20 +194,60 @@ def test_extension_restricts_to_its_input():
     ext = extend_state(rep, given)
     assert ext.values == (Z, F(1, 4), F(3, 4), O)
     report = extension_uniqueness(rep, given)
-    assert report.unique
-    assert all(lo == hi == ext.values[a] for a, (lo, hi) in enumerate(report.bounds))
+    assert report.unique and report.kernel is None
+    assert report.extension.values == ext.values
 
 
-def test_infeasible_extension_is_detected():
-    B = boolean(2)
-    rep = canonical_representation(B)
-    # same tribe and h, but a parametrization whose base point pins s({}) at 1/2
-    doctored = StatePolytope(B, rep.polytope.vertices, rep.polytope.dimension,
-                             [], [], [F(1, 2), Z, Z, O], [], [])
-    fake = Representation(rep.tribe, B, rep.h, rep.omega0, rep.ideal,
+def test_rank_deficit_yields_a_kernel_witness():
+    C = chain(3)
+    rep = canonical_representation(C)
+    # only 0 and 1 are sharp; a second vertex that agrees with the true
+    # state there leaves the sharp values unable to fix the state
+    v0 = rep.polytope.vertices[0].values
+    v1 = (Z, F(1, 2), F(1, 2), O)
+    doctored = StatePolytope(C, (State(v0), State(v1)), 1,
+                             rep.polytope.equalities,
+                             rep.polytope.equality_rhs)
+    fake = Representation(rep.tribe, C, rep.h, rep.omega0, rep.ideal,
                           polytope=doctored)
-    with pytest.raises(InfeasibleExtension):
-        extension_uniqueness(fake, {0: Z, 1: Z, 2: O, 3: O})
+    report = extension_uniqueness(fake, {0: Z, 3: O})
+    assert report.unique is False
+    assert report.kernel == (Z, F(1, 6), F(-1, 6), Z)
+    sharp = sharp_elements(C).members
+    assert all(report.kernel[b] == 0 for b in sharp)
+    assert any(report.kernel)
+    # the LP oracle on the line through the two vertices agrees: the sharp
+    # values leave the fuzzy elements free across the whole unit box
+    pins = [[O if i == b else Z for i in C.elements()] for b in sharp]
+    bounds = oracles.coordinate_bounds(
+        list(v0), [[x - y for x, y in zip(v1, v0)]], pins, [Z, O])
+    assert bounds == [(Z, Z), (Z, O), (Z, O), (O, O)]
+    # the extension suite turns the deficit into a FAIL with the witness
+    records = run_extension(C, "c3", 0, prepared=lambda suite: (fake, None))
+    uniqueness = next(r for r in records if r.check == "uniqueness")
+    assert uniqueness.status == FAIL
+    assert uniqueness.witness == [C.label(1), "1/6"]
+
+
+def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
+    """Wherever the certificate says unique, exact LP bounds over every
+    state with the given sharp values collapse onto the extension."""
+    for name, M in rdp_zoo():
+        if name == "chain7xchain7":
+            continue
+        P = state_polytope(M)
+        rep = canonical_representation(M, polytope=P)
+        assert sharp_kernel(rep) is None, name
+        x0, directions, _ = oracles.dense_solve_affine(
+            *oracles.raw_state_system(M))
+        sharp = sharp_elements(M).members
+        pins = [[O if i == b else Z for i in M.elements()] for b in sharp]
+        for m in list(P.vertices) + seeded_mixtures(P, 3, seed=1):
+            bounds = oracles.coordinate_bounds(
+                x0, directions, pins, [m.values[b] for b in sharp])
+            ext = extension_uniqueness(
+                rep, {b: m.values[b] for b in sharp}).extension
+            assert bounds == [(v, v) for v in ext.values], name
 
 
 def test_uniqueness_probe_finds_no_alternatives():

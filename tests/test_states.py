@@ -121,7 +121,7 @@ def test_diamond_states_do_not_separate():
 
 def test_empty_polytope_gates():
     M = chain(2)
-    empty = StatePolytope(M, (), -1, [], [], None, None, None)
+    empty = StatePolytope(M, (), -1, [], [])
     assert empty.is_empty
     with pytest.raises(EmptyStateSpace):
         evaluate(empty, 0)
