@@ -39,7 +39,6 @@ from .representation import (
 from .spectral import (
     SpectralMeasure,
     extend_state,
-    extension_uniqueness,
     spectral_integral,
     spectral_measure,
     transform_spectral,
@@ -66,7 +65,6 @@ __all__ = [
     "check_rdp",
     "detect_mv",
     "extend_state",
-    "extension_uniqueness",
     "generate",
     "is_state",
     "iterated_sum",

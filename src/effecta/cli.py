@@ -6,7 +6,8 @@ builds a smearing kernel for a stored observable and verifies the
 integral law under it.
 
 Exit codes: 0 when every record passes, 1 when any check fails, 2 for
-unusable input (parse errors, size limits, I/O problems).
+unusable input (parse errors, size limits, I/O problems).  In ``check``
+only the element-count limit is unusable input; a derived cap skips suites.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import EffectAlgebra, check_rdp, sharp_elements
@@ -57,15 +59,29 @@ class EffectTribe:
     carrier: tuple[str, ...]
     functions: tuple[FnValues, ...]
 
+    @cached_property
+    def _index(self) -> dict[FnValues, int]:
+        # built once per tribe; the first position wins, as in tuple.index
+        return {f: i for i, f in reversed(list(enumerate(self.functions)))}
+
     def index_of(self, values: FnValues) -> int | None:
-        # functions is sorted, but linear scan is fine at these sizes
-        try:
-            return self.functions.index(tuple(values))
-        except ValueError:
-            return None
+        return self._index.get(tuple(values))
 
     def __contains__(self, values) -> bool:
         return self.index_of(tuple(values)) is not None
+
+
+def _compatible_sums(fns: Sequence[FnValues]):
+    """(f, g, f + g) for every ordered pair with f <= 1 - g pointwise, in
+    the order of the double loop over fns.  Each function and complement is
+    formed once as integer numerators over a common denominator d."""
+    d = lcm(*(v.denominator for f in fns for v in f))
+    nums = [tuple(v.numerator * (d // v.denominator) for v in f) for f in fns]
+    comps = [tuple(d - y for y in g) for g in nums]
+    for f, nf in zip(fns, nums):
+        for g, comp in zip(fns, comps):
+            if all(x <= y for x, y in zip(nf, comp)):
+                yield f, g, tuple(x + y for x, y in zip(f, g))
 
 
 def validate_tribe(carrier: Sequence[str], functions: Iterable[Sequence[Fraction]]) -> EffectTribe:
@@ -87,13 +103,10 @@ def validate_tribe(carrier: Sequence[str], functions: Iterable[Sequence[Fraction
         g = tuple(ONE - v for v in f)
         if g not in members:
             raise TribeAxiomViolation("complement not closed", (_fmt(f),))
-    for f in fns:
-        for g in fns:
-            if all(x <= ONE - y for x, y in zip(f, g)):
-                s = tuple(x + y for x, y in zip(f, g))
-                if s not in members:
-                    raise TribeAxiomViolation(
-                        "sum not closed", (_fmt(f), _fmt(g), _fmt(s)))
+    for f, g, s in _compatible_sums(fns):
+        if s not in members:
+            raise TribeAxiomViolation(
+                "sum not closed", (_fmt(f), _fmt(g), _fmt(s)))
     return EffectTribe(carrier, tuple(fns))
 
 
@@ -111,12 +124,8 @@ def tribe_to_algebra(tribe: EffectTribe, *, max_size: int | None = None) -> Effe
     p = len(tribe.carrier)
     zero = lbl[tuple([ZERO] * p)]
     one = lbl[tuple([ONE] * p)]
-    sums = []
-    for f in tribe.functions:
-        for g in tribe.functions:
-            if all(x <= ONE - y for x, y in zip(f, g)):
-                s = tuple(x + y for x, y in zip(f, g))
-                sums.append((lbl[f], lbl[g], lbl[s]))
+    sums = [(lbl[f], lbl[g], lbl[s])
+            for f, g, s in _compatible_sums(tribe.functions)]
     return validate_effect_algebra(labels, zero, one, sums, max_size=max_size)
 
 
@@ -127,19 +136,11 @@ def tribe_sharp_functions(tribe: EffectTribe) -> set[FnValues]:
     both f and 1-f.  (If one does, the meet is nonzero or fails to exist;
     either way f is not sharp.)
     """
-    p = len(tribe.carrier)
-    zero = tuple([ZERO] * p)
     out = set()
     for f in tribe.functions:
-        comp = tuple(ONE - v for v in f)
-        sharp = True
-        for g in tribe.functions:
-            if g == zero:
-                continue
-            if all(x <= y for x, y in zip(g, f)) and all(x <= y for x, y in zip(g, comp)):
-                sharp = False
-                break
-        if sharp:
+        low = tuple(min(v, ONE - v) for v in f)      # below f and 1-f
+        if not any(any(g) and all(x <= y for x, y in zip(g, low))
+                   for g in tribe.functions):
             out.add(f)
     return out
 
@@ -169,6 +170,10 @@ class Representation:
         self._b0: SigmaAlgebraB0 | None = None
         self._xi = None    # cache for the verified sharp-set observable
         self._spectral: dict[int, object] = {}   # verified measures per element
+        self._measurable: dict[FnValues, bool] = {}   # per member function
+        # smearing integrals, (id(state), id(f)) -> (state, f, integral);
+        # each entry holds its state and function, so no id is reused
+        self._integrals: dict[tuple[int, int], tuple] = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -219,14 +224,11 @@ def make_representation(tribe: EffectTribe, target: EffectAlgebra,
     by_fn = dict(zip(tribe.functions, h))
     if by_fn[one] != target.one or by_fn[zero] != target.zero:
         raise RepresentationViolation("h must send 1 to 1 and 0 to 0")
-    for f, a in by_fn.items():
-        for g, b in by_fn.items():
-            if all(x <= ONE - y for x, y in zip(f, g)):
-                s = tuple(x + y for x, y in zip(f, g))
-                c = target.add(a, b)
-                if c is None or c != by_fn[s]:
-                    raise RepresentationViolation(
-                        f"h does not preserve the sum at {_fmt(f)} + {_fmt(g)}")
+    for f, g, s in _compatible_sums(list(by_fn)):
+        c = target.add(by_fn[f], by_fn[g])
+        if c is None or c != by_fn[s]:
+            raise RepresentationViolation(
+                f"h does not preserve the sum at {_fmt(f)} + {_fmt(g)}")
     omega0 = frozenset(omega0)
     if not omega0 <= set(range(p)):
         raise RepresentationViolation("omega0 must be a set of carrier indices")
@@ -319,11 +321,10 @@ def compute_b0(rep: Representation, *, tribe_rdp: bool | None = None) -> SigmaAl
     p = len(tribe.carrier)
     if p > MAX_CARRIER:
         raise SizeLimitExceeded(f"carrier of {p} points exceeds {MAX_CARRIER}")
-    member = set(tribe.functions)
     s0 = []
     for mask in range(1 << p):
         points = frozenset(i for i in range(p) if mask >> i & 1)
-        if rep.chi(points) in member:
+        if rep.chi(points) in tribe:
             s0.append(points)
     sharp = tribe_sharp_functions(tribe)
     b0 = [A for A in s0 if rep.chi(A) in sharp]
@@ -363,15 +364,17 @@ def compute_b0(rep: Representation, *, tribe_rdp: bool | None = None) -> SigmaAl
 
 
 def measurable(rep: Representation, f: Sequence[Fraction]) -> bool:
-    """Is f constant on every atom of the sharp-set sigma-algebra?"""
-    f = tuple(Fraction(v) for v in f)
-    if f not in rep.tribe:
-        raise PreconditionFailed(f"{_fmt(f)} is not a member function")
-    for atom in rep.b0().atoms:
-        vals = {f[i] for i in atom}
-        if len(vals) > 1:
-            return False
-    return True
+    """Is f constant on every atom of the sharp-set sigma-algebra?
+
+    Decided once per member function and cached on the representation."""
+    key = tuple(f)
+    if key not in rep._measurable:
+        f = tuple(Fraction(v) for v in key)
+        if f not in rep.tribe:
+            raise PreconditionFailed(f"{_fmt(f)} is not a member function")
+        rep._measurable[key] = all(len({f[i] for i in atom}) == 1
+                                   for atom in rep.b0().atoms)
+    return rep._measurable[key]
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +420,10 @@ def check_regular(rep: Representation) -> RegularityReport:
     """h(f) = 0 exactly when the characteristic function of the omega0
     support of f is a member mapping to 0; first failure is returned."""
     zero = rep.target.zero
-    member = set(rep.tribe.functions)
     for f in rep.tribe.functions:
         lhs = rep.h_of(f) == zero
         chi = rep.chi(support(f, rep.omega0))
-        rhs = chi in member and rep.h_of(chi) == zero
+        rhs = chi in rep.tribe and rep.h_of(chi) == zero
         if lhs != rhs:
             return RegularityReport(False, f)
     return RegularityReport(True, None)
@@ -475,9 +477,8 @@ def sharp_image(rep: Representation) -> SharpImageReport:
     ok = image == sharp
 
     all_meas = all(measurable(rep, f) for f in rep.tribe.functions)
-    member = set(rep.tribe.functions)
     min_closed = all(
-        tuple(min(v, ONE - v) for v in f) in member
+        tuple(min(v, ONE - v) for v in f) in rep.tribe
         for f in rep.tribe.functions)
     if not ok and all_meas and min_closed and check_regular(rep).ok:
         raise TheoremViolation(

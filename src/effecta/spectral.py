@@ -362,25 +362,6 @@ def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:
     raise TheoremViolation("rank deficit without a kernel direction")
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    unique: bool
-    kernel: tuple[Fraction, ...] | None    # see sharp_kernel
-    extension: State
-
-
-def extension_uniqueness(rep: Representation, m: Mapping) -> ExtensionReport:
-    """The extension of m, and whether it is the only one.
-
-    Uniqueness is the rank certificate of :func:`sharp_kernel`, which does
-    not depend on m; the extension comes from :func:`extend_state`, which
-    asserts its restriction, that it is a state, and its spectral form.
-    """
-    extension = extend_state(rep, m)
-    kernel = sharp_kernel(rep)
-    return ExtensionReport(kernel is None, kernel, extension)
-
-
 # ---------------------------------------------------------------------------
 # bounded search for alternative spectral measures
 

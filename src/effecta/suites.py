@@ -24,6 +24,7 @@ from .errors import (
     NotMeasurable,
     OrderNotAntisymmetric,
     RdpRequired,
+    SizeLimitExceeded,
     TheoremViolation,
 )
 from .observables import (
@@ -110,9 +111,13 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                                       FAIL, detail=str(exc)))
         return records
 
-    polytope = None
+    # a derived cap (box dimension, carrier size) skips only what needs it
+    polytope = cap = None
     if "states" in suites or any(s in suites for s in _GATED):
-        polytope = state_polytope(M)
+        try:
+            polytope = state_polytope(M)
+        except SizeLimitExceeded as exc:
+            cap = exc
 
     shared: dict = {}
 
@@ -145,7 +150,13 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
     for s in suites:
         if s == "axioms":
             continue
-        records.extend(runners[s]())
+        try:
+            if cap is not None and (s == "states" or s in _GATED):
+                raise cap
+            records.extend(runners[s]())
+        except SizeLimitExceeded as exc:
+            records.append(Record(s, instance, "size-limit", SKIP,
+                                  detail=str(exc)))
     return records
 
 
@@ -546,6 +557,8 @@ def run_extension(M: EffectAlgebra, instance: str, seed: int, *,
                          if ext.values[a] != m.values[a])
                 bad_round = [i, M.label(a), frac_to_str(ext.values[a]),
                              frac_to_str(m.values[a])]
+    except SizeLimitExceeded:
+        raise                      # a cap skips the suite, see check_document
     except EffectaError as exc:
         bad_round = bad_round or [i, str(exc)]
     records.append(Record("extension", instance, "roundtrip",

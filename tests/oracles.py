@@ -6,6 +6,7 @@ through the library's own algorithms, so that agreement between the two
 routes is evidence and not tautology.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -511,3 +512,47 @@ def spectral_form_value(rep, a, sharp_values):
         chi = tuple(ONE if f[i] == lam else ZERO for i in range(p))
         total += lam * sharp_values[rep.h_of(chi)]
     return total
+
+
+# ---------------------------------------------------------------------------
+# the smearing right-hand side, recomputed on every call
+
+
+def smearing_integral(rep, f, m):
+    """Sum of f(A) * m(h(chi_A)) over the atoms A of B0, formed afresh on
+    every call: the characteristic function is found by a scan of the
+    member list and mapped through the raw h tuple, with no cache, no
+    sharp observable and no index lookup."""
+    p = len(rep.carrier)
+    total = ZERO
+    for A in rep.b0().atoms:
+        values = {f[i] for i in A}
+        assert len(values) == 1, f"integrand not constant on atom {sorted(A)}"
+        chi = tuple(ONE if i in A else ZERO for i in range(p))
+        total += values.pop() * m.values[rep.h[rep.tribe.functions.index(chi)]]
+    return total
+
+
+# ---------------------------------------------------------------------------
+# unique extension as one report (library calls, composed for the tests)
+
+
+@dataclass(frozen=True)
+class ExtensionReport:
+    unique: bool
+    kernel: tuple | None       # see effecta.spectral.sharp_kernel
+    extension: object          # the State from effecta.spectral.extend_state
+
+
+def extension_uniqueness(rep, m):
+    """The extension of m, and whether it is the only one.
+
+    Uniqueness is the rank certificate of ``sharp_kernel``, which does not
+    depend on m; the extension comes from ``extend_state``, which asserts
+    its restriction, that it is a state, and its spectral form.
+    """
+    from effecta.spectral import extend_state, sharp_kernel
+
+    extension = extend_state(rep, m)
+    kernel = sharp_kernel(rep)
+    return ExtensionReport(kernel is None, kernel, extension)

@@ -12,9 +12,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from effecta import (check_rdp, extend_state, extension_uniqueness,
-                     make_observable, sharp_elements, spectral_integral,
-                     state_polytope)
+from effecta import (check_rdp, extend_state, make_observable,
+                     sharp_elements, spectral_integral, state_polytope)
 from effecta import cli
 from effecta.observables import (OutcomeSet, smear, summable_families,
                                  verify_smearing)
@@ -26,8 +25,8 @@ from effecta.spectral import (make_phi, sharp_table, spectral_injectivity,
                               transform_spectral)
 from effecta.states import seeded_mixtures
 
-from oracles import (brute_rdp, brute_vertices, raw_state_system,
-                     spectral_form_value, sum_table_dict)
+from oracles import (brute_rdp, brute_vertices, extension_uniqueness,
+                     raw_state_system, spectral_form_value, sum_table_dict)
 from zoo_instances import non_rdp_zoo, rdp_zoo, two_point_tribe
 
 F = Fraction

@@ -102,6 +102,27 @@ def test_check_fails_on_mo2(tmp_path, capsys):
     assert ("rdp", "refinement") in failing
 
 
+def test_derived_size_cap_skips_suites_instead_of_aborting(tmp_path, capsys):
+    # 13 blocks give a state space of parameter dimension 13, above the
+    # box-enumeration cap of 12; the suites that need it are skipped
+    path = write_algebra(tmp_path, "hsum13.json",
+                         "horizontal-sum", *["boolean2"] * 13)
+    assert run("check", "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payloads = {(p["suite"], p["check"]): p for p in
+                map(json.loads, captured.out.strip().splitlines())}
+    for check in ("validate", "double-complement", "difference-unique"):
+        assert payloads[("axioms", check)]["status"] == "pass"
+    assert payloads[("rdp", "refinement")]["status"] == "fail"
+    assert payloads[("sharp", "members")]["status"] == "pass"
+    for suite in ("states", "representation", "smearing", "spectral",
+                  "extension"):
+        skip = payloads[(suite, "size-limit")]
+        assert skip["status"] == "skip"
+        assert skip["detail"] == "parameter dimension 13 exceeds 12"
+
+
 def test_check_output_is_byte_deterministic(tmp_path):
     path = write_algebra(tmp_path, "i12.json", "interval", "1", "2")
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

@@ -1,0 +1,37 @@
+"""Byte identity of full reports against digests recorded before any
+performance change.
+
+A faster path must leave every report byte unchanged.  The digests below
+are the sha256 of the JSONL report of ``check_document`` with all suites at
+seed 0, recorded at the commit before the smearing integrals were memoised
+(f4bdc40); a change that alters any record on these documents fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from effecta import generate, parse_family_tokens
+from effecta.report import render_jsonl
+from effecta.serialize import algebra_to_obj
+from effecta.suites import SUITE_NAMES, check_document
+
+GOLDEN = {
+    "chain3": (("chain", "3"),
+               "8e3222dac783f0e84bdc74b994d73bb1"
+               "8a23592fec14408eec933ac5581b3e7a"),
+    "boolean4": (("boolean", "4"),
+                 "32cb04c5b28a8983579382322a30b5f8"
+                 "34dcbefce20377134269d11aa98aa8a3"),
+    "interval222": (("interval", "2", "2", "2"),
+                    "7346af0763545a940217d31c62de2e79"
+                    "819eec35a7e9dd59b5eb4736b1b70406"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN))
+def test_report_bytes_match_the_recorded_digest(instance):
+    tokens, digest = GOLDEN[instance]
+    doc = algebra_to_obj(generate(parse_family_tokens(list(tokens))))
+    report = render_jsonl(check_document(doc, instance, SUITE_NAMES, 0))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest

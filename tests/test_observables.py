@@ -19,9 +19,10 @@ from effecta.observables import (Interval, OutcomeSet, kernel_independence_check
 from effecta.representation import (canonical_representation,
                                     extend_carrier_with_null_point,
                                     make_representation)
-from effecta.states import state_polytope
+from effecta.states import State, seeded_mixtures, state_polytope
 
-from zoo_instances import boolean, chain, two_point_tribe
+import oracles
+from zoo_instances import boolean, chain, rdp_zoo, two_point_tribe
 
 F = Fraction
 Z = F(0)
@@ -172,6 +173,49 @@ def test_verify_smearing_residuals_are_exactly_zero():
                 report = verify_smearing(rep, x, kernel, m)
                 assert report.ok
                 assert set(report.residuals.values()) == {Z}
+
+
+def test_memoised_residuals_match_the_reference_integral():
+    """Every residual equals m(x(E)) minus an integral recomputed from
+    scratch, so the per-(function, state) memo cannot hide a wrong value."""
+    checked = 0
+    for name, M in rdp_zoo():
+        if name == "chain7xchain7":
+            continue
+        rep = canonical_representation(M)
+        states = list(rep.polytope.vertices) + seeded_mixtures(
+            rep.polytope, 10, 0)
+        for values in summable_families(M, 3):
+            x = make_observable(M, range(len(values)), values)
+            kernel = smear(rep, x)
+            for m in states:
+                report = verify_smearing(rep, x, kernel, m)
+                for key, f in kernel.functions.items():
+                    expected = (m.values[x.element_at(key)]
+                                - oracles.smearing_integral(rep, f, m))
+                    assert report.residuals[key] == expected, (name, key)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_fresh_states_never_share_a_memoised_integral():
+    """States built and dropped in turn, with different values, each get
+    their own integral; a memo keyed on a bare id(state) would hand a
+    dropped state's integrals to the next state given its id."""
+    M = boolean(2)
+    rep = canonical_representation(M)
+    v0, v1 = (s.values for s in rep.polytope.vertices)
+    x = make_observable(M, (0, 1), ("{1}", "{2}"))
+    kernel = smear(rep, x)
+    for k in range(40):
+        t = F(k, 39)
+        m = State(tuple(t * a + (1 - t) * b for a, b in zip(v0, v1)))
+        report = verify_smearing(rep, x, kernel, m)
+        for key, f in kernel.functions.items():
+            expected = (m.values[x.element_at(key)]
+                        - oracles.smearing_integral(rep, f, m))
+            assert report.residuals[key] == expected == 0, (k, key)
+        del m, report       # frees the state's id for the next one
 
 
 # ---------------------------------------------------------------------------

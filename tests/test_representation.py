@@ -20,11 +20,12 @@ from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
 from effecta.representation import (check_ideal_congruence, check_regular,
                                     compute_b0, extend_carrier_with_null_point,
                                     make_representation, measurable, sandwich,
-                                    sharp_image, support)
+                                    sharp_image, support,
+                                    tribe_sharp_functions)
 from effecta.states import StatePolytope
 
 from zoo_instances import (boolean, chain, diamond, mo2, non_sigma_tribe,
-                           two_point_tribe)
+                           rdp_zoo, two_point_tribe)
 
 F = Fraction
 Z = F(0)
@@ -174,6 +175,54 @@ def test_support_and_measurable_preconditions():
     assert support((Z, HALF, Z, O), frozenset({0, 1, 2})) == frozenset({1})
     with pytest.raises(PreconditionFailed):
         measurable(rep, (HALF, HALF))
+
+
+def _lookup_cases():
+    """Representations whose tribes and atoms the lookup tests scan: the
+    RDP zoo but chain7xchain7, a null-point extension, and the two-point
+    tribe whose middle layer is not measurable."""
+    reps = [canonical_representation(M) for name, M in rdp_zoo()
+            if name != "chain7xchain7"]
+    reps.append(extend_carrier_with_null_point(reps[-1], "null"))
+    reps.append(make_representation(two_point_tribe(), chain(3),
+                                    (0, 1, 2, 3), (0, 1), [frozenset()]))
+    return reps
+
+
+def test_index_of_agrees_with_a_scan_of_the_member_list():
+    for rep in _lookup_cases():
+        tribe = rep.tribe
+        for f in tribe.functions:
+            assert tribe.index_of(f) == tribe.functions.index(f)
+            assert tribe.index_of(list(f)) == tribe.functions.index(f)
+        p = len(tribe.carrier)
+        assert tribe.index_of((F(1, 997),) * p) is None
+        assert tribe.index_of((Z,) * (p + 1)) is None
+        # equality and hashing see only the carrier and the functions
+        twin = EffectTribe(tribe.carrier, tribe.functions)
+        assert twin == tribe and hash(twin) == hash(tribe)
+
+
+def test_measurable_agrees_with_a_direct_atom_scan():
+    cases = _lookup_cases()
+    for rep in cases:
+        atoms = rep.b0().atoms
+        for f in rep.tribe.functions:
+            direct = all(len({f[i] for i in A}) == 1 for A in atoms)
+            assert measurable(rep, f) == direct
+            assert measurable(rep, f) == direct      # the cached answer
+        with pytest.raises(PreconditionFailed):
+            measurable(rep, (F(1, 997),) * len(rep.carrier))
+    assert not measurable(cases[-1], (F(1, 3), F(2, 3)))
+
+
+def test_sharp_functions_match_the_pointwise_definition():
+    for rep in _lookup_cases():
+        fns = rep.tribe.functions
+        below_both = {f for f in fns for g in fns if any(g)
+                      and all(x <= y for x, y in zip(g, f))
+                      and all(x <= O - y for x, y in zip(g, f))}
+        assert tribe_sharp_functions(rep.tribe) == set(fns) - below_both
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from effecta import (extend_state, extension_uniqueness, sharp_elements,
-                     spectral_integral, spectral_measure)
+from effecta import (extend_state, sharp_elements, spectral_integral,
+                     spectral_measure)
 from effecta.errors import (NotAStateOnSharp, NotSharp, PhiEndpointViolation,
                             PhiNotMonotone, SupportNotCovered)
 from effecta.observables import OutcomeSet
@@ -182,7 +182,7 @@ def test_extension_fills_in_the_fuzzy_layers():
     # the sharp elements are only 0 and 1, yet they pin the whole state
     ext = extend_state(rep, {0: Z, 3: O})
     assert ext.values == (Z, THIRD, F(2, 3), O)
-    report = extension_uniqueness(rep, {0: Z, 3: O})
+    report = oracles.extension_uniqueness(rep, {0: Z, 3: O})
     assert report.unique and report.kernel is None
     assert report.extension.values == ext.values
 
@@ -193,7 +193,7 @@ def test_extension_restricts_to_its_input():
     given = {0: Z, 1: F(1, 4), 2: F(3, 4), 3: O}
     ext = extend_state(rep, given)
     assert ext.values == (Z, F(1, 4), F(3, 4), O)
-    report = extension_uniqueness(rep, given)
+    report = oracles.extension_uniqueness(rep, given)
     assert report.unique and report.kernel is None
     assert report.extension.values == ext.values
 
@@ -210,7 +210,7 @@ def test_rank_deficit_yields_a_kernel_witness():
                              rep.polytope.equality_rhs)
     fake = Representation(rep.tribe, C, rep.h, rep.omega0, rep.ideal,
                           polytope=doctored)
-    report = extension_uniqueness(fake, {0: Z, 3: O})
+    report = oracles.extension_uniqueness(fake, {0: Z, 3: O})
     assert report.unique is False
     assert report.kernel == (Z, F(1, 6), F(-1, 6), Z)
     sharp = sharp_elements(C).members
@@ -245,7 +245,7 @@ def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
         for m in list(P.vertices) + seeded_mixtures(P, 3, seed=1):
             bounds = oracles.coordinate_bounds(
                 x0, directions, pins, [m.values[b] for b in sharp])
-            ext = extension_uniqueness(
+            ext = oracles.extension_uniqueness(
                 rep, {b: m.values[b] for b in sharp}).extension
             assert bounds == [(v, v) for v in ext.values], name
 

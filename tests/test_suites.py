@@ -63,6 +63,19 @@ def test_mo2_gating_and_skip():
         assert k[("states", check)].status == "pass"
 
 
+def test_carrier_cap_skips_only_the_suites_that_reach_it(monkeypatch):
+    monkeypatch.setattr("effecta.representation.MAX_CARRIER", 0)
+    recs = check_document(algebra_to_obj(chain(3)), "c3", SUITE_NAMES, seed=0)
+    k = by_key(recs)
+    for suite in ("representation", "smearing", "extension"):
+        r = k[(suite, "size-limit")]
+        assert r.status == "skip"
+        assert r.detail == "carrier of 1 points exceeds 0"
+    # the spectral suite never builds the sharp-set sigma-algebra
+    assert all(r.status == "pass" for r in recs if r.status != "skip")
+    assert {r.suite for r in recs} == set(SUITE_NAMES)
+
+
 def test_invalid_algebra_shorts_every_suite():
     bad = algebra_to_obj(chain(3))
     bad["sum"] = [s if s != ["1", "1", "2"] else ["1", "1", "3"]
