@@ -170,7 +170,6 @@ class Representation:
         self._b0: SigmaAlgebraB0 | None = None
         self._xi = None    # cache for the verified sharp-set observable
         self._spectral: dict[int, object] = {}   # verified measures per element
-        self._measurable: dict[FnValues, bool] = {}   # per member function
         # smearing integrals, (id(state), id(f)) -> (state, f, integral);
         # each entry holds its state and function, so no id is reused
         self._integrals: dict[tuple[int, int], tuple] = {}
@@ -364,17 +363,15 @@ def compute_b0(rep: Representation, *, tribe_rdp: bool | None = None) -> SigmaAl
 
 
 def measurable(rep: Representation, f: Sequence[Fraction]) -> bool:
-    """Is f constant on every atom of the sharp-set sigma-algebra?
-
-    Decided once per member function and cached on the representation."""
-    key = tuple(f)
-    if key not in rep._measurable:
-        f = tuple(Fraction(v) for v in key)
-        if f not in rep.tribe:
-            raise PreconditionFailed(f"{_fmt(f)} is not a member function")
-        rep._measurable[key] = all(len({f[i] for i in atom}) == 1
-                                   for atom in rep.b0().atoms)
-    return rep._measurable[key]
+    """Is f constant on every atom of the sharp-set sigma-algebra?"""
+    f = tuple(Fraction(v) for v in f)
+    if f not in rep.tribe:
+        raise PreconditionFailed(f"{_fmt(f)} is not a member function")
+    for atom in rep.b0().atoms:
+        vals = {f[i] for i in atom}
+        if len(vals) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,14 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                                       FAIL, detail=str(exc)))
         return records
 
-    # a derived cap (box dimension, carrier size) skips only what needs it
-    polytope = cap = None
+    # past the box-dimension cap the polytope stays None; a suite that needs
+    # it recomputes it and is skipped below, after the refinement gate
+    polytope = None
     if "states" in suites or any(s in suites for s in _GATED):
         try:
             polytope = state_polytope(M)
-        except SizeLimitExceeded as exc:
-            cap = exc
+        except SizeLimitExceeded:
+            pass
 
     shared: dict = {}
 
@@ -151,8 +152,6 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
         if s == "axioms":
             continue
         try:
-            if cap is not None and (s == "states" or s in _GATED):
-                raise cap
             records.extend(runners[s]())
         except SizeLimitExceeded as exc:
             records.append(Record(s, instance, "size-limit", SKIP,

@@ -104,7 +104,9 @@ def test_check_fails_on_mo2(tmp_path, capsys):
 
 def test_derived_size_cap_skips_suites_instead_of_aborting(tmp_path, capsys):
     # 13 blocks give a state space of parameter dimension 13, above the
-    # box-enumeration cap of 12; the suites that need it are skipped
+    # box-enumeration cap of 12; the algebra lacks the refinement property,
+    # so the gated suites fail at that gate and only the states suite,
+    # which needs the capped polytope, is skipped
     path = write_algebra(tmp_path, "hsum13.json",
                          "horizontal-sum", *["boolean2"] * 13)
     assert run("check", "--input", str(path)) == 1
@@ -116,11 +118,21 @@ def test_derived_size_cap_skips_suites_instead_of_aborting(tmp_path, capsys):
         assert payloads[("axioms", check)]["status"] == "pass"
     assert payloads[("rdp", "refinement")]["status"] == "fail"
     assert payloads[("sharp", "members")]["status"] == "pass"
-    for suite in ("states", "representation", "smearing", "spectral",
-                  "extension"):
-        skip = payloads[(suite, "size-limit")]
-        assert skip["status"] == "skip"
-        assert skip["detail"] == "parameter dimension 13 exceeds 12"
+    skip = payloads[("states", "size-limit")]
+    assert skip["status"] == "skip"
+    assert skip["detail"] == "parameter dimension 13 exceeds 12"
+    for suite in ("representation", "smearing", "spectral", "extension"):
+        assert payloads[(suite, "canonical-representation")]["status"] == \
+            "fail"
+        assert (suite, "size-limit") not in payloads
+
+    assert run("check", "--input", str(path), "--suite",
+               "representation") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (payload,) = map(json.loads, captured.out.strip().splitlines())
+    assert (payload["suite"], payload["check"], payload["status"]) == (
+        "representation", "canonical-representation", "fail")
 
 
 def test_check_output_is_byte_deterministic(tmp_path):

@@ -210,7 +210,6 @@ def test_measurable_agrees_with_a_direct_atom_scan():
         for f in rep.tribe.functions:
             direct = all(len({f[i] for i in A}) == 1 for A in atoms)
             assert measurable(rep, f) == direct
-            assert measurable(rep, f) == direct      # the cached answer
         with pytest.raises(PreconditionFailed):
             measurable(rep, (F(1, 997),) * len(rep.carrier))
     assert not measurable(cases[-1], (F(1, 3), F(2, 3)))

@@ -8,7 +8,7 @@ from effecta.report import render_jsonl
 from effecta.serialize import algebra_to_obj
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
-from zoo_instances import chain, mo2
+from zoo_instances import boolean, chain, mo2
 
 
 def by_key(records):
@@ -72,6 +72,21 @@ def test_carrier_cap_skips_only_the_suites_that_reach_it(monkeypatch):
         assert r.status == "skip"
         assert r.detail == "carrier of 1 points exceeds 0"
     # the spectral suite never builds the sharp-set sigma-algebra
+    assert all(r.status == "pass" for r in recs if r.status != "skip")
+    assert {r.suite for r in recs} == set(SUITE_NAMES)
+
+
+def test_box_cap_skips_the_suites_that_need_the_polytope(monkeypatch):
+    monkeypatch.setattr("effecta.polytope.MAX_BOX_DIM", 0)
+    recs = check_document(algebra_to_obj(boolean(2)), "b2", SUITE_NAMES,
+                          seed=0)
+    k = by_key(recs)
+    # the refinement property holds, so every gated suite reaches the cap
+    for suite in ("states", "representation", "smearing", "spectral",
+                  "extension"):
+        r = k[(suite, "size-limit")]
+        assert r.status == "skip"
+        assert r.detail == "parameter dimension 1 exceeds 0"
     assert all(r.status == "pass" for r in recs if r.status != "skip")
     assert {r.suite for r in recs} == set(SUITE_NAMES)
 
