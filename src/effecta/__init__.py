@@ -8,13 +8,9 @@ unsharp observables to sharp ones.
 
 from .algebra import (
     EffectAlgebra,
-    MVStructure,
-    MvFailure,
     RdpResult,
-    RefinementMatrix,
     SharpSet,
     check_rdp,
-    detect_mv,
     iterated_sum,
     resolve_max_size,
     sharp_elements,
@@ -50,12 +46,9 @@ __version__ = "0.1.0"
 __all__ = [
     "EffectAlgebra",
     "EffectTribe",
-    "MVStructure",
-    "MvFailure",
     "Observable",
     "OutcomeSet",
     "RdpResult",
-    "RefinementMatrix",
     "Representation",
     "SharpSet",
     "SpectralMeasure",
@@ -63,7 +56,6 @@ __all__ = [
     "StatePolytope",
     "canonical_representation",
     "check_rdp",
-    "detect_mv",
     "extend_state",
     "generate",
     "is_state",

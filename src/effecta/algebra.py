@@ -78,7 +78,7 @@ class EffectAlgebra:
         self._meet_cache: dict[tuple[int, int], int | None] = {}
         self._join_cache: dict[tuple[int, int], int | None] = {}
         self._rdp_cache: "RdpResult | None" = None
-        self._sharp_cache: dict[bool, "SharpSet"] = {}
+        self._sharp_cache: "SharpSet | None" = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -309,30 +309,10 @@ def validate_effect_algebra(
 
 
 @dataclass(frozen=True)
-class RefinementMatrix:
-    """Witness for one refinement instance: row sums give (a1, a2), column
-    sums give (b1, b2)."""
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-    c11: int
-    c12: int
-    c21: int
-    c22: int
-
-
-@dataclass(frozen=True)
 class RdpResult:
     holds: bool
     witness: tuple[int, int, int, int] | None
     algebra: EffectAlgebra
-
-    def refinement(self, a1: int, a2: int, b1: int, b2: int) -> RefinementMatrix | None:
-        M = self.algebra
-        if M.add(a1, a2) is None or M.add(a1, a2) != M.add(b1, b2):
-            raise ValueError("the two pairs do not share a defined sum")
-        return _refine(M, a1, a2, b1, b2)
 
     def witness_labels(self) -> tuple[str, str, str, str] | None:
         if self.witness is None:
@@ -340,10 +320,10 @@ class RdpResult:
         return tuple(self.algebra.label(x) for x in self.witness)  # type: ignore[return-value]
 
 
-def _refine(M: EffectAlgebra, a1: int, a2: int, b1: int, b2: int) -> RefinementMatrix | None:
-    """Search a 2x2 refinement.  Fixing the top-left entry determines the
-    rest through differences, so one scan over candidates suffices; the first
-    witness in element order is returned."""
+def _refine(M: EffectAlgebra, a1: int, a2: int, b1: int, b2: int) -> bool:
+    """Does a1 + a2 = b1 + b2 admit a 2x2 refinement?  Fixing the top-left
+    entry determines the rest through differences, so one scan over
+    candidates suffices."""
     lowers = M.down_mask(a1) & M.down_mask(b1)
     for c11 in _bits(lowers):
         c12 = M.minus(a1, c11)
@@ -352,8 +332,8 @@ def _refine(M: EffectAlgebra, a1: int, a2: int, b1: int, b2: int) -> RefinementM
             continue
         c22 = M.minus(a2, c21)
         if M.add(c12, c22) == b2:
-            return RefinementMatrix(a1, a2, b1, b2, c11, c12, c21, c22)
-    return None
+            return True
+    return False
 
 
 def check_rdp(M: EffectAlgebra) -> RdpResult:
@@ -374,7 +354,7 @@ def check_rdp(M: EffectAlgebra) -> RdpResult:
         pairs = decomp[v]
         for a1, a2 in pairs:
             for b1, b2 in pairs:
-                if _refine(M, a1, a2, b1, b2) is None:
+                if not _refine(M, a1, a2, b1, b2):
                     result = RdpResult(False, (a1, a2, b1, b2), M)
                     M._rdp_cache = result
                     return result
@@ -388,51 +368,29 @@ def check_rdp(M: EffectAlgebra) -> RdpResult:
 
 @dataclass(frozen=True)
 class SharpSet:
-    """The elements a with a /\\ a' existing and equal to zero, together with
-    meet/join tables restricted to them.  When the parent algebra has the
-    refinement property the Boolean-algebra laws have been verified
-    exhaustively and ``boolean_checked`` is True."""
+    """The elements a with a /\\ a' existing and equal to zero.  When the
+    parent algebra has the refinement property the Boolean-algebra laws of
+    their meets and joins have been verified exhaustively and
+    ``boolean_checked`` is True."""
     members: tuple[int, ...]
-    meet: dict[tuple[int, int], int | None]
-    join: dict[tuple[int, int], int | None]
     boolean_checked: bool
-    algebra: EffectAlgebra
-
-    @property
-    def atoms(self) -> tuple[int, ...]:
-        """Minimal nonzero sharp elements (under the algebra order)."""
-        M = self.algebra
-        out = []
-        for a in self.members:
-            if a == M.zero:
-                continue
-            if any(b != M.zero and b != a and M.leq(b, a) for b in self.members):
-                continue
-            out.append(a)
-        return tuple(out)
 
 
-def sharp_elements(M: EffectAlgebra, *, rdp: bool | None = None) -> SharpSet:
-    if rdp is None:
-        rdp = check_rdp(M).holds
-    cached = M._sharp_cache.get(rdp)
-    if cached is not None:
-        return cached
+def sharp_elements(M: EffectAlgebra) -> SharpSet:
+    """Cached on the algebra, like the refinement verdict it depends on."""
+    if M._sharp_cache is not None:
+        return M._sharp_cache
+    rdp = check_rdp(M).holds
     members = tuple(a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero)
-    meet = {}
-    join = {}
-    for a in members:
-        for b in members:
-            meet[(a, b)] = M.meet(a, b)
-            join[(a, b)] = M.join(a, b)
     if rdp:
-        _verify_boolean(M, members, meet, join)
-    result = SharpSet(members, meet, join, rdp, M)
-    M._sharp_cache[rdp] = result
-    return result
+        _verify_boolean(M, members)
+    M._sharp_cache = SharpSet(members, rdp)
+    return M._sharp_cache
 
 
-def _verify_boolean(M, members, meet, join) -> None:
+def _verify_boolean(M, members) -> None:
+    meet = {(a, b): M.meet(a, b) for a in members for b in members}
+    join = {(a, b): M.join(a, b) for a in members for b in members}
     lab = M.label
     if M.zero not in members or M.one not in members:
         raise BooleanStructureFailure("bounds", (lab(M.zero), lab(M.one)))
@@ -465,101 +423,3 @@ def _verify_boolean(M, members, meet, join) -> None:
                 if meet[(meet[(a, b)], c)] != meet[(a, meet[(b, c)])]:
                     raise BooleanStructureFailure(
                         "meet-associativity", (lab(a), lab(b), lab(c)))
-
-
-# ---------------------------------------------------------------------------
-# MV-structure detection
-
-
-@dataclass(frozen=True)
-class MVStructure:
-    """A total truncated sum extending the partial one and satisfying the
-    eight MV laws; ``star`` is the orthosupplement table."""
-    oplus: tuple[tuple[int, ...], ...]
-    star: tuple[int, ...]
-    algebra: EffectAlgebra
-
-
-@dataclass(frozen=True)
-class MvFailure:
-    kind: str                      # "not-a-lattice" | "axiom"
-    axiom: str | None
-    witness: tuple
-
-
-def _mv_axiom_failure(M: EffectAlgebra, oplus) -> tuple[str, tuple] | None:
-    """First failing MV law for a candidate total operation, or None."""
-    n = M.n
-    star = M._comp
-    zi, oi = M.zero, M.one
-    lab = M.label
-    # consistency with the partial sum where that is defined
-    for a in range(n):
-        for b in range(n):
-            s = M.add(a, b)
-            if s is not None and oplus[a][b] != s:
-                return "consistency", (lab(a), lab(b))
-    for a in range(n):
-        for b in range(n):
-            if oplus[a][b] != oplus[b][a]:
-                return "i", (lab(a), lab(b))
-    for a in range(n):
-        for b in range(n):
-            ab = oplus[a][b]
-            for c in range(n):
-                if oplus[ab][c] != oplus[a][oplus[b][c]]:
-                    return "ii", (lab(a), lab(b), lab(c))
-    for a in range(n):
-        if oplus[a][zi] != a:
-            return "iii", (lab(a),)
-        if oplus[a][oi] != oi:
-            return "iv", (lab(a),)
-        if star[star[a]] != a:
-            return "v", (lab(a),)
-        if oplus[a][star[a]] != oi:
-            return "vi", (lab(a),)
-    if star[zi] != oi:
-        return "vii", (lab(zi),)
-    for a in range(n):
-        for b in range(n):
-            left = oplus[star[oplus[star[a]][b]]][b]
-            right = oplus[star[oplus[a][star[b]]]][a]
-            if left != right:
-                return "viii", (lab(a), lab(b))
-    return None
-
-
-def detect_mv(M: EffectAlgebra) -> MVStructure | MvFailure:
-    """Try to extend the partial sum to a total MV operation.
-
-    Two closures of the partial sum are tried: the truncated sum
-    a (+) b = a + (a' /\\ b), and completion by the join where the partial sum
-    is undefined.  If neither passes all eight laws the failure of the
-    candidate that got furthest is reported.
-    """
-    for a in range(M.n):
-        for b in range(a, M.n):
-            if M.meet(a, b) is None or M.join(a, b) is None:
-                return MvFailure("not-a-lattice", None, (M.label(a), M.label(b)))
-
-    def truncated(a: int, b: int) -> int:
-        x = M.meet(M.comp(a), b)
-        return M.add(a, x)  # type: ignore[return-value]  # x <= a' so defined
-
-    def join_completed(a: int, b: int) -> int:
-        s = M.add(a, b)
-        return s if s is not None else M.join(a, b)  # type: ignore[return-value]
-
-    order = ["consistency", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii"]
-    best: tuple[int, str, tuple] | None = None
-    for formula in (truncated, join_completed):
-        oplus = tuple(tuple(formula(a, b) for b in range(M.n)) for a in range(M.n))
-        failure = _mv_axiom_failure(M, oplus)
-        if failure is None:
-            return MVStructure(oplus, M._comp, M)
-        axiom, witness = failure
-        score = order.index(axiom)
-        if best is None or score > best[0]:
-            best = (score, axiom, witness)
-    assert best is not None
-    return MvFailure("axiom", best[1], best[2])

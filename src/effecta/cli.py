@@ -101,7 +101,7 @@ def cmd_smear(args) -> int:
         rep.polytope, 10, args.seed)
     first_bad = None
     for i, m in enumerate(states):
-        rr = verify_smearing(rep, x, kernel, m)
+        rr = verify_smearing(rep, kernel, m)
         if not rr.ok and first_bad is None:
             key = next(k for k, v in rr.residuals.items() if v != 0)
             first_bad = [i, sorted(str(x.support[j]) for j in key)]

@@ -8,9 +8,11 @@ member function f_E with h(f_E) = x(E), and the defining identity
 
     m(x(E)) = sum over atoms A of B0:  f_E(A) * m(h(chi_A))
 
-is verified exactly, state by state.  The right-hand side depends only on
-the pair (f_E, m), so it is computed once per pair and cached on the
-representation; every residual is still formed and reported.
+is verified exactly, state by state.  The kernel holds x(E) next to f_E,
+so the left-hand side is looked up, not summed again per state.  The
+right-hand side depends only on the pair (f_E, m), so it is computed once
+per pair and cached on the representation; every residual is still formed
+and reported.
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ class OutcomeSet:
         return OutcomeSet((Interval(None, None),))
 
 
-EMPTY_SET = OutcomeSet()
-
-
 # ---------------------------------------------------------------------------
 # observables
 
@@ -98,10 +97,6 @@ class Observable:
         if total is None:  # cannot happen for a validated observable
             raise SumUndefined([self.algebra.label(p) for p in parts])
         return total
-
-    def element_of(self, E: OutcomeSet) -> int:
-        return self.element_at(
-            i for i, t in enumerate(self.support) if E.contains(t))
 
 
 def make_observable(M: EffectAlgebra, support: Sequence, values: Sequence) -> Observable:
@@ -201,25 +196,29 @@ def sharp_observable(rep: Representation) -> SharpObservable:
 @dataclass(frozen=True)
 class SmearingKernel:
     """One member function per outcome set generated by the support points,
-    keyed by the frozenset of support indices the set picks out."""
+    keyed by the frozenset of support indices the set picks out, together
+    with the element x(E) that the function maps to."""
     observable: Observable
     functions: Mapping  # frozenset[int] -> function values
+    elements: Mapping   # frozenset[int] -> element id x(E)
 
 
 def smear(rep: Representation, x: Observable) -> SmearingKernel:
     if rep.target is not x.algebra:
         raise PreconditionFailed("observable lives on a different algebra")
     kernel = {}
+    elements = {}
     k = len(x.support)
     for mask in range(1 << k):
         key = frozenset(i for i in range(k) if mask >> i & 1)
-        f = rep.function_of(x.element_at(key))
+        elements[key] = x.element_at(key)
+        f = rep.function_of(elements[key])
         if not measurable(rep, f):
             atom = next(a for a in rep.b0().atoms
                         if len({f[i] for i in a}) > 1)
             raise NotMeasurable(_key_name(x, key), sorted(atom))
         kernel[key] = f
-    return SmearingKernel(x, kernel)
+    return SmearingKernel(x, kernel, elements)
 
 
 def _key_name(x: Observable, key: frozenset) -> str:
@@ -245,14 +244,14 @@ class SmearingReport:
     residuals: Mapping  # frozenset[int] -> exact residual
 
 
-def verify_smearing(rep: Representation, x: Observable, kernel: SmearingKernel,
+def verify_smearing(rep: Representation, kernel: SmearingKernel,
                     m: State) -> SmearingReport:
     """Check m(x(E)) against the atomwise integral for every generated E."""
     xi = sharp_observable(rep)
     residuals = {}
     ok = True
     for key, f in kernel.functions.items():
-        lhs = m.values[x.element_at(key)]
+        lhs = m.values[kernel.elements[key]]
         hit = rep._integrals.get((id(m), id(f)))
         if hit is None:
             hit = rep._integrals[id(m), id(f)] = (
@@ -264,8 +263,8 @@ def verify_smearing(rep: Representation, x: Observable, kernel: SmearingKernel,
     return SmearingReport(ok, residuals)
 
 
-def kernel_independence_check(rep: Representation, x: Observable, m: State,
-                              alternatives: Mapping) -> bool:
+def kernel_independence_check(rep: Representation, kernel: SmearingKernel,
+                              m: State, alternatives: Mapping) -> bool:
     """Alternative kernel choices must leave every integral unchanged.
 
     Each alternative must itself be a legitimate kernel function for its
@@ -276,9 +275,9 @@ def kernel_independence_check(rep: Representation, x: Observable, m: State,
     for key, alt in alternatives.items():
         alt = tuple(Fraction(v) for v in alt)
         key = frozenset(key)
-        target = x.element_at(key)
+        target = kernel.elements[key]
         if alt not in rep.tribe or rep.h_of(alt) != target:
-            raise NotAKernel(_key_name(x, key))
+            raise NotAKernel(_key_name(kernel.observable, key))
         reference = atomwise_integral(rep, rep.function_of(target), m, xi)
         if atomwise_integral(rep, alt, m, xi) != reference:
             return False

@@ -8,7 +8,7 @@ and no volatile data (timing, paths, environment) enters the payload.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 PASS = "pass"

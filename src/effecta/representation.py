@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .algebra import EffectAlgebra, check_rdp, sharp_elements
+from .algebra import (EffectAlgebra, check_rdp, sharp_elements,
+                      validate_effect_algebra)
 from .errors import (
     EmptyStateSpace,
     NonSeparatingStates,
@@ -110,15 +111,13 @@ def validate_tribe(carrier: Sequence[str], functions: Iterable[Sequence[Fraction
     return EffectTribe(carrier, tuple(fns))
 
 
-def tribe_to_algebra(tribe: EffectTribe, *, max_size: int | None = None) -> EffectAlgebra:
+def tribe_to_algebra(tribe: EffectTribe) -> EffectAlgebra:
     """The tribe as an effect algebra under the pointwise partial sum.
 
     Definedness of f + g is pointwise compatibility (f <= 1 - g); the
     closure axioms guarantee the result is a member, so the operation
     table is total on compatible pairs.
     """
-    from .algebra import validate_effect_algebra
-
     labels = [_fmt(f) for f in tribe.functions]
     lbl = dict(zip(tribe.functions, labels))
     p = len(tribe.carrier)
@@ -126,7 +125,7 @@ def tribe_to_algebra(tribe: EffectTribe, *, max_size: int | None = None) -> Effe
     one = lbl[tuple([ONE] * p)]
     sums = [(lbl[f], lbl[g], lbl[s])
             for f, g, s in _compatible_sums(tribe.functions)]
-    return validate_effect_algebra(labels, zero, one, sums, max_size=max_size)
+    return validate_effect_algebra(labels, zero, one, sums)
 
 
 def tribe_sharp_functions(tribe: EffectTribe) -> set[FnValues]:
@@ -247,8 +246,7 @@ def make_representation(tribe: EffectTribe, target: EffectAlgebra,
 
 
 def canonical_representation(M: EffectAlgebra, *,
-                             polytope: StatePolytope | None = None,
-                             enforce_rdp: bool = True) -> Representation:
+                             polytope: StatePolytope | None = None) -> Representation:
     """Evaluate every element on the extremal states.
 
     The carrier is the vertex list of the state polytope in its canonical
@@ -256,10 +254,9 @@ def canonical_representation(M: EffectAlgebra, *,
     each evaluation back to its element.  Gate order: refinement property,
     then non-emptiness, then separation (h would otherwise be ill-defined).
     """
-    if enforce_rdp:
-        rdp = check_rdp(M)
-        if not rdp.holds:
-            raise RdpRequired(rdp.witness_labels())
+    rdp = check_rdp(M)
+    if not rdp.holds:
+        raise RdpRequired(rdp.witness_labels())
     P = polytope if polytope is not None else state_polytope(M)
     if P.is_empty:
         raise EmptyStateSpace(f"no states on {M.n}-element algebra")
@@ -301,21 +298,12 @@ class SigmaAlgebraB0:
     s0: tuple[frozenset[int], ...]
     atoms: tuple[frozenset[int], ...]
 
-    def __contains__(self, A) -> bool:
-        return frozenset(A) in self.sets
-
-    def atom_of(self, point: int) -> frozenset[int]:
-        for atom in self.atoms:
-            if point in atom:
-                return atom
-        raise KeyError(point)
-
 
 def _sorted_sets(family: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     return tuple(sorted(family, key=lambda A: (len(A), sorted(A))))
 
 
-def compute_b0(rep: Representation, *, tribe_rdp: bool | None = None) -> SigmaAlgebraB0:
+def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     tribe = rep.tribe
     p = len(tribe.carrier)
     if p > MAX_CARRIER:
@@ -344,9 +332,7 @@ def compute_b0(rep: Representation, *, tribe_rdp: bool | None = None) -> SigmaAl
 
     if set(b0) != set(s0):
         # decide whether the equality theorem applies before letting it pass
-        if tribe_rdp is None:
-            tribe_rdp = check_rdp(tribe_to_algebra(tribe)).holds
-        if tribe_rdp:
+        if check_rdp(tribe_to_algebra(tribe)).holds:
             raise TheoremViolation(
                 "sharp-characteristic family differs from the characteristic "
                 "family on a refinement-property tribe")
@@ -409,9 +395,6 @@ class RegularityReport:
     ok: bool
     witness: FnValues | None
 
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.ok
-
 
 def check_regular(rep: Representation) -> RegularityReport:
     """h(f) = 0 exactly when the characteristic function of the omega0
@@ -430,9 +413,6 @@ def check_regular(rep: Representation) -> RegularityReport:
 class CongruenceReport:
     ok: bool
     witness: tuple[FnValues, FnValues] | None
-
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.ok
 
 
 def check_ideal_congruence(rep: Representation) -> CongruenceReport:
@@ -455,9 +435,6 @@ class SharpImageReport:
     sharp: tuple[str, ...]               # labels of the target's sharp set
     all_measurable: bool                 # theorem hypothesis 1
     min_closed: bool                     # theorem hypothesis 2
-
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.ok
 
 
 def sharp_image(rep: Representation) -> SharpImageReport:
@@ -496,15 +473,15 @@ def sharp_image(rep: Representation) -> SharpImageReport:
 
 
 def extend_carrier_with_null_point(rep: Representation, label: str,
-                                   grid: Sequence[Fraction] = (ZERO, Fraction(1, 2), ONE),
-                                   *, null_in_omega0: bool = False) -> Representation:
+                                   grid: Sequence[Fraction] = (ZERO, Fraction(1, 2), ONE)
+                                   ) -> Representation:
     """Adjoin one extra carrier point carrying no information.
 
     Every member function fans out over the value grid at the new point
     (the grid must be symmetric and closed under compatible sums, as
     {0, 1/2, 1} is), and h ignores the new coordinate.  The new point is
-    declared negligible: either left outside omega0, or put inside with
-    the ideal enlarged to absorb it.
+    negligible: it stays outside omega0, so omega0 and the ideal are
+    unchanged.
     """
     grid = sorted({Fraction(v) for v in grid})
     if any(ONE - v not in grid for v in grid) or ZERO not in grid:
@@ -525,13 +502,5 @@ def extend_carrier_with_null_point(rep: Representation, label: str,
             h_by_fn[g] = a
     tribe = validate_tribe(carrier, fns)
     h = tuple(h_by_fn[f] for f in tribe.functions)
-    star = len(carrier) - 1
-    if null_in_omega0:
-        omega0 = rep.omega0 | {star}
-        ideal = frozenset(A | extra for A in rep.ideal
-                          for extra in (frozenset(), frozenset({star})))
-    else:
-        omega0 = rep.omega0
-        ideal = rep.ideal
-    return make_representation(tribe, rep.target, h, omega0, ideal,
+    return make_representation(tribe, rep.target, h, rep.omega0, rep.ideal,
                                polytope=rep.polytope)

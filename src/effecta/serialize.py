@@ -1,4 +1,4 @@
-"""JSON round-tripping for algebras, states, observables, and reports.
+"""JSON documents: algebras both ways, observables on the way in.
 
 All rationals travel as exact ``"p/q"`` strings.  Emission is canonical
 (sorted keys, fixed separators) so that identical data always produces
@@ -14,9 +14,6 @@ from typing import Any, Mapping
 from .algebra import EffectAlgebra, validate_effect_algebra
 from .errors import ParseError, PreconditionFailed, SumNotOne, SumUndefined
 from .observables import Observable, make_observable
-from .representation import Representation
-from .spectral import SpectralMeasure
-from .states import State, StatePolytope
 
 
 def frac_to_str(v: Fraction) -> str:
@@ -62,61 +59,24 @@ def algebra_from_obj(obj: Any, *, max_size: int | None = None) -> EffectAlgebra:
     if not isinstance(obj, Mapping):
         raise ParseError("algebra document must be an object")
     try:
-        labels = list(obj["elements"])
+        labels = obj["elements"]
         zero = obj["zero"]
         one = obj["one"]
-        sums = [(a, b, c) for a, b, c in obj["sum"]]
+        triples = obj["sum"]
+        sums = [(a, b, c) for a, b, c in triples]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed algebra document: {exc!r}") from exc
+    if not isinstance(labels, list) or not all(
+            isinstance(t, list) for t in triples):
+        raise ParseError("algebra elements and sum triples must be JSON arrays")
+    for label in (*labels, zero, one, *(x for triple in sums for x in triple)):
+        if not isinstance(label, str):
+            raise ParseError(f"element labels must be strings: {label!r}")
     return validate_effect_algebra(labels, zero, one, sums, max_size=max_size)
 
 
 # ---------------------------------------------------------------------------
-# states and polytopes
-
-
-def state_to_obj(M: EffectAlgebra, s: State) -> dict:
-    return {"values": {M.label(a): frac_to_str(s.values[a])
-                       for a in M.elements()}}
-
-
-def state_from_obj(M: EffectAlgebra, obj: Any) -> State:
-    try:
-        values = obj["values"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("state document needs a 'values' map") from exc
-    out = []
-    for a in M.elements():
-        lbl = M.label(a)
-        if lbl not in values:
-            raise ParseError(f"state document misses element {lbl!r}")
-        out.append(frac_from_str(values[lbl]))
-    return State(tuple(out))
-
-
-def polytope_to_obj(P: StatePolytope) -> dict:
-    M = P.algebra
-    return {
-        "constraints": [
-            {"coeffs": {M.label(i): frac_to_str(row[i])
-                        for i in M.elements() if row[i] != 0},
-             "rhs": frac_to_str(r)}
-            for row, r in zip(P.equalities, P.equality_rhs)
-        ],
-        "dimension": P.dimension,
-        "vertices": [state_to_obj(M, s) for s in P.vertices],
-    }
-
-
-# ---------------------------------------------------------------------------
 # observables
-
-
-def observable_to_obj(x: Observable) -> dict:
-    return {
-        "support": [frac_to_str(t) for t in x.support],
-        "values": [x.algebra.label(a) for a in x.values],
-    }
 
 
 def observable_from_obj(M: EffectAlgebra, obj: Any) -> Observable:
@@ -138,27 +98,3 @@ def observable_from_obj(M: EffectAlgebra, obj: Any) -> Observable:
         return make_observable(M, support, values)
     except (PreconditionFailed, SumNotOne, SumUndefined) as exc:
         raise ParseError(f"invalid observable: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# representations and spectral data
-
-
-def representation_to_obj(rep: Representation) -> dict:
-    carrier = rep.carrier
-    return {
-        "carrier": list(carrier),
-        "omega0": sorted(carrier[i] for i in rep.omega0),
-        "ideal": sorted(sorted(carrier[i] for i in A) for A in rep.ideal),
-        "functions": [[frac_to_str(v) for v in f]
-                      for f in rep.tribe.functions],
-        "h": [rep.target.label(a) for a in rep.h],
-    }
-
-
-def spectral_to_obj(M: EffectAlgebra, sm: SpectralMeasure) -> dict:
-    return {
-        "element": M.label(sm.element),
-        "support": [frac_to_str(t) for t in sm.support],
-        "masses": {frac_to_str(t): M.label(sm.masses[t]) for t in sm.support},
-    }

@@ -101,9 +101,6 @@ class InjectivityReport:
     ok: bool
     collision: tuple[str, str] | None
 
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.ok
-
 
 def spectral_injectivity(rep: Representation) -> InjectivityReport:
     seen: dict[tuple, int] = {}
@@ -179,11 +176,6 @@ def identity_phi(points) -> PhiTransform:
 
 @dataclass(frozen=True)
 class TransformReport:
-    element: int
-    support: tuple[Fraction, ...]          # transformed support
-    masses: Mapping                         # transformed level -> element id
-    injective: bool | None                 # None when the scan was skipped
-    collision: tuple[str, str] | None
     integral_ok: bool
     state_witness: int | None              # vertex index where it first fails
     witness_values: tuple[Fraction, Fraction] | None   # (integral, m(a))
@@ -208,29 +200,20 @@ def transformed_injectivity(rep: Representation,
     return InjectivityReport(True, None)
 
 
-def transform_spectral(rep: Representation, a: int, phi: PhiTransform, *,
-                       check_injectivity: bool = True) -> TransformReport:
-    """Push the spectral measure of a through phi and report what survives.
+def transform_spectral(rep: Representation, a: int,
+                       phi: PhiTransform) -> TransformReport:
+    """Push the spectral measure of a through phi and integrate it against
+    every vertex state.
 
-    Injectivity of the transformed assignment is checked across the whole
-    algebra (skippable when a caller checks it once for many elements);
-    the integral law generally breaks for non-identity transforms, and the
-    first vertex state exposing the break is returned.
+    The integral law generally breaks for non-identity transforms, and the
+    first vertex state exposing the break is returned.  Injectivity of the
+    transformed assignment is a whole-algebra question, answered once by
+    :func:`transformed_injectivity`.
     """
-    M = rep.target
     base = spectral_measure(rep, a)
     for lam in base.support:
         if lam not in phi.domain():
             raise SupportNotCovered(lam)
-    support = tuple(phi.apply(lam) for lam in base.support)
-    masses = {phi.apply(lam): base.masses[lam] for lam in base.support}
-
-    injective: bool | None = None
-    collision = None
-    if check_injectivity:
-        inj = transformed_injectivity(rep, phi)
-        injective = inj.ok
-        collision = inj.collision
 
     integral_ok = True
     state_witness = None
@@ -246,8 +229,7 @@ def transform_spectral(rep: Representation, a: int, phi: PhiTransform, *,
             state_witness = i
             witness_values = (integral, s.values[a])
             break
-    return TransformReport(a, support, masses, injective, collision,
-                           integral_ok, state_witness, witness_values)
+    return TransformReport(integral_ok, state_witness, witness_values)
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +348,12 @@ def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:
 # bounded search for alternative spectral measures
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    element: int
-    canonical: tuple
-    alternatives: tuple       # other (support, masses) passing the integral law
-    max_support: int
-
-
-def spectral_uniqueness_probe(rep: Representation, a: int, *,
-                              max_support: int = 3) -> ProbeReport:
-    """Search for other sharp measures reproducing the integral law for a.
+def spectral_uniqueness_probe(rep: Representation, a: int) -> tuple:
+    """Other (support, masses) pairs of sharp measures that reproduce the
+    integral law for a, in the order found.
 
     Enumerates families of nonzero sharp elements summing to 1 (support
-    size bounded), then solves exactly for the support values from the
+    size at most 3), then solves exactly for the support values from the
     vertex-state equations.  Findings are reported, not asserted: whether
     such measures are ever non-unique is left open.
     """
@@ -395,7 +369,7 @@ def spectral_uniqueness_probe(rep: Representation, a: int, *,
         if acc == M.one:
             yield prefix
             return
-        if len(prefix) == max_support:
+        if len(prefix) == 3:
             return
         for i, b in enumerate(rest):
             nxt = M.add(acc, b)
@@ -403,7 +377,6 @@ def spectral_uniqueness_probe(rep: Representation, a: int, *,
                 yield from families(prefix + (b,), nxt, rest[i + 1:])
 
     for fam in families((), M.zero, tuple(sharp)):
-        k = len(fam)
         for perm in permutations(fam):
             rows = [[Fraction(s.values[b]) for b in perm] for s in P.vertices]
             rhs = [s.values[a] for s in P.vertices]
@@ -420,4 +393,4 @@ def spectral_uniqueness_probe(rep: Representation, a: int, *,
             key = (tuple(lams), tuple(perm))
             if key != canonical and key not in found:
                 found.append(key)
-    return ProbeReport(a, canonical, tuple(found), max_support)
+    return tuple(found)

@@ -29,17 +29,6 @@ class State:
     """Value vector aligned with the element ids of its algebra."""
     values: tuple[Fraction, ...]
 
-    def __call__(self, a: int) -> Fraction:
-        return self.values[a]
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """The function "evaluate element a" restricted to the extremal states,
-    as a vector over the canonical vertex order."""
-    element: int
-    vector: tuple[Fraction, ...]
-
 
 @dataclass(frozen=True)
 class StateViolation:
@@ -166,26 +155,6 @@ def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State) -> StateCheck
                 f"s({M.label(a)}) + s({M.label(b)}) = {vals[a] + vals[b]} "
                 f"!= {vals[c]} = s({M.label(c)})"))
     return StateCheck(True, None)
-
-
-def is_sigma_additive(M: EffectAlgebra, state: State) -> bool:
-    """Countable additivity degenerates on a finite carrier: every monotone
-    chain is eventually constant, so its supremum is its maximum and the
-    limit condition holds as soon as the state is a state.  The predicate is
-    kept separate because the two notions differ on infinite structures."""
-    if not is_state(M, state).ok:
-        return False
-    for a in M.elements():
-        for b in M.elements():
-            if M.leq(a, b) and state.values[a] > state.values[b]:
-                return False  # unreachable for a genuine state
-    return True
-
-
-def evaluate(polytope: StatePolytope, a: int) -> Evaluation:
-    if polytope.is_empty:
-        raise EmptyStateSpace("no states to evaluate against")
-    return Evaluation(a, tuple(s.values[a] for s in polytope.vertices))
 
 
 def separating(polytope: StatePolytope) -> bool:

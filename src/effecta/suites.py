@@ -62,7 +62,6 @@ from .spectral import (
 )
 from .states import (
     State,
-    is_sigma_additive,
     is_state,
     seeded_mixtures,
     separating,
@@ -95,7 +94,9 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
     """Validate the document, then run every requested suite.
 
     The state polytope and the canonical representation are computed once
-    and shared by every suite that needs them."""
+    and shared by every suite that needs them.  The representation is built
+    inside the first gated suite that runs: a failed gate is that suite's
+    ``canonical-representation`` FAIL, and a size cap is its SKIP."""
     records: list[Record] = []
     try:
         M = algebra_from_obj(doc, max_size=max_size)
@@ -120,39 +121,35 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
         except SizeLimitExceeded:
             pass
 
-    shared: dict = {}
-
-    def rep_for(suite: str):
-        if "rep" not in shared:
-            try:
-                shared["rep"] = canonical_representation(M, polytope=polytope)
-                shared["exc"] = None
-            except (RdpRequired, EmptyStateSpace, NonSeparatingStates) as exc:
-                shared["rep"] = None
-                shared["exc"] = exc
-        if shared["rep"] is None:
-            exc = shared["exc"]
-            return None, [Record(suite, instance, "canonical-representation",
-                                 FAIL, witness=_witness_of(exc),
-                                 detail=str(exc))]
-        return shared["rep"], None
-
     runners = {
         "rdp": lambda: run_rdp(M, instance),
         "sharp": lambda: run_sharp(M, instance),
         "states": lambda: run_states(M, instance, seed, polytope=polytope),
-        "representation": lambda: run_representation(M, instance,
-                                                     prepared=rep_for),
-        "smearing": lambda: run_smearing(M, instance, seed, prepared=rep_for),
-        "spectral": lambda: run_spectral(M, instance, seed, prepared=rep_for),
-        "extension": lambda: run_extension(M, instance, seed,
-                                           prepared=rep_for),
+        "representation": lambda rep: run_representation(M, instance, rep),
+        "smearing": lambda rep: run_smearing(M, instance, seed, rep),
+        "spectral": lambda rep: run_spectral(M, instance, seed, rep),
+        "extension": lambda rep: run_extension(M, instance, seed, rep),
     }
+    rep = None      # the canonical representation, or the error of its gate
     for s in suites:
         if s == "axioms":
             continue
         try:
-            records.extend(runners[s]())
+            if s not in _GATED:
+                records.extend(runners[s]())
+                continue
+            if rep is None:
+                try:
+                    rep = canonical_representation(M, polytope=polytope)
+                except (RdpRequired, EmptyStateSpace,
+                        NonSeparatingStates) as exc:
+                    rep = exc
+            if isinstance(rep, Representation):
+                records.extend(runners[s](rep))
+            else:
+                records.append(Record(s, instance, "canonical-representation",
+                                      FAIL, witness=_witness_of(rep),
+                                      detail=str(rep)))
         except SizeLimitExceeded as exc:
             records.append(Record(s, instance, "size-limit", SKIP,
                                   detail=str(exc)))
@@ -217,9 +214,8 @@ def run_rdp(M: EffectAlgebra, instance: str) -> list[Record]:
 
 
 def run_sharp(M: EffectAlgebra, instance: str) -> list[Record]:
-    rdp = check_rdp(M).holds
     try:
-        sh = sharp_elements(M, rdp=rdp)
+        sh = sharp_elements(M)
     except BooleanStructureFailure as exc:
         return [Record("sharp", instance, "boolean-laws", FAIL,
                        witness=_jsonable(exc.witnesses), detail=str(exc))]
@@ -247,14 +243,16 @@ def run_states(M: EffectAlgebra, instance: str, seed: int, *,
                                   detail="no states"))
         return records
 
-    bad = None
+    vertex_bad = None
     for i, s in enumerate(P.vertices):
         chk = is_state(M, s)
         if not chk.ok:
-            bad = [i, chk.violation.kind, _jsonable(chk.violation.witness)]
+            vertex_bad = [i, chk.violation.kind,
+                          _jsonable(chk.violation.witness)]
             break
     records.append(Record("states", instance, "vertex-validity",
-                          PASS if bad is None else FAIL, witness=bad))
+                          PASS if vertex_bad is None else FAIL,
+                          witness=vertex_bad))
 
     bad = None
     for i, s in enumerate(seeded_mixtures(P, 10, seed)):
@@ -265,9 +263,11 @@ def run_states(M: EffectAlgebra, instance: str, seed: int, *,
     records.append(Record("states", instance, "mixture-validity",
                           PASS if bad is None else FAIL, witness=bad))
 
+    # a genuine state is monotone, so on a finite carrier sigma-additivity
+    # is exactly vertex validity
     records.append(Record(
         "states", instance, "sigma-additive",
-        PASS if all(is_sigma_additive(M, s) for s in P.vertices) else FAIL,
+        PASS if vertex_bad is None else FAIL,
         detail="degenerate on finite carriers"))
 
     if separating(P):
@@ -286,22 +286,8 @@ def run_states(M: EffectAlgebra, instance: str, seed: int, *,
     return records
 
 
-def _canonical_or_records(M: EffectAlgebra, instance: str, suite: str,
-                          prepared=None):
-    if prepared is not None:
-        return prepared(suite)
-    try:
-        return canonical_representation(M), None
-    except (RdpRequired, EmptyStateSpace, NonSeparatingStates) as exc:
-        return None, [Record(suite, instance, "canonical-representation",
-                             FAIL, witness=_witness_of(exc), detail=str(exc))]
-
-
-def run_representation(M: EffectAlgebra, instance: str, *,
-                       prepared=None) -> list[Record]:
-    rep, gate = _canonical_or_records(M, instance, "representation", prepared)
-    if rep is None:
-        return gate
+def run_representation(M: EffectAlgebra, instance: str,
+                       rep: Representation) -> list[Record]:
     records = [Record(
         "representation", instance, "canonical-representation", PASS,
         detail=f"{len(rep.carrier)} points, {len(rep.tribe.functions)} functions")]
@@ -375,11 +361,8 @@ def _test_states(M: EffectAlgebra, P, seed: int, mixtures: int) -> list[State]:
     return list(P.vertices) + seeded_mixtures(P, mixtures, seed)
 
 
-def run_smearing(M: EffectAlgebra, instance: str, seed: int, *,
-                 prepared=None) -> list[Record]:
-    rep, gate = _canonical_or_records(M, instance, "smearing", prepared)
-    if rep is None:
-        return gate
+def run_smearing(M: EffectAlgebra, instance: str, seed: int,
+                 rep: Representation) -> list[Record]:
     states = _test_states(M, rep.polytope, seed, 10)
     records = []
     first_bad = None
@@ -389,7 +372,7 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int, *,
             n_obs += 1
             kernel = smear(rep, x)
             for i, m in enumerate(states):
-                rr = verify_smearing(rep, x, kernel, m)
+                rr = verify_smearing(rep, kernel, m)
                 if not rr.ok and first_bad is None:
                     key, res = next((k, v) for k, v in rr.residuals.items()
                                     if v != 0)
@@ -415,7 +398,7 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int, *,
     alts = {}
     for key, f in kernel.functions.items():
         alts[key] = f[:-1] + (HALF,)
-    ok = kernel_independence_check(ext, x, states[0], alts)
+    ok = kernel_independence_check(ext, kernel, states[0], alts)
     records.append(Record("smearing", instance, "kernel-independence",
                           PASS if ok else FAIL,
                           detail="alternatives differ at the null point"))
@@ -433,11 +416,8 @@ _SHARP_E_SETS = (
 )
 
 
-def run_spectral(M: EffectAlgebra, instance: str, seed: int, *,
-                 prepared=None) -> list[Record]:
-    rep, gate = _canonical_or_records(M, instance, "spectral", prepared)
-    if rep is None:
-        return gate
+def run_spectral(M: EffectAlgebra, instance: str, seed: int,
+                 rep: Representation) -> list[Record]:
     states = _test_states(M, rep.polytope, seed, 10)
     records = []
 
@@ -504,7 +484,7 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int, *,
         bad = "injectivity lost"
     else:
         for a in M.elements():
-            tr = transform_spectral(rep, a, phi_id, check_injectivity=False)
+            tr = transform_spectral(rep, a, phi_id)
             if not tr.integral_ok:
                 bad = M.label(a)
                 break
@@ -522,7 +502,7 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int, *,
         bad = ["injectivity lost", list(inj_sq.collision)]
     else:
         for a in M.elements():
-            tr = transform_spectral(rep, a, phi_sq, check_injectivity=False)
+            tr = transform_spectral(rep, a, phi_sq)
             if a in sharp and not tr.integral_ok:
                 bad = [M.label(a), "sharp element broke the integral"]
                 break
@@ -538,11 +518,8 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int, *,
     return records
 
 
-def run_extension(M: EffectAlgebra, instance: str, seed: int, *,
-                  prepared=None) -> list[Record]:
-    rep, gate = _canonical_or_records(M, instance, "extension", prepared)
-    if rep is None:
-        return gate
+def run_extension(M: EffectAlgebra, instance: str, seed: int,
+                  rep: Representation) -> list[Record]:
     sharp = sharp_elements(M).members
     states = _test_states(M, rep.polytope, seed, 3)
     records = []
@@ -577,8 +554,7 @@ def run_extension(M: EffectAlgebra, instance: str, seed: int, *,
     if M.n <= 16:
         alternatives = []
         for a in M.elements():
-            pr = spectral_uniqueness_probe(rep, a)
-            for supp, masses in pr.alternatives:
+            for supp, masses in spectral_uniqueness_probe(rep, a):
                 alternatives.append(
                     [M.label(a), [frac_to_str(v) for v in supp],
                      [M.label(b) for b in masses]])

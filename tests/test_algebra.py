@@ -1,4 +1,5 @@
-"""Axioms, the derived order, refinement, sharp elements, MV detection."""
+"""Axioms, the derived order, refinement, sharp elements, and MV detection
+(the test oracle that double-checks refinement)."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,8 @@ from hypothesis import strategies as st
 import oracles
 import zoo_instances as zoo
 from effecta import (
-    MVStructure,
-    MvFailure,
     check_rdp,
-    detect_mv,
+    generate,
     iterated_sum,
     sharp_elements,
     validate_effect_algebra,
@@ -201,7 +200,7 @@ def test_sharp_members_match_the_order_oracle():
         table = oracles.sum_table_dict(M)
         brute = oracles.brute_sharp(list(M.labels), table,
                                     M.label(M.zero), M.label(M.one))
-        sh = sharp_elements(M, rdp=check_rdp(M).holds)
+        sh = sharp_elements(M)
         assert sorted(M.label(a) for a in sh.members) == sorted(brute), name
 
 
@@ -213,19 +212,24 @@ def test_sharp_set_is_boolean_under_refinement():
 
 def test_sharp_atoms_of_a_product():
     M = zoo.product_of(("chain", 2), ("chain", 3))
-    sh = sharp_elements(M)
-    assert sorted(M.label(a) for a in sh.atoms) == ["(0,3)", "(2,0)"]
+    members = sharp_elements(M).members
+    assert sorted(M.label(a) for a in members) == [
+        "(0,0)", "(0,3)", "(2,0)", "(2,3)"]
+    # the minimal nonzero members are the two factor units
+    atoms = [a for a in members if a != M.zero and not any(
+        b not in (M.zero, a) and M.leq(b, a) for b in members)]
+    assert sorted(M.label(a) for a in atoms) == ["(0,3)", "(2,0)"]
 
 
 def test_sharp_members_of_chain_and_mo2(c3, mo2):
     assert [c3.label(a) for a in sharp_elements(c3).members] == ["0", "3"]
-    sh = sharp_elements(mo2, rdp=False)
+    sh = sharp_elements(mo2)
     assert len(sh.members) == mo2.n       # horizontal sums are all sharp
     assert not sh.boolean_checked
 
 
 # ---------------------------------------------------------------------------
-# MV detection
+# MV detection (tests/oracles.py)
 
 
 def test_mv_detection_on_mv_instances():
@@ -233,8 +237,8 @@ def test_mv_detection_on_mv_instances():
                     ("interval12", zoo.interval(1, 2)),
                     ("chain2xchain3", zoo.product_of(("chain", 2),
                                                      ("chain", 3)))]:
-        r = detect_mv(M)
-        assert isinstance(r, MVStructure), name
+        r = oracles.detect_mv(M)
+        assert isinstance(r, oracles.MVStructure), name
         # total, commutative, consistent with the partial sum
         for a in M.elements():
             for b in M.elements():
@@ -244,12 +248,34 @@ def test_mv_detection_on_mv_instances():
 
 
 def test_mv_detection_failures_are_pinpointed(mo2):
-    r = detect_mv(mo2)
-    assert isinstance(r, MvFailure)
+    r = oracles.detect_mv(mo2)
+    assert isinstance(r, oracles.MvFailure)
     assert (r.kind, r.axiom, r.witness) == ("axiom", "viii",
                                             ("h0:{1}", "h1:{1}"))
-    r = detect_mv(zoo.diamond())
+    r = oracles.detect_mv(zoo.diamond())
     assert (r.kind, r.axiom, r.witness) == ("axiom", "viii",
                                             ("h0:1", "h1:1"))
-    r = detect_mv(zoo.loop4())
+    r = oracles.detect_mv(zoo.loop4())
     assert (r.kind, r.witness) == ("not-a-lattice", ("a1", "a3"))
+
+
+def _horizontal_sums():
+    blocks = [("chain", 1), ("chain", 2), ("chain", 3), ("boolean", 2),
+              ("boolean", 3)]
+    for i, first in enumerate(blocks):
+        for second in blocks[i:]:
+            yield (f"hsum-{first[0]}{first[1]}-{second[0]}{second[1]}",
+                   generate(("horizontal_sum", [first, second])))
+    yield "hsum-boolean2x3", zoo.mo3()
+
+
+def test_mv_detection_agrees_with_the_refinement_check():
+    """A finite effect algebra has the refinement property exactly when it
+    is an MV-effect algebra, so the two routes must give the same verdict."""
+    instances = (zoo.rdp_zoo() + zoo.non_rdp_zoo()
+                 + list(_horizontal_sums()))
+    for name, M in instances:
+        mv = oracles.detect_mv(M)
+        assert isinstance(mv, oracles.MVStructure) == check_rdp(M).holds, name
+    assert sum(check_rdp(M).holds for _, M in instances) >= 18
+    assert sum(not check_rdp(M).holds for _, M in instances) >= 10

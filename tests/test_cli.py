@@ -198,6 +198,32 @@ def test_exit_code_two_for_unusable_input(tmp_path, capsys):
     assert run("smear", "--input", str(path), "--observable", str(obs)) == 2
 
 
+CHAIN1 = {"elements": ["0", "1"], "zero": "0", "one": "1",
+          "sum": [["0", "0", "0"], ["0", "1", "1"]]}
+
+
+@pytest.mark.parametrize("document", [
+    {"elements": [["x"], "1"], "zero": "0", "one": "1", "sum": []},
+    dict(CHAIN1, zero=["0"]),
+    dict(CHAIN1, sum=[["0", "0", "0"], ["0", ["1"], "1"]]),
+    dict(CHAIN1, elements=[0, 1], zero=0, one=1,
+         sum=[[0, 0, 0], [0, 1, 1]]),
+    dict(CHAIN1, one=1),
+    dict(CHAIN1, elements="01"),
+    dict(CHAIN1, elements={"0": 0, "1": 1}),
+    dict(CHAIN1, sum=["000", "011"]),
+], ids=["list-element", "list-zero", "list-in-sum", "numeric", "numeric-one",
+        "string", "object", "string-triples"])
+def test_check_rejects_malformed_labels(tmp_path, capsys, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert run("check", "--input", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("observable, error", [
     ({"support": ["0", "1"], "values": ["{1}", "{1}"]}, "is undefined"),
     ({"support": ["0", "1"], "values": ["{1}", "{2}"]}, "not to the unit"),

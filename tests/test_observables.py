@@ -74,9 +74,8 @@ def test_make_observable_sorts_and_resolves_labels():
     assert x.values == (1, 2)               # sorted along with the support
     assert x.element_at(()) == B.zero
     assert x.element_at((0, 1)) == B.one
-    assert x.element_of(OutcomeSet.of_points(1)) == 2
-    assert x.element_of(OutcomeSet.interval(-1, HALF)) == 1
-    assert x.element_of(OutcomeSet.everything()) == B.one
+    assert x.element_at((0,)) == 1
+    assert x.element_at((1,)) == 2
 
 
 def test_make_observable_rejections():
@@ -170,7 +169,7 @@ def test_verify_smearing_residuals_are_exactly_zero():
             x = make_observable(M, range(len(values)), values)
             kernel = smear(rep, x)
             for m in P.vertices:
-                report = verify_smearing(rep, x, kernel, m)
+                report = verify_smearing(rep, kernel, m)
                 assert report.ok
                 assert set(report.residuals.values()) == {Z}
 
@@ -189,7 +188,7 @@ def test_memoised_residuals_match_the_reference_integral():
             x = make_observable(M, range(len(values)), values)
             kernel = smear(rep, x)
             for m in states:
-                report = verify_smearing(rep, x, kernel, m)
+                report = verify_smearing(rep, kernel, m)
                 for key, f in kernel.functions.items():
                     expected = (m.values[x.element_at(key)]
                                 - oracles.smearing_integral(rep, f, m))
@@ -210,7 +209,7 @@ def test_fresh_states_never_share_a_memoised_integral():
     for k in range(40):
         t = F(k, 39)
         m = State(tuple(t * a + (1 - t) * b for a, b in zip(v0, v1)))
-        report = verify_smearing(rep, x, kernel, m)
+        report = verify_smearing(rep, kernel, m)
         for key, f in kernel.functions.items():
             expected = (m.values[x.element_at(key)]
                         - oracles.smearing_integral(rep, f, m))
@@ -226,20 +225,20 @@ def test_alternative_kernel_leaves_integrals_unchanged():
     B = boolean(2)
     rep = canonical_representation(B)
     ext = extend_carrier_with_null_point(rep, "null")
-    x = make_observable(B, (0, 1), ("{1}", "{2}"))
+    kernel = smear(ext, make_observable(B, (0, 1), ("{1}", "{2}")))
     m = state_polytope(B).vertices[0]
     # same kernel except at the null point, where anything goes
-    assert kernel_independence_check(ext, x, m, {(0,): (Z, O, HALF)})
-    assert kernel_independence_check(ext, x, m, {(0,): (Z, O, O)})
+    assert kernel_independence_check(ext, kernel, m, {(0,): (Z, O, HALF)})
+    assert kernel_independence_check(ext, kernel, m, {(0,): (Z, O, O)})
 
 
 def test_illegitimate_alternatives_are_rejected():
     B = boolean(2)
     rep = canonical_representation(B)
     ext = extend_carrier_with_null_point(rep, "null")
-    x = make_observable(B, (0, 1), ("{1}", "{2}"))
+    kernel = smear(ext, make_observable(B, (0, 1), ("{1}", "{2}")))
     m = state_polytope(B).vertices[0]
     with pytest.raises(NotAKernel):         # not a member function
-        kernel_independence_check(ext, x, m, {(0,): (HALF, F(1, 4), Z)})
+        kernel_independence_check(ext, kernel, m, {(0,): (HALF, F(1, 4), Z)})
     with pytest.raises(NotAKernel):         # member, but maps to the wrong element
-        kernel_independence_check(ext, x, m, {(0,): (Z, Z, Z)})
+        kernel_independence_check(ext, kernel, m, {(0,): (Z, Z, Z)})

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import (EffectTribe, Representation, canonical_representation,
+from effecta import (EffectTribe, canonical_representation,
                      tribe_to_algebra, validate_tribe)
 from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
                             NotASigmaAlgebra, PreconditionFailed, RdpRequired,
@@ -22,7 +22,7 @@ from effecta.representation import (check_ideal_congruence, check_regular,
                                     make_representation, measurable, sandwich,
                                     sharp_image, support,
                                     tribe_sharp_functions)
-from effecta.states import StatePolytope
+from effecta.states import State, StatePolytope
 
 from zoo_instances import (boolean, chain, diamond, mo2, non_sigma_tribe,
                            rdp_zoo, two_point_tribe)
@@ -90,7 +90,6 @@ def test_canonical_representation_of_boolean2():
                        frozenset({0, 1}))
     assert b0.s0 == b0.sets
     assert b0.atoms == (frozenset({0}), frozenset({1}))
-    assert b0.atom_of(1) == frozenset({1})
     assert all(measurable(rep, f) for f in rep.tribe.functions)
 
 
@@ -110,14 +109,20 @@ def test_canonical_representation_gates():
         canonical_representation(mo2())
     assert err.value.witness == ("h0:{1}", "h0:{2}", "h1:{1}", "h1:{2}")
 
-    with pytest.raises(NonSeparatingStates) as err:
-        canonical_representation(diamond(), enforce_rdp=False)
-    assert err.value.pair == ("h0:1", "h1:1")
+    # the diamond fails at the refinement gate before its states are read
+    with pytest.raises(RdpRequired):
+        canonical_representation(diamond())
 
+    # past the gate, a vertex list that cannot tell two elements apart
     M = chain(2)
+    blind = StatePolytope(M, (State((Z, O, O)),), 0, [], [])
+    with pytest.raises(NonSeparatingStates) as err:
+        canonical_representation(M, polytope=blind)
+    assert err.value.pair == ("1", "2")
+
     hollow = StatePolytope(M, (), -1, [], [])
     with pytest.raises(EmptyStateSpace):
-        canonical_representation(M, polytope=hollow, enforce_rdp=False)
+        canonical_representation(M, polytope=hollow)
 
 
 def test_make_representation_structural_checks():
@@ -255,7 +260,9 @@ def test_null_point_extension_outside_omega0():
 
 def test_null_point_extension_inside_omega0():
     rep = canonical_representation(boolean(2))
-    ext = extend_carrier_with_null_point(rep, "null", null_in_omega0=True)
+    outside = extend_carrier_with_null_point(rep, "null")
+    ext = make_representation(outside.tribe, outside.target, outside.h,
+                              {0, 1, 2}, [frozenset(), frozenset({2})])
     assert ext.omega0 == frozenset({0, 1, 2})
     assert ext.ideal == frozenset({frozenset(), frozenset({2})})
     assert check_regular(ext).ok

@@ -1,18 +1,14 @@
-"""JSON serialization: exact rationals, canonical emission, full
-re-validation on the way back in."""
+"""JSON documents: exact rationals, canonical emission, full
+re-validation of algebras on the way back in, observable parsing."""
 
 from fractions import Fraction
 
 import pytest
 
-from effecta import make_observable, spectral_measure, state_polytope
 from effecta.errors import NonUniqueSupplement, ParseError
-from effecta.representation import canonical_representation
 from effecta.serialize import (algebra_from_obj, algebra_to_obj, dumps,
                                frac_from_str, frac_to_str, loads,
-                               observable_from_obj, observable_to_obj,
-                               polytope_to_obj, representation_to_obj,
-                               spectral_to_obj, state_from_obj, state_to_obj)
+                               observable_from_obj)
 
 from zoo_instances import boolean, chain
 
@@ -93,50 +89,21 @@ def test_algebra_parse_errors():
 
 
 # ---------------------------------------------------------------------------
-# states and polytopes
-
-
-def test_state_roundtrip():
-    M = chain(3)
-    s = state_polytope(M).vertices[0]
-    obj = state_to_obj(M, s)
-    assert obj == {"values": {"0": "0", "1": "1/3", "2": "2/3", "3": "1"}}
-    assert state_from_obj(M, obj).values == s.values
-
-
-def test_state_parse_errors():
-    M = chain(3)
-    with pytest.raises(ParseError):
-        state_from_obj(M, {"wrong": {}})
-    with pytest.raises(ParseError):
-        state_from_obj(M, {"values": {"0": "0", "1": "1/3", "2": "2/3"}})
-
-
-def test_polytope_serialization_shape():
-    M = boolean(2)
-    obj = polytope_to_obj(state_polytope(M))
-    assert obj["dimension"] == 1
-    assert [v["values"] for v in obj["vertices"]] == [
-        {"{}": "0", "{1}": "0", "{2}": "1", "{1,2}": "1"},
-        {"{}": "0", "{1}": "1", "{2}": "0", "{1,2}": "1"},
-    ]
-    # only nonzero coefficients are materialized
-    assert all(all(c != "0" for c in row["coeffs"].values())
-               for row in obj["constraints"])
-    assert {"coeffs": {"{1,2}": "1"}, "rhs": "1"} in obj["constraints"]
-
-
-# ---------------------------------------------------------------------------
 # observables
 
 
 def test_observable_roundtrip():
     M = boolean(2)
-    x = make_observable(M, (0, 1), ("{1}", "{2}"))
-    obj = observable_to_obj(x)
-    assert obj == {"support": ["0", "1"], "values": ["{1}", "{2}"]}
-    back = observable_from_obj(M, obj)
-    assert back.support == x.support and back.values == x.values
+    obj = {"support": ["0", "1"], "values": ["{1}", "{2}"]}
+    x = observable_from_obj(M, obj)
+    assert x.support == (F(0), F(1))
+    assert x.values == (M.index("{1}"), M.index("{2}"))
+    assert {"support": [frac_to_str(t) for t in x.support],
+            "values": [M.label(a) for a in x.values]} == obj
+    # the reader sorts the outcome points and keeps labels aligned
+    back = observable_from_obj(M, {"support": ["1", "0"],
+                                   "values": ["{2}", "{1}"]})
+    assert back == x
 
 
 def test_observable_parse_errors():
@@ -147,31 +114,3 @@ def test_observable_parse_errors():
         observable_from_obj(M, {"support": ["0"], "values": ["martian"]})
     with pytest.raises(ParseError):
         observable_from_obj(M, {"support": ["0"], "values": [3]})
-
-
-# ---------------------------------------------------------------------------
-# representations and measures
-
-
-def test_representation_serialization():
-    rep = canonical_representation(boolean(2))
-    obj = representation_to_obj(rep)
-    assert obj == {
-        "carrier": ["s0", "s1"],
-        "omega0": ["s0", "s1"],
-        "ideal": [[]],
-        "functions": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
-        "h": ["{}", "{1}", "{2}", "{1,2}"],
-    }
-
-
-def test_spectral_serialization():
-    M = boolean(2)
-    rep = canonical_representation(M)
-    obj = spectral_to_obj(M, spectral_measure(rep, 2))
-    assert obj == {
-        "element": "{2}",
-        "support": ["0", "1"],
-        "masses": {"0": "{1}", "1": "{2}"},
-    }
-

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from effecta import State, state_polytope
 from effecta.errors import EmptyStateSpace
-from effecta.states import (StatePolytope, convex_combination, evaluate,
-                            is_sigma_additive, is_state, seeded_mixtures,
-                            separating)
+from effecta.states import (StatePolytope, convex_combination, is_state,
+                            seeded_mixtures, separating)
 
-from oracles import brute_vertices, raw_state_system
-from zoo_instances import boolean, chain, diamond, interval, mo2, mo3, product_of
+from oracles import brute_vertices, is_sigma_additive, raw_state_system
+from zoo_instances import (boolean, chain, diamond, interval, mo2, mo3,
+                           non_rdp_zoo, product_of, rdp_zoo)
 
 F = Fraction
 Z = F(0)
@@ -97,14 +97,12 @@ def test_is_state_violation_kinds():
 
 
 def test_evaluate_and_separating():
-    M = chain(3)
-    P = state_polytope(M)
-    assert evaluate(P, 1).vector == (F(1, 3),)
+    P = state_polytope(chain(3))
+    assert [s.values[1] for s in P.vertices] == [F(1, 3)]
     assert separating(P)
 
-    B = boolean(2)
-    Q = state_polytope(B)
-    assert evaluate(Q, 1).vector == (Z, O)
+    Q = state_polytope(boolean(2))
+    assert [s.values[1] for s in Q.vertices] == [Z, O]
     assert separating(Q)
 
 
@@ -116,15 +114,13 @@ def test_diamond_states_do_not_separate():
     # the two middle elements are distinct but evaluate identically
     a, b = 2, 3
     assert M.label(a) != M.label(b)
-    assert evaluate(P, a).vector == evaluate(P, b).vector
+    assert [s.values[a] for s in P.vertices] == [s.values[b] for s in P.vertices]
 
 
 def test_empty_polytope_gates():
     M = chain(2)
     empty = StatePolytope(M, (), -1, [], [])
     assert empty.is_empty
-    with pytest.raises(EmptyStateSpace):
-        evaluate(empty, 0)
     with pytest.raises(EmptyStateSpace):
         seeded_mixtures(empty, 3, seed=0)
     assert not separating(empty)
@@ -168,3 +164,17 @@ def test_sigma_additivity_on_a_finite_carrier():
     P = state_polytope(M)
     assert all(is_sigma_additive(M, s) for s in P.vertices)
     assert not is_sigma_additive(M, State((Z, O, O, O)))
+    assert not is_state(M, State((Z, O, O, O))).ok
+
+
+def test_sigma_additivity_is_state_validity():
+    """The states suite reports vertex validity as its sigma-additive
+    verdict; the oracle's separate monotonicity scan must agree with it on
+    every vertex and mixture of the zoo."""
+    checked = 0
+    for name, M in rdp_zoo() + non_rdp_zoo():
+        P = state_polytope(M)
+        for s in list(P.vertices) + seeded_mixtures(P, 10, seed=0):
+            assert is_sigma_additive(M, s) == is_state(M, s).ok, name
+            checked += 1
+    assert checked >= 284
