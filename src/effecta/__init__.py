@@ -29,7 +29,6 @@ from .representation import (
     EffectTribe,
     Representation,
     canonical_representation,
-    tribe_to_algebra,
     validate_tribe,
 )
 from .spectral import (
@@ -70,7 +69,6 @@ __all__ = [
     "state_polytope",
     "summable_families",
     "transform_spectral",
-    "tribe_to_algebra",
     "validate_effect_algebra",
     "validate_tribe",
     "verify_smearing",

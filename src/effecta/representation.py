@@ -16,8 +16,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
-from .algebra import (EffectAlgebra, check_rdp, sharp_elements,
-                      validate_effect_algebra)
+from .algebra import EffectAlgebra, check_rdp, sharp_elements
 from .errors import (
     EmptyStateSpace,
     NonSeparatingStates,
@@ -109,39 +108,6 @@ def validate_tribe(carrier: Sequence[str], functions: Iterable[Sequence[Fraction
             raise TribeAxiomViolation(
                 "sum not closed", (_fmt(f), _fmt(g), _fmt(s)))
     return EffectTribe(carrier, tuple(fns))
-
-
-def tribe_to_algebra(tribe: EffectTribe) -> EffectAlgebra:
-    """The tribe as an effect algebra under the pointwise partial sum.
-
-    Definedness of f + g is pointwise compatibility (f <= 1 - g); the
-    closure axioms guarantee the result is a member, so the operation
-    table is total on compatible pairs.
-    """
-    labels = [_fmt(f) for f in tribe.functions]
-    lbl = dict(zip(tribe.functions, labels))
-    p = len(tribe.carrier)
-    zero = lbl[tuple([ZERO] * p)]
-    one = lbl[tuple([ONE] * p)]
-    sums = [(lbl[f], lbl[g], lbl[s])
-            for f, g, s in _compatible_sums(tribe.functions)]
-    return validate_effect_algebra(labels, zero, one, sums)
-
-
-def tribe_sharp_functions(tribe: EffectTribe) -> set[FnValues]:
-    """Members f whose meet with 1-f in the tribe order exists and is 0.
-
-    In the pointwise order this is exactly: no nonzero member lies below
-    both f and 1-f.  (If one does, the meet is nonzero or fails to exist;
-    either way f is not sharp.)
-    """
-    out = set()
-    for f in tribe.functions:
-        low = tuple(min(v, ONE - v) for v in f)      # below f and 1-f
-        if not any(any(g) and all(x <= y for x, y in zip(g, low))
-                   for g in tribe.functions):
-            out.add(f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +253,14 @@ def support(f: Sequence[Fraction], omega0: frozenset[int]) -> frozenset[int]:
 class SigmaAlgebraB0:
     """Subsets whose characteristic functions are sharp members.
 
-    ``s0`` is the larger family of all subsets with a characteristic
-    function in the tribe (sharp or not); for pointwise tribes the two
-    families coincide, and whenever the tribe has the refinement property
-    the equality is asserted.  ``atoms`` partition the carrier; each atom
-    is the intersection of all members containing one of its points.
+    In the pointwise order min(chi_A, 1 - chi_A) = 0, so no nonzero member
+    lies below both chi_A and its complement: every characteristic member
+    is sharp.  The sets are therefore exactly those with a characteristic
+    function in the tribe.  ``atoms`` partition the carrier; each atom is
+    the intersection of all members containing one of its points.
     """
 
     sets: tuple[frozenset[int], ...]
-    s0: tuple[frozenset[int], ...]
     atoms: tuple[frozenset[int], ...]
 
 
@@ -308,13 +273,11 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     p = len(tribe.carrier)
     if p > MAX_CARRIER:
         raise SizeLimitExceeded(f"carrier of {p} points exceeds {MAX_CARRIER}")
-    s0 = []
-    for mask in range(1 << p):
-        points = frozenset(i for i in range(p) if mask >> i & 1)
-        if rep.chi(points) in tribe:
-            s0.append(points)
-    sharp = tribe_sharp_functions(tribe)
-    b0 = [A for A in s0 if rep.chi(A) in sharp]
+    # the characteristic members in the order of their point bitmasks,
+    # which fixes the witness of a failed law
+    b0 = [frozenset(i for i, v in enumerate(f) if v)
+          for f in sorted(tribe.functions, key=lambda f: f[::-1])
+          if set(f) <= {ZERO, ONE}]
 
     full = frozenset(range(p))
     in_b0 = set(b0)
@@ -330,13 +293,6 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
             if A | B not in in_b0:
                 raise NotASigmaAlgebra("union", (sorted(A), sorted(B)))
 
-    if set(b0) != set(s0):
-        # decide whether the equality theorem applies before letting it pass
-        if check_rdp(tribe_to_algebra(tribe)).holds:
-            raise TheoremViolation(
-                "sharp-characteristic family differs from the characteristic "
-                "family on a refinement-property tribe")
-
     atoms = []
     for i in range(p):
         atom = full
@@ -345,7 +301,7 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
                 atom &= A
         if atom not in atoms:
             atoms.append(atom)
-    return SigmaAlgebraB0(_sorted_sets(b0), _sorted_sets(s0), _sorted_sets(atoms))
+    return SigmaAlgebraB0(_sorted_sets(b0), _sorted_sets(atoms))
 
 
 def measurable(rep: Representation, f: Sequence[Fraction]) -> bool:
@@ -431,8 +387,6 @@ def check_ideal_congruence(rep: Representation) -> CongruenceReport:
 @dataclass(frozen=True)
 class SharpImageReport:
     ok: bool
-    image: tuple[str, ...]               # labels of h(chi_A), A in B0
-    sharp: tuple[str, ...]               # labels of the target's sharp set
     all_measurable: bool                 # theorem hypothesis 1
     min_closed: bool                     # theorem hypothesis 2
 
@@ -459,48 +413,34 @@ def sharp_image(rep: Representation) -> SharpImageReport:
             "sharp image mismatch under the full theorem hypotheses: "
             f"image {sorted(M.label(a) for a in image)} vs "
             f"sharp {sorted(M.label(a) for a in sharp)}")
-    return SharpImageReport(
-        ok,
-        tuple(sorted(M.label(a) for a in image)),
-        tuple(sorted(M.label(a) for a in sharp)),
-        all_meas,
-        min_closed,
-    )
+    return SharpImageReport(ok, all_meas, min_closed)
 
 
 # ---------------------------------------------------------------------------
 # carrier extension (for exercising ideals and kernel independence)
 
 
-def extend_carrier_with_null_point(rep: Representation, label: str,
-                                   grid: Sequence[Fraction] = (ZERO, Fraction(1, 2), ONE)
-                                   ) -> Representation:
+_NULL_GRID = (ZERO, Fraction(1, 2), ONE)
+
+
+def extend_carrier_with_null_point(rep: Representation,
+                                   label: str) -> Representation:
     """Adjoin one extra carrier point carrying no information.
 
-    Every member function fans out over the value grid at the new point
-    (the grid must be symmetric and closed under compatible sums, as
-    {0, 1/2, 1} is), and h ignores the new coordinate.  The new point is
+    Every member f fans out to f + (v,) for v in {0, 1/2, 1}, and h ignores
+    the new coordinate.  Two fanned members are compatible exactly when
+    both parts are, and the grid is symmetric and closed under sums <= 1,
+    so the family is a tribe and h a sum-preserving surjection by
+    construction; neither is validated again.  Fanning the sorted members
+    out over the sorted grid keeps the functions sorted.  The new point is
     negligible: it stays outside omega0, so omega0 and the ideal are
     unchanged.
     """
-    grid = sorted({Fraction(v) for v in grid})
-    if any(ONE - v not in grid for v in grid) or ZERO not in grid:
-        raise PreconditionFailed("grid must contain 0 and be symmetric")
-    for v in grid:
-        for w in grid:
-            if v + w <= 1 and v + w not in grid:
-                raise PreconditionFailed("grid must be closed under sums <= 1")
     if label in rep.carrier:
         raise PreconditionFailed(f"label {label!r} already used")
-    carrier = rep.carrier + (label,)
-    fns = []
-    h_by_fn = {}
-    for f, a in zip(rep.tribe.functions, rep.h):
-        for v in grid:
-            g = f + (v,)
-            fns.append(g)
-            h_by_fn[g] = a
-    tribe = validate_tribe(carrier, fns)
-    h = tuple(h_by_fn[f] for f in tribe.functions)
-    return make_representation(tribe, rep.target, h, rep.omega0, rep.ideal,
-                               polytope=rep.polytope)
+    tribe = EffectTribe(rep.carrier + (label,),
+                        tuple(f + (v,) for f in rep.tribe.functions
+                              for v in _NULL_GRID))
+    h = tuple(a for a in rep.h for _ in _NULL_GRID)
+    return Representation(tribe, rep.target, h, rep.omega0, rep.ideal,
+                          polytope=rep.polytope)

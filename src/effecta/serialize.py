@@ -83,10 +83,12 @@ def observable_from_obj(M: EffectAlgebra, obj: Any) -> Observable:
     if not isinstance(obj, Mapping):
         raise ParseError("observable document must be an object")
     try:
-        support = [frac_from_str(t) for t in obj["support"]]
-        values = list(obj["values"])
-    except (KeyError, TypeError) as exc:
+        support, values = obj["support"], obj["values"]
+    except KeyError as exc:
         raise ParseError(f"malformed observable document: {exc!r}") from exc
+    if not isinstance(support, list) or not isinstance(values, list):
+        raise ParseError("observable support and values must be JSON arrays")
+    support = [frac_from_str(t) for t in support]
     for v in values:
         if not isinstance(v, str):
             raise ParseError("observable values must be element labels")

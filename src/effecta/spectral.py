@@ -296,7 +296,9 @@ def extend_state(rep: Representation, m: Mapping) -> State:
 
     check = is_state(M, result)
     if not check.ok:
-        raise TheoremViolation(f"extension is not a state: {check.violation}")
+        raise TheoremViolation(
+            f"extension is not a state: {check.violation.kind} at "
+            f"{check.violation.witness!r}")
     for bb, v in vals.items():
         if result.values[bb] != v:
             raise TheoremViolation(

@@ -34,7 +34,6 @@ class State:
 class StateViolation:
     kind: str          # "length" | "range" | "one" | "additivity"
     witness: tuple
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -44,15 +43,13 @@ class StateCheck:
 
 
 class StatePolytope:
-    """The extremal states, the rank of their differences (the dimension;
-    -1 when there are no states) and the equality system they solve."""
+    """The extremal states and the rank of their differences (the
+    dimension; -1 when there are no states)."""
 
-    def __init__(self, algebra, vertices, dimension, equalities, rhs):
+    def __init__(self, algebra, vertices, dimension):
         self.algebra: EffectAlgebra = algebra
         self.vertices: tuple[State, ...] = vertices
         self.dimension: int = dimension
-        self.equalities = equalities
-        self.equality_rhs = rhs
 
     @property
     def is_empty(self) -> bool:
@@ -90,7 +87,7 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     rows, rhs = build_state_equalities(M)
     sol = solve_affine(rows, rhs)
     if sol is None:
-        return StatePolytope(M, (), -1, rows, rhs)
+        return StatePolytope(M, (), -1)
     x0, dirs, free = sol
     d = len(free)
 
@@ -126,7 +123,7 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
         dim = rank([[a - b for a, b in zip(s.values, v0)] for s in states[1:]])
     else:
         dim = -1
-    return StatePolytope(M, states, dim, rows, rhs)
+    return StatePolytope(M, states, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +135,17 @@ def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State) -> StateCheck
     if isinstance(values, State):
         values = values.values
     if len(values) != M.n:
-        return StateCheck(False, StateViolation(
-            "length", (len(values), M.n), "value vector has the wrong length"))
+        return StateCheck(False, StateViolation("length", (len(values), M.n)))
     vals = [Fraction(v) for v in values]
     for a, v in enumerate(vals):
         if v < 0 or v > 1:
-            return StateCheck(False, StateViolation(
-                "range", (M.label(a),), f"s({M.label(a)}) = {v} outside [0,1]"))
+            return StateCheck(False, StateViolation("range", (M.label(a),)))
     if vals[M.one] != 1:
-        return StateCheck(False, StateViolation(
-            "one", (M.label(M.one),), f"s(1) = {vals[M.one]}"))
+        return StateCheck(False, StateViolation("one", (M.label(M.one),)))
     for a, b, c in M.defined_sums():
         if vals[a] + vals[b] != vals[c]:
             return StateCheck(False, StateViolation(
-                "additivity", (M.label(a), M.label(b), M.label(c)),
-                f"s({M.label(a)}) + s({M.label(b)}) = {vals[a] + vals[b]} "
-                f"!= {vals[c]} = s({M.label(c)})"))
+                "additivity", (M.label(a), M.label(b), M.label(c))))
     return StateCheck(True, None)
 
 

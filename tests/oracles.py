@@ -79,6 +79,46 @@ def brute_sharp(labels, table, zero, one):
     return out
 
 
+def boolean_law_scan(M, members):
+    """The first Boolean-algebra law that ``members`` breaks under M's
+    meet, join and complement, as (law, witnesses), or None when all hold.
+
+    Every law is checked literally, pairs and triples alike: bounds,
+    complement closure and laws, meet/join closure, De Morgan, absorption,
+    distributivity and meet associativity.  O(k^3) for k members.
+    """
+    meet = {(a, b): M.meet(a, b) for a in members for b in members}
+    join = {(a, b): M.join(a, b) for a in members for b in members}
+    if M.zero not in members or M.one not in members:
+        return "bounds", (M.zero, M.one)
+    for a in members:
+        if M.comp(a) not in members:
+            return "complement-closure", (a,)
+        if meet[(a, M.comp(a))] != M.zero:
+            return "a /\\ a' = 0", (a,)
+        if join[(a, M.comp(a))] != M.one:
+            return "a \\/ a' = 1", (a,)
+    for a in members:
+        for b in members:
+            m, j = meet[(a, b)], join[(a, b)]
+            if m is None or m not in members:
+                return "meet-closure", (a, b)
+            if j is None or j not in members:
+                return "join-closure", (a, b)
+            if M.comp(m) != join[(M.comp(a), M.comp(b))]:
+                return "de-morgan", (a, b)
+            if meet[(a, j)] != a or join[(a, m)] != a:
+                return "absorption", (a, b)
+    for a in members:
+        for b in members:
+            for c in members:
+                if meet[(a, join[(b, c)])] != join[(meet[(a, b)], meet[(a, c)])]:
+                    return "distributivity", (a, b, c)
+                if meet[(meet[(a, b)], c)] != meet[(a, meet[(b, c)])]:
+                    return "meet-associativity", (a, b, c)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra, independent of the library's solver
 
@@ -467,6 +507,26 @@ def coordinate_bounds(x0, directions, pin_rows, pin_rhs):
 
 def _eye(d):
     return [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+
+
+# ---------------------------------------------------------------------------
+# a function tribe read back as an effect algebra
+
+
+def tribe_to_algebra(tribe):
+    """The tribe as an effect algebra under the pointwise partial sum:
+    f + g is defined when f <= 1 - g at every point.  Labels print the
+    value vectors, e.g. "(1/3,2/3)"."""
+    from effecta import validate_effect_algebra
+
+    label = lambda f: "(" + ",".join(str(v) for v in f) + ")"
+    fns = tribe.functions
+    p = len(tribe.carrier)
+    sums = [(label(f), label(g), label(tuple(x + y for x, y in zip(f, g))))
+            for f in fns for g in fns
+            if all(x + y <= 1 for x, y in zip(f, g))]
+    return validate_effect_algebra([label(f) for f in fns], label((ZERO,) * p),
+                                   label((ONE,) * p), sums)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from effecta import (
 from effecta import algebra, cli
 from effecta.errors import (
     AxiomViolation,
+    BooleanStructureFailure,
     NonUniqueSupplement,
     ParseError,
     SizeLimitExceeded,
@@ -219,6 +220,42 @@ def test_sharp_atoms_of_a_product():
     atoms = [a for a in members if a != M.zero and not any(
         b not in (M.zero, a) and M.leq(b, a) for b in members)]
     assert sorted(M.label(a) for a in atoms) == ["(0,3)", "(2,0)"]
+
+
+def _certificate_accepts(M, members):
+    try:
+        algebra._verify_boolean(M, members)
+    except BooleanStructureFailure:
+        return False
+    return True
+
+
+def test_boolean_certificate_agrees_with_the_law_scan():
+    """The atom-bitmask certificate accepts exactly the member sets that
+    satisfy every Boolean law in the O(k^3) reference scan."""
+    verdicts = []
+    for name, M in zoo.rdp_zoo() + zoo.non_rdp_zoo():
+        members = tuple(a for a in M.elements()
+                        if M.meet(a, M.comp(a)) == M.zero)
+        scan_ok = oracles.boolean_law_scan(M, members) is None
+        assert _certificate_accepts(M, members) == scan_ok, name
+        verdicts.append((check_rdp(M).holds, scan_ok))
+    assert all(ok for rdp, ok in verdicts if rdp)
+    non_rdp = [ok for rdp, ok in verdicts if not rdp]
+    assert True in non_rdp and False in non_rdp
+
+
+def test_boolean_certificate_rejects_at_the_meet():
+    """Four members of interval(3,3) that pair off under complement and
+    look like a four-element Boolean algebra by their atoms, but whose
+    meet and join leave the set: only the meet/join pass can see it."""
+    M = zoo.interval(3, 3)
+    members = tuple(M.index(x) for x in ("(0,0)", "(2,1)", "(1,2)", "(3,3)"))
+    assert oracles.boolean_law_scan(M, members) is not None
+    with pytest.raises(BooleanStructureFailure) as err:
+        algebra._verify_boolean(M, members)
+    assert err.value.law == "meet"
+    assert err.value.witnesses == ("(2,1)", "(1,2)")
 
 
 def test_sharp_members_of_chain_and_mo2(c3, mo2):

@@ -224,15 +224,24 @@ def test_check_rejects_malformed_labels(tmp_path, capsys, document):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("observable, error", [
-    ({"support": ["0", "1"], "values": ["{1}", "{1}"]}, "is undefined"),
-    ({"support": ["0", "1"], "values": ["{1}", "{2}"]}, "not to the unit"),
-    ({"support": ["0", "0"], "values": ["{1}", "{2,3,4}"]}, "distinct"),
-    ({"support": [], "values": []}, "non-empty"),
-], ids=["sum-undefined", "sum-not-one", "duplicate-point", "empty"])
-def test_smear_rejects_an_invalid_observable(tmp_path, capsys, observable,
-                                             error):
-    path = write_algebra(tmp_path, "b4.json", "boolean", "4")
+@pytest.mark.parametrize("family, observable, error", [
+    (("boolean", "4"), {"support": ["0", "1"], "values": ["{1}", "{1}"]},
+     "is undefined"),
+    (("boolean", "4"), {"support": ["0", "1"], "values": ["{1}", "{2}"]},
+     "not to the unit"),
+    (("boolean", "4"), {"support": ["0", "0"], "values": ["{1}", "{2,3,4}"]},
+     "distinct"),
+    (("boolean", "4"), {"support": [], "values": []}, "non-empty"),
+    # read character by character, or key by key, these would be the valid
+    # observable 1/3 at 0 and 2/3 at 1 on the three-chain
+    (("chain", "3"), {"support": "01", "values": "12"}, "JSON arrays"),
+    (("chain", "3"), {"support": {"0": "a", "1": "b"},
+                      "values": {"1": "x", "2": "y"}}, "JSON arrays"),
+], ids=["sum-undefined", "sum-not-one", "duplicate-point", "empty", "strings",
+        "object"])
+def test_smear_rejects_an_invalid_observable(tmp_path, capsys, family,
+                                             observable, error):
+    path = write_algebra(tmp_path, "doc.json", *family)
     obs = tmp_path / "obs.json"
     obs.write_text(json.dumps(observable))
     assert run("smear", "--input", str(path), "--observable", str(obs)) == 2

@@ -12,18 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import (EffectTribe, canonical_representation,
-                     tribe_to_algebra, validate_tribe)
+from effecta import (EffectTribe, canonical_representation, sharp_elements,
+                     validate_tribe)
 from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
                             NotASigmaAlgebra, PreconditionFailed, RdpRequired,
                             RepresentationViolation, TribeAxiomViolation)
 from effecta.representation import (check_ideal_congruence, check_regular,
                                     compute_b0, extend_carrier_with_null_point,
                                     make_representation, measurable, sandwich,
-                                    sharp_image, support,
-                                    tribe_sharp_functions)
+                                    sharp_image, support)
 from effecta.states import State, StatePolytope
 
+from oracles import tribe_to_algebra
 from zoo_instances import (boolean, chain, diamond, mo2, non_sigma_tribe,
                            rdp_zoo, two_point_tribe)
 
@@ -88,7 +88,6 @@ def test_canonical_representation_of_boolean2():
     b0 = rep.b0()
     assert b0.sets == (frozenset(), frozenset({0}), frozenset({1}),
                        frozenset({0, 1}))
-    assert b0.s0 == b0.sets
     assert b0.atoms == (frozenset({0}), frozenset({1}))
     assert all(measurable(rep, f) for f in rep.tribe.functions)
 
@@ -115,12 +114,12 @@ def test_canonical_representation_gates():
 
     # past the gate, a vertex list that cannot tell two elements apart
     M = chain(2)
-    blind = StatePolytope(M, (State((Z, O, O)),), 0, [], [])
+    blind = StatePolytope(M, (State((Z, O, O)),), 0)
     with pytest.raises(NonSeparatingStates) as err:
         canonical_representation(M, polytope=blind)
     assert err.value.pair == ("1", "2")
 
-    hollow = StatePolytope(M, (), -1, [], [])
+    hollow = StatePolytope(M, (), -1)
     with pytest.raises(EmptyStateSpace):
         canonical_representation(M, polytope=hollow)
 
@@ -169,7 +168,9 @@ def test_two_point_tribe_over_chain3():
     # the middle layer is not constant on the single atom
     assert not measurable(rep, (F(1, 3), F(2, 3)))
     report = sharp_image(rep)
-    assert report.ok and report.image == ("0", "3") == report.sharp
+    image = {M.label(rep.h_of(rep.chi(A))) for A in b0.sets}
+    sharp = {M.label(a) for a in sharp_elements(M).members}
+    assert report.ok and image == {"0", "3"} == sharp
     assert not report.all_measurable and not report.min_closed
     assert check_regular(rep).ok
     assert check_ideal_congruence(rep).ok
@@ -221,12 +222,21 @@ def test_measurable_agrees_with_a_direct_atom_scan():
 
 
 def test_sharp_functions_match_the_pointwise_definition():
+    """B0 is the family of sets whose characteristic function is a sharp
+    member: no nonzero member lies below both it and its complement."""
     for rep in _lookup_cases():
         fns = rep.tribe.functions
         below_both = {f for f in fns for g in fns if any(g)
                       and all(x <= y for x, y in zip(g, f))
                       and all(x <= O - y for x, y in zip(g, f))}
-        assert tribe_sharp_functions(rep.tribe) == set(fns) - below_both
+        sharp = set(fns) - below_both
+        p = len(rep.carrier)
+        subsets = [frozenset(i for i in range(p) if mask >> i & 1)
+                   for mask in range(1 << p)]
+        expected = {A for A in subsets
+                    if tuple(O if i in A else Z for i in range(p)) in sharp}
+        assert set(rep.b0().sets) == expected
+        assert len(rep.b0().sets) == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +288,27 @@ def test_null_point_extension_inside_omega0():
 def test_null_point_grid_preconditions():
     rep = canonical_representation(boolean(2))
     with pytest.raises(PreconditionFailed):
-        extend_carrier_with_null_point(rep, "x", (Z, F(1, 4), O))
-    with pytest.raises(PreconditionFailed):
-        extend_carrier_with_null_point(rep, "x", (Z, F(2, 5), F(3, 5), O))
-    with pytest.raises(PreconditionFailed):
         extend_carrier_with_null_point(rep, "s0")
+
+
+def test_null_point_extension_matches_the_validated_construction():
+    """The extension is built without validation; the same fanned-out
+    family run through validate_tribe and make_representation must give
+    the same tribe, h, omega0, ideal and polytope."""
+    for name, M in rdp_zoo():
+        if name == "chain7xchain7":
+            continue
+        rep = canonical_representation(M)
+        ext = extend_carrier_with_null_point(rep, "null")
+        fanned = {f + (v,): a for f, a in zip(rep.tribe.functions, rep.h)
+                  for v in (Z, HALF, O)}
+        tribe = validate_tribe(rep.carrier + ("null",), fanned)
+        ref = make_representation(tribe, M, [fanned[f] for f in tribe.functions],
+                                  rep.omega0, rep.ideal, polytope=rep.polytope)
+        assert ext.tribe == ref.tribe, name
+        assert ext.h == ref.h, name
+        assert (ext.target, ext.omega0, ext.ideal, ext.polytope) == (
+            ref.target, ref.omega0, ref.ideal, ref.polytope), name
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,7 @@ def test_rank_deficit_yields_a_kernel_witness():
     # state there leaves the sharp values unable to fix the state
     v0 = rep.polytope.vertices[0].values
     v1 = (Z, F(1, 2), F(1, 2), O)
-    doctored = StatePolytope(C, (State(v0), State(v1)), 1,
-                             rep.polytope.equalities,
-                             rep.polytope.equality_rhs)
+    doctored = StatePolytope(C, (State(v0), State(v1)), 1)
     fake = Representation(rep.tribe, C, rep.h, rep.omega0, rep.ideal,
                           polytope=doctored)
     report = oracles.extension_uniqueness(fake, {0: Z, 3: O})

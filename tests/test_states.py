@@ -119,7 +119,7 @@ def test_diamond_states_do_not_separate():
 
 def test_empty_polytope_gates():
     M = chain(2)
-    empty = StatePolytope(M, (), -1, [], [])
+    empty = StatePolytope(M, (), -1)
     assert empty.is_empty
     with pytest.raises(EmptyStateSpace):
         seeded_mixtures(empty, 3, seed=0)
