@@ -20,6 +20,7 @@ from .generators import generate, parse_family_tokens
 from .observables import (
     Observable,
     OutcomeSet,
+    element_integrals,
     make_observable,
     smear,
     summable_families,
@@ -55,6 +56,7 @@ __all__ = [
     "StatePolytope",
     "canonical_representation",
     "check_rdp",
+    "element_integrals",
     "extend_state",
     "generate",
     "is_state",

@@ -25,7 +25,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .generators import generate, parse_family_tokens
-from .observables import smear, verify_smearing
+from .observables import element_integrals, smear, verify_smearing
 from .report import FAIL, PASS, Record, exit_code, render, sort_records
 from .representation import canonical_representation
 from .serialize import (
@@ -42,7 +42,11 @@ DEFAULT_MAX_SIZE = 4096
 
 
 def _read_document(path: str):
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
+    return loads(text)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -101,7 +105,7 @@ def cmd_smear(args) -> int:
         rep.polytope, 10, args.seed)
     first_bad = None
     for i, m in enumerate(states):
-        rr = verify_smearing(rep, kernel, m)
+        rr = verify_smearing(kernel, m, element_integrals(rep, m.values))
         if not rr.ok and first_bad is None:
             key = next(k for k, v in rr.residuals.items() if v != 0)
             first_bad = [i, sorted(str(x.support[j]) for j in key)]

@@ -6,13 +6,13 @@ set just adds up the elements at the points inside.  Smearing rewrites such
 an observable through a representation: each generated outcome set E gets a
 member function f_E with h(f_E) = x(E), and the defining identity
 
-    m(x(E)) = sum over atoms A of B0:  f_E(A) * m(h(chi_A))
+    m(x(E)) = sum over atoms A of B0:  f_E(A) * m(xi(A))
 
-is verified exactly, state by state.  The kernel holds x(E) next to f_E,
-so the left-hand side is looked up, not summed again per state.  The
-right-hand side depends only on the pair (f_E, m), so it is computed once
-per pair and cached on the representation; every residual is still formed
-and reported.
+is verified exactly, state by state.  The right-hand side depends only on
+the element x(E) and the state m, not on the observable, so it is read from
+one table per state that ``element_integrals`` builds for every element;
+the kernel holds x(E) next to f_E, so the left-hand side is looked up too.
+Every residual is still formed and reported.
 """
 
 from __future__ import annotations
@@ -225,17 +225,26 @@ def _key_name(x: Observable, key: frozenset) -> str:
     return "{" + ",".join(str(x.support[i]) for i in sorted(key)) + "}"
 
 
-def atomwise_integral(rep: Representation, f: Sequence[Fraction], m: State,
-                      xi: SharpObservable) -> Fraction:
-    """Sum of f(A) * m(xi(A)) over the atoms; exact because f is constant
-    on each atom."""
+def integrate(f: Sequence[Fraction], weights: Mapping) -> Fraction:
+    """Sum of f(A) * w over the atoms A -> w of ``weights``; exact because
+    f is constant on each atom."""
     total = ZERO
-    for A in xi.atoms:
+    for A, w in weights.items():
         vals = {f[i] for i in A}
         if len(vals) > 1:
             raise NotMeasurable("integrand", sorted(A))
-        total += vals.pop() * m.values[xi(A)]
+        total += vals.pop() * w
     return total
+
+
+def element_integrals(rep: Representation,
+                      values: Sequence | Mapping) -> tuple[Fraction, ...]:
+    """The integral of every element's function against A -> values[xi(A)],
+    indexed by element id: m(a) for each a when ``values`` is a state."""
+    xi = sharp_observable(rep)
+    weights = {A: values[xi(A)] for A in xi.atoms}
+    return tuple(integrate(rep.function_of(a), weights)
+                 for a in rep.target.elements())
 
 
 @dataclass(frozen=True)
@@ -244,23 +253,13 @@ class SmearingReport:
     residuals: Mapping  # frozenset[int] -> exact residual
 
 
-def verify_smearing(rep: Representation, kernel: SmearingKernel,
-                    m: State) -> SmearingReport:
-    """Check m(x(E)) against the atomwise integral for every generated E."""
-    xi = sharp_observable(rep)
-    residuals = {}
-    ok = True
-    for key, f in kernel.functions.items():
-        lhs = m.values[kernel.elements[key]]
-        hit = rep._integrals.get((id(m), id(f)))
-        if hit is None:
-            hit = rep._integrals[id(m), id(f)] = (
-                m, f, atomwise_integral(rep, f, m, xi))
-        rhs = hit[2]
-        residuals[key] = lhs - rhs
-        if lhs != rhs:
-            ok = False
-    return SmearingReport(ok, residuals)
+def verify_smearing(kernel: SmearingKernel, m: State,
+                    integrals: Sequence[Fraction]) -> SmearingReport:
+    """Check m(x(E)) against the integral of f_E for every generated E;
+    ``integrals`` is ``element_integrals`` of the representation at m."""
+    residuals = {key: m.values[a] - integrals[a]
+                 for key, a in kernel.elements.items()}
+    return SmearingReport(not any(residuals.values()), residuals)
 
 
 def kernel_independence_check(rep: Representation, kernel: SmearingKernel,
@@ -272,13 +271,14 @@ def kernel_independence_check(rep: Representation, kernel: SmearingKernel,
     rather than integrated.
     """
     xi = sharp_observable(rep)
+    weights = {A: m.values[xi(A)] for A in xi.atoms}
     for key, alt in alternatives.items():
         alt = tuple(Fraction(v) for v in alt)
         key = frozenset(key)
         target = kernel.elements[key]
         if alt not in rep.tribe or rep.h_of(alt) != target:
             raise NotAKernel(_key_name(kernel.observable, key))
-        reference = atomwise_integral(rep, rep.function_of(target), m, xi)
-        if atomwise_integral(rep, alt, m, xi) != reference:
+        if (integrate(alt, weights)
+                != integrate(rep.function_of(target), weights)):
             return False
     return True

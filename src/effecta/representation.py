@@ -135,9 +135,6 @@ class Representation:
         self._b0: SigmaAlgebraB0 | None = None
         self._xi = None    # cache for the verified sharp-set observable
         self._spectral: dict[int, object] = {}   # verified measures per element
-        # smearing integrals, (id(state), id(f)) -> (state, f, integral);
-        # each entry holds its state and function, so no id is reused
-        self._integrals: dict[tuple[int, int], tuple] = {}
 
     # -- basic access -------------------------------------------------------
 

@@ -8,6 +8,7 @@ identical bytes, which the reporting layer relies on.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -20,7 +21,14 @@ def frac_to_str(v: Fraction) -> str:
     return str(Fraction(v))
 
 
+# integers and "p/q" only: Fraction also reads exponents, and would spend
+# hours building 10**999999999 for "1e999999999"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def frac_from_str(text: Any) -> Fraction:
+    if not _RATIONAL.fullmatch(str(text)):
+        raise ParseError(f"not a rational: {text!r}")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -35,7 +43,9 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # int-conversion digit limit; RecursionError, arrays nested too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 

@@ -18,7 +18,6 @@ from typing import Mapping
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
 from .errors import (
     NotAStateOnSharp,
-    NotMeasurable,
     NotSharp,
     PhiEndpointViolation,
     PhiNotMonotone,
@@ -28,8 +27,8 @@ from .errors import (
     TheoremViolation,
 )
 from .linalg import rank, solve_affine
-from .observables import OutcomeSet
-from .representation import Representation, measurable
+from .observables import OutcomeSet, element_integrals
+from .representation import Representation
 from .states import State, is_state
 
 ZERO = Fraction(0)
@@ -267,32 +266,14 @@ def extend_state(rep: Representation, m: Mapping) -> State:
     """The unique full state restricting to a given sharp-element state.
 
     Computed by the atom formula: the value at a is the integral of the
-    evaluation of a against the measure A -> m(h(chi_A)) on the atoms.
-    Both the restriction property and the agreement with the spectral form
-    are asserted before anything is returned.
+    evaluation of a against the measure A -> m(xi(A)) on the atoms of B0,
+    read from ``element_integrals``.  Both the restriction property and the
+    agreement with the spectral form are asserted before anything is
+    returned.
     """
     M = rep.target
     vals = validate_sharp_state(M, m)
-    b = rep.b0()
-    atom_weight = {}
-    for A in b.atoms:
-        xiA = rep.h_of(rep.chi(A))
-        if xiA not in vals:
-            raise TheoremViolation(
-                f"atom image {M.label(xiA)} is not sharp")
-        atom_weight[A] = vals[xiA]
-
-    out = []
-    for a in M.elements():
-        f = rep.function_of(a)
-        if not measurable(rep, f):
-            atom = next(A for A in b.atoms if len({f[i] for i in A}) > 1)
-            raise NotMeasurable(M.label(a), sorted(atom))
-        total = ZERO
-        for A in b.atoms:
-            total += f[min(A)] * atom_weight[A]
-        out.append(total)
-    result = State(tuple(out))
+    result = State(element_integrals(rep, vals))
 
     check = is_state(M, result)
     if not check.ok:

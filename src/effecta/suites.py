@@ -29,6 +29,7 @@ from .errors import (
 )
 from .observables import (
     OutcomeSet,
+    element_integrals,
     kernel_independence_check,
     make_observable,
     smear,
@@ -370,11 +371,12 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int,
     first_bad = None
     n_obs = 0
     try:
+        tables = [element_integrals(rep, m.values) for m in states]
         for x in _zoo_observables(M):
             n_obs += 1
             kernel = smear(rep, x)
             for i, m in enumerate(states):
-                rr = verify_smearing(rep, kernel, m)
+                rr = verify_smearing(kernel, m, tables[i])
                 if not rr.ok and first_bad is None:
                     key, res = next((k, v) for k, v in rr.residuals.items()
                                     if v != 0)

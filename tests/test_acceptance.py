@@ -15,8 +15,8 @@ from fractions import Fraction
 from effecta import (check_rdp, extend_state, make_observable,
                      sharp_elements, spectral_integral, state_polytope)
 from effecta import cli
-from effecta.observables import (OutcomeSet, smear, summable_families,
-                                 verify_smearing)
+from effecta.observables import (OutcomeSet, element_integrals, smear,
+                                 summable_families, verify_smearing)
 from effecta.representation import (canonical_representation,
                                     check_ideal_congruence, check_regular,
                                     make_representation, measurable,
@@ -195,11 +195,12 @@ def test_criterion_6_smearing_residuals():
         for name, M in rdp_instances():
             rep = rep_of(name, M)
             states = mixed_states_of(name, M, 10, seed=0)
+            tables = [element_integrals(rep, m.values) for m in states]
             for fam in summable_families(M, 3):
                 x = make_observable(M, range(len(fam)), fam)
                 kernel = smear(rep, x)
-                for m in states:
-                    report = verify_smearing(rep, kernel, m)
+                for m, table in zip(states, tables):
+                    report = verify_smearing(kernel, m, table)
                     assert report.ok
                     assert set(report.residuals.values()) == {Z}
                 families += 1

@@ -2,16 +2,24 @@
 
 CLI runs go through ``main(argv)`` with real files under tmp_path; byte
 determinism, both output formats, every exit code, and the environment
-override for the size budget are all exercised.
+override for the size budget are all exercised; a Hypothesis test feeds
+mutated sum tables through ``check`` and holds it to the exit-code contract.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effecta import cli
+from effecta import cli, generate
 from effecta.report import (Record, exit_code, render, render_jsonl,
                             render_text, sort_records)
+from effecta.serialize import algebra_to_obj
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +206,38 @@ def test_exit_code_two_for_unusable_input(tmp_path, capsys):
     assert run("smear", "--input", str(path), "--observable", str(obs)) == 2
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "smear-input",
+                                     "smear-observable"])
+def test_non_utf8_documents_exit_two(tmp_path, capsys, command):
+    algebra = write_algebra(tmp_path, "c3.json", "chain", "3")
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"support": ["0", "1"], "values": ["1", "2"]}))
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe\x00bad")
+    argv = {"check": ("check", "--input", raw),
+            "smear-input": ("smear", "--input", raw, "--observable", obs),
+            "smear-observable": ("smear", "--input", algebra,
+                                 "--observable", raw)}[command]
+    assert run(*map(str, argv)) == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["[" * 200000, "1" * 5000],
+                         ids=["deep-nesting", "huge-integer"])
+def test_json_the_decoder_cannot_build_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert run("check", "--input", str(path)) == 2
+    assert_one_error_line(capsys)
+
+
 CHAIN1 = {"elements": ["0", "1"], "zero": "0", "one": "1",
           "sum": [["0", "0", "0"], ["0", "1", "1"]]}
 
@@ -237,8 +277,13 @@ def test_check_rejects_malformed_labels(tmp_path, capsys, document):
     (("chain", "3"), {"support": "01", "values": "12"}, "JSON arrays"),
     (("chain", "3"), {"support": {"0": "a", "1": "b"},
                       "values": {"1": "x", "2": "y"}}, "JSON arrays"),
+    # only integers and p/q are rationals; Fraction would expand an exponent
+    (("chain", "3"), {"support": ["1e5", "1"], "values": ["1", "2"]},
+     "not a rational"),
+    (("chain", "3"), {"support": ["0.5", "1"], "values": ["1", "2"]},
+     "not a rational"),
 ], ids=["sum-undefined", "sum-not-one", "duplicate-point", "empty", "strings",
-        "object"])
+        "object", "exponent", "decimal"])
 def test_smear_rejects_an_invalid_observable(tmp_path, capsys, family,
                                              observable, error):
     path = write_algebra(tmp_path, "doc.json", *family)
@@ -270,3 +315,68 @@ def test_argparse_rejects_unknown_choices(tmp_path):
         run("check", "--input", str(path), "--format", "yaml")
     with pytest.raises(SystemExit):
         run()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated sum tables keep the exit-code contract
+
+
+FUZZ_BASES = [algebra_to_obj(generate(spec)) for spec in (
+    ("chain", 3), ("boolean", 2), ("boolean", 3), ("interval", (1, 2)),
+    ("horizontal_sum", [("boolean", 2), ("boolean", 2)]))]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    labels, sums = doc["elements"], doc["sum"]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from((
+            "drop", "swap-summands", "change-result", "add", "duplicate",
+            "swap-zero-one", "duplicate-label")))
+        label = st.sampled_from(labels)
+        if kind == "swap-zero-one":
+            doc["zero"], doc["one"] = doc["one"], doc["zero"]
+        elif kind == "duplicate-label":
+            labels.insert(draw(st.integers(0, len(labels))), draw(label))
+        elif kind == "add":
+            sums.insert(draw(st.integers(0, len(sums))),
+                        [draw(label), draw(label), draw(label)])
+        elif sums:
+            i = draw(st.integers(0, len(sums) - 1))
+            a, b, c = sums[i]
+            if kind == "drop":
+                del sums[i]
+            elif kind == "swap-summands":
+                sums[i] = [b, a, c]
+            elif kind == "change-result":
+                sums[i] = [a, b, draw(label)]
+            else:               # duplicate
+                sums.insert(i, [a, b, c])
+    return doc
+
+
+def check_in_process(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_check_keeps_its_contract_on_mutated_sum_tables(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        first = check_in_process(path)
+        assert check_in_process(path) == first
+    code, out, err = first
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        return
+    assert err == ""
+    for record in map(json.loads, out.splitlines()):
+        if record["status"] == "fail":
+            assert record.get("witness") is not None or record.get("detail")

@@ -13,9 +13,9 @@ import pytest
 from effecta import make_observable
 from effecta.errors import (NotAKernel, NotMeasurable, PreconditionFailed,
                             SumNotOne, SumUndefined)
-from effecta.observables import (Interval, OutcomeSet, kernel_independence_check,
-                                 sharp_observable, smear, summable_families,
-                                 verify_smearing)
+from effecta.observables import (Interval, OutcomeSet, element_integrals,
+                                 kernel_independence_check, sharp_observable,
+                                 smear, summable_families, verify_smearing)
 from effecta.representation import (canonical_representation,
                                     extend_carrier_with_null_point,
                                     make_representation)
@@ -169,14 +169,15 @@ def test_verify_smearing_residuals_are_exactly_zero():
             x = make_observable(M, range(len(values)), values)
             kernel = smear(rep, x)
             for m in P.vertices:
-                report = verify_smearing(rep, kernel, m)
+                report = verify_smearing(
+                    kernel, m, element_integrals(rep, m.values))
                 assert report.ok
                 assert set(report.residuals.values()) == {Z}
 
 
-def test_memoised_residuals_match_the_reference_integral():
+def test_residuals_match_the_reference_integral():
     """Every residual equals m(x(E)) minus an integral recomputed from
-    scratch, so the per-(function, state) memo cannot hide a wrong value."""
+    scratch, so the per-state integral table cannot hide a wrong value."""
     checked = 0
     for name, M in rdp_zoo():
         if name == "chain7xchain7":
@@ -184,11 +185,12 @@ def test_memoised_residuals_match_the_reference_integral():
         rep = canonical_representation(M)
         states = list(rep.polytope.vertices) + seeded_mixtures(
             rep.polytope, 10, 0)
+        tables = [element_integrals(rep, m.values) for m in states]
         for values in summable_families(M, 3):
             x = make_observable(M, range(len(values)), values)
             kernel = smear(rep, x)
-            for m in states:
-                report = verify_smearing(rep, kernel, m)
+            for m, table in zip(states, tables):
+                report = verify_smearing(kernel, m, table)
                 for key, f in kernel.functions.items():
                     expected = (m.values[x.element_at(key)]
                                 - oracles.smearing_integral(rep, f, m))
@@ -197,9 +199,29 @@ def test_memoised_residuals_match_the_reference_integral():
     assert checked > 10000
 
 
-def test_fresh_states_never_share_a_memoised_integral():
+def test_element_integrals_match_the_reference_integral():
+    """The table entry of every element is the integral of its function,
+    formed afresh by the oracle, for every test state of the zoo."""
+    checked = 0
+    for name, M in rdp_zoo():
+        if name == "chain7xchain7":
+            continue
+        rep = canonical_representation(M)
+        states = list(rep.polytope.vertices) + seeded_mixtures(
+            rep.polytope, 10, 0)
+        for m in states:
+            table = element_integrals(rep, m.values)
+            assert len(table) == M.n
+            for a in M.elements():
+                assert table[a] == oracles.smearing_integral(
+                    rep, rep.function_of(a), m), (name, M.label(a))
+                checked += 1
+    assert checked > 1000
+
+
+def test_fresh_states_never_share_an_integral():
     """States built and dropped in turn, with different values, each get
-    their own integral; a memo keyed on a bare id(state) would hand a
+    their own integrals; a cache keyed on a bare id(state) would hand a
     dropped state's integrals to the next state given its id."""
     M = boolean(2)
     rep = canonical_representation(M)
@@ -209,7 +231,7 @@ def test_fresh_states_never_share_a_memoised_integral():
     for k in range(40):
         t = F(k, 39)
         m = State(tuple(t * a + (1 - t) * b for a, b in zip(v0, v1)))
-        report = verify_smearing(rep, kernel, m)
+        report = verify_smearing(kernel, m, element_integrals(rep, m.values))
         for key, f in kernel.functions.items():
             expected = (m.values[x.element_at(key)]
                         - oracles.smearing_integral(rep, f, m))

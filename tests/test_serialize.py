@@ -26,6 +26,8 @@ def test_frac_roundtrip():
     assert frac_from_str("5/8") == F(5, 8)
     assert frac_from_str("7") == F(7)
     assert frac_from_str(frac_to_str(F(22, 7))) == F(22, 7)
+    assert frac_from_str("-3/4") == F(-3, 4)
+    assert frac_from_str(0) == F(0)        # a JSON integer
 
 
 def test_frac_parse_errors():
@@ -33,6 +35,10 @@ def test_frac_parse_errors():
         frac_from_str("one third")
     with pytest.raises(ParseError):
         frac_from_str("1/0")
+    # only integers and p/q: no exponent, decimal point, blank or underscore
+    for text in ("1e5", "1/2e3", "0.5", " 1/2", "1_0", "inf", 0.5, True):
+        with pytest.raises(ParseError):
+            frac_from_str(text)
 
 
 def test_dumps_is_canonical():
@@ -47,6 +53,10 @@ def test_loads_rejects_bad_json():
     assert loads('{"x": 1}') == {"x": 1}
     with pytest.raises(ParseError):
         loads("{not json")
+    with pytest.raises(ParseError):
+        loads("[" * 200000)
+    with pytest.raises(ParseError):
+        loads("1" * 5000)
 
 
 # ---------------------------------------------------------------------------
