@@ -24,7 +24,6 @@ from .observables import (
     make_observable,
     smear,
     summable_families,
-    verify_smearing,
 )
 from .representation import (
     EffectTribe,
@@ -73,6 +72,5 @@ __all__ = [
     "transform_spectral",
     "validate_effect_algebra",
     "validate_tribe",
-    "verify_smearing",
     "__version__",
 ]

@@ -8,11 +8,11 @@ member function f_E with h(f_E) = x(E), and the defining identity
 
     m(x(E)) = sum over atoms A of B0:  f_E(A) * m(xi(A))
 
-is verified exactly, state by state.  The right-hand side depends only on
-the element x(E) and the state m, not on the observable, so it is read from
-one table per state that ``element_integrals`` builds for every element;
-the kernel holds x(E) next to f_E, so the left-hand side is looked up too.
-Every residual is still formed and reported.
+holds exactly, state by state.  Both sides depend only on the element x(E)
+and the state m, not on the observable: ``element_integrals`` builds the
+right-hand side for every element in one table per state, so the identity
+is checked once per (element, state), and the kernel holds x(E) next to f_E
+for reading off the outcome set that breaks it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     NotAKernel,
     NotMeasurable,
     PreconditionFailed,
+    SizeLimitExceeded,
     SumNotOne,
     SumUndefined,
     TheoremViolation,
@@ -35,6 +36,8 @@ from .states import State
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+MAX_POINTS = 16       # a kernel holds one function per subset of its points
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +209,12 @@ class SmearingKernel:
 def smear(rep: Representation, x: Observable) -> SmearingKernel:
     if rep.target is not x.algebra:
         raise PreconditionFailed("observable lives on a different algebra")
+    k = len(x.support)
+    if k > MAX_POINTS:
+        raise SizeLimitExceeded(
+            f"observable of {k} outcome points exceeds {MAX_POINTS}")
     kernel = {}
     elements = {}
-    k = len(x.support)
     for mask in range(1 << k):
         key = frozenset(i for i in range(k) if mask >> i & 1)
         elements[key] = x.element_at(key)
@@ -245,21 +251,6 @@ def element_integrals(rep: Representation,
     weights = {A: values[xi(A)] for A in xi.atoms}
     return tuple(integrate(rep.function_of(a), weights)
                  for a in rep.target.elements())
-
-
-@dataclass(frozen=True)
-class SmearingReport:
-    ok: bool
-    residuals: Mapping  # frozenset[int] -> exact residual
-
-
-def verify_smearing(kernel: SmearingKernel, m: State,
-                    integrals: Sequence[Fraction]) -> SmearingReport:
-    """Check m(x(E)) against the integral of f_E for every generated E;
-    ``integrals`` is ``element_integrals`` of the representation at m."""
-    residuals = {key: m.values[a] - integrals[a]
-                 for key, a in kernel.elements.items()}
-    return SmearingReport(not any(residuals.values()), residuals)
 
 
 def kernel_independence_check(rep: Representation, kernel: SmearingKernel,

@@ -593,6 +593,37 @@ def smearing_integral(rep, f, m):
     return total
 
 
+def smearing_residual_record(M, rep, states, shift=None):
+    """Status, witness and detail of ``smearing:eq-residual-zero`` by the
+    per-observable loop: every observable of one to three parts on the
+    supports (1), (0, 1), (0, 1/2, 1) is smeared, and for every state and
+    outcome set E the residual m(x(E)) - integral of f_E is formed with
+    ``smearing_integral``.  The witness is the first nonzero residual in the
+    order observable, state, outcome set.  ``shift`` maps (element, state
+    values) to an amount added to the integral, as a doctored table would."""
+    from effecta.observables import make_observable, smear, summable_families
+
+    supports = {1: (ONE,), 2: (ZERO, ONE), 3: (ZERO, Fraction(1, 2), ONE)}
+    shift = shift or {}
+    first_bad = None
+    n_obs = 0
+    for fam in summable_families(M, 3):
+        n_obs += 1
+        x = make_observable(M, supports[len(fam)], fam)
+        kernel = smear(rep, x)
+        for i, m in enumerate(states):
+            for key, f in kernel.functions.items():
+                a = x.element_at(key)
+                residual = (m.values[a] - smearing_integral(rep, f, m)
+                            - shift.get((a, m.values), ZERO))
+                if residual and first_bad is None:
+                    first_bad = [[M.label(v) for v in fam],
+                                 sorted(str(x.support[j]) for j in key),
+                                 i, str(residual)]
+    return ("pass" if first_bad is None else "fail", first_bad,
+            f"{n_obs} observables x {len(states)} states")
+
+
 # ---------------------------------------------------------------------------
 # unique extension as one report (library calls, composed for the tests)
 

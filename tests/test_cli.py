@@ -296,6 +296,19 @@ def test_smear_rejects_an_invalid_observable(tmp_path, capsys, family,
     assert len(err) == 1 and err[0].startswith("error: ") and error in err[0]
 
 
+def test_smear_caps_the_outcome_points(tmp_path, capsys):
+    # 2^17 outcome sets: the cap stops the kernel before any is built
+    path = write_algebra(tmp_path, "c16.json", "chain", "16")
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"support": [str(t) for t in range(17)],
+                               "values": ["0"] + ["1"] * 16}))
+    assert run("smear", "--input", str(path), "--observable", str(obs)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: observable of 17 outcome points exceeds 16\n"
+
+
 def test_max_size_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EFFECTA_MAX_SIZE", "10")
     assert run("generate", "chain", "300") == 2

@@ -5,13 +5,16 @@ A faster path must leave every report byte unchanged.  The digests below
 are the sha256 of the JSONL report of ``check_document`` with all suites at
 seed 0, recorded at the commit before the smearing integrals were memoised
 (f4bdc40); a change that alters any record on these documents fails here.
+The ``effecta smear`` digests are the sha256 of its stdout, recorded at
+0314da1.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from effecta import generate, parse_family_tokens
+from effecta import cli, generate, parse_family_tokens
 from effecta.report import render_jsonl
 from effecta.serialize import algebra_to_obj
 from effecta.suites import SUITE_NAMES, check_document
@@ -40,3 +43,30 @@ def test_report_bytes_match_the_recorded_digest(instance):
     doc = algebra_to_obj(generate(parse_family_tokens(list(tokens))))
     report = render_jsonl(check_document(doc, instance, SUITE_NAMES, 0))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
+SMEAR_GOLDEN = {
+    "boolean4": (("boolean", "4"),
+                 {"support": ["0", "1/2", "1"],
+                  "values": ["{1}", "{2}", "{3,4}"]}, "3",
+                 "1e27ac5295594121990e37035a70dce1"
+                 "d2f50af710c87b93d2c69e6897db68d7"),
+    "chain3": (("chain", "3"),
+               {"support": ["0", "1"], "values": ["1", "2"]}, "0",
+               "77bb212d22c72607edd80d9fed242219"
+               "698112c2c5eaec0f3c748eaa11992e7c"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(SMEAR_GOLDEN))
+def test_smear_output_matches_the_recorded_digest(instance, tmp_path,
+                                                  capsys):
+    tokens, observable, seed, digest = SMEAR_GOLDEN[instance]
+    algebra = tmp_path / f"{instance}.json"
+    obs = tmp_path / "obs.json"
+    assert cli.main(["generate", *tokens, "--output", str(algebra)]) == 0
+    obs.write_text(json.dumps(observable))
+    assert cli.main(["smear", "--input", str(algebra), "--observable",
+                     str(obs), "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -12,10 +12,10 @@ import pytest
 
 from effecta import make_observable
 from effecta.errors import (NotAKernel, NotMeasurable, PreconditionFailed,
-                            SumNotOne, SumUndefined)
+                            SizeLimitExceeded, SumNotOne, SumUndefined)
 from effecta.observables import (Interval, OutcomeSet, element_integrals,
                                  kernel_independence_check, sharp_observable,
-                                 smear, summable_families, verify_smearing)
+                                 smear, summable_families)
 from effecta.representation import (canonical_representation,
                                     extend_carrier_with_null_point,
                                     make_representation)
@@ -150,6 +150,16 @@ def test_smear_requires_matching_algebra():
         smear(rep, x)
 
 
+def test_smear_caps_the_outcome_points(monkeypatch):
+    monkeypatch.setattr("effecta.observables.MAX_POINTS", 2)
+    C = chain(3)
+    rep = canonical_representation(C)
+    assert len(smear(rep, make_observable(C, (0, 1), (1, 2))).functions) == 4
+    with pytest.raises(SizeLimitExceeded) as err:
+        smear(rep, make_observable(C, (0, 1, 2), (1, 1, 1)))
+    assert str(err.value) == "observable of 3 outcome points exceeds 2"
+
+
 def test_smear_rejects_non_measurable_kernel():
     C = chain(3)
     tribe = two_point_tribe()
@@ -161,7 +171,7 @@ def test_smear_rejects_non_measurable_kernel():
     assert err.value.atom == [0, 1]
 
 
-def test_verify_smearing_residuals_are_exactly_zero():
+def test_smearing_residuals_are_exactly_zero():
     for M in (chain(3), boolean(2)):
         rep = canonical_representation(M)
         P = state_polytope(M)
@@ -169,10 +179,12 @@ def test_verify_smearing_residuals_are_exactly_zero():
             x = make_observable(M, range(len(values)), values)
             kernel = smear(rep, x)
             for m in P.vertices:
-                report = verify_smearing(
-                    kernel, m, element_integrals(rep, m.values))
-                assert report.ok
-                assert set(report.residuals.values()) == {Z}
+                table = element_integrals(rep, m.values)
+                residuals = {key: m.values[a] - table[a]
+                             for key, a in kernel.elements.items()}
+                assert len(residuals) == 1 << len(values)
+                assert not any(residuals.values())
+                assert set(residuals.values()) == {Z}
 
 
 def test_residuals_match_the_reference_integral():
@@ -190,11 +202,12 @@ def test_residuals_match_the_reference_integral():
             x = make_observable(M, range(len(values)), values)
             kernel = smear(rep, x)
             for m, table in zip(states, tables):
-                report = verify_smearing(kernel, m, table)
                 for key, f in kernel.functions.items():
+                    a = kernel.elements[key]
+                    assert a == x.element_at(key)
                     expected = (m.values[x.element_at(key)]
                                 - oracles.smearing_integral(rep, f, m))
-                    assert report.residuals[key] == expected, (name, key)
+                    assert m.values[a] - table[a] == expected, (name, key)
                     checked += 1
     assert checked > 10000
 
@@ -231,12 +244,13 @@ def test_fresh_states_never_share_an_integral():
     for k in range(40):
         t = F(k, 39)
         m = State(tuple(t * a + (1 - t) * b for a, b in zip(v0, v1)))
-        report = verify_smearing(kernel, m, element_integrals(rep, m.values))
+        table = element_integrals(rep, m.values)
         for key, f in kernel.functions.items():
+            a = kernel.elements[key]
             expected = (m.values[x.element_at(key)]
                         - oracles.smearing_integral(rep, f, m))
-            assert report.residuals[key] == expected == 0, (k, key)
-        del m, report       # frees the state's id for the next one
+            assert m.values[a] - table[a] == expected == 0, (k, key)
+        del m, table        # frees the state's id for the next one
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""The check-suite layer: per-suite record inventories, gating, and
+"""The check-suite layer: per-suite record inventories, gating, the error
+boundary, the smearing record against the per-observable reference, and
 determinism of the produced records."""
+
+import json
+from fractions import Fraction
 
 import pytest
 
-from effecta.errors import ParseError
+from effecta import cli, suites
+from effecta.errors import ParseError, TheoremViolation
+from effecta.representation import canonical_representation
 from effecta.report import render_jsonl
-from effecta.serialize import algebra_to_obj
+from effecta.serialize import algebra_to_obj, dumps
+from effecta.states import seeded_mixtures
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
-from zoo_instances import boolean, chain, mo2
+import oracles
+from zoo_instances import boolean, chain, interval, mo2, product_of, rdp_zoo
 
 
 def by_key(records):
@@ -118,3 +126,136 @@ def test_subset_runs_and_determinism():
     once = render_jsonl(check_document(doc, "c4", SUITE_NAMES, seed=3))
     twice = render_jsonl(check_document(doc, "c4", SUITE_NAMES, seed=3))
     assert once == twice
+
+
+# ---------------------------------------------------------------------------
+# the error boundary
+
+
+def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
+                                                monkeypatch):
+    doc = algebra_to_obj(chain(3))
+    clean = check_document(doc, "c3", SUITE_NAMES, seed=0)
+
+    def broken(rep):
+        raise TheoremViolation("rank certificate disagrees")
+
+    monkeypatch.setattr(suites, "sharp_kernel", broken)
+    recs = check_document(doc, "c3", SUITE_NAMES, seed=0)
+    (err,) = [r for r in recs if r.suite == "extension"]
+    assert (err.check, err.status, err.witness, err.detail) == (
+        "error", "fail", None, "rank certificate disagrees")
+    assert ([r for r in recs if r.suite != "extension"]
+            == [r for r in clean if r.suite != "extension"])
+
+    path = tmp_path / "c3.json"
+    path.write_text(dumps(doc))
+    assert cli.main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failing = [p for p in map(json.loads, captured.out.splitlines())
+               if p["status"] == "fail"]
+    assert [(p["suite"], p["check"]) for p in failing] == [
+        ("extension", "error")]
+
+
+# ---------------------------------------------------------------------------
+# eq-residual-zero: one residual per element and state, against the
+# per-observable loop of oracles.smearing_residual_record
+
+
+def _states(rep, seed=0):
+    return list(rep.polytope.vertices) + seeded_mixtures(rep.polytope, 10,
+                                                        seed)
+
+
+def _residual_record(M, rep, seed=0):
+    (r,) = [r for r in suites.run_smearing(M, "x", seed, rep)
+            if r.check == "eq-residual-zero"]
+    return r.status, r.witness, r.detail
+
+
+def test_residual_record_matches_the_per_observable_loop():
+    for name, M in rdp_zoo():
+        if name == "chain7xchain7":
+            continue
+        rep = canonical_representation(M)
+        expected = oracles.smearing_residual_record(M, rep, _states(rep))
+        assert expected[0] == "pass"
+        assert _residual_record(M, rep) == expected, name
+
+
+def _first_reached(M, rep):
+    """Element -> index of the first zoo observable whose kernel reaches it."""
+    first = {}
+    for k, x in enumerate(suites._zoo_observables(M)):
+        for a in suites.smear(rep, x).elements.values():
+            first.setdefault(a, k)
+    return first
+
+
+@pytest.mark.parametrize("M", [
+    pytest.param(chain(3), id="chain3"),
+    pytest.param(boolean(3), id="boolean3"),
+    pytest.param(interval(1, 2), id="interval12"),
+    pytest.param(product_of(("chain", 2), ("chain", 3)), id="chain2xchain3"),
+])
+def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
+    rep = canonical_representation(M)
+    states = _states(rep)
+    first = _first_reached(M, rep)
+    assert set(first) == set(M.elements())     # every element is some x(E)
+    late = max(M.elements(), key=lambda a: (first[a], a))
+    early = min((a for a in M.elements() if a not in (M.zero, late)),
+                key=lambda a: (first[a], a))
+    assert first[early] < first[late]
+    mixture = len(rep.polytope.vertices) + 3
+    last = len(states) - 1
+    seventh = Fraction(1, 7)
+    doctorings = [
+        {(late, 0): seventh},
+        {(early, mixture): seventh},
+        {(M.zero, last): seventh},
+        {(M.one, 1): seventh},
+        # observable order puts the early element's break first, state
+        # order the late element's
+        {(late, 0): seventh, (early, mixture): seventh},
+        {(late, 0): -seventh, (M.zero, last): seventh,
+         (early, 1): seventh},
+    ]
+    real = suites.element_integrals
+    for doctored in doctorings:
+        shift = {(a, states[i].values): d for (a, i), d in doctored.items()}
+
+        def table(rep_, values):
+            return tuple(t + shift.get((a, tuple(values)), 0)
+                         for a, t in enumerate(real(rep_, values)))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(suites, "element_integrals", table)
+            got = _residual_record(M, rep)
+        expected = oracles.smearing_residual_record(M, rep, states, shift)
+        assert expected[0] == "fail"
+        assert got == expected, doctored
+
+
+def test_a_passing_smearing_suite_smears_one_observable(monkeypatch):
+    M = boolean(3)
+    rep = canonical_representation(M)
+    calls = {"smear": 0, "tables": 0}
+    smear, element_integrals = suites.smear, suites.element_integrals
+
+    def counting_smear(*args):
+        calls["smear"] += 1
+        return smear(*args)
+
+    def counting_tables(*args):
+        calls["tables"] += 1
+        return element_integrals(*args)
+
+    monkeypatch.setattr(suites, "smear", counting_smear)
+    monkeypatch.setattr(suites, "element_integrals", counting_tables)
+    recs = suites.run_smearing(M, "b3", 0, rep)
+    assert all(r.status == "pass" for r in recs)
+    # the kernel-independence observable only, and one table per state
+    assert calls == {"smear": 1, "tables": len(_states(rep))}
