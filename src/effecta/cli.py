@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .algebra import resolve_max_size
 from .errors import (
+    EffectaError,
     EmptyStateSpace,
     NonSeparatingStates,
     ParseError,
@@ -36,7 +37,13 @@ from .serialize import (
     observable_from_obj,
 )
 from .states import seeded_mixtures
-from .suites import SUITE_NAMES, check_document, resolve_suites
+from .suites import (
+    INVALID_ALGEBRA,
+    SUITE_NAMES,
+    check_document,
+    resolve_suites,
+    witness_of,
+)
 
 DEFAULT_MAX_SIZE = 4096
 
@@ -81,43 +88,60 @@ def cmd_check(args) -> int:
 
 def cmd_smear(args) -> int:
     doc = _read_document(args.input)
-    instance = _instance_id(args.input)
-    M = algebra_from_obj(
-        doc, max_size=resolve_max_size(args.max_size, DEFAULT_MAX_SIZE))
-    x = observable_from_obj(M, _read_document(args.observable))
+    observable = _read_document(args.observable)
+    records = _smear_records(
+        doc, observable, _instance_id(args.input), args.seed,
+        resolve_max_size(args.max_size, DEFAULT_MAX_SIZE))
+    records = sort_records(records)
+    _emit(render(records, args.format), args.output)
+    return exit_code(records)
+
+
+def _smear_records(doc, observable, instance: str, seed: int,
+                   max_size: int) -> list[Record]:
+    """As in ``check``: an invalid table is one FAIL with its witness, and
+    a library error other than a size cap or the representation gate is
+    one ``error`` FAIL."""
+    try:
+        M = algebra_from_obj(doc, max_size=max_size)
+    except INVALID_ALGEBRA as exc:
+        return [Record("smearing", instance, "requires-valid-algebra", FAIL,
+                       witness=witness_of(exc), detail=str(exc))]
+    x = observable_from_obj(M, observable)
     records = [Record("smearing", instance, "observable-valid", PASS,
                       detail=f"{len(x.support)} outcome points")]
     try:
         rep = canonical_representation(M)
+        kernel = smear(rep, x)
+        records.append(Record(
+            "smearing", instance, "kernel-measurable", PASS,
+            detail=f"{len(kernel.functions)} outcome sets"))
+        states = list(rep.polytope.vertices) + seeded_mixtures(
+            rep.polytope, 10, seed)
+        first_bad = None
+        for i, m in enumerate(states):
+            table = element_integrals(rep, m.values)
+            key = next((k for k, a in kernel.elements.items()
+                        if m.values[a] != table[a]), None)
+            if key is not None:
+                first_bad = [i, sorted(str(x.support[j]) for j in key)]
+                break
     except (RdpRequired, EmptyStateSpace, NonSeparatingStates) as exc:
         records.append(Record("smearing", instance,
                               "canonical-representation", FAIL,
                               detail=str(exc)))
-        records = sort_records(records)
-        _emit(render(records, args.format), args.output)
-        return exit_code(records)
-
-    kernel = smear(rep, x)
-    records.append(Record(
-        "smearing", instance, "kernel-measurable", PASS,
-        detail=f"{len(kernel.functions)} outcome sets"))
-    states = list(rep.polytope.vertices) + seeded_mixtures(
-        rep.polytope, 10, args.seed)
-    first_bad = None
-    for i, m in enumerate(states):
-        table = element_integrals(rep, m.values)
-        key = next((k for k, a in kernel.elements.items()
-                    if m.values[a] != table[a]), None)
-        if key is not None:
-            first_bad = [i, sorted(str(x.support[j]) for j in key)]
-            break
+        return records
+    except SizeLimitExceeded:
+        raise
+    except EffectaError as exc:
+        records.append(Record("smearing", instance, "error", FAIL,
+                              witness=witness_of(exc), detail=str(exc)))
+        return records
     records.append(Record("smearing", instance, "eq-residual-zero",
                           PASS if first_bad is None else FAIL,
                           witness=first_bad,
                           detail=f"{len(states)} states"))
-    records = sort_records(records)
-    _emit(render(records, args.format), args.output)
-    return exit_code(records)
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:

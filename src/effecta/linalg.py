@@ -1,54 +1,49 @@
-"""Small exact linear algebra helpers over Fractions.
+"""Small exact linear algebra: ranks and affine solution spaces.
 
-Only what the polytope and LP code needs: row reduction, affine solution
-spaces and ranks.  ``rref`` and ``rank`` are dense and list-based; the
-polytope code calls them on a few rows at a time.  ``solve_affine`` reduces
-sparse rows incrementally, because the state equalities it solves run to
-hundreds of rows with at most three small integer entries each.
+``rank`` eliminates over integers, one vector at a time, and stops once the
+rank reaches the number of columns; the state polytope calls it on the
+parameter-space differences of its vertices, which have few columns and may
+be many.  ``solve_affine`` reduces sparse rows incrementally over Fractions,
+because the state equalities it solves run to hundreds of rows with at most
+three small integer entries each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rref(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce in place to reduced row echelon form, return pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][col]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
+def rank(vectors: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank of the vectors (Fractions or integers).
+
+    Each vector is scaled to integers and reduced against an echelon basis
+    ``{leading column: integer row}`` by cross-multiplication at its leading
+    entry, so the leading column only moves right; a vector that reduces to
+    zero is dependent.
+    """
+    basis: dict[int, list[int]] = {}
+    for v in vectors:
+        if len(basis) == len(v):
             break
-    return pivots
-
-
-def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(v) for v in vectors]
-    return len(rref(rows))
+        scale = lcm(*(x.denominator for x in v))
+        row = [x.numerator * (scale // x.denominator) for x in v]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        while lead in basis:
+            pivot = basis[lead]
+            f, g = pivot[lead], row[lead]
+            row = [f * x - g * y for x, y in zip(row, pivot)]
+            common = gcd(*row)
+            if common > 1:
+                row = [x // common for x in row]
+            lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            basis[lead] = row
+    return len(basis)
 
 
 def _subtract(target: dict, f: Fraction, source: dict) -> None:

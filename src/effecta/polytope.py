@@ -2,14 +2,23 @@
 
 The systems handled here live in a low-dimensional parameter space t of the
 unit box [0,1]^d, cut by further halfspaces coeffs . t <= bound.  The
-vertices are found by incremental cutting: keep the vertex set, slice with
-one halfspace at a time, generate candidate points as crossings of vertex
-pairs and keep exactly the points whose tight constraints have full rank
-(which is what being a vertex means).
+vertices are found by the double description method (Motzkin et al. 1953;
+Fukuda and Prodon, "Double description method revisited", 1996): start from
+the corners of the box, slice with one halfspace at a time, keep the
+vertices on its inner side and add one new vertex on the hyperplane for
+every edge that crosses it.  Two vertices span an edge exactly when at least
+d - 1 constraints are tight at both and no third vertex is tight at all of
+them (the combinatorial adjacency test), so no rank is ever computed and
+every new vertex is distinct.
 
-Vertices are exact Fraction tuples.  The test suite cross-checks them
-against a brute-force solve of every d-subset of constraints and against
-basic-solution enumeration of the raw state equalities.
+The arithmetic is over integers.  Each cut is scaled to integer
+coefficients once, and each vertex is held as a gcd-reduced homogeneous
+tuple (numerators..., denominator) together with the bitmask of the
+constraints tight at it; a crossing's mask is the two endpoints' common
+mask plus the cut.  Fractions are built only for the result.  The test suite
+cross-checks the vertices against a brute-force solve of every d-subset of
+constraints and against basic-solution enumeration of the raw state
+equalities.
 """
 
 from __future__ import annotations
@@ -17,12 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd, lcm
+from operator import mul
 
 from .errors import SizeLimitExceeded
-from .linalg import rref
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 MAX_BOX_DIM = 12
 
@@ -37,23 +44,29 @@ class HalfSpace:
         return self.bound - sum(c * x for c, x in zip(self.coeffs, point))
 
 
-def _box_constraints(d: int) -> list[HalfSpace]:
-    cons = []
-    for j in range(d):
-        e = [ZERO] * d
-        e[j] = ONE
-        cons.append(HalfSpace(tuple(-x for x in e), ZERO))   # -t_j <= 0
-        cons.append(HalfSpace(tuple(e), ONE))                # t_j <= 1
-    return cons
+def _integer_row(cut: HalfSpace) -> tuple[int, ...]:
+    """(-coeffs..., bound) scaled to integers: its dot product with a
+    homogeneous vertex (numerators..., denominator) is the slack times a
+    positive number."""
+    terms = (*(-c for c in cut.coeffs), cut.bound)
+    scale = lcm(*(x.denominator for x in terms))
+    return tuple(x.numerator * (scale // x.denominator) for x in terms)
 
 
-def _tight_rank(point, constraints) -> int:
-    rows = [list(c.coeffs) for c in constraints if c.value(point) == 0]
-    return len(rref(rows))
+def _adjacent(common: int, masks: list[int]) -> bool:
+    """True when only the two vertices whose masks meet in ``common`` are
+    tight at every constraint in it."""
+    holders = 0
+    for m in masks:
+        if m & common == common:
+            holders += 1
+            if holders > 2:
+                return False
+    return True
 
 
 def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[Fraction, ...]]:
-    """Vertices of [0,1]^d intersected with the given halfspaces.
+    """Vertices of [0,1]^d intersected with the given halfspaces, sorted.
 
     Empty list when the intersection is empty.
     """
@@ -63,26 +76,36 @@ def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[Fraction, ..
         point: tuple[Fraction, ...] = ()
         ok = all(c.value(point) >= 0 for c in cuts)
         return [point] if ok else []
-    frac01 = (ZERO, ONE)
-    verts = [tuple(p) for p in iproduct(frac01, repeat=d)]
-    seen = _box_constraints(d)
-    for cut in cuts:
-        vals = [cut.value(v) for v in verts]
-        seen.append(cut)
-        if all(x >= 0 for x in vals):
+    # constraint 2j is t_j >= 0, 2j + 1 is t_j <= 1, 2d + k is cut k
+    corners = list(iproduct((0, 1), repeat=d))
+    verts = [(*corner, 1) for corner in corners]
+    masks = [sum(1 << (2 * j + t) for j, t in enumerate(corner))
+             for corner in corners]
+    for k, cut in enumerate(cuts):
+        row = _integer_row(cut)
+        bit = 1 << (2 * d + k)
+        slacks = [sum(map(mul, row, w)) for w in verts]
+        masks = [m | bit if s == 0 else m for m, s in zip(masks, slacks)]
+        minus = [i for i, s in enumerate(slacks) if s < 0]
+        if not minus:
             continue
-        inside = [v for v, x in zip(verts, vals) if x >= 0]
-        candidates = set(inside)
-        for (v1, x1) in zip(verts, vals):
-            if x1 <= 0:
+        kept = [i for i, s in enumerate(slacks) if s >= 0]
+        new_verts = [verts[i] for i in kept]
+        new_masks = [masks[i] for i in kept]
+        for i in kept:
+            s1 = slacks[i]
+            if s1 == 0:
                 continue
-            for (v2, x2) in zip(verts, vals):
-                if x2 >= 0:
+            for j in minus:
+                common = masks[i] & masks[j]
+                if common.bit_count() < d - 1 or not _adjacent(common, masks):
                     continue
-                f = x1 / (x1 - x2)
-                candidates.add(tuple(a + f * (b - a) for a, b in zip(v1, v2)))
-        verts = [p for p in sorted(candidates) if _tight_rank(p, seen) == d]
-        if not verts:
+                s2 = slacks[j]
+                w = [s1 * b - s2 * a for a, b in zip(verts[i], verts[j])]
+                g = gcd(*w)
+                new_verts.append(tuple(x // g for x in w))
+                new_masks.append(common | bit)
+        if not new_verts:
             return []
-    return sorted(verts)
-
+        verts, masks = new_verts, new_masks
+    return sorted(tuple(Fraction(n, w[-1]) for n in w[:-1]) for w in verts)

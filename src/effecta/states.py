@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .algebra import EffectAlgebra
@@ -84,6 +86,12 @@ def build_state_equalities(M: EffectAlgebra) -> tuple[list[list[Fraction]], list
 
 
 def state_polytope(M: EffectAlgebra) -> StatePolytope:
+    """The states solve the equalities as x = x0 + sum_j t_j dirs[j], so the
+    polytope is the part of the parameter box where every dependent
+    coordinate lies in [0,1].  Its vertices are mapped back to x over one
+    common denominator, and its dimension is the rank of the parameter
+    differences: the map is affine and injective (direction j has a 1 in its
+    own free column), so that is the rank of the state differences."""
     rows, rhs = build_state_equalities(M)
     sol = solve_affine(rows, rhs)
     if sol is None:
@@ -93,36 +101,40 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
 
     if d == 0:
         feasible = all(ZERO <= v <= ONE for v in x0)
-        verts = [tuple(x0)] if feasible else []
-    else:
-        cuts = []
-        dependent = [i for i in range(M.n) if i not in free]
-        empty = False
-        for i in dependent:
-            coeffs = tuple(dv[i] for dv in dirs)
-            if all(x == 0 for x in coeffs):
-                if not (ZERO <= x0[i] <= ONE):
-                    empty = True
-                    break
-                continue
-            cuts.append(HalfSpace(coeffs, ONE - x0[i]))                  # x_i <= 1
-            cuts.append(HalfSpace(tuple(-x for x in coeffs), x0[i]))     # x_i >= 0
-        if empty:
-            verts = []
-        else:
-            tverts = enumerate_vertices(d, cuts)
-            verts = sorted(
-                tuple(x0[i] + sum(t[j] * dirs[j][i] for j in range(d))
-                      for i in range(M.n))
-                for t in tverts
-            )
+        states = (State(tuple(x0)),) if feasible else ()
+        return StatePolytope(M, states, 0 if feasible else -1)
 
-    states = tuple(State(tuple(v)) for v in verts)
-    if states:
-        v0 = states[0].values
-        dim = rank([[a - b for a, b in zip(s.values, v0)] for s in states[1:]])
-    else:
-        dim = -1
+    cuts = []
+    dependent = [i for i in range(M.n) if i not in free]
+    for i in dependent:
+        coeffs = tuple(dv[i] for dv in dirs)
+        if all(x == 0 for x in coeffs):
+            if not (ZERO <= x0[i] <= ONE):
+                return StatePolytope(M, (), -1)
+            continue
+        cuts.append(HalfSpace(coeffs, ONE - x0[i]))                  # x_i <= 1
+        cuts.append(HalfSpace(tuple(-x for x in coeffs), x0[i]))     # x_i >= 0
+    tverts = enumerate_vertices(d, cuts)
+    if not tverts:
+        return StatePolytope(M, (), -1)
+
+    # x_i = (X0_i + sum_j D_ji T_j) / (scale * tscale), all four integers
+    scale = lcm(*(v.denominator for v in x0),
+                *(v.denominator for dv in dirs for v in dv))
+    tscale = lcm(*(t.denominator for tv in tverts for t in tv))
+    X0 = [v.numerator * (scale // v.denominator) * tscale for v in x0]
+    D = [[(j, dv[i].numerator * (scale // dv[i].denominator))
+          for j, dv in enumerate(dirs) if dv[i]] for i in range(M.n)]
+    T = [[t.numerator * (tscale // t.denominator) for t in tv]
+         for tv in tverts]
+    numerators = sorted(
+        tuple(X0[i] + sum(c * Tt[j] for j, c in D[i])
+              for i in range(M.n))
+        for Tt in T)
+    den = scale * tscale
+    states = tuple(State(tuple(Fraction(v, den) for v in num))
+                   for num in numerators)
+    dim = rank([[a - b for a, b in zip(Tt, T[0])] for Tt in T[1:]])
     return StatePolytope(M, states, dim)
 
 
@@ -159,17 +171,7 @@ def separating(polytope: StatePolytope) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# convex combinations
-
-
-def convex_combination(states: Sequence[State], weights: Sequence[Fraction]) -> State:
-    total = sum(weights, start=ZERO)
-    if total != 1 or any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative and sum to one")
-    n = len(states[0].values)
-    return State(tuple(
-        sum((w * s.values[i] for w, s in zip(weights, states)), start=ZERO)
-        for i in range(n)))
+# seeded mixtures
 
 
 def seeded_mixtures(polytope: StatePolytope, count: int, seed: int) -> list[State]:
@@ -178,11 +180,15 @@ def seeded_mixtures(polytope: StatePolytope, count: int, seed: int) -> list[Stat
     if polytope.is_empty:
         raise EmptyStateSpace("cannot mix vertices of an empty polytope")
     rng = random.Random(seed)
-    out = []
     k = len(polytope.vertices)
+    # value_i = sum_k raw_k * N_k,i / (total * scale), N the integer numerators
+    scale = lcm(*(v.denominator for s in polytope.vertices for v in s.values))
+    columns = list(zip(*([v.numerator * (scale // v.denominator)
+                          for v in s.values] for s in polytope.vertices)))
+    out = []
     for _ in range(count):
         raw = [rng.randint(1, 10) for _ in range(k)]
-        total = sum(raw)
-        weights = [Fraction(w, total) for w in raw]
-        out.append(convex_combination(polytope.vertices, weights))
+        den = sum(raw) * scale
+        out.append(State(tuple(Fraction(sum(map(mul, raw, col)), den)
+                               for col in columns)))
     return out

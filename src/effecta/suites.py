@@ -88,6 +88,9 @@ def resolve_suites(selector: str) -> tuple[str, ...]:
 
 _GATED = ("representation", "smearing", "spectral", "extension")
 
+# what reading a document raises when its table is not an effect algebra
+INVALID_ALGEBRA = (AxiomViolation, NonUniqueSupplement, OrderNotAntisymmetric)
+
 
 def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                    max_size: int | None = None) -> list[Record]:
@@ -104,10 +107,10 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
         M = algebra_from_obj(doc, max_size=max_size)
         if "axioms" in suites:
             records.extend(_axiom_records(M, instance))
-    except (AxiomViolation, NonUniqueSupplement, OrderNotAntisymmetric) as exc:
+    except INVALID_ALGEBRA as exc:
         if "axioms" in suites:
             records.append(Record("axioms", instance, "validate", FAIL,
-                                  witness=_witness_of(exc), detail=str(exc)))
+                                  witness=witness_of(exc), detail=str(exc)))
         for s in suites:
             if s != "axioms":
                 records.append(Record(s, instance, "requires-valid-algebra",
@@ -150,18 +153,19 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                 records.extend(runners[s](rep))
             else:
                 records.append(Record(s, instance, "canonical-representation",
-                                      FAIL, witness=_witness_of(rep),
+                                      FAIL, witness=witness_of(rep),
                                       detail=str(rep)))
         except SizeLimitExceeded as exc:
             records.append(Record(s, instance, "size-limit", SKIP,
                                   detail=str(exc)))
         except EffectaError as exc:
             records.append(Record(s, instance, "error", FAIL,
-                                  witness=_witness_of(exc), detail=str(exc)))
+                                  witness=witness_of(exc), detail=str(exc)))
     return records
 
 
-def _witness_of(exc: EffectaError):
+def witness_of(exc: EffectaError):
+    """The error's witness as JSON values, or None."""
     for attr in ("witnesses", "witness", "pair", "candidates"):
         w = getattr(exc, attr, None)
         if w is not None:

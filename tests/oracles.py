@@ -6,6 +6,7 @@ through the library's own algorithms, so that agreement between the two
 routes is evidence and not tautology.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -186,7 +187,7 @@ def matrix_rank(rows):
     return rank
 
 
-def _dense_rref(rows):
+def dense_rref(rows):
     """Reduce in place to reduced row echelon form, return pivot columns."""
     if not rows:
         return []
@@ -227,7 +228,7 @@ def dense_solve_affine(coeffs, rhs):
         return [], [], []
     n = len(coeffs[0])
     aug = [list(row) + [b] for row, b in zip(coeffs, rhs)]
-    pivots = _dense_rref(aug)
+    pivots = dense_rref(aug)
     if n in pivots:  # pivot in the constant column: 0 = nonzero
         return None
     free = [c for c in range(n) if c not in pivots]
@@ -301,7 +302,7 @@ def box_vertices_brute(d, cuts):
     found = set()
     for subset in combinations(range(len(cons)), d):
         rows = [list(cons[i][0]) + [cons[i][1]] for i in subset]
-        pivots = _dense_rref(rows)
+        pivots = dense_rref(rows)
         if len(pivots) != d or d in pivots:
             continue
         point = [ZERO] * d
@@ -555,6 +556,37 @@ def raw_state_system(M):
     rows.append(unit)
     rhs.append(ONE)
     return rows, rhs
+
+
+# ---------------------------------------------------------------------------
+# convex mixtures of states, summed weight by weight over Fractions
+
+
+def convex_combination(states, weights):
+    from effecta import State
+
+    total = sum(weights, start=ZERO)
+    if total != 1 or any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative and sum to one")
+    n = len(states[0].values)
+    return State(tuple(
+        sum((w * s.values[i] for w, s in zip(weights, states)), start=ZERO)
+        for i in range(n)))
+
+
+def seeded_mixtures_reference(polytope, count, seed):
+    """The library's seeded mixtures drawn the same way (``count`` rounds
+    of one ``randint(1, 10)`` per vertex) but combined as Fraction weights
+    raw / total through ``convex_combination``."""
+    rng = random.Random(seed)
+    k = len(polytope.vertices)
+    out = []
+    for _ in range(count):
+        raw = [rng.randint(1, 10) for _ in range(k)]
+        total = sum(raw)
+        out.append(convex_combination(
+            polytope.vertices, [Fraction(w, total) for w in raw]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effecta import cli, generate
+from effecta.errors import TheoremViolation
 from effecta.report import (Record, exit_code, render, render_jsonl,
                             render_text, sort_records)
 from effecta.serialize import algebra_to_obj
@@ -309,6 +310,44 @@ def test_smear_caps_the_outcome_points(tmp_path, capsys):
         "error: observable of 17 outcome points exceeds 16\n"
 
 
+def test_smear_reports_an_invalid_table(tmp_path, capsys):
+    # without {1} + {2} the sum ({1} + {2}) + {3} is undefined while
+    # {1} + ({2} + {3}) is defined: associativity fails at ({1}, {2}, {3})
+    doc = algebra_to_obj(generate(("boolean", 4)))
+    doc["sum"] = [s for s in doc["sum"] if set(s[:2]) != {"{1}", "{2}"}]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"support": ["0", "1"],
+                               "values": ["{1}", "{2,3,4}"]}))
+    assert run("smear", "--input", str(path), "--observable", str(obs)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [record] = map(json.loads, captured.out.splitlines())
+    assert (record["suite"], record["check"], record["status"]) == (
+        "smearing", "requires-valid-algebra", "fail")
+    assert record["witness"] == ["{1}", "{2}", "{3}"]
+    assert "associativ" in record["detail"] or "(ii)" in record["detail"]
+
+
+def test_smear_turns_an_internal_error_into_one_record(tmp_path, capsys,
+                                                       monkeypatch):
+    def broken(rep, x):
+        raise TheoremViolation("kernel disagrees")
+
+    monkeypatch.setattr(cli, "smear", broken)
+    path = write_algebra(tmp_path, "c3.json", "chain", "3")
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"support": ["0", "1"], "values": ["1", "2"]}))
+    assert run("smear", "--input", str(path), "--observable", str(obs)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payloads = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(p["check"], p["status"]) for p in payloads] == [
+        ("error", "fail"), ("observable-valid", "pass")]
+    assert payloads[0]["detail"] == "kernel disagrees"
+
+
 def test_max_size_environment_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EFFECTA_MAX_SIZE", "10")
     assert run("generate", "chain", "300") == 2
@@ -369,22 +408,14 @@ def mutated_documents(draw):
     return doc
 
 
-def check_in_process(path):
+def cli_in_process(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check", "--input", str(path)])
+        code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(mutated_documents())
-def test_check_keeps_its_contract_on_mutated_sum_tables(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "doc.json"
-        path.write_text(json.dumps(doc))
-        first = check_in_process(path)
-        assert check_in_process(path) == first
-    code, out, err = first
+def assert_contract(code, out, err):
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ")
@@ -393,3 +424,42 @@ def test_check_keeps_its_contract_on_mutated_sum_tables(doc):
     for record in map(json.loads, out.splitlines()):
         if record["status"] == "fail":
             assert record.get("witness") is not None or record.get("detail")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_check_keeps_its_contract_on_mutated_sum_tables(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        first = cli_in_process("check", "--input", str(path))
+        assert cli_in_process("check", "--input", str(path)) == first
+    assert_contract(*first)
+
+
+@st.composite
+def mutated_documents_and_observables(draw):
+    """A mutated table with a one-point observable on its unit, or a
+    two-point observable on two of its labels (often not summing to one)."""
+    doc = draw(mutated_documents())
+    if draw(st.booleans()):
+        observable = {"support": ["0"], "values": [doc["one"]]}
+    else:
+        label = st.sampled_from(doc["elements"])
+        observable = {"support": ["0", "1"],
+                      "values": [draw(label), draw(label)]}
+    return doc, observable
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_documents_and_observables())
+def test_smear_keeps_its_contract_on_mutated_sum_tables(case):
+    doc, observable = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, obs = Path(tmp) / "doc.json", Path(tmp) / "obs.json"
+        path.write_text(json.dumps(doc))
+        obs.write_text(json.dumps(observable))
+        argv = ("smear", "--input", str(path), "--observable", str(obs))
+        first = cli_in_process(*argv)
+        assert cli_in_process(*argv) == first
+    assert_contract(*first)

@@ -6,7 +6,8 @@ are the sha256 of the JSONL report of ``check_document`` with all suites at
 seed 0, recorded at the commit before the smearing integrals were memoised
 (f4bdc40); a change that alters any record on these documents fails here.
 The ``effecta smear`` digests are the sha256 of its stdout, recorded at
-0314da1.
+0314da1.  The ``hsum3-boolean3`` digest was recorded at 163484d, before
+vertex enumeration moved to integer arithmetic.
 """
 
 import hashlib
@@ -34,6 +35,11 @@ GOLDEN = {
     "hsum-boolean2x3": (("horizontal-sum", "boolean2", "boolean2", "boolean2"),
                         "2b665a2912007827b9e669014ab90bbda8a2dabf"
                         "54a767f8065e08438fcca171"),
+    # no refinement property, d = 6 and 27 vertices: the only pinned
+    # polytope whose cuts slice the parameter box (recorded at 163484d)
+    "hsum3-boolean3": (("horizontal-sum", "boolean3", "boolean3", "boolean3"),
+                       "07f4a6b57f2b872dac1df19a047c209c"
+                       "f59766e2d0b7c3d0dafa1d9ca2787ffe"),
 }
 
 

@@ -4,12 +4,15 @@ and coordinate-bounding oracles that cross-check the extension certificate."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from effecta.linalg import rank, rref, solve_affine
+from effecta.linalg import rank, solve_affine
 from effecta.polytope import MAX_BOX_DIM, HalfSpace, enumerate_vertices
 from effecta.errors import SizeLimitExceeded
-from oracles import box_vertices_brute, coordinate_bounds, simplex_min
+from oracles import (box_vertices_brute, coordinate_bounds, dense_rref,
+                     matrix_rank, simplex_min)
 
 F = Fraction
 Z, O = F(0), F(1)
@@ -17,8 +20,10 @@ Z, O = F(0), F(1)
 
 def test_rref_and_rank_basics():
     assert rank([[F(2), F(4)], [F(1), F(2)]]) == 1
+    assert rank([[2, 4], [1, 2], [0, 3]]) == 2       # integers too
+    assert rank([]) == 0 and rank([[Z, Z]]) == 0
     rows = [[F(1), F(2)], [F(3), F(5)]]
-    pivots = rref(rows)                    # reduces in place
+    pivots = dense_rref(rows)              # reduces in place
     assert pivots == [0, 1]
     assert rows == [[O, Z], [Z, O]]
 
@@ -80,6 +85,61 @@ def test_vertex_enumeration_cube_and_degenerate_cut():
     got = sorted(enumerate_vertices(2, cuts))
     assert got == box_vertices_brute(2, cuts)
     assert (Z, Z) in got and (O, O) in got and (O, Z) not in got
+
+
+def test_vertex_enumeration_crosses_an_edge_made_by_an_earlier_cut():
+    # x + y <= 3/2 makes the edge (1, 1/2)-(1/2, 1); x <= 3/4 then crosses
+    # it, which the adjacency test sees only through the first cut's bit
+    h = F(1, 2)
+    cuts = [HalfSpace((O, O), 3 * h), HalfSpace((O, Z), F(3, 4))]
+    want = [(Z, Z), (Z, O), (h, O), (F(3, 4), Z), (F(3, 4), F(3, 4))]
+    assert enumerate_vertices(2, cuts) == box_vertices_brute(2, cuts) == want
+
+
+rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def cut_systems(draw):
+    """A dimension d <= 5 and up to six cuts: fresh rational halfspaces,
+    hyperplanes through box corners (small integer data), exact duplicates
+    and loosened or rescaled copies of earlier cuts, so that degenerate
+    vertices, redundant cuts and empty intersections all occur."""
+    d = draw(st.integers(1, 5))
+    cuts = []
+    for _ in range(draw(st.integers(0, 6 if d < 5 else 4))):
+        kind = draw(st.sampled_from(("fresh", "corner", "duplicate", "copy")))
+        if kind == "fresh" or (kind in ("duplicate", "copy") and not cuts):
+            cuts.append(HalfSpace(
+                tuple(draw(rationals) for _ in range(d)), draw(rationals)))
+        elif kind == "corner":
+            cuts.append(HalfSpace(
+                tuple(F(draw(st.integers(-1, 1))) for _ in range(d)),
+                F(draw(st.integers(-1, 2)))))
+        else:
+            base = draw(st.sampled_from(cuts))
+            if kind == "duplicate":
+                cuts.append(base)
+            else:
+                scale = F(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+                slack = F(draw(st.integers(0, 1)), 2)
+                cuts.append(HalfSpace(tuple(scale * c for c in base.coeffs),
+                                      scale * base.bound + slack))
+    return d, cuts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cut_systems())
+def test_vertex_enumeration_matches_the_brute_oracle(system):
+    d, cuts = system
+    assert enumerate_vertices(d, cuts) == box_vertices_brute(d, cuts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(rationals, min_size=n, max_size=n), max_size=8)))
+def test_rank_matches_the_dense_oracle(rows):
+    assert rank(rows) == matrix_rank(rows)
 
 
 def test_vertex_enumeration_dimension_guard():

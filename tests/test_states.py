@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effecta import State, state_polytope
+from effecta import State, generate, state_polytope
 from effecta.errors import EmptyStateSpace
-from effecta.states import (StatePolytope, convex_combination, is_state,
-                            seeded_mixtures, separating)
+from effecta.states import (StatePolytope, is_state, seeded_mixtures,
+                            separating)
 
-from oracles import brute_vertices, is_sigma_additive, raw_state_system
+from oracles import (brute_vertices, convex_combination, is_sigma_additive,
+                     matrix_rank, raw_state_system, seeded_mixtures_reference)
 from zoo_instances import (boolean, chain, diamond, interval, mo2, mo3,
                            non_rdp_zoo, product_of, rdp_zoo)
 
@@ -146,6 +147,29 @@ def test_seeded_mixtures_deterministic_and_valid():
     assert len(first) == 10
     assert all(is_state(M, s).ok for s in first)
     assert seeded_mixtures(P, 10, seed=8) != first
+
+
+def test_dimension_is_the_rank_of_the_state_differences():
+    """The dimension comes from the parameter-space vertices; the rank of
+    the value-vector differences, by the dense oracle, must agree."""
+    for name, M in rdp_zoo() + non_rdp_zoo():
+        P = state_polytope(M)
+        v0 = P.vertices[0].values
+        diffs = [[a - b for a, b in zip(s.values, v0)]
+                 for s in P.vertices[1:]]
+        assert P.dimension == matrix_rank(diffs), name
+
+
+@pytest.mark.parametrize("make", [
+    mo3,
+    lambda: generate(("horizontal_sum", [("boolean", 3)] * 3)),
+    lambda: interval(1, 2),
+], ids=["mo3", "hsum3-boolean3", "interval12"])
+def test_seeded_mixtures_match_the_fraction_reference(make):
+    P = state_polytope(make())
+    for seed in range(4):
+        assert (seeded_mixtures(P, 10, seed)
+                == seeded_mixtures_reference(P, 10, seed))
 
 
 @settings(max_examples=25, deadline=None)
