@@ -148,6 +148,31 @@ def iterated_sum(M: EffectAlgebra, parts: Sequence[int]) -> Optional[int]:
     return acc
 
 
+def atom_coordinates(M: EffectAlgebra) -> tuple[tuple[int, ...], list]:
+    """The atoms (the elements with no lower bounds but 0 and themselves) in
+    id order, and per element x the integer vector m(x) that writes x as a
+    sum of m(x)[i] copies of atom i.
+
+    m(x) is read off the first path to x of a breadth-first walk from 0
+    that adds one atom at a time.  Every element is a sum of atoms and every
+    prefix of a defined sum is defined, so the walk reaches them all; by
+    additivity along the path, a state s has s(x) = m(x) . (s(atom_i))_i.
+    """
+    atoms = tuple(a for a in M.elements()
+                  if a != M.zero and M.down_mask(a) == 1 << M.zero | 1 << a)
+    coords: list = [None] * M.n
+    coords[M.zero] = (0,) * len(atoms)
+    queue = [M.zero]
+    for x in queue:                     # grows while it is walked
+        mx = coords[x]
+        for i, a in enumerate(atoms):
+            y = M.add(x, a)
+            if y is not None and coords[y] is None:
+                coords[y] = mx[:i] + (mx[i] + 1,) + mx[i + 1:]
+                queue.append(y)
+    return atoms, coords
+
+
 # ---------------------------------------------------------------------------
 # validation
 

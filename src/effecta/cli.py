@@ -36,12 +36,12 @@ from .serialize import (
     loads,
     observable_from_obj,
 )
-from .states import seeded_mixtures
 from .suites import (
     INVALID_ALGEBRA,
     SUITE_NAMES,
     check_document,
     resolve_suites,
+    sample_states,
     witness_of,
 )
 
@@ -116,8 +116,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
         records.append(Record(
             "smearing", instance, "kernel-measurable", PASS,
             detail=f"{len(kernel.functions)} outcome sets"))
-        states = list(rep.polytope.vertices) + seeded_mixtures(
-            rep.polytope, 10, seed)
+        states = sample_states(rep.polytope, seed, 10)
         first_bad = None
         for i, m in enumerate(states):
             table = element_integrals(rep, m.values)

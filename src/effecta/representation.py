@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolation,
     TribeAxiomViolation,
 )
-from .states import StatePolytope, state_polytope
+from .states import StatePolytope, inseparable_pair, state_polytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -223,12 +223,10 @@ def canonical_representation(M: EffectAlgebra, *,
     P = polytope if polytope is not None else state_polytope(M)
     if P.is_empty:
         raise EmptyStateSpace(f"no states on {M.n}-element algebra")
-    evals = {}
-    for a in M.elements():
-        v = tuple(s.values[a] for s in P.vertices)
-        if v in evals:
-            raise NonSeparatingStates((M.label(evals[v]), M.label(a)))
-        evals[v] = a
+    pair = inseparable_pair(P)
+    if pair is not None:
+        raise NonSeparatingStates(tuple(map(M.label, pair)))
+    evals = {v: a for a, v in enumerate(zip(*(s.values for s in P.vertices)))}
     carrier = tuple(f"s{i}" for i in range(len(P.vertices)))
     tribe = validate_tribe(carrier, evals.keys())
     h = tuple(evals[f] for f in tribe.functions)

@@ -1,10 +1,12 @@
 """States on a finite effect algebra, and their polytope.
 
 A state assigns a rational in [0,1] to every element, sends the unit to 1
-and is additive across every defined sum.  The set of all states is a
-polytope cut out by those equations inside the unit box; its vertices (the
-extremal states) are enumerated exactly and listed in lexicographic order
-of their value vectors, which fixes a canonical carrier order for the
+and is additive across every defined sum.  Every element is a sum of atoms,
+so a state is fixed by its values on the atoms, and the set of all states
+is a polytope in those few coordinates: cut out by one equation per
+distinct defined sum and by 0 <= s(x) <= 1.  Its vertices (the extremal
+states) are enumerated exactly and listed in lexicographic order of their
+value vectors, which fixes a canonical carrier order for the
 representation machinery.
 """
 
@@ -17,13 +19,10 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .algebra import EffectAlgebra
+from .algebra import EffectAlgebra, atom_coordinates
 from .errors import EmptyStateSpace
 from .linalg import rank, solve_affine
 from .polytope import HalfSpace, enumerate_vertices
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -61,80 +60,57 @@ class StatePolytope:
         return f"StatePolytope(vertices={len(self.vertices)}, dim={self.dimension})"
 
 
-def build_state_equalities(M: EffectAlgebra) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """One row per defined sum (s(a) + s(b) - s(a+b) = 0) plus s(1) = 1,
-    with duplicate rows removed."""
-    n = M.n
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    seen = set()
-    for a, b, c in M.defined_sums():
-        row = [ZERO] * n
-        row[a] += ONE
-        row[b] += ONE
-        row[c] -= ONE
-        key = tuple(row)
-        if any(x != 0 for x in key) and key not in seen:
-            seen.add(key)
-            rows.append(row)
-            rhs.append(ZERO)
-    unit = [ZERO] * n
-    unit[M.one] = ONE
-    rows.append(unit)
-    rhs.append(ONE)
-    return rows, rhs
-
-
 def state_polytope(M: EffectAlgebra) -> StatePolytope:
-    """The states solve the equalities as x = x0 + sum_j t_j dirs[j], so the
-    polytope is the part of the parameter box where every dependent
-    coordinate lies in [0,1].  Its vertices are mapped back to x over one
-    common denominator, and its dimension is the rank of the parameter
-    differences: the map is affine and injective (direction j has a 1 in its
-    own free column), so that is the rank of the state differences."""
-    rows, rhs = build_state_equalities(M)
-    sol = solve_affine(rows, rhs)
+    """A state is fixed by its values t on the atoms: s(x) = m(x) . t for
+    the integer vectors m of :func:`atom_coordinates`.  So the states are
+    the t with (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum,
+    m(1) . t = 1 and every m(x) . t in [0,1].  The equalities give
+    t = t0 + sum_j u_j dirs[j], u_j the value of free atom j, so the
+    polytope is the part of the box [0,1]^d where every other element's
+    value lies in [0,1].  u -> x is affine and injective, so the dimension
+    is the rank of the parameter differences."""
+    atoms, m = atom_coordinates(M)
+    rows = {tuple(p + q - r for p, q, r in zip(m[a], m[b], m[c]))
+            for a, b, c in M.defined_sums()} - {(0,) * len(atoms)}
+    sol = solve_affine([list(map(Fraction, row)) for row in (*rows, m[M.one])],
+                       [Fraction(0)] * len(rows) + [Fraction(1)])
     if sol is None:
         return StatePolytope(M, (), -1)
-    x0, dirs, free = sol
+    t0, dirs, free = sol
     d = len(free)
 
-    if d == 0:
-        feasible = all(ZERO <= v <= ONE for v in x0)
-        states = (State(tuple(x0)),) if feasible else ()
-        return StatePolytope(M, states, 0 if feasible else -1)
-
-    cuts = []
-    dependent = [i for i in range(M.n) if i not in free]
-    for i in dependent:
-        coeffs = tuple(dv[i] for dv in dirs)
-        if all(x == 0 for x in coeffs):
-            if not (ZERO <= x0[i] <= ONE):
-                return StatePolytope(M, (), -1)
-            continue
-        cuts.append(HalfSpace(coeffs, ONE - x0[i]))                  # x_i <= 1
-        cuts.append(HalfSpace(tuple(-x for x in coeffs), x0[i]))     # x_i >= 0
-    tverts = enumerate_vertices(d, cuts)
+    # x = (X0 + sum_j D_j u_j) / scale with an integer form (X0, D_0, ...)
+    # per element; a cut that holds on the whole box is left out, so a free
+    # atom (form (0, scale e_j)) adds none, and a constant adds one only
+    # when it lies outside [0,1], which leaves no vertex
+    scale = lcm(*(v.denominator for col in (t0, *dirs) for v in col))
+    per_atom = [tuple(v.numerator * (scale // v.denominator) for v in col)
+                for col in zip(t0, *dirs)]
+    forms = [tuple(sum(c * col[j] for c, col in zip(mx, per_atom))
+                   for j in range(d + 1)) for mx in m]
+    cuts = {}
+    for x0, *coeffs in dict.fromkeys(forms):
+        for cut in ((tuple(coeffs), scale - x0),                  # x <= 1
+                    (tuple(-c for c in coeffs), x0)):             # x >= 0
+            if sum(c for c in cut[0] if c > 0) > cut[1]:
+                cuts[cut] = None
+    tverts = enumerate_vertices(d, [HalfSpace(*cut) for cut in cuts])
     if not tverts:
         return StatePolytope(M, (), -1)
 
-    # x_i = (X0_i + sum_j D_ji T_j) / (scale * tscale), all four integers
-    scale = lcm(*(v.denominator for v in x0),
-                *(v.denominator for dv in dirs for v in dv))
+    # x_i = form_i . (tscale, T) / (scale * tscale), all integers; the
+    # vertices (tscale, T) share their first entry, so the rank of their
+    # differences is one less than their rank
     tscale = lcm(*(t.denominator for tv in tverts for t in tv))
-    X0 = [v.numerator * (scale // v.denominator) * tscale for v in x0]
-    D = [[(j, dv[i].numerator * (scale // dv[i].denominator))
-          for j, dv in enumerate(dirs) if dv[i]] for i in range(M.n)]
-    T = [[t.numerator * (tscale // t.denominator) for t in tv]
+    T = [(tscale, *(t.numerator * (tscale // t.denominator) for t in tv))
          for tv in tverts]
-    numerators = sorted(
-        tuple(X0[i] + sum(c * Tt[j] for j, c in D[i])
-              for i in range(M.n))
-        for Tt in T)
+    sparse = [[(j, c) for j, c in enumerate(form) if c] for form in forms]
+    numerators = sorted(tuple(sum(c * Tt[j] for j, c in terms)
+                              for terms in sparse) for Tt in T)
     den = scale * tscale
     states = tuple(State(tuple(Fraction(v, den) for v in num))
                    for num in numerators)
-    dim = rank([[a - b for a, b in zip(Tt, T[0])] for Tt in T[1:]])
+    dim = rank(T) - 1
     return StatePolytope(M, states, dim)
 
 
@@ -161,13 +137,17 @@ def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State) -> StateCheck
     return StateCheck(True, None)
 
 
-def separating(polytope: StatePolytope) -> bool:
-    """Do the extremal states distinguish every pair of elements?"""
-    if polytope.is_empty:
-        return False
-    n = polytope.algebra.n
-    vectors = {tuple(s.values[a] for s in polytope.vertices) for a in range(n)}
-    return len(vectors) == n
+def inseparable_pair(polytope: StatePolytope) -> tuple[int, int] | None:
+    """The first two elements that every extremal state values alike, in
+    the order the second one is met; None when the states separate.  With
+    no states every element is valued alike, so the pair is ids 0 and 1."""
+    seen: dict[tuple, int] = {}
+    for a in range(polytope.algebra.n):
+        first = seen.setdefault(tuple(s.values[a] for s in polytope.vertices),
+                                a)
+        if first != a:
+            return first, a
+    return None
 
 
 # ---------------------------------------------------------------------------

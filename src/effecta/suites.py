@@ -62,9 +62,9 @@ from .spectral import (
 )
 from .states import (
     State,
+    inseparable_pair,
     is_state,
     seeded_mixtures,
-    separating,
     state_polytope,
 )
 
@@ -279,19 +279,11 @@ def run_states(M: EffectAlgebra, instance: str, seed: int, *,
         PASS if vertex_bad is None else FAIL,
         detail="degenerate on finite carriers"))
 
-    if separating(P):
-        records.append(Record("states", instance, "separating", PASS))
-    else:
-        seen = {}
-        pair = None
-        for a in M.elements():
-            v = tuple(s.values[a] for s in P.vertices)
-            if v in seen:
-                pair = [M.label(seen[v]), M.label(a)]
-                break
-            seen[v] = a
-        records.append(Record("states", instance, "separating", FAIL,
-                              witness=pair))
+    pair = inseparable_pair(P)
+    records.append(Record("states", instance, "separating",
+                          PASS if pair is None else FAIL,
+                          witness=None if pair is None
+                          else [M.label(a) for a in pair]))
     return records
 
 
@@ -368,7 +360,8 @@ def _zoo_observables(M: EffectAlgebra, max_parts: int = 3):
         yield make_observable(M, _SUPPORTS[len(fam)], fam)
 
 
-def _test_states(M: EffectAlgebra, P, seed: int, mixtures: int) -> list[State]:
+def sample_states(P, seed: int, mixtures: int) -> list[State]:
+    """The states a suite evaluates: the vertices, then seeded mixtures."""
     return list(P.vertices) + seeded_mixtures(P, mixtures, seed)
 
 
@@ -386,7 +379,7 @@ def _first_residual(M: EffectAlgebra, rep: Representation, residuals):
 
 def run_smearing(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
-    states = _test_states(M, rep.polytope, seed, 10)
+    states = sample_states(rep.polytope, seed, 10)
     try:
         tables = [element_integrals(rep, m.values) for m in states]
     except NotMeasurable as exc:
@@ -434,7 +427,7 @@ _SHARP_E_SETS = (
 
 def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
-    states = _test_states(M, rep.polytope, seed, 10)
+    states = sample_states(rep.polytope, seed, 10)
     records = []
 
     bad = None
@@ -537,7 +530,7 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
 def run_extension(M: EffectAlgebra, instance: str, seed: int,
                   rep: Representation) -> list[Record]:
     sharp = sharp_elements(M).members
-    states = _test_states(M, rep.polytope, seed, 3)
+    states = sample_states(rep.polytope, seed, 3)
     records = []
 
     bad_round = None

@@ -558,6 +558,33 @@ def raw_state_system(M):
     return rows, rhs
 
 
+@dataclass(frozen=True)
+class _Cut:
+    coeffs: tuple
+    bound: Fraction
+
+
+def x_space_vertices(M):
+    """The extremal states from the raw element-space system, by a route
+    that reaches past the basic-solution oracle's cap: the dense solve
+    writes every solution as x0 + sum_j t_j dirs[j], and the vertices of
+    the parameter box cut by 0 <= x_i <= 1 for every element are found by
+    brute force over constraint subsets, then mapped back, all over
+    Fractions.  No atoms are involved."""
+    sol = dense_solve_affine(*raw_state_system(M))
+    if sol is None:
+        return []
+    x0, dirs, _ = sol
+    cuts = {}
+    for i in range(M.n):
+        coeffs = tuple(dv[i] for dv in dirs)
+        cuts[coeffs, ONE - x0[i]] = None                    # x_i <= 1
+        cuts[tuple(-c for c in coeffs), x0[i]] = None       # x_i >= 0
+    params = box_vertices_brute(len(dirs), [_Cut(*c) for c in cuts])
+    return sorted(tuple(x0[i] + sum(t * dv[i] for t, dv in zip(p, dirs))
+                        for i in range(M.n)) for p in params)
+
+
 # ---------------------------------------------------------------------------
 # convex mixtures of states, summed weight by weight over Fractions
 

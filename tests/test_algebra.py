@@ -139,6 +139,41 @@ def test_sum_is_commutative_where_defined(n, data):
 
 
 # ---------------------------------------------------------------------------
+# atom coordinates
+
+
+def _lower_bounds(M, a):
+    return {x for x in M.elements() if M.leq(x, a)}
+
+
+ZOO = zoo.rdp_zoo() + zoo.non_rdp_zoo()
+
+
+@pytest.mark.parametrize("name,M", ZOO, ids=[name for name, _ in ZOO])
+def test_atom_coordinates_sum_back_to_every_element(name, M):
+    atoms, coords = algebra.atom_coordinates(M)
+    assert atoms == tuple(a for a in M.elements() if a != M.zero and
+                          _lower_bounds(M, a) == {M.zero, a})
+    assert len(coords) == M.n and None not in coords
+    for i, a in enumerate(atoms):
+        assert coords[a] == tuple(int(j == i) for j in range(len(atoms)))
+    for x, mx in enumerate(coords):
+        parts = [a for a, c in zip(atoms, mx) for _ in range(c)]
+        assert iterated_sum(M, parts) == x, (name, M.label(x))
+
+
+@pytest.mark.parametrize("M", [
+    zoo.chain(5), zoo.boolean(4), zoo.interval(1, 1, 2),
+    zoo.product_of(("chain", 3), ("chain", 4)),
+    zoo.product_of(("chain", 7), ("chain", 7)),
+])
+def test_every_state_equation_vanishes_on_a_product_of_chains(M):
+    _, m = algebra.atom_coordinates(M)
+    for a, b, c in M.defined_sums():
+        assert [p + q for p, q in zip(m[a], m[b])] == list(m[c])
+
+
+# ---------------------------------------------------------------------------
 # refinement: main algorithm vs the quantifier oracle
 
 

@@ -7,7 +7,8 @@ seed 0, recorded at the commit before the smearing integrals were memoised
 (f4bdc40); a change that alters any record on these documents fails here.
 The ``effecta smear`` digests are the sha256 of its stdout, recorded at
 0314da1.  The ``hsum3-boolean3`` digest was recorded at 163484d, before
-vertex enumeration moved to integer arithmetic.
+vertex enumeration moved to integer arithmetic, and the ``loop4`` digest at
+b48337f, before the state equalities moved onto atom values.
 """
 
 import hashlib
@@ -19,6 +20,8 @@ from effecta import cli, generate, parse_family_tokens
 from effecta.report import render_jsonl
 from effecta.serialize import algebra_to_obj
 from effecta.suites import SUITE_NAMES, check_document
+
+from zoo_instances import loop4
 
 GOLDEN = {
     "chain3": (("chain", "3"),
@@ -49,6 +52,19 @@ def test_report_bytes_match_the_recorded_digest(instance):
     doc = algebra_to_obj(generate(parse_family_tokens(list(tokens))))
     report = render_jsonl(check_document(doc, instance, SUITE_NAMES, 0))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
+# four Boolean blocks pasted in a loop: the one bench document whose blocks
+# share atoms, so the only one whose state equations couple atoms of
+# different blocks
+LOOP4_DIGEST = ("cd9e16e43294f5d27694446dcd9a969b"
+                "38edc6412f4c9a912845675a811a035d")
+
+
+def test_loop4_report_bytes_match_the_recorded_digest():
+    report = render_jsonl(check_document(algebra_to_obj(loop4()), "loop4",
+                                         SUITE_NAMES, 0))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == LOOP4_DIGEST
 
 
 SMEAR_GOLDEN = {

@@ -64,10 +64,10 @@ def test_simplex_min_optimal_unbounded_infeasible():
 
 
 def test_halfspace_slack_convention():
-    # x + y <= 1 on the plane: inside has nonnegative slack
+    # x + y <= 1: slack 1 - x - y, positive inside, 0 on the line
     hs = HalfSpace((O, O), O)
     assert hs.value((F(1, 4), F(1, 4))) == F(1, 2)
-    assert hs.value((O, O)) < 0 or hs.value((O, O)) == 0  # boundary at (1,0)?
+    assert hs.value((O, O)) == F(-1)
     assert hs.value((O, Z)) == Z
 
 

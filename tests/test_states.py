@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from effecta import State, generate, state_polytope
 from effecta.errors import EmptyStateSpace
-from effecta.states import (StatePolytope, is_state, seeded_mixtures,
-                            separating)
+from effecta.algebra import atom_coordinates
+from effecta.states import (StatePolytope, inseparable_pair, is_state,
+                            seeded_mixtures)
 
 from oracles import (brute_vertices, convex_combination, is_sigma_additive,
-                     matrix_rank, raw_state_system, seeded_mixtures_reference)
+                     matrix_rank, raw_state_system, seeded_mixtures_reference,
+                     x_space_vertices)
 from zoo_instances import (boolean, chain, diamond, interval, mo2, mo3,
                            non_rdp_zoo, product_of, rdp_zoo)
 
@@ -74,6 +76,74 @@ def test_vertices_match_basic_solution_oracle(make):
     assert sorted(values_of(P)) == brute_vertices(rows, rhs, M.n)
 
 
+# chain7xchain7 is left out: the dense oracle takes seconds on its 594
+# rows; the product-of-chains test below pins its vertices instead
+ORACLE_ZOO = [(name, M) for name, M in rdp_zoo() + non_rdp_zoo()
+              if name != "chain7xchain7"]
+
+
+def assert_matches_the_x_space_oracle(M):
+    """Vertices and dimension from the atom values against the raw
+    element-space system (which agrees with brute_vertices below its cap,
+    see test_acceptance), and the dimension against the dense rank."""
+    P = state_polytope(M)
+    expected = x_space_vertices(M)
+    assert list(values_of(P)) == expected
+    assert P.dimension == matrix_rank(
+        [[a - b for a, b in zip(v, expected[0])] for v in expected[1:]])
+
+
+@pytest.mark.parametrize("name,M", ORACLE_ZOO,
+                         ids=[name for name, _ in ORACLE_ZOO])
+def test_atom_route_matches_the_x_space_oracle(name, M):
+    assert_matches_the_x_space_oracle(M)
+
+
+_BLOCKS = st.sampled_from([("boolean", 2), ("chain", 2), ("chain", 3)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(lambda blocks, b3: ("horizontal_sum", blocks + b3),
+              st.lists(_BLOCKS, min_size=1, max_size=3),
+              st.sampled_from([[], [("boolean", 3)]])),
+    st.builds(lambda hs: ("product", [("chain", h) for h in hs]),
+              st.lists(st.integers(1, 3), min_size=2, max_size=3)
+              .filter(lambda hs: len(hs) == 2 or max(hs) < 3))))
+def test_atom_route_matches_the_x_space_oracle_on_generated_algebras(spec):
+    assert_matches_the_x_space_oracle(generate(spec))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: boolean(4),
+    lambda: interval(1, 1, 2),
+    lambda: product_of(("chain", 3), ("chain", 4)),
+    lambda: product_of(("chain", 7), ("chain", 7)),
+])
+def test_a_product_of_chains_has_the_coordinate_simplex(make):
+    """The states of a product of chains are the mixtures of its k
+    coordinate states, which give atom i the value 1/h_i and every other
+    atom 0.  A state is fixed by its atom values, so this pins the
+    vertices."""
+    M = make()
+    P = state_polytope(M)
+    atoms, m = atom_coordinates(M)
+    k = len(atoms)
+    assert all(is_state(M, s).ok for s in P.vertices)
+    assert sorted(tuple(s.values[a] for a in atoms) for s in P.vertices) == \
+        sorted(tuple(F(1, m[M.one][i]) if j == i else Z for j in range(k))
+               for i in range(k))
+    assert P.dimension == k - 1
+
+
+def test_inseparable_pair_is_the_first_pair_valued_alike():
+    for name, M in rdp_zoo() + non_rdp_zoo():
+        P = state_polytope(M)
+        alike = [(a, b) for b in M.elements() for a in range(b)
+                 if all(s.values[a] == s.values[b] for s in P.vertices)]
+        assert inseparable_pair(P) == next(iter(alike), None), name
+
+
 def test_is_state_violation_kinds():
     M = chain(3)
     third = F(1, 3)
@@ -100,20 +170,20 @@ def test_is_state_violation_kinds():
 def test_evaluate_and_separating():
     P = state_polytope(chain(3))
     assert [s.values[1] for s in P.vertices] == [F(1, 3)]
-    assert separating(P)
+    assert inseparable_pair(P) is None
 
     Q = state_polytope(boolean(2))
     assert [s.values[1] for s in Q.vertices] == [Z, O]
-    assert separating(Q)
+    assert inseparable_pair(Q) is None
 
 
 def test_diamond_states_do_not_separate():
     M = diamond()
     P = state_polytope(M)
     assert values_of(P) == ((Z, O, F(1, 2), F(1, 2)),)
-    assert not separating(P)
     # the two middle elements are distinct but evaluate identically
-    a, b = 2, 3
+    a, b = inseparable_pair(P)
+    assert (a, b) == (2, 3)
     assert M.label(a) != M.label(b)
     assert [s.values[a] for s in P.vertices] == [s.values[b] for s in P.vertices]
 
@@ -124,7 +194,7 @@ def test_empty_polytope_gates():
     assert empty.is_empty
     with pytest.raises(EmptyStateSpace):
         seeded_mixtures(empty, 3, seed=0)
-    assert not separating(empty)
+    assert inseparable_pair(empty) == (0, 1)
 
 
 def test_convex_combination_values_and_weight_checks():
