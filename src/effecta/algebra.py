@@ -13,8 +13,7 @@ parallel tuple and appear in every error witness.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -305,8 +304,7 @@ def validate_effect_algebra(
 # 2x2 refinement (interpolation) property
 
 
-@dataclass(frozen=True)
-class RdpResult:
+class RdpResult(NamedTuple):
     holds: bool
     witness: tuple[int, int, int, int] | None
     algebra: EffectAlgebra
@@ -363,8 +361,7 @@ def check_rdp(M: EffectAlgebra) -> RdpResult:
 # sharp elements
 
 
-@dataclass(frozen=True)
-class SharpSet:
+class SharpSet(NamedTuple):
     """The elements a with a /\\ a' existing and equal to zero.  When the
     parent algebra has the refinement property, their meets, joins and
     complements have been certified to form a Boolean algebra (see

@@ -17,9 +17,8 @@ for reading off the outcome set that breaks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
 from .errors import (
@@ -44,8 +43,7 @@ MAX_POINTS = 16       # a kernel holds one function per subset of its points
 # outcome sets: finite unions of rational intervals plus isolated points
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: Fraction | None        # None = unbounded below
     hi: Fraction | None        # None = unbounded above
     lo_closed: bool = True
@@ -59,8 +57,7 @@ class Interval:
         return True
 
 
-@dataclass(frozen=True)
-class OutcomeSet:
+class OutcomeSet(NamedTuple):
     intervals: tuple[Interval, ...] = ()
     points: frozenset = frozenset()
 
@@ -87,8 +84,7 @@ class OutcomeSet:
 # observables
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(NamedTuple):
     algebra: EffectAlgebra
     support: tuple[Fraction, ...]    # strictly increasing outcome points
     values: tuple[int, ...]          # element ids, aligned with support
@@ -149,8 +145,7 @@ def summable_families(M: EffectAlgebra, max_parts: int) -> Iterable[tuple[int, .
 # sharp observables on the B0 sigma-algebra
 
 
-@dataclass(frozen=True)
-class SharpObservable:
+class SharpObservable(NamedTuple):
     rep: Representation
     assignment: Mapping  # frozenset of carrier points -> element id
 
@@ -196,8 +191,7 @@ def sharp_observable(rep: Representation) -> SharpObservable:
 # smearing
 
 
-@dataclass(frozen=True)
-class SmearingKernel:
+class SmearingKernel(NamedTuple):
     """One member function per outcome set generated by the support points,
     keyed by the frozenset of support indices the set picks out, together
     with the element x(E) that the function maps to."""

@@ -15,27 +15,26 @@ The arithmetic is over integers.  Each cut is scaled to integer
 coefficients once, and each vertex is held as a gcd-reduced homogeneous
 tuple (numerators..., denominator) together with the bitmask of the
 constraints tight at it; a crossing's mask is the two endpoints' common
-mask plus the cut.  Fractions are built only for the result.  The test suite
-cross-checks the vertices against a brute-force solve of every d-subset of
-constraints and against basic-solution enumeration of the raw state
-equalities.
+mask plus the cut.  The vertices are returned in that homogeneous form;
+no Fraction is built.  The test suite cross-checks the vertices against
+a brute-force solve of every d-subset of constraints and against
+basic-solution enumeration of the raw state equalities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import SizeLimitExceeded
 
 MAX_BOX_DIM = 12
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple):
     coeffs: tuple[Fraction, ...]
     bound: Fraction
 
@@ -65,17 +64,18 @@ def _adjacent(common: int, masks: list[int]) -> bool:
     return True
 
 
-def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[Fraction, ...]]:
-    """Vertices of [0,1]^d intersected with the given halfspaces, sorted.
+def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[int, ...]]:
+    """Vertices of [0,1]^d intersected with the given halfspaces, each as
+    its gcd-reduced homogeneous integer tuple (numerators..., denominator)
+    with a positive denominator, in an order fixed by the input.
 
     Empty list when the intersection is empty.
     """
     if d > MAX_BOX_DIM:
         raise SizeLimitExceeded(f"parameter dimension {d} exceeds {MAX_BOX_DIM}")
     if d == 0:
-        point: tuple[Fraction, ...] = ()
-        ok = all(c.value(point) >= 0 for c in cuts)
-        return [point] if ok else []
+        ok = all(c.value(()) >= 0 for c in cuts)
+        return [(1,)] if ok else []
     # constraint 2j is t_j >= 0, 2j + 1 is t_j <= 1, 2d + k is cut k
     corners = list(iproduct((0, 1), repeat=d))
     verts = [(*corner, 1) for corner in corners]
@@ -108,4 +108,4 @@ def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[Fraction, ..
         if not new_verts:
             return []
         verts, masks = new_verts, new_masks
-    return sorted(tuple(Fraction(n, w[-1]) for n in w[:-1]) for w in verts)
+    return verts

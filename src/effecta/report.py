@@ -8,16 +8,14 @@ and no volatile data (timing, paths, environment) enters the payload.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     suite: str
     instance: str
     check: str

@@ -10,11 +10,10 @@ make the smearing and spectral machinery sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, check_rdp, sharp_elements
 from .errors import (
@@ -46,18 +45,29 @@ def _fmt(values: Iterable[Fraction]) -> str:
 # effect-tribes
 
 
-@dataclass(frozen=True)
 class EffectTribe:
     """A finite system of fuzzy functions closed under the effect operations.
 
     ``functions`` is sorted lexicographically, which fixes every later
     iteration order.  Closure under pointwise limits of monotone sequences
     is automatic here: a monotone sequence drawn from a finite set is
-    eventually constant, so its limit is already a member.
+    eventually constant, so its limit is already a member.  Equality and
+    hashing see only the carrier and the functions.
     """
 
-    carrier: tuple[str, ...]
-    functions: tuple[FnValues, ...]
+    def __init__(self, carrier: tuple[str, ...],
+                 functions: tuple[FnValues, ...]):
+        self.carrier = carrier
+        self.functions = functions
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not EffectTribe:
+            return NotImplemented
+        return (self.carrier, self.functions) == (other.carrier,
+                                                  other.functions)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.functions))
 
     @cached_property
     def _index(self) -> dict[FnValues, int]:
@@ -244,8 +254,7 @@ def support(f: Sequence[Fraction], omega0: frozenset[int]) -> frozenset[int]:
 # the sharp-set sigma-algebra
 
 
-@dataclass(frozen=True)
-class SigmaAlgebraB0:
+class SigmaAlgebraB0(NamedTuple):
     """Subsets whose characteristic functions are sharp members.
 
     In the pointwise order min(chi_A, 1 - chi_A) = 0, so no nonzero member
@@ -341,8 +350,7 @@ def sandwich(rep: Representation, f: Sequence[Fraction], g: Sequence[Fraction],
     return s
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     ok: bool
     witness: FnValues | None
 
@@ -360,8 +368,7 @@ def check_regular(rep: Representation) -> RegularityReport:
     return RegularityReport(True, None)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     ok: bool
     witness: tuple[FnValues, FnValues] | None
 
@@ -379,8 +386,7 @@ def check_ideal_congruence(rep: Representation) -> CongruenceReport:
     return CongruenceReport(True, None)
 
 
-@dataclass(frozen=True)
-class SharpImageReport:
+class SharpImageReport(NamedTuple):
     ok: bool
     all_measurable: bool                 # theorem hypothesis 1
     min_closed: bool                     # theorem hypothesis 2

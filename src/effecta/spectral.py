@@ -10,10 +10,9 @@ exactly everywhere it is computed, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
 from .errors import (
@@ -35,8 +34,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
+class SpectralMeasure(NamedTuple):
     algebra: EffectAlgebra
     element: int
     support: tuple[Fraction, ...]          # ascending attained values
@@ -95,8 +93,7 @@ def spectral_integral(rep: Representation, a: int, m: State) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(NamedTuple):
     ok: bool
     collision: tuple[str, str] | None
 
@@ -140,8 +137,7 @@ def sharp_table(rep: Representation, a: int, E: OutcomeSet) -> int:
 # transforms
 
 
-@dataclass(frozen=True)
-class PhiTransform:
+class PhiTransform(NamedTuple):
     """A strictly increasing rational table fixing 0 and 1."""
     table: tuple[tuple[Fraction, Fraction], ...]   # (x, phi(x)), x ascending
 
@@ -173,8 +169,7 @@ def identity_phi(points) -> PhiTransform:
     return make_phi([(p, p) for p in set(points) | {ZERO, ONE}])
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(NamedTuple):
     integral_ok: bool
     state_witness: int | None              # vertex index where it first fails
     witness_values: tuple[Fraction, Fraction] | None   # (integral, m(a))

@@ -13,11 +13,10 @@ representation machinery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, atom_coordinates
 from .errors import EmptyStateSpace
@@ -25,20 +24,17 @@ from .linalg import rank, solve_affine
 from .polytope import HalfSpace, enumerate_vertices
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Value vector aligned with the element ids of its algebra."""
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class StateViolation:
+class StateViolation(NamedTuple):
     kind: str          # "length" | "range" | "one" | "additivity"
     witness: tuple
 
 
-@dataclass(frozen=True)
-class StateCheck:
+class StateCheck(NamedTuple):
     ok: bool
     violation: StateViolation | None
 
@@ -98,12 +94,12 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     if not tverts:
         return StatePolytope(M, (), -1)
 
-    # x_i = form_i . (tscale, T) / (scale * tscale), all integers; the
+    # x_i = form_i . (tscale, T) / (scale * tscale), all integers, with
+    # each homogeneous vertex (numerators..., w) rescaled to w = tscale; the
     # vertices (tscale, T) share their first entry, so the rank of their
     # differences is one less than their rank
-    tscale = lcm(*(t.denominator for tv in tverts for t in tv))
-    T = [(tscale, *(t.numerator * (tscale // t.denominator) for t in tv))
-         for tv in tverts]
+    tscale = lcm(*(w[-1] for w in tverts))
+    T = [(tscale, *(t * (tscale // w[-1]) for t in w[:-1])) for w in tverts]
     sparse = [[(j, c) for j, c in enumerate(form) if c] for form in forms]
     numerators = sorted(tuple(sum(c * Tt[j] for j, c in terms)
                               for terms in sparse) for Tt in T)
@@ -119,19 +115,24 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
 
 
 def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State) -> StateCheck:
-    """Exact check; the first violated constraint is reported."""
+    """Exact check; the first violated constraint is reported.
+
+    The values are compared as integer numerators over one common
+    denominator, so each is converted to a Fraction at most once."""
     if isinstance(values, State):
         values = values.values
     if len(values) != M.n:
         return StateCheck(False, StateViolation("length", (len(values), M.n)))
-    vals = [Fraction(v) for v in values]
-    for a, v in enumerate(vals):
-        if v < 0 or v > 1:
+    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    n = [v.numerator * (den // v.denominator) for v in vals]
+    for a, v in enumerate(n):
+        if v < 0 or v > den:
             return StateCheck(False, StateViolation("range", (M.label(a),)))
-    if vals[M.one] != 1:
+    if n[M.one] != den:
         return StateCheck(False, StateViolation("one", (M.label(M.one),)))
     for a, b, c in M.defined_sums():
-        if vals[a] + vals[b] != vals[c]:
+        if n[a] + n[b] != n[c]:
             return StateCheck(False, StateViolation(
                 "additivity", (M.label(a), M.label(b), M.label(c))))
     return StateCheck(True, None)

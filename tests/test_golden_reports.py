@@ -8,7 +8,10 @@ seed 0, recorded at the commit before the smearing integrals were memoised
 The ``effecta smear`` digests are the sha256 of its stdout, recorded at
 0314da1.  The ``hsum3-boolean3`` digest was recorded at 163484d, before
 vertex enumeration moved to integer arithmetic, and the ``loop4`` digest at
-b48337f, before the state equalities moved onto atom values.
+b48337f, before the state equalities moved onto atom values.  The
+``--format text`` digests were recorded at 138dec8, before the record
+classes became named tuples; ``render_text`` reads every field of a
+``Record``.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import json
 import pytest
 
 from effecta import cli, generate, parse_family_tokens
-from effecta.report import render_jsonl
+from effecta.report import render, render_jsonl
 from effecta.serialize import algebra_to_obj
 from effecta.suites import SUITE_NAMES, check_document
 
@@ -65,6 +68,24 @@ def test_loop4_report_bytes_match_the_recorded_digest():
     report = render_jsonl(check_document(algebra_to_obj(loop4()), "loop4",
                                          SUITE_NAMES, 0))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == LOOP4_DIGEST
+
+
+TEXT_GOLDEN = {
+    "boolean4": ("2d53c452dbd54fa1d713ebf8f76368bd"
+                 "865e20ea6e06a292976dd105d80468d5"),
+    "loop4": ("95f8f8839d272ccfdfd853e77c9f7f3b"
+              "d23a90f8a156f01802b5051bae2c029d"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(TEXT_GOLDEN))
+def test_text_report_bytes_match_the_recorded_digest(instance):
+    M = (loop4() if instance == "loop4"
+         else generate(parse_family_tokens(list(GOLDEN[instance][0]))))
+    records = check_document(algebra_to_obj(M), instance, SUITE_NAMES, 0)
+    report = render(records, "text")
+    assert (hashlib.sha256(report.encode("utf-8")).hexdigest()
+            == TEXT_GOLDEN[instance])
 
 
 SMEAR_GOLDEN = {

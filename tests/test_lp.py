@@ -2,6 +2,7 @@
 and coordinate-bounding oracles that cross-check the extension certificate."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,15 @@ from oracles import (box_vertices_brute, coordinate_bounds, dense_rref,
 
 F = Fraction
 Z, O = F(0), F(1)
+
+
+def fraction_vertices(d, cuts):
+    """``enumerate_vertices`` as sorted Fraction points, the form the brute
+    oracle gives, after checking that each homogeneous vertex is
+    gcd-reduced with a positive denominator."""
+    verts = enumerate_vertices(d, cuts)
+    assert all(len(w) == d + 1 and w[-1] > 0 and gcd(*w) == 1 for w in verts)
+    return sorted(tuple(F(n, w[-1]) for n in w[:-1]) for w in verts)
 
 
 def test_rref_and_rank_basics():
@@ -74,15 +84,18 @@ def test_halfspace_slack_convention():
 def test_vertex_enumeration_triangle_both_methods():
     cuts = [HalfSpace((O, O), O)]          # x + y <= 1 inside the unit box
     want = sorted([(Z, Z), (Z, O), (O, Z)])
-    assert sorted(enumerate_vertices(2, cuts)) == want
+    assert fraction_vertices(2, cuts) == want
     assert box_vertices_brute(2, cuts) == want
 
 
 def test_vertex_enumeration_cube_and_degenerate_cut():
-    assert len(enumerate_vertices(3, [])) == 8
+    assert len(fraction_vertices(3, [])) == 8
+    # the zero-dimensional box is one point unless a constant cut fails
+    assert fraction_vertices(0, [HalfSpace((), Z)]) == [()]
+    assert fraction_vertices(0, [HalfSpace((), -O)]) == []
     # slicing the square exactly through two corners changes nothing
     cuts = [HalfSpace((O, -O), Z)]          # x <= y
-    got = sorted(enumerate_vertices(2, cuts))
+    got = fraction_vertices(2, cuts)
     assert got == box_vertices_brute(2, cuts)
     assert (Z, Z) in got and (O, O) in got and (O, Z) not in got
 
@@ -93,7 +106,7 @@ def test_vertex_enumeration_crosses_an_edge_made_by_an_earlier_cut():
     h = F(1, 2)
     cuts = [HalfSpace((O, O), 3 * h), HalfSpace((O, Z), F(3, 4))]
     want = [(Z, Z), (Z, O), (h, O), (F(3, 4), Z), (F(3, 4), F(3, 4))]
-    assert enumerate_vertices(2, cuts) == box_vertices_brute(2, cuts) == want
+    assert fraction_vertices(2, cuts) == box_vertices_brute(2, cuts) == want
 
 
 rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
@@ -132,7 +145,7 @@ def cut_systems(draw):
 @given(cut_systems())
 def test_vertex_enumeration_matches_the_brute_oracle(system):
     d, cuts = system
-    assert enumerate_vertices(d, cuts) == box_vertices_brute(d, cuts)
+    assert fraction_vertices(d, cuts) == box_vertices_brute(d, cuts)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -18,9 +18,9 @@ from effecta.algebra import atom_coordinates
 from effecta.states import (StatePolytope, inseparable_pair, is_state,
                             seeded_mixtures)
 
-from oracles import (brute_vertices, convex_combination, is_sigma_additive,
-                     matrix_rank, raw_state_system, seeded_mixtures_reference,
-                     x_space_vertices)
+from oracles import (brute_vertices, convex_combination, fraction_is_state,
+                     is_sigma_additive, matrix_rank, raw_state_system,
+                     seeded_mixtures_reference, x_space_vertices)
 from zoo_instances import (boolean, chain, diamond, interval, mo2, mo3,
                            non_rdp_zoo, product_of, rdp_zoo)
 
@@ -167,6 +167,47 @@ def test_is_state_violation_kinds():
     assert is_state(M, (Z, third, 2 * third, O)).ok
 
 
+def _doctored(M, values):
+    """One vector per violation kind, built from a state's values: the
+    range vectors move the last element other than the unit out of [0,1],
+    the unit vector halves every value, and the additivity vector moves
+    that element inside [0,1], which breaks its sum with its complement."""
+    a = max(x for x in M.elements() if x != M.one)
+    moved = values[a] / 2 if values[a] else F(1, 3)
+    return [("length", values[:-1]),
+            ("range", values[:a] + (-F(1, 7),) + values[a + 1:]),
+            ("range", values[:a] + (F(8, 7),) + values[a + 1:]),
+            ("one", tuple(v / 2 for v in values)),
+            ("additivity", values[:a] + (moved,) + values[a + 1:])]
+
+
+def test_integer_is_state_matches_the_fraction_reference():
+    """is_state compares integer numerators over a common denominator;
+    its verdict, kind and witness must equal the Fraction reference's on
+    every zoo vertex, the seeded mixtures, vectors doctored to break each
+    constraint, and int and str inputs."""
+    kinds = []
+    for name, M in rdp_zoo() + non_rdp_zoo():
+        P = state_polytope(M)
+        cases = list(P.vertices)
+        for seed in range(4):
+            cases += seeded_mixtures(P, 10, seed)
+        for kind, values in _doctored(M, P.vertices[-1].values):
+            assert fraction_is_state(M, values).violation.kind == kind, name
+            cases.append(values)
+        for values in cases:
+            check = is_state(M, values)
+            assert check == fraction_is_state(M, values), (name, values)
+            kinds.append("ok" if check.ok else check.violation.kind)
+    assert set(kinds) == {"ok", "length", "range", "one", "additivity"}
+    M = chain(3)
+    for values in [(0, 0, 1, 1), (0, "1/3", "2/3", "1"), ("0", "1/2", "1/2", 1),
+                   (0, "1/3", "4/3", 1), (0, "1/3", "2/3", "2/3"), (0, 1, 2)]:
+        assert is_state(M, values) == fraction_is_state(M, values), values
+    assert is_state(M, (0, "1/3", "2/3", 1)).ok
+    assert is_state(boolean(2), (0, 0, 1, 1)).ok
+
+
 def test_evaluate_and_separating():
     P = state_polytope(chain(3))
     assert [s.values[1] for s in P.vertices] == [F(1, 3)]
@@ -263,8 +304,9 @@ def test_sigma_additivity_on_a_finite_carrier():
 
 def test_sigma_additivity_is_state_validity():
     """The states suite reports vertex validity as its sigma-additive
-    verdict; the oracle's separate monotonicity scan must agree with it on
-    every vertex and mixture of the zoo."""
+    verdict; the oracle, which checks the state with the Fraction
+    reference and then scans monotonicity, must agree with it on every
+    vertex and mixture of the zoo."""
     checked = 0
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
