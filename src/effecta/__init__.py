@@ -12,7 +12,6 @@ from .algebra import (
     SharpSet,
     check_rdp,
     iterated_sum,
-    resolve_max_size,
     sharp_elements,
     validate_effect_algebra,
 )
@@ -36,7 +35,6 @@ from .spectral import (
     extend_state,
     spectral_integral,
     spectral_measure,
-    transform_spectral,
 )
 from .states import State, StatePolytope, is_state, state_polytope
 
@@ -62,14 +60,12 @@ __all__ = [
     "iterated_sum",
     "make_observable",
     "parse_family_tokens",
-    "resolve_max_size",
     "sharp_elements",
     "smear",
     "spectral_integral",
     "spectral_measure",
     "state_polytope",
     "summable_families",
-    "transform_spectral",
     "validate_effect_algebra",
     "validate_tribe",
     "__version__",

@@ -12,7 +12,6 @@ parallel tuple and appear in every error witness.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -20,28 +19,10 @@ from .errors import (
     BooleanStructureFailure,
     NonUniqueSupplement,
     OrderNotAntisymmetric,
-    ParseError,
     SizeLimitExceeded,
 )
 
-DEFAULT_MAX_SIZE = 64
-ENV_MAX_SIZE = "EFFECTA_MAX_SIZE"
-
-
-def resolve_max_size(explicit: int | None = None,
-                     default: int = DEFAULT_MAX_SIZE) -> int:
-    """Element-count bound: explicit argument, else the EFFECTA_MAX_SIZE
-    environment variable, else ``default`` (64 for exhaustive checks)."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENV_MAX_SIZE)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParseError(
-                f"{ENV_MAX_SIZE} is not an integer: {raw!r}") from exc
-    return default
+DEFAULT_MAX_SIZE = 64       # elements, when no bound is given
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -193,7 +174,7 @@ def validate_effect_algebra(
     """
     labels = tuple(labels)
     n = len(labels)
-    bound = resolve_max_size(max_size)
+    bound = DEFAULT_MAX_SIZE if max_size is None else max_size
     if n > bound:
         raise SizeLimitExceeded(f"{n} elements exceeds the size bound {bound}")
     if len(set(labels)) != n:

@@ -16,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import resolve_max_size
 from .errors import (
     EffectaError,
     EmptyStateSpace,
@@ -69,8 +68,7 @@ def _instance_id(path: str) -> str:
 
 def cmd_generate(args) -> int:
     spec = parse_family_tokens(args.family)
-    M = generate(spec,
-                 max_size=resolve_max_size(args.max_size, DEFAULT_MAX_SIZE))
+    M = generate(spec, max_size=args.max_size)
     _emit(dumps(algebra_to_obj(M)), args.output)
     return 0
 
@@ -79,8 +77,7 @@ def cmd_check(args) -> int:
     doc = _read_document(args.input)
     records = check_document(doc, _instance_id(args.input),
                              resolve_suites(args.suite), args.seed,
-                             max_size=resolve_max_size(args.max_size,
-                                                       DEFAULT_MAX_SIZE))
+                             max_size=args.max_size)
     records = sort_records(records)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
@@ -90,8 +87,7 @@ def cmd_smear(args) -> int:
     doc = _read_document(args.input)
     observable = _read_document(args.observable)
     records = _smear_records(
-        doc, observable, _instance_id(args.input), args.seed,
-        resolve_max_size(args.max_size, DEFAULT_MAX_SIZE))
+        doc, observable, _instance_id(args.input), args.seed, args.max_size)
     records = sort_records(records)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
@@ -156,9 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "'interval 1 2', 'product chain2 chain3', "
                           "'horizontal-sum boolean2 boolean2'")
     gen.add_argument("--output", help="destination file (default: stdout)")
-    gen.add_argument("--max-size", type=int, default=None,
-                     help="element-count budget (default: EFFECTA_MAX_SIZE "
-                          f"or {DEFAULT_MAX_SIZE})")
+    gen.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
+                     help=f"element-count budget (default {DEFAULT_MAX_SIZE})")
     gen.set_defaults(func=cmd_generate)
 
     chk = sub.add_parser("check", help="run theorem suites over an algebra")
@@ -166,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     chk.add_argument("--seed", type=int, default=0,
                      help="seed for mixture states (default 0)")
-    chk.add_argument("--max-size", type=int, default=None)
+    chk.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     chk.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     chk.add_argument("--output", help="destination file (default: stdout)")
     chk.set_defaults(func=cmd_check)
@@ -177,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--observable", required=True,
                     help="observable document (JSON)")
     sm.add_argument("--seed", type=int, default=0)
-    sm.add_argument("--max-size", type=int, default=None)
+    sm.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     sm.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     sm.add_argument("--output", help="destination file (default: stdout)")
     sm.set_defaults(func=cmd_smear)

@@ -163,23 +163,6 @@ class NotSharp(EffectaError):
         super().__init__(f"element {element!r} is not sharp")
 
 
-class PhiNotMonotone(EffectaError):
-    def __init__(self, pair: tuple):
-        self.pair = pair
-        super().__init__(f"transform table not strictly increasing at {pair!r}")
-
-
-class PhiEndpointViolation(EffectaError):
-    def __init__(self, detail: str):
-        super().__init__(f"transform table must fix the endpoints: {detail}")
-
-
-class SupportNotCovered(EffectaError):
-    def __init__(self, level):
-        self.level = level
-        super().__init__(f"transform table does not cover support point {level}")
-
-
 class NotAStateOnSharp(EffectaError):
     def __init__(self, reason: str, witnesses: tuple):
         self.reason = reason

@@ -18,14 +18,15 @@ from __future__ import annotations
 from itertools import product as iproduct
 from typing import Sequence
 
-from .algebra import EffectAlgebra, resolve_max_size, validate_effect_algebra
+from .algebra import (DEFAULT_MAX_SIZE, EffectAlgebra,
+                      validate_effect_algebra)
 from .errors import ParseError, SizeLimitExceeded
 
 FamilySpec = tuple
 
 
 def generate(spec: FamilySpec, *, max_size: int | None = None) -> EffectAlgebra:
-    bound = resolve_max_size(max_size)
+    bound = DEFAULT_MAX_SIZE if max_size is None else max_size
     labels, zero, one, sums = _build(spec, bound)
     return validate_effect_algebra(labels, zero, one, sums, max_size=bound)
 

@@ -1,28 +1,28 @@
-"""Spectral measures of algebra elements, their transforms, and unique
-state extension from the sharp elements.
+"""Spectral measures of algebra elements, and unique state extension from
+the sharp elements.
 
 The spectral measure of an element a collects, for each value lambda that
 the evaluation of a attains, the sharp element whose characteristic set is
 the corresponding level set.  It reproduces the element under integration:
-m(a) = sum of lambda * m(mass(lambda)), for every state m — checked
-exactly everywhere it is computed, never assumed.
+m(a) = sum of lambda * m(mass(lambda)), for every state m.  That sum is
+written once, in :func:`spectral_integral`, as one table over all elements
+per state; a transform phi of the outcome values is a plain function
+applied to each lambda.  Callers compare the table with the state, so the
+law is checked exactly everywhere it is used, never assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
 from .errors import (
     NotAStateOnSharp,
     NotSharp,
-    PhiEndpointViolation,
-    PhiNotMonotone,
     PreconditionFailed,
     SpectralObstruction,
-    SupportNotCovered,
     TheoremViolation,
 )
 from .linalg import rank, solve_affine
@@ -81,16 +81,22 @@ def spectral_measure(rep: Representation, a: int) -> SpectralMeasure:
     return result
 
 
-def spectral_integral(rep: Representation, a: int, m: State) -> Fraction:
-    """sum of lambda * m(mass(lambda)); asserted equal to m(a)."""
-    sm = spectral_measure(rep, a)
-    total = sum((lam * m.values[sm.masses[lam]] for lam in sm.support),
-                start=ZERO)
-    if total != m.values[a]:
-        raise TheoremViolation(
-            f"spectral integral of {rep.target.label(a)} gives {total}, "
-            f"but the state assigns {m.values[a]}")
-    return total
+def spectral_integral(rep: Representation, values,
+                      phi: Callable[[Fraction], Fraction] | None = None
+                      ) -> tuple[Fraction, ...]:
+    """The table a -> sum of phi(lambda) * values[mass_a(lambda)] over the
+    spectral measure of every element a; phi is the identity when None.
+
+    ``values`` is a state's value vector or any mapping over the sharp
+    elements.  For a state m, ``spectral_integral(rep, m.values)`` equals
+    ``m.values`` exactly when every measure reproduces m."""
+    table = []
+    for a in rep.target.elements():
+        sm = spectral_measure(rep, a)
+        table.append(sum(((lam if phi is None else phi(lam))
+                          * values[sm.masses[lam]] for lam in sm.support),
+                         start=ZERO))
+    return tuple(table)
 
 
 class InjectivityReport(NamedTuple):
@@ -131,99 +137,6 @@ def sharp_table(rep: Representation, a: int, E: OutcomeSet) -> int:
             f"endpoint rule gives {M.label(result)} but the measure "
             f"gives {M.label(actual)}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-
-class PhiTransform(NamedTuple):
-    """A strictly increasing rational table fixing 0 and 1."""
-    table: tuple[tuple[Fraction, Fraction], ...]   # (x, phi(x)), x ascending
-
-    def apply(self, x: Fraction) -> Fraction:
-        for t, y in self.table:
-            if t == x:
-                return y
-        raise SupportNotCovered(x)
-
-    def domain(self) -> frozenset:
-        return frozenset(t for t, _ in self.table)
-
-
-def make_phi(pairs) -> PhiTransform:
-    table = sorted((Fraction(x), Fraction(y)) for x, y in pairs)
-    if len({x for x, _ in table}) != len(table):
-        raise PhiNotMonotone(("duplicate input",))
-    for (x1, y1), (x2, y2) in zip(table, table[1:]):
-        if y1 >= y2:
-            raise PhiNotMonotone(((str(x1), str(y1)), (str(x2), str(y2))))
-    points = dict(table)
-    if points.get(ZERO) != ZERO or points.get(ONE) != ONE:
-        raise PhiEndpointViolation(
-            "need phi(0) = 0 and phi(1) = 1 in the table")
-    return PhiTransform(tuple(table))
-
-
-def identity_phi(points) -> PhiTransform:
-    return make_phi([(p, p) for p in set(points) | {ZERO, ONE}])
-
-
-class TransformReport(NamedTuple):
-    integral_ok: bool
-    state_witness: int | None              # vertex index where it first fails
-    witness_values: tuple[Fraction, Fraction] | None   # (integral, m(a))
-
-
-def transformed_injectivity(rep: Representation,
-                            phi: PhiTransform) -> InjectivityReport:
-    """Whether pushing every spectral measure through phi keeps them
-    pairwise distinct."""
-    M = rep.target
-    seen: dict[tuple, int] = {}
-    for b in M.elements():
-        sb = spectral_measure(rep, b)
-        for lam in sb.support:
-            if lam not in phi.domain():
-                raise SupportNotCovered(lam)
-        k = (tuple(phi.apply(lam) for lam in sb.support),
-             tuple(sb.masses[lam] for lam in sb.support))
-        if k in seen:
-            return InjectivityReport(False, (M.label(seen[k]), M.label(b)))
-        seen[k] = b
-    return InjectivityReport(True, None)
-
-
-def transform_spectral(rep: Representation, a: int,
-                       phi: PhiTransform) -> TransformReport:
-    """Push the spectral measure of a through phi and integrate it against
-    every vertex state.
-
-    The integral law generally breaks for non-identity transforms, and the
-    first vertex state exposing the break is returned.  Injectivity of the
-    transformed assignment is a whole-algebra question, answered once by
-    :func:`transformed_injectivity`.
-    """
-    base = spectral_measure(rep, a)
-    for lam in base.support:
-        if lam not in phi.domain():
-            raise SupportNotCovered(lam)
-
-    integral_ok = True
-    state_witness = None
-    witness_values = None
-    polytope = rep.polytope
-    if polytope is None:
-        raise PreconditionFailed("transform reports need the state polytope")
-    for i, s in enumerate(polytope.vertices):
-        integral = sum((phi.apply(lam) * s.values[base.masses[lam]]
-                        for lam in base.support), start=ZERO)
-        if integral != s.values[a]:
-            integral_ok = False
-            state_witness = i
-            witness_values = (integral, s.values[a])
-            break
-    return TransformReport(integral_ok, state_witness, witness_values)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +193,12 @@ def extend_state(rep: Representation, m: Mapping) -> State:
             raise TheoremViolation(
                 f"extension restricts to {result.values[bb]} at "
                 f"{M.label(bb)}, expected {v}")
+    spectral_form = spectral_integral(rep, vals)
     for a in M.elements():
-        sm = spectral_measure(rep, a)
-        spectral_form = sum(
-            (lam * vals[sm.masses[lam]] for lam in sm.support), start=ZERO)
-        if spectral_form != result.values[a]:
+        if spectral_form[a] != result.values[a]:
             raise TheoremViolation(
                 f"atom form {result.values[a]} and spectral form "
-                f"{spectral_form} disagree at {M.label(a)}")
+                f"{spectral_form[a]} disagree at {M.label(a)}")
     return result
 
 

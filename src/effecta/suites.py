@@ -49,16 +49,12 @@ from .representation import (
 from .serialize import algebra_from_obj, frac_to_str
 from .spectral import (
     extend_state,
-    identity_phi,
-    make_phi,
     sharp_kernel,
     sharp_table,
     spectral_integral,
     spectral_injectivity,
     spectral_measure,
     spectral_uniqueness_probe,
-    transform_spectral,
-    transformed_injectivity,
 )
 from .states import (
     State,
@@ -428,17 +424,18 @@ _SHARP_E_SETS = (
 def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
     states = sample_states(rep.polytope, seed, 10)
+    tables = [spectral_integral(rep, m.values) for m in states]
     records = []
 
     bad = None
-    try:
-        for a in M.elements():
-            for i, m in enumerate(states):
-                spectral_integral(rep, a, m)
-    except TheoremViolation as exc:
-        bad = [M.label(a), i, str(exc)]
-    except EffectaError as exc:
-        bad = [M.label(a), str(exc)]
+    for a in M.elements():
+        i = next((i for i, (m, t) in enumerate(zip(states, tables))
+                  if t[a] != m.values[a]), None)
+        if i is not None:
+            bad = [M.label(a), i,
+                   f"spectral integral of {M.label(a)} gives {tables[i][a]}, "
+                   f"but the state assigns {states[i].values[a]}"]
+            break
     records.append(Record("spectral", instance, "integral-identity",
                           PASS if bad is None else FAIL, witness=bad,
                           detail=f"{M.n} elements x {len(states)} states"))
@@ -485,41 +482,39 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
     records.append(Record("spectral", instance, "measure-additivity",
                           PASS if bad is None else FAIL, witness=bad))
 
-    all_values = sorted({v for f in rep.tribe.functions for v in f}
-                        | {ZERO, ONE})
-    phi_id = identity_phi(all_values)
-    bad = None
-    if not transformed_injectivity(rep, phi_id).ok:
-        bad = "injectivity lost"
-    else:
-        for a in M.elements():
-            tr = transform_spectral(rep, a, phi_id)
-            if not tr.integral_ok:
-                bad = M.label(a)
-                break
+    # the vertices lead the test states; the identity transform changes
+    # neither the measures nor their integrals
+    vertices = rep.polytope.vertices
+    bad = "injectivity lost" if not inj.ok else next(
+        (M.label(a) for a in M.elements()
+         if any(t[a] != v.values[a] for v, t in zip(vertices, tables))), None)
     records.append(Record("spectral", instance, "phi-identity",
                           PASS if bad is None else FAIL, witness=bad))
 
-    # a strictly increasing non-identity transform: injectivity must
-    # survive, the integral law must survive exactly on sharp elements
-    phi_sq = make_phi([(v, v * v) for v in all_values])
+    # a strictly increasing non-identity transform: being injective, it keeps
+    # distinct measures distinct; the integral law must survive exactly on
+    # sharp elements
     bad = None
     broken = 0
     first_break = None
-    inj_sq = transformed_injectivity(rep, phi_sq)
-    if not inj_sq.ok:
-        bad = ["injectivity lost", list(inj_sq.collision)]
+    if not inj.ok:
+        bad = ["injectivity lost", list(inj.collision)]
     else:
+        squared = [spectral_integral(rep, v.values, lambda lam: lam * lam)
+                   for v in vertices]
         for a in M.elements():
-            tr = transform_spectral(rep, a, phi_sq)
-            if a in sharp and not tr.integral_ok:
+            i = next((i for i, (v, t) in enumerate(zip(vertices, squared))
+                      if t[a] != v.values[a]), None)
+            if i is None:
+                continue
+            if a in sharp:
                 bad = [M.label(a), "sharp element broke the integral"]
                 break
-            if not tr.integral_ok:
-                broken += 1
-                if first_break is None:
-                    first_break = [M.label(a), tr.state_witness,
-                                   [frac_to_str(v) for v in tr.witness_values]]
+            broken += 1
+            if first_break is None:
+                first_break = [M.label(a), i,
+                               [frac_to_str(squared[i][a]),
+                                frac_to_str(vertices[i].values[a])]]
     records.append(Record(
         "spectral", instance, "phi-square", PASS if bad is None else FAIL,
         witness=bad if bad is not None else first_break,

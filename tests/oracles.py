@@ -633,6 +633,26 @@ def spectral_form_value(rep, a, sharp_values):
     return total
 
 
+def level_set_integral(M, P, values, phi):
+    """Per element a, the sum of phi(lambda) * values[b] over the level sets
+    of a's evaluation column on the extremal states P.vertices, where b is
+    the element whose column is that level set's indicator.
+
+    Each b is found by scanning every element's column: no spectral
+    measure, no representation and no tribe index is consulted."""
+    columns = [tuple(v.values[a] for v in P.vertices) for a in M.elements()]
+    table = []
+    for col in columns:
+        total = ZERO
+        for lam in sorted(set(col)):
+            indicator = tuple(ONE if x == lam else ZERO for x in col)
+            b = next(b for b, other in enumerate(columns)
+                     if other == indicator)
+            total += phi(lam) * values[b]
+        table.append(total)
+    return tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # the smearing right-hand side, recomputed on every call
 

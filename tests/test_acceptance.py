@@ -21,8 +21,8 @@ from effecta.representation import (canonical_representation,
                                     check_ideal_congruence, check_regular,
                                     make_representation, measurable,
                                     sharp_image)
-from effecta.spectral import (make_phi, sharp_table, spectral_injectivity,
-                              transform_spectral, transformed_injectivity)
+from effecta.spectral import (sharp_table, spectral_injectivity,
+                              spectral_measure)
 from effecta.states import seeded_mixtures
 
 from oracles import (brute_rdp, brute_vertices, extension_uniqueness,
@@ -212,11 +212,9 @@ def test_criterion_7_spectral_measures():
     with criterion(7, "spectral measures and the transform", 20.0):
         for name, M in rdp_instances():
             rep = rep_of(name, M)
-            states = mixed_states_of(name, M, 10, seed=0)
-            for a in M.elements():
-                for m in states:
-                    # raises on any mismatch; the return value is re-checked
-                    assert spectral_integral(rep, a, m) == m.values[a]
+            # one integral table per state, every element at once
+            for m in mixed_states_of(name, M, 10, seed=0):
+                assert spectral_integral(rep, m.values) == m.values
             assert spectral_injectivity(rep).ok
             one_in = OutcomeSet.of_points(1)
             zero_in = OutcomeSet.of_points(0)
@@ -229,13 +227,16 @@ def test_criterion_7_spectral_measures():
 
         C = dict(rdp_instances())["chain3"]
         rep = rep_of("chain3", C)
-        square = make_phi([(0, 0), (F(1, 3), F(1, 9)),
-                           (F(2, 3), F(4, 9)), (1, 1)])
-        report = transform_spectral(rep, 1, square)
-        assert transformed_injectivity(rep, square).ok   # distinctness survives
-        assert not report.integral_ok           # the integral law does not
-        assert report.state_witness == 0
-        assert report.witness_values == (F(1, 9), F(1, 3))
+        vertex = rep.polytope.vertices[0]
+        squared = spectral_integral(rep, vertex.values, lambda v: v * v)
+        keys = set()
+        for a in C.elements():
+            sm = spectral_measure(rep, a)
+            keys.add((tuple(lam * lam for lam in sm.support),
+                      tuple(sm.masses[lam] for lam in sm.support)))
+        assert len(keys) == C.n                 # distinctness survives
+        # the integral law does not: 1/9 against 1/3 at vertex 0
+        assert (squared[1], vertex.values[1]) == (F(1, 9), F(1, 3))
 
 
 def test_criterion_8_unique_state_extension():

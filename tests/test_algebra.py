@@ -19,7 +19,6 @@ from effecta.errors import (
     AxiomViolation,
     BooleanStructureFailure,
     NonUniqueSupplement,
-    ParseError,
     SizeLimitExceeded,
 )
 
@@ -33,18 +32,22 @@ def test_validate_accepts_a_plain_chain():
     assert M.comp(M.index("a")) == M.index("a")
 
 
-def test_non_integer_max_size_environment_is_a_parse_error(monkeypatch):
-    monkeypatch.delenv("EFFECTA_MAX_SIZE", raising=False)
-    assert algebra.resolve_max_size() == 64
-    assert algebra.resolve_max_size(None, cli.DEFAULT_MAX_SIZE) == 4096
-    monkeypatch.setenv("EFFECTA_MAX_SIZE", "plenty")
-    with pytest.raises(ParseError, match="EFFECTA_MAX_SIZE"):
-        zoo.chain(3)
-    with pytest.raises(ParseError, match="EFFECTA_MAX_SIZE"):
-        validate_effect_algebra(["0", "1"], "0", "1",
-                                [("0", "0", "0"), ("0", "1", "1")])
-    # an explicit bound never reads the environment
-    assert algebra.resolve_max_size(5) == 5
+def test_size_bounds_default_to_64_in_the_library_and_4096_in_the_cli():
+    labels = [str(i) for i in range(65)]
+    with pytest.raises(SizeLimitExceeded, match="bound 64"):
+        validate_effect_algebra(labels, "0", "64", [])
+    # an explicit bound is used as given: 65 elements pass the size check
+    # and reach the axioms
+    with pytest.raises(AxiomViolation):
+        validate_effect_algebra(labels, "0", "64", [], max_size=65)
+    assert generate(("chain", 63)).n == 64
+    with pytest.raises(SizeLimitExceeded):
+        generate(("chain", 64))
+    parser = cli.build_parser()
+    for argv in (["generate", "chain", "3"], ["check", "--input", "a.json"],
+                 ["smear", "--input", "a.json", "--observable", "o.json"]):
+        assert parser.parse_args(argv).max_size == 4096
+        assert parser.parse_args(argv + ["--max-size", "5"]).max_size == 5
 
 
 def test_validate_rejects_commutativity_clash():

@@ -348,17 +348,6 @@ def test_smear_turns_an_internal_error_into_one_record(tmp_path, capsys,
     assert payloads[0]["detail"] == "kernel disagrees"
 
 
-def test_max_size_environment_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EFFECTA_MAX_SIZE", "10")
-    assert run("generate", "chain", "300") == 2
-    assert "error:" in capsys.readouterr().err
-    # an explicit flag wins over the environment
-    assert run("generate", "chain", "300", "--max-size", "1000") == 0
-    capsys.readouterr()
-    monkeypatch.setenv("EFFECTA_MAX_SIZE", "plenty")
-    assert run("generate", "chain", "3") == 2
-
-
 def test_argparse_rejects_unknown_choices(tmp_path):
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     with pytest.raises(SystemExit):

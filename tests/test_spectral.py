@@ -1,9 +1,10 @@
-"""Spectral measures, transforms, and unique state extension.
+"""Spectral measures, their integral tables, and unique state extension.
 
 The measures of the smallest instances are frozen value-by-value; the
 square transform on the three-chain is the standard counterexample showing
 that non-identity transforms break the integral law while keeping the
-transformed assignment injective.
+transformed assignment injective.  The integral tables are cross-checked
+against a level-set oracle that never builds a spectral measure.
 """
 
 from fractions import Fraction
@@ -13,19 +14,16 @@ import pytest
 import oracles
 from effecta import (extend_state, sharp_elements, spectral_integral,
                      spectral_measure)
-from effecta.errors import (NotAStateOnSharp, NotSharp, PhiEndpointViolation,
-                            PhiNotMonotone, SupportNotCovered)
+from effecta.errors import NotAStateOnSharp, NotSharp
 from effecta.observables import OutcomeSet
-from effecta.report import FAIL
+from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
-from effecta.spectral import (identity_phi, make_phi, sharp_kernel,
-                              sharp_table, spectral_injectivity,
-                              spectral_uniqueness_probe, transform_spectral,
-                              transformed_injectivity, validate_sharp_state)
+from effecta.spectral import (sharp_kernel, sharp_table, spectral_injectivity,
+                              spectral_uniqueness_probe, validate_sharp_state)
 from effecta.states import State, StatePolytope, seeded_mixtures, state_polytope
-from effecta.suites import run_extension
+from effecta.suites import run_extension, run_spectral
 
-from zoo_instances import boolean, chain, rdp_zoo
+from zoo_instances import boolean, chain, interval, rdp_zoo
 
 F = Fraction
 Z = F(0)
@@ -64,9 +62,8 @@ def test_integral_reproduces_every_state_value():
     for M in (chain(3), boolean(2)):
         rep = canonical_representation(M)
         P = state_polytope(M)
-        for a in M.elements():
-            for m in P.vertices:
-                assert spectral_integral(rep, a, m) == m.values[a]
+        for m in P.vertices:
+            assert spectral_integral(rep, m.values) == m.values
 
 
 def test_assignment_is_injective():
@@ -103,46 +100,61 @@ def test_sharp_table_rejects_fuzzy_elements():
 # transforms
 
 
-def test_make_phi_rejections():
-    with pytest.raises(PhiNotMonotone):
-        make_phi([(0, 0), (0, F(1, 2)), (1, 1)])            # duplicate input
-    with pytest.raises(PhiNotMonotone):
-        make_phi([(0, 0), (THIRD, F(1, 2)), (F(2, 3), F(1, 4)), (1, 1)])
-    with pytest.raises(PhiEndpointViolation):
-        make_phi([(0, F(1, 8)), (1, 1)])
-    with pytest.raises(PhiEndpointViolation):
-        make_phi([(0, 0), (F(1, 2), F(3, 4))])              # no value at 1
+def square(v):
+    return v * v
+
+
+def identity(v):
+    return v
 
 
 def test_identity_transform_changes_nothing():
     rep = canonical_representation(chain(3))
-    phi = identity_phi([THIRD, F(2, 3)])
-    report = transform_spectral(rep, 1, phi)
-    assert report.integral_ok and report.state_witness is None
-    assert report.witness_values is None
-    assert transformed_injectivity(rep, phi).ok
+    m = rep.polytope.vertices[0]
+    assert spectral_integral(rep, m.values, identity) == m.values
+    assert spectral_integral(rep, m.values) == m.values
+    # a mapping over the sharp elements alone gives the same table
+    assert spectral_integral(rep, {0: Z, 3: O}) == m.values
 
 
 def test_square_transform_breaks_the_integral_law():
     rep = canonical_representation(chain(3))
-    square = make_phi([(0, 0), (THIRD, F(1, 9)), (F(2, 3), F(4, 9)), (1, 1)])
-    report = transform_spectral(rep, 1, square)
+    m = rep.polytope.vertices[0]
+    table = spectral_integral(rep, m.values, square)
     # still injective across the whole algebra ...
-    injectivity = transformed_injectivity(rep, square)
-    assert injectivity.ok and injectivity.collision is None
+    keys = {_squared_key(spectral_measure(rep, a)) for a in range(4)}
+    assert len(keys) == 4
     # ... yet the unique state integrates to 1/9 where it assigns 1/3
-    assert not report.integral_ok
-    assert report.state_witness == 0
-    assert report.witness_values == (F(1, 9), THIRD)
+    assert table[1] == F(1, 9) and m.values[1] == THIRD
+    assert table == (Z, F(1, 9), F(4, 9), O)
 
 
-def test_transform_requires_support_coverage():
-    rep = canonical_representation(chain(3))
-    sparse = make_phi([(0, 0), (1, 1)])
-    with pytest.raises(SupportNotCovered):
-        transform_spectral(rep, 1, sparse)
-    with pytest.raises(SupportNotCovered):
-        transformed_injectivity(rep, sparse)
+def _squared_key(sm):
+    return (tuple(square(lam) for lam in sm.support),
+            tuple(sm.masses[lam] for lam in sm.support))
+
+
+def test_integral_tables_match_the_level_set_oracle():
+    """On every zoo instance with the refinement property, the tables for
+    the identity and the square agree with level sets read straight off the
+    vertex columns, both on full states and on their sharp restrictions."""
+    for name, M in rdp_zoo():
+        P = state_polytope(M)
+        rep = canonical_representation(M, polytope=P)
+        sharp = sharp_elements(M).members
+        states = list(P.vertices)
+        for seed in (0, 1):
+            states += seeded_mixtures(P, 10, seed)
+        for m in states:
+            restricted = {b: m.values[b] for b in sharp}
+            for phi in (None, square):
+                expected = oracles.level_set_integral(
+                    M, P, m.values, phi or identity)
+                assert spectral_integral(rep, m.values, phi) == expected, name
+                assert spectral_integral(rep, restricted, phi) == expected, name
+        # the square is injective, so it keeps distinct measures distinct
+        keys = {_squared_key(spectral_measure(rep, a)) for a in M.elements()}
+        assert len(keys) == M.n, name
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +226,70 @@ def test_rank_deficit_yields_a_kernel_witness():
     uniqueness = next(r for r in records if r.check == "uniqueness")
     assert uniqueness.status == FAIL
     assert uniqueness.witness == [C.label(1), "1/6"]
+
+
+def _doctored(M):
+    """The canonical representation of M, with the first non-sharp value of
+    its last vertex raised by 1/12: no longer a state the measures
+    reproduce."""
+    rep = canonical_representation(M)
+    P = rep.polytope
+    sharp = sharp_elements(M).members
+    a = next(a for a in M.elements() if a not in sharp)
+    last = list(P.vertices[-1].values)
+    last[a] += F(1, 12)
+    vertices = P.vertices[:-1] + (State(tuple(last)),)
+    return Representation(rep.tribe, M, rep.h, rep.omega0, rep.ideal,
+                          polytope=StatePolytope(M, vertices, P.dimension))
+
+
+DOCTORED = {
+    "chain3": (chain(3), [
+        ("spectral", "integral-identity", FAIL,
+         ["1", 0, "spectral integral of 1 gives 1/3, but the state "
+                  "assigns 5/12"], "4 elements x 11 states"),
+        ("spectral", "injectivity", PASS, None, ""),
+        ("spectral", "sharp-table", PASS, None,
+         "2 sharp elements x 7 outcome sets"),
+        ("spectral", "measure-additivity", PASS, None, ""),
+        ("spectral", "phi-identity", FAIL, "1", ""),
+        ("spectral", "phi-square", PASS, ["1", 0, ["1/9", "5/12"]],
+         "2 non-sharp elements break the integral"),
+        ("extension", "roundtrip", FAIL, [0, "1", "1/3", "5/12"],
+         "4 states restricted to 2 sharp elements"),
+        ("extension", "uniqueness", PASS, None, ""),
+        ("extension", "spectral-probe", PASS, [["1", ["5/12"], ["3"]]],
+         "1 alternative measures found"),
+    ]),
+    "interval12": (interval(1, 2), [
+        ("spectral", "integral-identity", FAIL,
+         ["(0,1)", 1, "spectral integral of (0,1) gives 1/2, but the state "
+                      "assigns 7/12"], "6 elements x 12 states"),
+        ("spectral", "injectivity", PASS, None, ""),
+        ("spectral", "sharp-table", PASS, None,
+         "4 sharp elements x 7 outcome sets"),
+        ("spectral", "measure-additivity", PASS, None, ""),
+        ("spectral", "phi-identity", FAIL, "(0,1)", ""),
+        ("spectral", "phi-square", PASS, ["(0,1)", 1, ["1/4", "7/12"]],
+         "2 non-sharp elements break the integral"),
+        ("extension", "roundtrip", FAIL, [1, "(0,1)", "1/2", "7/12"],
+         "5 states restricted to 4 sharp elements"),
+        ("extension", "uniqueness", PASS, None, ""),
+        ("extension", "spectral-probe", PASS,
+         [["(0,1)", ["0", "7/12"], ["(1,0)", "(0,2)"]]],
+         "1 alternative measures found"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCTORED))
+def test_doctored_states_yield_the_recorded_failures(name):
+    """The failure witnesses of the spectral and extension suites, recorded
+    at 143056e: no golden document reaches these paths."""
+    M, checks = DOCTORED[name]
+    rep = _doctored(M)
+    records = run_spectral(M, name, 0, rep) + run_extension(M, name, 0, rep)
+    assert records == [Record(suite, name, *rest) for suite, *rest in checks]
 
 
 def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
