@@ -14,7 +14,6 @@ law is checked exactly everywhere it is used, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
@@ -232,54 +231,3 @@ def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:
             return k
     raise TheoremViolation("rank deficit without a kernel direction")
 
-
-# ---------------------------------------------------------------------------
-# bounded search for alternative spectral measures
-
-
-def spectral_uniqueness_probe(rep: Representation, a: int) -> tuple:
-    """Other (support, masses) pairs of sharp measures that reproduce the
-    integral law for a, in the order found.
-
-    Enumerates families of nonzero sharp elements summing to 1 (support
-    size at most 3), then solves exactly for the support values from the
-    vertex-state equations.  Findings are reported, not asserted: whether
-    such measures are ever non-unique is left open.
-    """
-    M = rep.target
-    P = rep.polytope
-    if P is None:
-        raise PreconditionFailed("probe needs the state polytope")
-    sharp = [b for b in sharp_elements(M).members if b != M.zero]
-    canonical = spectral_measure(rep, a).key()
-    found = []
-
-    def families(prefix, acc, rest):
-        if acc == M.one:
-            yield prefix
-            return
-        if len(prefix) == 3:
-            return
-        for i, b in enumerate(rest):
-            nxt = M.add(acc, b)
-            if nxt is not None:
-                yield from families(prefix + (b,), nxt, rest[i + 1:])
-
-    for fam in families((), M.zero, tuple(sharp)):
-        for perm in permutations(fam):
-            rows = [[Fraction(s.values[b]) for b in perm] for s in P.vertices]
-            rhs = [s.values[a] for s in P.vertices]
-            sol = solve_affine(rows, rhs)
-            if sol is None:
-                continue
-            # when underdetermined this inspects the base point only; the
-            # report never claims exhaustiveness beyond the support bound
-            lams, _dirs, _free = sol
-            if any(l < 0 or l > 1 for l in lams):
-                continue
-            if any(x >= y for x, y in zip(lams, lams[1:])):
-                continue
-            key = (tuple(lams), tuple(perm))
-            if key != canonical and key not in found:
-                found.append(key)
-    return tuple(found)

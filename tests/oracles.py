@@ -9,7 +9,7 @@ routes is evidence and not tautology.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -729,6 +729,58 @@ def extension_uniqueness(rep, m):
 
 
 # ---------------------------------------------------------------------------
+# bounded search for alternative spectral measures
+
+
+def spectral_uniqueness_probe(rep, a):
+    """Other (support, masses) pairs of sharp measures that reproduce the
+    integral law for a, in the order found.
+
+    Enumerates families of nonzero sharp elements summing to 1 (support
+    size at most 3), then solves exactly for the support values from the
+    vertex-state equations.  When a system is underdetermined only its base
+    point is inspected, so the search is not exhaustive.
+    """
+    from effecta.algebra import sharp_elements
+    from effecta.linalg import solve_affine
+    from effecta.spectral import spectral_measure
+
+    M = rep.target
+    P = rep.polytope
+    sharp = [b for b in sharp_elements(M).members if b != M.zero]
+    canonical = spectral_measure(rep, a).key()
+    found = []
+
+    def families(prefix, acc, rest):
+        if acc == M.one:
+            yield prefix
+            return
+        if len(prefix) == 3:
+            return
+        for i, b in enumerate(rest):
+            nxt = M.add(acc, b)
+            if nxt is not None:
+                yield from families(prefix + (b,), nxt, rest[i + 1:])
+
+    for fam in families((), M.zero, tuple(sharp)):
+        for perm in permutations(fam):
+            rows = [[Fraction(s.values[b]) for b in perm] for s in P.vertices]
+            rhs = [s.values[a] for s in P.vertices]
+            sol = solve_affine(rows, rhs)
+            if sol is None:
+                continue
+            lams = sol[0]
+            if any(l < 0 or l > 1 for l in lams):
+                continue
+            if any(x >= y for x, y in zip(lams, lams[1:])):
+                continue
+            key = (tuple(lams), tuple(perm))
+            if key != canonical and key not in found:
+                found.append(key)
+    return tuple(found)
+
+
+# ---------------------------------------------------------------------------
 # MV-structure detection: a second, independent refinement oracle.  A finite
 # effect algebra has the refinement property exactly when it is an
 # MV-effect algebra (Ravindran 1996; Dvurecenskij and Pulmannova, New Trends
@@ -856,15 +908,14 @@ def fraction_is_state(M, values):
 
 
 # ---------------------------------------------------------------------------
-# sigma-additivity, with the monotonicity scan the suite no longer repeats
+# sigma-additivity, with a monotonicity scan
 
 
 def is_sigma_additive(M, state):
     """Countable additivity degenerates on a finite carrier: every monotone
     chain is eventually constant, so its supremum is its maximum and the
     limit condition holds as soon as the state is a state.  The order scan
-    below cannot fire for a genuine state, which is monotone; the states
-    suite therefore reports vertex validity as its sigma-additive verdict."""
+    below cannot fire for a genuine state, which is monotone."""
     if not fraction_is_state(M, state).ok:
         return False
     for a in M.elements():

@@ -94,7 +94,7 @@ def test_check_passes_on_chain3(tmp_path, capsys):
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     assert run("check", "--input", str(path)) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 31
+    assert len(lines) == 25
     payloads = [json.loads(line) for line in lines]
     assert all(p["status"] == "pass" for p in payloads)
     assert all(p["instance"] == "c3" for p in payloads)
@@ -172,8 +172,7 @@ def test_smear_verifies_an_observable(tmp_path, capsys):
                 for line in capsys.readouterr().out.strip().splitlines()]
     assert [(p["check"], p["status"]) for p in payloads] == [
         ("eq-residual-zero", "pass"),
-        ("kernel-measurable", "pass"),
-        ("observable-valid", "pass")]
+        ("kernel-measurable", "pass")]
 
 
 def test_smear_reports_the_representation_gate(tmp_path, capsys):
@@ -186,8 +185,7 @@ def test_smear_reports_the_representation_gate(tmp_path, capsys):
     payloads = [json.loads(line)
                 for line in capsys.readouterr().out.strip().splitlines()]
     assert [(p["check"], p["status"]) for p in payloads] == [
-        ("canonical-representation", "fail"),
-        ("observable-valid", "pass")]
+        ("canonical-representation", "fail")]
 
 
 def test_exit_code_two_for_unusable_input(tmp_path, capsys):
@@ -344,7 +342,7 @@ def test_smear_turns_an_internal_error_into_one_record(tmp_path, capsys,
     assert captured.err == ""
     payloads = [json.loads(line) for line in captured.out.splitlines()]
     assert [(p["check"], p["status"]) for p in payloads] == [
-        ("error", "fail"), ("observable-valid", "pass")]
+        ("error", "fail")]
     assert payloads[0]["detail"] == "kernel disagrees"
 
 

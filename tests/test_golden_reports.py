@@ -1,19 +1,21 @@
-"""Byte identity of full reports against digests recorded before any
-performance change.
+"""Byte identity of full reports against recorded digests.
 
 A faster path must leave every report byte unchanged.  The digests below
 are the sha256 of the JSONL report of ``check_document`` with all suites at
-seed 0, recorded at the commit before the smearing integrals were memoised
-(f4bdc40); a change that alters any record on these documents fails here.
-The ``effecta smear`` digests are the sha256 of its stdout, recorded at
-0314da1.  The ``hsum3-boolean3`` digest was recorded at 163484d, before
-vertex enumeration moved to integer arithmetic, and the ``loop4`` digest at
-b48337f, before the state equalities moved onto atom values.  The
-``--format text`` digests were recorded at 138dec8, before the record
-classes became named tuples; ``render_text`` reads every field of a
-``Record``.  The zoo digests were recorded at 143056e, before the
-spectral integral became one table per state; on these documents no record
-depends on the seed, so one digest serves seeds 0 and 3.
+seed 0, of the ``--format text`` report for ``TEXT_GOLDEN``, and of the
+stdout of ``effecta smear`` for ``SMEAR_GOLDEN``.  The zoo digests cover
+seeds 0 and 3: on these documents no record depends on the seed, so one
+digest serves both.
+
+Every digest here was re-recorded in the change that followed 818df07,
+which dropped the records that cannot fail (``states:vertex-validity``,
+``mixture-validity``, ``sigma-additive``, ``representation:b0-equals-s0``,
+``spectral:phi-identity``, ``extension:spectral-probe`` and ``smear``'s
+``observable-valid``) and evaluates an algebra with one extremal state at
+that state alone.  A line filter showed each new report to be the 818df07
+report minus exactly those lines, with only the ``N states`` details of
+``eq-residual-zero``, ``integral-identity`` and ``roundtrip`` changed on the
+one-state algebras.
 """
 
 import functools
@@ -31,24 +33,24 @@ from zoo_instances import loop4, non_rdp_zoo, rdp_zoo
 
 GOLDEN = {
     "chain3": (("chain", "3"),
-               "8e3222dac783f0e84bdc74b994d73bb1"
-               "8a23592fec14408eec933ac5581b3e7a"),
+               "172fd63f3d2d0c7e0da15d0d824a18ab"
+               "fb72a5185a6ca089db6237f3a71d6529"),
     "boolean4": (("boolean", "4"),
-                 "32cb04c5b28a8983579382322a30b5f8"
-                 "34dcbefce20377134269d11aa98aa8a3"),
+                 "9f8d4baa27a90f37629a72cddd5d83a8"
+                 "3925ecfa2be4d1271450b0353e450f1e"),
     "interval222": (("interval", "2", "2", "2"),
-                    "7346af0763545a940217d31c62de2e79"
-                    "819eec35a7e9dd59b5eb4736b1b70406"),
+                    "e52c082962c60711675e58a73f846a62"
+                    "dd281970a8c3f340d56e6f18cb4a4692"),
     # no refinement property: sharp members under the plain meet, the
-    # boolean-laws SKIP and the refinement-gate FAILs (recorded at 36971c8)
+    # boolean-laws SKIP and the refinement-gate FAILs
     "hsum-boolean2x3": (("horizontal-sum", "boolean2", "boolean2", "boolean2"),
-                        "2b665a2912007827b9e669014ab90bbda8a2dabf"
-                        "54a767f8065e08438fcca171"),
+                        "9b5cadb0b24dfc8030fd6edd514ca7091dbd9c72"
+                        "49213666df332d1324908938"),
     # no refinement property, d = 6 and 27 vertices: the only pinned
-    # polytope whose cuts slice the parameter box (recorded at 163484d)
+    # polytope whose cuts slice the parameter box
     "hsum3-boolean3": (("horizontal-sum", "boolean3", "boolean3", "boolean3"),
-                       "07f4a6b57f2b872dac1df19a047c209c"
-                       "f59766e2d0b7c3d0dafa1d9ca2787ffe"),
+                       "44cd72d282547e24227b1a89091db909"
+                       "91565472094d8a3de2dc60daf763d3de"),
 }
 
 
@@ -63,8 +65,8 @@ def test_report_bytes_match_the_recorded_digest(instance):
 # four Boolean blocks pasted in a loop: the one bench document whose blocks
 # share atoms, so the only one whose state equations couple atoms of
 # different blocks
-LOOP4_DIGEST = ("cd9e16e43294f5d27694446dcd9a969b"
-                "38edc6412f4c9a912845675a811a035d")
+LOOP4_DIGEST = ("6bc0ff6ca94910154b8c4d2e4fd300af"
+                "8199a49a614b5da991fa5f3188b2a5e3")
 
 
 def test_loop4_report_bytes_match_the_recorded_digest():
@@ -74,10 +76,10 @@ def test_loop4_report_bytes_match_the_recorded_digest():
 
 
 TEXT_GOLDEN = {
-    "boolean4": ("2d53c452dbd54fa1d713ebf8f76368bd"
-                 "865e20ea6e06a292976dd105d80468d5"),
-    "loop4": ("95f8f8839d272ccfdfd853e77c9f7f3b"
-              "d23a90f8a156f01802b5051bae2c029d"),
+    "boolean4": ("659bbd94ad4e2f944ed02560a94a8e00"
+                 "725b269573702c44111271cb8ca0f634"),
+    "loop4": ("28b4f9d799283b4df4e7b878d56dc777"
+              "6e1aa0c08434907c4fdf2f39eada4f01"),
 }
 
 
@@ -95,12 +97,12 @@ SMEAR_GOLDEN = {
     "boolean4": (("boolean", "4"),
                  {"support": ["0", "1/2", "1"],
                   "values": ["{1}", "{2}", "{3,4}"]}, "3",
-                 "1e27ac5295594121990e37035a70dce1"
-                 "d2f50af710c87b93d2c69e6897db68d7"),
+                 "838a27917ab3a1c1450e1503604ed689"
+                 "06449b837ca9a40eef589aadbe221ad9"),
     "chain3": (("chain", "3"),
                {"support": ["0", "1"], "values": ["1", "2"]}, "0",
-               "77bb212d22c72607edd80d9fed242219"
-               "698112c2c5eaec0f3c748eaa11992e7c"),
+               "9f405ad44d6933fcc29a1d3b2e173fd1"
+               "195fa568ead5c866e9a37c8ec5f52910"),
 }
 
 
@@ -119,51 +121,51 @@ def test_smear_output_matches_the_recorded_digest(instance, tmp_path,
 
 
 ZOO_GOLDEN = {
-    "boolean1": "10dc9146466859421d13e4369ef99051"
-                "83e44bf328299ec40e1a95f50ddf0518",
-    "boolean2": "2bbc1e6ac6cd0dc187cbc64200bc943a"
-                "dd96f63623be7e3801175ba952c5c047",
-    "boolean3": "efc483d3b7076eb90acc471e4a977f73"
-                "c816fe056ce31e16560f92dc81983c88",
-    "boolean4": "32cb04c5b28a8983579382322a30b5f8"
-                "34dcbefce20377134269d11aa98aa8a3",
-    "chain1": "59e71ee25b080f978325147dc9739636"
-              "5cb96587c326c923e4e78b25599f2308",
-    "chain1x1x2": "f410ce58dc490ba06bcb6c2ff77c99e0"
-                  "87367f59f49341dd0b1603f141a28d6c",
-    "chain2": "127d29b2af4e9935a890e4f737e1e82d"
-              "692b3ed04b31f2c3a681635a6dcf7481",
-    "chain2xchain3": "1e74395f3c3f376486be7adfd442aa9c"
-                     "ff2cad81fa173ff0f3ad1428c3b2f23e",
-    "chain3": "8e3222dac783f0e84bdc74b994d73bb1"
-              "8a23592fec14408eec933ac5581b3e7a",
-    "chain3xchain4": "8eb6582f051d494c95f33a37e0530daf"
-                     "52a0187293aa8f0e3ccdb2faccbacd1f",
-    "chain4": "43062ae4fa6ec432f6ad0344328a3ab5"
-              "c1a47e980a4e2b92a753c80ecba9298e",
-    "chain5": "b4cad827faeb68e1277f303d6a1f9aff"
-              "568cac8a0609a30817442879139188b3",
-    "chain6": "7ca1a65825d68c5078db1812f325015b"
-              "498381d036c6388363140178a9e685de",
-    "chain7": "a332c26b6e6c3ba01e9509b02e197a9a"
-              "81e6776644ae68586380219fb1772ead",
-    "chain7xchain7": "7351094e2442d2bec3c76fc5683e0ceb"
-                     "4bd91f833ee1a17fba45ab9941a14a83",
-    "chain8": "8f4c34920001695c6995c37ee75545e4"
-              "b25584831bef4405e349b31ef3fb81d3",
-    "diamond": "a167d4ed19c66592dcdaf573ce9d9989"
-               "ee65e63dd205d5b7d47bf7ab9bcc0676",
-    "hsum-mixed": "5c7ccc348fc2fc4762b6d0c4c17a6888"
-                  "48656674b2c21522fa4f2272fd66af7a",
-    "interval112": "2706289f1233655d8439a6e6802a9263"
-                   "ed83e44cad0c23dd30b3a4a60be77931",
-    "interval12": "f4f1d69f6ee72126f39f6aba5c925a5d"
-                  "b26bd02a56835e4228713b198b17e741",
+    "boolean1": "c230f7e211e382f89f44f649eb9f6f30"
+                "262d84a02a11ad7f04a7109aeb55a8ae",
+    "boolean2": "7fdc03476d2a94fa1b14532eccef9052"
+                "493f56ae8a4aeb94ac5ea69955e624f0",
+    "boolean3": "d602e592466f187d8169dac6c7277dfc"
+                "530e8488f64146146cd18242d348da82",
+    "boolean4": "9f8d4baa27a90f37629a72cddd5d83a8"
+                "3925ecfa2be4d1271450b0353e450f1e",
+    "chain1": "075ff3344ebc8f709012ca44d725c7c5"
+              "abf49d28e01ab000125ef7c9c3c3e405",
+    "chain1x1x2": "8f5294eba091b0b8545e74acd5e635ac"
+                  "40cfdc21b2e4a7626948bb0645c13594",
+    "chain2": "878c94a05723fc9da8f523fdb5b26765"
+              "3c73e3a27e9a5fb99638b4064e8c7a7a",
+    "chain2xchain3": "842997ebd4c26f19d56b2769667cc2b3"
+                     "27cbafb717d22502722869be3177c7c6",
+    "chain3": "172fd63f3d2d0c7e0da15d0d824a18ab"
+              "fb72a5185a6ca089db6237f3a71d6529",
+    "chain3xchain4": "c25cca0701736dc102f10b214311657b"
+                     "eebcc2d8e0db00cf69ff31dc6200324a",
+    "chain4": "012713782fcda79ab3825892304a29df"
+              "4b298240451baef0b0b779ca63b41f35",
+    "chain5": "1048e302f490091104844a18b8165019"
+              "17b3c6f246daef38340931ac9e63d1c1",
+    "chain6": "fb47dbde60b3ef3b2cf656ea0ddfd317"
+              "1a49ebbc4794ffb7f9ed8a09d86c8213",
+    "chain7": "d71d94153250c5cd19ecc8eee33f909b"
+              "45fba39056796b0ce3a2cd8c666598ca",
+    "chain7xchain7": "69ba4f6de03664e2bda825fffc0e0921"
+                     "beec0856a04baf04fe0eb35b543c99d7",
+    "chain8": "dde6e672a5fd5a0eaeb7008a8a0241fd"
+              "24016c8bdfbc43a025a51e5631098890",
+    "diamond": "359109f48b754198fff723f962363433"
+               "f015b990a741cd18b394cb64e0ed6846",
+    "hsum-mixed": "1f0f88d3f0bacd1804eae70f356f1d78"
+                  "4be552b5b2dd1eacf3a6a49b3fd1b2bb",
+    "interval112": "c4eb26faa154e0cb2f84157cec245c00"
+                   "b18f0699f2f88ea9a583bcc4cda893d8",
+    "interval12": "e13c91a2abb69036e2e0763255b21c97"
+                  "3d55c1a9cf3b6e6f9e7107616b1b73c1",
     "loop4": LOOP4_DIGEST,
-    "mo2": "ef6b91eccbac600d2f617115bc1e0e43"
-           "769d0b1e50f74c3efabf9d2a9ac36714",
-    "mo3": "45d7dcc48e4d8880f13550993a933906"
-           "75416f207bf11f06280b299567b29b7b",
+    "mo2": "8e83e26ebd21f80c9a9898838bc043c5"
+           "35e164b5ea55776c14b40fa7def4ab95",
+    "mo3": "145b47fca06c8b53ea57481d1073aa87"
+           "4a58b32f4cc4851dfe0b86ba39182d47",
 }
 
 # (instance, seed) pairs the tests above already pin

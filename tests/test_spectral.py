@@ -19,7 +19,7 @@ from effecta.observables import OutcomeSet
 from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
 from effecta.spectral import (sharp_kernel, sharp_table, spectral_injectivity,
-                              spectral_uniqueness_probe, validate_sharp_state)
+                              validate_sharp_state)
 from effecta.states import State, StatePolytope, seeded_mixtures, state_polytope
 from effecta.suites import run_extension, run_spectral
 
@@ -247,19 +247,16 @@ DOCTORED = {
     "chain3": (chain(3), [
         ("spectral", "integral-identity", FAIL,
          ["1", 0, "spectral integral of 1 gives 1/3, but the state "
-                  "assigns 5/12"], "4 elements x 11 states"),
+                  "assigns 5/12"], "4 elements x 1 states"),
         ("spectral", "injectivity", PASS, None, ""),
         ("spectral", "sharp-table", PASS, None,
          "2 sharp elements x 7 outcome sets"),
         ("spectral", "measure-additivity", PASS, None, ""),
-        ("spectral", "phi-identity", FAIL, "1", ""),
         ("spectral", "phi-square", PASS, ["1", 0, ["1/9", "5/12"]],
          "2 non-sharp elements break the integral"),
         ("extension", "roundtrip", FAIL, [0, "1", "1/3", "5/12"],
-         "4 states restricted to 2 sharp elements"),
+         "1 states restricted to 2 sharp elements"),
         ("extension", "uniqueness", PASS, None, ""),
-        ("extension", "spectral-probe", PASS, [["1", ["5/12"], ["3"]]],
-         "1 alternative measures found"),
     ]),
     "interval12": (interval(1, 2), [
         ("spectral", "integral-identity", FAIL,
@@ -269,15 +266,11 @@ DOCTORED = {
         ("spectral", "sharp-table", PASS, None,
          "4 sharp elements x 7 outcome sets"),
         ("spectral", "measure-additivity", PASS, None, ""),
-        ("spectral", "phi-identity", FAIL, "(0,1)", ""),
         ("spectral", "phi-square", PASS, ["(0,1)", 1, ["1/4", "7/12"]],
          "2 non-sharp elements break the integral"),
         ("extension", "roundtrip", FAIL, [1, "(0,1)", "1/2", "7/12"],
          "5 states restricted to 4 sharp elements"),
         ("extension", "uniqueness", PASS, None, ""),
-        ("extension", "spectral-probe", PASS,
-         [["(0,1)", ["0", "7/12"], ["(1,0)", "(0,2)"]]],
-         "1 alternative measures found"),
     ]),
 }
 
@@ -285,7 +278,8 @@ DOCTORED = {
 @pytest.mark.parametrize("name", sorted(DOCTORED))
 def test_doctored_states_yield_the_recorded_failures(name):
     """The failure witnesses of the spectral and extension suites, recorded
-    at 143056e: no golden document reaches these paths."""
+    at 143056e: no golden document reaches these paths.  chain 3 has one
+    state, so its suites evaluate that state alone."""
     M, checks = DOCTORED[name]
     rep = _doctored(M)
     records = run_spectral(M, name, 0, rep) + run_extension(M, name, 0, rep)
@@ -317,4 +311,4 @@ def test_uniqueness_probe_finds_no_alternatives():
     for M in (chain(3), boolean(2)):
         rep = canonical_representation(M)
         for a in M.elements():
-            assert spectral_uniqueness_probe(rep, a) == ()
+            assert oracles.spectral_uniqueness_probe(rep, a) == ()

@@ -303,14 +303,19 @@ def test_sigma_additivity_on_a_finite_carrier():
 
 
 def test_sigma_additivity_is_state_validity():
-    """The states suite reports vertex validity as its sigma-additive
-    verdict; the oracle, which checks the state with the Fraction
-    reference and then scans monotonicity, must agree with it on every
-    vertex and mixture of the zoo."""
+    """Every vertex and seeded mixture of the zoo is a state, by the
+    library's integer predicate and by the Fraction reference, and the
+    sigma-additivity oracle, which also scans monotonicity, agrees.  The
+    states suite reports no validity records: this is where vertex and
+    mixture validity are checked."""
     checked = 0
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
-        for s in list(P.vertices) + seeded_mixtures(P, 10, seed=0):
-            assert is_sigma_additive(M, s) == is_state(M, s).ok, name
+        states = (list(P.vertices) + seeded_mixtures(P, 10, seed=0)
+                  + seeded_mixtures(P, 10, seed=3))
+        for s in states:
+            assert is_state(M, s).ok, name
+            assert fraction_is_state(M, s).ok, name
+            assert is_sigma_additive(M, s), name
             checked += 1
-    assert checked >= 284
+    assert checked == 514
