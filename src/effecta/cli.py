@@ -24,24 +24,14 @@ from .errors import (
     RdpRequired,
     SizeLimitExceeded,
 )
-from .generators import generate, parse_family_tokens
-from .observables import element_integrals, smear
-from .report import FAIL, PASS, Record, exit_code, render, sort_records
-from .representation import canonical_representation
+from .report import (FAIL, PASS, SUITE_NAMES, Record, exit_code, render,
+                     sort_records)
 from .serialize import (
     algebra_from_obj,
     algebra_to_obj,
     dumps,
     loads,
     observable_from_obj,
-)
-from .suites import (
-    INVALID_ALGEBRA,
-    SUITE_NAMES,
-    check_document,
-    resolve_suites,
-    sample_states,
-    witness_of,
 )
 
 DEFAULT_MAX_SIZE = 4096
@@ -67,6 +57,7 @@ def _instance_id(path: str) -> str:
 
 
 def cmd_generate(args) -> int:
+    from .generators import generate, parse_family_tokens
     spec = parse_family_tokens(args.family)
     M = generate(spec, max_size=args.max_size)
     _emit(dumps(algebra_to_obj(M)), args.output)
@@ -74,6 +65,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .suites import check_document, resolve_suites
     doc = _read_document(args.input)
     records = check_document(doc, _instance_id(args.input),
                              resolve_suites(args.suite), args.seed,
@@ -98,6 +90,9 @@ def _smear_records(doc, observable, instance: str, seed: int,
     """As in ``check``: an invalid table is one FAIL with its witness, and
     a library error other than a size cap or the representation gate is
     one ``error`` FAIL."""
+    from .observables import element_integrals, smear
+    from .representation import canonical_representation
+    from .suites import INVALID_ALGEBRA, sample_states, witness_of
     try:
         M = algebra_from_obj(doc, max_size=max_size)
     except INVALID_ALGEBRA as exc:

@@ -14,6 +14,11 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
+# the suites of ``effecta check``, in the order they run; kept here so the
+# command line can offer them without loading the suites
+SUITE_NAMES = ("axioms", "rdp", "sharp", "states", "representation",
+               "smearing", "spectral", "extension")
+
 
 class Record(NamedTuple):
     suite: str

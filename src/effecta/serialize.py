@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .algebra import EffectAlgebra, validate_effect_algebra
 from .errors import ParseError, PreconditionFailed, SumNotOne, SumUndefined
-from .observables import Observable, make_observable
+
+if TYPE_CHECKING:
+    from .observables import Observable
 
 
 def frac_to_str(v: Fraction) -> str:
@@ -90,6 +92,7 @@ def algebra_from_obj(obj: Any, *, max_size: int | None = None) -> EffectAlgebra:
 
 
 def observable_from_obj(M: EffectAlgebra, obj: Any) -> Observable:
+    from .observables import make_observable
     if not isinstance(obj, Mapping):
         raise ParseError("observable document must be an object")
     try:

@@ -5,12 +5,18 @@ axioms, refinement, sharp structure, states, representation
 characterizations, smearing, spectral measures, and state extension.
 Everything that fails carries a reproducible witness; everything is
 deterministic for a fixed seed.
+
+Each check runs in its own process, so the layers behind the gated suites
+(representation, smearing, spectral, extension) are imported by the suite
+that uses them: ``--suite states``, or an algebra that fails the
+refinement gate in ``canonical_representation``, never loads
+``observables`` or ``spectral``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import EffectAlgebra, check_rdp, sharp_elements
 from .errors import (
@@ -27,43 +33,12 @@ from .errors import (
     SizeLimitExceeded,
     TheoremViolation,
 )
-from .observables import (
-    OutcomeSet,
-    element_integrals,
-    kernel_independence_check,
-    make_observable,
-    smear,
-    summable_families,
-)
-from .report import FAIL, PASS, SKIP, Record
-from .representation import (
-    Representation,
-    canonical_representation,
-    check_ideal_congruence,
-    check_regular,
-    extend_carrier_with_null_point,
-    measurable,
-    sandwich,
-    sharp_image,
-)
+from .report import FAIL, PASS, SKIP, SUITE_NAMES, Record
 from .serialize import algebra_from_obj, frac_to_str
-from .spectral import (
-    extend_state,
-    sharp_kernel,
-    sharp_table,
-    spectral_integral,
-    spectral_injectivity,
-    spectral_measure,
-)
-from .states import (
-    State,
-    inseparable_pair,
-    seeded_mixtures,
-    state_polytope,
-)
+from .states import State, inseparable_pair, seeded_mixtures, state_polytope
 
-SUITE_NAMES = ("axioms", "rdp", "sharp", "states", "representation",
-               "smearing", "spectral", "extension")
+if TYPE_CHECKING:
+    from .representation import Representation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -138,17 +113,18 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                 records.extend(runners[s]())
                 continue
             if rep is None:
+                from .representation import canonical_representation
                 try:
                     rep = canonical_representation(M, polytope=polytope)
                 except (RdpRequired, EmptyStateSpace,
                         NonSeparatingStates) as exc:
                     rep = exc
-            if isinstance(rep, Representation):
-                records.extend(runners[s](rep))
-            else:
+            if isinstance(rep, EffectaError):
                 records.append(Record(s, instance, "canonical-representation",
                                       FAIL, witness=witness_of(rep),
                                       detail=str(rep)))
+            else:
+                records.extend(runners[s](rep))
         except SizeLimitExceeded as exc:
             records.append(Record(s, instance, "size-limit", SKIP,
                                   detail=str(exc)))
@@ -256,6 +232,8 @@ def run_states(M: EffectAlgebra, instance: str, *,
 
 def run_representation(M: EffectAlgebra, instance: str,
                        rep: Representation) -> list[Record]:
+    from .representation import (check_ideal_congruence, check_regular,
+                                 measurable, sandwich, sharp_image)
     records = [Record(
         "representation", instance, "canonical-representation", PASS,
         detail=f"{len(rep.carrier)} points, {len(rep.tribe.functions)} functions")]
@@ -319,6 +297,7 @@ def run_representation(M: EffectAlgebra, instance: str,
 
 
 def _zoo_observables(M: EffectAlgebra, max_parts: int = 3):
+    from .observables import make_observable, summable_families
     for fam in summable_families(M, max_parts):
         yield make_observable(M, _SUPPORTS[len(fam)], fam)
 
@@ -333,6 +312,7 @@ def sample_states(P, seed: int, mixtures: int) -> list[State]:
 
 def _first_residual(M: EffectAlgebra, rep: Representation, residuals):
     """First nonzero residual, ordered by observable, state, outcome set."""
+    from .observables import smear
     for x in _zoo_observables(M):
         elements = smear(rep, x).elements
         for i, r in enumerate(residuals):
@@ -345,6 +325,9 @@ def _first_residual(M: EffectAlgebra, rep: Representation, residuals):
 
 def run_smearing(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
+    from .observables import (element_integrals, kernel_independence_check,
+                              smear, summable_families)
+    from .representation import extend_carrier_with_null_point
     states = sample_states(rep.polytope, seed, 10)
     try:
         tables = [element_integrals(rep, m.values) for m in states]
@@ -380,19 +363,11 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int,
     return records
 
 
-_SHARP_E_SETS = (
-    ("empty", OutcomeSet()),
-    ("point-0", OutcomeSet.of_points(0)),
-    ("point-1", OutcomeSet.of_points(1)),
-    ("both-points", OutcomeSet.of_points(0, 1)),
-    ("lower-half-open", OutcomeSet.interval(0, HALF, hi_closed=False)),
-    ("upper-half", OutcomeSet.interval(HALF, 1, lo_closed=False)),
-    ("everything", OutcomeSet.everything()),
-)
-
-
 def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
+    from .observables import OutcomeSet
+    from .spectral import (sharp_table, spectral_injectivity,
+                           spectral_integral, spectral_measure)
     states = sample_states(rep.polytope, seed, 10)
     tables = [spectral_integral(rep, m.values) for m in states]
     records = []
@@ -417,16 +392,25 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
 
     bad = None
     sharp = sharp_elements(M).members
+    sharp_e_sets = (
+        ("empty", OutcomeSet()),
+        ("point-0", OutcomeSet.of_points(0)),
+        ("point-1", OutcomeSet.of_points(1)),
+        ("both-points", OutcomeSet.of_points(0, 1)),
+        ("lower-half-open", OutcomeSet.interval(0, HALF, hi_closed=False)),
+        ("upper-half", OutcomeSet.interval(HALF, 1, lo_closed=False)),
+        ("everything", OutcomeSet.everything()),
+    )
     try:
         for a in sharp:
-            for name, E in _SHARP_E_SETS:
+            for name, E in sharp_e_sets:
                 sharp_table(rep, a, E)
     except TheoremViolation as exc:
         bad = [M.label(a), name, str(exc)]
     records.append(Record("spectral", instance, "sharp-table",
                           PASS if bad is None else FAIL, witness=bad,
                           detail=f"{len(sharp)} sharp elements x "
-                                 f"{len(_SHARP_E_SETS)} outcome sets"))
+                                 f"{len(sharp_e_sets)} outcome sets"))
 
     bad = None
     for a in M.elements():
@@ -482,6 +466,7 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
 
 def run_extension(M: EffectAlgebra, instance: str, seed: int,
                   rep: Representation) -> list[Record]:
+    from .spectral import extend_state, sharp_kernel
     sharp = sharp_elements(M).members
     states = sample_states(rep.polytope, seed, 3)
     records = []

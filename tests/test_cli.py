@@ -333,7 +333,7 @@ def test_smear_turns_an_internal_error_into_one_record(tmp_path, capsys,
     def broken(rep, x):
         raise TheoremViolation("kernel disagrees")
 
-    monkeypatch.setattr(cli, "smear", broken)
+    monkeypatch.setattr("effecta.observables.smear", broken)
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     obs = tmp_path / "obs.json"
     obs.write_text(json.dumps({"support": ["0", "1"], "values": ["1", "2"]}))

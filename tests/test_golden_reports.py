@@ -21,9 +21,14 @@ one-state algebras.
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import effecta
 from effecta import cli, generate, parse_family_tokens
 from effecta.report import render, render_jsonl
 from effecta.serialize import algebra_to_obj
@@ -118,6 +123,29 @@ def test_smear_output_matches_the_recorded_digest(instance, tmp_path,
                      str(obs), "--seed", seed]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("instance", sorted(SMEAR_GOLDEN))
+def test_smear_in_a_fresh_interpreter_matches_the_recorded_digest(
+        instance, tmp_path):
+    """As a user runs it: one process per command, so every layer ``smear``
+    reaches is imported by the command itself."""
+    tokens, observable, seed, digest = SMEAR_GOLDEN[instance]
+    algebra = tmp_path / f"{instance}.json"
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps(observable))
+    src = str(Path(effecta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def effecta_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "effecta.cli", *argv],
+                              env=env, capture_output=True, check=True).stdout
+
+    effecta_cli("generate", *tokens, "--output", str(algebra))
+    out = effecta_cli("smear", "--input", str(algebra), "--observable",
+                      str(obs), "--seed", seed)
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 ZOO_GOLDEN = {

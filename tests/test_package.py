@@ -1,5 +1,6 @@
-"""The package's export list names only what the package has, and importing
-the command line stays light."""
+"""The package's export list names only what the package has, importing
+the command line stays light, and each command loads only the layers it
+reaches."""
 
 import ast
 import os
@@ -7,7 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import effecta
+from effecta.serialize import algebra_to_obj, dumps
+
+from zoo_instances import chain, loop4, mo2
 
 SRC = str(Path(effecta.__file__).resolve().parents[1])
 
@@ -24,15 +30,45 @@ def test_star_import_runs():
     assert set(effecta.__all__) <= set(namespace)
 
 
-def _modules_after(statement: str) -> set[str]:
-    """The module names loaded in a fresh interpreter after ``statement``."""
+def test_an_unknown_attribute_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        effecta.no_such_export
+
+
+def _fresh(code: str):
+    """What ``code`` prints as a Python literal, run in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys\n{statement}\nprint(sorted(sys.modules))"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-        text=True, check=True).stdout
-    return set(ast.literal_eval(out))
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out)
+
+
+def test_dir_lists_every_export_before_any_is_loaded():
+    listed = _fresh("import effecta\nprint(dir(effecta))")
+    assert set(effecta.__all__) <= set(listed)
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The modules that have run in a fresh interpreter after ``statement``;
+    a layer the package binds lazily counts once its code has run."""
+    return set(_fresh(
+        f"import sys\nfrom importlib.util import _LazyModule\n{statement}\n"
+        "print(sorted(name for name, module in sys.modules.items()\n"
+        "             if type(module) is not _LazyModule))"))
+
+
+MODULES = sorted(p.stem for p in Path(effecta.__file__).parent.glob("*.py")
+                 if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_alone(module):
+    """In-process tests import everything first, so a missing function-local
+    import or an import cycle would pass them unseen.  ``import`` alone only
+    binds a lazy layer; reading its namespace runs it."""
+    assert f"effecta.{module}" in _modules_after(
+        f"import effecta.{module}\nvars(effecta.{module})")
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -43,3 +79,56 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = _modules_after("import effecta.cli") - bare
     assert "effecta.cli" in added
     assert {"dataclasses", "inspect"} & added == set()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert {m for m in _modules_after("import effecta")
+            if m.startswith("effecta.")} == set()
+
+
+def test_a_layer_is_an_attribute_of_the_package_and_runs_on_first_use():
+    loaded = _modules_after("import effecta\neffecta.algebra.check_rdp")
+    assert {m for m in loaded if m.startswith("effecta.")} == {
+        "effecta.algebra", "effecta.errors"}
+
+
+def _layers_loaded_by(*argv: str) -> set[str]:
+    """The ``effecta`` modules a fresh interpreter loads to run ``argv``."""
+    loaded = _modules_after("from effecta.cli import main\n"
+                            f"assert main({list(argv)!r}) in (0, 1)")
+    return {m.split(".")[1] for m in loaded if m.startswith("effecta.")}
+
+
+def _document(tmp_path, M) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(dumps(algebra_to_obj(M)))
+    return str(path)
+
+
+def test_generate_loads_no_state_or_suite_layer(tmp_path):
+    loaded = _layers_loaded_by("generate", "chain", "3",
+                               "--output", str(tmp_path / "c3.json"))
+    assert "generators" in loaded
+    assert loaded & {"states", "linalg", "polytope", "suites",
+                     "representation", "observables", "spectral"} == set()
+
+
+def test_the_states_suite_loads_no_gated_layer(tmp_path):
+    loaded = _layers_loaded_by("check", "--input",
+                               _document(tmp_path, chain(3)),
+                               "--suite", "states",
+                               "--output", str(tmp_path / "out"))
+    assert "states" in loaded
+    assert loaded & {"representation", "observables", "spectral",
+                     "generators"} == set()
+
+
+@pytest.mark.parametrize("M", [pytest.param(loop4(), id="loop4"),
+                               pytest.param(mo2(), id="mo2")])
+def test_a_failed_refinement_gate_loads_neither_smearing_nor_spectral(
+        tmp_path, M):
+    """The gate is ``canonical_representation``'s, so its module loads."""
+    loaded = _layers_loaded_by("check", "--input", _document(tmp_path, M),
+                               "--output", str(tmp_path / "out"))
+    assert "representation" in loaded
+    assert loaded & {"observables", "spectral"} == set()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import cli, suites
+from effecta import cli, observables, suites
 from effecta.errors import ParseError, TheoremViolation
 from effecta.representation import canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
@@ -160,7 +160,7 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
     def broken(rep):
         raise TheoremViolation("rank certificate disagrees")
 
-    monkeypatch.setattr(suites, "sharp_kernel", broken)
+    monkeypatch.setattr("effecta.spectral.sharp_kernel", broken)
     recs = check_document(doc, "c3", SUITE_NAMES, seed=0)
     (err,) = [r for r in recs if r.suite == "extension"]
     assert (err.check, err.status, err.witness, err.detail) == (
@@ -208,7 +208,7 @@ def _first_reached(M, rep):
     """Element -> index of the first zoo observable whose kernel reaches it."""
     first = {}
     for k, x in enumerate(suites._zoo_observables(M)):
-        for a in suites.smear(rep, x).elements.values():
+        for a in observables.smear(rep, x).elements.values():
             first.setdefault(a, k)
     return first
 
@@ -244,7 +244,7 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
         {(late, 0): -seventh, (M.zero, last): seventh,
          (early, second): seventh},
     ]
-    real = suites.element_integrals
+    real = observables.element_integrals
     for doctored in doctorings:
         shift = {(a, states[i].values): d for (a, i), d in doctored.items()}
 
@@ -253,7 +253,7 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
                          for a, t in enumerate(real(rep_, values)))
 
         with monkeypatch.context() as mp:
-            mp.setattr(suites, "element_integrals", table)
+            mp.setattr(observables, "element_integrals", table)
             got = _residual_record(M, rep)
         expected = oracles.smearing_residual_record(M, rep, states, shift)
         assert expected[0] == "fail"
@@ -264,7 +264,7 @@ def test_a_passing_smearing_suite_smears_one_observable(monkeypatch):
     M = boolean(3)
     rep = canonical_representation(M)
     calls = {"smear": 0, "tables": 0}
-    smear, element_integrals = suites.smear, suites.element_integrals
+    smear, element_integrals = observables.smear, observables.element_integrals
 
     def counting_smear(*args):
         calls["smear"] += 1
@@ -274,8 +274,8 @@ def test_a_passing_smearing_suite_smears_one_observable(monkeypatch):
         calls["tables"] += 1
         return element_integrals(*args)
 
-    monkeypatch.setattr(suites, "smear", counting_smear)
-    monkeypatch.setattr(suites, "element_integrals", counting_tables)
+    monkeypatch.setattr(observables, "smear", counting_smear)
+    monkeypatch.setattr(observables, "element_integrals", counting_tables)
     recs = suites.run_smearing(M, "b3", 0, rep)
     assert all(r.status == "pass" for r in recs)
     # the kernel-independence observable only, and one table per state
