@@ -141,10 +141,6 @@ class SumNotOne(EffectaError):
         super().__init__(f"values sum to {total!r}, not to the unit")
 
 
-class NotAKernel(EffectaError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # spectral measures and state extension
 

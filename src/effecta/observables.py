@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
 from .errors import (
-    NotAKernel,
     NotMeasurable,
     PreconditionFailed,
     SizeLimitExceeded,
@@ -31,7 +30,6 @@ from .errors import (
     TheoremViolation,
 )
 from .representation import Representation, measurable
-from .states import State
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -245,25 +243,3 @@ def element_integrals(rep: Representation,
     weights = {A: values[xi(A)] for A in xi.atoms}
     return tuple(integrate(rep.function_of(a), weights)
                  for a in rep.target.elements())
-
-
-def kernel_independence_check(rep: Representation, kernel: SmearingKernel,
-                              m: State, alternatives: Mapping) -> bool:
-    """Alternative kernel choices must leave every integral unchanged.
-
-    Each alternative must itself be a legitimate kernel function for its
-    outcome set (a member mapping to x(E)); anything else is rejected
-    rather than integrated.
-    """
-    xi = sharp_observable(rep)
-    weights = {A: m.values[xi(A)] for A in xi.atoms}
-    for key, alt in alternatives.items():
-        alt = tuple(Fraction(v) for v in alt)
-        key = frozenset(key)
-        target = kernel.elements[key]
-        if alt not in rep.tribe or rep.h_of(alt) != target:
-            raise NotAKernel(_key_name(kernel.observable, key))
-        if (integrate(alt, weights)
-                != integrate(rep.function_of(target), weights)):
-            return False
-    return True

@@ -4,8 +4,8 @@ A representation carries the algebra onto a system of rational fuzzy
 functions over a finite point set: the canonical one evaluates every
 element on the extremal states.  This module builds and validates such
 triples, computes the sharp-set sigma-algebra of the function system, and
-checks the regularity / congruence / sharp-image characterizations that
-make the smearing and spectral machinery sound.
+checks the sharp-image characterization that makes the smearing and
+spectral machinery sound.
 """
 
 from __future__ import annotations
@@ -126,18 +126,13 @@ def validate_tribe(carrier: Sequence[str], functions: Iterable[Sequence[Fraction
 
 class Representation:
     """A triple (carrier, tribe, h) with h a sum-preserving surjection onto
-    the target algebra, plus the distinguished sub-carrier omega0 and a
-    declared ideal of negligible subsets of omega0."""
+    the target algebra."""
 
     def __init__(self, tribe: EffectTribe, target: EffectAlgebra,
-                 h: Sequence[int], omega0: frozenset[int],
-                 ideal: frozenset[frozenset[int]],
-                 polytope: StatePolytope | None = None):
+                 h: Sequence[int], polytope: StatePolytope | None = None):
         self.tribe = tribe
         self.target = target
         self.h = tuple(h)
-        self.omega0 = omega0
-        self.ideal = ideal
         self.polytope = polytope
         self._first_preimage: dict[int, int] = {}
         for i, a in enumerate(self.h):
@@ -177,8 +172,7 @@ class Representation:
 
 
 def make_representation(tribe: EffectTribe, target: EffectAlgebra,
-                        h: Sequence[int], omega0: Iterable[int],
-                        ideal: Iterable[Iterable[int]],
+                        h: Sequence[int],
                         polytope: StatePolytope | None = None) -> Representation:
     """Validate and assemble; every structural requirement is checked."""
     h = tuple(h)
@@ -200,22 +194,7 @@ def make_representation(tribe: EffectTribe, target: EffectAlgebra,
         if c is None or c != by_fn[s]:
             raise RepresentationViolation(
                 f"h does not preserve the sum at {_fmt(f)} + {_fmt(g)}")
-    omega0 = frozenset(omega0)
-    if not omega0 <= set(range(p)):
-        raise RepresentationViolation("omega0 must be a set of carrier indices")
-    ideal = frozenset(frozenset(A) for A in ideal)
-    if frozenset() not in ideal:
-        raise RepresentationViolation("the ideal must contain the empty set")
-    for A in ideal:
-        if not A <= omega0:
-            raise RepresentationViolation("ideal members must lie inside omega0")
-        for B in ideal:
-            if A | B not in ideal:
-                raise RepresentationViolation("ideal must be closed under unions")
-        for x in A:
-            if A - {x} not in ideal:
-                raise RepresentationViolation("ideal must be downward closed")
-    return Representation(tribe, target, h, omega0, ideal, polytope)
+    return Representation(tribe, target, h, polytope)
 
 
 def canonical_representation(M: EffectAlgebra, *,
@@ -240,14 +219,7 @@ def canonical_representation(M: EffectAlgebra, *,
     carrier = tuple(f"s{i}" for i in range(len(P.vertices)))
     tribe = validate_tribe(carrier, evals.keys())
     h = tuple(evals[f] for f in tribe.functions)
-    rep = make_representation(
-        tribe, M, h, range(len(carrier)), [frozenset()], polytope=P)
-    return rep
-
-
-def support(f: Sequence[Fraction], omega0: frozenset[int]) -> frozenset[int]:
-    """The points of omega0 where f does not vanish."""
-    return frozenset(i for i in omega0 if f[i] != 0)
+    return make_representation(tribe, M, h, polytope=P)
 
 
 # ---------------------------------------------------------------------------
@@ -321,69 +293,7 @@ def measurable(rep: Representation, f: Sequence[Fraction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sandwich and the characterization checks
-
-
-def sandwich(rep: Representation, f: Sequence[Fraction], g: Sequence[Fraction],
-             c: int) -> FnValues:
-    """A member s with f <= s <= g pointwise and h(s) = c.
-
-    Built as max(f, min(g, s1)) from any preimage s1 of c; membership and
-    the image are asserted, since both are theorem-backed for the
-    representations in scope.
-    """
-    f = tuple(Fraction(v) for v in f)
-    g = tuple(Fraction(v) for v in g)
-    if f not in rep.tribe or g not in rep.tribe:
-        raise PreconditionFailed("sandwich bounds must be member functions")
-    if any(x > y for x, y in zip(f, g)):
-        raise PreconditionFailed("need f <= g pointwise")
-    M = rep.target
-    if not (M.leq(rep.h_of(f), c) and M.leq(c, rep.h_of(g))):
-        raise PreconditionFailed("need h(f) <= c <= h(g) in the target")
-    s1 = rep.function_of(c)
-    s = tuple(max(x, min(y, z)) for x, y, z in zip(f, g, s1))
-    if s not in rep.tribe:
-        raise TheoremViolation(f"sandwich {_fmt(s)} escaped the function system")
-    if rep.h_of(s) != c:
-        raise TheoremViolation("sandwich maps to the wrong element")
-    return s
-
-
-class RegularityReport(NamedTuple):
-    ok: bool
-    witness: FnValues | None
-
-
-def check_regular(rep: Representation) -> RegularityReport:
-    """h(f) = 0 exactly when the characteristic function of the omega0
-    support of f is a member mapping to 0; first failure is returned."""
-    zero = rep.target.zero
-    for f in rep.tribe.functions:
-        lhs = rep.h_of(f) == zero
-        chi = rep.chi(support(f, rep.omega0))
-        rhs = chi in rep.tribe and rep.h_of(chi) == zero
-        if lhs != rhs:
-            return RegularityReport(False, f)
-    return RegularityReport(True, None)
-
-
-class CongruenceReport(NamedTuple):
-    ok: bool
-    witness: tuple[FnValues, FnValues] | None
-
-
-def check_ideal_congruence(rep: Representation) -> CongruenceReport:
-    """h identifies two members exactly when they differ on a negligible set."""
-    fns = rep.tribe.functions
-    for i, f in enumerate(fns):
-        for g in fns[i:]:
-            same = rep.h_of(f) == rep.h_of(g)
-            diff = frozenset(
-                w for w in rep.omega0 if f[w] != g[w])
-            if same != (diff in rep.ideal):
-                return CongruenceReport(False, (f, g))
-    return CongruenceReport(True, None)
+# the sharp-image characterization
 
 
 class SharpImageReport(NamedTuple):
@@ -398,7 +308,8 @@ def sharp_image(rep: Representation) -> SharpImageReport:
     The two hypothesis flags record whether every member is measurable and
     whether the system is closed under min(f, 1-f); when both hold on a
     regular representation the equality is a theorem, so a failure in that
-    regime raises instead of reporting."""
+    regime raises instead of reporting.  The canonical representation is
+    regular: its h is one-to-one, so h(f) = 0 only for f = 0."""
     M = rep.target
     b = rep.b0()
     image = {rep.h_of(rep.chi(A)) for A in b.sets}
@@ -409,39 +320,9 @@ def sharp_image(rep: Representation) -> SharpImageReport:
     min_closed = all(
         tuple(min(v, ONE - v) for v in f) in rep.tribe
         for f in rep.tribe.functions)
-    if not ok and all_meas and min_closed and check_regular(rep).ok:
+    if not ok and all_meas and min_closed:
         raise TheoremViolation(
             "sharp image mismatch under the full theorem hypotheses: "
             f"image {sorted(M.label(a) for a in image)} vs "
             f"sharp {sorted(M.label(a) for a in sharp)}")
     return SharpImageReport(ok, all_meas, min_closed)
-
-
-# ---------------------------------------------------------------------------
-# carrier extension (for exercising ideals and kernel independence)
-
-
-_NULL_GRID = (ZERO, Fraction(1, 2), ONE)
-
-
-def extend_carrier_with_null_point(rep: Representation,
-                                   label: str) -> Representation:
-    """Adjoin one extra carrier point carrying no information.
-
-    Every member f fans out to f + (v,) for v in {0, 1/2, 1}, and h ignores
-    the new coordinate.  Two fanned members are compatible exactly when
-    both parts are, and the grid is symmetric and closed under sums <= 1,
-    so the family is a tribe and h a sum-preserving surjection by
-    construction; neither is validated again.  Fanning the sorted members
-    out over the sorted grid keeps the functions sorted.  The new point is
-    negligible: it stays outside omega0, so omega0 and the ideal are
-    unchanged.
-    """
-    if label in rep.carrier:
-        raise PreconditionFailed(f"label {label!r} already used")
-    tribe = EffectTribe(rep.carrier + (label,),
-                        tuple(f + (v,) for f in rep.tribe.functions
-                              for v in _NULL_GRID))
-    h = tuple(a for a in rep.h for _ in _NULL_GRID)
-    return Representation(tribe, rep.target, h, rep.omega0, rep.ideal,
-                          polytope=rep.polytope)

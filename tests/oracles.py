@@ -531,6 +531,156 @@ def tribe_to_algebra(tribe):
 
 
 # ---------------------------------------------------------------------------
+# characterizations that hold by construction on the canonical
+# representation, whose h is one-to-one: regularity and ideal congruence
+# for a distinguished point set omega0 and an ideal of negligible subsets
+# of it, the sandwich, a carrier point that carries no information, and
+# kernel independence there
+
+
+def negligible_ideal(rep, omega0, ideal):
+    """(omega0, ideal) as frozensets, after the structural checks: omega0
+    holds carrier indices, and the ideal holds the empty set, lies inside
+    omega0 and is closed under unions and subsets."""
+    from effecta.errors import RepresentationViolation
+
+    omega0 = frozenset(omega0)
+    if not omega0 <= set(range(len(rep.carrier))):
+        raise RepresentationViolation("omega0 must be a set of carrier indices")
+    ideal = frozenset(frozenset(A) for A in ideal)
+    if frozenset() not in ideal:
+        raise RepresentationViolation("the ideal must contain the empty set")
+    for A in ideal:
+        if not A <= omega0:
+            raise RepresentationViolation("ideal members must lie inside omega0")
+        for B in ideal:
+            if A | B not in ideal:
+                raise RepresentationViolation("ideal must be closed under unions")
+        for x in A:
+            if A - {x} not in ideal:
+                raise RepresentationViolation("ideal must be downward closed")
+    return omega0, ideal
+
+
+def support(f, omega0):
+    """The points of omega0 where f does not vanish."""
+    return frozenset(i for i in omega0 if f[i] != 0)
+
+
+def irregular_member(rep, omega0):
+    """The first member f where "h(f) = 0" and "the characteristic
+    function of the omega0 support of f is a member mapping to 0"
+    disagree; None when the representation is regular."""
+    zero = rep.target.zero
+    for f in rep.tribe.functions:
+        chi = rep.chi(support(f, omega0))
+        if (rep.h_of(f) == zero) != (chi in rep.tribe
+                                     and rep.h_of(chi) == zero):
+            return f
+    return None
+
+
+def congruence_failure(rep, omega0, ideal):
+    """The first pair (f, g) of members, g from f on in sorted order, where
+    "h(f) = h(g)" and "f and g differ on a member of the ideal" disagree;
+    None when h identifies exactly the members that differ negligibly."""
+    fns = rep.tribe.functions
+    for i, f in enumerate(fns):
+        for g in fns[i:]:
+            diff = frozenset(w for w in omega0 if f[w] != g[w])
+            if (rep.h_of(f) == rep.h_of(g)) != (diff in ideal):
+                return f, g
+    return None
+
+
+def sandwich(rep, f, g, c):
+    """A member s with f <= s <= g pointwise and h(s) = c, built as
+    max(f, min(g, s1)) from the first preimage s1 of c; that it is a
+    member mapping to c is asserted."""
+    from effecta.errors import PreconditionFailed
+
+    f = tuple(Fraction(v) for v in f)
+    g = tuple(Fraction(v) for v in g)
+    if f not in rep.tribe or g not in rep.tribe:
+        raise PreconditionFailed("sandwich bounds must be member functions")
+    if any(x > y for x, y in zip(f, g)):
+        raise PreconditionFailed("need f <= g pointwise")
+    M = rep.target
+    if not (M.leq(rep.h_of(f), c) and M.leq(c, rep.h_of(g))):
+        raise PreconditionFailed("need h(f) <= c <= h(g) in the target")
+    s = tuple(max(x, min(y, z))
+              for x, y, z in zip(f, g, rep.function_of(c)))
+    assert s in rep.tribe and rep.h_of(s) == c, (s, c)
+    return s
+
+
+_NULL_GRID = (ZERO, Fraction(1, 2), ONE)
+
+
+def extend_carrier_with_null_point(rep, label):
+    """Adjoin one carrier point that carries no information.
+
+    Every member f fans out to f + (v,) for v in {0, 1/2, 1}, and h ignores
+    the new coordinate.  Two fanned members are compatible exactly when
+    both parts are, and the grid is symmetric and closed under sums <= 1,
+    so the family is a tribe and h a sum-preserving surjection by
+    construction; neither is validated.  Fanning the sorted members out
+    over the sorted grid keeps the functions sorted.
+    """
+    from effecta.errors import PreconditionFailed
+    from effecta.representation import EffectTribe, Representation
+
+    if label in rep.carrier:
+        raise PreconditionFailed(f"label {label!r} already used")
+    tribe = EffectTribe(rep.carrier + (label,),
+                        tuple(f + (v,) for f in rep.tribe.functions
+                              for v in _NULL_GRID))
+    h = tuple(a for a in rep.h for _ in _NULL_GRID)
+    return Representation(tribe, rep.target, h, polytope=rep.polytope)
+
+
+def kernel_independence_check(rep, kernel, m, alternatives):
+    """Do alternative kernel functions leave every integral against m
+    unchanged?  ``alternatives`` maps outcome keys of ``kernel`` to
+    functions; each must be a member mapping to x(E), or PreconditionFailed
+    is raised.  Each B0 atom A weighs m(h(chi_A)), with h read off the raw
+    tuple, and every integrand must be constant on every atom."""
+    from effecta.errors import PreconditionFailed
+
+    weights = {A: m.values[rep.h_of(rep.chi(A))] for A in rep.b0().atoms}
+
+    def integral(f):
+        assert all(len({f[i] for i in A}) == 1 for A in weights), f
+        return sum((f[min(A)] * w for A, w in weights.items()), start=ZERO)
+
+    for key, alt in alternatives.items():
+        alt = tuple(Fraction(v) for v in alt)
+        target = kernel.elements[frozenset(key)]
+        if alt not in rep.tribe or rep.h_of(alt) != target:
+            raise PreconditionFailed(f"not a kernel function for {sorted(key)}")
+        if integral(alt) != integral(rep.function_of(target)):
+            return False
+    return True
+
+
+def measure_additivity_failure(M, sm):
+    """The first pair (E, F) of disjoint sets of support points of the
+    spectral measure sm, in bitmask order, whose masses do not add to the
+    mass of E | F; None when the measure is additive."""
+    from effecta.observables import OutcomeSet
+
+    pts = sm.support
+    subsets = [frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+               for mask in range(1 << len(pts))]
+    mass = {E: sm.mass_of_set(OutcomeSet.of_points(*E)) for E in subsets}
+    for E in subsets:
+        for F in subsets:
+            if not E & F and M.add(mass[E], mass[F]) != mass[E | F]:
+                return E, F
+    return None
+
+
+# ---------------------------------------------------------------------------
 # state equalities straight from the sum table (for feeding the oracle)
 
 

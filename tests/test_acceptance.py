@@ -18,15 +18,15 @@ from effecta import cli
 from effecta.observables import (OutcomeSet, element_integrals, smear,
                                  summable_families)
 from effecta.representation import (canonical_representation,
-                                    check_ideal_congruence, check_regular,
                                     make_representation, measurable,
                                     sharp_image)
 from effecta.spectral import (sharp_table, spectral_injectivity,
                               spectral_measure)
 from effecta.states import seeded_mixtures
 
-from oracles import (brute_rdp, brute_vertices, extension_uniqueness,
-                     raw_state_system, spectral_form_value, sum_table_dict)
+from oracles import (brute_rdp, brute_vertices, congruence_failure,
+                     extension_uniqueness, irregular_member, raw_state_system,
+                     spectral_form_value, sum_table_dict)
 from zoo_instances import non_rdp_zoo, rdp_zoo, two_point_tribe
 
 F = Fraction
@@ -174,15 +174,16 @@ def test_criterion_5_representation_characterizations():
     with criterion(5, "representation characterizations", 5.0):
         for name, M in rdp_instances():
             rep = rep_of(name, M)
-            assert check_regular(rep).ok
-            assert check_ideal_congruence(rep).ok
+            points = range(len(rep.carrier))
+            assert irregular_member(rep, points) is None
+            assert congruence_failure(rep, points, {frozenset()}) is None
             assert sharp_image(rep).ok
 
         # the hand-built two-point tribe: trivial sigma-algebra, yet a
         # member that is not constant on its single atom
         C = dict(rdp_instances())["chain3"]
         tribe = two_point_tribe()
-        rep = make_representation(tribe, C, (0, 1, 2, 3), (0, 1), [frozenset()])
+        rep = make_representation(tribe, C, (0, 1, 2, 3))
         b0 = rep.b0()
         assert b0.sets == (frozenset(), frozenset({0, 1}))
         assert b0.atoms == (frozenset({0, 1}),)

@@ -123,6 +123,18 @@ def test_the_states_suite_loads_no_gated_layer(tmp_path):
                      "generators"} == set()
 
 
+@pytest.mark.parametrize("suite", ["axioms", "rdp", "sharp"])
+def test_the_table_suites_load_no_state_layer(tmp_path, suite):
+    """Axioms, refinement and sharp elements read the sum table only."""
+    loaded = _layers_loaded_by("check", "--input",
+                               _document(tmp_path, chain(3)),
+                               "--suite", suite,
+                               "--output", str(tmp_path / "out"))
+    assert {"algebra", "suites"} <= loaded
+    assert loaded & {"states", "linalg", "polytope", "representation",
+                     "observables", "spectral", "generators"} == set()
+
+
 @pytest.mark.parametrize("M", [pytest.param(loop4(), id="loop4"),
                                pytest.param(mo2(), id="mo2")])
 def test_a_failed_refinement_gate_loads_neither_smearing_nor_spectral(

@@ -1,6 +1,8 @@
 """Function-system representations: tribes, the canonical construction,
-the sharp-set sigma-algebra, and the regularity / congruence / sharp-image
-characterizations.
+the sharp-set sigma-algebra, the sharp-image characterization, and the
+reference checks of regularity, ideal congruence, the sandwich and the
+null-point extension in ``oracles`` (the canonical representation meets
+them by construction, so no check suite reports them).
 
 The hand-built tribes exercise exactly the behaviours the canonical
 construction can never show: a non-measurable member over a trivial
@@ -17,13 +19,13 @@ from effecta import (EffectTribe, canonical_representation, sharp_elements,
 from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
                             NotASigmaAlgebra, PreconditionFailed, RdpRequired,
                             RepresentationViolation, TribeAxiomViolation)
-from effecta.representation import (check_ideal_congruence, check_regular,
-                                    compute_b0, extend_carrier_with_null_point,
-                                    make_representation, measurable, sandwich,
-                                    sharp_image, support)
+from effecta.representation import (compute_b0, make_representation,
+                                    measurable, sharp_image)
 from effecta.states import State, StatePolytope
 
-from oracles import tribe_to_algebra
+from oracles import (congruence_failure, extend_carrier_with_null_point,
+                     irregular_member, negligible_ideal, sandwich, support,
+                     tribe_to_algebra)
 from zoo_instances import (boolean, chain, diamond, mo2, non_sigma_tribe,
                            rdp_zoo, two_point_tribe)
 
@@ -83,8 +85,6 @@ def test_canonical_representation_of_boolean2():
     assert rep.carrier == ("s0", "s1")
     assert rep.tribe.functions == ((Z, Z), (Z, O), (O, Z), (O, O))
     assert rep.h == (0, 1, 2, 3)            # evaluation is bijective here
-    assert rep.omega0 == frozenset({0, 1})
-    assert rep.ideal == frozenset({frozenset()})
     b0 = rep.b0()
     assert b0.sets == (frozenset(), frozenset({0}), frozenset({1}),
                        frozenset({0, 1}))
@@ -129,18 +129,31 @@ def test_make_representation_structural_checks():
     rep = canonical_representation(B)
     tribe, h = rep.tribe, rep.h
     with pytest.raises(RepresentationViolation):
-        make_representation(tribe, B, h[:-1], {0, 1}, [frozenset()])
+        make_representation(tribe, B, h[:-1])
     with pytest.raises(RepresentationViolation):        # constant map, not onto
-        make_representation(tribe, B, (0, 0, 0, 3), {0, 1}, [frozenset()])
+        make_representation(tribe, B, (0, 0, 0, 3))
     # swapping the middle layers of a three-chain breaks 1/3 + 1/3 = 2/3
     C = chain(3)
     crep = canonical_representation(C)
     with pytest.raises(RepresentationViolation):        # sum not preserved
-        make_representation(crep.tribe, C, (0, 2, 1, 3), {0}, [frozenset()])
+        make_representation(crep.tribe, C, (0, 2, 1, 3))
+
+
+def test_negligible_ideal_structural_checks():
+    rep = canonical_representation(boolean(2))
+    assert negligible_ideal(rep, [0, 1], [[]]) == (
+        frozenset({0, 1}), frozenset({frozenset()}))
+    with pytest.raises(RepresentationViolation):        # not carrier points
+        negligible_ideal(rep, {0, 2}, [frozenset()])
     with pytest.raises(RepresentationViolation):        # empty set missing
-        make_representation(tribe, B, h, {0, 1}, [])
+        negligible_ideal(rep, {0, 1}, [])
+    with pytest.raises(RepresentationViolation):        # outside omega0
+        negligible_ideal(rep, {0}, [frozenset(), frozenset({1})])
+    with pytest.raises(RepresentationViolation):        # not union-closed
+        negligible_ideal(rep, {0, 1}, [frozenset(), frozenset({0}),
+                                       frozenset({1})])
     with pytest.raises(RepresentationViolation):        # not downward closed
-        make_representation(tribe, B, h, {0, 1}, [frozenset(), frozenset({0, 1})])
+        negligible_ideal(rep, {0, 1}, [frozenset(), frozenset({0, 1})])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +163,7 @@ def test_make_representation_structural_checks():
 def test_union_closure_failure_is_reported():
     tribe = non_sigma_tribe()
     M = tribe_to_algebra(tribe)
-    rep = make_representation(tribe, M, range(M.n), range(4), [frozenset()])
+    rep = make_representation(tribe, M, range(M.n))
     with pytest.raises(NotASigmaAlgebra) as err:
         compute_b0(rep)
     assert err.value.law == "union"
@@ -160,7 +173,7 @@ def test_union_closure_failure_is_reported():
 def test_two_point_tribe_over_chain3():
     tribe = two_point_tribe()
     M = chain(3)
-    rep = make_representation(tribe, M, (0, 1, 2, 3), (0, 1), [frozenset()])
+    rep = make_representation(tribe, M, (0, 1, 2, 3))
     b0 = rep.b0()
     # only the trivial sets have characteristic members
     assert b0.sets == (frozenset(), frozenset({0, 1}))
@@ -172,8 +185,8 @@ def test_two_point_tribe_over_chain3():
     sharp = {M.label(a) for a in sharp_elements(M).members}
     assert report.ok and image == {"0", "3"} == sharp
     assert not report.all_measurable and not report.min_closed
-    assert check_regular(rep).ok
-    assert check_ideal_congruence(rep).ok
+    assert irregular_member(rep, {0, 1}) is None
+    assert congruence_failure(rep, {0, 1}, {frozenset()}) is None
 
 
 def test_support_and_measurable_preconditions():
@@ -191,7 +204,7 @@ def _lookup_cases():
             if name != "chain7xchain7"]
     reps.append(extend_carrier_with_null_point(reps[-1], "null"))
     reps.append(make_representation(two_point_tribe(), chain(3),
-                                    (0, 1, 2, 3), (0, 1), [frozenset()]))
+                                    (0, 1, 2, 3)))
     return reps
 
 
@@ -249,12 +262,14 @@ def test_bad_omega0_breaks_regularity_and_congruence():
     M = tribe_to_algebra(tribe)
     assert [M.label(a) for a in M.elements()] == [
         "(0,0)", "(0,2/3)", "(1,1/3)", "(1,1)"]
+    rep = make_representation(tribe, M, range(M.n))
     # omega0 sees only the first point, where (0,2/3) vanishes
-    rep = make_representation(tribe, M, range(M.n), [0], [frozenset()])
-    reg = check_regular(rep)
-    assert not reg.ok and reg.witness == (Z, F(2, 3))
-    cong = check_ideal_congruence(rep)
-    assert not cong.ok and cong.witness == ((Z, Z), (Z, F(2, 3)))
+    assert irregular_member(rep, {0}) == (Z, F(2, 3))
+    assert congruence_failure(rep, {0}, {frozenset()}) == (
+        (Z, Z), (Z, F(2, 3)))
+    # seeing both points, h is one-to-one and both hold
+    assert irregular_member(rep, {0, 1}) is None
+    assert congruence_failure(rep, {0, 1}, {frozenset()}) is None
 
 
 def test_null_point_extension_outside_omega0():
@@ -262,27 +277,21 @@ def test_null_point_extension_outside_omega0():
     ext = extend_carrier_with_null_point(rep, "null")
     assert ext.carrier == ("s0", "s1", "null")
     assert len(ext.tribe.functions) == 12           # 4 members x 3 grid values
-    assert ext.omega0 == rep.omega0
-    assert ext.ideal == rep.ideal
-    assert check_regular(ext).ok
-    assert check_ideal_congruence(ext).ok
+    # the null point stays outside omega0
+    assert irregular_member(ext, {0, 1}) is None
+    assert congruence_failure(ext, {0, 1}, {frozenset()}) is None
 
 
 def test_null_point_extension_inside_omega0():
     rep = canonical_representation(boolean(2))
-    outside = extend_carrier_with_null_point(rep, "null")
-    ext = make_representation(outside.tribe, outside.target, outside.h,
-                              {0, 1, 2}, [frozenset(), frozenset({2})])
-    assert ext.omega0 == frozenset({0, 1, 2})
-    assert ext.ideal == frozenset({frozenset(), frozenset({2})})
-    assert check_regular(ext).ok
-    assert check_ideal_congruence(ext).ok
+    ext = extend_carrier_with_null_point(rep, "null")
+    omega0, ideal = negligible_ideal(ext, {0, 1, 2},
+                                     [frozenset(), frozenset({2})])
+    assert irregular_member(ext, omega0) is None
+    assert congruence_failure(ext, omega0, ideal) is None
     # keeping the old ideal instead breaks the congruence at the new point
-    bad = make_representation(ext.tribe, ext.target, ext.h, ext.omega0,
-                              [frozenset()])
-    cong = check_ideal_congruence(bad)
-    assert not cong.ok
-    assert cong.witness == ((Z, Z, Z), (Z, Z, HALF))
+    assert congruence_failure(ext, omega0, {frozenset()}) == (
+        (Z, Z, Z), (Z, Z, HALF))
 
 
 def test_null_point_grid_preconditions():
@@ -294,7 +303,7 @@ def test_null_point_grid_preconditions():
 def test_null_point_extension_matches_the_validated_construction():
     """The extension is built without validation; the same fanned-out
     family run through validate_tribe and make_representation must give
-    the same tribe, h, omega0, ideal and polytope."""
+    the same tribe, h and polytope."""
     for name, M in rdp_zoo():
         if name == "chain7xchain7":
             continue
@@ -304,11 +313,10 @@ def test_null_point_extension_matches_the_validated_construction():
                   for v in (Z, HALF, O)}
         tribe = validate_tribe(rep.carrier + ("null",), fanned)
         ref = make_representation(tribe, M, [fanned[f] for f in tribe.functions],
-                                  rep.omega0, rep.ideal, polytope=rep.polytope)
+                                  polytope=rep.polytope)
         assert ext.tribe == ref.tribe, name
         assert ext.h == ref.h, name
-        assert (ext.target, ext.omega0, ext.ideal, ext.polytope) == (
-            ref.target, ref.omega0, ref.ideal, ref.polytope), name
+        assert (ext.target, ext.polytope) == (ref.target, ref.polytope), name
 
 
 # ---------------------------------------------------------------------------

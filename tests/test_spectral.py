@@ -207,8 +207,7 @@ def test_rank_deficit_yields_a_kernel_witness():
     v0 = rep.polytope.vertices[0].values
     v1 = (Z, F(1, 2), F(1, 2), O)
     doctored = StatePolytope(C, (State(v0), State(v1)), 1)
-    fake = Representation(rep.tribe, C, rep.h, rep.omega0, rep.ideal,
-                          polytope=doctored)
+    fake = Representation(rep.tribe, C, rep.h, polytope=doctored)
     report = oracles.extension_uniqueness(fake, {0: Z, 3: O})
     assert report.unique is False
     assert report.kernel == (Z, F(1, 6), F(-1, 6), Z)
@@ -239,7 +238,7 @@ def _doctored(M):
     last = list(P.vertices[-1].values)
     last[a] += F(1, 12)
     vertices = P.vertices[:-1] + (State(tuple(last)),)
-    return Representation(rep.tribe, M, rep.h, rep.omega0, rep.ideal,
+    return Representation(rep.tribe, M, rep.h,
                           polytope=StatePolytope(M, vertices, P.dimension))
 
 
@@ -251,7 +250,6 @@ DOCTORED = {
         ("spectral", "injectivity", PASS, None, ""),
         ("spectral", "sharp-table", PASS, None,
          "2 sharp elements x 7 outcome sets"),
-        ("spectral", "measure-additivity", PASS, None, ""),
         ("spectral", "phi-square", PASS, ["1", 0, ["1/9", "5/12"]],
          "2 non-sharp elements break the integral"),
         ("extension", "roundtrip", FAIL, [0, "1", "1/3", "5/12"],
@@ -265,7 +263,6 @@ DOCTORED = {
         ("spectral", "injectivity", PASS, None, ""),
         ("spectral", "sharp-table", PASS, None,
          "4 sharp elements x 7 outcome sets"),
-        ("spectral", "measure-additivity", PASS, None, ""),
         ("spectral", "phi-square", PASS, ["(0,1)", 1, ["1/4", "7/12"]],
          "2 non-sharp elements break the integral"),
         ("extension", "roundtrip", FAIL, [1, "(0,1)", "1/2", "7/12"],
