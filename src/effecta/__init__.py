@@ -45,7 +45,7 @@ _EXPORTS = {
     "observables": ("Observable", "OutcomeSet", "element_integrals",
                     "make_observable", "smear", "summable_families"),
     "representation": ("EffectTribe", "Representation",
-                       "canonical_representation", "validate_tribe"),
+                       "canonical_representation"),
     "spectral": ("SpectralMeasure", "extend_state", "spectral_integral",
                  "spectral_measure"),
     "states": ("State", "StatePolytope", "is_state", "state_polytope"),

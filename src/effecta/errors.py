@@ -92,19 +92,6 @@ class NonSeparatingStates(EffectaError):
         super().__init__(f"states do not separate elements {pair!r}")
 
 
-class TribeAxiomViolation(EffectaError):
-    """A family of fuzzy functions is not closed the way a tribe must be."""
-
-    def __init__(self, reason: str, witnesses: tuple):
-        self.reason = reason
-        self.witnesses = witnesses
-        super().__init__(f"not a valid function system ({reason}) at {witnesses!r}")
-
-
-class RepresentationViolation(EffectaError):
-    """The labelling map of a representation is not a homomorphism."""
-
-
 class NotASigmaAlgebra(EffectaError):
     """The sharp characteristic sets of a hand-built function system need not
     be closed under unions; the closure failure is reported with a witness."""

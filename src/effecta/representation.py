@@ -1,18 +1,19 @@
 """Function-algebra representations of a finite effect algebra.
 
 A representation carries the algebra onto a system of rational fuzzy
-functions over a finite point set: the canonical one evaluates every
-element on the extremal states.  This module builds and validates such
-triples, computes the sharp-set sigma-algebra of the function system, and
-checks the sharp-image characterization that makes the smearing and
-spectral machinery sound.
+functions over a finite point set.  The canonical one is built by
+evaluation: every element becomes its vector of values on the extremal
+states, and one order check certifies that these vectors form an
+effect-tribe and that h, which sends each vector back to its element, is
+an isomorphism.  This module also computes the sharp-set sigma-algebra of
+the function system and checks the sharp-image characterization that
+makes the smearing and spectral machinery sound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, check_rdp, sharp_elements
@@ -22,10 +23,8 @@ from .errors import (
     NotASigmaAlgebra,
     PreconditionFailed,
     RdpRequired,
-    RepresentationViolation,
     SizeLimitExceeded,
     TheoremViolation,
-    TribeAxiomViolation,
 )
 from .states import StatePolytope, inseparable_pair, state_polytope
 
@@ -81,45 +80,6 @@ class EffectTribe:
         return self.index_of(tuple(values)) is not None
 
 
-def _compatible_sums(fns: Sequence[FnValues]):
-    """(f, g, f + g) for every ordered pair with f <= 1 - g pointwise, in
-    the order of the double loop over fns.  Each function and complement is
-    formed once as integer numerators over a common denominator d."""
-    d = lcm(*(v.denominator for f in fns for v in f))
-    nums = [tuple(v.numerator * (d // v.denominator) for v in f) for f in fns]
-    comps = [tuple(d - y for y in g) for g in nums]
-    for f, nf in zip(fns, nums):
-        for g, comp in zip(fns, comps):
-            if all(x <= y for x, y in zip(nf, comp)):
-                yield f, g, tuple(x + y for x, y in zip(f, g))
-
-
-def validate_tribe(carrier: Sequence[str], functions: Iterable[Sequence[Fraction]]) -> EffectTribe:
-    carrier = tuple(carrier)
-    if len(set(carrier)) != len(carrier):
-        raise TribeAxiomViolation("carrier labels must be distinct", (carrier,))
-    p = len(carrier)
-    fns = sorted({tuple(Fraction(v) for v in f) for f in functions})
-    for f in fns:
-        if len(f) != p:
-            raise TribeAxiomViolation("function arity != carrier size", (_fmt(f),))
-        if any(v < 0 or v > 1 for v in f):
-            raise TribeAxiomViolation("values outside [0,1]", (_fmt(f),))
-    members = set(fns)
-    one = tuple([ONE] * p)
-    if one not in members:
-        raise TribeAxiomViolation("constant 1 missing", ())
-    for f in fns:
-        g = tuple(ONE - v for v in f)
-        if g not in members:
-            raise TribeAxiomViolation("complement not closed", (_fmt(f),))
-    for f, g, s in _compatible_sums(fns):
-        if s not in members:
-            raise TribeAxiomViolation(
-                "sum not closed", (_fmt(f), _fmt(g), _fmt(s)))
-    return EffectTribe(carrier, tuple(fns))
-
-
 # ---------------------------------------------------------------------------
 # representations
 
@@ -170,31 +130,11 @@ class Representation:
             self._b0 = compute_b0(self)
         return self._b0
 
-
-def make_representation(tribe: EffectTribe, target: EffectAlgebra,
-                        h: Sequence[int],
-                        polytope: StatePolytope | None = None) -> Representation:
-    """Validate and assemble; every structural requirement is checked."""
-    h = tuple(h)
-    if len(h) != len(tribe.functions):
-        raise RepresentationViolation("h must cover every member function")
-    if set(h) != set(range(target.n)):
-        missing = sorted(set(range(target.n)) - set(h))
-        raise RepresentationViolation(
-            "h is not surjective; missing "
-            + ", ".join(target.label(a) for a in missing))
-    p = len(tribe.carrier)
-    one = tuple([ONE] * p)
-    zero = tuple([ZERO] * p)
-    by_fn = dict(zip(tribe.functions, h))
-    if by_fn[one] != target.one or by_fn[zero] != target.zero:
-        raise RepresentationViolation("h must send 1 to 1 and 0 to 0")
-    for f, g, s in _compatible_sums(list(by_fn)):
-        c = target.add(by_fn[f], by_fn[g])
-        if c is None or c != by_fn[s]:
-            raise RepresentationViolation(
-                f"h does not preserve the sum at {_fmt(f)} + {_fmt(g)}")
-    return Representation(tribe, target, h, polytope)
+    @cached_property
+    def non_measurable(self) -> FnValues | None:
+        """The first member that is not measurable, or None."""
+        return next((f for f in self.tribe.functions
+                     if not measurable(self, f)), None)
 
 
 def canonical_representation(M: EffectAlgebra, *,
@@ -204,7 +144,8 @@ def canonical_representation(M: EffectAlgebra, *,
     The carrier is the vertex list of the state polytope in its canonical
     order; the function system is exactly the evaluation vectors; h sends
     each evaluation back to its element.  Gate order: refinement property,
-    then non-emptiness, then separation (h would otherwise be ill-defined).
+    then non-emptiness, then separation (h would otherwise be ill-defined);
+    past the gates one order check certifies the build.
     """
     rdp = check_rdp(M)
     if not rdp.holds:
@@ -215,11 +156,43 @@ def canonical_representation(M: EffectAlgebra, *,
     pair = inseparable_pair(P)
     if pair is not None:
         raise NonSeparatingStates(tuple(map(M.label, pair)))
-    evals = {v: a for a, v in enumerate(zip(*(s.values for s in P.vertices)))}
+    return _evaluation_representation(M, P)
+
+
+def _evaluation_representation(M: EffectAlgebra,
+                               P: StatePolytope) -> Representation:
+    """The tribe of evaluation vectors ev(a) = (s(a) for s in the vertices),
+    sorted lexicographically, with h sending each back to its element.
+
+    Separating states make the n vectors distinct.  One check certifies
+    the rest: ev(b) <= ev(a) pointwise exactly when b <= a in M.  The
+    vertices are states, so ev is additive and ev(a') = 1 - ev(a).  With
+    the orders equal, ev(a) + ev(b) <= 1 <=> ev(a) <= ev(b') <=> a <= b'
+    <=> a + b is defined, and then ev(a + b) = ev(a) + ev(b): the vectors
+    are closed under sums and h preserves them.  Complements, h(0) = 0 and
+    h(1) = 1 follow from the state laws.  Below each element, the pointwise
+    down-set is the AND over the vertices of the elements valued at most
+    as high there."""
+    below = [(1 << M.n) - 1] * M.n
+    for s in P.vertices:
+        at_value: dict[Fraction, int] = {}
+        for a, v in enumerate(s.values):
+            at_value[v] = at_value.get(v, 0) | 1 << a
+        upto, acc = {}, 0
+        for v in sorted(at_value):
+            acc |= at_value[v]
+            upto[v] = acc
+        below = [mask & upto[v] for mask, v in zip(below, s.values)]
+    for a, mask in enumerate(below):
+        if mask != M.down_mask(a):
+            raise TheoremViolation(
+                "the pointwise order on the extremal states differs from "
+                f"the algebra's order below {M.label(a)}")
+    evals = list(zip(*(s.values for s in P.vertices)))
+    h = sorted(M.elements(), key=evals.__getitem__)
     carrier = tuple(f"s{i}" for i in range(len(P.vertices)))
-    tribe = validate_tribe(carrier, evals.keys())
-    h = tuple(evals[f] for f in tribe.functions)
-    return make_representation(tribe, M, h, polytope=P)
+    tribe = EffectTribe(carrier, tuple(evals[a] for a in h))
+    return Representation(tribe, M, h, P)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +289,7 @@ def sharp_image(rep: Representation) -> SharpImageReport:
     sharp = set(sharp_elements(M).members)
     ok = image == sharp
 
-    all_meas = all(measurable(rep, f) for f in rep.tribe.functions)
+    all_meas = rep.non_measurable is None
     min_closed = all(
         tuple(min(v, ONE - v) for v in f) in rep.tribe
         for f in rep.tribe.functions)

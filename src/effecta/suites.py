@@ -235,7 +235,7 @@ def run_states(M: EffectAlgebra, instance: str, *,
 
 def run_representation(M: EffectAlgebra, instance: str,
                        rep: Representation) -> list[Record]:
-    from .representation import measurable, sharp_image
+    from .representation import sharp_image
     records = [Record(
         "representation", instance, "canonical-representation", PASS,
         detail=f"{len(rep.carrier)} points, {len(rep.tribe.functions)} functions")]
@@ -262,8 +262,7 @@ def run_representation(M: EffectAlgebra, instance: str,
         records.append(Record("representation", instance, "sharp-image",
                               FAIL, detail=str(exc)))
 
-    non_meas = next((f for f in rep.tribe.functions
-                     if not measurable(rep, f)), None)
+    non_meas = rep.non_measurable
     records.append(Record(
         "representation", instance, "measurability",
         PASS if non_meas is None else FAIL,

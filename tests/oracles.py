@@ -10,6 +10,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
+
+from effecta.errors import EffectaError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -511,6 +514,109 @@ def _eye(d):
 
 
 # ---------------------------------------------------------------------------
+# the validated route: a function system and its labelling map checked pair
+# by pair as arbitrary input, the reference for the canonical build and the
+# constructor of the hand-made tribes
+
+
+class TribeAxiomViolation(EffectaError):
+    """A family of fuzzy functions is not closed the way a tribe must be."""
+
+    def __init__(self, reason, witnesses):
+        self.reason = reason
+        self.witnesses = witnesses
+        super().__init__(f"not a valid function system ({reason}) at {witnesses!r}")
+
+
+class RepresentationViolation(EffectaError):
+    """The labelling map of a representation is not a homomorphism."""
+
+
+def _fmt(values):
+    return "(" + ",".join(str(v) for v in values) + ")"
+
+
+def _compatible_sums(fns):
+    """(f, g, f + g) for every ordered pair with f <= 1 - g pointwise, in
+    the order of the double loop over fns, compared as integer numerators
+    over a common denominator."""
+    d = lcm(*(v.denominator for f in fns for v in f))
+    nums = [tuple(v.numerator * (d // v.denominator) for v in f) for f in fns]
+    comps = [tuple(d - y for y in g) for g in nums]
+    for f, nf in zip(fns, nums):
+        for g, comp in zip(fns, comps):
+            if all(x <= y for x, y in zip(nf, comp)):
+                yield f, g, tuple(x + y for x, y in zip(f, g))
+
+
+def validate_tribe(carrier, functions):
+    """The functions, deduplicated and sorted, as an EffectTribe after every
+    closure law is checked: distinct labels, arity, values in [0,1], the
+    constant 1, complements and every compatible sum."""
+    from effecta.representation import EffectTribe
+
+    carrier = tuple(carrier)
+    if len(set(carrier)) != len(carrier):
+        raise TribeAxiomViolation("carrier labels must be distinct", (carrier,))
+    p = len(carrier)
+    fns = sorted({tuple(Fraction(v) for v in f) for f in functions})
+    for f in fns:
+        if len(f) != p:
+            raise TribeAxiomViolation("function arity != carrier size", (_fmt(f),))
+        if any(v < 0 or v > 1 for v in f):
+            raise TribeAxiomViolation("values outside [0,1]", (_fmt(f),))
+    members = set(fns)
+    if (ONE,) * p not in members:
+        raise TribeAxiomViolation("constant 1 missing", ())
+    for f in fns:
+        if tuple(ONE - v for v in f) not in members:
+            raise TribeAxiomViolation("complement not closed", (_fmt(f),))
+    for f, g, s in _compatible_sums(fns):
+        if s not in members:
+            raise TribeAxiomViolation(
+                "sum not closed", (_fmt(f), _fmt(g), _fmt(s)))
+    return EffectTribe(carrier, tuple(fns))
+
+
+def make_representation(tribe, target, h, polytope=None):
+    """The Representation (tribe, target, h) after checking that h covers
+    every member, is onto, sends 1 to 1 and 0 to 0, and preserves every
+    compatible sum."""
+    from effecta.representation import Representation
+
+    h = tuple(h)
+    if len(h) != len(tribe.functions):
+        raise RepresentationViolation("h must cover every member function")
+    if set(h) != set(range(target.n)):
+        missing = sorted(set(range(target.n)) - set(h))
+        raise RepresentationViolation(
+            "h is not surjective; missing "
+            + ", ".join(target.label(a) for a in missing))
+    p = len(tribe.carrier)
+    by_fn = dict(zip(tribe.functions, h))
+    if by_fn[(ONE,) * p] != target.one or by_fn[(ZERO,) * p] != target.zero:
+        raise RepresentationViolation("h must send 1 to 1 and 0 to 0")
+    for f, g, s in _compatible_sums(list(by_fn)):
+        c = target.add(by_fn[f], by_fn[g])
+        if c is None or c != by_fn[s]:
+            raise RepresentationViolation(
+                f"h does not preserve the sum at {_fmt(f)} + {_fmt(g)}")
+    return Representation(tribe, target, h, polytope)
+
+
+def validated_representation(M, polytope):
+    """The canonical representation by the validated route: the evaluation
+    vectors on the vertices through validate_tribe, then
+    make_representation."""
+    vertices = polytope.vertices
+    evals = {v: a for a, v in enumerate(zip(*(s.values for s in vertices)))}
+    carrier = tuple(f"s{i}" for i in range(len(vertices)))
+    tribe = validate_tribe(carrier, evals)
+    return make_representation(tribe, M, [evals[f] for f in tribe.functions],
+                               polytope)
+
+
+# ---------------------------------------------------------------------------
 # a function tribe read back as an effect algebra
 
 
@@ -520,14 +626,13 @@ def tribe_to_algebra(tribe):
     value vectors, e.g. "(1/3,2/3)"."""
     from effecta import validate_effect_algebra
 
-    label = lambda f: "(" + ",".join(str(v) for v in f) + ")"
     fns = tribe.functions
     p = len(tribe.carrier)
-    sums = [(label(f), label(g), label(tuple(x + y for x, y in zip(f, g))))
+    sums = [(_fmt(f), _fmt(g), _fmt(tuple(x + y for x, y in zip(f, g))))
             for f in fns for g in fns
             if all(x + y <= 1 for x, y in zip(f, g))]
-    return validate_effect_algebra([label(f) for f in fns], label((ZERO,) * p),
-                                   label((ONE,) * p), sums)
+    return validate_effect_algebra([_fmt(f) for f in fns], _fmt((ZERO,) * p),
+                                   _fmt((ONE,) * p), sums)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +647,6 @@ def negligible_ideal(rep, omega0, ideal):
     """(omega0, ideal) as frozensets, after the structural checks: omega0
     holds carrier indices, and the ideal holds the empty set, lies inside
     omega0 and is closed under unions and subsets."""
-    from effecta.errors import RepresentationViolation
-
     omega0 = frozenset(omega0)
     if not omega0 <= set(range(len(rep.carrier))):
         raise RepresentationViolation("omega0 must be a set of carrier indices")

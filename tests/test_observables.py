@@ -15,11 +15,11 @@ from effecta.errors import (NotMeasurable, PreconditionFailed,
                             SizeLimitExceeded, SumNotOne, SumUndefined)
 from effecta.observables import (Interval, OutcomeSet, element_integrals,
                                  sharp_observable, smear, summable_families)
-from effecta.representation import (canonical_representation,
-                                    make_representation)
+from effecta.representation import canonical_representation
 from effecta.states import State, seeded_mixtures, state_polytope
 
 import oracles
+from oracles import make_representation
 from zoo_instances import boolean, chain, rdp_zoo, two_point_tribe
 
 F = Fraction

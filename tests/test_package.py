@@ -1,9 +1,10 @@
-"""The package's export list names only what the package has, importing
-the command line stays light, and each command loads only the layers it
-reaches."""
+"""The package's export list names only what the package has, every error
+class is raised or caught somewhere in the package, importing the command
+line stays light, and each command loads only the layers it reaches."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,20 @@ def test_star_import_runs():
 def test_an_unknown_attribute_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_export'"):
         effecta.no_such_export
+
+
+def test_every_error_class_is_named_by_another_module():
+    """An error class that no other module names is one the package never
+    raises or catches; it belongs with the code that does, or nowhere."""
+    package = Path(effecta.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    classes = [node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)]
+    others = "\n".join(p.read_text() for p in package.glob("*.py")
+                       if p.name != "errors.py")
+    unnamed = [name for name in classes
+               if not re.search(rf"\b{name}\b", others)]
+    assert classes and unnamed == []
 
 
 def _fresh(code: str):

@@ -1,8 +1,15 @@
-"""Function-system representations: tribes, the canonical construction,
-the sharp-set sigma-algebra, the sharp-image characterization, and the
-reference checks of regularity, ideal congruence, the sandwich and the
-null-point extension in ``oracles`` (the canonical representation meets
-them by construction, so no check suite reports them).
+"""Function-system representations: the canonical build by evaluation and
+its order certificate, the sharp-set sigma-algebra, the sharp-image
+characterization, and the reference checks in ``oracles``.
+
+The canonical representation is built from the evaluation vectors and
+certified by one order check; the validated route of ``oracles``
+(``validate_tribe``, then ``make_representation``) checks the same system
+pair by pair, and the two are compared on algebras with the refinement
+property and, past the refinement gate, on horizontal sums without it.
+Regularity, ideal congruence, the sandwich and the null-point extension
+hold by construction on the canonical representation, so no check suite
+reports them; their oracles are exercised here.
 
 The hand-built tribes exercise exactly the behaviours the canonical
 construction can never show: a non-measurable member over a trivial
@@ -14,20 +21,24 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import (EffectTribe, canonical_representation, sharp_elements,
-                     validate_tribe)
+from effecta import (EffectTribe, canonical_representation, generate,
+                     sharp_elements)
 from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
                             NotASigmaAlgebra, PreconditionFailed, RdpRequired,
-                            RepresentationViolation, TribeAxiomViolation)
-from effecta.representation import (compute_b0, make_representation,
+                            TheoremViolation)
+from effecta.representation import (_evaluation_representation, compute_b0,
                                     measurable, sharp_image)
-from effecta.states import State, StatePolytope
+from effecta.states import (State, StatePolytope, inseparable_pair,
+                            state_polytope)
 
-from oracles import (congruence_failure, extend_carrier_with_null_point,
-                     irregular_member, negligible_ideal, sandwich, support,
-                     tribe_to_algebra)
-from zoo_instances import (boolean, chain, diamond, mo2, non_sigma_tribe,
-                           rdp_zoo, two_point_tribe)
+from oracles import (RepresentationViolation, TribeAxiomViolation,
+                     congruence_failure, extend_carrier_with_null_point,
+                     irregular_member, make_representation, negligible_ideal,
+                     sandwich, support, tribe_to_algebra, validate_tribe,
+                     validated_representation)
+from zoo_instances import (boolean, chain, diamond, interval, mo2,
+                           non_sigma_tribe, product_of, rdp_zoo,
+                           two_point_tribe)
 
 F = Fraction
 Z = F(0)
@@ -122,6 +133,63 @@ def test_canonical_representation_gates():
     hollow = StatePolytope(M, (), -1)
     with pytest.raises(EmptyStateSpace):
         canonical_representation(M, polytope=hollow)
+
+
+def _generated_rdp_algebras():
+    yield from rdp_zoo()
+    yield from ((f"boolean{k}", boolean(k)) for k in (5, 6))
+    yield "interval222", interval(2, 2, 2)
+    yield "interval123", interval(1, 2, 3)
+    yield "chain4xchain5", product_of(("chain", 4), ("chain", 5))
+    yield "chain2x2x3", product_of(("chain", 2), ("chain", 2), ("chain", 3))
+
+
+def test_the_evaluation_build_matches_the_validated_route():
+    """Tribe, h and polytope of the certified build equal those of the
+    evaluation vectors run through validate_tribe and make_representation
+    on a polytope computed apart."""
+    for name, M in _generated_rdp_algebras():
+        rep = canonical_representation(M)
+        P = state_polytope(M)
+        ref = validated_representation(M, P)
+        assert rep.tribe == ref.tribe, name
+        assert rep.h == ref.h, name
+        assert rep.polytope.vertices == P.vertices, name
+        assert rep.polytope.dimension == P.dimension, name
+
+
+HORIZONTAL_SUMS = {
+    "chain2+chain3": [("chain", 2), ("chain", 3)],
+    "boolean2+boolean2": [("boolean", 2), ("boolean", 2)],
+    "boolean2+boolean2+boolean2": [("boolean", 2)] * 3,
+    "boolean3+boolean3": [("boolean", 3), ("boolean", 3)],
+    "boolean2+chain2": [("boolean", 2), ("chain", 2)],
+}
+
+
+@pytest.mark.parametrize("name", HORIZONTAL_SUMS)
+def test_the_order_certificate_fails_exactly_where_validation_does(name):
+    """Past the refinement gate, on separating algebras without the
+    property, the certificate raises exactly when the validated route
+    does, naming the first element whose down-set differs, and otherwise
+    builds the same tribe and h."""
+    M = generate(("horizontal_sum", HORIZONTAL_SUMS[name]))
+    P = state_polytope(M)
+    assert inseparable_pair(P) is None
+    try:
+        ref = validated_representation(M, P)
+    except (TribeAxiomViolation, RepresentationViolation):
+        ref = None
+    if ref is None:
+        with pytest.raises(TheoremViolation) as err:
+            _evaluation_representation(M, P)
+        assert str(err.value) == (
+            "the pointwise order on the extremal states differs from the "
+            "algebra's order below h0:1")
+    else:
+        rep = _evaluation_representation(M, P)
+        assert (rep.tribe, rep.h) == (ref.tribe, ref.h)
+    assert (ref is None) == (name == "chain2+chain3")
 
 
 def test_make_representation_structural_checks():

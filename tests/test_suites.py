@@ -181,6 +181,52 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
         ("extension", "error")]
 
 
+def test_the_representation_suite_tests_each_member_for_measurability_once(
+        monkeypatch):
+    """The sharp-image hypotheses and the measurability record read one
+    scan of the members."""
+    from effecta import representation
+
+    rep = canonical_representation(boolean(3))
+    original = representation.measurable
+    calls = []
+
+    def counted(rep, f):
+        calls.append(f)
+        return original(rep, f)
+
+    monkeypatch.setattr(representation, "measurable", counted)
+    recs = suites.run_representation(rep.target, "b3", rep)
+    assert all(r.status == "pass" for r in recs)
+    assert calls == list(rep.tribe.functions)
+
+
+def test_a_failed_order_certificate_is_one_error_per_gated_suite(
+        monkeypatch):
+    """With the refinement gate forced open on chain2 + chain3, which lacks
+    the property, the order certificate fails: each gated suite gets one
+    ``error`` FAIL with its message, and the other suites are unchanged."""
+    from effecta import representation
+    from effecta.algebra import RdpResult
+
+    M = generate(("horizontal_sum", [("chain", 2), ("chain", 3)]))
+    with pytest.raises(TheoremViolation) as err:
+        representation._evaluation_representation(M, state_polytope(M))
+    doc = algebra_to_obj(M)
+    clean = check_document(doc, "c2+c3", SUITE_NAMES, seed=0)
+    monkeypatch.setattr(representation, "check_rdp",
+                        lambda M: RdpResult(True, None, M))
+    recs = check_document(doc, "c2+c3", SUITE_NAMES, seed=0)
+    for suite in ("representation", "smearing", "spectral", "extension"):
+        assert [(r.check, r.status, r.witness, r.detail)
+                for r in recs if r.suite == suite] == [
+            ("error", "fail", None, str(err.value))]
+    table = ("axioms", "rdp", "sharp", "states")
+    assert ([r for r in recs if r.suite in table]
+            == [r for r in clean if r.suite in table])
+    assert by_key(clean)[("rdp", "refinement")].status == "fail"
+
+
 # ---------------------------------------------------------------------------
 # eq-residual-zero: one residual per element and state, against the
 # per-observable loop of oracles.smearing_residual_record

@@ -9,7 +9,8 @@ library construction they are used to test.
 from fractions import Fraction
 
 from effecta import generate, validate_effect_algebra
-from effecta.representation import validate_tribe
+
+from oracles import validate_tribe
 
 F = Fraction
 
