@@ -20,6 +20,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def over_common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of the values over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def rank(vectors: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the vectors (Fractions or integers).
 
@@ -32,8 +38,7 @@ def rank(vectors: Sequence[Sequence[Fraction | int]]) -> int:
     for v in vectors:
         if len(basis) == len(v):
             break
-        scale = lcm(*(x.denominator for x in v))
-        row = [x.numerator * (scale // x.denominator) for x in v]
+        row, _ = over_common_denominator(v)
         lead = next((c for c, x in enumerate(row) if x), None)
         while lead in basis:
             pivot = basis[lead]

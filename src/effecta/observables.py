@@ -12,15 +12,17 @@ holds exactly, state by state.  Both sides depend only on the element x(E)
 and the state m, not on the observable: ``element_integrals`` builds the
 right-hand side for every element in one table per state, so the identity
 is checked once per (element, state), and the kernel holds x(E) next to f_E
-for reading off the outcome set that breaks it.
+for reading off the outcome set that breaks it.  One plan per representation
+holds every element's values on the atoms as integers over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import EffectAlgebra, iterated_sum, sharp_elements
+from .algebra import EffectAlgebra, iterated_sum
 from .errors import (
     NotMeasurable,
     PreconditionFailed,
@@ -29,10 +31,8 @@ from .errors import (
     SumUndefined,
     TheoremViolation,
 )
-from .representation import Representation, measurable
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import over_common_denominator
+from .representation import Representation
 
 MAX_POINTS = 16       # a kernel holds one function per subset of its points
 
@@ -101,9 +101,7 @@ def make_observable(M: EffectAlgebra, support: Sequence, values: Sequence) -> Ob
     if len(support) != len(values) or not support:
         raise PreconditionFailed("support and values must align and be non-empty")
     pts = [Fraction(t) for t in support]
-    ids = []
-    for v in values:
-        ids.append(M.index(v) if isinstance(v, str) else int(v))
+    ids = [M.index(v) if isinstance(v, str) else int(v) for v in values]
     pairs = sorted(zip(pts, ids))
     pts = [t for t, _ in pairs]
     ids = [a for _, a in pairs]
@@ -165,9 +163,8 @@ def sharp_observable(rep: Representation) -> SharpObservable:
     M = rep.target
     b = rep.b0()
     xi = {A: rep.h_of(rep.chi(A)) for A in b.sets}
-    sharp = set(sharp_elements(M).members)
     for A, a in xi.items():
-        if a not in sharp:
+        if a not in rep.sharp:
             raise TheoremViolation(
                 f"xi({sorted(A)}) = {M.label(a)} is not sharp")
     for A in b.sets:
@@ -210,12 +207,10 @@ def smear(rep: Representation, x: Observable) -> SmearingKernel:
     for mask in range(1 << k):
         key = frozenset(i for i in range(k) if mask >> i & 1)
         elements[key] = x.element_at(key)
-        f = rep.function_of(elements[key])
-        if not measurable(rep, f):
-            atom = next(a for a in rep.b0().atoms
-                        if len({f[i] for i in a}) > 1)
-            raise NotMeasurable(_key_name(x, key), sorted(atom))
-        kernel[key] = f
+        f = kernel[key] = rep.function_of(elements[key])
+        for atom in rep.b0().atoms:
+            if len({f[i] for i in atom}) > 1:
+                raise NotMeasurable(_key_name(x, key), sorted(atom))
     return SmearingKernel(x, kernel, elements)
 
 
@@ -223,23 +218,28 @@ def _key_name(x: Observable, key: frozenset) -> str:
     return "{" + ",".join(str(x.support[i]) for i in sorted(key)) + "}"
 
 
-def integrate(f: Sequence[Fraction], weights: Mapping) -> Fraction:
-    """Sum of f(A) * w over the atoms A -> w of ``weights``; exact because
-    f is constant on each atom."""
-    total = ZERO
-    for A, w in weights.items():
-        vals = {f[i] for i in A}
-        if len(vals) > 1:
-            raise NotMeasurable("integrand", sorted(A))
-        total += vals.pop() * w
-    return total
-
-
 def element_integrals(rep: Representation,
                       values: Sequence | Mapping) -> tuple[Fraction, ...]:
     """The integral of every element's function against A -> values[xi(A)],
     indexed by element id: m(a) for each a when ``values`` is a state."""
     xi = sharp_observable(rep)
-    weights = {A: values[xi(A)] for A in xi.atoms}
-    return tuple(integrate(rep.function_of(a), weights)
-                 for a in rep.target.elements())
+    w, wden = over_common_denominator([values[xi(A)] for A in xi.atoms])
+    if rep._atom_plan is None:
+        rep._atom_plan = _atom_plan(rep, xi.atoms)
+    rows, den = rep._atom_plan
+    return tuple(Fraction(sum(map(mul, row, w)), den * wden) for row in rows)
+
+
+def _atom_plan(rep: Representation, atoms) -> tuple[tuple, int]:
+    """Every element's value on every atom, as rows of integer numerators
+    over one denominator; raises at the first non-constant (element, atom)."""
+    values = []
+    for a in rep.target.elements():
+        f = rep.function_of(a)
+        for A in atoms:
+            if len({f[i] for i in A}) > 1:
+                raise NotMeasurable("integrand", sorted(A))
+            values.append(f[min(A)])
+    nums, den = over_common_denominator(values)
+    k = len(atoms)
+    return tuple(nums[i:i + k] for i in range(0, len(nums), k)), den

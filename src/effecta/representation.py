@@ -100,6 +100,7 @@ class Representation:
         self._b0: SigmaAlgebraB0 | None = None
         self._xi = None    # cache for the verified sharp-set observable
         self._spectral: dict[int, object] = {}   # verified measures per element
+        self._atom_plan = self._level_plan = None   # integration plans
 
     # -- basic access -------------------------------------------------------
 
@@ -129,6 +130,11 @@ class Representation:
         if self._b0 is None:
             self._b0 = compute_b0(self)
         return self._b0
+
+    @cached_property
+    def sharp(self) -> frozenset[int]:
+        """The sharp elements of the target, as a set."""
+        return frozenset(sharp_elements(self.target).members)
 
     @cached_property
     def non_measurable(self) -> FnValues | None:
@@ -258,11 +264,7 @@ def measurable(rep: Representation, f: Sequence[Fraction]) -> bool:
     f = tuple(Fraction(v) for v in f)
     if f not in rep.tribe:
         raise PreconditionFailed(f"{_fmt(f)} is not a member function")
-    for atom in rep.b0().atoms:
-        vals = {f[i] for i in atom}
-        if len(vals) > 1:
-            return False
-    return True
+    return all(len({f[i] for i in atom}) == 1 for atom in rep.b0().atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +288,7 @@ def sharp_image(rep: Representation) -> SharpImageReport:
     M = rep.target
     b = rep.b0()
     image = {rep.h_of(rep.chi(A)) for A in b.sets}
-    sharp = set(sharp_elements(M).members)
-    ok = image == sharp
+    ok = image == rep.sharp
 
     all_meas = rep.non_measurable is None
     min_closed = all(
@@ -297,5 +298,5 @@ def sharp_image(rep: Representation) -> SharpImageReport:
         raise TheoremViolation(
             "sharp image mismatch under the full theorem hypotheses: "
             f"image {sorted(M.label(a) for a in image)} vs "
-            f"sharp {sorted(M.label(a) for a in sharp)}")
+            f"sharp {sorted(M.label(a) for a in rep.sharp)}")
     return SharpImageReport(ok, all_meas, min_closed)

@@ -7,8 +7,9 @@ the corresponding level set.  It reproduces the element under integration:
 m(a) = sum of lambda * m(mass(lambda)), for every state m.  That sum is
 written once, in :func:`spectral_integral`, as one table over all elements
 per state; a transform phi of the outcome values is a plain function
-applied to each lambda.  Callers compare the table with the state, so the
-law is checked exactly everywhere it is used, never assumed.
+applied to each lambda.  One plan per representation holds every measure,
+the lambdas as integers over one denominator.  Callers compare the table
+with the state, so the law is checked exactly wherever used, never assumed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     SpectralObstruction,
     TheoremViolation,
 )
-from .linalg import rank, solve_affine
+from .linalg import over_common_denominator, rank, solve_affine
 from .observables import OutcomeSet, element_integrals
 from .representation import Representation
 from .states import State, is_state
@@ -68,9 +69,8 @@ def spectral_measure(rep: Representation, a: int) -> SpectralMeasure:
         if chi not in rep.tribe:
             raise SpectralObstruction(M.label(a), lam)
         masses[lam] = rep.h_of(chi)
-    sharp = set(sharp_elements(M).members)
     for lam, mass in masses.items():
-        if mass not in sharp:
+        if mass not in rep.sharp:
             raise SpectralObstruction(M.label(a), lam)
     if iterated_sum(M, [masses[lam] for lam in values]) != M.one:
         raise TheoremViolation(
@@ -88,14 +88,29 @@ def spectral_integral(rep: Representation, values,
 
     ``values`` is a state's value vector or any mapping over the sharp
     elements.  For a state m, ``spectral_integral(rep, m.values)`` equals
-    ``m.values`` exactly when every measure reproduces m."""
-    table = []
+    ``m.values`` exactly when every measure reproduces m.  phi sees each
+    distinct lambda once."""
+    if rep._level_plan is None:
+        rep._level_plan = _level_plan(rep)
+    lams, lam_ints, masses, rows = rep._level_plan
+    c, cden = lam_ints if phi is None else over_common_denominator(
+        [phi(lam) for lam in lams])
+    w, wden = over_common_denominator([values[b] for b in masses])
+    return tuple(Fraction(sum(c[i] * w[j] for i, j in row), cden * wden)
+                 for row in rows)
+
+
+def _level_plan(rep: Representation) -> tuple:
+    """Each measure as (lambda, mass) index pairs into the lambdas and the
+    masses in the order first met, the lambdas also as integer numerators."""
+    lams, masses, rows = {}, {}, []
     for a in rep.target.elements():
         sm = spectral_measure(rep, a)
-        table.append(sum(((lam if phi is None else phi(lam))
-                          * values[sm.masses[lam]] for lam in sm.support),
-                         start=ZERO))
-    return tuple(table)
+        rows.append(tuple((lams.setdefault(lam, len(lams)),
+                           masses.setdefault(sm.masses[lam], len(masses)))
+                          for lam in sm.support))
+    return (tuple(lams), over_common_denominator(list(lams)), tuple(masses),
+            tuple(rows))
 
 
 class InjectivityReport(NamedTuple):
@@ -118,7 +133,7 @@ def sharp_table(rep: Representation, a: int, E: OutcomeSet) -> int:
     """The four-way endpoint rule for sharp elements, cross-checked against
     the actual spectral measure."""
     M = rep.target
-    if a not in sharp_elements(M).members:
+    if a not in rep.sharp:
         raise NotSharp(M.label(a))
     z = E.contains(ZERO)
     o = E.contains(ONE)
@@ -155,17 +170,17 @@ def validate_sharp_state(M: EffectAlgebra, m: Mapping) -> dict[int, Fraction]:
         vals[b] = v
     if vals[M.one] != 1:
         raise NotAStateOnSharp("unit not sent to 1", (str(vals[M.one]),))
-    for a in members:
-        for b in members:
-            c = M.add(a, b)
-            if c is None:
-                continue
-            if c not in vals:
-                raise NotAStateOnSharp(
-                    "sharp sum escapes the sharp set", (M.label(a), M.label(b)))
-            if vals[a] + vals[b] != vals[c]:
-                raise NotAStateOnSharp(
-                    "not additive", (M.label(a), M.label(b), M.label(c)))
+    # each unordered pair once: the table is symmetric, the members ascend
+    num = dict(zip(vals, over_common_denominator(list(vals.values()))[0]))
+    for a, b, c in M.defined_sums():
+        if a not in num or b not in num:
+            continue
+        if c not in num:
+            raise NotAStateOnSharp(
+                "sharp sum escapes the sharp set", (M.label(a), M.label(b)))
+        if num[a] + num[b] != num[c]:
+            raise NotAStateOnSharp(
+                "not additive", (M.label(a), M.label(b), M.label(c)))
     return vals
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, atom_coordinates
 from .errors import EmptyStateSpace
-from .linalg import rank, solve_affine
+from .linalg import over_common_denominator, rank, solve_affine
 from .polytope import HalfSpace, enumerate_vertices
 
 
@@ -124,8 +124,7 @@ def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State) -> StateCheck
     if len(values) != M.n:
         return StateCheck(False, StateViolation("length", (len(values), M.n)))
     vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in vals))
-    n = [v.numerator * (den // v.denominator) for v in vals]
+    n, den = over_common_denominator(vals)
     for a, v in enumerate(n):
         if v < 0 or v > den:
             return StateCheck(False, StateViolation("range", (M.label(a),)))

@@ -906,6 +906,25 @@ def level_set_integral(M, P, values, phi):
     return tuple(table)
 
 
+def sharp_weightings(M, sharp, count, seed):
+    """Seeded rational weightings that need not be states: plain ints and
+    Fractions of mixed denominators, negative and above 1.  Each comes as
+    a full vector, arbitrary off the sharp elements too, and as its
+    restriction to the sharp elements."""
+    rng = random.Random(seed)
+
+    def value():
+        if rng.randrange(3) == 0:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    out = []
+    for _ in range(count):
+        full = tuple(value() for _ in range(M.n))
+        out.append((full, {b: full[b] for b in sharp}))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the smearing right-hand side, recomputed on every call
 

@@ -1,6 +1,7 @@
 """The package's export list names only what the package has, every error
-class is raised or caught somewhere in the package, importing the command
-line stays light, and each command loads only the layers it reaches."""
+class is raised or caught somewhere in the package, no module holds a
+float, importing the command line stays light, and each command loads only
+the layers it reaches."""
 
 import ast
 import os
@@ -48,6 +49,18 @@ def test_every_error_class_is_named_by_another_module():
     unnamed = [name for name in classes
                if not re.search(rf"\b{name}\b", others)]
     assert classes and unnamed == []
+
+
+def test_the_package_has_no_float():
+    """Exactness: no module of the package holds a float literal or uses
+    the name ``float``."""
+    found = []
+    for path in sorted(Path(effecta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    or isinstance(node, ast.Name) and node.id == "float"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def _fresh(code: str):

@@ -157,6 +157,32 @@ def test_integral_tables_match_the_level_set_oracle():
         assert len(keys) == M.n, name
 
 
+def thrice_floor(v):
+    return 3 * v.numerator // v.denominator
+
+
+def test_integral_tables_match_the_level_set_oracle_off_states():
+    """The integer tables agree with the level-set oracle on weightings that
+    are no states (negative, above 1, plain ints, mixed denominators, and
+    restricted to the sharp elements), for the identity, the square and an
+    int-valued transform."""
+    instances = rdp_zoo() + [("boolean5", boolean(5)), ("boolean6", boolean(6)),
+                             ("interval222", interval(2, 2, 2))]
+    checked = 0
+    for seed, (name, M) in enumerate(instances):
+        P = state_polytope(M)
+        rep = canonical_representation(M, polytope=P)
+        sharp = sharp_elements(M).members
+        for full, restricted in oracles.sharp_weightings(M, sharp, 3, seed):
+            for phi in (None, square, thrice_floor):
+                expected = oracles.level_set_integral(M, P, full,
+                                                      phi or identity)
+                assert spectral_integral(rep, full, phi) == expected, name
+                assert spectral_integral(rep, restricted, phi) == expected, name
+                checked += 1
+    assert checked == 9 * len(instances)
+
+
 # ---------------------------------------------------------------------------
 # states on the sharp elements, and their unique extensions
 
@@ -166,15 +192,32 @@ def test_validate_sharp_state_rejections():
     with pytest.raises(NotAStateOnSharp) as err:
         validate_sharp_state(B, {0: Z, 1: Z, 2: O})
     assert err.value.reason == "missing value"
+    assert err.value.witnesses == ("{1,2}",)
     with pytest.raises(NotAStateOnSharp) as err:
         validate_sharp_state(B, {0: Z, 1: F(3, 2), 2: O, 3: O})
     assert err.value.reason == "value outside [0,1]"
+    assert err.value.witnesses == ("{1}", "3/2")
     with pytest.raises(NotAStateOnSharp) as err:
         validate_sharp_state(B, {0: Z, 1: Z, 2: F(1, 2), 3: F(1, 2)})
     assert err.value.reason == "unit not sent to 1"
+    assert err.value.witnesses == ("1/2",)
     with pytest.raises(NotAStateOnSharp) as err:
         validate_sharp_state(B, {0: Z, 1: THIRD, 2: THIRD, 3: O})
     assert err.value.reason == "not additive"
+    assert err.value.witnesses == ("{1}", "{2}", "{1,2}")
+
+
+def test_validate_sharp_state_names_the_first_pair_in_scan_order():
+    """On 2^3 every pair but {2} + {3} and {1} + {2,3} adds up; the scan
+    meets {1} + {2,3} first, far past the first defined pair 0 + 0, and
+    names it in that order."""
+    B = boolean(3)
+    m = {0: Z, 1: F(1, 4), 2: F(1, 4), 3: F(1, 2), 4: F(1, 2), 5: F(3, 4),
+         6: F(1, 2), 7: O}
+    with pytest.raises(NotAStateOnSharp) as err:
+        validate_sharp_state(B, m)
+    assert err.value.reason == "not additive"
+    assert err.value.witnesses == ("{1}", "{2,3}", "{1,2,3}")
 
 
 def test_extension_fills_in_the_fuzzy_layers():

@@ -201,6 +201,35 @@ def test_the_representation_suite_tests_each_member_for_measurability_once(
     assert calls == list(rep.tribe.functions)
 
 
+def _count_plan_builds(monkeypatch):
+    from effecta import spectral
+    builds = []
+    for module, name in ((observables, "_atom_plan"), (spectral, "_level_plan")):
+        def counted(*args, _build=getattr(module, name), _name=name):
+            builds.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(module, name, counted)
+    return builds
+
+
+def test_the_smearing_suite_builds_its_integration_plan_once(monkeypatch):
+    """One plan serves the tables of every state on boolean 4."""
+    builds = _count_plan_builds(monkeypatch)
+    rep = canonical_representation(boolean(4))
+    recs = suites.run_smearing(rep.target, "b4", 0, rep)
+    assert [r.status for r in recs] == ["pass", "pass"]
+    assert builds == ["_atom_plan"]
+
+
+def test_a_full_check_builds_each_integration_plan_once(monkeypatch):
+    """The smearing, spectral and extension suites share the
+    representation's two plans."""
+    builds = _count_plan_builds(monkeypatch)
+    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
+    assert all(r.status == "pass" for r in recs)
+    assert sorted(builds) == ["_atom_plan", "_level_plan"]
+
+
 def test_a_failed_order_certificate_is_one_error_per_gated_suite(
         monkeypatch):
     """With the refinement gate forced open on chain2 + chain3, which lacks
