@@ -12,6 +12,8 @@ parallel tuple and appear in every error witness.
 
 from __future__ import annotations
 
+from math import prod
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -42,7 +44,7 @@ class EffectAlgebra:
     __slots__ = (
         "labels", "zero", "one",
         "_sum", "_comp", "_minus", "_down", "_up",
-        "_index", "_rdp_cache", "_sharp_cache",
+        "_index", "_rdp_cache", "_sharp_cache", "_coords", "_heights",
     )
 
     def __init__(self, labels, zero, one, sum_table, comp, minus, down, up):
@@ -57,6 +59,8 @@ class EffectAlgebra:
         self._index = {lbl: i for i, lbl in enumerate(labels)}
         self._rdp_cache: "RdpResult | None" = None
         self._sharp_cache: "SharpSet | None" = None
+        self._coords = None            # atom_coordinates, walked once
+        self._heights = None           # chain heights, once check_rdp certifies
 
     # -- basic structure ----------------------------------------------------
 
@@ -128,7 +132,7 @@ def iterated_sum(M: EffectAlgebra, parts: Sequence[int]) -> Optional[int]:
     return acc
 
 
-def atom_coordinates(M: EffectAlgebra) -> tuple[tuple[int, ...], list]:
+def atom_coordinates(M: EffectAlgebra) -> tuple[tuple[int, ...], tuple]:
     """The atoms (the elements with no lower bounds but 0 and themselves) in
     id order, and per element x the integer vector m(x) that writes x as a
     sum of m(x)[i] copies of atom i.
@@ -137,20 +141,22 @@ def atom_coordinates(M: EffectAlgebra) -> tuple[tuple[int, ...], list]:
     that adds one atom at a time.  Every element is a sum of atoms and every
     prefix of a defined sum is defined, so the walk reaches them all; by
     additivity along the path, a state s has s(x) = m(x) . (s(atom_i))_i.
-    """
-    atoms = tuple(a for a in M.elements()
-                  if a != M.zero and M.down_mask(a) == 1 << M.zero | 1 << a)
-    coords: list = [None] * M.n
-    coords[M.zero] = (0,) * len(atoms)
-    queue = [M.zero]
-    for x in queue:                     # grows while it is walked
-        mx = coords[x]
-        for i, a in enumerate(atoms):
-            y = M.add(x, a)
-            if y is not None and coords[y] is None:
-                coords[y] = mx[:i] + (mx[i] + 1,) + mx[i + 1:]
-                queue.append(y)
-    return atoms, coords
+    Cached on the algebra."""
+    if M._coords is None:
+        atoms = tuple(a for a in M.elements() if a != M.zero
+                      and M.down_mask(a) == 1 << M.zero | 1 << a)
+        coords: list = [None] * M.n
+        coords[M.zero] = (0,) * len(atoms)
+        queue = [M.zero]
+        for x in queue:                     # grows while it is walked
+            mx = coords[x]
+            for i, a in enumerate(atoms):
+                y = M.add(x, a)
+                if y is not None and coords[y] is None:
+                    coords[y] = mx[:i] + (mx[i] + 1,) + mx[i + 1:]
+                    queue.append(y)
+        M._coords = atoms, tuple(coords)
+    return M._coords
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +215,27 @@ def validate_effect_algebra(
             elif y is None:
                 table[b][a] = x
 
-    # axiom (ii): a+b and (a+b)+c defined  iff  b+c and a+(b+c) defined, equal
+    # axiom (ii): a+b and (a+b)+c defined  iff  b+c and a+(b+c) defined, equal.
+    # Row b mapped through row a must equal row a+b; with a+b undefined it is
+    # undefined throughout iff no sum b+c (bits img[b]) is summable with a
+    dom = [sum(1 << y for y, v in enumerate(row) if v is not None) for row in table]
+    img = [sum({1 << v for v in row if v is not None}) for row in table]
     for a in range(n):
         ta = table[a]
+        plus_a = dict(enumerate(ta)).get
         for b in range(n):
             ab = ta[b]
-            row_b = table[b]
-            for c in range(n):
-                bc = row_b[c]
-                left = table[ab][c] if ab is not None else None
-                right = ta[bc] if bc is not None else None
-                if left != right:
-                    raise AxiomViolation(
-                        "ii", (labels[a], labels[b], labels[c]),
-                        f"(a+b)+c = {None if left is None else labels[left]}, "
-                        f"a+(b+c) = {None if right is None else labels[right]}")
+            if ab is None and not img[b] & dom[a]:
+                continue
+            lefts = [None] * n if ab is None else table[ab]
+            rights = list(map(plus_a, table[b]))
+            if lefts != rights:
+                c = next(c for c in range(n) if lefts[c] != rights[c])
+                left, right = lefts[c], rights[c]
+                raise AxiomViolation(
+                    "ii", (labels[a], labels[b], labels[c]),
+                    f"(a+b)+c = {None if left is None else labels[left]}, "
+                    f"a+(b+c) = {None if right is None else labels[right]}")
 
     # axiom (iii): unique orthosupplement
     comp: list[int] = [0] * n
@@ -243,6 +255,7 @@ def validate_effect_algebra(
     # derived order witnesses; uniqueness of b - a is implied by the axioms
     # but checked anyway because it is free
     minus: list[list[int | None]] = [[None] * n for _ in range(n)]
+    down = [0] * n                      # the up-set of a is img[a]
     for a in range(n):
         for c in range(n):
             b = table[a][c]
@@ -255,29 +268,20 @@ def validate_effect_algebra(
                     (labels[a], labels[b], labels[prev], labels[c]),
                     "two witnesses for the same difference")
             minus[b][a] = c
-
-    down = [0] * n
-    up = [0] * n
-    for b in range(n):
-        mask = 0
-        mb = minus[b]
-        for a in range(n):
-            if mb[a] is not None:
-                mask |= 1 << a
-                up[a] |= 1 << b
-        down[b] = mask
+            down[b] |= 1 << a
 
     for a in range(n):
-        for b in range(a + 1, n):
-            if down[a] >> b & 1 and down[b] >> a & 1:
-                raise OrderNotAntisymmetric((labels[a], labels[b]))
+        both = down[a] & img[a] & -(2 << a)         # b > a, b <= a and a <= b
+        if both:
+            raise OrderNotAntisymmetric(
+                (labels[a], labels[(both & -both).bit_length() - 1]))
 
     return EffectAlgebra(
         labels, zi, oi,
         tuple(tuple(row) for row in table),
         tuple(comp),
         tuple(tuple(row) for row in minus),
-        tuple(down), tuple(up),
+        tuple(down), tuple(img),
     )
 
 
@@ -312,30 +316,49 @@ def _refine(M: EffectAlgebra, a1: int, a2: int, b1: int, b2: int) -> bool:
     return False
 
 
+def _chain_heights(M: EffectAlgebra) -> tuple[int, ...] | None:
+    """The h of a verified isomorphism of M onto the product of the chains
+    C_{h_i}, or None.  With h_i the largest m_i, m maps M into a box of
+    prod (h_i + 1) vectors, and of its pairs prod (h_i + 1)(h_i + 2)/2 sum
+    inside it.  If m is injective, adds along every defined sum and both
+    counts are met, m is onto the box and maps the defined pairs onto those."""
+    _, m = atom_coordinates(M)
+    heights = tuple(map(max, zip(*m)))
+    if len(set(m)) != M.n or M.n != prod(h + 1 for h in heights):
+        return None
+    sums = list(M.defined_sums())
+    pairs = sum(2 - (a == b) for a, b, _ in sums)
+    if pairs == prod((h + 1) * (h + 2) // 2 for h in heights) and all(
+            tuple(map(add, m[a], m[b])) == m[c] for a, b, c in sums):
+        return heights
+    return None
+
+
 def check_rdp(M: EffectAlgebra) -> RdpResult:
     """Decide whether every pair of equal defined sums admits a 2x2
-    refinement.  The first failing quadruple in element order is the witness.
+    refinement: yes for a certified product of chains, else by the scan.
+    Cached on the algebra; downstream code calls this freely."""
+    if M._rdp_cache is None:
+        M._heights = _chain_heights(M)
+        M._rdp_cache = (_refinement_scan(M) if M._heights is None
+                        else RdpResult(True, None, M))
+    return M._rdp_cache
 
-    The verdict is cached on the algebra; downstream code calls this freely."""
-    if M._rdp_cache is not None:
-        return M._rdp_cache
+
+def _refinement_scan(M: EffectAlgebra) -> RdpResult:
+    """Refine every pair of equal defined sums; the first failure is the witness."""
     decomp: list[list[tuple[int, int]]] = [[] for _ in range(M.n)]
     for a in range(M.n):
         for b in range(M.n):
             v = M.add(a, b)
             if v is not None:
                 decomp[v].append((a, b))
-    result = RdpResult(True, None, M)
-    for v in range(M.n):
-        pairs = decomp[v]
+    for pairs in decomp:
         for a1, a2 in pairs:
             for b1, b2 in pairs:
                 if not _refine(M, a1, a2, b1, b2):
-                    result = RdpResult(False, (a1, a2, b1, b2), M)
-                    M._rdp_cache = result
-                    return result
-    M._rdp_cache = result
-    return result
+                    return RdpResult(False, (a1, a2, b1, b2), M)
+    return RdpResult(True, None, M)
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +368,27 @@ def check_rdp(M: EffectAlgebra) -> RdpResult:
 class SharpSet(NamedTuple):
     """The elements a with a /\\ a' existing and equal to zero.  When the
     parent algebra has the refinement property, their meets, joins and
-    complements have been certified to form a Boolean algebra (see
-    ``_verify_boolean``) and ``boolean_checked`` is True."""
+    complements have been certified to form a Boolean algebra and
+    ``boolean_checked`` is True."""
     members: tuple[int, ...]
     boolean_checked: bool
 
 
 def sharp_elements(M: EffectAlgebra) -> SharpSet:
-    """Cached on the algebra, like the refinement verdict it depends on."""
+    """Cached on the algebra, like the refinement verdict it depends on.  In
+    a certified product of chains they are the m with each m_i in {0, h_i},
+    a power set whose meet, join and complement the isomorphism carries."""
     if M._sharp_cache is not None:
         return M._sharp_cache
     rdp = check_rdp(M).holds
-    members = tuple(a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero)
-    if rdp:
-        _verify_boolean(M, members)
+    if M._heights is None:
+        members = tuple(a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero)
+        if rdp:
+            _verify_boolean(M, members)
+    else:               # m_i(x) m_i(x') = m_i(x) (h_i - m_i(x)) is 0 at every i
+        m = atom_coordinates(M)[1]
+        members = tuple(x for x in M.elements()
+                        if not any(map(mul, m[x], m[M.comp(x)])))
     M._sharp_cache = SharpSet(members, rdp)
     return M._sharp_cache
 

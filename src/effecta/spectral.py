@@ -132,19 +132,16 @@ def spectral_injectivity(rep: Representation) -> InjectivityReport:
 def sharp_table(rep: Representation, a: int, E: OutcomeSet) -> int:
     """The four-way endpoint rule for sharp elements, cross-checked against
     the actual spectral measure."""
-    M = rep.target
     if a not in rep.sharp:
-        raise NotSharp(M.label(a))
-    z = E.contains(ZERO)
-    o = E.contains(ONE)
-    if o and not z:
-        result = a
-    elif z and not o:
-        result = M.comp(a)
-    elif z and o:
-        result = M.one
-    else:
-        result = M.zero
+        raise NotSharp(rep.target.label(a))
+    return _endpoint_rule(rep, a, E, E.contains(ZERO), E.contains(ONE))
+
+
+def _endpoint_rule(rep: Representation, a: int, E: OutcomeSet,
+                   z: bool, o: bool) -> int:
+    """:func:`sharp_table` for a sharp a, given whether E holds 0 and 1."""
+    M = rep.target
+    result = (M.one if o else M.comp(a)) if z else (a if o else M.zero)
     actual = spectral_measure(rep, a).mass_of_set(E)
     if actual != result:
         raise TheoremViolation(

@@ -334,7 +334,7 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int,
 def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
     from .observables import OutcomeSet
-    from .spectral import sharp_table, spectral_injectivity, spectral_integral
+    from .spectral import _endpoint_rule, spectral_injectivity, spectral_integral
     states = sample_states(rep.polytope, seed, 10)
     tables = [spectral_integral(rep, m.values) for m in states]
     records = []
@@ -368,10 +368,12 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
         ("upper-half", OutcomeSet.interval(HALF, 1, lo_closed=False)),
         ("everything", OutcomeSet.everything()),
     )
+    ends = [(name, E, E.contains(ZERO), E.contains(ONE))
+            for name, E in sharp_e_sets]
     try:
         for a in sharp:
-            for name, E in sharp_e_sets:
-                sharp_table(rep, a, E)
+            for name, E, z, o in ends:
+                _endpoint_rule(rep, a, E, z, o)
     except TheoremViolation as exc:
         bad = [M.label(a), name, str(exc)]
     records.append(Record("spectral", instance, "sharp-table",

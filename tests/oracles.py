@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
 
-from effecta.errors import EffectaError
+from effecta.errors import AxiomViolation, EffectaError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,6 +58,63 @@ def brute_rdp(labels, table):
             ):
                 return (a1, a2, b1, b2)
     return None
+
+
+# ---------------------------------------------------------------------------
+# associativity, by the full triple loop over the raw sum list
+
+
+def associativity_violation(labels, zero, one, sums):
+    """The axiom (ii) violation that the loop over every (a, b, c) in id
+    order meets first, as the ``AxiomViolation`` the validator raises, or
+    None.  None also when the table is turned away before associativity:
+    a repeated label, zero or one missing or equal, an unknown label, or
+    two different results for one pair in either order."""
+    labels = list(labels)
+    n = len(labels)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    if len(index) != n or zero not in index or one not in index or zero == one:
+        return None
+    table = {}
+    for la, lb, lc in sums:
+        if la not in index or lb not in index or lc not in index:
+            return None
+        for pair in ((index[la], index[lb]), (index[lb], index[la])):
+            if table.setdefault(pair, index[lc]) != index[lc]:
+                return None
+    lab = lambda x: None if x is None else labels[x]
+    for a, b, c in product(range(n), repeat=3):
+        ab, bc = table.get((a, b)), table.get((b, c))
+        left = None if ab is None else table.get((ab, c))
+        right = None if bc is None else table.get((a, bc))
+        if left != right:
+            return AxiomViolation(
+                "ii", (labels[a], labels[b], labels[c]),
+                f"(a+b)+c = {lab(left)}, a+(b+c) = {lab(right)}")
+    return None
+
+
+def validator_rejection(labels, zero, one, sums):
+    """What the library's validator raises on a table, as comparable data
+    (type, axiom, witnesses, message), or None when it accepts it."""
+    from effecta import validate_effect_algebra
+    try:
+        validate_effect_algebra(labels, zero, one, sums, max_size=4096)
+    except EffectaError as exc:
+        return (type(exc), getattr(exc, "axiom", None),
+                getattr(exc, "witnesses", None), str(exc))
+    return None
+
+
+def assert_associativity_matches(labels, zero, one, sums):
+    """The validator raises exactly the axiom (ii) violation that the full
+    loop meets first, and none when that loop passes."""
+    ref = associativity_violation(labels, zero, one, sums)
+    got = validator_rejection(labels, zero, one, sums)
+    if ref is None:
+        assert got is None or got[1] != "ii", got
+    else:
+        assert got == (AxiomViolation, "ii", ref.witnesses, str(ref)), got
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Axioms, the derived order, refinement, sharp elements, and MV detection
 (the test oracle that double-checks refinement)."""
 
+import json
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +21,11 @@ from effecta import algebra, cli
 from effecta.errors import (
     AxiomViolation,
     BooleanStructureFailure,
+    EffectaError,
     NonUniqueSupplement,
     SizeLimitExceeded,
 )
+from effecta.serialize import algebra_to_obj
 
 
 def test_validate_accepts_a_plain_chain():
@@ -61,14 +66,54 @@ def test_validate_rejects_commutativity_clash():
 
 def test_validate_rejects_associativity_break():
     # (a+b)+d = 1 but a+(b+d) = a+a stays undefined
+    labels = ["0", "a", "b", "c", "d", "1"]
+    sums = [("0", "0", "0"), ("0", "a", "a"), ("0", "b", "b"), ("0", "c", "c"),
+            ("0", "d", "d"), ("0", "1", "1"), ("a", "b", "c"), ("c", "d", "1"),
+            ("b", "d", "a")]
+    oracles.assert_associativity_matches(labels, "0", "1", sums)
     with pytest.raises(AxiomViolation) as err:
-        validate_effect_algebra(
-            ["0", "a", "b", "c", "d", "1"], "0", "1",
-            [("0", "0", "0"), ("0", "a", "a"), ("0", "b", "b"),
-             ("0", "c", "c"), ("0", "d", "d"), ("0", "1", "1"),
-             ("a", "b", "c"), ("c", "d", "1"), ("b", "d", "a")])
+        validate_effect_algebra(labels, "0", "1", sums)
     assert err.value.axiom == "ii"
     assert err.value.witnesses == ("a", "b", "d")
+    assert str(err.value) == ("axiom (ii) violated at ('a', 'b', 'd'): "
+                              "(a+b)+c = 1, a+(b+c) = None")
+
+
+def test_associativity_pins_a_first_failure_with_a_plus_b_undefined():
+    """Boolean 4 without {1} + {2}: only a+(b+c) = {1} + {2,3} is defined,
+    which the row comparison skips and the img[b] & dom[a] test catches."""
+    doc = algebra_to_obj(generate(("boolean", 4)))
+    sums = [s for s in doc["sum"] if set(s[:2]) != {"{1}", "{2}"}]
+    args = doc["elements"], doc["zero"], doc["one"], sums
+    assert oracles.validator_rejection(*args) == (
+        AxiomViolation, "ii", ("{1}", "{2}", "{3}"),
+        "axiom (ii) violated at ('{1}', '{2}', '{3}'): "
+        "(a+b)+c = None, a+(b+c) = {1,2,3}")
+    oracles.assert_associativity_matches(*args)
+
+
+def test_associativity_matches_the_triple_loop_on_the_zoo():
+    """Each zoo table as it is, and with each one of its sums of two nonzero
+    elements dropped.  The drops break associativity both at a defined and
+    at an undefined a + b."""
+    a_plus_b_defined = set()
+    for name, M in zoo.rdp_zoo() + zoo.non_rdp_zoo():
+        if M.n > 18:
+            continue
+        doc = algebra_to_obj(M)
+        args = doc["elements"], doc["zero"], doc["one"]
+        assert oracles.associativity_violation(*args, doc["sum"]) is None, name
+        assert oracles.validator_rejection(*args, doc["sum"]) is None, name
+        for dropped in doc["sum"]:
+            if M.label(M.zero) in dropped[:2]:
+                continue
+            sums = [s for s in doc["sum"] if s != dropped]
+            oracles.assert_associativity_matches(*args, sums)
+            ref = oracles.associativity_violation(*args, sums)
+            if ref is not None:
+                a, b, _ = ref.witnesses
+                a_plus_b_defined.add(any({a, b} == {x, y} for x, y, _ in sums))
+    assert a_plus_b_defined == {False, True}
 
 
 def test_validate_rejects_missing_supplement():
@@ -198,6 +243,7 @@ def test_rdp_verdicts_match_the_brute_oracle():
         brute = oracles.brute_rdp(labels, table)
         main = check_rdp(M)
         assert main.holds == (brute is None), name
+        assert _certified(M) == (brute is None), name
         if not main.holds:
             # each route may surface a different quadruple; both must be
             # genuine: equal sums, no refinement
@@ -231,6 +277,130 @@ def test_loop4_fails_refinement_across_blocks():
 
 
 # ---------------------------------------------------------------------------
+# refinement: the product-of-chains certificate against the scan and oracles
+
+
+def _certified(M):
+    return algebra._chain_heights(M) is not None
+
+
+def _generated_products():
+    for p in range(1, 8):
+        for q in range(p, 8):
+            yield (f"chain{p}xchain{q}", (p, q),
+                   generate(("product", [("chain", p), ("chain", q)])))
+    yield "interval223", (2, 2, 3), generate(("interval", (2, 2, 3)))
+    for k in range(1, 8):
+        yield f"boolean{k}", (1,) * k, generate(("boolean", k), max_size=128)
+
+
+PRODUCTS = list(_generated_products())
+
+
+@pytest.mark.parametrize("name,heights,M", PRODUCTS,
+                         ids=[name for name, _, _ in PRODUCTS])
+def test_generated_products_of_chains_are_certified(name, heights, M):
+    assert sorted(algebra._chain_heights(M)) == sorted(heights)
+    assert algebra._refinement_scan(M).holds
+    if M.n <= 64:
+        assert isinstance(oracles.detect_mv(M), oracles.MVStructure)
+
+
+def _with_coordinates(M, coords):
+    """M with its cached atom coordinates replaced by ``coords``."""
+    M._coords = (algebra.atom_coordinates(M)[0], tuple(coords))
+    return M
+
+
+@pytest.mark.parametrize("broken,coords", [
+    # 0, {1}, {2}, {1,2}: injectivity alone fails
+    ("injective", [(0, 0), (1, 1), (0, 0), (1, 1)]),
+    # the chain 3 numbering: box of 4, additive, but 10 pairs, not 9
+    ("pair count", [(0,), (1,), (2,), (3,)]),
+    # a bijection onto the box that moves 0
+    ("additive", [(1, 1), (1, 0), (0, 1), (0, 0)]),
+])
+def test_the_certificate_needs_each_of_its_conditions(broken, coords):
+    """On valid algebras the breadth-first coordinates are injective (equal
+    atom counts sum to equal elements), and with the box count they meet the
+    other two conditions or fail both.  So each condition is pinned here on
+    boolean 2 with a coordinate map that breaks it alone."""
+    M = _with_coordinates(generate(("boolean", 2)), coords)
+    heights = tuple(map(max, zip(*coords)))
+    box = list(product(*(range(h + 1) for h in heights)))
+    pairs = [(v, w) for v in box for w in box
+             if all(x + y <= h for x, y, h in zip(v, w, heights))]
+    holds = {
+        "injective": len(set(coords)) == M.n,
+        "box": M.n == len(box),
+        "pair count": sum(2 - (a == b) for a, b, _ in M.defined_sums())
+                      == len(pairs),
+        "additive": all(tuple(map(sum, zip(coords[a], coords[b]))) == coords[c]
+                        for a, b, c in M.defined_sums()),
+    }
+    assert [k for k, ok in holds.items() if not ok] == [broken]
+    assert algebra._chain_heights(M) is None
+
+
+FUZZ_BASES = [algebra_to_obj(M) for M in (
+    generate(("chain", 4)), generate(("boolean", 3)),
+    generate(("interval", (1, 2))),
+    generate(("product", [("chain", 2), ("chain", 3)])),
+    generate(("product", [("chain", 1), ("boolean", 2)])),
+    zoo.mo2(), zoo.diamond(), zoo.hsum_mixed(), zoo.loop4(),
+    generate(("horizontal_sum", [("chain", 3), ("chain", 3)])))]
+
+
+@st.composite
+def valid_mutated_tables(draw):
+    """A base table with its element order shuffled, summands swapped and
+    entries listed twice or in both orders, which all keep it valid, and
+    now and then a sum dropped or redirected, which the validator may
+    turn away."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    doc["elements"] = draw(st.permutations(doc["elements"]))
+    sums = doc["sum"]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(sums) - 1))
+        a, b, c = sums[i]
+        kind = draw(st.sampled_from(("swap", "twice", "both-orders", "swap",
+                                     "drop", "redirect")))
+        if kind == "swap":
+            sums[i] = [b, a, c]
+        elif kind == "twice":
+            sums.insert(i, [a, b, c])
+        elif kind == "both-orders":
+            sums.append([b, a, c])
+        elif kind == "drop":
+            sums[:] = [s for s in sums if {s[0], s[1]} != {a, b}]
+        else:
+            new = draw(st.sampled_from(doc["elements"]))
+            sums[:] = [s for s in sums if {s[0], s[1]} != {a, b}]
+            sums.append([a, b, new])
+    return doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(valid_mutated_tables())
+def test_the_certificate_agrees_with_the_scan_on_mutated_tables(doc):
+    try:
+        M = validate_effect_algebra(doc["elements"], doc["zero"], doc["one"],
+                                    doc["sum"])
+    except EffectaError:
+        return
+    scan = algebra._refinement_scan(M)
+    assert _certified(M) == scan.holds
+    assert _certified(M) == isinstance(oracles.detect_mv(M), oracles.MVStructure)
+    assert check_rdp(M) == scan
+    sh = sharp_elements(M)
+    assert sh.members == tuple(a for a in M.elements()
+                               if M.meet(a, M.comp(a)) == M.zero)
+    assert sh.boolean_checked == scan.holds
+    if scan.holds:
+        algebra._verify_boolean(M, sh.members)
+
+
+# ---------------------------------------------------------------------------
 # sharp elements
 
 
@@ -241,6 +411,22 @@ def test_sharp_members_match_the_order_oracle():
                                     M.label(M.zero), M.label(M.one))
         sh = sharp_elements(M)
         assert sorted(M.label(a) for a in sh.members) == sorted(brute), name
+
+
+def test_certified_sharp_members_match_the_meet_route_and_the_oracles():
+    """The corners of the certified box are the members the meet scan finds,
+    ``_verify_boolean`` accepts them, and so does the order oracle."""
+    instances = zoo.rdp_zoo() + [(name, M) for name, _, M in PRODUCTS]
+    for name, M in instances:
+        sh = sharp_elements(M)
+        assert M._heights is not None and sh.boolean_checked, name
+        assert sh.members == tuple(a for a in M.elements()
+                                   if M.meet(a, M.comp(a)) == M.zero), name
+        algebra._verify_boolean(M, sh.members)
+        if M.n <= 36:
+            brute = oracles.brute_sharp(list(M.labels), oracles.sum_table_dict(M),
+                                        M.label(M.zero), M.label(M.one))
+            assert [M.label(a) for a in sh.members] == brute, name
 
 
 def test_sharp_set_is_boolean_under_refinement():
@@ -335,22 +521,31 @@ def test_mv_detection_failures_are_pinpointed(mo2):
 
 
 def _horizontal_sums():
-    blocks = [("chain", 1), ("chain", 2), ("chain", 3), ("boolean", 2),
-              ("boolean", 3)]
+    blocks = [("chain", 1), ("chain", 2), ("chain", 3), ("chain", 4),
+              ("boolean", 2), ("boolean", 3), ("interval", (1, 2))]
     for i, first in enumerate(blocks):
         for second in blocks[i:]:
             yield (f"hsum-{first[0]}{first[1]}-{second[0]}{second[1]}",
                    generate(("horizontal_sum", [first, second])))
     yield "hsum-boolean2x3", zoo.mo3()
+    yield "hsum-chain2-boolean2-chain3", generate(
+        ("horizontal_sum", [("chain", 2), ("boolean", 2), ("chain", 3)]))
+    yield "product-hsum-chain1", generate(
+        ("product", [("horizontal_sum", [("chain", 2), ("chain", 2)]),
+                     ("chain", 1)]))
 
 
 def test_mv_detection_agrees_with_the_refinement_check():
     """A finite effect algebra has the refinement property exactly when it
-    is an MV-effect algebra, so the two routes must give the same verdict."""
+    is an MV-effect algebra, so the two routes must give the same verdict;
+    the product-of-chains certificate and the quadruple scan give it too."""
     instances = (zoo.rdp_zoo() + zoo.non_rdp_zoo()
                  + list(_horizontal_sums()))
     for name, M in instances:
         mv = oracles.detect_mv(M)
+        scan = algebra._refinement_scan(M)
         assert isinstance(mv, oracles.MVStructure) == check_rdp(M).holds, name
+        assert _certified(M) == scan.holds == check_rdp(M).holds, name
+        assert check_rdp(M) == scan, name
     assert sum(check_rdp(M).holds for _, M in instances) >= 18
     assert sum(not check_rdp(M).holds for _, M in instances) >= 10

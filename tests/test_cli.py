@@ -22,6 +22,8 @@ from effecta.report import (Record, exit_code, render, render_jsonl,
                             render_text, sort_records)
 from effecta.serialize import algebra_to_obj
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # records and rendering
@@ -422,6 +424,13 @@ def test_check_keeps_its_contract_on_mutated_sum_tables(doc):
         first = cli_in_process("check", "--input", str(path))
         assert cli_in_process("check", "--input", str(path)) == first
     assert_contract(*first)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_associativity_matches_the_triple_loop_on_mutated_sum_tables(doc):
+    oracles.assert_associativity_matches(
+        doc["elements"], doc["zero"], doc["one"], doc["sum"])
 
 
 @st.composite

@@ -90,6 +90,21 @@ def test_sharp_table_four_cases():
     assert sharp_table(rep, a, OutcomeSet.interval(0, F(1, 2))) == B.comp(a)
 
 
+def test_the_sharp_table_record_checks_each_measure():
+    """The suite reads whether each outcome set holds 0 and 1 once, and
+    still sets the endpoint rule against every sharp element's measure: a
+    measure with its two masses swapped is named at the first outcome set
+    where the two disagree."""
+    B = boolean(2)
+    rep = canonical_representation(B)
+    sm = spectral_measure(rep, 1)
+    rep._spectral[1] = sm._replace(masses={Z: sm.masses[O], O: sm.masses[Z]})
+    rec = next(r for r in run_spectral(B, "b2", 0, rep)
+               if r.check == "sharp-table")
+    assert (rec.status, rec.witness) == (FAIL, [
+        "{1}", "point-0", "endpoint rule gives {2} but the measure gives {1}"])
+
+
 def test_sharp_table_rejects_fuzzy_elements():
     rep = canonical_representation(chain(3))
     with pytest.raises(NotSharp):

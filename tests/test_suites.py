@@ -230,6 +230,47 @@ def test_a_full_check_builds_each_integration_plan_once(monkeypatch):
     assert sorted(builds) == ["_atom_plan", "_level_plan"]
 
 
+def _count_refinement_work(monkeypatch):
+    """Calls of ``_refine`` and ``_verify_boolean``, and the breadth-first
+    walks behind ``atom_coordinates`` (calls that find no cached result)."""
+    from effecta import algebra, states
+    work = Counter()
+    for name in ("_refine", "_verify_boolean"):
+        def counted(*args, _inner=getattr(algebra, name), _name=name):
+            work[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(algebra, name, counted)
+    walk = algebra.atom_coordinates
+
+    def walked(M):
+        work["walks"] += M._coords is None
+        return walk(M)
+    monkeypatch.setattr(algebra, "atom_coordinates", walked)
+    monkeypatch.setattr(states, "atom_coordinates", walked)
+    return work
+
+
+def test_a_full_check_of_boolean4_certifies_refinement_without_scans(
+        monkeypatch):
+    """The product-of-chains certificate decides refinement and the sharp
+    Boolean algebra, and the state polytope reads the same coordinates."""
+    work = _count_refinement_work(monkeypatch)
+    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
+    assert all(r.status == "pass" for r in recs)
+    assert work == Counter(walks=1)
+
+
+def test_a_failed_certificate_leaves_its_coordinates_to_the_states(
+        monkeypatch):
+    """Without refinement the scan names the witness, and the state polytope
+    reuses the coordinates the failed certificate walked."""
+    work = _count_refinement_work(monkeypatch)
+    recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES, 0)
+    assert by_key(recs)[("rdp", "refinement")].status == FAIL
+    assert work["walks"] == 1 and work["_refine"] > 0
+    assert work["_verify_boolean"] == 0
+
+
 def test_a_failed_order_certificate_is_one_error_per_gated_suite(
         monkeypatch):
     """With the refinement gate forced open on chain2 + chain3, which lacks
