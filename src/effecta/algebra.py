@@ -13,7 +13,7 @@ parallel tuple and appear in every error witness.
 from __future__ import annotations
 
 from math import prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -216,26 +216,39 @@ def validate_effect_algebra(
                 table[b][a] = x
 
     # axiom (ii): a+b and (a+b)+c defined  iff  b+c and a+(b+c) defined, equal.
-    # Row b mapped through row a must equal row a+b; with a+b undefined it is
-    # undefined throughout iff no sum b+c (bits img[b]) is summable with a
-    dom = [sum(1 << y for y, v in enumerate(row) if v is not None) for row in table]
-    img = [sum({1 << v for v in row if v is not None}) for row in table]
+    # Row b mapped through row a must equal row a+b.  With a+b undefined,
+    # no sum b+c (bits img[b]) may be summable with a.  Otherwise both rows
+    # are undefined outside dom[b] | dom[a+b]: no c of dom[a+b] may lie
+    # outside dom[b], and at the c in dom[b] row a+b (picked by at_dom[b])
+    # must equal row a at the sums b+c (picked by at_sum[b]).  A row b with
+    # nothing defined leaves every a+b undefined, so it is never picked.
+    # The witness is the lowest c where the two rows differ.
+    defined = [[y for y, v in enumerate(row) if v is not None]
+               for row in table]
+    dom = [sum(1 << y for y in ys) for ys in defined]
+    img = [sum({1 << row[y] for y in ys}) for row, ys in zip(table, defined)]
+    at_dom = [itemgetter(*ys) if ys else None for ys in defined]
+    at_sum = [itemgetter(*(row[y] for y in ys)) if ys else None
+              for row, ys in zip(table, defined)]
     for a in range(n):
         ta = table[a]
-        plus_a = dict(enumerate(ta)).get
-        for b in range(n):
-            ab = ta[b]
-            if ab is None and not img[b] & dom[a]:
-                continue
-            lefts = [None] * n if ab is None else table[ab]
-            rights = list(map(plus_a, table[b]))
-            if lefts != rights:
-                c = next(c for c in range(n) if lefts[c] != rights[c])
-                left, right = lefts[c], rights[c]
-                raise AxiomViolation(
-                    "ii", (labels[a], labels[b], labels[c]),
-                    f"(a+b)+c = {None if left is None else labels[left]}, "
-                    f"a+(b+c) = {None if right is None else labels[right]}")
+        for b, ab in enumerate(ta):
+            if ab is None:
+                if not img[b] & dom[a]:
+                    continue
+                lefts = [None] * n
+            else:
+                lefts = table[ab]
+                if (not dom[ab] & ~dom[b]
+                        and at_dom[b](lefts) == at_sum[b](ta)):
+                    continue
+            rights = [None if v is None else ta[v] for v in table[b]]
+            c = next(c for c in range(n) if lefts[c] != rights[c])
+            left, right = lefts[c], rights[c]
+            raise AxiomViolation(
+                "ii", (labels[a], labels[b], labels[c]),
+                f"(a+b)+c = {None if left is None else labels[left]}, "
+                f"a+(b+c) = {None if right is None else labels[right]}")
 
     # axiom (iii): unique orthosupplement
     comp: list[int] = [0] * n

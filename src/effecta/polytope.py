@@ -79,8 +79,8 @@ def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[int, ...]]:
     # constraint 2j is t_j >= 0, 2j + 1 is t_j <= 1, 2d + k is cut k
     corners = list(iproduct((0, 1), repeat=d))
     verts = [(*corner, 1) for corner in corners]
-    masks = [sum(1 << (2 * j + t) for j, t in enumerate(corner))
-             for corner in corners]
+    masks = [sum(bits) for bits in iproduct(*((1 << 2 * j, 2 << 2 * j)
+                                              for j in range(d)))]
     for k, cut in enumerate(cuts):
         row = _integer_row(cut)
         bit = 1 << (2 * d + k)

@@ -178,17 +178,18 @@ def _evaluation_representation(M: EffectAlgebra,
     are closed under sums and h preserves them.  Complements, h(0) = 0 and
     h(1) = 1 follow from the state laws.  Below each element, the pointwise
     down-set is the AND over the vertices of the elements valued at most
-    as high there."""
+    as high there; the vertices' integer numerators share one denominator,
+    so they order the elements as the values do."""
     below = [(1 << M.n) - 1] * M.n
-    for s in P.vertices:
-        at_value: dict[Fraction, int] = {}
-        for a, v in enumerate(s.values):
+    for row in P.numerators:
+        at_value: dict[int, int] = {}
+        for a, v in enumerate(row):
             at_value[v] = at_value.get(v, 0) | 1 << a
         upto, acc = {}, 0
         for v in sorted(at_value):
             acc |= at_value[v]
             upto[v] = acc
-        below = [mask & upto[v] for mask, v in zip(below, s.values)]
+        below = [mask & upto[v] for mask, v in zip(below, row)]
     for a, mask in enumerate(below):
         if mask != M.down_mask(a):
             raise TheoremViolation(

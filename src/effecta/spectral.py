@@ -221,19 +221,22 @@ def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:
     state polytope's affine hull, and ``P.dimension`` is their rank.  When
     their sharp coordinates keep that rank, the restriction to the sharp
     elements is injective on the hull, so every state on the sharp elements
-    extends in at most one way.  Otherwise some combination of the
-    differences is zero on the sharp elements but not everywhere.
+    extends in at most one way.  The rank is taken over the integer
+    numerator differences, which are the differences times ``P.den``.
+    Otherwise some combination of the differences is zero on the sharp
+    elements but not everywhere.
     """
     P = rep.polytope
     if P is None or P.is_empty:
         raise PreconditionFailed("the extension certificate needs the states")
     sharp = sharp_elements(rep.target).members
-    v0 = P.vertices[0].values
-    diffs = [[x - y for x, y in zip(v.values, v0)] for v in P.vertices[1:]]
-    if rank([[d[b] for b in sharp] for d in diffs]) == P.dimension:
+    n0, *rest = P.numerators
+    if rank([[row[b] - n0[b] for b in sharp] for row in rest]) == P.dimension:
         return None
     # combinations c with sum_i c_i d_i[b] = 0 at every sharp b; one basis
     # direction of that kernel must leave the kernel of the full map
+    v0 = P.vertices[0].values
+    diffs = [[x - y for x, y in zip(v.values, v0)] for v in P.vertices[1:]]
     _, combos, _ = solve_affine([[d[b] for d in diffs] for b in sharp],
                                 [ZERO] * len(sharp))
     for c in combos:

@@ -8,12 +8,23 @@ distinct defined sum and by 0 <= s(x) <= 1.  Its vertices (the extremal
 states) are enumerated exactly and listed in lexicographic order of their
 value vectors, which fixes a canonical carrier order for the
 representation machinery.
+
+The polytope holds its vertices as one integer matrix over one common
+denominator.  Non-emptiness, separation, the mixtures and the dimension
+read the integers; the Fraction vertices are built only when a suite past
+the refinement gate asks for them.  The dimension is d minus the rank of
+the implicit equalities, the elements valued 0 (or 1) at every vertex:
+P = {u : 0 <= s_x(u) <= 1 for every element x} in the free-atom
+coordinates u, the box of the free atoms among these constraints, and a
+constraint tight at every vertex is tight on all of P = conv(vertices).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -40,20 +51,33 @@ class StateCheck(NamedTuple):
 
 
 class StatePolytope:
-    """The extremal states and the rank of their differences (the
-    dimension; -1 when there are no states)."""
+    """The extremal states as one integer matrix: row i of ``numerators``
+    holds the values of vertex i times ``den``, and the rows are in
+    lexicographic order.  ``dimension`` is the polytope's (-1 when there
+    are no states)."""
 
-    def __init__(self, algebra, vertices, dimension):
+    def __init__(self, algebra, numerators, den, dimension):
         self.algebra: EffectAlgebra = algebra
-        self.vertices: tuple[State, ...] = vertices
+        self.numerators: tuple[tuple[int, ...], ...] = numerators
+        self.den: int = den
         self.dimension: int = dimension
+
+    @cached_property
+    def vertices(self) -> tuple[State, ...]:
+        """The extremal states as Fractions, built on first use with one
+        Fraction per distinct numerator."""
+        value = {v: Fraction(v, self.den)
+                 for v in set(chain.from_iterable(self.numerators))}
+        return tuple(State(tuple(map(value.__getitem__, row)))
+                     for row in self.numerators)
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.numerators
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"StatePolytope(vertices={len(self.vertices)}, dim={self.dimension})"
+        return (f"StatePolytope(vertices={len(self.numerators)}, "
+                f"dim={self.dimension})")
 
 
 def state_polytope(M: EffectAlgebra) -> StatePolytope:
@@ -62,16 +86,25 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     the t with (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum,
     m(1) . t = 1 and every m(x) . t in [0,1].  The equalities give
     t = t0 + sum_j u_j dirs[j], u_j the value of free atom j, so the
-    polytope is the part of the box [0,1]^d where every other element's
-    value lies in [0,1].  u -> x is affine and injective, so the dimension
-    is the rank of the parameter differences."""
+    polytope is P = {u : 0 <= s_x(u) <= 1 for every element x}; the box of
+    the free atoms is among these constraints, since free atoms are
+    elements.
+
+    The dimension is d minus the rank of the implicit equalities, the
+    constraints tight on all of P (Schrijver 1986, section 8.2).  P is the
+    convex hull of its vertices, so a constraint is tight on all of P
+    exactly when it is tight at every vertex: the implicit equalities are
+    the linear parts of the elements valued 0 at every vertex or 1 at
+    every vertex.  An element valued 1 everywhere has its complement
+    valued 0 everywhere, with the opposite linear part (s(x') = 1 - s(x)),
+    so the elements valued 0 at every vertex carry the whole rank."""
     atoms, m = atom_coordinates(M)
     rows = {tuple(p + q - r for p, q, r in zip(m[a], m[b], m[c]))
             for a, b, c in M.defined_sums()} - {(0,) * len(atoms)}
     sol = solve_affine([list(map(Fraction, row)) for row in (*rows, m[M.one])],
                        [Fraction(0)] * len(rows) + [Fraction(1)])
     if sol is None:
-        return StatePolytope(M, (), -1)
+        return StatePolytope(M, (), 1, -1)
     t0, dirs, free = sol
     d = len(free)
 
@@ -92,22 +125,24 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
                 cuts[cut] = None
     tverts = enumerate_vertices(d, [HalfSpace(*cut) for cut in cuts])
     if not tverts:
-        return StatePolytope(M, (), -1)
+        return StatePolytope(M, (), 1, -1)
 
-    # x_i = form_i . (tscale, T) / (scale * tscale), all integers, with
-    # each homogeneous vertex (numerators..., w) rescaled to w = tscale; the
-    # vertices (tscale, T) share their first entry, so the rank of their
-    # differences is one less than their rank
+    # x = (X0 * tscale + D . T) / (scale * tscale), all integers, with each
+    # homogeneous vertex (numerators..., w) rescaled to (T, tscale); one
+    # column of numerators per distinct form, one pass per nonzero D_j
     tscale = lcm(*(w[-1] for w in tverts))
-    T = [(tscale, *(t * (tscale // w[-1]) for t in w[:-1])) for w in tverts]
-    sparse = [[(j, c) for j, c in enumerate(form) if c] for form in forms]
-    numerators = sorted(tuple(sum(c * Tt[j] for j, c in terms)
-                              for terms in sparse) for Tt in T)
+    tcols = [[w[j] * (tscale // w[-1]) for w in tverts] for j in range(d)]
     den = scale * tscale
-    states = tuple(State(tuple(Fraction(v, den) for v in num))
-                   for num in numerators)
-    dim = rank(T) - 1
-    return StatePolytope(M, states, dim)
+    columns = {}
+    for form in dict.fromkeys(forms):
+        col = [form[0] * tscale] * len(tverts)
+        for c, tcol in zip(form[1:], tcols):
+            if c:
+                col = [x + c * t for x, t in zip(col, tcol)]
+        columns[form] = col
+    numerators = tuple(sorted(zip(*map(columns.__getitem__, forms))))
+    tight = [form[1:] for form, col in columns.items() if not any(col)]
+    return StatePolytope(M, numerators, den, d - rank(tight))
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +176,11 @@ def inseparable_pair(polytope: StatePolytope) -> tuple[int, int] | None:
     """The first two elements that every extremal state values alike, in
     the order the second one is met; None when the states separate.  With
     no states every element is valued alike, so the pair is ids 0 and 1."""
-    seen: dict[tuple, int] = {}
-    for a in range(polytope.algebra.n):
-        first = seen.setdefault(tuple(s.values[a] for s in polytope.vertices),
-                                a)
+    if polytope.is_empty:
+        return 0, 1
+    seen: dict[tuple[int, ...], int] = {}
+    for a, column in enumerate(zip(*polytope.numerators)):
+        first = seen.setdefault(column, a)
         if first != a:
             return first, a
     return None
@@ -160,15 +196,13 @@ def seeded_mixtures(polytope: StatePolytope, count: int, seed: int) -> list[Stat
     if polytope.is_empty:
         raise EmptyStateSpace("cannot mix vertices of an empty polytope")
     rng = random.Random(seed)
-    k = len(polytope.vertices)
-    # value_i = sum_k raw_k * N_k,i / (total * scale), N the integer numerators
-    scale = lcm(*(v.denominator for s in polytope.vertices for v in s.values))
-    columns = list(zip(*([v.numerator * (scale // v.denominator)
-                          for v in s.values] for s in polytope.vertices)))
+    k = len(polytope.numerators)
+    # value_i = sum_k raw_k * N_k,i / (total * den), N the integer numerators
+    columns = list(zip(*polytope.numerators))
     out = []
     for _ in range(count):
         raw = [rng.randint(1, 10) for _ in range(k)]
-        den = sum(raw) * scale
+        den = sum(raw) * polytope.den
         out.append(State(tuple(Fraction(sum(map(mul, raw, col)), den)
                                for col in columns)))
     return out

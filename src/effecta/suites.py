@@ -220,7 +220,7 @@ def run_states(M: EffectAlgebra, instance: str, *,
     P = state_polytope(M) if polytope is None else polytope
     records = [Record("states", instance, "non-empty",
                       PASS if not P.is_empty else FAIL,
-                      detail=f"{len(P.vertices)} extremal states")]
+                      detail=f"{len(P.numerators)} extremal states")]
     if P.is_empty:
         records.append(Record("states", instance, "separating", SKIP,
                               detail="no states"))
@@ -287,7 +287,7 @@ def sample_states(P, seed: int, mixtures: int) -> list[State]:
     """The states a suite evaluates: the vertices, then seeded mixtures.
     A lone vertex is every mixture of itself, so it is evaluated once."""
     from .states import seeded_mixtures
-    if len(P.vertices) == 1:
+    if len(P.numerators) == 1:
         return list(P.vertices)
     return list(P.vertices) + seeded_mixtures(P, mixtures, seed)
 

@@ -926,6 +926,31 @@ def seeded_mixtures_reference(polytope, count, seed):
     return out
 
 
+def doctored_polytope(M, vertices, dimension):
+    """A StatePolytope over the given value vectors (States or sequences of
+    rationals), kept in the given order and put over their least common
+    denominator: the one way the tests build a polytope that
+    ``state_polytope`` would not."""
+    from effecta.states import StatePolytope
+
+    rows = [tuple(map(Fraction, getattr(v, "values", v))) for v in vertices]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    numerators = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                       for row in rows)
+    return StatePolytope(M, numerators, den, dimension)
+
+
+def vertex_difference_rank(polytope):
+    """Rank of the differences v_i - v_0 of the Fraction vertices, by dense
+    elimination: the dimension of the polytope read off its vertices."""
+    vertices = polytope.vertices
+    if not vertices:
+        return -1
+    v0 = vertices[0].values
+    return matrix_rank([[a - b for a, b in zip(s.values, v0)]
+                        for s in vertices[1:]])
+
+
 # ---------------------------------------------------------------------------
 # extension values by direct spectral summation (third route, no LP, no atoms)
 

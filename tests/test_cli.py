@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effecta import cli, generate
+from effecta import cli, generate, states
 from effecta.errors import TheoremViolation
 from effecta.report import (Record, exit_code, render, render_jsonl,
                             render_text, sort_records)
@@ -144,6 +144,33 @@ def test_derived_size_cap_skips_suites_instead_of_aborting(tmp_path, capsys):
     (payload,) = map(json.loads, captured.out.strip().splitlines())
     assert (payload["suite"], payload["check"], payload["status"]) == (
         "representation", "canonical-representation", "fail")
+
+
+@pytest.mark.parametrize("suite", ["states", "all"])
+def test_the_states_suite_never_builds_the_fraction_vertices(
+        tmp_path, capsys, monkeypatch, suite):
+    """Non-emptiness and separation read the integer numerators, and the
+    gated suites stop at the refinement gate, so on ten boolean 2 blocks
+    (1,024 extremal states) no vertex Fraction is built."""
+    built = []
+    real = states.state_polytope
+
+    def spy(M):
+        built.append(real(M))
+        return built[-1]
+
+    monkeypatch.setattr(states, "state_polytope", spy)
+    path = write_algebra(tmp_path, "hsum10.json",
+                         "horizontal-sum", *["boolean2"] * 10)
+    assert run("check", "--input", str(path), "--suite", suite) == \
+        (0 if suite == "states" else 1)
+    payloads = {(p["suite"], p["check"]): p for p in
+                map(json.loads, capsys.readouterr().out.strip().splitlines())}
+    assert payloads[("states", "non-empty")]["detail"] == \
+        "1024 extremal states"
+    assert payloads[("states", "separating")]["status"] == "pass"
+    (P,) = built
+    assert "vertices" not in P.__dict__
 
 
 def test_check_output_is_byte_deterministic(tmp_path):

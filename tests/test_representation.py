@@ -28,12 +28,12 @@ from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
                             TheoremViolation)
 from effecta.representation import (_evaluation_representation, compute_b0,
                                     measurable, sharp_image)
-from effecta.states import (State, StatePolytope, inseparable_pair,
-                            state_polytope)
+from effecta.states import inseparable_pair, state_polytope
 
 from oracles import (RepresentationViolation, TribeAxiomViolation,
-                     congruence_failure, extend_carrier_with_null_point,
-                     irregular_member, make_representation, negligible_ideal,
+                     congruence_failure, doctored_polytope,
+                     extend_carrier_with_null_point, irregular_member,
+                     make_representation, negligible_ideal,
                      sandwich, support, tribe_to_algebra, validate_tribe,
                      validated_representation)
 from zoo_instances import (boolean, chain, diamond, interval, mo2,
@@ -125,12 +125,12 @@ def test_canonical_representation_gates():
 
     # past the gate, a vertex list that cannot tell two elements apart
     M = chain(2)
-    blind = StatePolytope(M, (State((Z, O, O)),), 0)
+    blind = doctored_polytope(M, [(Z, O, O)], 0)
     with pytest.raises(NonSeparatingStates) as err:
         canonical_representation(M, polytope=blind)
     assert err.value.pair == ("1", "2")
 
-    hollow = StatePolytope(M, (), -1)
+    hollow = doctored_polytope(M, [], -1)
     with pytest.raises(EmptyStateSpace):
         canonical_representation(M, polytope=hollow)
 

@@ -20,7 +20,7 @@ from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
 from effecta.spectral import (sharp_kernel, sharp_table, spectral_injectivity,
                               validate_sharp_state)
-from effecta.states import State, StatePolytope, seeded_mixtures, state_polytope
+from effecta.states import seeded_mixtures, state_polytope
 from effecta.suites import run_extension, run_spectral
 
 from zoo_instances import boolean, chain, interval, rdp_zoo
@@ -264,7 +264,7 @@ def test_rank_deficit_yields_a_kernel_witness():
     # state there leaves the sharp values unable to fix the state
     v0 = rep.polytope.vertices[0].values
     v1 = (Z, F(1, 2), F(1, 2), O)
-    doctored = StatePolytope(C, (State(v0), State(v1)), 1)
+    doctored = oracles.doctored_polytope(C, [v0, v1], 1)
     fake = Representation(rep.tribe, C, rep.h, polytope=doctored)
     report = oracles.extension_uniqueness(fake, {0: Z, 3: O})
     assert report.unique is False
@@ -295,9 +295,10 @@ def _doctored(M):
     a = next(a for a in M.elements() if a not in sharp)
     last = list(P.vertices[-1].values)
     last[a] += F(1, 12)
-    vertices = P.vertices[:-1] + (State(tuple(last)),)
-    return Representation(rep.tribe, M, rep.h,
-                          polytope=StatePolytope(M, vertices, P.dimension))
+    vertices = [*P.vertices[:-1], last]
+    return Representation(
+        rep.tribe, M, rep.h,
+        polytope=oracles.doctored_polytope(M, vertices, P.dimension))
 
 
 DOCTORED = {

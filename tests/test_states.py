@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 from effecta import State, generate, state_polytope
 from effecta.errors import EmptyStateSpace
 from effecta.algebra import atom_coordinates
-from effecta.states import (StatePolytope, inseparable_pair, is_state,
-                            seeded_mixtures)
+from effecta.states import inseparable_pair, is_state, seeded_mixtures
 
-from oracles import (brute_vertices, convex_combination, fraction_is_state,
-                     is_sigma_additive, matrix_rank, raw_state_system,
-                     seeded_mixtures_reference, x_space_vertices)
-from zoo_instances import (boolean, chain, diamond, interval, mo2, mo3,
-                           non_rdp_zoo, product_of, rdp_zoo)
+from oracles import (brute_vertices, convex_combination, doctored_polytope,
+                     fraction_is_state, is_sigma_additive, matrix_rank,
+                     raw_state_system, seeded_mixtures_reference,
+                     vertex_difference_rank, x_space_vertices)
+from zoo_instances import (boolean, chain, diamond, grid_pasting, interval,
+                           mo2, mo3, non_rdp_zoo, product_of, rdp_zoo)
 
 F = Fraction
 Z = F(0)
@@ -231,7 +231,7 @@ def test_diamond_states_do_not_separate():
 
 def test_empty_polytope_gates():
     M = chain(2)
-    empty = StatePolytope(M, (), -1)
+    empty = doctored_polytope(M, [], -1)
     assert empty.is_empty
     with pytest.raises(EmptyStateSpace):
         seeded_mixtures(empty, 3, seed=0)
@@ -260,24 +260,54 @@ def test_seeded_mixtures_deterministic_and_valid():
     assert seeded_mixtures(P, 10, seed=8) != first
 
 
+def _hsum_boolean2(k):
+    return generate(("horizontal_sum", [("boolean", 2)] * k))
+
+
 def test_dimension_is_the_rank_of_the_state_differences():
-    """The dimension comes from the parameter-space vertices; the rank of
-    the value-vector differences, by the dense oracle, must agree."""
-    for name, M in rdp_zoo() + non_rdp_zoo():
+    """The dimension comes from the implicit equalities, the elements
+    valued 0 or 1 at every vertex; the rank of the value-vector
+    differences, by the dense oracle, must agree.  A horizontal sum of k
+    boolean 2 blocks has 2**k vertices spanning dimension k."""
+    for name, M in rdp_zoo() + non_rdp_zoo() + [("grid", grid_pasting())]:
         P = state_polytope(M)
-        v0 = P.vertices[0].values
-        diffs = [[a - b for a, b in zip(s.values, v0)]
-                 for s in P.vertices[1:]]
-        assert P.dimension == matrix_rank(diffs), name
+        assert P.dimension == vertex_difference_rank(P), name
+    for k in range(2, 11):
+        P = state_polytope(_hsum_boolean2(k))
+        assert (len(P.numerators), P.dimension) == (2 ** k, k)
+        assert P.dimension == vertex_difference_rank(P), k
 
 
-@pytest.mark.parametrize("make", [
-    mo3,
-    lambda: generate(("horizontal_sum", [("boolean", 3)] * 3)),
-    lambda: interval(1, 2),
-], ids=["mo3", "hsum3-boolean3", "interval12"])
-def test_seeded_mixtures_match_the_fraction_reference(make):
-    P = state_polytope(make())
+def test_the_grid_pasting_has_elements_every_state_values_0_or_1():
+    """On the grid pasting the x_j are atoms that every state values 0, and
+    each column's three grid atoms sum to an element every state values 1:
+    implicit equalities besides the box.  Its states are the doubly
+    stochastic matrices, so the six permutation matrices span
+    dimension 4."""
+    M = grid_pasting()
+    P = state_polytope(M)
+    constant = {M.label(a) for a in M.elements()
+                if len({s.values[a] for s in P.vertices}) == 1
+                and P.vertices[0].values[a] in (Z, O)}
+    assert constant == {"0", "1", "x0", "x1", "x2", "g00+g10+g20",
+                        "g01+g11+g21", "g02+g12+g22"}
+    grid = [[M.index(f"g{i}{j}") for j in range(3)] for i in range(3)]
+    permutations = [tuple(tuple(s.values[g] for g in row) for row in grid)
+                    for s in P.vertices]
+    assert len(set(permutations)) == 6
+    assert all(sorted(map(sorted, (*p, *zip(*p)))) == [[Z, Z, O]] * 6
+               for p in permutations)
+    assert P.dimension == 4 == vertex_difference_rank(P)
+
+
+MIXTURE_ZOO = rdp_zoo() + non_rdp_zoo() + [
+    ("hsum3-boolean3", generate(("horizontal_sum", [("boolean", 3)] * 3)))]
+
+
+@pytest.mark.parametrize("name,M", MIXTURE_ZOO,
+                         ids=[name for name, _ in MIXTURE_ZOO])
+def test_seeded_mixtures_match_the_fraction_reference(name, M):
+    P = state_polytope(M)
     for seed in range(4):
         assert (seeded_mixtures(P, 10, seed)
                 == seeded_mixtures_reference(P, 10, seed))

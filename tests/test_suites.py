@@ -14,7 +14,7 @@ from effecta.representation import canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
 from effecta.spectral import spectral_measure
-from effecta.states import StatePolytope, seeded_mixtures, state_polytope
+from effecta.states import seeded_mixtures, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
 import oracles
@@ -115,7 +115,7 @@ def test_invalid_algebra_shorts_every_suite():
 
 
 def test_an_empty_polytope_fails_non_empty_and_skips_separating():
-    empty = StatePolytope(chain(2), (), -1)
+    empty = oracles.doctored_polytope(chain(2), [], -1)
     recs = suites.run_states(chain(2), "c2", polytope=empty)
     assert recs == [
         Record("states", "c2", "non-empty", FAIL, detail="0 extremal states"),

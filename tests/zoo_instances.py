@@ -1,12 +1,13 @@
 """Named instances shared across the test modules.
 
 Generated families come through the public generators; the hand-built
-instances (a four-block loop pasting, several small function tribes) are
-spelled out sum-by-sum or value-by-value so that they do not depend on any
-library construction they are used to test.
+instances (a four-block loop pasting, a grid pasting, several small
+function tribes) are spelled out sum-by-sum or value-by-value so that they
+do not depend on any library construction they are used to test.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from effecta import generate, validate_effect_algebra
 
@@ -95,6 +96,43 @@ def loop4():
         sums.append((p, r, q + "'"))
         sums.append((q, r, p + "'"))
     return validate_effect_algebra(labels, "0", "1", sums)
+
+
+def grid_pasting():
+    """Six Boolean blocks pasted along a 3 x 3 grid of atoms g_ij.
+
+    Row i is the eight-element block (g_i0, g_i1, g_i2); column j is the
+    sixteen-element block (g_0j, g_1j, g_2j, x_j).  A row and a column share
+    one grid atom and its complement.  Summing the three rows and the three
+    columns gives 3 = 3 + s(x_0) + s(x_1) + s(x_2), so every state values
+    each x_j at 0 and each column's three grid atoms together at 1.  The
+    states are the 3 x 3 doubly stochastic matrices: six vertices (the
+    permutation matrices) spanning dimension 4.  44 elements.
+    """
+    grid = [[f"g{i}{j}" for j in range(3)] for i in range(3)]
+    shared = {g for row in grid for g in row}
+    blocks = [tuple(row) for row in grid]
+    blocks += [(*(row[j] for row in grid), f"x{j}") for j in range(3)]
+
+    def label(block, part):
+        rest = [a for a in block if a not in part]
+        if not part or not rest:
+            return "1" if part else "0"
+        if len(part) == 1 and part[0] in shared:
+            return part[0]
+        if len(rest) == 1 and rest[0] in shared:
+            return rest[0] + "'"
+        return "+".join(part)
+
+    labels, sums = {}, []
+    for block in blocks:
+        parts = [p for k in range(len(block) + 1)
+                 for p in combinations(block, k)]
+        labels.update((label(block, p), None) for p in parts)
+        sums += [(label(block, p), label(block, q),
+                  label(block, tuple(a for a in block if a in p or a in q)))
+                 for p in parts for q in parts if not set(p) & set(q)]
+    return validate_effect_algebra(list(labels), "0", "1", sums)
 
 
 # ---------------------------------------------------------------------------
