@@ -13,15 +13,15 @@ parallel tuple and appear in every error witness.
 from __future__ import annotations
 
 from math import prod
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     AxiomViolation,
-    BooleanStructureFailure,
     NonUniqueSupplement,
     OrderNotAntisymmetric,
     SizeLimitExceeded,
+    TheoremViolation,
 )
 
 DEFAULT_MAX_SIZE = 64       # elements, when no bound is given
@@ -44,7 +44,7 @@ class EffectAlgebra:
     __slots__ = (
         "labels", "zero", "one",
         "_sum", "_comp", "_minus", "_down", "_up",
-        "_index", "_rdp_cache", "_sharp_cache", "_coords", "_heights",
+        "_index", "_rdp_cache", "_sharp_cache", "_coords",
     )
 
     def __init__(self, labels, zero, one, sum_table, comp, minus, down, up):
@@ -60,7 +60,6 @@ class EffectAlgebra:
         self._rdp_cache: "RdpResult | None" = None
         self._sharp_cache: "SharpSet | None" = None
         self._coords = None            # atom_coordinates, walked once
-        self._heights = None           # chain heights, once check_rdp certifies
 
     # -- basic structure ----------------------------------------------------
 
@@ -331,30 +330,46 @@ def _refine(M: EffectAlgebra, a1: int, a2: int, b1: int, b2: int) -> bool:
 
 def _chain_heights(M: EffectAlgebra) -> tuple[int, ...] | None:
     """The h of a verified isomorphism of M onto the product of the chains
-    C_{h_i}, or None.  With h_i the largest m_i, m maps M into a box of
-    prod (h_i + 1) vectors, and of its pairs prod (h_i + 1)(h_i + 2)/2 sum
-    inside it.  If m is injective, adds along every defined sum and both
-    counts are met, m is onto the box and maps the defined pairs onto those."""
+    C_{h_i}, or None.  With h_i the largest m_i, m maps M into the box of
+    prod (h_i + 1) vectors; M is that product when it has as many elements
+    and prod (h_i + 1)(h_i + 2)/2 defined ordered pairs.
+
+    m is injective on a validated algebra: x is the sum of the atoms m(x)
+    counts, and by generalized associativity a multiset of atoms has one
+    sum.  With the box count, m is a bijection onto the box.  For u + v in
+    the box, the atoms u + v counts sum to the z with m(z) = u + v, so
+    their sub-multisets u and v sum to the x and y with m(x) = u and
+    m(y) = v, and x + y = z: each of those box pairs is a defined pair
+    that m adds along.  Every other defined pair has an m-sum outside the
+    box.  So the defined pairs number prod (h_i + 1)(h_i + 2)/2 exactly
+    when m adds along every defined sum and maps them onto the box pairs."""
     _, m = atom_coordinates(M)
     heights = tuple(map(max, zip(*m)))
-    if len(set(m)) != M.n or M.n != prod(h + 1 for h in heights):
-        return None
-    sums = list(M.defined_sums())
-    pairs = sum(2 - (a == b) for a, b, _ in sums)
-    if pairs == prod((h + 1) * (h + 2) // 2 for h in heights) and all(
-            tuple(map(add, m[a], m[b])) == m[c] for a, b, c in sums):
+    pairs = sum(M.n - row.count(None) for row in M._sum)
+    if (M.n == prod(h + 1 for h in heights)
+            and pairs == prod((h + 1) * (h + 2) // 2 for h in heights)):
         return heights
     return None
 
 
 def check_rdp(M: EffectAlgebra) -> RdpResult:
     """Decide whether every pair of equal defined sums admits a 2x2
-    refinement: yes for a certified product of chains, else by the scan.
-    Cached on the algebra; downstream code calls this freely."""
+    refinement.  A finite effect algebra with the refinement property is a
+    finite MV-effect algebra, so a product of chains: refinement holds
+    exactly when the certificate does, and otherwise the scan names the
+    failing quadruple.  A scan that finds none where the certificate failed is a
+    ``TheoremViolation``.  Cached on the algebra; downstream code calls
+    this freely."""
     if M._rdp_cache is None:
-        M._heights = _chain_heights(M)
-        M._rdp_cache = (_refinement_scan(M) if M._heights is None
-                        else RdpResult(True, None, M))
+        if _chain_heights(M) is not None:
+            M._rdp_cache = RdpResult(True, None, M)
+        else:
+            scan = _refinement_scan(M)
+            if scan.holds:
+                raise TheoremViolation(
+                    "the refinement scan found no failure, but the algebra "
+                    "is no certified product of chains")
+            M._rdp_cache = scan
     return M._rdp_cache
 
 
@@ -379,56 +394,24 @@ def _refinement_scan(M: EffectAlgebra) -> RdpResult:
 
 
 class SharpSet(NamedTuple):
-    """The elements a with a /\\ a' existing and equal to zero.  When the
-    parent algebra has the refinement property, their meets, joins and
-    complements have been certified to form a Boolean algebra and
-    ``boolean_checked`` is True."""
+    """The elements a with a /\\ a' existing and equal to zero."""
     members: tuple[int, ...]
-    boolean_checked: bool
 
 
 def sharp_elements(M: EffectAlgebra) -> SharpSet:
-    """Cached on the algebra, like the refinement verdict it depends on.  In
-    a certified product of chains they are the m with each m_i in {0, h_i},
-    a power set whose meet, join and complement the isomorphism carries."""
-    if M._sharp_cache is not None:
-        return M._sharp_cache
-    rdp = check_rdp(M).holds
-    if M._heights is None:
-        members = tuple(a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero)
-        if rdp:
-            _verify_boolean(M, members)
-    else:               # m_i(x) m_i(x') = m_i(x) (h_i - m_i(x)) is 0 at every i
-        m = atom_coordinates(M)[1]
-        members = tuple(x for x in M.elements()
-                        if not any(map(mul, m[x], m[M.comp(x)])))
-    M._sharp_cache = SharpSet(members, rdp)
+    """Cached on the algebra, like the refinement verdict it depends on.
+    With the refinement property M is a certified product of chains, and
+    the sharp elements are the m with each m_i in {0, h_i}: the corners of
+    the box, a power set whose meet, join and complement the isomorphism
+    carries, so they form a Boolean algebra.  Otherwise they are read off
+    the meets."""
+    if M._sharp_cache is None:
+        if check_rdp(M).holds:  # m_i(x) m_i(x') = m_i(x) (h_i - m_i(x)) is 0
+            m = atom_coordinates(M)[1]
+            members = tuple(x for x in M.elements()
+                            if not any(map(mul, m[x], m[M.comp(x)])))
+        else:
+            members = tuple(a for a in M.elements()
+                            if M.meet(a, M.comp(a)) == M.zero)
+        M._sharp_cache = SharpSet(members)
     return M._sharp_cache
-
-
-def _verify_boolean(M, members) -> None:
-    """Certify that ``members`` under M's meet, join and complement is a
-    Boolean algebra, in one pass over the pairs.
-
-    Each member maps to the bitmask of the atoms (minimal nonzero members)
-    below it.  The map must be a bijection onto all subsets of the atoms
-    that sends comp to set complement and meet and join to intersection
-    and union.  The members are then isomorphic to a power set, so every
-    Boolean law holds."""
-    lab = M.label
-    atoms = [a for a in members if a != M.zero and not any(
-        b not in (M.zero, a) and M.leq(b, a) for b in members)]
-    mask = {a: sum(1 << i for i, x in enumerate(atoms) if M.leq(x, a))
-            for a in members}
-    full = (1 << len(atoms)) - 1
-    if len(set(mask.values())) != len(members) or len(members) != full + 1:
-        raise BooleanStructureFailure("atom-bijection",
-                                      tuple(lab(a) for a in atoms))
-    for a in members:
-        if mask.get(M.comp(a)) != full ^ mask[a]:
-            raise BooleanStructureFailure("complement", (lab(a),))
-        for b in members:
-            if mask.get(M.meet(a, b)) != mask[a] & mask[b]:
-                raise BooleanStructureFailure("meet", (lab(a), lab(b)))
-            if mask.get(M.join(a, b)) != mask[a] | mask[b]:
-                raise BooleanStructureFailure("join", (lab(a), lab(b)))

@@ -51,19 +51,6 @@ class SizeLimitExceeded(EffectaError):
     pass
 
 
-class BooleanStructureFailure(EffectaError):
-    """The sharp elements of an algebra with the refinement property failed
-    the Boolean certificate: ``law`` is "atom-bijection" (witnesses: the
-    atoms), "complement" (one member) or "meet" / "join" (a pair).  This
-    cannot happen for a correct implementation, so it is always an internal
-    alarm rather than a user error."""
-
-    def __init__(self, law: str, witnesses: tuple):
-        self.law = law
-        self.witnesses = witnesses
-        super().__init__(f"sharp elements break Boolean law {law} at {witnesses!r}")
-
-
 # ---------------------------------------------------------------------------
 # states
 

@@ -4,7 +4,9 @@ Each suite turns one aspect of the library into a flat list of records:
 axioms, refinement, sharp structure, states, representation
 characterizations, smearing, spectral measures, and state extension.
 Everything that fails carries a reproducible witness; everything is
-deterministic for a fixed seed.
+deterministic for a fixed seed.  What validation or the product-of-chains
+certificate has proved (a'' = a, unique differences, the Boolean sharp
+set) is not re-checked: the sharp suite's one record lists the members.
 
 Each check runs in its own process, so the layers behind the states suite
 and the gated suites (representation, smearing, spectral, extension) are
@@ -22,7 +24,6 @@ from typing import TYPE_CHECKING, Sequence
 from .algebra import EffectAlgebra, check_rdp, sharp_elements
 from .errors import (
     AxiomViolation,
-    BooleanStructureFailure,
     EffectaError,
     EmptyStateSpace,
     NonSeparatingStates,
@@ -164,27 +165,12 @@ def _fn_str(f) -> str:
 
 
 def _axiom_records(M: EffectAlgebra, instance: str) -> list[Record]:
-    records = [Record("axioms", instance, "validate", PASS,
-                      detail=f"{M.n} elements")]
-    bad = next((a for a in M.elements() if M.comp(M.comp(a)) != a), None)
-    records.append(Record(
-        "axioms", instance, "double-complement",
-        PASS if bad is None else FAIL,
-        witness=None if bad is None else M.label(bad)))
-    diff_bad = None
-    for a in M.elements():
-        for b in M.elements():
-            if M.leq(a, b):
-                c = M.minus(b, a)
-                if c is None or M.add(a, c) != b:
-                    diff_bad = (M.label(a), M.label(b))
-                    break
-        if diff_bad:
-            break
-    records.append(Record(
-        "axioms", instance, "difference-unique",
-        PASS if diff_bad is None else FAIL, witness=_jsonable(diff_bad)))
-    return records
+    """The one axioms record.  Validation has proved the rest: complements
+    are unique, so a'' = a, and it stores the unique witness of every
+    difference it derives the order from, so minus(b, a) + a = b whenever
+    leq(a, b)."""
+    return [Record("axioms", instance, "validate", PASS,
+                   detail=f"{M.n} elements")]
 
 
 def run_rdp(M: EffectAlgebra, instance: str) -> list[Record]:
@@ -195,20 +181,11 @@ def run_rdp(M: EffectAlgebra, instance: str) -> list[Record]:
 
 
 def run_sharp(M: EffectAlgebra, instance: str) -> list[Record]:
-    try:
-        sh = sharp_elements(M)
-    except BooleanStructureFailure as exc:
-        return [Record("sharp", instance, "boolean-laws", FAIL,
-                       witness=_jsonable(exc.witnesses), detail=str(exc))]
-    records = [Record("sharp", instance, "members", PASS,
-                      witness=[M.label(a) for a in sh.members])]
-    if sh.boolean_checked:
-        records.append(Record("sharp", instance, "boolean-laws", PASS,
-                              detail=f"{len(sh.members)} sharp elements"))
-    else:
-        records.append(Record("sharp", instance, "boolean-laws", SKIP,
-                              detail="requires the refinement property"))
-    return records
+    """The sharp elements.  With the refinement property they form a
+    Boolean algebra by construction (see ``sharp_elements``), so the
+    listing is the suite's one record and does not fail."""
+    return [Record("sharp", instance, "members", PASS,
+                   witness=[M.label(a) for a in sharp_elements(M).members])]
 
 
 def run_states(M: EffectAlgebra, instance: str, *,

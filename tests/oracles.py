@@ -60,6 +60,30 @@ def brute_rdp(labels, table):
     return None
 
 
+def chain_heights_reference(M):
+    """The product-of-chains certificate with all four of its conditions
+    tested literally: with h_i the largest atom count m_i, m must be
+    injective, fill the box of prod (h_i + 1) vectors, add along every
+    defined sum, and give prod (h_i + 1)(h_i + 2)/2 defined ordered pairs.
+    Returns h, or None.  The library tests the box and pair counts alone,
+    which on a validated algebra imply the other two."""
+    from effecta.algebra import atom_coordinates
+    _, m = atom_coordinates(M)
+    heights = tuple(map(max, zip(*m)))
+    box = 1
+    pair_box = 1
+    for h in heights:
+        box *= h + 1
+        pair_box *= (h + 1) * (h + 2) // 2
+    sums = list(M.defined_sums())
+    pairs = sum(2 - (a == b) for a, b, _ in sums)
+    if (len(set(m)) == M.n == box and pairs == pair_box
+            and all(tuple(x + y for x, y in zip(m[a], m[b])) == m[c]
+                    for a, b, c in sums)):
+        return heights
+    return None
+
+
 # ---------------------------------------------------------------------------
 # associativity, by the full triple loop over the raw sum list
 

@@ -20,7 +20,6 @@ from effecta import (
 from effecta import algebra, cli
 from effecta.errors import (
     AxiomViolation,
-    BooleanStructureFailure,
     EffectaError,
     NonUniqueSupplement,
     SizeLimitExceeded,
@@ -301,6 +300,7 @@ PRODUCTS = list(_generated_products())
                          ids=[name for name, _, _ in PRODUCTS])
 def test_generated_products_of_chains_are_certified(name, heights, M):
     assert sorted(algebra._chain_heights(M)) == sorted(heights)
+    assert oracles.chain_heights_reference(M) == algebra._chain_heights(M)
     assert algebra._refinement_scan(M).holds
     if M.n <= 64:
         assert isinstance(oracles.detect_mv(M), oracles.MVStructure)
@@ -313,33 +313,28 @@ def _with_coordinates(M, coords):
 
 
 @pytest.mark.parametrize("broken,coords", [
-    # 0, {1}, {2}, {1,2}: injectivity alone fails
-    ("injective", [(0, 0), (1, 1), (0, 0), (1, 1)]),
-    # the chain 3 numbering: box of 4, additive, but 10 pairs, not 9
+    # the chain 3 numbering: box of 4, but 10 pairs, not 9
     ("pair count", [(0,), (1,), (2,), (3,)]),
-    # a bijection onto the box that moves 0
-    ("additive", [(1, 1), (1, 0), (0, 1), (0, 0)]),
 ])
 def test_the_certificate_needs_each_of_its_conditions(broken, coords):
-    """On valid algebras the breadth-first coordinates are injective (equal
-    atom counts sum to equal elements), and with the box count they meet the
-    other two conditions or fail both.  So each condition is pinned here on
-    boolean 2 with a coordinate map that breaks it alone."""
+    """The certificate is the box count and the pair count: on a valid
+    algebra the breadth-first coordinates are injective and, with the box
+    count, add along every defined sum exactly when the pair count is met
+    (the proof is in ``_chain_heights``).  The pair count is pinned here on
+    boolean 2 with a coordinate map that fills the box and breaks it."""
     M = _with_coordinates(generate(("boolean", 2)), coords)
     heights = tuple(map(max, zip(*coords)))
     box = list(product(*(range(h + 1) for h in heights)))
     pairs = [(v, w) for v in box for w in box
              if all(x + y <= h for x, y, h in zip(v, w, heights))]
     holds = {
-        "injective": len(set(coords)) == M.n,
         "box": M.n == len(box),
         "pair count": sum(2 - (a == b) for a, b, _ in M.defined_sums())
                       == len(pairs),
-        "additive": all(tuple(map(sum, zip(coords[a], coords[b]))) == coords[c]
-                        for a, b, c in M.defined_sums()),
     }
     assert [k for k, ok in holds.items() if not ok] == [broken]
     assert algebra._chain_heights(M) is None
+    assert oracles.chain_heights_reference(M) is None
 
 
 FUZZ_BASES = [algebra_to_obj(M) for M in (
@@ -391,13 +386,14 @@ def test_the_certificate_agrees_with_the_scan_on_mutated_tables(doc):
     scan = algebra._refinement_scan(M)
     assert _certified(M) == scan.holds
     assert _certified(M) == isinstance(oracles.detect_mv(M), oracles.MVStructure)
+    assert algebra._chain_heights(M) == oracles.chain_heights_reference(M)
     assert check_rdp(M) == scan
     sh = sharp_elements(M)
     assert sh.members == tuple(a for a in M.elements()
                                if M.meet(a, M.comp(a)) == M.zero)
-    assert sh.boolean_checked == scan.holds
+    assert check_rdp(M).holds == scan.holds
     if scan.holds:
-        algebra._verify_boolean(M, sh.members)
+        assert oracles.boolean_law_scan(M, sh.members) is None
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +411,14 @@ def test_sharp_members_match_the_order_oracle():
 
 def test_certified_sharp_members_match_the_meet_route_and_the_oracles():
     """The corners of the certified box are the members the meet scan finds,
-    ``_verify_boolean`` accepts them, and so does the order oracle."""
+    they pass the law-by-law Boolean scan, and so does the order oracle."""
     instances = zoo.rdp_zoo() + [(name, M) for name, _, M in PRODUCTS]
     for name, M in instances:
         sh = sharp_elements(M)
-        assert M._heights is not None and sh.boolean_checked, name
+        assert _certified(M) and check_rdp(M).holds, name
         assert sh.members == tuple(a for a in M.elements()
                                    if M.meet(a, M.comp(a)) == M.zero), name
-        algebra._verify_boolean(M, sh.members)
+        assert oracles.boolean_law_scan(M, sh.members) is None, name
         if M.n <= 36:
             brute = oracles.brute_sharp(list(M.labels), oracles.sum_table_dict(M),
                                         M.label(M.zero), M.label(M.one))
@@ -432,7 +428,8 @@ def test_certified_sharp_members_match_the_meet_route_and_the_oracles():
 def test_sharp_set_is_boolean_under_refinement():
     for name, M in zoo.rdp_zoo():
         sh = sharp_elements(M)
-        assert sh.boolean_checked, name
+        assert check_rdp(M).holds, name
+        assert oracles.boolean_law_scan(M, sh.members) is None, name
 
 
 def test_sharp_atoms_of_a_product():
@@ -446,23 +443,17 @@ def test_sharp_atoms_of_a_product():
     assert sorted(M.label(a) for a in atoms) == ["(0,3)", "(2,0)"]
 
 
-def _certificate_accepts(M, members):
-    try:
-        algebra._verify_boolean(M, members)
-    except BooleanStructureFailure:
-        return False
-    return True
-
-
 def test_boolean_certificate_agrees_with_the_law_scan():
-    """The atom-bitmask certificate accepts exactly the member sets that
-    satisfy every Boolean law in the O(k^3) reference scan."""
+    """The product-of-chains certificate decides the Boolean sharp set:
+    every algebra it certifies has sharp elements that satisfy every
+    Boolean law in the O(k^3) reference scan, and without it the scan
+    gives both verdicts."""
     verdicts = []
     for name, M in zoo.rdp_zoo() + zoo.non_rdp_zoo():
         members = tuple(a for a in M.elements()
                         if M.meet(a, M.comp(a)) == M.zero)
+        assert sharp_elements(M).members == members, name
         scan_ok = oracles.boolean_law_scan(M, members) is None
-        assert _certificate_accepts(M, members) == scan_ok, name
         verdicts.append((check_rdp(M).holds, scan_ok))
     assert all(ok for rdp, ok in verdicts if rdp)
     non_rdp = [ok for rdp, ok in verdicts if not rdp]
@@ -472,21 +463,20 @@ def test_boolean_certificate_agrees_with_the_law_scan():
 def test_boolean_certificate_rejects_at_the_meet():
     """Four members of interval(3,3) that pair off under complement and
     look like a four-element Boolean algebra by their atoms, but whose
-    meet and join leave the set: only the meet/join pass can see it."""
+    meet leaves the set: the law scan names the meet of (2,1) with its
+    complement (1,2), which is (1,1) and not zero."""
     M = zoo.interval(3, 3)
     members = tuple(M.index(x) for x in ("(0,0)", "(2,1)", "(1,2)", "(3,3)"))
-    assert oracles.boolean_law_scan(M, members) is not None
-    with pytest.raises(BooleanStructureFailure) as err:
-        algebra._verify_boolean(M, members)
-    assert err.value.law == "meet"
-    assert err.value.witnesses == ("(2,1)", "(1,2)")
+    found = oracles.boolean_law_scan(M, members)
+    assert found is not None
+    assert found == ("a /\\ a' = 0", (M.index("(2,1)"),))
 
 
 def test_sharp_members_of_chain_and_mo2(c3, mo2):
     assert [c3.label(a) for a in sharp_elements(c3).members] == ["0", "3"]
     sh = sharp_elements(mo2)
     assert len(sh.members) == mo2.n       # horizontal sums are all sharp
-    assert not sh.boolean_checked
+    assert not check_rdp(mo2).holds
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +536,8 @@ def test_mv_detection_agrees_with_the_refinement_check():
         scan = algebra._refinement_scan(M)
         assert isinstance(mv, oracles.MVStructure) == check_rdp(M).holds, name
         assert _certified(M) == scan.holds == check_rdp(M).holds, name
+        assert (algebra._chain_heights(M)
+                == oracles.chain_heights_reference(M)), name
         assert check_rdp(M) == scan, name
     assert sum(check_rdp(M).holds for _, M in instances) >= 18
     assert sum(not check_rdp(M).holds for _, M in instances) >= 10

@@ -9,6 +9,7 @@ mutated sum tables through ``check`` and holds it to the exit-code contract.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -96,10 +97,33 @@ def test_check_passes_on_chain3(tmp_path, capsys):
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     assert run("check", "--input", str(path)) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 20
+    assert len(lines) == 17
     payloads = [json.loads(line) for line in lines]
     assert all(p["status"] == "pass" for p in payloads)
     assert all(p["instance"] == "c3" for p in payloads)
+
+
+def _readme_records():
+    """The (suite, check) pairs of the README's Records table: the suite in
+    backticks in the first column, each check in backticks in the second."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = text.split("### Records", 1)[1].split("\n\n| Suite |", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    pairs = set()
+    for row in rows:
+        suite, checks = row.split("|")[1:3]
+        (name,) = re.findall(r"`([^`]+)`", suite)
+        pairs |= {(name, check) for check in re.findall(r"`([^`]+)`", checks)}
+    return pairs
+
+
+def test_the_readme_records_table_is_what_check_writes(tmp_path, capsys):
+    path = write_algebra(tmp_path, "c3.json", "chain", "3")
+    assert run("check", "--input", str(path), "--suite", "all") == 0
+    written = {(p["suite"], p["check"]) for p in
+               map(json.loads, capsys.readouterr().out.splitlines())}
+    assert _readme_records() == written
 
 
 def test_check_fails_on_mo2(tmp_path, capsys):
@@ -125,8 +149,9 @@ def test_derived_size_cap_skips_suites_instead_of_aborting(tmp_path, capsys):
     assert captured.err == ""
     payloads = {(p["suite"], p["check"]): p for p in
                 map(json.loads, captured.out.strip().splitlines())}
-    for check in ("validate", "double-complement", "difference-unique"):
-        assert payloads[("axioms", check)]["status"] == "pass"
+    assert [key for key in payloads if key[0] == "axioms"] == [
+        ("axioms", "validate")]
+    assert payloads[("axioms", "validate")]["status"] == "pass"
     assert payloads[("rdp", "refinement")]["status"] == "fail"
     assert payloads[("sharp", "members")]["status"] == "pass"
     skip = payloads[("states", "size-limit")]
@@ -188,8 +213,7 @@ def test_check_text_format_and_suite_subset(tmp_path, capsys):
     assert run("check", "--input", str(path), "--suite", "axioms",
                "--format", "text") == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3
-    assert all(line.startswith("PASS axioms:") for line in lines)
+    assert lines == ["PASS axioms:validate [c4] — 5 elements"]
 
 
 def test_smear_verifies_an_observable(tmp_path, capsys):
@@ -373,6 +397,38 @@ def test_smear_turns_an_internal_error_into_one_record(tmp_path, capsys,
     assert [(p["check"], p["status"]) for p in payloads] == [
         ("error", "fail")]
     assert payloads[0]["detail"] == "kernel disagrees"
+
+
+def test_a_failed_certificate_with_a_clean_scan_is_one_error_per_suite(
+        tmp_path, capsys, monkeypatch):
+    """Refinement holds exactly when the product-of-chains certificate does,
+    so a scan that finds no failure where the certificate failed is a
+    ``TheoremViolation``: every suite that needs the refinement verdict
+    gets one ``error`` FAIL with its message, and the rest still run."""
+    from effecta import algebra
+    path = write_algebra(tmp_path, "b4.json", "boolean", "4")
+
+    def check():
+        code = run("check", "--input", str(path), "--suite", "all")
+        captured = capsys.readouterr()
+        return code, captured.err, [json.loads(line)
+                                    for line in captured.out.splitlines()]
+
+    clean = check()
+    monkeypatch.setattr(algebra, "_chain_heights", lambda M: None)
+    with pytest.raises(TheoremViolation) as err:
+        algebra.check_rdp(generate(("boolean", 4)))
+    code, stderr, payloads = check()
+    assert clean[0] == 0 and code == 1
+    assert stderr == ""
+    for suite in ("rdp", "sharp", "representation", "smearing", "spectral",
+                  "extension"):
+        assert [p for p in payloads if p["suite"] == suite] == [
+            {"suite": suite, "instance": "b4", "check": "error",
+             "status": "fail", "detail": str(err.value)}]
+    for suite in ("axioms", "states"):
+        assert ([p for p in payloads if p["suite"] == suite]
+                == [p for p in clean[2] if p["suite"] == suite])
 
 
 def test_argparse_rejects_unknown_choices(tmp_path):

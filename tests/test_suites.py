@@ -36,13 +36,13 @@ def test_resolve_suites():
 
 def test_chain3_full_inventory_passes():
     recs = check_document(algebra_to_obj(chain(3)), "c3", SUITE_NAMES, seed=0)
-    assert len(recs) == 20
+    assert len(recs) == 17
     assert all(r.status == "pass" for r in recs)
     assert all(r.instance == "c3" for r in recs)
     names = {(r.suite, r.check) for r in recs}
     assert ("axioms", "validate") in names
     assert ("rdp", "refinement") in names
-    assert ("sharp", "boolean-laws") in names
+    assert ("sharp", "members") in names
     assert ("states", "separating") in names
     assert ("representation", "measurability") in names
     assert ("smearing", "eq-residual-zero") in names
@@ -58,10 +58,10 @@ def test_mo2_gating_and_skip():
     r = k[("rdp", "refinement")]
     assert r.status == "fail" and r.witness == witness
 
-    r = k[("sharp", "boolean-laws")]
-    assert r.status == "skip"
-    assert r.detail == "requires the refinement property"
-    assert k[("sharp", "members")].status == "pass"
+    # the listing is the sharp suite's one record, with or without the
+    # refinement property
+    assert [(r.check, r.status) for r in recs if r.suite == "sharp"] == [
+        ("members", "pass")]
 
     # every suite needing the canonical construction fails at its gate
     for suite in ("representation", "smearing", "spectral", "extension"):
@@ -143,7 +143,7 @@ def test_subset_runs_and_determinism():
     doc = algebra_to_obj(chain(4))
     axioms_only = check_document(doc, "c4", ("axioms",), seed=0)
     assert {r.suite for r in axioms_only} == {"axioms"}
-    assert len(axioms_only) == 3
+    assert len(axioms_only) == 1
 
     once = render_jsonl(check_document(doc, "c4", SUITE_NAMES, seed=3))
     twice = render_jsonl(check_document(doc, "c4", SUITE_NAMES, seed=3))
@@ -231,15 +231,16 @@ def test_a_full_check_builds_each_integration_plan_once(monkeypatch):
 
 
 def _count_refinement_work(monkeypatch):
-    """Calls of ``_refine`` and ``_verify_boolean``, and the breadth-first
-    walks behind ``atom_coordinates`` (calls that find no cached result)."""
+    """Calls of ``_refine``, and the breadth-first walks behind
+    ``atom_coordinates`` (calls that find no cached result)."""
     from effecta import algebra, states
     work = Counter()
-    for name in ("_refine", "_verify_boolean"):
-        def counted(*args, _inner=getattr(algebra, name), _name=name):
-            work[_name] += 1
-            return _inner(*args)
-        monkeypatch.setattr(algebra, name, counted)
+    refine = algebra._refine
+
+    def counted(*args):
+        work["_refine"] += 1
+        return refine(*args)
+    monkeypatch.setattr(algebra, "_refine", counted)
     walk = algebra.atom_coordinates
 
     def walked(M):
@@ -268,7 +269,6 @@ def test_a_failed_certificate_leaves_its_coordinates_to_the_states(
     recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES, 0)
     assert by_key(recs)[("rdp", "refinement")].status == FAIL
     assert work["walks"] == 1 and work["_refine"] > 0
-    assert work["_verify_boolean"] == 0
 
 
 def test_a_failed_order_certificate_is_one_error_per_gated_suite(
