@@ -18,9 +18,10 @@ class EffectaError(Exception):
 class AxiomViolation(EffectaError):
     """A partial-sum table violates one of the defining axioms.
 
-    ``axiom`` is one of ``"i"`` (commutativity), ``"ii"`` (associativity),
-    ``"iii"`` (existence of the orthosupplement), ``"iv"`` (positivity /
-    zero-one separation) or ``"difference-uniqueness"``.
+    ``axiom`` is one of ``"i"`` (commutativity, which also covers duplicate
+    labels, unknown labels and conflicting entries), ``"ii"``
+    (associativity), ``"iii"`` (existence of the orthosupplement) or
+    ``"iv"`` (positivity / zero-one separation).
     """
 
     def __init__(self, axiom: str, witnesses: tuple, message: str = ""):
@@ -39,12 +40,6 @@ class NonUniqueSupplement(EffectaError):
         super().__init__(
             f"element {element!r} has several orthosupplements: {candidates!r}"
         )
-
-
-class OrderNotAntisymmetric(EffectaError):
-    def __init__(self, pair: tuple):
-        self.pair = pair
-        super().__init__(f"derived order is not antisymmetric at {pair!r}")
 
 
 class SizeLimitExceeded(EffectaError):
@@ -77,16 +72,6 @@ class NonSeparatingStates(EffectaError):
     def __init__(self, pair: tuple):
         self.pair = pair
         super().__init__(f"states do not separate elements {pair!r}")
-
-
-class NotASigmaAlgebra(EffectaError):
-    """The sharp characteristic sets of a hand-built function system need not
-    be closed under unions; the closure failure is reported with a witness."""
-
-    def __init__(self, law: str, witnesses: tuple):
-        self.law = law
-        self.witnesses = witnesses
-        super().__init__(f"set family fails {law} at {witnesses!r}")
 
 
 class NotMeasurable(EffectaError):

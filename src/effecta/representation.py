@@ -5,9 +5,10 @@ functions over a finite point set.  The canonical one is built by
 evaluation: every element becomes its vector of values on the extremal
 states, and one order check certifies that these vectors form an
 effect-tribe and that h, which sends each vector back to its element, is
-an isomorphism.  This module also computes the sharp-set sigma-algebra of
-the function system and checks the sharp-image characterization that
-makes the smearing and spectral machinery sound.
+an isomorphism.  This module also computes the sharp-set sigma-algebra B0
+of the function system; on the canonical representation B0 is the power
+set of the carrier and h maps it onto the sharp elements (see
+:func:`compute_b0`), which makes the smearing and spectral machinery sound.
 """
 
 from __future__ import annotations
@@ -20,18 +21,14 @@ from .algebra import EffectAlgebra, check_rdp, sharp_elements
 from .errors import (
     EmptyStateSpace,
     NonSeparatingStates,
-    NotASigmaAlgebra,
     PreconditionFailed,
     RdpRequired,
-    SizeLimitExceeded,
     TheoremViolation,
 )
 from .states import StatePolytope, inseparable_pair, state_polytope
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-MAX_CARRIER = 16      # subset scans are exponential in the carrier size
 
 FnValues = tuple[Fraction, ...]
 
@@ -98,7 +95,7 @@ class Representation:
         for i, a in enumerate(self.h):
             self._first_preimage.setdefault(a, i)
         self._b0: SigmaAlgebraB0 | None = None
-        self._xi = None    # cache for the verified sharp-set observable
+        self._xi = None    # cache for the sharp-set observable
         self._spectral: dict[int, object] = {}   # verified measures per element
         self._atom_plan = self._level_plan = None   # integration plans
 
@@ -135,12 +132,6 @@ class Representation:
     def sharp(self) -> frozenset[int]:
         """The sharp elements of the target, as a set."""
         return frozenset(sharp_elements(self.target).members)
-
-    @cached_property
-    def non_measurable(self) -> FnValues | None:
-        """The first member that is not measurable, or None."""
-        return next((f for f in self.tribe.functions
-                     if not measurable(self, f)), None)
 
 
 def canonical_representation(M: EffectAlgebra, *,
@@ -212,8 +203,9 @@ class SigmaAlgebraB0(NamedTuple):
     In the pointwise order min(chi_A, 1 - chi_A) = 0, so no nonzero member
     lies below both chi_A and its complement: every characteristic member
     is sharp.  The sets are therefore exactly those with a characteristic
-    function in the tribe.  ``atoms`` partition the carrier; each atom is
-    the intersection of all members containing one of its points.
+    function in the tribe.  Each atom is the intersection of all members
+    containing one of its points; the atoms partition the carrier when the
+    sets are closed under complement, as on the canonical representation.
     """
 
     sets: tuple[frozenset[int], ...]
@@ -225,79 +217,25 @@ def _sorted_sets(family: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]
 
 
 def compute_b0(rep: Representation) -> SigmaAlgebraB0:
-    tribe = rep.tribe
-    p = len(tribe.carrier)
-    if p > MAX_CARRIER:
-        raise SizeLimitExceeded(f"carrier of {p} points exceeds {MAX_CARRIER}")
-    # the characteristic members in the order of their point bitmasks,
-    # which fixes the witness of a failed law
-    b0 = [frozenset(i for i, v in enumerate(f) if v)
-          for f in sorted(tribe.functions, key=lambda f: f[::-1])
-          if set(f) <= {ZERO, ONE}]
+    """The characteristic members and their per-point atoms.
 
+    On the canonical representation no sigma-law needs a scan.  Past the
+    refinement gate the target is a certified product of chains
+    prod C_{h_i} with k factors, so a state is a vector t >= 0 on the k
+    atoms with sum t_i h_i = 1, and the extremal states are the k
+    coordinate states s_i = m_i / h_i: the carrier has k points.  The
+    corner c_S with m(c_S)_i = h_i for i in S and 0 elsewhere evaluates to
+    chi_S.  So B0 is the whole power set of the carrier, its atoms are the
+    singletons, and every member is constant on them.  h maps chi_S to
+    c_S, and the corners are exactly ``sharp_elements(M).members``, so h
+    maps B0 onto the sharp elements, and the separating states make h
+    one-to-one.  On a hand-built tribe the family may fail the laws, and
+    the atoms are still the intersections of the members through a point.
+    """
+    p = len(rep.carrier)
+    sets = [frozenset(i for i, v in enumerate(f) if v)
+            for f in rep.tribe.functions if set(f) <= {ZERO, ONE}]
     full = frozenset(range(p))
-    in_b0 = set(b0)
-    if frozenset() not in in_b0:
-        raise NotASigmaAlgebra("empty-set", ())
-    if full not in in_b0:
-        raise NotASigmaAlgebra("whole-space", ())
-    for A in b0:
-        if full - A not in in_b0:
-            raise NotASigmaAlgebra("complement", (sorted(A),))
-    for A in b0:
-        for B in b0:
-            if A | B not in in_b0:
-                raise NotASigmaAlgebra("union", (sorted(A), sorted(B)))
-
-    atoms = []
-    for i in range(p):
-        atom = full
-        for A in b0:
-            if i in A:
-                atom &= A
-        if atom not in atoms:
-            atoms.append(atom)
-    return SigmaAlgebraB0(_sorted_sets(b0), _sorted_sets(atoms))
-
-
-def measurable(rep: Representation, f: Sequence[Fraction]) -> bool:
-    """Is f constant on every atom of the sharp-set sigma-algebra?"""
-    f = tuple(Fraction(v) for v in f)
-    if f not in rep.tribe:
-        raise PreconditionFailed(f"{_fmt(f)} is not a member function")
-    return all(len({f[i] for i in atom}) == 1 for atom in rep.b0().atoms)
-
-
-# ---------------------------------------------------------------------------
-# the sharp-image characterization
-
-
-class SharpImageReport(NamedTuple):
-    ok: bool
-    all_measurable: bool                 # theorem hypothesis 1
-    min_closed: bool                     # theorem hypothesis 2
-
-
-def sharp_image(rep: Representation) -> SharpImageReport:
-    """Does h map the sharp-set sigma-algebra onto the sharp elements?
-
-    The two hypothesis flags record whether every member is measurable and
-    whether the system is closed under min(f, 1-f); when both hold on a
-    regular representation the equality is a theorem, so a failure in that
-    regime raises instead of reporting.  The canonical representation is
-    regular: its h is one-to-one, so h(f) = 0 only for f = 0."""
-    M = rep.target
-    b = rep.b0()
-    image = {rep.h_of(rep.chi(A)) for A in b.sets}
-    ok = image == rep.sharp
-
-    all_meas = rep.non_measurable is None
-    min_closed = all(
-        tuple(min(v, ONE - v) for v in f) in rep.tribe
-        for f in rep.tribe.functions)
-    if not ok and all_meas and min_closed:
-        raise TheoremViolation(
-            "sharp image mismatch under the full theorem hypotheses: "
-            f"image {sorted(M.label(a) for a in image)} vs "
-            f"sharp {sorted(M.label(a) for a in rep.sharp)}")
-    return SharpImageReport(ok, all_meas, min_closed)
+    atoms = {full.intersection(*(A for A in sets if i in A))
+             for i in range(p)}
+    return SigmaAlgebraB0(_sorted_sets(sets), _sorted_sets(atoms))

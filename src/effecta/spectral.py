@@ -10,6 +10,8 @@ per state; a transform phi of the outcome values is a plain function
 applied to each lambda.  One plan per representation holds every measure,
 the lambdas as integers over one denominator.  Callers compare the table
 with the state, so the law is checked exactly wherever used, never assumed.
+A measure determines its element: its levels and their sets give back
+the evaluation, and h is one-to-one on the canonical representation.
 """
 
 from __future__ import annotations
@@ -111,22 +113,6 @@ def _level_plan(rep: Representation) -> tuple:
                           for lam in sm.support))
     return (tuple(lams), over_common_denominator(list(lams)), tuple(masses),
             tuple(rows))
-
-
-class InjectivityReport(NamedTuple):
-    ok: bool
-    collision: tuple[str, str] | None
-
-
-def spectral_injectivity(rep: Representation) -> InjectivityReport:
-    seen: dict[tuple, int] = {}
-    M = rep.target
-    for a in M.elements():
-        k = spectral_measure(rep, a).key()
-        if k in seen:
-            return InjectivityReport(False, (M.label(seen[k]), M.label(a)))
-        seen[k] = a
-    return InjectivityReport(True, None)
 
 
 def sharp_table(rep: Representation, a: int, E: OutcomeSet) -> int:

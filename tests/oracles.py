@@ -130,6 +130,26 @@ def validator_rejection(labels, zero, one, sums):
     return None
 
 
+def derived_order_failure(sums):
+    """None when the symmetrized sum list has unique differences (at most
+    one c with a + c = b for each a and b) and an antisymmetric derived
+    order (a + c = b and b + d = a only for a = b); else the first failure,
+    as ("difference", a, b, c, c') or ("antisymmetry", a, b)."""
+    table = {}
+    for a, b, c in sums:
+        table[(a, b)] = table[(b, a)] = c
+    diffs = {}
+    for (a, c), b in sorted(table.items()):
+        diffs.setdefault((a, b), set()).add(c)
+    for (a, b), cs in sorted(diffs.items()):
+        if len(cs) > 1:
+            return ("difference", a, b, *sorted(cs)[:2])
+    for a, b in sorted(diffs):
+        if a != b and (b, a) in diffs:
+            return ("antisymmetry", a, b)
+    return None
+
+
 def assert_associativity_matches(labels, zero, one, sums):
     """The validator raises exactly the axiom (ii) violation that the full
     loop meets first, and none when that loop passes."""
@@ -862,6 +882,128 @@ def measure_additivity_failure(M, sm):
             if not E & F and M.add(mass[E], mass[F]) != mass[E | F]:
                 return E, F
     return None
+
+
+# ---------------------------------------------------------------------------
+# the sharp-set sigma-algebra, the sharp observable and the spectral
+# measures, checked pair by pair.  On the canonical representation the
+# product-of-chains certificate proves every one of these (see
+# ``compute_b0`` and ``sharp_observable``); on a hand-built tribe they can
+# fail.
+
+
+def _characteristic_sets(rep):
+    """The supports of the 0/1 members, in the order of their point
+    bitmasks, which fixes the witness of a failed law."""
+    return [frozenset(i for i, v in enumerate(f) if v)
+            for f in sorted(rep.tribe.functions, key=lambda f: f[::-1])
+            if set(f) <= {ZERO, ONE}]
+
+
+def b0_sigma_law_failure(rep):
+    """None when the characteristic sets hold the empty set and the whole
+    carrier and are closed under complement and union; else the first
+    failing law and its witness, as (law, witnesses), in that order."""
+    b0 = _characteristic_sets(rep)
+    full = frozenset(range(len(rep.carrier)))
+    in_b0 = set(b0)
+    if frozenset() not in in_b0:
+        return "empty-set", ()
+    if full not in in_b0:
+        return "whole-space", ()
+    for A in b0:
+        if full - A not in in_b0:
+            return "complement", (sorted(A),)
+    for A in b0:
+        for B in b0:
+            if A | B not in in_b0:
+                return "union", (sorted(A), sorted(B))
+    return None
+
+
+def measurable(rep, f):
+    """Is the member f constant on every atom of B0?"""
+    from effecta.errors import PreconditionFailed
+
+    f = tuple(Fraction(v) for v in f)
+    if f not in rep.tribe:
+        raise PreconditionFailed(f"{_fmt(f)} is not a member function")
+    return all(len({f[i] for i in atom}) == 1 for atom in rep.b0().atoms)
+
+
+def non_measurable(rep):
+    """The first member that is not measurable, or None."""
+    return next((f for f in rep.tribe.functions if not measurable(rep, f)),
+                None)
+
+
+@dataclass(frozen=True)
+class SharpImageReport:
+    ok: bool                             # h(B0) is the set of sharp elements
+    all_measurable: bool                 # theorem hypothesis 1
+    min_closed: bool                     # theorem hypothesis 2
+
+
+def sharp_image(rep):
+    """Does h map the characteristic sets onto the sharp elements, read by
+    the meet?  The flags record whether every member is measurable and
+    whether the system is closed under min(f, 1 - f); when both hold on a
+    regular representation the equality is a theorem."""
+    M = rep.target
+    image = {rep.h_of(rep.chi(A)) for A in _characteristic_sets(rep)}
+    sharp = {a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero}
+    min_closed = all(tuple(min(v, ONE - v) for v in f) in rep.tribe
+                     for f in rep.tribe.functions)
+    return SharpImageReport(image == sharp, non_measurable(rep) is None,
+                            min_closed)
+
+
+def sharp_observable_failure(rep):
+    """None when the library's xi is h(chi_A) on B0, sharp by the meet,
+    additive on every pair of disjoint sets, and sums to 1 over the atoms;
+    else a description of the first failure."""
+    from effecta.algebra import iterated_sum
+    from effecta.observables import sharp_observable
+
+    M = rep.target
+    xi = sharp_observable(rep)
+    sets = rep.b0().sets
+    if set(xi.assignment) != set(sets):
+        return "domain"
+    for A in sets:
+        a = xi(A)
+        if a != rep.h_of(rep.chi(A)) or M.meet(a, M.comp(a)) != M.zero:
+            return f"xi({sorted(A)}) = {M.label(a)}"
+    for A in sets:
+        for B in sets:
+            if not A & B and M.add(xi(A), xi(B)) != xi.assignment.get(A | B):
+                return f"not additive at {sorted(A)}, {sorted(B)}"
+    if any(A not in xi.assignment for A in xi.atoms):
+        return "an atom is outside B0"
+    if iterated_sum(M, [xi(A) for A in xi.atoms]) != M.one:
+        return "atom masses do not sum to 1"
+    return None
+
+
+@dataclass(frozen=True)
+class InjectivityReport:
+    ok: bool
+    collision: tuple | None
+
+
+def spectral_injectivity(rep):
+    """Do distinct elements have distinct spectral measures?  The first
+    collision is reported by label, in element order."""
+    from effecta.spectral import spectral_measure
+
+    seen = {}
+    M = rep.target
+    for a in M.elements():
+        k = spectral_measure(rep, a).key()
+        if k in seen:
+            return InjectivityReport(False, (M.label(seen[k]), M.label(a)))
+        seen[k] = a
+    return InjectivityReport(True, None)
 
 
 # ---------------------------------------------------------------------------

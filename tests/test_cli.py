@@ -97,7 +97,7 @@ def test_check_passes_on_chain3(tmp_path, capsys):
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     assert run("check", "--input", str(path)) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 17
+    assert len(lines) == 13
     payloads = [json.loads(line) for line in lines]
     assert all(p["status"] == "pass" for p in payloads)
     assert all(p["instance"] == "c3" for p in payloads)

@@ -2,6 +2,12 @@
 its order certificate, the sharp-set sigma-algebra, the sharp-image
 characterization, and the reference checks in ``oracles``.
 
+On the canonical representation the product-of-chains certificate proves
+that B0 is the power set of the carrier, that xi is a sharp observable,
+that h maps B0 onto the sharp elements and that every member is
+measurable, so the library checks none of these; the pair scans in
+``oracles`` check them here.
+
 The canonical representation is built from the evaluation vectors and
 certified by one order check; the validated route of ``oracles``
 (``validate_tribe``, then ``make_representation``) checks the same system
@@ -21,24 +27,24 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import (EffectTribe, canonical_representation, generate,
-                     sharp_elements)
+from effecta import (EffectTribe, Representation, canonical_representation,
+                     generate, sharp_elements)
 from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
-                            NotASigmaAlgebra, PreconditionFailed, RdpRequired,
-                            TheoremViolation)
-from effecta.representation import (_evaluation_representation, compute_b0,
-                                    measurable, sharp_image)
+                            PreconditionFailed, RdpRequired, TheoremViolation)
+from effecta.representation import _evaluation_representation
 from effecta.states import inseparable_pair, state_polytope
 
 from oracles import (RepresentationViolation, TribeAxiomViolation,
-                     congruence_failure, doctored_polytope,
-                     extend_carrier_with_null_point, irregular_member,
-                     make_representation, negligible_ideal,
-                     sandwich, support, tribe_to_algebra, validate_tribe,
+                     b0_sigma_law_failure, congruence_failure,
+                     doctored_polytope, extend_carrier_with_null_point,
+                     irregular_member, make_representation, measurable,
+                     negligible_ideal, non_measurable, sandwich, sharp_image,
+                     sharp_observable_failure, spectral_injectivity, support,
+                     tribe_to_algebra, validate_tribe,
                      validated_representation)
-from zoo_instances import (boolean, chain, diamond, interval, mo2,
-                           non_sigma_tribe, product_of, rdp_zoo,
-                           two_point_tribe)
+from zoo_instances import (boolean, chain, diamond, generated_products,
+                           interval, mo2, non_sigma_tribe, product_of,
+                           rdp_zoo, two_point_tribe)
 
 F = Fraction
 Z = F(0)
@@ -232,10 +238,14 @@ def test_union_closure_failure_is_reported():
     tribe = non_sigma_tribe()
     M = tribe_to_algebra(tribe)
     rep = make_representation(tribe, M, range(M.n))
-    with pytest.raises(NotASigmaAlgebra) as err:
-        compute_b0(rep)
-    assert err.value.law == "union"
-    assert err.value.witnesses == ([0, 1], [1, 2])
+    law, witnesses = b0_sigma_law_failure(rep)
+    assert law == "union"
+    assert witnesses == ([0, 1], [1, 2])
+    # B0 is still the characteristic sets, with the atoms they cut out,
+    # none of which is in B0
+    assert len(rep.b0().sets) == 6
+    assert rep.b0().atoms == tuple(frozenset({i}) for i in range(4))
+    assert sharp_observable_failure(rep) == "an atom is outside B0"
 
 
 def test_two_point_tribe_over_chain3():
@@ -248,6 +258,9 @@ def test_two_point_tribe_over_chain3():
     assert b0.atoms == (frozenset({0, 1}),)
     # the middle layer is not constant on the single atom
     assert not measurable(rep, (F(1, 3), F(2, 3)))
+    assert non_measurable(rep) == (F(1, 3), F(2, 3))
+    assert b0_sigma_law_failure(rep) is None
+    assert sharp_observable_failure(rep) is None
     report = sharp_image(rep)
     image = {M.label(rep.h_of(rep.chi(A))) for A in b0.sets}
     sharp = {M.label(a) for a in sharp_elements(M).members}
@@ -255,6 +268,33 @@ def test_two_point_tribe_over_chain3():
     assert not report.all_measurable and not report.min_closed
     assert irregular_member(rep, {0, 1}) is None
     assert congruence_failure(rep, {0, 1}, {frozenset()}) is None
+
+
+def test_the_certificate_proves_b0_xi_and_the_sharp_image():
+    """On a certified product of k chains the carrier is the k coordinate
+    states, B0 is its power set with the singletons as atoms, xi is a
+    sharp observable, h maps B0 onto the sharp elements, every member is
+    measurable and the spectral measures tell the elements apart."""
+    instances = rdp_zoo() + [(name, M) for name, _, M in generated_products()]
+    assert "boolean7" in dict(instances)
+    for name, M in instances:
+        rep = canonical_representation(M)
+        p = len(rep.carrier)
+        b0 = rep.b0()
+        assert p == len(b0.atoms) == rep.polytope.dimension + 1, name
+        assert b0.atoms == tuple(frozenset({i}) for i in range(p)), name
+        assert len(b0.sets) == 2 ** p, name
+        assert b0_sigma_law_failure(rep) is None, name
+        assert sharp_observable_failure(rep) is None, name
+        assert sharp_image(rep).ok, name
+        assert non_measurable(rep) is None, name
+        assert spectral_injectivity(rep).ok, name
+    # a labelling that swaps 0 and 1 keeps every xi(A) sharp, not additive
+    rep = canonical_representation(boolean(2))
+    M = rep.target
+    swap = {M.zero: M.one, M.one: M.zero}
+    doctored = Representation(rep.tribe, M, [swap.get(a, a) for a in rep.h])
+    assert sharp_observable_failure(doctored) == "not additive at [], []"
 
 
 def test_support_and_measurable_preconditions():

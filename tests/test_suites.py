@@ -36,7 +36,7 @@ def test_resolve_suites():
 
 def test_chain3_full_inventory_passes():
     recs = check_document(algebra_to_obj(chain(3)), "c3", SUITE_NAMES, seed=0)
-    assert len(recs) == 17
+    assert len(recs) == 13
     assert all(r.status == "pass" for r in recs)
     assert all(r.instance == "c3" for r in recs)
     names = {(r.suite, r.check) for r in recs}
@@ -44,7 +44,7 @@ def test_chain3_full_inventory_passes():
     assert ("rdp", "refinement") in names
     assert ("sharp", "members") in names
     assert ("states", "separating") in names
-    assert ("representation", "measurability") in names
+    assert ("representation", "canonical-representation") in names
     assert ("smearing", "eq-residual-zero") in names
     assert ("spectral", "phi-square") in names
     assert ("extension", "uniqueness") in names
@@ -71,19 +71,6 @@ def test_mo2_gating_and_skip():
     # the state layer is indifferent to the refinement property
     assert [(r.check, r.status) for r in recs if r.suite == "states"] == [
         ("non-empty", "pass"), ("separating", "pass")]
-
-
-def test_carrier_cap_skips_only_the_suites_that_reach_it(monkeypatch):
-    monkeypatch.setattr("effecta.representation.MAX_CARRIER", 0)
-    recs = check_document(algebra_to_obj(chain(3)), "c3", SUITE_NAMES, seed=0)
-    k = by_key(recs)
-    for suite in ("representation", "smearing", "extension"):
-        r = k[(suite, "size-limit")]
-        assert r.status == "skip"
-        assert r.detail == "carrier of 1 points exceeds 0"
-    # the spectral suite never builds the sharp-set sigma-algebra
-    assert all(r.status == "pass" for r in recs if r.status != "skip")
-    assert {r.suite for r in recs} == set(SUITE_NAMES)
 
 
 def test_box_cap_skips_the_suites_that_need_the_polytope(monkeypatch):
@@ -179,26 +166,6 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
                if p["status"] == "fail"]
     assert [(p["suite"], p["check"]) for p in failing] == [
         ("extension", "error")]
-
-
-def test_the_representation_suite_tests_each_member_for_measurability_once(
-        monkeypatch):
-    """The sharp-image hypotheses and the measurability record read one
-    scan of the members."""
-    from effecta import representation
-
-    rep = canonical_representation(boolean(3))
-    original = representation.measurable
-    calls = []
-
-    def counted(rep, f):
-        calls.append(f)
-        return original(rep, f)
-
-    monkeypatch.setattr(representation, "measurable", counted)
-    recs = suites.run_representation(rep.target, "b3", rep)
-    assert all(r.status == "pass" for r in recs)
-    assert calls == list(rep.tribe.functions)
 
 
 def _count_plan_builds(monkeypatch):

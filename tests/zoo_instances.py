@@ -64,6 +64,18 @@ def rdp_zoo():
     return out
 
 
+def generated_products():
+    """(name, heights, algebra) for the products of two chains up to
+    chain7 x chain7, interval 2 2 3 and the Boolean algebras up to 2^7."""
+    for p in range(1, 8):
+        for q in range(p, 8):
+            yield (f"chain{p}xchain{q}", (p, q),
+                   generate(("product", [("chain", p), ("chain", q)])))
+    yield "interval223", (2, 2, 3), generate(("interval", (2, 2, 3)))
+    for k in range(1, 8):
+        yield f"boolean{k}", (1,) * k, generate(("boolean", k), max_size=128)
+
+
 def non_rdp_zoo():
     """(name, algebra) pairs that all fail the refinement property."""
     return [
