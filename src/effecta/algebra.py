@@ -43,7 +43,7 @@ class EffectAlgebra:
     __slots__ = (
         "labels", "zero", "one",
         "_sum", "_comp", "_minus", "_down", "_up",
-        "_index", "_rdp_cache", "_sharp_cache", "_coords",
+        "_index", "_rdp_cache", "_sharp_cache", "_coords", "_sums",
     )
 
     def __init__(self, labels, zero, one, sum_table, comp, minus, down, up):
@@ -59,6 +59,7 @@ class EffectAlgebra:
         self._rdp_cache: "RdpResult | None" = None
         self._sharp_cache: "SharpSet | None" = None
         self._coords = None            # atom_coordinates, walked once
+        self._sums = None              # defined_sums, walked once
 
     # -- basic structure ----------------------------------------------------
 
@@ -83,14 +84,14 @@ class EffectAlgebra:
         """The unique orthosupplement."""
         return self._comp[a]
 
-    def defined_sums(self) -> Iterator[tuple[int, int, int]]:
-        """All (a, b, a+b) with a <= b as indices; each unordered pair once."""
-        for a in range(self.n):
-            row = self._sum[a]
-            for b in range(a, self.n):
-                c = row[b]
-                if c is not None:
-                    yield a, b, c
+    def defined_sums(self) -> tuple[tuple[int, int, int], ...]:
+        """All (a, b, a+b) with a <= b as indices; each unordered pair once.
+        The table is walked on the first call and the triples stored."""
+        if self._sums is None:
+            self._sums = tuple((a, b, c) for a, row in enumerate(self._sum)
+                               for b, c in enumerate(row[a:], a)
+                               if c is not None)
+        return self._sums
 
     # -- derived order ------------------------------------------------------
 

@@ -90,9 +90,9 @@ def _smear_records(doc, observable, instance: str, seed: int,
     """As in ``check``: an invalid table is one FAIL with its witness, and
     a library error other than a size cap or the representation gate is
     one ``error`` FAIL."""
-    from .observables import element_integrals, smear
+    from .observables import atom_integrals, smear
     from .representation import canonical_representation
-    from .suites import INVALID_ALGEBRA, sample_states, witness_of
+    from .suites import INVALID_ALGEBRA, witness_of
     try:
         M = algebra_from_obj(doc, max_size=max_size)
     except INVALID_ALGEBRA as exc:
@@ -106,12 +106,12 @@ def _smear_records(doc, observable, instance: str, seed: int,
         records.append(Record(
             "smearing", instance, "kernel-measurable", PASS,
             detail=f"{len(kernel.functions)} outcome sets"))
-        states = sample_states(rep.polytope, seed, 10)
+        states = rep.polytope.samples(seed)
         first_bad = None
-        for i, m in enumerate(states):
-            table = element_integrals(rep, m.values)
+        for i, (row, den) in enumerate(states):
+            table, tden = atom_integrals(rep, row, den)
             key = next((k for k, a in kernel.elements.items()
-                        if m.values[a] != table[a]), None)
+                        if row[a] * tden != table[a] * den), None)
             if key is not None:
                 first_bad = [i, sorted(str(x.support[j]) for j in key)]
                 break

@@ -137,40 +137,6 @@ def summable_families(M: EffectAlgebra, max_parts: int) -> Iterable[tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# sharp observables on the B0 sigma-algebra
-
-
-class SharpObservable(NamedTuple):
-    rep: Representation
-    assignment: Mapping  # frozenset of carrier points -> element id
-
-    def __call__(self, A: frozenset) -> int:
-        return self.assignment[frozenset(A)]
-
-    @property
-    def atoms(self):
-        return self.rep.b0().atoms
-
-
-def sharp_observable(rep: Representation) -> SharpObservable:
-    """xi(A) = h(chi_A) on the sharp-set sigma-algebra, cached on the
-    representation.
-
-    On the canonical representation xi is a sharp observable by the
-    product-of-chains certificate alone: B0 is the power set of the
-    carrier, and chi_S is the evaluation of the corner c_S whose
-    coordinates are h_i on S and 0 elsewhere (see ``compute_b0``).  So
-    xi(S) = c_S is sharp.  For disjoint S and T the coordinates of c_S and
-    c_T add inside the box to those of c_{S u T}, and the certificate makes
-    m an isomorphism onto prod C_{h_i}, so xi(S) + xi(T) = xi(S u T).
-    xi(carrier) is the top corner, the unit."""
-    if rep._xi is None:
-        rep._xi = SharpObservable(
-            rep, {A: rep.h_of(rep.chi(A)) for A in rep.b0().sets})
-    return rep._xi
-
-
-# ---------------------------------------------------------------------------
 # smearing
 
 
@@ -210,24 +176,42 @@ def element_integrals(rep: Representation,
                       values: Sequence | Mapping) -> tuple[Fraction, ...]:
     """The integral of every element's function against A -> values[xi(A)],
     indexed by element id: m(a) for each a when ``values`` is a state."""
-    xi = sharp_observable(rep)
-    w, wden = over_common_denominator([values[xi(A)] for A in xi.atoms])
+    nums, den = atom_integrals(rep, values)
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def atom_integrals(rep: Representation, values: Sequence | Mapping,
+                   den: int | None = None) -> tuple[list[int], int]:
+    """:func:`element_integrals` with ``values`` mapping element ids to
+    integer numerators over ``den`` (rationals when den is None), as
+    numerators over one denominator."""
     if rep._atom_plan is None:
-        rep._atom_plan = _atom_plan(rep, xi.atoms)
-    rows, den = rep._atom_plan
-    return tuple(Fraction(sum(map(mul, row, w)), den * wden) for row in rows)
+        rep._atom_plan = _atom_plan(rep)
+    masses, rows, pden = rep._atom_plan
+    w = [values[b] for b in masses]
+    if den is None:
+        w, den = over_common_denominator(w)
+    return [sum(map(mul, row, w)) for row in rows], pden * den
 
 
-def _atom_plan(rep: Representation, atoms) -> tuple[tuple, int]:
-    """Every element's value on every atom, as rows of integer numerators
-    over one denominator; raises at the first non-constant (element, atom)."""
-    values = []
+def _atom_plan(rep: Representation) -> tuple[tuple, tuple, int]:
+    """The sharp observable xi(A) = h(chi_A) on each atom A of B0 and every
+    element's integer values on the atoms; raises at the first non-constant
+    (element, atom).  On the canonical representation xi(S) is the corner
+    with support S (see ``compute_b0``), additive, so its atoms fix it."""
+    atoms = rep.b0().atoms
+    den = rep.evaluation[1]
+    p = len(rep.carrier)
+    masses = tuple(rep.evaluation[2].get(tuple(den if i in A else 0
+                                               for i in range(p)))
+                   for A in atoms)
+    if None in masses:
+        raise PreconditionFailed("an atom of B0 is no characteristic member")
+    rows = []
     for a in rep.target.elements():
-        f = rep.function_of(a)
+        f = rep.row_of(a)
         for A in atoms:
-            if len({f[i] for i in A}) > 1:
+            if len(A) > 1 and len({f[i] for i in A}) > 1:
                 raise NotMeasurable("integrand", sorted(A))
-            values.append(f[min(A)])
-    nums, den = over_common_denominator(values)
-    k = len(atoms)
-    return tuple(nums[i:i + k] for i in range(0, len(nums), k)), den
+        rows.append(tuple(f[min(A)] for A in atoms))
+    return masses, tuple(rows), den

@@ -25,16 +25,10 @@ from .errors import (
     RdpRequired,
     TheoremViolation,
 )
+from .linalg import over_common_denominator
 from .states import StatePolytope, inseparable_pair, state_polytope
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 FnValues = tuple[Fraction, ...]
-
-
-def _fmt(values: Iterable[Fraction]) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +89,6 @@ class Representation:
         for i, a in enumerate(self.h):
             self._first_preimage.setdefault(a, i)
         self._b0: SigmaAlgebraB0 | None = None
-        self._xi = None    # cache for the sharp-set observable
         self._spectral: dict[int, object] = {}   # verified measures per element
         self._atom_plan = self._level_plan = None   # integration plans
 
@@ -105,12 +98,6 @@ class Representation:
     def carrier(self) -> tuple[str, ...]:
         return self.tribe.carrier
 
-    def h_of(self, values: FnValues) -> int:
-        i = self.tribe.index_of(tuple(values))
-        if i is None:
-            raise PreconditionFailed(f"{_fmt(values)} is not a member function")
-        return self.h[i]
-
     def function_of(self, a: int) -> FnValues:
         """A member function mapping to a (the first in sorted order)."""
         try:
@@ -119,9 +106,19 @@ class Representation:
             raise PreconditionFailed(
                 f"element {self.target.label(a)} has no preimage") from None
 
-    def chi(self, points: frozenset[int]) -> FnValues:
-        return tuple(ONE if i in points else ZERO
-                     for i in range(len(self.carrier)))
+    @cached_property
+    def evaluation(self) -> tuple[tuple[tuple[int, ...], ...], int, dict]:
+        """The member functions as integer rows over one common denominator,
+        in the tribe's order, and h of each row (at its first position)."""
+        nums, den = over_common_denominator(
+            [v for f in self.tribe.functions for v in f])
+        p = len(self.carrier)
+        rows = tuple(tuple(nums[i:i + p]) for i in range(0, len(nums), p))
+        return rows, den, dict(reversed(list(zip(rows, self.h))))
+
+    def row_of(self, a: int) -> tuple[int, ...]:
+        """The integer row of :meth:`function_of`."""
+        return self.evaluation[0][self._first_preimage[a]]
 
     def b0(self) -> "SigmaAlgebraB0":
         if self._b0 is None:
@@ -233,8 +230,9 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     the atoms are still the intersections of the members through a point.
     """
     p = len(rep.carrier)
-    sets = [frozenset(i for i, v in enumerate(f) if v)
-            for f in rep.tribe.functions if set(f) <= {ZERO, ONE}]
+    rows, den, _ = rep.evaluation
+    sets = [frozenset(i for i, v in enumerate(row) if v)
+            for row in rows if set(row) <= {0, den}]
     full = frozenset(range(p))
     atoms = {full.intersection(*(A for A in sets if i in A))
              for i in range(p)}

@@ -28,12 +28,11 @@ from .errors import (
     TheoremViolation,
 )
 from .linalg import over_common_denominator, rank, solve_affine
-from .observables import OutcomeSet, element_integrals
+from .observables import OutcomeSet, atom_integrals
 from .representation import Representation
 from .states import State, is_state
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SpectralMeasure(NamedTuple):
@@ -42,44 +41,33 @@ class SpectralMeasure(NamedTuple):
     support: tuple[Fraction, ...]          # ascending attained values
     masses: Mapping                         # Fraction -> sharp element id
 
-    def mass_of_set(self, E: OutcomeSet) -> int:
-        """The measure of an outcome set: masses at support points inside."""
-        parts = [self.masses[t] for t in self.support if E.contains(t)]
-        total = iterated_sum(self.algebra, parts)
-        if total is None:  # masses are pairwise summable by construction
-            raise TheoremViolation("spectral masses failed to sum")
-        return total
-
-    def key(self) -> tuple:
-        return (self.support, tuple(self.masses[t] for t in self.support))
-
 
 def spectral_measure(rep: Representation, a: int) -> SpectralMeasure:
-    """Level-set decomposition of the evaluation of a.
+    """Level-set decomposition of the evaluation of a: its integer
+    :func:`levels` read as Fractions, cached on the representation."""
+    if a not in rep._spectral:
+        lv = levels(rep, a)
+        support = tuple(Fraction(lam, rep.evaluation[1]) for lam, _ in lv)
+        rep._spectral[a] = SpectralMeasure(
+            rep.target, a, support, dict(zip(support, (b for _, b in lv))))
+    return rep._spectral[a]
 
-    Verified on first computation, then cached on the representation."""
-    cached = rep._spectral.get(a)
-    if cached is not None:
-        return cached
+
+def levels(rep: Representation, a: int) -> tuple[tuple[int, int], ...]:
+    """Each value of a's integer evaluation row, ascending, with the sharp
+    element whose characteristic set is that level set; the masses sum to 1."""
     M = rep.target
-    f = rep.function_of(a)
-    p = len(rep.carrier)
-    values = sorted({f[i] for i in range(p)})
-    masses = {}
-    for lam in values:
-        chi = tuple(ONE if f[i] == lam else ZERO for i in range(p))
-        if chi not in rep.tribe:
-            raise SpectralObstruction(M.label(a), lam)
-        masses[lam] = rep.h_of(chi)
-    for lam, mass in masses.items():
-        if mass not in rep.sharp:
-            raise SpectralObstruction(M.label(a), lam)
-    if iterated_sum(M, [masses[lam] for lam in values]) != M.one:
-        raise TheoremViolation(
-            f"masses of {M.label(a)} do not sum to 1")
-    result = SpectralMeasure(M, a, tuple(values), masses)
-    rep._spectral[a] = result
-    return result
+    f = rep.row_of(a)
+    den = rep.evaluation[1]
+    out = tuple((lam, rep.evaluation[2].get(tuple(den if v == lam else 0
+                                                  for v in f)))
+                for lam in sorted(set(f)))
+    for lam, mass in out:
+        if mass not in rep.sharp:       # None, for no member, is not sharp
+            raise SpectralObstruction(M.label(a), Fraction(lam, den))
+    if iterated_sum(M, [mass for _, mass in out]) != M.one:
+        raise TheoremViolation(f"masses of {M.label(a)} do not sum to 1")
+    return out
 
 
 def spectral_integral(rep: Representation, values,
@@ -90,45 +78,58 @@ def spectral_integral(rep: Representation, values,
 
     ``values`` is a state's value vector or any mapping over the sharp
     elements.  For a state m, ``spectral_integral(rep, m.values)`` equals
-    ``m.values`` exactly when every measure reproduces m.  phi sees each
-    distinct lambda once."""
+    ``m.values`` exactly when every measure reproduces m."""
+    nums, den = level_integrals(rep, values, None, phi)
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def level_integrals(rep: Representation, values, den: int | None = None,
+                    phi: Callable[[Fraction], Fraction] | None = None
+                    ) -> tuple[list[int], int]:
+    """:func:`spectral_integral` with ``values`` mapping element ids to
+    integer numerators over ``den`` (rationals when den is None), as
+    numerators over one denominator; phi sees each distinct lambda once."""
     if rep._level_plan is None:
         rep._level_plan = _level_plan(rep)
-    lams, lam_ints, masses, rows = rep._level_plan
-    c, cden = lam_ints if phi is None else over_common_denominator(
-        [phi(lam) for lam in lams])
-    w, wden = over_common_denominator([values[b] for b in masses])
-    return tuple(Fraction(sum(c[i] * w[j] for i, j in row), cden * wden)
-                 for row in rows)
+    lvs, lams, masses = rep._level_plan
+    if den is None:
+        nums, den = over_common_denominator([values[b] for b in masses])
+        values = dict(zip(masses, nums))
+    c, cden = lams, rep.evaluation[1]
+    if phi is not None:
+        c, cden = over_common_denominator(
+            [phi(Fraction(lam, cden)) for lam in lams])
+    c = dict(zip(lams, c))
+    return [sum(c[lam] * values[b] for lam, b in lv) for lv in lvs], cden * den
 
 
 def _level_plan(rep: Representation) -> tuple:
-    """Each measure as (lambda, mass) index pairs into the lambdas and the
-    masses in the order first met, the lambdas also as integer numerators."""
-    lams, masses, rows = {}, {}, []
-    for a in rep.target.elements():
-        sm = spectral_measure(rep, a)
-        rows.append(tuple((lams.setdefault(lam, len(lams)),
-                           masses.setdefault(sm.masses[lam], len(masses)))
-                          for lam in sm.support))
-    return (tuple(lams), over_common_denominator(list(lams)), tuple(masses),
-            tuple(rows))
+    """Every element's levels, then the distinct lambdas and masses."""
+    lvs = tuple(levels(rep, a) for a in rep.target.elements())
+    return (lvs, tuple(dict.fromkeys(lam for lv in lvs for lam, _ in lv)),
+            tuple(dict.fromkeys(b for lv in lvs for _, b in lv)))
 
 
-def sharp_table(rep: Representation, a: int, E: OutcomeSet) -> int:
+def sharp_table(rep: Representation, a: int, E: OutcomeSet, lv=None,
+                inside: dict | None = None) -> int:
     """The four-way endpoint rule for sharp elements, cross-checked against
-    the actual spectral measure."""
-    if a not in rep.sharp:
-        raise NotSharp(rep.target.label(a))
-    return _endpoint_rule(rep, a, E, E.contains(ZERO), E.contains(ONE))
-
-
-def _endpoint_rule(rep: Representation, a: int, E: OutcomeSet,
-                   z: bool, o: bool) -> int:
-    """:func:`sharp_table` for a sharp a, given whether E holds 0 and 1."""
+    the measure's levels lv (a's own when None).  ``inside`` records whether
+    E holds each value numerator, so it tests each value once per set."""
     M = rep.target
-    result = (M.one if o else M.comp(a)) if z else (a if o else M.zero)
-    actual = spectral_measure(rep, a).mass_of_set(E)
+    if lv is None:
+        if a not in rep.sharp:
+            raise NotSharp(M.label(a))
+        lv = levels(rep, a)
+    inside = {} if inside is None else inside
+    den = rep.evaluation[1]
+    for v in (0, den, *(lam for lam, _ in lv)):
+        if v not in inside:
+            inside[v] = E.contains(Fraction(v, den))
+    result = ((M.one if inside[den] else M.comp(a)) if inside[0]
+              else (a if inside[den] else M.zero))
+    actual = iterated_sum(M, [b for lam, b in lv if inside[lam]])
+    if actual is None:  # masses are pairwise summable by construction
+        raise TheoremViolation("spectral masses failed to sum")
     if actual != result:
         raise TheoremViolation(
             f"endpoint rule gives {M.label(result)} but the measure "
@@ -140,63 +141,69 @@ def _endpoint_rule(rep: Representation, a: int, E: OutcomeSet,
 # state extension from the sharp elements
 
 
-def validate_sharp_state(M: EffectAlgebra, m: Mapping) -> dict[int, Fraction]:
-    """Check a candidate weighting of the sharp elements; normalized copy out."""
+def validate_sharp_state(M: EffectAlgebra, m: Mapping,
+                         den: int | None = None) -> tuple[dict, int]:
+    """Check a candidate weighting of the sharp elements, given as integer
+    numerators over ``den`` (rationals when den is None); numerators out."""
     members = sharp_elements(M).members
-    vals: dict[int, Fraction] = {}
+    if den is None:
+        vals = {b: Fraction(m[b]) for b in members if b in m}
+        nums, den = over_common_denominator(list(vals.values()))
+        m = dict(zip(vals, nums))
     for b in members:
         if b not in m:
             raise NotAStateOnSharp("missing value", (M.label(b),))
-        v = Fraction(m[b])
-        if v < 0 or v > 1:
-            raise NotAStateOnSharp("value outside [0,1]", (M.label(b), str(v)))
-        vals[b] = v
-    if vals[M.one] != 1:
-        raise NotAStateOnSharp("unit not sent to 1", (str(vals[M.one]),))
+        if m[b] < 0 or m[b] > den:
+            raise NotAStateOnSharp("value outside [0,1]",
+                                   (M.label(b), str(Fraction(m[b], den))))
+    if m[M.one] != den:
+        raise NotAStateOnSharp("unit not sent to 1",
+                               (str(Fraction(m[M.one], den)),))
     # each unordered pair once: the table is symmetric, the members ascend
-    num = dict(zip(vals, over_common_denominator(list(vals.values()))[0]))
     for a, b, c in M.defined_sums():
-        if a not in num or b not in num:
+        if a not in m or b not in m:
             continue
-        if c not in num:
+        if c not in m:
             raise NotAStateOnSharp(
                 "sharp sum escapes the sharp set", (M.label(a), M.label(b)))
-        if num[a] + num[b] != num[c]:
+        if m[a] + m[b] != m[c]:
             raise NotAStateOnSharp(
                 "not additive", (M.label(a), M.label(b), M.label(c)))
-    return vals
+    return m, den
 
 
 def extend_state(rep: Representation, m: Mapping) -> State:
-    """The unique full state restricting to a given sharp-element state.
+    """The unique full state restricting to a given sharp-element state."""
+    nums, den = extension_numerators(rep, m)
+    return State(tuple(Fraction(v, den) for v in nums))
 
-    Computed by the atom formula: the value at a is the integral of the
-    evaluation of a against the measure A -> m(xi(A)) on the atoms of B0,
-    read from ``element_integrals``.  Both the restriction property and the
-    agreement with the spectral form are asserted before anything is
-    returned.
-    """
+
+def extension_numerators(rep: Representation, m: Mapping,
+                         den: int | None = None) -> tuple[list[int], int]:
+    """:func:`extend_state` of m as in :func:`validate_sharp_state`, as
+    numerators over one denominator, by the atom formula: the value at a is
+    the integral of the evaluation of a against A -> m(xi(A)) on the atoms
+    of B0.  The restriction and the spectral form are checked on it."""
     M = rep.target
-    vals = validate_sharp_state(M, m)
-    result = State(element_integrals(rep, vals))
-
-    check = is_state(M, result)
+    num, den = validate_sharp_state(M, m, den)
+    ext, eden = atom_integrals(rep, num, den)
+    check = is_state(M, ext, eden)
     if not check.ok:
         raise TheoremViolation(
             f"extension is not a state: {check.violation.kind} at "
             f"{check.violation.witness!r}")
-    for bb, v in vals.items():
-        if result.values[bb] != v:
+    for bb, v in num.items():
+        if ext[bb] * den != v * eden:
             raise TheoremViolation(
-                f"extension restricts to {result.values[bb]} at "
-                f"{M.label(bb)}, expected {v}")
-    spectral_form = spectral_integral(rep, vals)
+                f"extension restricts to {Fraction(ext[bb], eden)} at "
+                f"{M.label(bb)}, expected {Fraction(v, den)}")
+    spectral_form, sden = level_integrals(rep, num, den)
     for a in M.elements():
-        if spectral_form[a] != result.values[a]:
+        if spectral_form[a] * eden != ext[a] * sden:
             raise TheoremViolation(
-                f"atom form {result.values[a]} and spectral form "
-                f"{spectral_form[a]} disagree at {M.label(a)}")
-    return result
+                f"atom form {Fraction(ext[a], eden)} and spectral form "
+                f"{Fraction(spectral_form[a], sden)} disagree at {M.label(a)}")
+    return ext, eden
 
 
 def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:

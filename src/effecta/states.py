@@ -10,13 +10,10 @@ value vectors, which fixes a canonical carrier order for the
 representation machinery.
 
 The polytope holds its vertices as one integer matrix over one common
-denominator.  Non-emptiness, separation, the mixtures and the dimension
-read the integers; the Fraction vertices are built only when a suite past
-the refinement gate asks for them.  The dimension is d minus the rank of
-the implicit equalities, the elements valued 0 (or 1) at every vertex:
-P = {u : 0 <= s_x(u) <= 1 for every element x} in the free-atom
-coordinates u, the box of the free atoms among these constraints, and a
-constraint tight at every vertex is tight on all of P = conv(vertices).
+denominator.  Non-emptiness, separation, the dimension (see
+:func:`state_polytope`) and the sample states of the gated suites, with
+their mixtures, read the integers; the Fraction vertices are built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ class StatePolytope:
         self.numerators: tuple[tuple[int, ...], ...] = numerators
         self.den: int = den
         self.dimension: int = dimension
+        self._samples: dict[int, list] = {}
 
     @cached_property
     def vertices(self) -> tuple[State, ...]:
@@ -70,6 +68,17 @@ class StatePolytope:
                  for v in set(chain.from_iterable(self.numerators))}
         return tuple(State(tuple(map(value.__getitem__, row)))
                      for row in self.numerators)
+
+    def samples(self, seed: int) -> list[tuple[tuple[int, ...], int]]:
+        """The states the gated suites evaluate, drawn once per seed: the
+        vertices, then ten seeded mixtures (a lone vertex alone, being every
+        mixture of itself), as (numerators, denominator) pairs."""
+        if seed not in self._samples:
+            rows = [(row, self.den) for row in self.numerators]
+            if len(rows) != 1:
+                rows += mixture_rows(self, 10, seed)
+            self._samples[seed] = rows
+        return self._samples[seed]
 
     @property
     def is_empty(self) -> bool:
@@ -149,24 +158,24 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
 # predicates
 
 
-def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State) -> StateCheck:
-    """Exact check; the first violated constraint is reported.
-
-    The values are compared as integer numerators over one common
-    denominator, so each is converted to a Fraction at most once."""
+def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State,
+             den: int | None = None) -> StateCheck:
+    """Exact check of integer numerators over ``den``, or of rationals (each
+    converted once) when den is None; names the first violated constraint."""
     if isinstance(values, State):
         values = values.values
     if len(values) != M.n:
         return StateCheck(False, StateViolation("length", (len(values), M.n)))
-    vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-    n, den = over_common_denominator(vals)
-    for a, v in enumerate(n):
+    if den is None:
+        values, den = over_common_denominator(
+            [v if type(v) is Fraction else Fraction(v) for v in values])
+    for a, v in enumerate(values):
         if v < 0 or v > den:
             return StateCheck(False, StateViolation("range", (M.label(a),)))
-    if n[M.one] != den:
+    if values[M.one] != den:
         return StateCheck(False, StateViolation("one", (M.label(M.one),)))
     for a, b, c in M.defined_sums():
-        if n[a] + n[b] != n[c]:
+        if values[a] + values[b] != values[c]:
             return StateCheck(False, StateViolation(
                 "additivity", (M.label(a), M.label(b), M.label(c))))
     return StateCheck(True, None)
@@ -190,19 +199,19 @@ def inseparable_pair(polytope: StatePolytope) -> tuple[int, int] | None:
 # seeded mixtures
 
 
-def seeded_mixtures(polytope: StatePolytope, count: int, seed: int) -> list[State]:
-    """Deterministic rational mixtures of the vertices; the same seed always
-    produces the same list."""
+def mixture_rows(polytope: StatePolytope, count: int,
+                 seed: int) -> list[tuple[tuple[int, ...], int]]:
+    """Deterministic mixtures of the vertices, as (numerators, denominator)
+    pairs: with one ``randint(1, 10)`` weight raw_k per vertex, value_i =
+    sum_k raw_k * N_k,i / (sum(raw) * den), N the vertices' numerators."""
     if polytope.is_empty:
         raise EmptyStateSpace("cannot mix vertices of an empty polytope")
     rng = random.Random(seed)
     k = len(polytope.numerators)
-    # value_i = sum_k raw_k * N_k,i / (total * den), N the integer numerators
     columns = list(zip(*polytope.numerators))
     out = []
     for _ in range(count):
         raw = [rng.randint(1, 10) for _ in range(k)]
-        den = sum(raw) * polytope.den
-        out.append(State(tuple(Fraction(sum(map(mul, raw, col)), den)
-                               for col in columns)))
+        out.append((tuple(sum(map(mul, raw, col)) for col in columns),
+                    sum(raw) * polytope.den))
     return out

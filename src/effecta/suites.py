@@ -41,7 +41,6 @@ from .serialize import algebra_from_obj, frac_to_str
 
 if TYPE_CHECKING:
     from .representation import Representation
-    from .states import State
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -221,34 +220,25 @@ def _zoo_size(M: EffectAlgebra) -> int:
     return 1 + M.n + sum(2 - (a == b) for a, b, _ in M.defined_sums())
 
 
-def sample_states(P, seed: int, mixtures: int) -> list[State]:
-    """The states a suite evaluates: the vertices, then seeded mixtures.
-    A lone vertex is every mixture of itself, so it is evaluated once."""
-    from .states import seeded_mixtures
-    if len(P.numerators) == 1:
-        return list(P.vertices)
-    return list(P.vertices) + seeded_mixtures(P, mixtures, seed)
-
-
 def _first_residual(M: EffectAlgebra, rep: Representation, residuals):
     """First nonzero residual, ordered by observable, state, outcome set."""
     from .observables import smear
     for x in _zoo_observables(M):
         elements = smear(rep, x).elements
-        for i, r in enumerate(residuals):
+        for i, (r, den) in enumerate(residuals):
             for key, a in elements.items():
                 if r[a]:
                     return [[M.label(b) for b in x.values],
                             sorted(frac_to_str(x.support[j]) for j in key),
-                            i, frac_to_str(r[a])]
+                            i, str(Fraction(r[a], den))]
 
 
 def run_smearing(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
-    from .observables import element_integrals
-    states = sample_states(rep.polytope, seed, 10)
+    from .observables import atom_integrals
+    states = rep.polytope.samples(seed)
     try:
-        tables = [element_integrals(rep, m.values) for m in states]
+        tables = [atom_integrals(rep, row, den) for row, den in states]
     except NotMeasurable as exc:
         return [Record("smearing", instance, "kernel-measurable", FAIL,
                        detail=str(exc))]
@@ -258,10 +248,10 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int,
     # every element is x(E) for some zoo observable (x(empty) = 0, (1,)
     # gives 1, (a, a') gives a), so one residual per element and state
     # decides the identity; the zoo is walked only to name the first break
-    residuals = [[m.values[a] - t[a] for a in M.elements()]
-                 for m, t in zip(states, tables)]
+    residuals = [([row[a] * tden - t[a] * den for a in M.elements()],
+                  den * tden) for (row, den), (t, tden) in zip(states, tables)]
     first_bad = (_first_residual(M, rep, residuals)
-                 if any(map(any, residuals)) else None)
+                 if any(any(r) for r, _ in residuals) else None)
     records.append(Record(
         "smearing", instance, "eq-residual-zero",
         PASS if first_bad is None else FAIL, witness=first_bad,
@@ -269,22 +259,30 @@ def run_smearing(M: EffectAlgebra, instance: str, seed: int,
     return records
 
 
+def _first_mismatch(a: int, states, tables) -> int | None:
+    """The first state whose table differs from it at element a."""
+    return next((i for i, ((row, den), (t, tden))
+                 in enumerate(zip(states, tables))
+                 if t[a] * den != row[a] * tden), None)
+
+
 def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
     from .observables import OutcomeSet
-    from .spectral import _endpoint_rule, spectral_integral
-    states = sample_states(rep.polytope, seed, 10)
-    tables = [spectral_integral(rep, m.values) for m in states]
+    from .spectral import level_integrals, sharp_table
+    states = rep.polytope.samples(seed)
+    tables = [level_integrals(rep, row, den) for row, den in states]
     records = []
 
     bad = None
     for a in M.elements():
-        i = next((i for i, (m, t) in enumerate(zip(states, tables))
-                  if t[a] != m.values[a]), None)
+        i = _first_mismatch(a, states, tables)
         if i is not None:
+            (row, den), (t, tden) = states[i], tables[i]
             bad = [M.label(a), i,
-                   f"spectral integral of {M.label(a)} gives {tables[i][a]}, "
-                   f"but the state assigns {states[i].values[a]}"]
+                   f"spectral integral of {M.label(a)} gives "
+                   f"{Fraction(t[a], tden)}, but the state assigns "
+                   f"{Fraction(row[a], den)}"]
             break
     records.append(Record("spectral", instance, "integral-identity",
                           PASS if bad is None else FAIL, witness=bad,
@@ -301,12 +299,13 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
         ("upper-half", OutcomeSet.interval(HALF, 1, lo_closed=False)),
         ("everything", OutcomeSet.everything()),
     )
-    ends = [(name, E, E.contains(ZERO), E.contains(ONE))
-            for name, E in sharp_e_sets]
+    # whether each outcome set holds each value, tested once per set
+    ends = [(name, E, {}) for name, E in sharp_e_sets]
+    lvs = rep._level_plan[0]        # built by the tables above
     try:
         for a in sharp:
-            for name, E, z, o in ends:
-                _endpoint_rule(rep, a, E, z, o)
+            for name, E, inside in ends:
+                sharp_table(rep, a, E, lvs[a], inside)
     except TheoremViolation as exc:
         bad = [M.label(a), name, str(exc)]
     records.append(Record("spectral", instance, "sharp-table",
@@ -316,15 +315,14 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
 
     # a strictly increasing non-identity transform: the integral law must
     # survive exactly on sharp elements
-    vertices = rep.polytope.vertices
-    squared = [spectral_integral(rep, v.values, lambda lam: lam * lam)
-               for v in vertices]
+    vertices = states[:len(rep.polytope.numerators)]
+    squared = [level_integrals(rep, row, den, lambda lam: lam * lam)
+               for row, den in vertices]
     bad = None
     broken = 0
     first_break = None
     for a in M.elements():
-        i = next((i for i, (v, t) in enumerate(zip(vertices, squared))
-                  if t[a] != v.values[a]), None)
+        i = _first_mismatch(a, vertices, squared)
         if i is None:
             continue
         if a in sharp:
@@ -332,9 +330,9 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
             break
         broken += 1
         if first_break is None:
-            first_break = [M.label(a), i,
-                           [frac_to_str(squared[i][a]),
-                            frac_to_str(vertices[i].values[a])]]
+            (row, den), (t, tden) = vertices[i], squared[i]
+            first_break = [M.label(a), i, [str(Fraction(t[a], tden)),
+                                           str(Fraction(row[a], den))]]
     records.append(Record(
         "spectral", instance, "phi-square", PASS if bad is None else FAIL,
         witness=bad if bad is not None else first_break,
@@ -344,20 +342,23 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
 
 def run_extension(M: EffectAlgebra, instance: str, seed: int,
                   rep: Representation) -> list[Record]:
-    from .spectral import extend_state, sharp_kernel
+    from .spectral import extension_numerators, sharp_kernel
     sharp = sharp_elements(M).members
-    states = sample_states(rep.polytope, seed, 3)
+    P = rep.polytope
+    # the vertices and the first three mixtures of the smearing suite's draw
+    states = P.samples(seed)[:len(P.numerators) + 3]
     records = []
 
     bad_round = None
     try:
-        for i, m in enumerate(states):
-            ext = extend_state(rep, {b: m.values[b] for b in sharp})
-            if ext.values != m.values and bad_round is None:
-                a = next(a for a in M.elements()
-                         if ext.values[a] != m.values[a])
-                bad_round = [i, M.label(a), frac_to_str(ext.values[a]),
-                             frac_to_str(m.values[a])]
+        for i, (row, den) in enumerate(states):
+            ext, eden = extension_numerators(rep, {b: row[b] for b in sharp},
+                                             den)
+            a = next((a for a in M.elements()
+                      if ext[a] * den != row[a] * eden), None)
+            if a is not None and bad_round is None:
+                bad_round = [i, M.label(a), str(Fraction(ext[a], eden)),
+                             str(Fraction(row[a], den))]
     except SizeLimitExceeded:
         raise                      # a cap skips the suite, see check_document
     except EffectaError as exc:

@@ -7,6 +7,7 @@ routes is evidence and not tautology.
 """
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -777,9 +778,9 @@ def irregular_member(rep, omega0):
     disagree; None when the representation is regular."""
     zero = rep.target.zero
     for f in rep.tribe.functions:
-        chi = rep.chi(support(f, omega0))
-        if (rep.h_of(f) == zero) != (chi in rep.tribe
-                                     and rep.h_of(chi) == zero):
+        indicator = chi(rep, support(f, omega0))
+        if (h_of(rep, f) == zero) != (indicator in rep.tribe
+                                     and h_of(rep, indicator) == zero):
             return f
     return None
 
@@ -792,7 +793,7 @@ def congruence_failure(rep, omega0, ideal):
     for i, f in enumerate(fns):
         for g in fns[i:]:
             diff = frozenset(w for w in omega0 if f[w] != g[w])
-            if (rep.h_of(f) == rep.h_of(g)) != (diff in ideal):
+            if (h_of(rep, f) == h_of(rep, g)) != (diff in ideal):
                 return f, g
     return None
 
@@ -810,11 +811,11 @@ def sandwich(rep, f, g, c):
     if any(x > y for x, y in zip(f, g)):
         raise PreconditionFailed("need f <= g pointwise")
     M = rep.target
-    if not (M.leq(rep.h_of(f), c) and M.leq(c, rep.h_of(g))):
+    if not (M.leq(h_of(rep, f), c) and M.leq(c, h_of(rep, g))):
         raise PreconditionFailed("need h(f) <= c <= h(g) in the target")
     s = tuple(max(x, min(y, z))
               for x, y, z in zip(f, g, rep.function_of(c)))
-    assert s in rep.tribe and rep.h_of(s) == c, (s, c)
+    assert s in rep.tribe and h_of(rep, s) == c, (s, c)
     return s
 
 
@@ -851,7 +852,7 @@ def kernel_independence_check(rep, kernel, m, alternatives):
     tuple, and every integrand must be constant on every atom."""
     from effecta.errors import PreconditionFailed
 
-    weights = {A: m.values[rep.h_of(rep.chi(A))] for A in rep.b0().atoms}
+    weights = {A: m.values[h_of(rep, chi(rep, A))] for A in rep.b0().atoms}
 
     def integral(f):
         assert all(len({f[i] for i in A}) == 1 for A in weights), f
@@ -860,11 +861,22 @@ def kernel_independence_check(rep, kernel, m, alternatives):
     for key, alt in alternatives.items():
         alt = tuple(Fraction(v) for v in alt)
         target = kernel.elements[frozenset(key)]
-        if alt not in rep.tribe or rep.h_of(alt) != target:
+        if alt not in rep.tribe or h_of(rep, alt) != target:
             raise PreconditionFailed(f"not a kernel function for {sorted(key)}")
         if integral(alt) != integral(rep.function_of(target)):
             return False
     return True
+
+
+def mass_of_set(sm, E):
+    """The measure of an outcome set: the sum of the masses at the support
+    points inside it."""
+    from effecta.algebra import iterated_sum
+
+    total = iterated_sum(sm.algebra, [sm.masses[t] for t in sm.support
+                                      if E.contains(t)])
+    assert total is not None, "spectral masses failed to sum"
+    return total
 
 
 def measure_additivity_failure(M, sm):
@@ -876,7 +888,7 @@ def measure_additivity_failure(M, sm):
     pts = sm.support
     subsets = [frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
                for mask in range(1 << len(pts))]
-    mass = {E: sm.mass_of_set(OutcomeSet.of_points(*E)) for E in subsets}
+    mass = {E: mass_of_set(sm, OutcomeSet.of_points(*E)) for E in subsets}
     for E in subsets:
         for F in subsets:
             if not E & F and M.add(mass[E], mass[F]) != mass[E | F]:
@@ -888,8 +900,23 @@ def measure_additivity_failure(M, sm):
 # the sharp-set sigma-algebra, the sharp observable and the spectral
 # measures, checked pair by pair.  On the canonical representation the
 # product-of-chains certificate proves every one of these (see
-# ``compute_b0`` and ``sharp_observable``); on a hand-built tribe they can
-# fail.
+# ``compute_b0`` and ``effecta.observables._atom_plan``); on a hand-built
+# tribe they can fail.
+
+
+def h_of(rep, values):
+    """h of a member function, through the tribe's index."""
+    from effecta.errors import PreconditionFailed
+
+    i = rep.tribe.index_of(tuple(values))
+    if i is None:
+        raise PreconditionFailed(f"{_fmt(values)} is not a member function")
+    return rep.h[i]
+
+
+def chi(rep, points):
+    """The characteristic function of a set of carrier points."""
+    return tuple(ONE if i in points else ZERO for i in range(len(rep.carrier)))
 
 
 def _characteristic_sets(rep):
@@ -950,7 +977,7 @@ def sharp_image(rep):
     whether the system is closed under min(f, 1 - f); when both hold on a
     regular representation the equality is a theorem."""
     M = rep.target
-    image = {rep.h_of(rep.chi(A)) for A in _characteristic_sets(rep)}
+    image = {h_of(rep, chi(rep, A)) for A in _characteristic_sets(rep)}
     sharp = {a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero}
     min_closed = all(tuple(min(v, ONE - v) for v in f) in rep.tribe
                      for f in rep.tribe.functions)
@@ -958,13 +985,38 @@ def sharp_image(rep):
                             min_closed)
 
 
+@dataclass(frozen=True)
+class SharpObservable:
+    """xi(A) = h(chi_A) on every set of B0."""
+    rep: object
+    assignment: dict     # frozenset of carrier points -> element id
+
+    def __call__(self, A):
+        return self.assignment[frozenset(A)]
+
+    @property
+    def atoms(self):
+        return self.rep.b0().atoms
+
+
+_XI = weakref.WeakKeyDictionary()
+
+
+def sharp_observable(rep):
+    """The sharp observable on all of B0, through the Fraction tribe index,
+    built once per representation.  The library reads xi on the atoms of B0
+    alone (``effecta.observables._atom_plan``)."""
+    if rep not in _XI:
+        _XI[rep] = SharpObservable(
+            rep, {A: h_of(rep, chi(rep, A)) for A in rep.b0().sets})
+    return _XI[rep]
+
+
 def sharp_observable_failure(rep):
-    """None when the library's xi is h(chi_A) on B0, sharp by the meet,
+    """None when xi is h(chi_A) on B0, sharp by the meet,
     additive on every pair of disjoint sets, and sums to 1 over the atoms;
     else a description of the first failure."""
     from effecta.algebra import iterated_sum
-    from effecta.observables import sharp_observable
-
     M = rep.target
     xi = sharp_observable(rep)
     sets = rep.b0().sets
@@ -972,7 +1024,7 @@ def sharp_observable_failure(rep):
         return "domain"
     for A in sets:
         a = xi(A)
-        if a != rep.h_of(rep.chi(A)) or M.meet(a, M.comp(a)) != M.zero:
+        if a != h_of(rep, chi(rep, A)) or M.meet(a, M.comp(a)) != M.zero:
             return f"xi({sorted(A)}) = {M.label(a)}"
     for A in sets:
         for B in sets:
@@ -983,6 +1035,12 @@ def sharp_observable_failure(rep):
     if iterated_sum(M, [xi(A) for A in xi.atoms]) != M.one:
         return "atom masses do not sum to 1"
     return None
+
+
+def measure_key(sm):
+    """A spectral measure as (support, masses in support order): equal
+    exactly when the two measures are."""
+    return (sm.support, tuple(sm.masses[t] for t in sm.support))
 
 
 @dataclass(frozen=True)
@@ -999,7 +1057,7 @@ def spectral_injectivity(rep):
     seen = {}
     M = rep.target
     for a in M.elements():
-        k = spectral_measure(rep, a).key()
+        k = measure_key(spectral_measure(rep, a))
         if k in seen:
             return InjectivityReport(False, (M.label(seen[k]), M.label(a)))
         seen[k] = a
@@ -1130,7 +1188,7 @@ def spectral_form_value(rep, a, sharp_values):
     total = ZERO
     for lam in sorted({f[i] for i in range(p)}):
         chi = tuple(ONE if f[i] == lam else ZERO for i in range(p))
-        total += lam * sharp_values[rep.h_of(chi)]
+        total += lam * sharp_values[h_of(rep, chi)]
     return total
 
 
@@ -1268,7 +1326,7 @@ def spectral_uniqueness_probe(rep, a):
     M = rep.target
     P = rep.polytope
     sharp = [b for b in sharp_elements(M).members if b != M.zero]
-    canonical = spectral_measure(rep, a).key()
+    canonical = measure_key(spectral_measure(rep, a))
     found = []
 
     def families(prefix, acc, rest):
@@ -1443,3 +1501,175 @@ def is_sigma_additive(M, state):
             if M.leq(a, b) and state.values[a] > state.values[b]:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route to the smearing, spectral and extension tables: the
+# library's bodies before it moved onto integer numerators, kept whole and
+# with no cache on the representation, so the integer cores have a
+# reference that builds a Fraction per value
+
+
+def seeded_mixtures(polytope, count, seed):
+    """The library's seeded mixtures, ``effecta.states.mixture_rows``, read
+    as Fraction States."""
+    from effecta.states import State, mixture_rows
+
+    return [State(tuple(Fraction(v, den) for v in row))
+            for row, den in mixture_rows(polytope, count, seed)]
+
+
+def seeded_mixtures_fraction(polytope, count, seed):
+    """``count`` rounds of one ``randint(1, 10)`` weight per vertex, each
+    value a Fraction of the weighted numerator sum over the weight total
+    times the polytope's denominator."""
+    from operator import mul
+
+    from effecta.errors import EmptyStateSpace
+    from effecta.states import State
+
+    if polytope.is_empty:
+        raise EmptyStateSpace("cannot mix vertices of an empty polytope")
+    rng = random.Random(seed)
+    k = len(polytope.numerators)
+    columns = list(zip(*polytope.numerators))
+    out = []
+    for _ in range(count):
+        raw = [rng.randint(1, 10) for _ in range(k)]
+        den = sum(raw) * polytope.den
+        out.append(State(tuple(Fraction(sum(map(mul, raw, col)), den)
+                               for col in columns)))
+    return out
+
+
+def sample_states(P, seed, mixtures):
+    """The states a gated suite evaluates, as Fraction States: the
+    vertices, then seeded mixtures; a lone vertex alone."""
+    if len(P.vertices) == 1:
+        return list(P.vertices)
+    return list(P.vertices) + seeded_mixtures_fraction(P, mixtures, seed)
+
+
+def _over_common_denominator(values):
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def element_integrals_fraction(rep, values):
+    """xi on every set of B0 through the Fraction tribe index, then every
+    element's value on every atom, integrated against A -> values[xi(A)]."""
+    from operator import mul
+
+    from effecta.errors import NotMeasurable
+    xi = sharp_observable(rep)
+    w, wden = _over_common_denominator([values[xi(A)] for A in xi.atoms])
+    flat = []
+    for a in rep.target.elements():
+        f = rep.function_of(a)
+        for A in xi.atoms:
+            if len({f[i] for i in A}) > 1:
+                raise NotMeasurable("integrand", sorted(A))
+            flat.append(f[min(A)])
+    nums, den = _over_common_denominator(flat)
+    k = len(xi.atoms)
+    rows = [nums[i:i + k] for i in range(0, len(nums), k)]
+    return tuple(Fraction(sum(map(mul, row, w)), den * wden) for row in rows)
+
+
+def spectral_measure_fraction(rep, a):
+    """The level sets of a's Fraction evaluation, each looked up in the
+    Fraction tribe index, verified as the library verifies them."""
+    from effecta.algebra import iterated_sum
+    from effecta.errors import SpectralObstruction, TheoremViolation
+    from effecta.spectral import SpectralMeasure
+
+    M = rep.target
+    f = rep.function_of(a)
+    p = len(rep.carrier)
+    values = sorted({f[i] for i in range(p)})
+    masses = {}
+    for lam in values:
+        chi = tuple(ONE if f[i] == lam else ZERO for i in range(p))
+        if chi not in rep.tribe:
+            raise SpectralObstruction(M.label(a), lam)
+        masses[lam] = h_of(rep, chi)
+    for lam, mass in masses.items():
+        if mass not in rep.sharp:
+            raise SpectralObstruction(M.label(a), lam)
+    if iterated_sum(M, [masses[lam] for lam in values]) != M.one:
+        raise TheoremViolation(f"masses of {M.label(a)} do not sum to 1")
+    return SpectralMeasure(M, a, tuple(values), masses)
+
+
+def spectral_integral_fraction(rep, values, phi=None, measures=None):
+    """The table a -> sum of phi(lambda) * values[mass_a(lambda)] over the
+    measures of ``spectral_measure_fraction``, or over ``measures``, that
+    list computed once."""
+    lams, masses, rows = {}, {}, []
+    for a in rep.target.elements():
+        sm = (measures[a] if measures is not None
+              else spectral_measure_fraction(rep, a))
+        rows.append(tuple((lams.setdefault(lam, len(lams)),
+                           masses.setdefault(sm.masses[lam], len(masses)))
+                          for lam in sm.support))
+    c, cden = _over_common_denominator(
+        list(lams) if phi is None else [phi(lam) for lam in lams])
+    w, wden = _over_common_denominator([values[b] for b in masses])
+    return tuple(Fraction(sum(c[i] * w[j] for i, j in row), cden * wden)
+                 for row in rows)
+
+
+def validate_sharp_state_fraction(M, m):
+    """Missing and out-of-range values, the unit, then additivity on the
+    defined sums of sharp elements, compared as Fractions."""
+    from effecta.algebra import sharp_elements
+    from effecta.errors import NotAStateOnSharp
+
+    vals = {}
+    for b in sharp_elements(M).members:
+        if b not in m:
+            raise NotAStateOnSharp("missing value", (M.label(b),))
+        v = Fraction(m[b])
+        if v < 0 or v > 1:
+            raise NotAStateOnSharp("value outside [0,1]", (M.label(b), str(v)))
+        vals[b] = v
+    if vals[M.one] != 1:
+        raise NotAStateOnSharp("unit not sent to 1", (str(vals[M.one]),))
+    for a, b, c in M.defined_sums():
+        if a not in vals or b not in vals:
+            continue
+        if c not in vals:
+            raise NotAStateOnSharp(
+                "sharp sum escapes the sharp set", (M.label(a), M.label(b)))
+        if vals[a] + vals[b] != vals[c]:
+            raise NotAStateOnSharp(
+                "not additive", (M.label(a), M.label(b), M.label(c)))
+    return vals
+
+
+def extend_state_fraction(rep, m, measures=None):
+    """The atom formula over Fractions, then the state check, the
+    restriction and the spectral form, each raising as the library does."""
+    from effecta.errors import TheoremViolation
+    from effecta.states import State
+
+    M = rep.target
+    vals = validate_sharp_state_fraction(M, m)
+    result = State(element_integrals_fraction(rep, vals))
+    check = fraction_is_state(M, result)
+    if not check.ok:
+        raise TheoremViolation(
+            f"extension is not a state: {check.violation.kind} at "
+            f"{check.violation.witness!r}")
+    for bb, v in vals.items():
+        if result.values[bb] != v:
+            raise TheoremViolation(
+                f"extension restricts to {result.values[bb]} at "
+                f"{M.label(bb)}, expected {v}")
+    spectral_form = spectral_integral_fraction(rep, vals, measures=measures)
+    for a in M.elements():
+        if spectral_form[a] != result.values[a]:
+            raise TheoremViolation(
+                f"atom form {result.values[a]} and spectral form "
+                f"{spectral_form[a]} disagree at {M.label(a)}")
+    return result

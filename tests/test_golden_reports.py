@@ -71,6 +71,13 @@ GOLDEN = {
     "interval222": (("interval", "2", "2", "2"),
                     "cd4a867ab630d29511b4178ddc0c8ebb"
                     "4fd022792b1c0561c1c536c38461138c"),
+    # the two largest documents of the rdp-all bench workload
+    "boolean5": (("boolean", "5"),
+                 "820a0d5bb0bc98d483761be18bd014c9"
+                 "6d0bf362ebb086643ebaff5ab5d39a62"),
+    "boolean6": (("boolean", "6"),
+                 "ccedfb00ec85e526ee5c4c9ded7c19bd"
+                 "85767d8315f8807bccd630d2fd540676"),
     # no refinement property: sharp members under the plain meet and the
     # refinement-gate FAILs
     "hsum-boolean2x3": (("horizontal-sum", "boolean2", "boolean2", "boolean2"),

@@ -1,0 +1,301 @@
+"""The smearing, spectral and extension layers on integer numerators,
+against the Fraction route they replaced.
+
+The library's public functions (``element_integrals``, ``spectral_integral``,
+``spectral_measure``, ``extend_state``) wrap integer cores, and the suites
+call the cores on the polytope's integer samples.  ``oracles`` keeps the
+Fraction bodies those functions had before, with no cache on the
+representation; here both routes must give the same tables, measures,
+states and errors, on the refinement zoo, on the generated products, on
+representations built by hand, and on doctored representations whose
+records must keep the witnesses the Fraction route gave.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from effecta import (extend_state, generate, parse_family_tokens,
+                     sharp_elements, spectral_integral, spectral_measure)
+from effecta.errors import EffectaError
+from effecta.observables import _atom_plan, atom_integrals, element_integrals
+from effecta.report import render_jsonl
+from effecta.representation import Representation, canonical_representation
+from effecta.serialize import algebra_to_obj
+from effecta.spectral import _level_plan, extension_numerators, level_integrals
+from effecta.suites import (SUITE_NAMES, check_document, run_extension,
+                            run_smearing, run_spectral)
+
+from zoo_instances import (boolean, chain, generated_products, interval,
+                           non_rdp_zoo, product_of, rdp_zoo, two_point_tribe)
+
+
+def _square(lam):
+    return lam * lam
+
+
+def _fractions(nums, den):
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type, message and witness it raises."""
+    try:
+        return "value", fn(*args)
+    except EffectaError as exc:
+        return ("raises", type(exc), str(exc),
+                getattr(exc, "witnesses", None), getattr(exc, "atom", None))
+
+
+# ---------------------------------------------------------------------------
+# the defined-sum triples
+
+
+def test_defined_sums_are_the_stored_slot_walk():
+    """The triples are walked once and stored, in the order of a walk over
+    the table slots a <= b."""
+    for name, M in rdp_zoo() + non_rdp_zoo():
+        walk = tuple((a, b, M.add(a, b)) for a in M.elements()
+                     for b in range(a, M.n) if M.add(a, b) is not None)
+        assert M.defined_sums() == walk, name
+        assert M.defined_sums() is M.defined_sums(), name
+
+
+# ---------------------------------------------------------------------------
+# the integer cores against the Fraction route
+
+
+def _instances():
+    return rdp_zoo() + [(name, M) for name, _, M in generated_products()]
+
+
+def test_the_integer_cores_match_the_fraction_route():
+    """Samples, atom integrals, spectral tables (identity and square),
+    measures, xi on the atoms and extensions, on every zoo algebra with the
+    refinement property and every generated product, at seeds 0 to 3."""
+    tables = 0
+    for name, M in _instances():
+        rep = canonical_representation(M)
+        P = rep.polytope
+        sharp = sharp_elements(M).members
+        measures = [oracles.spectral_measure_fraction(rep, a)
+                    for a in M.elements()]
+        assert [spectral_measure(rep, a) for a in M.elements()] == measures
+        xi = oracles.sharp_observable(rep)
+        element_integrals(rep, P.vertices[0].values)
+        assert rep._atom_plan[0] == tuple(map(xi, xi.atoms)), name
+        for seed in range(4):
+            samples = P.samples(seed)
+            states = oracles.sample_states(P, seed, 10)
+            assert [_fractions(*s) for s in samples] == [m.values
+                                                        for m in states]
+            for (row, den), m in zip(samples, states):
+                values = m.values
+                atom = oracles.element_integrals_fraction(rep, values)
+                assert element_integrals(rep, values) == atom, name
+                assert _fractions(*atom_integrals(rep, row, den)) == atom
+                for phi in (None, _square):
+                    level = oracles.spectral_integral_fraction(
+                        rep, values, phi, measures)
+                    assert spectral_integral(rep, values, phi) == level, name
+                    assert _fractions(*level_integrals(rep, row, den,
+                                                       phi)) == level
+                tables += 1
+            # the extension suite's states: the vertices, three mixtures
+            for (row, den), m in list(zip(samples, states))[:len(P.vertices)
+                                                            + 3]:
+                restricted = {b: m.values[b] for b in sharp}
+                ext = oracles.extend_state_fraction(rep, restricted, measures)
+                assert extend_state(rep, restricted) == ext == m, name
+                assert _fractions(*extension_numerators(
+                    rep, {b: row[b] for b in sharp}, den)) == ext.values
+    assert tables > 2000
+
+
+def test_both_routes_reject_the_same_sharp_weightings():
+    """Weightings that are no states (negative, above 1, not additive, a
+    missing value) fail both routes with the same error and witness."""
+    checked = 0
+    for seed, (name, M) in enumerate(rdp_zoo()):
+        rep = canonical_representation(M)
+        sharp = sharp_elements(M).members
+        for _, restricted in oracles.sharp_weightings(M, sharp, 4, seed):
+            missing = dict(list(restricted.items())[1:])
+            for m in (restricted, missing):
+                expected = _outcome(oracles.extend_state_fraction, rep, m)
+                assert expected[0] == "raises", name
+                assert _outcome(extend_state, rep, m) == expected, name
+                checked += 1
+    assert checked == 8 * len(rdp_zoo())
+
+
+def test_a_representation_built_by_hand_needs_no_polytope():
+    """On the two-point tribe over the three-chain, with no polytope, the
+    integer evaluation is read off the functions: both routes fail the
+    middle layer's integrand and its level sets alike.  A carrier extended
+    by a null point keeps the canonical polytope but not its tribe, and
+    both routes agree there on every table, measure and extension."""
+    C = chain(3)
+    rep = oracles.make_representation(two_point_tribe(), C, (0, 1, 2, 3))
+    assert rep.polytope is None
+    state = (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))
+    expected = _outcome(oracles.element_integrals_fraction, rep, state)
+    assert expected[0] == "raises" and expected[4] == [0, 1]
+    assert _outcome(element_integrals, rep, state) == expected
+    for a in C.elements():
+        assert (_outcome(spectral_measure, rep, a)
+                == _outcome(oracles.spectral_measure_fraction, rep, a)), a
+    sharp_state = {0: Fraction(0), 3: Fraction(1)}
+    assert (_outcome(extend_state, rep, sharp_state)
+            == _outcome(oracles.extend_state_fraction, rep, sharp_state))
+
+    for M in (chain(3), boolean(2), interval(1, 2)):
+        base = canonical_representation(M)
+        ext = oracles.extend_carrier_with_null_point(base, "null")
+        sharp = sharp_elements(M).members
+        for a in M.elements():
+            assert (spectral_measure(ext, a)
+                    == oracles.spectral_measure_fraction(ext, a))
+        for m in base.polytope.vertices:
+            assert (element_integrals(ext, m.values)
+                    == oracles.element_integrals_fraction(ext, m.values))
+            assert (spectral_integral(ext, m.values, _square)
+                    == oracles.spectral_integral_fraction(ext, m.values,
+                                                          _square))
+            restricted = {b: m.values[b] for b in sharp}
+            assert (extend_state(ext, restricted)
+                    == oracles.extend_state_fraction(ext, restricted) == m)
+
+
+# ---------------------------------------------------------------------------
+# doctored representations keep the Fraction route's witnesses
+
+
+def _raised_last_vertex(M):
+    """The first non-sharp value of the last vertex raised by 1/12."""
+    rep = canonical_representation(M)
+    P = rep.polytope
+    sharp = sharp_elements(M).members
+    a = next(a for a in M.elements() if a not in sharp)
+    last = list(P.vertices[-1].values)
+    last[a] += Fraction(1, 12)
+    doctored = oracles.doctored_polytope(M, [*P.vertices[:-1], last],
+                                         P.dimension)
+    return Representation(rep.tribe, M, rep.h, polytope=doctored)
+
+
+def _swapped_measure(M, a):
+    """The two masses of element a's measure swapped in the level plan."""
+    rep = canonical_representation(M)
+    lvs, lams, masses = _level_plan(rep)
+    (l0, b0), (l1, b1) = lvs[a]
+    rep._level_plan = (lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:],
+                       lams, masses)
+    return rep
+
+
+def _swapped_xi(M):
+    """xi on the first two atoms of B0 swapped in the atom plan."""
+    rep = canonical_representation(M)
+    masses, rows, den = _atom_plan(rep)
+    rep._atom_plan = ((masses[1], masses[0]) + masses[2:], rows, den)
+    return rep
+
+
+# the smearing, spectral and extension records at seed 0, as the Fraction
+# route wrote them: the sha256 of the JSONL report, and each FAIL's witness
+DOCTORED = {
+    "chain3": (
+        lambda: _raised_last_vertex(chain(3)),
+        "e4b311800f0d7396de5448cc065591bf016257bf8f7f886a3dbce65b49323f51",
+        {"roundtrip": [0, "1", "1/3", "5/12"],
+         "eq-residual-zero": [["0", "1", "2"], ["1/2"], 0, "1/12"],
+         "integral-identity": ["1", 0, "spectral integral of 1 gives 1/3, "
+                                       "but the state assigns 5/12"]}),
+    "interval12": (
+        lambda: _raised_last_vertex(interval(1, 2)),
+        "589a5e843e421176d0098a2b0892e28bf7077c207f80b3705e50abcab962e608",
+        {"roundtrip": [1, "(0,1)", "1/2", "7/12"],
+         "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 1,
+                              "1/12"],
+         "integral-identity": ["(0,1)", 1, "spectral integral of (0,1) "
+                                           "gives 1/2, but the state assigns "
+                                           "7/12"]}),
+    "chain2xchain3": (
+        lambda: _raised_last_vertex(product_of(("chain", 2), ("chain", 3))),
+        "3e456cb8efc87bcbb6fb936825fbc11df405d686575be16a331a59b3ee253b97",
+        {"roundtrip": [1, "(0,1)", "1/3", "5/12"],
+         "eq-residual-zero": [["(0,0)", "(0,1)", "(2,2)"], ["1/2"], 1,
+                              "1/12"],
+         "integral-identity": ["(0,1)", 1, "spectral integral of (0,1) "
+                                           "gives 1/3, but the state assigns "
+                                           "5/12"]}),
+    "boolean2-swap": (
+        lambda: _swapped_measure(boolean(2), 1),
+        "6861016f94ca4ceea66413d78d55e8a77f91f074e6862191e1bcd9fa049cdc06",
+        {"roundtrip": [0, "atom form 0 and spectral form 1 disagree at {1}"],
+         "integral-identity": ["{1}", 0, "spectral integral of {1} gives 1, "
+                                         "but the state assigns 0"],
+         "phi-square": ["{1}", "sharp element broke the integral"],
+         "sharp-table": ["{1}", "point-0", "endpoint rule gives {2} but the "
+                                           "measure gives {1}"]}),
+    "boolean2-xi": (
+        lambda: _swapped_xi(boolean(2)),
+        "0c6c73c96f23f89d9a9aaf191b007d565c9b14566893a2120aedbe1aa0a15a6f",
+        {"roundtrip": [0, "extension restricts to 1 at {1}, expected 0"],
+         "eq-residual-zero": [["{}", "{1}", "{2}"], ["1/2"], 0, "-1"]}),
+    "interval12-xi": (
+        lambda: _swapped_xi(interval(1, 2)),
+        "855fa49c25acd748dccdc5fe209a928ee31e6b31f9d118faa34a5bf3ac8a18f4",
+        {"roundtrip": [0, "extension restricts to 1 at (0,2), expected 0"],
+         "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 0,
+                              "-1/2"]}),
+    "interval12-swap": (
+        lambda: _swapped_measure(interval(1, 2), 1),
+        "f09969c404cbdcec5aba8512d26b74f93ba643dcbe14f5baf07846da9d3f1a0d",
+        {"roundtrip": [0, "atom form 0 and spectral form 1/2 disagree at "
+                          "(0,1)"],
+         "integral-identity": ["(0,1)", 0, "spectral integral of (0,1) gives "
+                                           "1/2, but the state assigns 0"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCTORED))
+def test_doctored_representations_keep_the_fraction_witnesses(name):
+    doctor, digest, failures = DOCTORED[name]
+    rep = doctor()
+    M = rep.target
+    records = (run_smearing(M, name, 0, rep) + run_spectral(M, name, 0, rep)
+               + run_extension(M, name, 0, rep))
+    assert {r.check: r.witness for r in records
+            if r.status == "fail"} == failures
+    report = render_jsonl(records).encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# a Fraction is built only for a witness or a returned state
+
+
+def test_a_boolean6_check_builds_few_fractions(monkeypatch):
+    """``check_document`` with every suite on boolean 6 at seed 0 built
+    6,692 Fractions on the Fraction route; on integer numerators it builds
+    a few dozen, for the polytope's solve, the outcome sets and the squared
+    lambdas.  700 leaves room for neither route's bulk."""
+    doc = algebra_to_obj(generate(parse_family_tokens(["boolean", "6"])))
+    check_document(doc, "boolean6", SUITE_NAMES, 0)     # imports every layer
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    records = check_document(doc, "boolean6", SUITE_NAMES, 0)
+    monkeypatch.undo()
+    assert all(r.status == "pass" for r in records)
+    assert 0 < built <= 700

@@ -15,12 +15,12 @@ from effecta import make_observable, sharp_elements
 from effecta.errors import (NotMeasurable, PreconditionFailed,
                             SizeLimitExceeded, SumNotOne, SumUndefined)
 from effecta.observables import (Interval, OutcomeSet, element_integrals,
-                                 sharp_observable, smear, summable_families)
+                                 smear, summable_families)
 from effecta.representation import canonical_representation
-from effecta.states import State, seeded_mixtures, state_polytope
+from effecta.states import State, state_polytope
 
 import oracles
-from oracles import make_representation
+from oracles import make_representation, seeded_mixtures, sharp_observable
 from zoo_instances import boolean, chain, interval, rdp_zoo, two_point_tribe
 
 F = Fraction
@@ -112,7 +112,10 @@ def test_sharp_observable_on_boolean2():
     assert xi(frozenset({1})) == 1
     assert xi(frozenset({0, 1})) == 3
     assert xi.atoms == (frozenset({0}), frozenset({1}))
-    assert sharp_observable(rep) is xi      # verified once, then cached
+    assert sharp_observable(rep) is xi      # built once, then cached
+    # the library reads xi on the atoms alone
+    element_integrals(rep, rep.polytope.vertices[0].values)
+    assert rep._atom_plan[0] == (2, 1)
 
 
 # ---------------------------------------------------------------------------

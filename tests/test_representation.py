@@ -35,8 +35,8 @@ from effecta.representation import _evaluation_representation
 from effecta.states import inseparable_pair, state_polytope
 
 from oracles import (RepresentationViolation, TribeAxiomViolation,
-                     b0_sigma_law_failure, congruence_failure,
-                     doctored_polytope, extend_carrier_with_null_point,
+                     b0_sigma_law_failure, chi, congruence_failure,
+                     doctored_polytope, extend_carrier_with_null_point, h_of,
                      irregular_member, make_representation, measurable,
                      negligible_ideal, non_measurable, sandwich, sharp_image,
                      sharp_observable_failure, spectral_injectivity, support,
@@ -262,7 +262,7 @@ def test_two_point_tribe_over_chain3():
     assert b0_sigma_law_failure(rep) is None
     assert sharp_observable_failure(rep) is None
     report = sharp_image(rep)
-    image = {M.label(rep.h_of(rep.chi(A))) for A in b0.sets}
+    image = {M.label(h_of(rep, chi(rep, A))) for A in b0.sets}
     sharp = {M.label(a) for a in sharp_elements(M).members}
     assert report.ok and image == {"0", "3"} == sharp
     assert not report.all_measurable and not report.min_closed
@@ -437,7 +437,7 @@ def test_sandwich_squeeze():
     lo, hi = (Z, Z), (O, O)
     for c in B.elements():
         s = sandwich(rep, lo, hi, c)
-        assert rep.h_of(s) == c
+        assert h_of(rep, s) == c
         assert all(x <= y <= z for x, y, z in zip(lo, s, hi))
     # a tight squeeze pins the function completely
     assert sandwich(rep, (Z, O), (Z, O), 1) == (Z, O)

@@ -12,15 +12,16 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from effecta import (extend_state, sharp_elements, spectral_integral,
-                     spectral_measure)
+from effecta import (extend_state, sharp_elements, spectral,
+                     spectral_integral, spectral_measure)
 from effecta.errors import NotAStateOnSharp, NotSharp
 from effecta.observables import OutcomeSet
 from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
 from effecta.spectral import sharp_kernel, sharp_table, validate_sharp_state
-from effecta.states import seeded_mixtures, state_polytope
+from effecta.states import state_polytope
 from effecta.suites import run_extension, run_spectral
+from oracles import seeded_mixtures
 
 from zoo_instances import boolean, chain, interval, rdp_zoo
 
@@ -45,16 +46,16 @@ def test_chain3_measures_are_one_point():
 
 def test_boolean2_measures():
     rep = canonical_representation(boolean(2))
-    assert spectral_measure(rep, 0).key() == ((Z,), (3,))
-    assert spectral_measure(rep, 1).key() == ((Z, O), (2, 1))
-    assert spectral_measure(rep, 2).key() == ((Z, O), (1, 2))
-    assert spectral_measure(rep, 3).key() == ((O,), (3,))
+    assert oracles.measure_key(spectral_measure(rep, 0)) == ((Z,), (3,))
+    assert oracles.measure_key(spectral_measure(rep, 1)) == ((Z, O), (2, 1))
+    assert oracles.measure_key(spectral_measure(rep, 2)) == ((Z, O), (1, 2))
+    assert oracles.measure_key(spectral_measure(rep, 3)) == ((O,), (3,))
 
     sm = spectral_measure(rep, 2)
-    assert sm.mass_of_set(OutcomeSet.of_points(1)) == 2
-    assert sm.mass_of_set(OutcomeSet.of_points(0)) == 1
-    assert sm.mass_of_set(OutcomeSet.everything()) == 3
-    assert sm.mass_of_set(OutcomeSet()) == 0
+    assert oracles.mass_of_set(sm, OutcomeSet.of_points(1)) == 2
+    assert oracles.mass_of_set(sm, OutcomeSet.of_points(0)) == 1
+    assert oracles.mass_of_set(sm, OutcomeSet.everything()) == 3
+    assert oracles.mass_of_set(sm, OutcomeSet()) == 0
 
 
 def test_integral_reproduces_every_state_value():
@@ -90,14 +91,16 @@ def test_sharp_table_four_cases():
 
 
 def test_the_sharp_table_record_checks_each_measure():
-    """The suite reads whether each outcome set holds 0 and 1 once, and
+    """The suite reads whether each outcome set holds each value once, and
     still sets the endpoint rule against every sharp element's measure: a
-    measure with its two masses swapped is named at the first outcome set
-    where the two disagree."""
+    measure with its two masses swapped in the level plan is named at the
+    first outcome set where the two disagree."""
     B = boolean(2)
     rep = canonical_representation(B)
-    sm = spectral_measure(rep, 1)
-    rep._spectral[1] = sm._replace(masses={Z: sm.masses[O], O: sm.masses[Z]})
+    lvs, lams, masses = spectral._level_plan(rep)
+    (l0, b0), (l1, b1) = lvs[1]
+    rep._level_plan = (lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams,
+                       masses)
     rec = next(r for r in run_spectral(B, "b2", 0, rep)
                if r.check == "sharp-table")
     assert (rec.status, rec.witness) == (FAIL, [

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from effecta import State, generate, state_polytope
 from effecta.errors import EmptyStateSpace
 from effecta.algebra import atom_coordinates
-from effecta.states import inseparable_pair, is_state, seeded_mixtures
+from effecta.states import inseparable_pair, is_state
 
 from oracles import (brute_vertices, convex_combination, doctored_polytope,
                      fraction_is_state, is_sigma_additive, matrix_rank,
-                     raw_state_system, seeded_mixtures_reference,
+                     raw_state_system, seeded_mixtures,
+                     seeded_mixtures_reference,
                      vertex_difference_rank, x_space_vertices)
 from zoo_instances import (boolean, chain, diamond, grid_pasting, interval,
                            mo2, mo3, non_rdp_zoo, product_of, rdp_zoo)

@@ -10,14 +10,16 @@ import pytest
 
 from effecta import cli, generate, observables, suites
 from effecta.errors import ParseError, RdpRequired, TheoremViolation
+from effecta.linalg import over_common_denominator
 from effecta.representation import canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
 from effecta.spectral import spectral_measure
-from effecta.states import seeded_mixtures, state_polytope
+from effecta.states import State, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
 import oracles
+from oracles import seeded_mixtures
 from zoo_instances import (boolean, chain, interval, mo2, non_rdp_zoo,
                            product_of, rdp_zoo)
 
@@ -110,15 +112,24 @@ def test_an_empty_polytope_fails_non_empty_and_skips_separating():
 
 
 def test_sample_states_lists_a_lone_vertex_once():
+    """The polytope's integer samples are its vertices, then ten seeded
+    mixtures, or a lone vertex alone; the extension suite's vertices and
+    three mixtures are a prefix.  Read as Fractions, they equal the Fraction
+    route's states, and each seed is drawn once."""
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
         for seed in (0, 3):
-            got = suites.sample_states(P, seed, 10)
+            got = [State(tuple(Fraction(v, den) for v in row))
+                   for row, den in P.samples(seed)]
             if len(P.vertices) == 1:
                 assert got == list(P.vertices), name
             else:
                 assert got == (list(P.vertices)
                                + seeded_mixtures(P, 10, seed)), name
+            assert got == oracles.sample_states(P, seed, 10), name
+            assert (got[:len(P.vertices) + 3]
+                    == oracles.sample_states(P, seed, 3)), name
+            assert P.samples(seed) is P.samples(seed), name
 
 
 def test_malformed_document_raises():
@@ -270,7 +281,7 @@ def test_a_failed_order_certificate_is_one_error_per_gated_suite(
 
 
 def _states(rep, seed=0):
-    return suites.sample_states(rep.polytope, seed, 10)
+    return oracles.sample_states(rep.polytope, seed, 10)
 
 
 def _residual_record(M, rep, seed=0):
@@ -329,16 +340,19 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
         {(late, 0): -seventh, (M.zero, last): seventh,
          (early, second): seventh},
     ]
-    real = observables.element_integrals
+    real = observables.atom_integrals
     for doctored in doctorings:
         shift = {(a, states[i].values): d for (a, i), d in doctored.items()}
 
-        def table(rep_, values):
-            return tuple(t + shift.get((a, tuple(values)), 0)
-                         for a, t in enumerate(real(rep_, values)))
+        def table(rep_, row, den):
+            values = tuple(Fraction(v, den) for v in row)
+            nums, tden = real(rep_, row, den)
+            return over_common_denominator(
+                [Fraction(t, tden) + shift.get((a, values), 0)
+                 for a, t in enumerate(nums)])
 
         with monkeypatch.context() as mp:
-            mp.setattr(observables, "element_integrals", table)
+            mp.setattr(observables, "atom_integrals", table)
             got = _residual_record(M, rep)
         expected = oracles.smearing_residual_record(M, rep, states, shift)
         assert expected[0] == "fail"
@@ -349,7 +363,7 @@ def test_a_passing_smearing_suite_smears_no_observable(monkeypatch):
     M = boolean(3)
     rep = canonical_representation(M)
     calls = {"smear": 0, "tables": 0}
-    smear, element_integrals = observables.smear, observables.element_integrals
+    smear, atom_integrals = observables.smear, observables.atom_integrals
 
     def counting_smear(*args):
         calls["smear"] += 1
@@ -357,10 +371,10 @@ def test_a_passing_smearing_suite_smears_no_observable(monkeypatch):
 
     def counting_tables(*args):
         calls["tables"] += 1
-        return element_integrals(*args)
+        return atom_integrals(*args)
 
     monkeypatch.setattr(observables, "smear", counting_smear)
-    monkeypatch.setattr(observables, "element_integrals", counting_tables)
+    monkeypatch.setattr(observables, "atom_integrals", counting_tables)
     recs = suites.run_smearing(M, "b3", 0, rep)
     assert all(r.status == "pass" for r in recs)
     # the zoo is counted in closed form and walked only to name a break,
@@ -436,12 +450,12 @@ def test_the_dropped_records_hold_on_every_zoo_instance_past_the_gate():
         ext = oracles.extend_carrier_with_null_point(rep, "null")
         null = frozenset({len(rep.carrier)})
         assert null in ext.b0().atoms, name
-        assert ext.h_of(ext.chi(null)) == M.zero, name
+        assert oracles.h_of(ext, oracles.chi(ext, null)) == M.zero, name
         kernels = [observables.smear(ext, observables.make_observable(
                        M, (0, 1), (a, M.comp(a)))) for a in M.elements()]
         states = list(dict.fromkeys(
             m for seed in (0, 3)
-            for m in suites.sample_states(rep.polytope, seed, 10)))
+            for m in oracles.sample_states(rep.polytope, seed, 10)))
         for kernel in kernels:
             # each kernel function has value 0 at the null point; move it
             # to 1/2 or 1, by turns
