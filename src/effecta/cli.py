@@ -99,13 +99,9 @@ def _smear_records(doc, observable, instance: str, seed: int,
         return [Record("smearing", instance, "requires-valid-algebra", FAIL,
                        witness=witness_of(exc), detail=str(exc))]
     x = observable_from_obj(M, observable)
-    records = []
     try:
         rep = canonical_representation(M)
         kernel = smear(rep, x)
-        records.append(Record(
-            "smearing", instance, "kernel-measurable", PASS,
-            detail=f"{len(kernel.functions)} outcome sets"))
         states = rep.polytope.samples(seed)
         first_bad = None
         for i, (row, den) in enumerate(states):
@@ -116,21 +112,16 @@ def _smear_records(doc, observable, instance: str, seed: int,
                 first_bad = [i, sorted(str(x.support[j]) for j in key)]
                 break
     except (RdpRequired, EmptyStateSpace, NonSeparatingStates) as exc:
-        records.append(Record("smearing", instance,
-                              "canonical-representation", FAIL,
-                              detail=str(exc)))
-        return records
+        return [Record("smearing", instance, "canonical-representation",
+                       FAIL, detail=str(exc))]
     except SizeLimitExceeded:
         raise
     except EffectaError as exc:
-        records.append(Record("smearing", instance, "error", FAIL,
-                              witness=witness_of(exc), detail=str(exc)))
-        return records
-    records.append(Record("smearing", instance, "eq-residual-zero",
-                          PASS if first_bad is None else FAIL,
-                          witness=first_bad,
-                          detail=f"{len(states)} states"))
-    return records
+        return [Record("smearing", instance, "error", FAIL,
+                       witness=witness_of(exc), detail=str(exc))]
+    return [Record("smearing", instance, "eq-residual-zero",
+                   PASS if first_bad is None else FAIL, witness=first_bad,
+                   detail=f"{len(states)} states")]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -112,12 +112,6 @@ class SpectralObstruction(EffectaError):
         )
 
 
-class NotSharp(EffectaError):
-    def __init__(self, element):
-        self.element = element
-        super().__init__(f"element {element!r} is not sharp")
-
-
 class NotAStateOnSharp(EffectaError):
     def __init__(self, reason: str, witnesses: tuple):
         self.reason = reason

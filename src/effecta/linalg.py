@@ -2,13 +2,10 @@
 
 ``rank`` eliminates over integers, one vector at a time, and stops once the
 rank reaches the number of columns; the state polytope calls it on the
-parameter-space forms of its implicit equalities (d columns), and the
-extension certificate on the sharp coordinates of the integer vertex
-differences.  ``solve_affine`` reduces sparse rows incrementally over
-Fractions.  Its systems are small: the distinct state equations over the
-values of the k atoms have k columns, and the spectral layer's have one
-column per difference of extremal states (k - 1 of them on an algebra with
-the refinement property) or per sharp part of a sum (at most three).
+parameter-space forms of its implicit equalities (d columns).
+``solve_affine`` reduces sparse rows incrementally over Fractions.  Its
+systems are small: the distinct state equations over the values of the k
+atoms have k columns.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ member function f_E with h(f_E) = x(E), and the defining identity
     m(x(E)) = sum over atoms A of B0:  f_E(A) * m(xi(A))
 
 holds exactly, state by state.  Both sides depend only on the element x(E)
-and the state m, not on the observable: ``element_integrals`` builds the
+and the state m, not on the observable: ``atom_integrals`` builds the
 right-hand side for every element in one table per state, so the identity
 is checked once per (element, state), and the kernel holds x(E) next to f_E
 for reading off the outcome set that breaks it.  One plan per representation

@@ -5,13 +5,20 @@ The spectral measure of an element a collects, for each value lambda that
 the evaluation of a attains, the sharp element whose characteristic set is
 the corresponding level set.  It reproduces the element under integration:
 m(a) = sum of lambda * m(mass(lambda)), for every state m.  That sum is
-written once, in :func:`spectral_integral`, as one table over all elements
+written once, in :func:`level_integrals`, as one table over all elements
 per state; a transform phi of the outcome values is a plain function
 applied to each lambda.  One plan per representation holds every measure,
 the lambdas as integers over one denominator.  Callers compare the table
 with the state, so the law is checked exactly wherever used, never assumed.
 A measure determines its element: its levels and their sets give back
 the evaluation, and h is one-to-one on the canonical representation.
+
+That the extension is unique is a theorem of the product-of-chains
+certificate, not a check: on prod C_{h_i} with k factors a state is fixed
+by its k atom values, and the top of each factor is sharp with h_i times
+its factor's atom value, so the sharp columns of the vertex differences
+have rank k - 1, the polytope's dimension.  ``oracles.sharp_kernel`` in the
+tests keeps that rank check.
 """
 
 from __future__ import annotations
@@ -20,19 +27,11 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .algebra import EffectAlgebra, iterated_sum, sharp_elements
-from .errors import (
-    NotAStateOnSharp,
-    NotSharp,
-    PreconditionFailed,
-    SpectralObstruction,
-    TheoremViolation,
-)
-from .linalg import over_common_denominator, rank, solve_affine
-from .observables import OutcomeSet, atom_integrals
+from .errors import NotAStateOnSharp, SpectralObstruction, TheoremViolation
+from .linalg import over_common_denominator
+from .observables import atom_integrals
 from .representation import Representation
 from .states import State, is_state
-
-ZERO = Fraction(0)
 
 
 class SpectralMeasure(NamedTuple):
@@ -110,33 +109,6 @@ def _level_plan(rep: Representation) -> tuple:
             tuple(dict.fromkeys(b for lv in lvs for _, b in lv)))
 
 
-def sharp_table(rep: Representation, a: int, E: OutcomeSet, lv=None,
-                inside: dict | None = None) -> int:
-    """The four-way endpoint rule for sharp elements, cross-checked against
-    the measure's levels lv (a's own when None).  ``inside`` records whether
-    E holds each value numerator, so it tests each value once per set."""
-    M = rep.target
-    if lv is None:
-        if a not in rep.sharp:
-            raise NotSharp(M.label(a))
-        lv = levels(rep, a)
-    inside = {} if inside is None else inside
-    den = rep.evaluation[1]
-    for v in (0, den, *(lam for lam, _ in lv)):
-        if v not in inside:
-            inside[v] = E.contains(Fraction(v, den))
-    result = ((M.one if inside[den] else M.comp(a)) if inside[0]
-              else (a if inside[den] else M.zero))
-    actual = iterated_sum(M, [b for lam, b in lv if inside[lam]])
-    if actual is None:  # masses are pairwise summable by construction
-        raise TheoremViolation("spectral masses failed to sum")
-    if actual != result:
-        raise TheoremViolation(
-            f"endpoint rule gives {M.label(result)} but the measure "
-            f"gives {M.label(actual)}")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # state extension from the sharp elements
 
@@ -204,38 +176,4 @@ def extension_numerators(rep: Representation, m: Mapping,
                 f"atom form {Fraction(ext[a], eden)} and spectral form "
                 f"{Fraction(spectral_form[a], sden)} disagree at {M.label(a)}")
     return ext, eden
-
-
-def sharp_kernel(rep: Representation) -> tuple[Fraction, ...] | None:
-    """None when the sharp values fix every state, else a nonzero direction
-    of the state space that vanishes on every sharp element.
-
-    The differences v_i - v_0 of the vertices span the directions of the
-    state polytope's affine hull, and ``P.dimension`` is their rank.  When
-    their sharp coordinates keep that rank, the restriction to the sharp
-    elements is injective on the hull, so every state on the sharp elements
-    extends in at most one way.  The rank is taken over the integer
-    numerator differences, which are the differences times ``P.den``.
-    Otherwise some combination of the differences is zero on the sharp
-    elements but not everywhere.
-    """
-    P = rep.polytope
-    if P is None or P.is_empty:
-        raise PreconditionFailed("the extension certificate needs the states")
-    sharp = sharp_elements(rep.target).members
-    n0, *rest = P.numerators
-    if rank([[row[b] - n0[b] for b in sharp] for row in rest]) == P.dimension:
-        return None
-    # combinations c with sum_i c_i d_i[b] = 0 at every sharp b; one basis
-    # direction of that kernel must leave the kernel of the full map
-    v0 = P.vertices[0].values
-    diffs = [[x - y for x, y in zip(v.values, v0)] for v in P.vertices[1:]]
-    _, combos, _ = solve_affine([[d[b] for d in diffs] for b in sharp],
-                                [ZERO] * len(sharp))
-    for c in combos:
-        k = tuple(sum((ci * d[a] for ci, d in zip(c, diffs)), start=ZERO)
-                  for a in rep.target.elements())
-        if any(k):
-            return k
-    raise TheoremViolation("rank deficit without a kernel direction")
 

@@ -1282,13 +1282,86 @@ def smearing_residual_record(M, rep, states, shift=None):
 
 
 # ---------------------------------------------------------------------------
-# unique extension as one report (library calls, composed for the tests)
+# the endpoint rule for sharp elements
+
+
+def sharp_table(rep, a, E):
+    """x(E) for the sharp observable {0: a', 1: a}: the four-way endpoint
+    rule, by whether E holds 0 and 1, cross-checked against a's levels as
+    the spectral integration plan holds them (built when absent), so a
+    doctored plan is caught.  The product-of-chains certificate proves the
+    two equal on the canonical representation."""
+    from effecta.algebra import iterated_sum
+    from effecta.errors import PreconditionFailed, TheoremViolation
+    from effecta.spectral import _level_plan
+
+    M = rep.target
+    if a not in rep.sharp:
+        raise PreconditionFailed(f"element {M.label(a)!r} is not sharp")
+    if rep._level_plan is None:
+        rep._level_plan = _level_plan(rep)
+    den = rep.evaluation[1]
+
+    def inside(v):
+        return E.contains(Fraction(v, den))
+
+    result = ((M.one if inside(den) else M.comp(a)) if inside(0)
+              else (a if inside(den) else M.zero))
+    actual = iterated_sum(M, [b for lam, b in rep._level_plan[0][a]
+                              if inside(lam)])
+    if actual is None:
+        raise TheoremViolation("spectral masses failed to sum")
+    if actual != result:
+        raise TheoremViolation(
+            f"endpoint rule gives {M.label(result)} but the measure "
+            f"gives {M.label(actual)}")
+    return result
+
+
+# ---------------------------------------------------------------------------
+# unique extension: the rank certificate, and one report composing it
+
+
+def sharp_kernel(rep):
+    """None when the sharp values fix every state, else a nonzero direction
+    of the state space that vanishes on every sharp element.
+
+    The differences v_i - v_0 of the vertices span the directions of the
+    state polytope's affine hull, and ``P.dimension`` is their rank.  When
+    their sharp coordinates keep that rank, the restriction to the sharp
+    elements is injective on the hull, so every state on the sharp elements
+    extends in at most one way.  Otherwise some combination of the
+    differences is zero on the sharp elements but not everywhere.  The
+    product-of-chains certificate proves the rank kept on the canonical
+    representation.
+    """
+    from effecta.algebra import sharp_elements
+    from effecta.errors import PreconditionFailed, TheoremViolation
+
+    P = rep.polytope
+    if P is None or P.is_empty:
+        raise PreconditionFailed("the extension certificate needs the states")
+    sharp = sharp_elements(rep.target).members
+    v0 = P.vertices[0].values
+    diffs = [[x - y for x, y in zip(v.values, v0)] for v in P.vertices[1:]]
+    if matrix_rank([[d[b] for b in sharp] for d in diffs]) == P.dimension:
+        return None
+    # combinations c with sum_i c_i d_i[b] = 0 at every sharp b; one basis
+    # direction of that kernel must leave the kernel of the full map
+    _, combos, _ = dense_solve_affine([[d[b] for d in diffs] for b in sharp],
+                                      [ZERO] * len(sharp))
+    for c in combos:
+        k = tuple(sum((ci * d[a] for ci, d in zip(c, diffs)), start=ZERO)
+                  for a in rep.target.elements())
+        if any(k):
+            return k
+    raise TheoremViolation("rank deficit without a kernel direction")
 
 
 @dataclass(frozen=True)
 class ExtensionReport:
     unique: bool
-    kernel: tuple | None       # see effecta.spectral.sharp_kernel
+    kernel: tuple | None       # see sharp_kernel
     extension: object          # the State from effecta.spectral.extend_state
 
 
@@ -1299,7 +1372,7 @@ def extension_uniqueness(rep, m):
     depend on m; the extension comes from ``extend_state``, which asserts
     its restriction, that it is a state, and its spectral form.
     """
-    from effecta.spectral import extend_state, sharp_kernel
+    from effecta.spectral import extend_state
 
     extension = extend_state(rep, m)
     kernel = sharp_kernel(rep)

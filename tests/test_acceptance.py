@@ -18,15 +18,15 @@ from effecta import cli
 from effecta.observables import (OutcomeSet, element_integrals, smear,
                                  summable_families)
 from effecta.representation import canonical_representation
-from effecta.spectral import sharp_table, spectral_measure
+from effecta.spectral import spectral_measure
 
 from oracles import (boolean_law_scan, brute_rdp, brute_vertices,
                      congruence_failure, extension_uniqueness,
                      irregular_member,
                      make_representation, measurable, raw_state_system,
                      seeded_mixtures,
-                     sharp_image, spectral_form_value, spectral_injectivity,
-                     sum_table_dict)
+                     sharp_image, sharp_table, spectral_form_value,
+                     spectral_injectivity, sum_table_dict)
 from zoo_instances import non_rdp_zoo, rdp_zoo, two_point_tribe
 
 F = Fraction

@@ -205,18 +205,23 @@ def _swapped_xi(M):
 
 
 # the smearing, spectral and extension records at seed 0, as the Fraction
-# route wrote them: the sha256 of the JSONL report, and each FAIL's witness
+# route wrote them: the sha256 of the JSONL report, and each FAIL's witness.
+# The digests were re-recorded without the records the product-of-chains
+# certificate proves (kernel-measurable, sharp-table and uniqueness), each
+# report being the earlier one minus exactly those lines.  boolean2-swap's
+# sharp-table witness is kept by the oracle test in test_spectral.py, on the
+# same doctored representation.
 DOCTORED = {
     "chain3": (
         lambda: _raised_last_vertex(chain(3)),
-        "e4b311800f0d7396de5448cc065591bf016257bf8f7f886a3dbce65b49323f51",
+        "ab389036f61a96e60050cfb22dc6499803b83324a25831d995e57b82762a6e95",
         {"roundtrip": [0, "1", "1/3", "5/12"],
          "eq-residual-zero": [["0", "1", "2"], ["1/2"], 0, "1/12"],
          "integral-identity": ["1", 0, "spectral integral of 1 gives 1/3, "
                                        "but the state assigns 5/12"]}),
     "interval12": (
         lambda: _raised_last_vertex(interval(1, 2)),
-        "589a5e843e421176d0098a2b0892e28bf7077c207f80b3705e50abcab962e608",
+        "5fbef0d19873393db37bdb850895a66ce0f5b70467de1c0b4b65c92c10b039b5",
         {"roundtrip": [1, "(0,1)", "1/2", "7/12"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 1,
                               "1/12"],
@@ -225,7 +230,7 @@ DOCTORED = {
                                            "7/12"]}),
     "chain2xchain3": (
         lambda: _raised_last_vertex(product_of(("chain", 2), ("chain", 3))),
-        "3e456cb8efc87bcbb6fb936825fbc11df405d686575be16a331a59b3ee253b97",
+        "75aac227c946f99c9c4cc8fdbfd7b155413afacf27f9aa2883251c412b9f5384",
         {"roundtrip": [1, "(0,1)", "1/3", "5/12"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(2,2)"], ["1/2"], 1,
                               "1/12"],
@@ -234,27 +239,25 @@ DOCTORED = {
                                            "5/12"]}),
     "boolean2-swap": (
         lambda: _swapped_measure(boolean(2), 1),
-        "6861016f94ca4ceea66413d78d55e8a77f91f074e6862191e1bcd9fa049cdc06",
+        "554ca6a9b836fa03f7d43816cacd9c44894977d82e99ac2e61cec01ea9daa29a",
         {"roundtrip": [0, "atom form 0 and spectral form 1 disagree at {1}"],
          "integral-identity": ["{1}", 0, "spectral integral of {1} gives 1, "
                                          "but the state assigns 0"],
-         "phi-square": ["{1}", "sharp element broke the integral"],
-         "sharp-table": ["{1}", "point-0", "endpoint rule gives {2} but the "
-                                           "measure gives {1}"]}),
+         "phi-square": ["{1}", "sharp element broke the integral"]}),
     "boolean2-xi": (
         lambda: _swapped_xi(boolean(2)),
-        "0c6c73c96f23f89d9a9aaf191b007d565c9b14566893a2120aedbe1aa0a15a6f",
+        "249df1b4c2c30c6625c311e6b13c95864c8280fb63af0667bf164fb2328147ac",
         {"roundtrip": [0, "extension restricts to 1 at {1}, expected 0"],
          "eq-residual-zero": [["{}", "{1}", "{2}"], ["1/2"], 0, "-1"]}),
     "interval12-xi": (
         lambda: _swapped_xi(interval(1, 2)),
-        "855fa49c25acd748dccdc5fe209a928ee31e6b31f9d118faa34a5bf3ac8a18f4",
+        "765dcc43bc336509361c5912564c4aa8619eaa2d2a815360e5a78b9ff1ee31ae",
         {"roundtrip": [0, "extension restricts to 1 at (0,2), expected 0"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 0,
                               "-1/2"]}),
     "interval12-swap": (
         lambda: _swapped_measure(interval(1, 2), 1),
-        "f09969c404cbdcec5aba8512d26b74f93ba643dcbe14f5baf07846da9d3f1a0d",
+        "d355f8a0103da2b39f4f54395c49c3ddf095433ae91c2804ddc943c82f7d5b77",
         {"roundtrip": [0, "atom form 0 and spectral form 1/2 disagree at "
                           "(0,1)"],
          "integral-identity": ["(0,1)", 0, "spectral integral of (0,1) gives "

@@ -1,11 +1,10 @@
 """The package's export list names only what the package has, every error
-class is raised or caught somewhere in the package, no module holds a
-float, importing the command line stays light, and each command loads only
-the layers it reaches."""
+class is raised somewhere in the package, no module holds a float,
+importing the command line stays light, and each command loads only the
+layers it reaches."""
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,17 +37,25 @@ def test_an_unknown_attribute_is_an_attribute_error_naming_it():
 
 
 def test_every_error_class_is_named_by_another_module():
-    """An error class that no other module names is one the package never
-    raises or catches; it belongs with the code that does, or nowhere."""
+    """Every error class but the ``EffectaError`` base is raised, as
+    ``raise Name(...)``, in some other module of the package: a class that
+    is only imported or caught is one the package never raises, and belongs
+    with the code that does, or nowhere."""
     package = Path(effecta.__file__).parent
     errors = ast.parse((package / "errors.py").read_text())
     classes = [node.name for node in errors.body
                if isinstance(node, ast.ClassDef)]
-    others = "\n".join(p.read_text() for p in package.glob("*.py")
-                       if p.name != "errors.py")
-    unnamed = [name for name in classes
-               if not re.search(rf"\b{name}\b", others)]
-    assert classes and unnamed == []
+    raised = set()
+    for path in package.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                raised.add(node.exc.func.id)
+    unraised = [name for name in classes
+                if name != "EffectaError" and name not in raised]
+    assert classes and unraised == []
 
 
 def test_the_package_has_no_float():

@@ -14,16 +14,17 @@ import pytest
 import oracles
 from effecta import (extend_state, sharp_elements, spectral,
                      spectral_integral, spectral_measure)
-from effecta.errors import NotAStateOnSharp, NotSharp
+from effecta.errors import (NotAStateOnSharp, PreconditionFailed,
+                            TheoremViolation)
 from effecta.observables import OutcomeSet
 from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
-from effecta.spectral import sharp_kernel, sharp_table, validate_sharp_state
+from effecta.spectral import validate_sharp_state
 from effecta.states import state_polytope
 from effecta.suites import run_extension, run_spectral
-from oracles import seeded_mixtures
+from oracles import seeded_mixtures, sharp_kernel, sharp_table
 
-from zoo_instances import boolean, chain, interval, rdp_zoo
+from zoo_instances import boolean, chain, generated_products, interval, rdp_zoo
 
 F = Fraction
 Z = F(0)
@@ -74,7 +75,8 @@ def test_assignment_is_injective():
 
 
 # ---------------------------------------------------------------------------
-# the endpoint rule for sharp elements
+# the endpoint rule for sharp elements (an oracle: the product-of-chains
+# certificate proves it, so no record restates it)
 
 
 def test_sharp_table_four_cases():
@@ -90,26 +92,50 @@ def test_sharp_table_four_cases():
     assert sharp_table(rep, a, OutcomeSet.interval(0, F(1, 2))) == B.comp(a)
 
 
-def test_the_sharp_table_record_checks_each_measure():
-    """The suite reads whether each outcome set holds each value once, and
-    still sets the endpoint rule against every sharp element's measure: a
-    measure with its two masses swapped in the level plan is named at the
-    first outcome set where the two disagree."""
+# the outcome sets the spectral suite once walked for its sharp-table record
+SHARP_E_SETS = (
+    ("empty", OutcomeSet()),
+    ("point-0", OutcomeSet.of_points(0)),
+    ("point-1", OutcomeSet.of_points(1)),
+    ("both-points", OutcomeSet.of_points(0, 1)),
+    ("lower-half-open", OutcomeSet.interval(0, F(1, 2), hi_closed=False)),
+    ("upper-half", OutcomeSet.interval(F(1, 2), 1, lo_closed=False)),
+    ("everything", OutcomeSet.everything()),
+)
+
+
+def _first_sharp_table_break(rep):
+    """[element, outcome set, message] of the first sharp element and
+    outcome set where the endpoint rule and the measure disagree."""
+    M = rep.target
+    for a in sharp_elements(M).members:
+        for name, E in SHARP_E_SETS:
+            try:
+                sharp_table(rep, a, E)
+            except TheoremViolation as exc:
+                return [M.label(a), name, str(exc)]
+    return None
+
+
+def test_the_sharp_table_checks_the_planned_measure():
+    """The endpoint rule is set against the measure the integration plan
+    holds: a measure with its two masses swapped there is named at the
+    first outcome set where the two disagree, with the witness the
+    ``spectral:sharp-table`` record carried."""
     B = boolean(2)
     rep = canonical_representation(B)
+    assert _first_sharp_table_break(rep) is None
     lvs, lams, masses = spectral._level_plan(rep)
     (l0, b0), (l1, b1) = lvs[1]
     rep._level_plan = (lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams,
                        masses)
-    rec = next(r for r in run_spectral(B, "b2", 0, rep)
-               if r.check == "sharp-table")
-    assert (rec.status, rec.witness) == (FAIL, [
-        "{1}", "point-0", "endpoint rule gives {2} but the measure gives {1}"])
+    assert _first_sharp_table_break(rep) == [
+        "{1}", "point-0", "endpoint rule gives {2} but the measure gives {1}"]
 
 
 def test_sharp_table_rejects_fuzzy_elements():
     rep = canonical_representation(chain(3))
-    with pytest.raises(NotSharp):
+    with pytest.raises(PreconditionFailed):
         sharp_table(rep, 1, OutcomeSet.of_points(1))
 
 
@@ -280,11 +306,10 @@ def test_rank_deficit_yields_a_kernel_witness():
     bounds = oracles.coordinate_bounds(
         list(v0), [[x - y for x, y in zip(v1, v0)]], pins, [Z, O])
     assert bounds == [(Z, Z), (Z, O), (Z, O), (O, O)]
-    # the extension suite turns the deficit into a FAIL with the witness
-    records = run_extension(C, "c3", 0, fake)
-    uniqueness = next(r for r in records if r.check == "uniqueness")
-    assert uniqueness.status == FAIL
-    assert uniqueness.witness == [C.label(1), "1/6"]
+    # the first element the kernel direction moves, and by how much
+    kernel = sharp_kernel(fake)
+    a = next(a for a in C.elements() if kernel[a])
+    assert [C.label(a), str(kernel[a])] == [C.label(1), "1/6"]
 
 
 def _doctored(M):
@@ -308,25 +333,19 @@ DOCTORED = {
         ("spectral", "integral-identity", FAIL,
          ["1", 0, "spectral integral of 1 gives 1/3, but the state "
                   "assigns 5/12"], "4 elements x 1 states"),
-        ("spectral", "sharp-table", PASS, None,
-         "2 sharp elements x 7 outcome sets"),
         ("spectral", "phi-square", PASS, ["1", 0, ["1/9", "5/12"]],
          "2 non-sharp elements break the integral"),
         ("extension", "roundtrip", FAIL, [0, "1", "1/3", "5/12"],
          "1 states restricted to 2 sharp elements"),
-        ("extension", "uniqueness", PASS, None, ""),
     ]),
     "interval12": (interval(1, 2), [
         ("spectral", "integral-identity", FAIL,
          ["(0,1)", 1, "spectral integral of (0,1) gives 1/2, but the state "
                       "assigns 7/12"], "6 elements x 12 states"),
-        ("spectral", "sharp-table", PASS, None,
-         "4 sharp elements x 7 outcome sets"),
         ("spectral", "phi-square", PASS, ["(0,1)", 1, ["1/4", "7/12"]],
          "2 non-sharp elements break the integral"),
         ("extension", "roundtrip", FAIL, [1, "(0,1)", "1/2", "7/12"],
          "5 states restricted to 4 sharp elements"),
-        ("extension", "uniqueness", PASS, None, ""),
     ]),
 }
 
@@ -340,6 +359,14 @@ def test_doctored_states_yield_the_recorded_failures(name):
     rep = _doctored(M)
     records = run_spectral(M, name, 0, rep) + run_extension(M, name, 0, rep)
     assert records == [Record(suite, name, *rest) for suite, *rest in checks]
+
+
+def test_the_rank_certificate_holds_on_every_product_of_chains():
+    """The product-of-chains certificate proves the extension unique; the
+    rank check agrees on the generated products of two chains, interval
+    2 2 3 and the Boolean algebras up to 2^7."""
+    for name, _, M in generated_products():
+        assert sharp_kernel(canonical_representation(M)) is None, name
 
 
 def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
