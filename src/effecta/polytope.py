@@ -1,31 +1,30 @@
 """Exact vertex enumeration for bounded polytopes inside a unit box.
 
 The systems handled here live in a low-dimensional parameter space t of the
-unit box [0,1]^d, cut by further halfspaces coeffs . t <= bound.  The
-vertices are found by the double description method (Motzkin et al. 1953;
-Fukuda and Prodon, "Double description method revisited", 1996): start from
-the corners of the box, slice with one halfspace at a time, keep the
-vertices on its inner side and add one new vertex on the hyperplane for
-every edge that crosses it.  Two vertices span an edge exactly when at least
-d - 1 constraints are tight at both and no third vertex is tight at all of
-them (the combinatorial adjacency test), so no rank is ever computed and
-every new vertex is distinct.
+unit box [0,1]^d, cut by further halfspaces coeffs . t <= bound with integer
+coefficients and bounds.  The vertices are found by the double description
+method (Motzkin et al. 1953; Fukuda and Prodon, "Double description method
+revisited", 1996): start from the corners of the box, slice with one
+halfspace at a time, keep the vertices on its inner side and add one new
+vertex on the hyperplane for every edge that crosses it.  Two vertices span
+an edge exactly when at least d - 1 constraints are tight at both and no
+third vertex is tight at all of them (the combinatorial adjacency test), so
+no rank is ever computed and every new vertex is distinct.
 
-The arithmetic is over integers.  Each cut is scaled to integer
-coefficients once, and each vertex is held as a gcd-reduced homogeneous
-tuple (numerators..., denominator) together with the bitmask of the
-constraints tight at it; a crossing's mask is the two endpoints' common
-mask plus the cut.  The vertices are returned in that homogeneous form;
-no Fraction is built.  The test suite cross-checks the vertices against
-a brute-force solve of every d-subset of constraints and against
-basic-solution enumeration of the raw state equalities.
+The arithmetic is over integers.  Each vertex is held as a gcd-reduced
+homogeneous tuple (numerators..., denominator) together with the bitmask of
+the constraints tight at it, so its dot product with (-coeffs..., bound) is
+its slack at the cut times its positive denominator; a crossing's mask is
+the two endpoints' common mask plus the cut.  The vertices are returned in
+that homogeneous form; no Fraction is built.  The test suite cross-checks
+the vertices against a brute-force solve of every d-subset of constraints
+and against basic-solution enumeration of the raw state equalities.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -35,21 +34,9 @@ MAX_BOX_DIM = 12
 
 
 class HalfSpace(NamedTuple):
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-
-    def value(self, point: tuple[Fraction, ...]) -> Fraction:
-        """Slack at the point: >= 0 inside, 0 on the hyperplane."""
-        return self.bound - sum(c * x for c, x in zip(self.coeffs, point))
-
-
-def _integer_row(cut: HalfSpace) -> tuple[int, ...]:
-    """(-coeffs..., bound) scaled to integers: its dot product with a
-    homogeneous vertex (numerators..., denominator) is the slack times a
-    positive number."""
-    terms = (*(-c for c in cut.coeffs), cut.bound)
-    scale = lcm(*(x.denominator for x in terms))
-    return tuple(x.numerator * (scale // x.denominator) for x in terms)
+    """The integer cut coeffs . t <= bound."""
+    coeffs: tuple[int, ...]
+    bound: int
 
 
 def _adjacent(common: int, masks: list[int]) -> bool:
@@ -74,15 +61,14 @@ def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[int, ...]]:
     if d > MAX_BOX_DIM:
         raise SizeLimitExceeded(f"parameter dimension {d} exceeds {MAX_BOX_DIM}")
     if d == 0:
-        ok = all(c.value(()) >= 0 for c in cuts)
-        return [(1,)] if ok else []
+        return [(1,)] if all(c.bound >= 0 for c in cuts) else []
     # constraint 2j is t_j >= 0, 2j + 1 is t_j <= 1, 2d + k is cut k
     corners = list(iproduct((0, 1), repeat=d))
     verts = [(*corner, 1) for corner in corners]
     masks = [sum(bits) for bits in iproduct(*((1 << 2 * j, 2 << 2 * j)
                                               for j in range(d)))]
     for k, cut in enumerate(cuts):
-        row = _integer_row(cut)
+        row = (*(-c for c in cut.coeffs), cut.bound)
         bit = 1 << (2 * d + k)
         slacks = [sum(map(mul, row, w)) for w in verts]
         masks = [m | bit if s == 0 else m for m, s in zip(masks, slacks)]

@@ -59,17 +59,6 @@ class EffectTribe:
     def __hash__(self) -> int:
         return hash((self.carrier, self.functions))
 
-    @cached_property
-    def _index(self) -> dict[FnValues, int]:
-        # built once per tribe; the first position wins, as in tuple.index
-        return {f: i for i, f in reversed(list(enumerate(self.functions)))}
-
-    def index_of(self, values: FnValues) -> int | None:
-        return self._index.get(tuple(values))
-
-    def __contains__(self, values) -> bool:
-        return self.index_of(tuple(values)) is not None
-
 
 # ---------------------------------------------------------------------------
 # representations

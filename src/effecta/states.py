@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, atom_coordinates
 from .errors import EmptyStateSpace
-from .linalg import over_common_denominator, rank, solve_affine
+from .linalg import echelon, over_common_denominator
 from .polytope import HalfSpace, enumerate_vertices
 
 
@@ -93,7 +93,8 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     """A state is fixed by its values t on the atoms: s(x) = m(x) . t for
     the integer vectors m of :func:`atom_coordinates`.  So the states are
     the t with (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum,
-    m(1) . t = 1 and every m(x) . t in [0,1].  The equalities give
+    m(1) . t = 1 and every m(x) . t in [0,1].  The integer echelon form of
+    the equalities, with the constant in column k, gives
     t = t0 + sum_j u_j dirs[j], u_j the value of free atom j, so the
     polytope is P = {u : 0 <= s_x(u) <= 1 for every element x}; the box of
     the free atoms is among these constraints, since free atoms are
@@ -108,31 +109,34 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     valued 0 everywhere, with the opposite linear part (s(x') = 1 - s(x)),
     so the elements valued 0 at every vertex carry the whole rank."""
     atoms, m = atom_coordinates(M)
-    rows = {tuple(p + q - r for p, q, r in zip(m[a], m[b], m[c]))
-            for a, b, c in M.defined_sums()} - {(0,) * len(atoms)}
-    sol = solve_affine([list(map(Fraction, row)) for row in (*rows, m[M.one])],
-                       [Fraction(0)] * len(rows) + [Fraction(1)])
-    if sol is None:
+    k = len(atoms)
+    rows = {(*(p + q - r for p, q, r in zip(m[a], m[b], m[c])), 0)
+            for a, b, c in M.defined_sums()}
+    basis = echelon((*rows, (*m[M.one], 1)))
+    if k in basis:                      # a pivot in the constant column
         return StatePolytope(M, (), 1, -1)
-    t0, dirs, free = sol
+    free = [j for j in range(k) if j not in basis]
     d = len(free)
 
     # x = (X0 + sum_j D_j u_j) / scale with an integer form (X0, D_0, ...)
-    # per element; a cut that holds on the whole box is left out, so a free
-    # atom (form (0, scale e_j)) adds none, and a constant adds one only
+    # per element; pivot atom p of row r is (r[k] - sum_j r[free_j] u_j) /
+    # r[p], a free atom (form (0, scale e_j)) adds no cut, since a cut that
+    # holds on the whole box is left out, and a constant adds one only
     # when it lies outside [0,1], which leaves no vertex
-    scale = lcm(*(v.denominator for col in (t0, *dirs) for v in col))
-    per_atom = [tuple(v.numerator * (scale // v.denominator) for v in col)
-                for col in zip(t0, *dirs)]
+    scale = lcm(*(r[p] for p, r in basis.items()))
+    per_atom = [
+        tuple(scale // r[j] * v for v in (r[k], *(-r[f] for f in free)))
+        if (r := basis.get(j)) else (0, *(scale * (f == j) for f in free))
+        for j in range(k)]
     forms = [tuple(sum(c * col[j] for c, col in zip(mx, per_atom))
                    for j in range(d + 1)) for mx in m]
     cuts = {}
     for x0, *coeffs in dict.fromkeys(forms):
-        for cut in ((tuple(coeffs), scale - x0),                  # x <= 1
-                    (tuple(-c for c in coeffs), x0)):             # x >= 0
-            if sum(c for c in cut[0] if c > 0) > cut[1]:
+        for cut in (HalfSpace(tuple(coeffs), scale - x0),          # x <= 1
+                    HalfSpace(tuple(-c for c in coeffs), x0)):     # x >= 0
+            if sum(c for c in cut.coeffs if c > 0) > cut.bound:
                 cuts[cut] = None
-    tverts = enumerate_vertices(d, [HalfSpace(*cut) for cut in cuts])
+    tverts = enumerate_vertices(d, list(cuts))
     if not tverts:
         return StatePolytope(M, (), 1, -1)
 
@@ -151,7 +155,7 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
         columns[form] = col
     numerators = tuple(sorted(zip(*map(columns.__getitem__, forms))))
     tight = [form[1:] for form, col in columns.items() if not any(col)]
-    return StatePolytope(M, numerators, den, d - rank(tight))
+    return StatePolytope(M, numerators, den, d - len(echelon(tight)))
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,8 @@ def dense_rref(rows):
 
 def dense_solve_affine(coeffs, rhs):
     """The affine solve as a dense rref of the whole augmented matrix: the
-    reference for the library's sparse incremental ``solve_affine``.
+    reference for the state equations the library reduces with its integer
+    ``echelon``.
 
     Returns None when inconsistent, else (x0, directions, free_columns) with
     direction j equal to 1 in free column j, read off the reduced rows.
@@ -347,6 +348,48 @@ def dense_solve_affine(coeffs, rhs):
         for r, col in enumerate(pivots):
             d[col] = -aug[r][f]
         dirs.append(d)
+    return x0, dirs, free
+
+
+# ---------------------------------------------------------------------------
+# the library's integer echelon and cuts, read in the Fraction shapes above
+
+
+def integer_row(values):
+    """Rationals times the least common multiple of their denominators."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [(v * scale).numerator for v in values]
+
+
+def integer_cut(cut):
+    """A rational halfspace as the library's integer ``HalfSpace`` with the
+    same inside."""
+    from effecta.polytope import HalfSpace
+
+    *coeffs, bound = integer_row([*cut.coeffs, cut.bound])
+    return HalfSpace(tuple(coeffs), bound)
+
+
+def echelon_solve(coeffs, rhs):
+    """``dense_solve_affine``'s result read off the library's ``echelon`` of
+    the augmented rows scaled to integers: pivot column p of row r is
+    (r[n] - sum_f r[f] x_f) / r[p] over the free columns f."""
+    from effecta.linalg import echelon
+
+    if not coeffs:
+        return [], [], []
+    n = len(coeffs[0])
+    basis = echelon(integer_row([*row, b]) for row, b in zip(coeffs, rhs))
+    if n in basis:
+        return None
+    free = [c for c in range(n) if c not in basis]
+    x0 = [ZERO] * n
+    dirs = [[ONE if c == f else ZERO for c in range(n)] for f in free]
+    for p, r in basis.items():
+        x0[p] = Fraction(r[n], r[p])
+        for d, f in zip(dirs, free):
+            d[p] = Fraction(-r[f], r[p])
     return x0, dirs, free
 
 
@@ -779,7 +822,7 @@ def irregular_member(rep, omega0):
     zero = rep.target.zero
     for f in rep.tribe.functions:
         indicator = chi(rep, support(f, omega0))
-        if (h_of(rep, f) == zero) != (indicator in rep.tribe
+        if (h_of(rep, f) == zero) != (indicator in members(rep)
                                      and h_of(rep, indicator) == zero):
             return f
     return None
@@ -806,7 +849,7 @@ def sandwich(rep, f, g, c):
 
     f = tuple(Fraction(v) for v in f)
     g = tuple(Fraction(v) for v in g)
-    if f not in rep.tribe or g not in rep.tribe:
+    if f not in members(rep) or g not in members(rep):
         raise PreconditionFailed("sandwich bounds must be member functions")
     if any(x > y for x, y in zip(f, g)):
         raise PreconditionFailed("need f <= g pointwise")
@@ -815,7 +858,7 @@ def sandwich(rep, f, g, c):
         raise PreconditionFailed("need h(f) <= c <= h(g) in the target")
     s = tuple(max(x, min(y, z))
               for x, y, z in zip(f, g, rep.function_of(c)))
-    assert s in rep.tribe and h_of(rep, s) == c, (s, c)
+    assert s in members(rep) and h_of(rep, s) == c, (s, c)
     return s
 
 
@@ -861,7 +904,7 @@ def kernel_independence_check(rep, kernel, m, alternatives):
     for key, alt in alternatives.items():
         alt = tuple(Fraction(v) for v in alt)
         target = kernel.elements[frozenset(key)]
-        if alt not in rep.tribe or h_of(rep, alt) != target:
+        if alt not in members(rep) or h_of(rep, alt) != target:
             raise PreconditionFailed(f"not a kernel function for {sorted(key)}")
         if integral(alt) != integral(rep.function_of(target)):
             return False
@@ -904,11 +947,23 @@ def measure_additivity_failure(M, sm):
 # tribe they can fail.
 
 
+_MEMBERS = weakref.WeakKeyDictionary()
+
+
+def members(rep):
+    """The tribe's index {member function: its first position}, built once
+    per representation."""
+    if rep not in _MEMBERS:
+        fns = rep.tribe.functions
+        _MEMBERS[rep] = {f: i for i, f in reversed(list(enumerate(fns)))}
+    return _MEMBERS[rep]
+
+
 def h_of(rep, values):
     """h of a member function, through the tribe's index."""
     from effecta.errors import PreconditionFailed
 
-    i = rep.tribe.index_of(tuple(values))
+    i = members(rep).get(tuple(values))
     if i is None:
         raise PreconditionFailed(f"{_fmt(values)} is not a member function")
     return rep.h[i]
@@ -953,7 +1008,7 @@ def measurable(rep, f):
     from effecta.errors import PreconditionFailed
 
     f = tuple(Fraction(v) for v in f)
-    if f not in rep.tribe:
+    if f not in members(rep):
         raise PreconditionFailed(f"{_fmt(f)} is not a member function")
     return all(len({f[i] for i in atom}) == 1 for atom in rep.b0().atoms)
 
@@ -979,7 +1034,7 @@ def sharp_image(rep):
     M = rep.target
     image = {h_of(rep, chi(rep, A)) for A in _characteristic_sets(rep)}
     sharp = {a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero}
-    min_closed = all(tuple(min(v, ONE - v) for v in f) in rep.tribe
+    min_closed = all(tuple(min(v, ONE - v) for v in f) in members(rep)
                      for f in rep.tribe.functions)
     return SharpImageReport(image == sharp, non_measurable(rep) is None,
                             min_closed)
@@ -1393,7 +1448,6 @@ def spectral_uniqueness_probe(rep, a):
     point is inspected, so the search is not exhaustive.
     """
     from effecta.algebra import sharp_elements
-    from effecta.linalg import solve_affine
     from effecta.spectral import spectral_measure
 
     M = rep.target
@@ -1417,7 +1471,7 @@ def spectral_uniqueness_probe(rep, a):
         for perm in permutations(fam):
             rows = [[Fraction(s.values[b]) for b in perm] for s in P.vertices]
             rhs = [s.values[a] for s in P.vertices]
-            sol = solve_affine(rows, rhs)
+            sol = dense_solve_affine(rows, rhs)
             if sol is None:
                 continue
             lams = sol[0]
@@ -1663,7 +1717,7 @@ def spectral_measure_fraction(rep, a):
     masses = {}
     for lam in values:
         chi = tuple(ONE if f[i] == lam else ZERO for i in range(p))
-        if chi not in rep.tribe:
+        if chi not in members(rep):
             raise SpectralObstruction(M.label(a), lam)
         masses[lam] = h_of(rep, chi)
     for lam, mass in masses.items():

@@ -282,13 +282,10 @@ def test_doctored_representations_keep_the_fraction_witnesses(name):
 # a Fraction is built only for a witness or a returned state
 
 
-def test_a_boolean6_check_builds_few_fractions(monkeypatch):
-    """``check_document`` with every suite on boolean 6 at seed 0 built
-    6,692 Fractions on the Fraction route; on integer numerators it builds
-    a few dozen, for the polytope's solve, the outcome sets and the squared
-    lambdas.  700 leaves room for neither route's bulk."""
-    doc = algebra_to_obj(generate(parse_family_tokens(["boolean", "6"])))
-    check_document(doc, "boolean6", SUITE_NAMES, 0)     # imports every layer
+def _fractions_built(monkeypatch, doc, name, suites):
+    """The records of a check, and the number of Fractions it built, after
+    a first run that imports every layer it needs."""
+    check_document(doc, name, suites, 0)
     built = 0
     new = Fraction.__new__
 
@@ -298,7 +295,35 @@ def test_a_boolean6_check_builds_few_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    records = check_document(doc, "boolean6", SUITE_NAMES, 0)
+    records = check_document(doc, name, suites, 0)
     monkeypatch.undo()
+    return records, built
+
+
+def test_a_boolean6_check_builds_few_fractions(monkeypatch):
+    """``check_document`` with every suite on boolean 6 at seed 0 built
+    6,692 Fractions on the Fraction route; on integer numerators it builds
+    a few dozen, for the outcome sets and the squared lambdas.  700 leaves
+    room for neither route's bulk."""
+    doc = algebra_to_obj(generate(parse_family_tokens(["boolean", "6"])))
+    records, built = _fractions_built(monkeypatch, doc, "boolean6",
+                                      SUITE_NAMES)
     assert all(r.status == "pass" for r in records)
     assert 0 < built <= 700
+
+
+@pytest.mark.parametrize("tokens,suites", [
+    (["product", "chain7", "chain7"], ("states",)),
+    (["horizontal-sum", "boolean2", "boolean2", "boolean2"], SUITE_NAMES),
+], ids=["chain7xchain7-states", "hsum3-boolean2-all"])
+def test_the_polytope_path_builds_no_fraction(monkeypatch, tokens, suites):
+    """The state equations are eliminated over integers, the cuts are
+    integer and the vertices homogeneous integer tuples, so a check that
+    stops at the state polytope builds no Fraction: the states suite on
+    chain 7 x chain 7 (594 equality rows), and every suite on a horizontal
+    sum without the refinement property, whose gated suites stop at the
+    refinement gate.  The Fraction solve built 9 and 58."""
+    doc = algebra_to_obj(generate(parse_family_tokens(tokens)))
+    records, built = _fractions_built(monkeypatch, doc, "doc", suites)
+    assert any(r.suite == "states" for r in records)
+    assert built == 0

@@ -1,5 +1,9 @@
 """Exact linear algebra and vertex enumeration, plus the reference simplex
-and coordinate-bounding oracles that cross-check the extension certificate."""
+and coordinate-bounding oracles that cross-check the extension certificate.
+
+The library's echelon and cuts are integer; rational systems and cuts are
+scaled to integers by ``oracles.integer_row`` and ``oracles.integer_cut``,
+and the brute vertex oracle keeps the rational cuts."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,29 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from effecta.linalg import rank, solve_affine
+from effecta.linalg import echelon
 from effecta.polytope import MAX_BOX_DIM, HalfSpace, enumerate_vertices
 from effecta.errors import SizeLimitExceeded
 from oracles import (box_vertices_brute, coordinate_bounds, dense_rref,
-                     matrix_rank, simplex_min)
+                     echelon_solve, integer_cut, integer_row, matrix_rank,
+                     simplex_min)
 
 F = Fraction
 Z, O = F(0), F(1)
 
 
 def fraction_vertices(d, cuts):
-    """``enumerate_vertices`` as sorted Fraction points, the form the brute
-    oracle gives, after checking that each homogeneous vertex is
-    gcd-reduced with a positive denominator."""
-    verts = enumerate_vertices(d, cuts)
+    """``enumerate_vertices`` on the rational cuts scaled to integers, as
+    sorted Fraction points, the form the brute oracle gives, after checking
+    that each homogeneous vertex is gcd-reduced with a positive
+    denominator."""
+    verts = enumerate_vertices(d, [integer_cut(c) for c in cuts])
     assert all(len(w) == d + 1 and w[-1] > 0 and gcd(*w) == 1 for w in verts)
     return sorted(tuple(F(n, w[-1]) for n in w[:-1]) for w in verts)
 
 
 def test_rref_and_rank_basics():
-    assert rank([[F(2), F(4)], [F(1), F(2)]]) == 1
-    assert rank([[2, 4], [1, 2], [0, 3]]) == 2       # integers too
-    assert rank([]) == 0 and rank([[Z, Z]]) == 0
+    assert echelon([[2, 4], [1, 2]]) == {0: [1, 2]}
+    assert echelon([[2, 4], [1, 2], [0, 3]]) == {0: [1, 0], 1: [0, 1]}
+    assert echelon([[-2, 3], [4, 1]]) == {0: [1, 0], 1: [0, 1]}
+    assert echelon([[0, -3, 6]]) == {1: [0, 1, -2]}    # positive pivot
+    assert echelon([]) == {} and echelon([[0, 0]]) == {}
     rows = [[F(1), F(2)], [F(3), F(5)]]
     pivots = dense_rref(rows)              # reduces in place
     assert pivots == [0, 1]
@@ -40,22 +48,22 @@ def test_rref_and_rank_basics():
 
 def test_solve_affine_point_line_and_inconsistent():
     # x + y = 1, x - y = 0  ->  unique point (1/2, 1/2)
-    x0, dirs, free = solve_affine([[O, O], [O, -O]], [O, Z])
+    x0, dirs, free = echelon_solve([[O, O], [O, -O]], [O, Z])
     assert x0 == [F(1, 2), F(1, 2)] and dirs == [] and free == []
     # x + y = 1  ->  a line with one free parameter
-    x0, dirs, free = solve_affine([[O, O]], [O])
+    x0, dirs, free = echelon_solve([[O, O]], [O])
     assert len(dirs) == 1
     t = F(3, 7)
     pt = [x0[i] + t * dirs[0][i] for i in range(2)]
     assert pt[0] + pt[1] == O
     # inconsistent
-    assert solve_affine([[O, O], [O, O]], [O, F(2)]) is None
+    assert echelon_solve([[O, O], [O, O]], [O, F(2)]) is None
 
 
 def test_solve_affine_matches_the_gauss_oracle():
     rows = [[F(1), F(2), F(0)], [F(0), F(1), F(1)], [F(1), F(0), F(-1)]]
     rhs = [F(3), F(2), F(0)]
-    ours = solve_affine(rows, rhs)
+    ours = echelon_solve(rows, rhs)
     theirs = oracles.gauss_solve(rows, rhs)
     assert ours is not None and theirs is not None
     assert ours[0] == theirs and ours[1] == []
@@ -74,11 +82,14 @@ def test_simplex_min_optimal_unbounded_infeasible():
 
 
 def test_halfspace_slack_convention():
-    # x + y <= 1: slack 1 - x - y, positive inside, 0 on the line
-    hs = HalfSpace((O, O), O)
-    assert hs.value((F(1, 4), F(1, 4))) == F(1, 2)
-    assert hs.value((O, O)) == F(-1)
-    assert hs.value((O, Z)) == Z
+    # coeffs . t <= bound is the inside, with integer coefficients: a point
+    # on the hyperplane stays, and negated data cut the opposite side
+    assert enumerate_vertices(2, [HalfSpace((2, 2), 1)]) == [
+        (0, 0, 1), (0, 1, 2), (1, 0, 2)]
+    assert sorted(enumerate_vertices(2, [HalfSpace((-1, -1), -1)])) == [
+        (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert enumerate_vertices(0, [HalfSpace((), 0)]) == [(1,)]
+    assert enumerate_vertices(0, [HalfSpace((), -1)]) == []
 
 
 def test_vertex_enumeration_triangle_both_methods():
@@ -152,7 +163,7 @@ def test_vertex_enumeration_matches_the_brute_oracle(system):
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(rationals, min_size=n, max_size=n), max_size=8)))
 def test_rank_matches_the_dense_oracle(rows):
-    assert rank(rows) == matrix_rank(rows)
+    assert len(echelon(map(integer_row, rows))) == matrix_rank(rows)
 
 
 def test_vertex_enumeration_dimension_guard():

@@ -1,7 +1,8 @@
 """The package's export list names only what the package has, every error
 class is raised somewhere in the package, no module holds a float,
 importing the command line stays light, and each command loads only the
-layers it reaches."""
+layers it reaches; the elimination and vertex layers import no
+``fractions``."""
 
 import ast
 import os
@@ -67,6 +68,22 @@ def test_the_package_has_no_float():
             if (isinstance(node, ast.Constant) and type(node.value) is float
                     or isinstance(node, ast.Name) and node.id == "float"):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("module", ["linalg", "polytope"])
+def test_the_elimination_and_vertex_layers_import_no_fraction(module):
+    """The state equations and the polytope's cuts and vertices are
+    integers: ``linalg`` and ``polytope`` import nothing from
+    ``fractions``."""
+    path = Path(effecta.__file__).parent / f"{module}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found += [f"fractions.{a.name}" for a in node.names]
     assert found == []
 
 

@@ -60,8 +60,11 @@ def test_validate_tribe_accepts_and_sorts():
     tribe = validate_tribe(["p", "q"], [(O, O), (Z, Z), (HALF, HALF)])
     assert tribe.carrier == ("p", "q")
     assert tribe.functions == ((Z, Z), (HALF, HALF), (O, O))
-    assert (HALF, HALF) in tribe
-    assert (F(1, 3), Z) not in tribe
+    assert (HALF, HALF) in tribe.functions
+    assert (F(1, 3), Z) not in tribe.functions
+    # equality and hashing see only the carrier and the functions
+    twin = EffectTribe(tribe.carrier, tribe.functions)
+    assert twin == tribe and hash(twin) == hash(tribe)
 
 
 @pytest.mark.parametrize("carrier, fns, reason", [
@@ -314,20 +317,6 @@ def _lookup_cases():
     reps.append(make_representation(two_point_tribe(), chain(3),
                                     (0, 1, 2, 3)))
     return reps
-
-
-def test_index_of_agrees_with_a_scan_of_the_member_list():
-    for rep in _lookup_cases():
-        tribe = rep.tribe
-        for f in tribe.functions:
-            assert tribe.index_of(f) == tribe.functions.index(f)
-            assert tribe.index_of(list(f)) == tribe.functions.index(f)
-        p = len(tribe.carrier)
-        assert tribe.index_of((F(1, 997),) * p) is None
-        assert tribe.index_of((Z,) * (p + 1)) is None
-        # equality and hashing see only the carrier and the functions
-        twin = EffectTribe(tribe.carrier, tribe.functions)
-        assert twin == tribe and hash(twin) == hash(tribe)
 
 
 def test_measurable_agrees_with_a_direct_atom_scan():
