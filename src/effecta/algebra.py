@@ -42,20 +42,21 @@ class EffectAlgebra:
 
     __slots__ = (
         "labels", "zero", "one",
-        "_sum", "_comp", "_minus", "_down", "_up",
-        "_index", "_rdp_cache", "_sharp_cache", "_coords", "_sums",
+        "_sum", "_comp", "_down", "_up", "_index", "_pairs",
+        "_rdp_cache", "_sharp_cache", "_coords", "_sums",
     )
 
-    def __init__(self, labels, zero, one, sum_table, comp, minus, down, up):
+    def __init__(self, labels, zero, one, sum_table, comp, down, up, index,
+                 pairs):
         self.labels: tuple[str, ...] = labels
         self.zero: int = zero
         self.one: int = one
-        self._sum = sum_table          # tuple[tuple[int | None]]
+        self._sum = sum_table          # tuple[list[int | None]]
         self._comp = comp              # tuple[int]
-        self._minus = minus            # _minus[b][a] = c with a + c = b, else None
         self._down = down              # bitmask of {x : x <= a} per element
         self._up = up
-        self._index = {lbl: i for i, lbl in enumerate(labels)}
+        self._index = index            # label -> id
+        self._pairs = pairs            # number of defined ordered pairs
         self._rdp_cache: "RdpResult | None" = None
         self._sharp_cache: "SharpSet | None" = None
         self._coords = None            # atom_coordinates, walked once
@@ -99,8 +100,15 @@ class EffectAlgebra:
         return bool(self._down[b] >> a & 1)
 
     def minus(self, b: int, a: int) -> Optional[int]:
-        """The unique c with a + c = b, or None when a is not below b."""
-        return self._minus[b][a]
+        """The unique c with a + c = b, or None when a is not below b.
+
+        a <= b exactly when a + b' is defined, and then c = (a + b')':
+        - if a + c = b, then (a + b') + c = 1 by (ii) and (iii), so
+          c = (a + b')';
+        - if a + b' is defined, then a + (a + b')' = b by uniqueness of the
+          orthosupplement."""
+        s = self._sum[a][self._comp[b]]
+        return None if s is None else self._comp[s]
 
     def down_mask(self, a: int) -> int:
         return self._down[a]
@@ -249,10 +257,10 @@ def validate_effect_algebra(
                 f"(a+b)+c = {None if left is None else labels[left]}, "
                 f"a+(b+c) = {None if right is None else labels[right]}")
 
-    # axiom (iii): unique orthosupplement
+    # axiom (iii): unique orthosupplement, among the defined entries of row a
     comp: list[int] = [0] * n
-    for a in range(n):
-        cands = [x for x in range(n) if table[a][x] == oi]
+    for a, (row, ys) in enumerate(zip(table, defined)):
+        cands = [x for x in ys if row[x] == oi]
         if not cands:
             raise AxiomViolation("iii", (labels[a],), "no orthosupplement")
         if len(cands) > 1:
@@ -264,28 +272,20 @@ def validate_effect_algebra(
         if a != zi and table[a][oi] is not None:
             raise AxiomViolation("iv", (labels[a],), "a + 1 is defined")
 
-    # derived order witnesses.  Axioms (i)-(iv) make both unique
-    # differences and antisymmetry theorems, so neither is checked:
-    # - if a + c = b = a + c', then c + b' = a' = c' + b' by (ii) and (iii),
-    #   so c and c' are both orthosupplements of a + b', and c = c';
-    # - if a + c = b and b + d = a, then a + (c + d) = a, so c + d = 0 by
-    #   cancellation, and c = d = 0 by positivity.
-    minus: list[list[int | None]] = [[None] * n for _ in range(n)]
+    # the derived order.  a <= b when a + c = b for some c; that c is
+    # unique and is read as (a + b')' (see ``EffectAlgebra.minus``), and
+    # antisymmetry is a theorem: if a + c = b and b + d = a, then
+    # a + (c + d) = a, so c + d = 0 by cancellation, and c = d = 0 by
+    # positivity.
     down = [0] * n                      # the up-set of a is img[a]
-    for a in range(n):
-        for c in range(n):
-            b = table[a][c]
-            if b is not None:
-                minus[b][a] = c
-                down[b] |= 1 << a
+    for a, (row, ys) in enumerate(zip(table, defined)):
+        bit = 1 << a
+        for y in ys:
+            down[row[y]] |= bit
 
-    return EffectAlgebra(
-        labels, zi, oi,
-        tuple(tuple(row) for row in table),
-        tuple(comp),
-        tuple(tuple(row) for row in minus),
-        tuple(down), tuple(img),
-    )
+    return EffectAlgebra(labels, zi, oi, tuple(table), tuple(comp),
+                         tuple(down), tuple(img), index,
+                         sum(map(len, defined)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +333,12 @@ def _chain_heights(M: EffectAlgebra) -> tuple[int, ...] | None:
     m(y) = v, and x + y = z: each of those box pairs is a defined pair
     that m adds along.  Every other defined pair has an m-sum outside the
     box.  So the defined pairs number prod (h_i + 1)(h_i + 2)/2 exactly
-    when m adds along every defined sum and maps them onto the box pairs."""
+    when m adds along every defined sum and maps them onto the box pairs.
+    Validation counts the defined pairs once, from the rows it builds."""
     _, m = atom_coordinates(M)
     heights = tuple(map(max, zip(*m)))
-    pairs = sum(M.n - row.count(None) for row in M._sum)
     if (M.n == prod(h + 1 for h in heights)
-            and pairs == prod((h + 1) * (h + 2) // 2 for h in heights)):
+            and M._pairs == prod((h + 1) * (h + 2) // 2 for h in heights)):
         return heights
     return None
 

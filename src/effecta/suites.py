@@ -154,9 +154,8 @@ def witness_of(exc: EffectaError):
 
 def _axiom_records(M: EffectAlgebra, instance: str) -> list[Record]:
     """The one axioms record.  Validation has proved the rest: complements
-    are unique, so a'' = a, and it stores the unique witness of every
-    difference it derives the order from, so minus(b, a) + a = b whenever
-    leq(a, b)."""
+    are unique, so a'' = a, and a <= b exactly when a + b' is defined, so
+    minus(b, a) = (a + b')' gives minus(b, a) + a = b whenever leq(a, b)."""
     return [Record("axioms", instance, "validate", PASS,
                    detail=f"{M.n} elements")]
 

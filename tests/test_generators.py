@@ -103,4 +103,6 @@ def test_parsed_tokens_generate_the_same_algebra(mo2):
     spec = parse_family_tokens(["horizontal-sum", "boolean2", "boolean2"])
     M = generate(spec)
     assert M.labels == mo2.labels
-    assert [tuple(r) for r in M._sum] == [tuple(r) for r in mo2._sum]
+    assert M.defined_sums() == mo2.defined_sums()
+    assert [M.comp(a) for a in M.elements()] == \
+        [mo2.comp(a) for a in mo2.elements()]
