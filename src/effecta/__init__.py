@@ -42,8 +42,8 @@ _EXPORTS = {
     "algebra": ("EffectAlgebra", "RdpResult", "SharpSet", "check_rdp",
                 "iterated_sum", "sharp_elements", "validate_effect_algebra"),
     "generators": ("generate", "parse_family_tokens"),
-    "observables": ("Observable", "OutcomeSet", "element_integrals",
-                    "make_observable", "smear", "summable_families"),
+    "observables": ("Observable", "element_integrals", "make_observable",
+                    "smear", "summable_families"),
     "representation": ("EffectTribe", "Representation",
                        "canonical_representation"),
     "spectral": ("SpectralMeasure", "extend_state", "spectral_integral",

@@ -42,19 +42,17 @@ class EffectAlgebra:
 
     __slots__ = (
         "labels", "zero", "one",
-        "_sum", "_comp", "_down", "_up", "_index", "_pairs",
+        "_sum", "_comp", "_down", "_index", "_pairs",
         "_rdp_cache", "_sharp_cache", "_coords", "_sums",
     )
 
-    def __init__(self, labels, zero, one, sum_table, comp, down, up, index,
-                 pairs):
+    def __init__(self, labels, zero, one, sum_table, comp, down, index, pairs):
         self.labels: tuple[str, ...] = labels
         self.zero: int = zero
         self.one: int = one
         self._sum = sum_table          # tuple[list[int | None]]
         self._comp = comp              # tuple[int]
         self._down = down              # bitmask of {x : x <= a} per element
-        self._up = up
         self._index = index            # label -> id
         self._pairs = pairs            # number of defined ordered pairs
         self._rdp_cache: "RdpResult | None" = None
@@ -116,10 +114,6 @@ class EffectAlgebra:
     def meet(self, a: int, b: int) -> Optional[int]:
         lowers = self._down[a] & self._down[b]
         return next((x for x in _bits(lowers) if self._down[x] == lowers), None)
-
-    def join(self, a: int, b: int) -> Optional[int]:
-        uppers = self._up[a] & self._up[b]
-        return next((x for x in _bits(uppers) if self._up[x] == uppers), None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EffectAlgebra(n={self.n}, zero={self.labels[self.zero]!r}, one={self.labels[self.one]!r})"
@@ -277,15 +271,14 @@ def validate_effect_algebra(
     # antisymmetry is a theorem: if a + c = b and b + d = a, then
     # a + (c + d) = a, so c + d = 0 by cancellation, and c = d = 0 by
     # positivity.
-    down = [0] * n                      # the up-set of a is img[a]
+    down = [0] * n
     for a, (row, ys) in enumerate(zip(table, defined)):
         bit = 1 << a
         for y in ys:
             down[row[y]] |= bit
 
     return EffectAlgebra(labels, zi, oi, tuple(table), tuple(comp),
-                         tuple(down), tuple(img), index,
-                         sum(map(len, defined)))
+                         tuple(down), index, sum(map(len, defined)))
 
 
 # ---------------------------------------------------------------------------

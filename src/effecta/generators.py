@@ -4,11 +4,17 @@ Every family builds a raw label/sum table and pushes it through the full
 validator, so a bug in a constructor surfaces as an axiom violation rather
 than as a quietly wrong structure.
 
+The chain is the one primitive.  Interval algebras and Boolean algebras
+are products of chains, built by the same componentwise product as the
+product family, and every family lists only its summable pairs.
+
 A family spec is a tuple:
 
-    ("chain", n)                    0 < 1 < ... < n with truncated addition
-    ("boolean", k)                  subsets of {1..k} under disjoint union
-    ("interval", (u1, ..., uk))     integer boxes 0 <= v <= u, componentwise
+    ("chain", n)                    0 < 1 < ... < n, i + j defined when <= n
+    ("boolean", k)                  subsets of {1..k} under disjoint union:
+                                    k copies of chain 1
+    ("interval", (u1, ..., uk))     integer boxes 0 <= v <= u, componentwise:
+                                    the product of the chains u1, ..., uk
     ("product", [spec, ...])        componentwise partial sum
     ("horizontal_sum", [spec, ...]) summands glued at zero and one
 """
@@ -16,6 +22,7 @@ A family spec is a tuple:
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import prod
 from typing import Sequence
 
 from .algebra import (DEFAULT_MAX_SIZE, EffectAlgebra,
@@ -47,7 +54,7 @@ def _build(spec: FamilySpec, bound: int):
         _check_size(n + 1, bound, f"chain({n})")
         labels = [str(k) for k in range(n + 1)]
         sums = [(str(i), str(j), str(i + j))
-                for i in range(n + 1) for j in range(i, n + 1) if i + j <= n]
+                for i in range(n + 1) for j in range(i, n + 1 - i)]
         return labels, "0", str(n), sums
 
     if family == "boolean":
@@ -55,59 +62,21 @@ def _build(spec: FamilySpec, bound: int):
         if k < 1:
             raise ParseError("boolean needs k >= 1")
         _check_size(2 ** k, bound, f"boolean({k})")
-        subsets = []
-        for mask in range(2 ** k):
-            subsets.append(frozenset(i + 1 for i in range(k) if mask >> i & 1))
-        lbl = lambda s: "{" + ",".join(str(x) for x in sorted(s)) + "}"
-        labels = [lbl(s) for s in subsets]
-        sums = []
-        for s in subsets:
-            for t in subsets:
-                if not (s & t):
-                    sums.append((lbl(s), lbl(t), lbl(s | t)))
-        return labels, lbl(frozenset()), lbl(frozenset(range(1, k + 1))), sums
+        # the last coordinate is element 1, so ids run in subset-mask order
+        return _product([("chain", 1)] * k, bound, lambda v: "{" + ",".join(
+            str(i) for i, x in enumerate(reversed(v), 1) if x) + "}")
 
     if family == "interval":
         (u,) = spec[1:]
         u = tuple(int(x) for x in u)
         if not u or any(x < 1 for x in u):
             raise ParseError("interval needs a unit with all components >= 1")
-        size = 1
-        for x in u:
-            size *= x + 1
-        _check_size(size, bound, f"interval{u}")
-        points = list(iproduct(*(range(x + 1) for x in u)))
-        lbl = lambda v: "(" + ",".join(str(x) for x in v) + ")"
-        labels = [lbl(v) for v in points]
-        sums = []
-        for v in points:
-            for w in points:
-                s = tuple(a + b for a, b in zip(v, w))
-                if all(a <= b for a, b in zip(s, u)):
-                    sums.append((lbl(v), lbl(w), lbl(s)))
-        return labels, lbl(tuple(0 for _ in u)), lbl(u), sums
+        _check_size(prod(x + 1 for x in u), bound, f"interval{u}")
+        return _product([("chain", x) for x in u], bound)
 
     if family == "product":
         (subspecs,) = spec[1:]
-        factors = [generate(s, max_size=bound) for s in subspecs]
-        if not factors:
-            raise ParseError("product needs at least one factor")
-        size = 1
-        for F in factors:
-            size *= F.n
-        _check_size(size, bound, "product")
-        points = list(iproduct(*(range(F.n) for F in factors)))
-        lbl = lambda v: "(" + ",".join(F.label(x) for F, x in zip(factors, v)) + ")"
-        labels = [lbl(v) for v in points]
-        sums = []
-        for v in points:
-            for w in points:
-                parts = [F.add(a, b) for F, a, b in zip(factors, v, w)]
-                if all(p is not None for p in parts):
-                    sums.append((lbl(v), lbl(w), lbl(tuple(parts))))
-        zero = lbl(tuple(F.zero for F in factors))
-        one = lbl(tuple(F.one for F in factors))
-        return labels, zero, one, sums
+        return _product(subspecs, bound)
 
     if family == "horizontal_sum":
         (subspecs,) = spec[1:]
@@ -140,6 +109,33 @@ def _build(spec: FamilySpec, bound: int):
         return labels, "0", "1", sums
 
     raise ParseError(f"unknown family {family!r}")
+
+
+def _product(subspecs, bound: int, name=None):
+    """The componentwise product of the generated factors.  Its ordered
+    defined pairs are exactly the tuples of the factors' ordered defined
+    pairs, so they are listed as such and no candidate pair is walked.
+    Element ids run over the factors' ids in row-major order, the first
+    factor outermost; ``name`` labels a tuple of factor ids, by default
+    as the tuple of the factors' labels."""
+    factors = [generate(s, max_size=bound) for s in subspecs]
+    if not factors:
+        raise ParseError("product needs at least one factor")
+    _check_size(prod(F.n for F in factors), bound, "product")
+    if name is None:
+        name = lambda v: "(" + ",".join(
+            F.label(x) for F, x in zip(factors, v)) + ")"
+    labels = [name(v) for v in iproduct(*(F.elements() for F in factors))]
+    triples = [(0, 0, 0)]
+    for F in factors:
+        pairs = F.defined_sums()
+        pairs += tuple((b, a, c) for a, b, c in pairs if a != b)
+        triples = [(v * F.n + a, w * F.n + b, s * F.n + c)
+                   for v, w, s in triples for a, b, c in pairs]
+    sums = [(labels[v], labels[w], labels[s]) for v, w, s in triples]
+    zero = name(tuple(F.zero for F in factors))
+    one = name(tuple(F.one for F in factors))
+    return labels, zero, one, sums
 
 
 # ---------------------------------------------------------------------------

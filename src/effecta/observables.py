@@ -37,47 +37,6 @@ MAX_POINTS = 16       # a kernel holds one function per subset of its points
 
 
 # ---------------------------------------------------------------------------
-# outcome sets: finite unions of rational intervals plus isolated points
-
-
-class Interval(NamedTuple):
-    lo: Fraction | None        # None = unbounded below
-    hi: Fraction | None        # None = unbounded above
-    lo_closed: bool = True
-    hi_closed: bool = True
-
-    def contains(self, t: Fraction) -> bool:
-        if self.lo is not None and (t < self.lo or (t == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (t > self.hi or (t == self.hi and not self.hi_closed)):
-            return False
-        return True
-
-
-class OutcomeSet(NamedTuple):
-    intervals: tuple[Interval, ...] = ()
-    points: frozenset = frozenset()
-
-    def contains(self, t: Fraction) -> bool:
-        return t in self.points or any(iv.contains(t) for iv in self.intervals)
-
-    @staticmethod
-    def of_points(*ts) -> "OutcomeSet":
-        return OutcomeSet((), frozenset(Fraction(t) for t in ts))
-
-    @staticmethod
-    def interval(lo, hi, *, lo_closed: bool = True, hi_closed: bool = True) -> "OutcomeSet":
-        return OutcomeSet((Interval(
-            None if lo is None else Fraction(lo),
-            None if hi is None else Fraction(hi),
-            lo_closed, hi_closed),))
-
-    @staticmethod
-    def everything() -> "OutcomeSet":
-        return OutcomeSet((Interval(None, None),))
-
-
-# ---------------------------------------------------------------------------
 # observables
 
 

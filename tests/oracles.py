@@ -20,6 +20,86 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
+# generator families, by a walk over every candidate pair
+
+
+def dense_build(spec, bound):
+    """(labels, zero, one, sums) of a valid family spec, found by testing
+    every candidate pair of elements for summability: the reference for
+    ``generators._build``, which lists only the summable pairs.  Members of
+    products and horizontal sums are built by this walk as well."""
+    from effecta.algebra import validate_effect_algebra
+
+    def member(s):
+        return validate_effect_algebra(*dense_build(s, bound), max_size=bound)
+
+    family, arg = spec
+    if family == "chain":
+        labels = [str(k) for k in range(arg + 1)]
+        sums = [(str(i), str(j), str(i + j))
+                for i in range(arg + 1) for j in range(i, arg + 1)
+                if i + j <= arg]
+        return labels, "0", str(arg), sums
+
+    if family == "boolean":
+        subsets = [frozenset(i + 1 for i in range(arg) if mask >> i & 1)
+                   for mask in range(2 ** arg)]
+        lbl = lambda s: "{" + ",".join(str(x) for x in sorted(s)) + "}"
+        sums = [(lbl(s), lbl(t), lbl(s | t))
+                for s in subsets for t in subsets if not s & t]
+        return ([lbl(s) for s in subsets], lbl(frozenset()),
+                lbl(frozenset(range(1, arg + 1))), sums)
+
+    if family == "interval":
+        points = list(product(*(range(x + 1) for x in arg)))
+        lbl = lambda v: "(" + ",".join(str(x) for x in v) + ")"
+        sums = []
+        for v in points:
+            for w in points:
+                s = tuple(a + b for a, b in zip(v, w))
+                if all(a <= b for a, b in zip(s, arg)):
+                    sums.append((lbl(v), lbl(w), lbl(s)))
+        return ([lbl(v) for v in points], lbl((0,) * len(arg)), lbl(arg),
+                sums)
+
+    if family == "product":
+        factors = [member(s) for s in arg]
+        points = list(product(*(F.elements() for F in factors)))
+        lbl = lambda v: "(" + ",".join(F.label(x)
+                                       for F, x in zip(factors, v)) + ")"
+        sums = []
+        for v in points:
+            for w in points:
+                parts = [F.add(a, b) for F, a, b in zip(factors, v, w)]
+                if None not in parts:
+                    sums.append((lbl(v), lbl(w), lbl(parts)))
+        return ([lbl(v) for v in points], lbl([F.zero for F in factors]),
+                lbl([F.one for F in factors]), sums)
+
+    assert family == "horizontal_sum", family
+    summands = [member(s) for s in arg]
+
+    def tr(i, a):
+        S = summands[i]
+        return ("0" if a == S.zero else "1" if a == S.one
+                else f"h{i}:{S.label(a)}")
+
+    labels = ["0", "1"] + [tr(i, a) for i, S in enumerate(summands)
+                           for a in S.elements() if a not in (S.zero, S.one)]
+    # each unordered pair of a summand once, the lower id first, and 0 + x
+    table = {}
+    for i, S in enumerate(summands):
+        for a in S.elements():
+            for b in range(a, S.n):
+                c = S.add(a, b)
+                if c is not None:
+                    table[(tr(i, a), tr(i, b))] = tr(i, c)
+    for l in labels:
+        table[("0", l)] = l
+    return labels, "0", "1", [(a, b, c) for (a, b), c in table.items()]
+
+
+# ---------------------------------------------------------------------------
 # refinement property, by brute quantifier scan over a raw sum table
 
 
@@ -185,6 +265,14 @@ def brute_sharp(labels, table, zero, one):
     return out
 
 
+def join(M, a, b):
+    """a \\/ b, read off the meet as (a' /\\ b')': x -> x' reverses the
+    order, so it carries the meet of the complements to the join.  None
+    when that meet does not exist."""
+    m = M.meet(M.comp(a), M.comp(b))
+    return None if m is None else M.comp(m)
+
+
 def boolean_law_scan(M, members):
     """The first Boolean-algebra law that ``members`` breaks under M's
     meet, join and complement, as (law, witnesses), or None when all hold.
@@ -194,7 +282,7 @@ def boolean_law_scan(M, members):
     distributivity and meet associativity.  O(k^3) for k members.
     """
     meet = {(a, b): M.meet(a, b) for a in members for b in members}
-    join = {(a, b): M.join(a, b) for a in members for b in members}
+    joins = {(a, b): join(M, a, b) for a in members for b in members}
     if M.zero not in members or M.one not in members:
         return "bounds", (M.zero, M.one)
     for a in members:
@@ -202,23 +290,23 @@ def boolean_law_scan(M, members):
             return "complement-closure", (a,)
         if meet[(a, M.comp(a))] != M.zero:
             return "a /\\ a' = 0", (a,)
-        if join[(a, M.comp(a))] != M.one:
+        if joins[(a, M.comp(a))] != M.one:
             return "a \\/ a' = 1", (a,)
     for a in members:
         for b in members:
-            m, j = meet[(a, b)], join[(a, b)]
+            m, j = meet[(a, b)], joins[(a, b)]
             if m is None or m not in members:
                 return "meet-closure", (a, b)
             if j is None or j not in members:
                 return "join-closure", (a, b)
-            if M.comp(m) != join[(M.comp(a), M.comp(b))]:
+            if M.comp(m) != joins[(M.comp(a), M.comp(b))]:
                 return "de-morgan", (a, b)
-            if meet[(a, j)] != a or join[(a, m)] != a:
+            if meet[(a, j)] != a or joins[(a, m)] != a:
                 return "absorption", (a, b)
     for a in members:
         for b in members:
             for c in members:
-                if meet[(a, join[(b, c)])] != join[(meet[(a, b)], meet[(a, c)])]:
+                if meet[(a, joins[(b, c)])] != joins[(meet[(a, b)], meet[(a, c)])]:
                     return "distributivity", (a, b, c)
                 if meet[(meet[(a, b)], c)] != meet[(a, meet[(b, c)])]:
                     return "meet-associativity", (a, b, c)
@@ -912,12 +1000,12 @@ def kernel_independence_check(rep, kernel, m, alternatives):
 
 
 def mass_of_set(sm, E):
-    """The measure of an outcome set: the sum of the masses at the support
-    points inside it."""
+    """The measure of an outcome set, given as its membership test on
+    rationals: the sum of the masses at the support points inside it."""
     from effecta.algebra import iterated_sum
 
     total = iterated_sum(sm.algebra, [sm.masses[t] for t in sm.support
-                                      if E.contains(t)])
+                                      if E(t)])
     assert total is not None, "spectral masses failed to sum"
     return total
 
@@ -926,12 +1014,10 @@ def measure_additivity_failure(M, sm):
     """The first pair (E, F) of disjoint sets of support points of the
     spectral measure sm, in bitmask order, whose masses do not add to the
     mass of E | F; None when the measure is additive."""
-    from effecta.observables import OutcomeSet
-
     pts = sm.support
     subsets = [frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
                for mask in range(1 << len(pts))]
-    mass = {E: mass_of_set(sm, OutcomeSet.of_points(*E)) for E in subsets}
+    mass = {E: mass_of_set(sm, E.__contains__) for E in subsets}
     for E in subsets:
         for F in subsets:
             if not E & F and M.add(mass[E], mass[F]) != mass[E | F]:
@@ -1341,7 +1427,8 @@ def smearing_residual_record(M, rep, states, shift=None):
 
 
 def sharp_table(rep, a, E):
-    """x(E) for the sharp observable {0: a', 1: a}: the four-way endpoint
+    """x(E) for the sharp observable {0: a', 1: a}, with the outcome set E
+    given as its membership test on rationals: the four-way endpoint
     rule, by whether E holds 0 and 1, cross-checked against a's levels as
     the spectral integration plan holds them (built when absent), so a
     doctored plan is caught.  The product-of-chains certificate proves the
@@ -1358,7 +1445,7 @@ def sharp_table(rep, a, E):
     den = rep.evaluation[1]
 
     def inside(v):
-        return E.contains(Fraction(v, den))
+        return E(Fraction(v, den))
 
     result = ((M.one if inside(den) else M.comp(a)) if inside(0)
               else (a if inside(den) else M.zero))
@@ -1561,7 +1648,7 @@ def detect_mv(M):
     """
     for a in range(M.n):
         for b in range(a, M.n):
-            if M.meet(a, b) is None or M.join(a, b) is None:
+            if M.meet(a, b) is None or join(M, a, b) is None:
                 return MvFailure("not-a-lattice", None, (M.label(a), M.label(b)))
 
     def truncated(a, b):
@@ -1569,7 +1656,7 @@ def detect_mv(M):
 
     def join_completed(a, b):
         s = M.add(a, b)
-        return s if s is not None else M.join(a, b)
+        return s if s is not None else join(M, a, b)
 
     order = ["consistency", "i", "ii", "iii", "iv", "v", "vi", "vii", "viii"]
     best: tuple[int, str, tuple] | None = None

@@ -15,8 +15,7 @@ from fractions import Fraction
 from effecta import (check_rdp, extend_state, make_observable,
                      sharp_elements, spectral_integral, state_polytope)
 from effecta import cli
-from effecta.observables import (OutcomeSet, element_integrals, smear,
-                                 summable_families)
+from effecta.observables import element_integrals, smear, summable_families
 from effecta.representation import canonical_representation
 from effecta.spectral import spectral_measure
 
@@ -219,14 +218,11 @@ def test_criterion_7_spectral_measures():
             for m in mixed_states_of(name, M, 10, seed=0):
                 assert spectral_integral(rep, m.values) == m.values
             assert spectral_injectivity(rep).ok
-            one_in = OutcomeSet.of_points(1)
-            zero_in = OutcomeSet.of_points(0)
-            both = OutcomeSet.of_points(0, 1)
             for a in sharp_elements(M).members:
-                assert sharp_table(rep, a, one_in) == a
-                assert sharp_table(rep, a, zero_in) == M.comp(a)
-                assert sharp_table(rep, a, both) == M.one
-                assert sharp_table(rep, a, OutcomeSet()) == M.zero
+                assert sharp_table(rep, a, lambda t: t == 1) == a
+                assert sharp_table(rep, a, lambda t: t == 0) == M.comp(a)
+                assert sharp_table(rep, a, lambda t: t in (0, 1)) == M.one
+                assert sharp_table(rep, a, lambda t: False) == M.zero
 
         C = dict(rdp_instances())["chain3"]
         rep = rep_of("chain3", C)

@@ -180,7 +180,7 @@ def test_order_and_difference_on_a_chain():
     assert M.minus(three, two) == M.index("1")
     assert M.minus(two, three) is None
     assert M.meet(two, three) == two
-    assert M.join(two, three) == three
+    assert oracles.join(M, two, three) == three
 
 
 def test_double_complement_and_difference_hold_zoo_wide():

@@ -3,9 +3,12 @@ horizontal sums, and the token parser behind the command line."""
 
 import pytest
 
+import oracles
 import zoo_instances as zoo
-from effecta import generate, parse_family_tokens
+from effecta import generate, parse_family_tokens, validate_effect_algebra
 from effecta.errors import ParseError, SizeLimitExceeded
+from effecta.generators import _build
+from effecta.serialize import algebra_to_obj, dumps
 
 
 def test_chain_structure():
@@ -75,9 +78,55 @@ def test_degenerate_one_member_composites_are_relabelings():
 
 
 def test_generate_respects_the_size_budget():
-    with pytest.raises(SizeLimitExceeded):
+    """Interval and boolean check their own size before they build any
+    chain factor, so the message names the family asked for."""
+    with pytest.raises(SizeLimitExceeded) as exc:
+        generate(("interval", (5000,)), max_size=4096)
+    assert str(exc.value) == \
+        "interval(5000,) has 5001 elements, exceeding the bound 4096"
+    with pytest.raises(SizeLimitExceeded) as exc:
         generate(("boolean", 5), max_size=16)
+    assert str(exc.value) == "boolean(5) has 32 elements, exceeding the bound 16"
+    with pytest.raises(SizeLimitExceeded) as exc:
+        generate(("product", [("chain", 100), ("chain", 100)]), max_size=4096)
+    assert str(exc.value) == \
+        "product has 10201 elements, exceeding the bound 4096"
     assert generate(("boolean", 4), max_size=16).n == 16
+
+
+# the families whose generated pairs are set against the n^2 walk, with the
+# products of ``zoo.PRODUCT_SPECS``
+DENSE_FAMILIES = [
+    ("chain", 1), ("chain", 3), ("chain", 30), ("chain", 200),
+    ("boolean", 1), ("boolean", 2), ("boolean", 4), ("boolean", 6),
+    ("boolean", 8),
+    ("interval", (1,)), ("interval", (3,)), ("interval", (1, 2)),
+    ("interval", (2, 1)), ("interval", (1, 1, 2)), ("interval", (1, 2, 3, 4)),
+    ("product", [("chain", 3)]),
+    ("product", [("chain", 2), ("chain", 3)]),
+    ("product", [("boolean", 2), ("chain", 3)]),
+    ("product", [("interval", (1, 2)), ("chain", 2)]),
+    ("product", [("horizontal_sum", [("chain", 2), ("chain", 2)]),
+                 ("chain", 1)]),
+    ("horizontal_sum", [("boolean", 2), ("boolean", 2)]),
+    ("horizontal_sum", [("boolean", 3), ("interval", (1, 2)), ("chain", 2)]),
+] + [spec for _, _, spec in zoo.PRODUCT_SPECS]
+
+
+@pytest.mark.parametrize("spec", DENSE_FAMILIES, ids=str)
+def test_generators_list_the_pairs_of_the_dense_walk(spec):
+    """The generators list only summable pairs; the reference tests every
+    candidate pair.  Labels, bounds and the set of triples agree, no
+    triple is listed twice, and the generated documents are the same
+    bytes."""
+    labels, zero, one, sums = _build(spec, 4096)
+    ref = oracles.dense_build(spec, 4096)
+    assert (labels, zero, one) == ref[:3]
+    assert len(sums) == len(set(sums))
+    assert set(sums) == set(ref[3])
+    dense = validate_effect_algebra(*ref, max_size=4096)
+    assert dumps(algebra_to_obj(generate(spec, max_size=4096))) == \
+        dumps(algebra_to_obj(dense))
 
 
 def test_parse_family_tokens_full_grammar():

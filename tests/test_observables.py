@@ -1,4 +1,4 @@
-"""Observables, outcome sets, smearing kernels, and the defining identity.
+"""Observables, smearing kernels, and the defining identity.
 
 The kernel for a representation is pinned down function-by-function on the
 small instances, and the smearing identity is checked to hold with exact
@@ -14,8 +14,7 @@ import pytest
 from effecta import make_observable, sharp_elements
 from effecta.errors import (NotMeasurable, PreconditionFailed,
                             SizeLimitExceeded, SumNotOne, SumUndefined)
-from effecta.observables import (Interval, OutcomeSet, element_integrals,
-                                 smear, summable_families)
+from effecta.observables import element_integrals, smear, summable_families
 from effecta.representation import canonical_representation
 from effecta.states import State, state_polytope
 
@@ -27,39 +26,6 @@ F = Fraction
 Z = F(0)
 O = F(1)
 HALF = F(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# outcome sets
-
-
-def test_interval_endpoint_conventions():
-    iv = Interval(Z, O, lo_closed=False, hi_closed=True)
-    assert not iv.contains(Z)
-    assert iv.contains(HALF)
-    assert iv.contains(O)
-    assert not iv.contains(F(3, 2))
-
-    below = Interval(None, Z)
-    assert below.contains(F(-5)) and below.contains(Z) and not below.contains(O)
-
-    everything = Interval(None, None)
-    assert everything.contains(F(-100)) and everything.contains(F(100))
-
-
-def test_outcome_set_constructors():
-    E = OutcomeSet.of_points(0, 1)
-    assert E.contains(Z) and E.contains(O) and not E.contains(HALF)
-
-    lower = OutcomeSet.interval(0, HALF, hi_closed=False)
-    assert lower.contains(Z) and lower.contains(F(1, 3))
-    assert not lower.contains(HALF)
-
-    assert OutcomeSet.everything().contains(F(7, 3))
-    assert not OutcomeSet().contains(Z)
-
-    mixed = OutcomeSet((Interval(O, None, lo_closed=False),), frozenset({Z}))
-    assert mixed.contains(Z) and mixed.contains(F(2)) and not mixed.contains(O)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from effecta import (extend_state, sharp_elements, spectral,
                      spectral_integral, spectral_measure)
 from effecta.errors import (NotAStateOnSharp, PreconditionFailed,
                             TheoremViolation)
-from effecta.observables import OutcomeSet
 from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
 from effecta.spectral import validate_sharp_state
@@ -53,10 +52,10 @@ def test_boolean2_measures():
     assert oracles.measure_key(spectral_measure(rep, 3)) == ((O,), (3,))
 
     sm = spectral_measure(rep, 2)
-    assert oracles.mass_of_set(sm, OutcomeSet.of_points(1)) == 2
-    assert oracles.mass_of_set(sm, OutcomeSet.of_points(0)) == 1
-    assert oracles.mass_of_set(sm, OutcomeSet.everything()) == 3
-    assert oracles.mass_of_set(sm, OutcomeSet()) == 0
+    assert oracles.mass_of_set(sm, lambda t: t == 1) == 2
+    assert oracles.mass_of_set(sm, lambda t: t == 0) == 1
+    assert oracles.mass_of_set(sm, lambda t: True) == 3
+    assert oracles.mass_of_set(sm, lambda t: False) == 0
 
 
 def test_integral_reproduces_every_state_value():
@@ -83,24 +82,25 @@ def test_sharp_table_four_cases():
     B = boolean(2)
     rep = canonical_representation(B)
     a = 1
-    assert sharp_table(rep, a, OutcomeSet.of_points(1)) == a
-    assert sharp_table(rep, a, OutcomeSet.of_points(0)) == B.comp(a)
-    assert sharp_table(rep, a, OutcomeSet.of_points(0, 1)) == B.one
-    assert sharp_table(rep, a, OutcomeSet()) == B.zero
+    assert sharp_table(rep, a, lambda t: t == 1) == a
+    assert sharp_table(rep, a, lambda t: t == 0) == B.comp(a)
+    assert sharp_table(rep, a, lambda t: t in (0, 1)) == B.one
+    assert sharp_table(rep, a, lambda t: False) == B.zero
     # interval variants hit the same four branches
-    assert sharp_table(rep, a, OutcomeSet.interval(F(1, 2), 2)) == a
-    assert sharp_table(rep, a, OutcomeSet.interval(0, F(1, 2))) == B.comp(a)
+    assert sharp_table(rep, a, lambda t: F(1, 2) <= t <= 2) == a
+    assert sharp_table(rep, a, lambda t: 0 <= t <= F(1, 2)) == B.comp(a)
 
 
-# the outcome sets the spectral suite once walked for its sharp-table record
+# the outcome sets the spectral suite once walked for its sharp-table
+# record, as membership tests
 SHARP_E_SETS = (
-    ("empty", OutcomeSet()),
-    ("point-0", OutcomeSet.of_points(0)),
-    ("point-1", OutcomeSet.of_points(1)),
-    ("both-points", OutcomeSet.of_points(0, 1)),
-    ("lower-half-open", OutcomeSet.interval(0, F(1, 2), hi_closed=False)),
-    ("upper-half", OutcomeSet.interval(F(1, 2), 1, lo_closed=False)),
-    ("everything", OutcomeSet.everything()),
+    ("empty", lambda t: False),
+    ("point-0", lambda t: t == 0),
+    ("point-1", lambda t: t == 1),
+    ("both-points", lambda t: t in (0, 1)),
+    ("lower-half-open", lambda t: 0 <= t < F(1, 2)),
+    ("upper-half", lambda t: F(1, 2) < t <= 1),
+    ("everything", lambda t: True),
 )
 
 
@@ -136,7 +136,7 @@ def test_the_sharp_table_checks_the_planned_measure():
 def test_sharp_table_rejects_fuzzy_elements():
     rep = canonical_representation(chain(3))
     with pytest.raises(PreconditionFailed):
-        sharp_table(rep, 1, OutcomeSet.of_points(1))
+        sharp_table(rep, 1, lambda t: t == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -64,16 +64,19 @@ def rdp_zoo():
     return out
 
 
+# (name, heights, spec) for the products of two chains up to
+# chain7 x chain7, interval 2 2 3 and the Boolean algebras up to 2^7
+PRODUCT_SPECS = (
+    [(f"chain{p}xchain{q}", (p, q), ("product", [("chain", p), ("chain", q)]))
+     for p in range(1, 8) for q in range(p, 8)]
+    + [("interval223", (2, 2, 3), ("interval", (2, 2, 3)))]
+    + [(f"boolean{k}", (1,) * k, ("boolean", k)) for k in range(1, 8)])
+
+
 def generated_products():
-    """(name, heights, algebra) for the products of two chains up to
-    chain7 x chain7, interval 2 2 3 and the Boolean algebras up to 2^7."""
-    for p in range(1, 8):
-        for q in range(p, 8):
-            yield (f"chain{p}xchain{q}", (p, q),
-                   generate(("product", [("chain", p), ("chain", q)])))
-    yield "interval223", (2, 2, 3), generate(("interval", (2, 2, 3)))
-    for k in range(1, 8):
-        yield f"boolean{k}", (1,) * k, generate(("boolean", k), max_size=128)
+    """(name, heights, algebra) for each of ``PRODUCT_SPECS``."""
+    for name, heights, spec in PRODUCT_SPECS:
+        yield name, heights, generate(spec, max_size=128)
 
 
 def non_rdp_zoo():
