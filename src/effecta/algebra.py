@@ -43,7 +43,7 @@ class EffectAlgebra:
     __slots__ = (
         "labels", "zero", "one",
         "_sum", "_comp", "_down", "_index", "_pairs",
-        "_rdp_cache", "_sharp_cache", "_coords", "_sums",
+        "_rdp_cache", "_sharp_cache", "_coords", "_sums", "_polytope", "_rep",
     )
 
     def __init__(self, labels, zero, one, sum_table, comp, down, index, pairs):
@@ -59,6 +59,8 @@ class EffectAlgebra:
         self._sharp_cache: "SharpSet | None" = None
         self._coords = None            # atom_coordinates, walked once
         self._sums = None              # defined_sums, walked once
+        self._polytope = None          # states.state_polytope, solved once
+        self._rep = None               # canonical_representation, built once
 
     # -- basic structure ----------------------------------------------------
 

@@ -16,14 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    EffectaError,
-    EmptyStateSpace,
-    NonSeparatingStates,
-    ParseError,
-    RdpRequired,
-    SizeLimitExceeded,
-)
+from .errors import EffectaError, ParseError, RdpRequired, SizeLimitExceeded
 from .report import (FAIL, PASS, SUITE_NAMES, Record, exit_code, render,
                      sort_records)
 from .serialize import (
@@ -111,7 +104,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
             if key is not None:
                 first_bad = [i, sorted(str(x.support[j]) for j in key)]
                 break
-    except (RdpRequired, EmptyStateSpace, NonSeparatingStates) as exc:
+    except RdpRequired as exc:
         return [Record("smearing", instance, "canonical-representation",
                        FAIL, detail=str(exc))]
     except SizeLimitExceeded:

@@ -68,12 +68,6 @@ class RdpRequired(EffectaError):
         super().__init__(msg)
 
 
-class NonSeparatingStates(EffectaError):
-    def __init__(self, pair: tuple):
-        self.pair = pair
-        super().__init__(f"states do not separate elements {pair!r}")
-
-
 class NotMeasurable(EffectaError):
     def __init__(self, what, atom):
         self.what = what

@@ -80,11 +80,12 @@ def _build(spec: FamilySpec, bound: int):
 
     if family == "horizontal_sum":
         (subspecs,) = spec[1:]
-        summands = [generate(s, max_size=bound) for s in subspecs]
-        if not summands:
+        tables = [_build(s, bound) for s in subspecs]
+        if not tables:
             raise ParseError("horizontal sum needs at least one summand")
-        size = 2 + sum(S.n - 2 for S in summands)
-        _check_size(size, bound, "horizontal sum")
+        _check_size(2 + sum(len(t[0]) - 2 for t in tables), bound,
+                    "horizontal sum")
+        summands = [validate_effect_algebra(*t, max_size=bound) for t in tables]
 
         def tr(i: int, a: int) -> str:
             S = summands[i]
@@ -117,11 +118,12 @@ def _product(subspecs, bound: int, name=None):
     pairs, so they are listed as such and no candidate pair is walked.
     Element ids run over the factors' ids in row-major order, the first
     factor outermost; ``name`` labels a tuple of factor ids, by default
-    as the tuple of the factors' labels."""
-    factors = [generate(s, max_size=bound) for s in subspecs]
-    if not factors:
+    as the tuple of the factors' labels.  The size is checked first."""
+    tables = [_build(s, bound) for s in subspecs]
+    if not tables:
         raise ParseError("product needs at least one factor")
-    _check_size(prod(F.n for F in factors), bound, "product")
+    _check_size(prod(len(t[0]) for t in tables), bound, "product")
+    factors = [validate_effect_algebra(*t, max_size=bound) for t in tables]
     if name is None:
         name = lambda v: "(" + ",".join(
             F.label(x) for F, x in zip(factors, v)) + ")"

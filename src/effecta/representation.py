@@ -18,15 +18,9 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, check_rdp, sharp_elements
-from .errors import (
-    EmptyStateSpace,
-    NonSeparatingStates,
-    PreconditionFailed,
-    RdpRequired,
-    TheoremViolation,
-)
+from .errors import PreconditionFailed, RdpRequired, TheoremViolation
 from .linalg import over_common_denominator
-from .states import StatePolytope, inseparable_pair, state_polytope
+from .states import StatePolytope, state_polytope
 
 FnValues = tuple[Fraction, ...]
 
@@ -120,26 +114,21 @@ class Representation:
         return frozenset(sharp_elements(self.target).members)
 
 
-def canonical_representation(M: EffectAlgebra, *,
-                             polytope: StatePolytope | None = None) -> Representation:
-    """Evaluate every element on the extremal states.
+def canonical_representation(M: EffectAlgebra) -> Representation:
+    """Evaluate every element on the extremal states, once per algebra.
 
     The carrier is the vertex list of the state polytope in its canonical
     order; the function system is exactly the evaluation vectors; h sends
-    each evaluation back to its element.  Gate order: refinement property,
-    then non-emptiness, then separation (h would otherwise be ill-defined);
-    past the gates one order check certifies the build.
+    each evaluation back to its element.  The one gate, the refinement
+    property, comes before the states are solved; past it one order check
+    certifies the build (see :func:`_evaluation_representation`).
     """
-    rdp = check_rdp(M)
-    if not rdp.holds:
-        raise RdpRequired(rdp.witness_labels())
-    P = polytope if polytope is not None else state_polytope(M)
-    if P.is_empty:
-        raise EmptyStateSpace(f"no states on {M.n}-element algebra")
-    pair = inseparable_pair(P)
-    if pair is not None:
-        raise NonSeparatingStates(tuple(map(M.label, pair)))
-    return _evaluation_representation(M, P)
+    if M._rep is None:
+        rdp = check_rdp(M)
+        if not rdp.holds:
+            raise RdpRequired(rdp.witness_labels())
+        M._rep = _evaluation_representation(M, state_polytope(M))
+    return M._rep
 
 
 def _evaluation_representation(M: EffectAlgebra,
@@ -147,16 +136,23 @@ def _evaluation_representation(M: EffectAlgebra,
     """The tribe of evaluation vectors ev(a) = (s(a) for s in the vertices),
     sorted lexicographically, with h sending each back to its element.
 
-    Separating states make the n vectors distinct.  One check certifies
-    the rest: ev(b) <= ev(a) pointwise exactly when b <= a in M.  The
-    vertices are states, so ev is additive and ev(a') = 1 - ev(a).  With
-    the orders equal, ev(a) + ev(b) <= 1 <=> ev(a) <= ev(b') <=> a <= b'
-    <=> a + b is defined, and then ev(a + b) = ev(a) + ev(b): the vectors
-    are closed under sums and h preserves them.  Complements, h(0) = 0 and
-    h(1) = 1 follow from the state laws.  Below each element, the pointwise
-    down-set is the AND over the vertices of the elements valued at most
-    as high there; the vertices' integer numerators share one denominator,
-    so they order the elements as the values do."""
+    One check certifies the build: ev(b) <= ev(a) pointwise exactly when
+    b <= a in M.  The vertices are states, so ev is additive and
+    ev(a') = 1 - ev(a).  With the orders equal, ev(a) + ev(b) <= 1 <=>
+    ev(a) <= ev(b') <=> a <= b' <=> a + b is defined, and then
+    ev(a + b) = ev(a) + ev(b): the vectors are closed under sums and h
+    preserves them.  Complements, h(0) = 0 and h(1) = 1 follow from the
+    state laws.  Below each element, the pointwise down-set is the AND
+    over the vertices of the elements valued at most as high there; the
+    vertices' integer numerators share one denominator, so they order the
+    elements as the values do.
+
+    The check also rejects an empty or non-separating vertex list, so
+    neither needs a gate: with no vertices the down-set of zero is every
+    element; if a != b have equal columns, each lies pointwise below the
+    other, and by antisymmetry at least one of their down-sets differs
+    from ``down_mask`` (on chain 2: "order below 0" for no vertices,
+    "order below 1" for the one vertex (0, 1, 1))."""
     below = [(1 << M.n) - 1] * M.n
     for row in P.numerators:
         at_value: dict[int, int] = {}

@@ -9,11 +9,11 @@ states) are enumerated exactly and listed in lexicographic order of their
 value vectors, which fixes a canonical carrier order for the
 representation machinery.
 
-The polytope holds its vertices as one integer matrix over one common
-denominator.  Non-emptiness, separation, the dimension (see
-:func:`state_polytope`) and the sample states of the gated suites, with
-their mixtures, read the integers; the Fraction vertices are built only
-when asked for.
+The polytope is cached on its algebra and holds its vertices as one
+integer matrix over one common denominator.  Non-emptiness, separation,
+the dimension (see :func:`_solve_polytope`) and the sample states of the
+gated suites, with their mixtures, read the integers; the Fraction
+vertices are built only when asked for.
 """
 
 from __future__ import annotations
@@ -90,6 +90,15 @@ class StatePolytope:
 
 
 def state_polytope(M: EffectAlgebra) -> StatePolytope:
+    """The state polytope of M, solved on first use and cached on the
+    algebra.  A ``SizeLimitExceeded`` is not cached: below the default
+    element cap only an algebra without the refinement property hits it."""
+    if M._polytope is None:
+        M._polytope = _solve_polytope(M)
+    return M._polytope
+
+
+def _solve_polytope(M: EffectAlgebra) -> StatePolytope:
     """A state is fixed by its values t on the atoms: s(x) = m(x) . t for
     the integer vectors m of :func:`atom_coordinates`.  So the states are
     the t with (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum,

@@ -14,12 +14,13 @@ check ``oracles.sharp_kernel`` keeps) is not re-checked: the sharp suite's
 one record lists the members, and the representation suite's one record
 describes the canonical representation.
 
-Each check runs in its own process, so the layers behind the states suite
-and the gated suites (representation, smearing, spectral, extension) are
-imported by the suite that uses them: ``--suite axioms``, ``rdp`` or
-``sharp`` never loads ``states``, and ``--suite states``, or an algebra
-that fails the refinement gate in ``canonical_representation``, never
-loads ``observables`` or ``spectral``.
+Each check runs in its own process, so the states suite and the gated
+suites (representation, smearing, spectral, extension) import the layers
+behind them, and share the state polytope and canonical representation
+cached on the algebra: ``--suite axioms``, ``rdp`` or ``sharp`` never
+loads ``states``, and ``--suite states``, or an algebra that fails the
+refinement gate in ``canonical_representation``, never loads
+``observables`` or ``spectral``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .algebra import EffectAlgebra, check_rdp, sharp_elements
 from .errors import (
     AxiomViolation,
     EffectaError,
-    EmptyStateSpace,
-    NonSeparatingStates,
     NonUniqueSupplement,
     RdpRequired,
     SizeLimitExceeded,
@@ -58,8 +57,6 @@ def resolve_suites(selector: str) -> tuple[str, ...]:
     return (selector,)
 
 
-_GATED = ("representation", "smearing", "spectral", "extension")
-
 # what reading a document raises when its table is not an effect algebra
 INVALID_ALGEBRA = (AxiomViolation, NonUniqueSupplement)
 
@@ -68,11 +65,11 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                    max_size: int | None = None) -> list[Record]:
     """Validate the document, then run every requested suite.
 
-    The state polytope and the canonical representation are computed once
-    and shared by every suite that needs them.  The representation is built
-    inside the first gated suite that runs: a failed gate is that suite's
-    ``canonical-representation`` FAIL, and a size cap is its SKIP.  Any
-    other library error that escapes a suite becomes that suite's one
+    The state polytope and the canonical representation are cached on the
+    algebra, so the suites that need them share one solve and one build.
+    A failed refinement gate is each gated suite's
+    ``canonical-representation`` FAIL, and a size cap is a suite's SKIP.
+    Any other library error that escapes a suite becomes that suite's one
     ``error`` FAIL, and the remaining suites still run."""
     records: list[Record] = []
     try:
@@ -89,46 +86,28 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                                       FAIL, detail=str(exc)))
         return records
 
-    # past the box-dimension cap the polytope stays None; a suite that needs
-    # it recomputes it and is skipped below, after the refinement gate
-    polytope = None
-    if "states" in suites or any(s in suites for s in _GATED):
-        from .states import state_polytope
-        try:
-            polytope = state_polytope(M)
-        except SizeLimitExceeded:
-            pass
+    def rep() -> Representation:
+        from .representation import canonical_representation
+        return canonical_representation(M)
 
     runners = {
         "rdp": lambda: run_rdp(M, instance),
         "sharp": lambda: run_sharp(M, instance),
-        "states": lambda: run_states(M, instance, polytope=polytope),
-        "representation": lambda rep: run_representation(M, instance, rep),
-        "smearing": lambda rep: run_smearing(M, instance, seed, rep),
-        "spectral": lambda rep: run_spectral(M, instance, seed, rep),
-        "extension": lambda rep: run_extension(M, instance, seed, rep),
+        "states": lambda: run_states(M, instance),
+        "representation": lambda: run_representation(M, instance, rep()),
+        "smearing": lambda: run_smearing(M, instance, seed, rep()),
+        "spectral": lambda: run_spectral(M, instance, seed, rep()),
+        "extension": lambda: run_extension(M, instance, seed, rep()),
     }
-    rep = None      # the canonical representation, or the error of its gate
     for s in suites:
         if s == "axioms":
             continue
         try:
-            if s not in _GATED:
-                records.extend(runners[s]())
-                continue
-            if rep is None:
-                from .representation import canonical_representation
-                try:
-                    rep = canonical_representation(M, polytope=polytope)
-                except (RdpRequired, EmptyStateSpace,
-                        NonSeparatingStates) as exc:
-                    rep = exc
-            if isinstance(rep, EffectaError):
-                records.append(Record(s, instance, "canonical-representation",
-                                      FAIL, witness=witness_of(rep),
-                                      detail=str(rep)))
-            else:
-                records.extend(runners[s](rep))
+            records.extend(runners[s]())
+        except RdpRequired as exc:
+            records.append(Record(s, instance, "canonical-representation",
+                                  FAIL, witness=witness_of(exc),
+                                  detail=str(exc)))
         except SizeLimitExceeded as exc:
             records.append(Record(s, instance, "size-limit", SKIP,
                                   detail=str(exc)))
@@ -141,7 +120,7 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
 def witness_of(exc: EffectaError):
     """The error's witness as a JSON list, or None.  Every witness an error
     carries is a flat tuple of labels and rational strings."""
-    for attr in ("witnesses", "witness", "pair", "candidates"):
+    for attr in ("witnesses", "witness", "candidates"):
         w = getattr(exc, attr, None)
         if w is not None:
             return list(w)
@@ -175,13 +154,12 @@ def run_sharp(M: EffectAlgebra, instance: str) -> list[Record]:
                    witness=[M.label(a) for a in sharp_elements(M).members])]
 
 
-def run_states(M: EffectAlgebra, instance: str, *,
-               polytope=None) -> list[Record]:
+def run_states(M: EffectAlgebra, instance: str) -> list[Record]:
     """Non-emptiness and separation.  The vertices solve the equalities and
     satisfy the cuts by construction, and every mixture is a convex
     combination of them, so their validity is a test, not a record."""
     from .states import inseparable_pair, state_polytope
-    P = state_polytope(M) if polytope is None else polytope
+    P = state_polytope(M)
     records = [Record("states", instance, "non-empty",
                       PASS if not P.is_empty else FAIL,
                       detail=f"{len(P.numerators)} extremal states")]

@@ -68,7 +68,7 @@ def polytope_of(name, M):
 def rep_of(name, M):
     rep = _REPS.get(name)
     if rep is None:
-        rep = canonical_representation(M, polytope=polytope_of(name, M))
+        rep = canonical_representation(M)
         _REPS[name] = rep
     return rep
 

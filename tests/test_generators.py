@@ -94,6 +94,30 @@ def test_generate_respects_the_size_budget():
     assert generate(("boolean", 4), max_size=16).n == 16
 
 
+@pytest.mark.parametrize("family, message", [
+    ("product", "product has 1048576 elements, exceeding the bound 1024"),
+    ("horizontal_sum",
+     "horizontal sum has 2046 elements, exceeding the bound 1024")])
+def test_an_oversize_composite_validates_no_large_factor(family, message,
+                                                         monkeypatch):
+    """A product or a horizontal sum checks its size on the factors' raw
+    tables, so an oversize one of two boolean 10 factors validates no
+    1,024-element table before it is refused."""
+    from effecta import generators
+    large = []
+    validate = generators.validate_effect_algebra
+
+    def counted(labels, *args, **kwargs):
+        if len(labels) >= 1024:
+            large.append(len(labels))
+        return validate(labels, *args, **kwargs)
+    monkeypatch.setattr(generators, "validate_effect_algebra", counted)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        generate((family, [("boolean", 10), ("boolean", 10)]), max_size=1024)
+    assert str(exc.value) == message
+    assert large == []
+
+
 # the families whose generated pairs are set against the n^2 walk, with the
 # products of ``zoo.PRODUCT_SPECS``
 DENSE_FAMILIES = [

@@ -29,8 +29,7 @@ import pytest
 
 from effecta import (EffectTribe, Representation, canonical_representation,
                      generate, sharp_elements)
-from effecta.errors import (EmptyStateSpace, NonSeparatingStates,
-                            PreconditionFailed, RdpRequired, TheoremViolation)
+from effecta.errors import PreconditionFailed, RdpRequired, TheoremViolation
 from effecta.representation import _evaluation_representation
 from effecta.states import inseparable_pair, state_polytope
 
@@ -132,16 +131,14 @@ def test_canonical_representation_gates():
     with pytest.raises(RdpRequired):
         canonical_representation(diamond())
 
-    # past the gate, a vertex list that cannot tell two elements apart
-    M = chain(2)
-    blind = doctored_polytope(M, [(Z, O, O)], 0)
-    with pytest.raises(NonSeparatingStates) as err:
-        canonical_representation(M, polytope=blind)
-    assert err.value.pair == ("1", "2")
-
-    hollow = doctored_polytope(M, [], -1)
-    with pytest.raises(EmptyStateSpace):
-        canonical_representation(M, polytope=hollow)
+    # past the gate, the order check rejects a vertex list that cannot tell
+    # two elements apart, and an empty one
+    for vertices, dimension, below in (([(Z, O, O)], 0, "1"), ([], -1, "0")):
+        M = chain(2)
+        M._polytope = doctored_polytope(M, vertices, dimension)
+        with pytest.raises(TheoremViolation) as err:
+            canonical_representation(M)
+        assert str(err.value).endswith(f"order below {below}")
 
 
 def _generated_rdp_algebras():

@@ -183,7 +183,7 @@ def test_integral_tables_match_the_level_set_oracle():
     vertex columns, both on full states and on their sharp restrictions."""
     for name, M in rdp_zoo():
         P = state_polytope(M)
-        rep = canonical_representation(M, polytope=P)
+        rep = canonical_representation(M)
         sharp = sharp_elements(M).members
         states = list(P.vertices)
         for seed in (0, 1):
@@ -214,7 +214,7 @@ def test_integral_tables_match_the_level_set_oracle_off_states():
     checked = 0
     for seed, (name, M) in enumerate(instances):
         P = state_polytope(M)
-        rep = canonical_representation(M, polytope=P)
+        rep = canonical_representation(M)
         sharp = sharp_elements(M).members
         for full, restricted in oracles.sharp_weightings(M, sharp, 3, seed):
             for phi in (None, square, thrice_floor):
@@ -376,7 +376,7 @@ def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
         if name == "chain7xchain7":
             continue
         P = state_polytope(M)
-        rep = canonical_representation(M, polytope=P)
+        rep = canonical_representation(M)
         assert sharp_kernel(rep) is None, name
         x0, directions, _ = oracles.dense_solve_affine(
             *oracles.raw_state_system(M))

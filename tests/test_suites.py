@@ -66,10 +66,13 @@ def test_mo2_gating_and_skip():
     assert [(r.check, r.status) for r in recs if r.suite == "sharp"] == [
         ("members", "pass")]
 
-    # every suite needing the canonical construction fails at its gate
+    # every suite needing the canonical construction fails at its gate,
+    # each with the same record
+    detail = str(RdpRequired(tuple(witness)))
     for suite in ("representation", "smearing", "spectral", "extension"):
-        r = k[(suite, "canonical-representation")]
-        assert r.status == "fail" and r.witness == witness
+        assert [(r.check, r.status, r.witness, r.detail)
+                for r in recs if r.suite == suite] == [
+            ("canonical-representation", "fail", witness, detail)]
 
     # the state layer is indifferent to the refinement property
     assert [(r.check, r.status) for r in recs if r.suite == "states"] == [
@@ -91,6 +94,52 @@ def test_box_cap_skips_the_suites_that_need_the_polytope(monkeypatch):
     assert {r.suite for r in recs} == set(SUITE_NAMES)
 
 
+def _count_solves_and_builds(monkeypatch):
+    """Calls of the state polytope's solver and of the evaluation build of
+    the canonical representation."""
+    from effecta import representation, states
+    calls = Counter()
+    for module, name in ((states, "_solve_polytope"),
+                         (representation, "_evaluation_representation")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_polytope_and_the_representation_are_cached_on_the_algebra(
+        monkeypatch):
+    """A full check of boolean 4 solves its state polytope once and builds
+    its canonical representation once; on an algebra of its own, repeated
+    calls return the values of the first."""
+    calls = _count_solves_and_builds(monkeypatch)
+    M = boolean(4)
+    recs = check_document(algebra_to_obj(M), "b4", SUITE_NAMES, 0)
+    assert all(r.status == "pass" for r in recs)
+    assert calls == Counter(_solve_polytope=1, _evaluation_representation=1)
+    calls.clear()
+    assert state_polytope(M) is state_polytope(M)
+    assert canonical_representation(M) is canonical_representation(M)
+    assert canonical_representation(M).polytope is state_polytope(M)
+    assert calls == Counter(_solve_polytope=1, _evaluation_representation=1)
+
+
+def test_the_refinement_gate_comes_before_the_state_polytope(monkeypatch):
+    """Without the refinement property the gated suites fail at the gate
+    and solve no states; the states suite still solves them."""
+    calls = _count_solves_and_builds(monkeypatch)
+    doc = algebra_to_obj(mo2())
+    gated = ("representation", "smearing", "spectral", "extension")
+    recs = check_document(doc, "mo2", gated, 0)
+    assert [r.check for r in recs] == ["canonical-representation"] * 4
+    assert calls == Counter()
+    recs = check_document(doc, "mo2", ("states",) + gated, 0)
+    assert [(r.check, r.status) for r in recs if r.suite == "states"] == [
+        ("non-empty", "pass"), ("separating", "pass")]
+    assert calls == Counter(_solve_polytope=1)
+
+
 def test_invalid_algebra_shorts_every_suite():
     bad = algebra_to_obj(chain(3))
     bad["sum"] = [s if s != ["1", "1", "2"] else ["1", "1", "3"]
@@ -105,8 +154,9 @@ def test_invalid_algebra_shorts_every_suite():
 
 
 def test_an_empty_polytope_fails_non_empty_and_skips_separating():
-    empty = oracles.doctored_polytope(chain(2), [], -1)
-    recs = suites.run_states(chain(2), "c2", polytope=empty)
+    M = chain(2)
+    M._polytope = oracles.doctored_polytope(M, [], -1)
+    recs = suites.run_states(M, "c2")
     assert recs == [
         Record("states", "c2", "non-empty", FAIL, detail="0 extremal states"),
         Record("states", "c2", "separating", SKIP, detail="no states")]
