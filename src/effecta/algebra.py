@@ -13,7 +13,7 @@ parallel tuple and appear in every error witness.
 from __future__ import annotations
 
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -112,10 +112,6 @@ class EffectAlgebra:
 
     def down_mask(self, a: int) -> int:
         return self._down[a]
-
-    def meet(self, a: int, b: int) -> Optional[int]:
-        lowers = self._down[a] & self._down[b]
-        return next((x for x in _bits(lowers) if self._down[x] == lowers), None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EffectAlgebra(n={self.n}, zero={self.labels[self.zero]!r}, one={self.labels[self.one]!r})"
@@ -362,9 +358,8 @@ def check_rdp(M: EffectAlgebra) -> RdpResult:
 def _refinement_scan(M: EffectAlgebra) -> RdpResult:
     """Refine every pair of equal defined sums; the first failure is the witness."""
     decomp: list[list[tuple[int, int]]] = [[] for _ in range(M.n)]
-    for a in range(M.n):
-        for b in range(M.n):
-            v = M.add(a, b)
+    for a, row in enumerate(M._sum):
+        for b, v in enumerate(row):
             if v is not None:
                 decomp[v].append((a, b))
     for pairs in decomp:
@@ -385,19 +380,16 @@ class SharpSet(NamedTuple):
 
 
 def sharp_elements(M: EffectAlgebra) -> SharpSet:
-    """Cached on the algebra, like the refinement verdict it depends on.
-    With the refinement property M is a certified product of chains, and
-    the sharp elements are the m with each m_i in {0, h_i}: the corners of
-    the box, a power set whose meet, join and complement the isomorphism
-    carries, so they form a Boolean algebra.  Otherwise they are read off
-    the meets."""
+    """The a with a /\\ a' = 0, in id order: that meet exists and is 0
+    exactly when 0 is the only common lower bound of a and a', one AND of
+    their down masks, on any algebra.  On a certified product of chains
+    the common lower bounds of a and a' are the m with m_i at most
+    min(m_i(a), h_i - m_i(a)), so the sharp elements are the m with each
+    m_i in {0, h_i}: the corners of the box, a power set whose meet, join
+    and complement the isomorphism carries, so a Boolean algebra.  Cached
+    on the algebra."""
     if M._sharp_cache is None:
-        if check_rdp(M).holds:  # m_i(x) m_i(x') = m_i(x) (h_i - m_i(x)) is 0
-            m = atom_coordinates(M)[1]
-            members = tuple(x for x in M.elements()
-                            if not any(map(mul, m[x], m[M.comp(x)])))
-        else:
-            members = tuple(a for a in M.elements()
-                            if M.meet(a, M.comp(a)) == M.zero)
-        M._sharp_cache = SharpSet(members)
+        M._sharp_cache = SharpSet(tuple(
+            a for a in M.elements()
+            if M.down_mask(a) & M.down_mask(M.comp(a)) == 1 << M.zero))
     return M._sharp_cache

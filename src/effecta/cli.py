@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import EffectaError, ParseError, RdpRequired, SizeLimitExceeded
-from .report import (FAIL, PASS, SUITE_NAMES, Record, exit_code, render,
-                     sort_records)
+from .report import FAIL, PASS, SUITE_NAMES, Record, exit_code, render
 from .serialize import (
     algebra_from_obj,
     algebra_to_obj,
@@ -63,7 +62,6 @@ def cmd_check(args) -> int:
     records = check_document(doc, _instance_id(args.input),
                              resolve_suites(args.suite), args.seed,
                              max_size=args.max_size)
-    records = sort_records(records)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
 
@@ -73,7 +71,6 @@ def cmd_smear(args) -> int:
     observable = _read_document(args.observable)
     records = _smear_records(
         doc, observable, _instance_id(args.input), args.seed, args.max_size)
-    records = sort_records(records)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
 

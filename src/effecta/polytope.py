@@ -60,8 +60,6 @@ def enumerate_vertices(d: int, cuts: list[HalfSpace]) -> list[tuple[int, ...]]:
     """
     if d > MAX_BOX_DIM:
         raise SizeLimitExceeded(f"parameter dimension {d} exceeds {MAX_BOX_DIM}")
-    if d == 0:
-        return [(1,)] if all(c.bound >= 0 for c in cuts) else []
     # constraint 2j is t_j >= 0, 2j + 1 is t_j <= 1, 2d + k is cut k
     corners = list(iproduct((0, 1), repeat=d))
     verts = [(*corner, 1) for corner in corners]

@@ -11,8 +11,9 @@ measure naming its element, every function constant on the singleton atoms
 of B0, a sharp element's levels {0: a', 1: a}, and the uniqueness of the
 extension from the sharp elements, a theorem of the certificate whose rank
 check ``oracles.sharp_kernel`` keeps) is not re-checked: the sharp suite's
-one record lists the members, and the representation suite's one record
-describes the canonical representation.
+one record lists the members, read off the down masks on any algebra and
+so without the refinement verdict, and the representation suite's one
+record describes the canonical representation.
 
 Each check runs in its own process, so the states suite and the gated
 suites (representation, smearing, spectral, extension) import the layers
@@ -147,9 +148,10 @@ def run_rdp(M: EffectAlgebra, instance: str) -> list[Record]:
 
 
 def run_sharp(M: EffectAlgebra, instance: str) -> list[Record]:
-    """The sharp elements.  With the refinement property they form a
-    Boolean algebra by construction (see ``sharp_elements``), so the
-    listing is the suite's one record and does not fail."""
+    """The sharp elements, read off the down masks without the refinement
+    verdict.  With the refinement property they form a Boolean algebra by
+    construction (see ``sharp_elements``), so the listing is the suite's
+    one record and does not fail."""
     return [Record("sharp", instance, "members", PASS,
                    witness=[M.label(a) for a in sharp_elements(M).members])]
 

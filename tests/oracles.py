@@ -265,11 +265,18 @@ def brute_sharp(labels, table, zero, one):
     return out
 
 
+def meet(M, a, b):
+    """a /\\ b: the common lower bound of a and b whose own lower bounds
+    are all of them, read off M's down masks.  None when there is none."""
+    lowers = M.down_mask(a) & M.down_mask(b)
+    return next((x for x in M.elements() if M.down_mask(x) == lowers), None)
+
+
 def join(M, a, b):
     """a \\/ b, read off the meet as (a' /\\ b')': x -> x' reverses the
     order, so it carries the meet of the complements to the join.  None
     when that meet does not exist."""
-    m = M.meet(M.comp(a), M.comp(b))
+    m = meet(M, M.comp(a), M.comp(b))
     return None if m is None else M.comp(m)
 
 
@@ -281,34 +288,34 @@ def boolean_law_scan(M, members):
     complement closure and laws, meet/join closure, De Morgan, absorption,
     distributivity and meet associativity.  O(k^3) for k members.
     """
-    meet = {(a, b): M.meet(a, b) for a in members for b in members}
+    meets = {(a, b): meet(M, a, b) for a in members for b in members}
     joins = {(a, b): join(M, a, b) for a in members for b in members}
     if M.zero not in members or M.one not in members:
         return "bounds", (M.zero, M.one)
     for a in members:
         if M.comp(a) not in members:
             return "complement-closure", (a,)
-        if meet[(a, M.comp(a))] != M.zero:
+        if meets[(a, M.comp(a))] != M.zero:
             return "a /\\ a' = 0", (a,)
         if joins[(a, M.comp(a))] != M.one:
             return "a \\/ a' = 1", (a,)
     for a in members:
         for b in members:
-            m, j = meet[(a, b)], joins[(a, b)]
+            m, j = meets[(a, b)], joins[(a, b)]
             if m is None or m not in members:
                 return "meet-closure", (a, b)
             if j is None or j not in members:
                 return "join-closure", (a, b)
             if M.comp(m) != joins[(M.comp(a), M.comp(b))]:
                 return "de-morgan", (a, b)
-            if meet[(a, j)] != a or joins[(a, m)] != a:
+            if meets[(a, j)] != a or joins[(a, m)] != a:
                 return "absorption", (a, b)
     for a in members:
         for b in members:
             for c in members:
-                if meet[(a, joins[(b, c)])] != joins[(meet[(a, b)], meet[(a, c)])]:
+                if meets[(a, joins[(b, c)])] != joins[(meets[(a, b)], meets[(a, c)])]:
                     return "distributivity", (a, b, c)
-                if meet[(meet[(a, b)], c)] != meet[(a, meet[(b, c)])]:
+                if meets[(meets[(a, b)], c)] != meets[(a, meets[(b, c)])]:
                     return "meet-associativity", (a, b, c)
     return None
 
@@ -1119,7 +1126,7 @@ def sharp_image(rep):
     regular representation the equality is a theorem."""
     M = rep.target
     image = {h_of(rep, chi(rep, A)) for A in _characteristic_sets(rep)}
-    sharp = {a for a in M.elements() if M.meet(a, M.comp(a)) == M.zero}
+    sharp = {a for a in M.elements() if meet(M, a, M.comp(a)) == M.zero}
     min_closed = all(tuple(min(v, ONE - v) for v in f) in members(rep)
                      for f in rep.tribe.functions)
     return SharpImageReport(image == sharp, non_measurable(rep) is None,
@@ -1165,7 +1172,7 @@ def sharp_observable_failure(rep):
         return "domain"
     for A in sets:
         a = xi(A)
-        if a != h_of(rep, chi(rep, A)) or M.meet(a, M.comp(a)) != M.zero:
+        if a != h_of(rep, chi(rep, A)) or meet(M, a, M.comp(a)) != M.zero:
             return f"xi({sorted(A)}) = {M.label(a)}"
     for A in sets:
         for B in sets:
@@ -1648,11 +1655,11 @@ def detect_mv(M):
     """
     for a in range(M.n):
         for b in range(a, M.n):
-            if M.meet(a, b) is None or join(M, a, b) is None:
+            if meet(M, a, b) is None or join(M, a, b) is None:
                 return MvFailure("not-a-lattice", None, (M.label(a), M.label(b)))
 
     def truncated(a, b):
-        return M.add(a, M.meet(M.comp(a), b))    # a' /\ b <= a', so defined
+        return M.add(a, meet(M, M.comp(a), b))    # a' /\ b <= a', so defined
 
     def join_completed(a, b):
         s = M.add(a, b)

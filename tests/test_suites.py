@@ -21,8 +21,8 @@ from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
 import oracles
 from oracles import seeded_mixtures
-from zoo_instances import (boolean, chain, interval, mo2, non_rdp_zoo,
-                           product_of, rdp_zoo)
+from zoo_instances import (boolean, chain, interval, loop4, mo2,
+                           non_rdp_zoo, product_of, rdp_zoo)
 
 
 def by_key(records):
@@ -301,6 +301,40 @@ def test_a_failed_certificate_leaves_its_coordinates_to_the_states(
     recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES, 0)
     assert by_key(recs)[("rdp", "refinement")].status == FAIL
     assert work["walks"] == 1 and work["_refine"] > 0
+
+
+def test_the_sharp_suite_asks_for_no_refinement_verdict(tmp_path, capsys,
+                                                        monkeypatch):
+    """``check --suite sharp`` reads the sharp elements off the down masks:
+    on mo2 and loop4, which lack the refinement property, it lists the
+    order oracle's members and calls neither ``check_rdp`` nor the
+    refinement scan, which ``--suite rdp`` still calls once each."""
+    from effecta import algebra
+    calls = Counter()
+    for name in ("check_rdp", "_refinement_scan"):
+        def counted(M, _name=name, _original=getattr(algebra, name)):
+            calls[_name] += 1
+            return _original(M)
+        monkeypatch.setattr(algebra, name, counted)
+    monkeypatch.setattr(suites, "check_rdp", algebra.check_rdp)
+
+    def check(path, suite):
+        code = cli.main(["check", "--input", str(path), "--suite", suite])
+        (payload,) = map(json.loads, capsys.readouterr().out.splitlines())
+        return code, payload
+
+    for instance, M in (("mo2", mo2()), ("loop4", loop4())):
+        path = tmp_path / f"{instance}.json"
+        path.write_text(dumps(algebra_to_obj(M)))
+        code, payload = check(path, "sharp")
+        assert code == 0 and payload["status"] == "pass"
+        assert payload["witness"] == oracles.brute_sharp(
+            list(M.labels), oracles.sum_table_dict(M), M.label(M.zero),
+            M.label(M.one)), instance
+    assert calls == Counter()
+    code, payload = check(tmp_path / "mo2.json", "rdp")
+    assert code == 1 and payload["status"] == "fail"
+    assert calls == Counter(check_rdp=1, _refinement_scan=1)
 
 
 def test_a_failed_order_certificate_is_one_error_per_gated_suite(
