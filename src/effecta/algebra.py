@@ -264,16 +264,15 @@ def validate_effect_algebra(
         if a != zi and table[a][oi] is not None:
             raise AxiomViolation("iv", (labels[a],), "a + 1 is defined")
 
-    # the derived order.  a <= b when a + c = b for some c; that c is
-    # unique and is read as (a + b')' (see ``EffectAlgebra.minus``), and
-    # antisymmetry is a theorem: if a + c = b and b + d = a, then
-    # a + (c + d) = a, so c + d = 0 by cancellation, and c = d = 0 by
-    # positivity.
-    down = [0] * n
-    for a, (row, ys) in enumerate(zip(table, defined)):
-        bit = 1 << a
-        for y in ys:
-            down[row[y]] |= bit
+    # the derived order.  a <= b when a + c = b for some c, which after
+    # (i)-(iv) holds exactly when a + b' is defined: the elements below b
+    # are the summable mask of b'.  If a + c = b, (c + a) + b' = 1 makes
+    # a + b' defined by (ii); if a + b' is defined, c = (a + b')' gives
+    # (b' + a) + c = 1, so by (ii) b' + (a + c) = 1 and a + c = b by (iii).
+    # That c is unique (see ``EffectAlgebra.minus``), and antisymmetry is a
+    # theorem: a + c = b and b + d = a give a + (c + d) = a, so c + d = 0
+    # by cancellation, and c = d = 0 by positivity.
+    down = [dom[c] for c in comp]
 
     return EffectAlgebra(labels, zi, oi, tuple(table), tuple(comp),
                          tuple(down), index, sum(map(len, defined)))

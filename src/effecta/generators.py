@@ -103,9 +103,8 @@ def _build(spec: FamilySpec, bound: int):
         for i, S in enumerate(summands):
             for a, b, c in S.defined_sums():
                 sums_set[(tr(i, a), tr(i, b))] = tr(i, c)
-        # zero acts neutrally on everything, including middles of other summands
-        for l in labels:
-            sums_set[("0", l)] = l
+        # zero has id 0 in every generated family, so each summand's
+        # defined_sums already lists 0 + x for its every x
         sums = [(a, b, c) for (a, b), c in sums_set.items()]
         return labels, "0", "1", sums
 

@@ -154,23 +154,19 @@ def atom_integrals(rep: Representation, values: Sequence | Mapping,
 
 
 def _atom_plan(rep: Representation) -> tuple[tuple, tuple, int]:
-    """The sharp observable xi(A) = h(chi_A) on each atom A of B0 and every
+    """The sharp observable xi of B0 on each of its atoms and every
     element's integer values on the atoms; raises at the first non-constant
     (element, atom).  On the canonical representation xi(S) is the corner
     with support S (see ``compute_b0``), additive, so its atoms fix it."""
-    atoms = rep.b0().atoms
-    den = rep.evaluation[1]
-    p = len(rep.carrier)
-    masses = tuple(rep.evaluation[2].get(tuple(den if i in A else 0
-                                               for i in range(p)))
-                   for A in atoms)
+    b0 = rep.b0()
+    masses = tuple(b0.xi.get(A) for A in b0.atoms)
     if None in masses:
         raise PreconditionFailed("an atom of B0 is no characteristic member")
     rows = []
     for a in rep.target.elements():
         f = rep.row_of(a)
-        for A in atoms:
+        for A in b0.atoms:
             if len(A) > 1 and len({f[i] for i in A}) > 1:
                 raise NotMeasurable("integrand", sorted(A))
-        rows.append(tuple(f[min(A)] for A in atoms))
-    return masses, tuple(rows), den
+        rows.append(tuple(f[min(A)] for A in b0.atoms))
+    return masses, tuple(rows), rep.evaluation[1]

@@ -29,29 +29,17 @@ FnValues = tuple[Fraction, ...]
 # effect-tribes
 
 
-class EffectTribe:
+class EffectTribe(NamedTuple):
     """A finite system of fuzzy functions closed under the effect operations.
 
     ``functions`` is sorted lexicographically, which fixes every later
     iteration order.  Closure under pointwise limits of monotone sequences
     is automatic here: a monotone sequence drawn from a finite set is
-    eventually constant, so its limit is already a member.  Equality and
-    hashing see only the carrier and the functions.
+    eventually constant, so its limit is already a member.
     """
 
-    def __init__(self, carrier: tuple[str, ...],
-                 functions: tuple[FnValues, ...]):
-        self.carrier = carrier
-        self.functions = functions
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not EffectTribe:
-            return NotImplemented
-        return (self.carrier, self.functions) == (other.carrier,
-                                                  other.functions)
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.functions))
+    carrier: tuple[str, ...]
+    functions: tuple[FnValues, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +48,8 @@ class EffectTribe:
 
 class Representation:
     """A triple (carrier, tribe, h) with h a sum-preserving surjection onto
-    the target algebra."""
+    the target algebra.  The constructor checks that h is onto, so every
+    element of the target has a first preimage."""
 
     def __init__(self, tribe: EffectTribe, target: EffectAlgebra,
                  h: Sequence[int], polytope: StatePolytope | None = None):
@@ -71,6 +60,10 @@ class Representation:
         self._first_preimage: dict[int, int] = {}
         for i, a in enumerate(self.h):
             self._first_preimage.setdefault(a, i)
+        for a in target.elements():
+            if a not in self._first_preimage:
+                raise PreconditionFailed(
+                    f"element {target.label(a)} has no preimage")
         self._b0: SigmaAlgebraB0 | None = None
         self._spectral: dict[int, object] = {}   # verified measures per element
         self._atom_plan = self._level_plan = None   # integration plans
@@ -83,21 +76,16 @@ class Representation:
 
     def function_of(self, a: int) -> FnValues:
         """A member function mapping to a (the first in sorted order)."""
-        try:
-            return self.tribe.functions[self._first_preimage[a]]
-        except KeyError:
-            raise PreconditionFailed(
-                f"element {self.target.label(a)} has no preimage") from None
+        return self.tribe.functions[self._first_preimage[a]]
 
     @cached_property
-    def evaluation(self) -> tuple[tuple[tuple[int, ...], ...], int, dict]:
+    def evaluation(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The member functions as integer rows over one common denominator,
-        in the tribe's order, and h of each row (at its first position)."""
+        in the tribe's order."""
         nums, den = over_common_denominator(
             [v for f in self.tribe.functions for v in f])
         p = len(self.carrier)
-        rows = tuple(tuple(nums[i:i + p]) for i in range(0, len(nums), p))
-        return rows, den, dict(reversed(list(zip(rows, self.h))))
+        return tuple(tuple(nums[i:i + p]) for i in range(0, len(nums), p)), den
 
     def row_of(self, a: int) -> tuple[int, ...]:
         """The integer row of :meth:`function_of`."""
@@ -180,18 +168,21 @@ def _evaluation_representation(M: EffectAlgebra,
 
 
 class SigmaAlgebraB0(NamedTuple):
-    """Subsets whose characteristic functions are sharp members.
+    """Subsets whose characteristic functions are sharp members, and the
+    sharp observable xi on them.
 
     In the pointwise order min(chi_A, 1 - chi_A) = 0, so no nonzero member
     lies below both chi_A and its complement: every characteristic member
-    is sharp.  The sets are therefore exactly those with a characteristic
-    function in the tribe.  Each atom is the intersection of all members
-    containing one of its points; the atoms partition the carrier when the
-    sets are closed under complement, as on the canonical representation.
+    is sharp.  The sets are therefore exactly the A with chi_A in the
+    tribe, and ``xi`` maps each A to h of the first member equal to chi_A.
+    Each atom is the intersection of all members containing one of its
+    points; the atoms partition the carrier when the sets are closed under
+    complement, as on the canonical representation.
     """
 
     sets: tuple[frozenset[int], ...]
     atoms: tuple[frozenset[int], ...]
+    xi: dict[frozenset[int], int]
 
 
 def _sorted_sets(family: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
@@ -199,7 +190,7 @@ def _sorted_sets(family: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]
 
 
 def compute_b0(rep: Representation) -> SigmaAlgebraB0:
-    """The characteristic members and their per-point atoms.
+    """The characteristic members, xi on them and their per-point atoms.
 
     On the canonical representation no sigma-law needs a scan.  Past the
     refinement gate the target is a certified product of chains
@@ -208,17 +199,17 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     coordinate states s_i = m_i / h_i: the carrier has k points.  The
     corner c_S with m(c_S)_i = h_i for i in S and 0 elsewhere evaluates to
     chi_S.  So B0 is the whole power set of the carrier, its atoms are the
-    singletons, and every member is constant on them.  h maps chi_S to
-    c_S, and the corners are exactly ``sharp_elements(M).members``, so h
-    maps B0 onto the sharp elements, and the separating states make h
+    singletons, and every member is constant on them.  xi maps S to c_S,
+    and the corners are exactly ``sharp_elements(M).members``, so xi maps
+    B0 onto the sharp elements, and the separating states make it
     one-to-one.  On a hand-built tribe the family may fail the laws, and
     the atoms are still the intersections of the members through a point.
     """
-    p = len(rep.carrier)
-    rows, den, _ = rep.evaluation
-    sets = [frozenset(i for i, v in enumerate(row) if v)
-            for row in rows if set(row) <= {0, den}]
-    full = frozenset(range(p))
-    atoms = {full.intersection(*(A for A in sets if i in A))
-             for i in range(p)}
-    return SigmaAlgebraB0(_sorted_sets(sets), _sorted_sets(atoms))
+    rows, den = rep.evaluation
+    xi: dict[frozenset[int], int] = {}
+    for row, a in zip(rows, rep.h):
+        if set(row) <= {0, den}:
+            xi.setdefault(frozenset(i for i, v in enumerate(row) if v), a)
+    full = frozenset(range(len(rep.carrier)))
+    atoms = {full.intersection(*(A for A in xi if i in A)) for i in full}
+    return SigmaAlgebraB0(_sorted_sets(xi), _sorted_sets(atoms), xi)

@@ -53,13 +53,14 @@ def spectral_measure(rep: Representation, a: int) -> SpectralMeasure:
 
 
 def levels(rep: Representation, a: int) -> tuple[tuple[int, int], ...]:
-    """Each value of a's integer evaluation row, ascending, with the sharp
-    element whose characteristic set is that level set; the masses sum to 1."""
+    """Each value of a's integer evaluation row, ascending, with xi of B0
+    on that level set; the masses are sharp and sum to 1."""
     M = rep.target
     f = rep.row_of(a)
     den = rep.evaluation[1]
-    out = tuple((lam, rep.evaluation[2].get(tuple(den if v == lam else 0
-                                                  for v in f)))
+    xi = rep.b0().xi
+    out = tuple((lam, xi.get(frozenset(i for i, v in enumerate(f)
+                                       if v == lam)))
                 for lam in sorted(set(f)))
     for lam, mass in out:
         if mass not in rep.sharp:       # None, for no member, is not sharp

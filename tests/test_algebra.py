@@ -206,6 +206,28 @@ def test_double_complement_and_difference_hold_zoo_wide():
         [("a", "c", "b"), ("b", "d", "a")]) == ("antisymmetry", "a", "b")
 
 
+def _brute_down(sums):
+    """{b: {a : a + c = b for some c}} read off listed label triples."""
+    down = {}
+    for a, c, b in sums:
+        down.setdefault(b, set()).update((a, c))
+    return down
+
+
+def _down_labels(M, b):
+    return {M.label(a) for a in M.elements() if M.down_mask(b) >> a & 1}
+
+
+def test_down_masks_match_the_brute_order():
+    """down_mask(b) is read as the summable mask of b'; it must be every a
+    with a + c = b for some c, as the listed sums give it."""
+    products = [(name, M) for name, _, M in zoo.generated_products()]
+    for name, M in zoo.rdp_zoo() + zoo.non_rdp_zoo() + products:
+        brute = _brute_down(algebra_to_obj(M)["sum"])
+        for b in M.elements():
+            assert _down_labels(M, b) == brute[M.label(b)], (name, b)
+
+
 def test_iterated_sum_folds_and_fails():
     M = zoo.chain(3)
     one = M.index("1")
@@ -413,6 +435,9 @@ def test_the_certificate_agrees_with_the_scan_on_mutated_tables(doc):
         return
     # the validator checks neither; axioms (i)-(iv) prove both
     assert oracles.derived_order_failure(doc["sum"]) is None
+    brute = _brute_down(doc["sum"])
+    assert all(_down_labels(M, b) == brute[M.label(b)]
+               for b in M.elements())
     scan = algebra._refinement_scan(M)
     assert _certified(M) == scan.holds
     assert _certified(M) == isinstance(oracles.detect_mv(M), oracles.MVStructure)

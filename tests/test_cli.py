@@ -93,6 +93,17 @@ def test_generate_writes_a_document(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["one"] == "{1,2}"
 
 
+def test_generate_reads_compact_tokens_and_rejects_bad_ones(capsys):
+    assert run("generate", "product", "interval:1,2", "chain1") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["elements"]) == 12 and doc["one"] == "((1,2),1)"
+    for argv, err in [(("product", "interval:"), "expected an integer, got ''"),
+                      (("product",), "product needs member specs")]:
+        assert run("generate", *argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
 def test_check_passes_on_chain3(tmp_path, capsys):
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     assert run("check", "--input", str(path)) == 0
@@ -315,6 +326,29 @@ def test_check_rejects_malformed_labels(tmp_path, capsys, document):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("document, witness, detail", [
+    (dict(CHAIN1, one="2"), ["0", "2"],
+     "axiom (iv) violated at ('0', '2'): zero/one not among the elements"),
+    (dict(CHAIN1, one="0"), ["0"],
+     "axiom (iv) violated at ('0',): zero and one coincide"),
+    (dict(CHAIN1, sum=[["0", "0", "0"], ["0", "x", "1"]]), ["0", "x", "1"],
+     "axiom (i) violated at ('0', 'x', '1'): unknown label 'x'"),
+], ids=["bounds-missing", "zero-is-one", "unknown-label"])
+def test_check_fails_validation_on_unknown_or_coinciding_labels(
+        tmp_path, capsys, document, witness, detail):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert run("check", "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert records[0] == {"check": "validate", "detail": detail,
+                          "instance": "doc", "status": "fail",
+                          "suite": "axioms", "witness": witness}
+    assert {(r["check"], r["status"]) for r in records[1:]} == {
+        ("requires-valid-algebra", "fail")}
+
+
 @pytest.mark.parametrize("family, observable, error", [
     (("boolean", "4"), {"support": ["0", "1"], "values": ["{1}", "{1}"]},
      "is undefined"),
@@ -333,8 +367,10 @@ def test_check_rejects_malformed_labels(tmp_path, capsys, document):
      "not a rational"),
     (("chain", "3"), {"support": ["0.5", "1"], "values": ["1", "2"]},
      "not a rational"),
+    (("chain", "3"), {"support": ["0"]},
+     "malformed observable document: KeyError('values')"),
 ], ids=["sum-undefined", "sum-not-one", "duplicate-point", "empty", "strings",
-        "object", "exponent", "decimal"])
+        "object", "exponent", "decimal", "no-values"])
 def test_smear_rejects_an_invalid_observable(tmp_path, capsys, family,
                                              observable, error):
     path = write_algebra(tmp_path, "doc.json", *family)

@@ -70,6 +70,15 @@ def test_generate_rejects_bad_specs():
         generate(("interval", ()))
     with pytest.raises(ParseError):
         generate(("nope", 3))
+    for spec, message in [
+            ((), "malformed family spec ()"),
+            ("chain", "malformed family spec 'chain'"),
+            (("horizontal_sum", []),
+             "horizontal sum needs at least one summand"),
+            (("product", []), "product needs at least one factor")]:
+        with pytest.raises(ParseError) as exc:
+            generate(spec)
+        assert str(exc.value) == message
 
 
 def test_degenerate_one_member_composites_are_relabelings():

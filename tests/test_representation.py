@@ -30,7 +30,9 @@ import pytest
 from effecta import (EffectTribe, Representation, canonical_representation,
                      generate, sharp_elements)
 from effecta.errors import PreconditionFailed, RdpRequired, TheoremViolation
+from effecta.observables import element_integrals
 from effecta.representation import _evaluation_representation
+from effecta.spectral import spectral_measure
 from effecta.states import inseparable_pair, state_polytope
 
 from oracles import (RepresentationViolation, TribeAxiomViolation,
@@ -64,6 +66,7 @@ def test_validate_tribe_accepts_and_sorts():
     # equality and hashing see only the carrier and the functions
     twin = EffectTribe(tribe.carrier, tribe.functions)
     assert twin == tribe and hash(twin) == hash(tribe)
+    assert tribe == (tribe.carrier, tribe.functions)
 
 
 @pytest.mark.parametrize("carrier, fns, reason", [
@@ -284,6 +287,7 @@ def test_the_certificate_proves_b0_xi_and_the_sharp_image():
         assert p == len(b0.atoms) == rep.polytope.dimension + 1, name
         assert b0.atoms == tuple(frozenset({i}) for i in range(p)), name
         assert len(b0.sets) == 2 ** p, name
+        assert b0.xi == {A: h_of(rep, chi(rep, A)) for A in b0.sets}, name
         assert b0_sigma_law_failure(rep) is None, name
         assert sharp_observable_failure(rep) is None, name
         assert sharp_image(rep).ok, name
@@ -295,6 +299,28 @@ def test_the_certificate_proves_b0_xi_and_the_sharp_image():
     swap = {M.zero: M.one, M.one: M.zero}
     doctored = Representation(rep.tribe, M, [swap.get(a, a) for a in rep.h])
     assert sharp_observable_failure(doctored) == "not additive at [], []"
+
+
+@pytest.mark.parametrize("use", [
+    lambda rep: rep.function_of(1),
+    lambda rep: element_integrals(rep, {0: Z, 2: O}),
+    lambda rep: spectral_measure(rep, 1),
+], ids=["function_of", "element_integrals", "spectral_measure"])
+def test_a_representation_that_is_not_onto_is_refused_when_built(use):
+    """h must reach every element of the target; the constructor names the
+    first it misses, so no lookup later fails on a missing preimage."""
+    M = chain(2)
+    tribe = EffectTribe(("p",), ((Z,), (O,)))
+    with pytest.raises(PreconditionFailed,
+                       match="^element 1 has no preimage$"):
+        use(Representation(tribe, M, (M.zero, M.one)))
+
+
+def test_b0_lists_a_repeated_function_once_with_xi_at_its_first_member():
+    tribe = EffectTribe(("p",), ((Z,), (Z,), (O,)))
+    b0 = Representation(tribe, chain(2), (0, 1, 2)).b0()
+    assert b0.sets == (frozenset(), frozenset({0}))
+    assert b0.xi == {frozenset(): 0, frozenset({0}): 2}
 
 
 def test_support_and_measurable_preconditions():
