@@ -12,6 +12,7 @@ parallel tuple and appear in every error witness.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -24,6 +25,19 @@ from .errors import (
 )
 
 DEFAULT_MAX_SIZE = 64       # elements, when no bound is given
+
+
+def once(fn):
+    """``fn(obj, *args)`` computed on first use and kept in ``obj._memo``,
+    keyed by the function's name and its arguments.  A call that raises
+    keeps nothing, so the next call meets the same size cap or gate."""
+    @wraps(fn)
+    def kept(obj, *args):
+        key = (fn.__name__, *args)
+        if key not in obj._memo:
+            obj._memo[key] = fn(obj, *args)
+        return obj._memo[key]
+    return kept
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -42,8 +56,7 @@ class EffectAlgebra:
 
     __slots__ = (
         "labels", "zero", "one",
-        "_sum", "_comp", "_down", "_index", "_pairs",
-        "_rdp_cache", "_sharp_cache", "_coords", "_sums", "_polytope", "_rep",
+        "_sum", "_comp", "_down", "_index", "_pairs", "_memo",
     )
 
     def __init__(self, labels, zero, one, sum_table, comp, down, index, pairs):
@@ -55,12 +68,7 @@ class EffectAlgebra:
         self._down = down              # bitmask of {x : x <= a} per element
         self._index = index            # label -> id
         self._pairs = pairs            # number of defined ordered pairs
-        self._rdp_cache: "RdpResult | None" = None
-        self._sharp_cache: "SharpSet | None" = None
-        self._coords = None            # atom_coordinates, walked once
-        self._sums = None              # defined_sums, walked once
-        self._polytope = None          # states.state_polytope, solved once
-        self._rep = None               # canonical_representation, built once
+        self._memo: dict = {}          # the values of ``once``
 
     # -- basic structure ----------------------------------------------------
 
@@ -85,14 +93,11 @@ class EffectAlgebra:
         """The unique orthosupplement."""
         return self._comp[a]
 
+    @once
     def defined_sums(self) -> tuple[tuple[int, int, int], ...]:
-        """All (a, b, a+b) with a <= b as indices; each unordered pair once.
-        The table is walked on the first call and the triples stored."""
-        if self._sums is None:
-            self._sums = tuple((a, b, c) for a, row in enumerate(self._sum)
-                               for b, c in enumerate(row[a:], a)
-                               if c is not None)
-        return self._sums
+        """All (a, b, a+b) with a <= b as indices; each unordered pair once."""
+        return tuple((a, b, c) for a, row in enumerate(self._sum)
+                     for b, c in enumerate(row[a:], a) if c is not None)
 
     # -- derived order ------------------------------------------------------
 
@@ -131,6 +136,7 @@ def iterated_sum(M: EffectAlgebra, parts: Sequence[int]) -> Optional[int]:
     return acc
 
 
+@once
 def atom_coordinates(M: EffectAlgebra) -> tuple[tuple[int, ...], tuple]:
     """The atoms (the elements with no lower bounds but 0 and themselves) in
     id order, and per element x the integer vector m(x) that writes x as a
@@ -139,23 +145,20 @@ def atom_coordinates(M: EffectAlgebra) -> tuple[tuple[int, ...], tuple]:
     m(x) is read off the first path to x of a breadth-first walk from 0
     that adds one atom at a time.  Every element is a sum of atoms and every
     prefix of a defined sum is defined, so the walk reaches them all; by
-    additivity along the path, a state s has s(x) = m(x) . (s(atom_i))_i.
-    Cached on the algebra."""
-    if M._coords is None:
-        atoms = tuple(a for a in M.elements() if a != M.zero
-                      and M.down_mask(a) == 1 << M.zero | 1 << a)
-        coords: list = [None] * M.n
-        coords[M.zero] = (0,) * len(atoms)
-        queue = [M.zero]
-        for x in queue:                     # grows while it is walked
-            mx = coords[x]
-            for i, a in enumerate(atoms):
-                y = M.add(x, a)
-                if y is not None and coords[y] is None:
-                    coords[y] = mx[:i] + (mx[i] + 1,) + mx[i + 1:]
-                    queue.append(y)
-        M._coords = atoms, tuple(coords)
-    return M._coords
+    additivity along the path, a state s has s(x) = m(x) . (s(atom_i))_i."""
+    atoms = tuple(a for a in M.elements() if a != M.zero
+                  and M.down_mask(a) == 1 << M.zero | 1 << a)
+    coords: list = [None] * M.n
+    coords[M.zero] = (0,) * len(atoms)
+    queue = [M.zero]
+    for x in queue:                     # grows while it is walked
+        mx = coords[x]
+        for i, a in enumerate(atoms):
+            y = M.add(x, a)
+            if y is not None and coords[y] is None:
+                coords[y] = mx[:i] + (mx[i] + 1,) + mx[i + 1:]
+                queue.append(y)
+    return atoms, tuple(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +336,22 @@ def _chain_heights(M: EffectAlgebra) -> tuple[int, ...] | None:
     return None
 
 
+@once
 def check_rdp(M: EffectAlgebra) -> RdpResult:
     """Decide whether every pair of equal defined sums admits a 2x2
     refinement.  A finite effect algebra with the refinement property is a
     finite MV-effect algebra, so a product of chains: refinement holds
     exactly when the certificate does, and otherwise the scan names the
     failing quadruple.  A scan that finds none where the certificate failed is a
-    ``TheoremViolation``.  Cached on the algebra; downstream code calls
-    this freely."""
-    if M._rdp_cache is None:
-        if _chain_heights(M) is not None:
-            M._rdp_cache = RdpResult(True, None, M)
-        else:
-            scan = _refinement_scan(M)
-            if scan.holds:
-                raise TheoremViolation(
-                    "the refinement scan found no failure, but the algebra "
-                    "is no certified product of chains")
-            M._rdp_cache = scan
-    return M._rdp_cache
+    ``TheoremViolation``."""
+    if _chain_heights(M) is not None:
+        return RdpResult(True, None, M)
+    scan = _refinement_scan(M)
+    if scan.holds:
+        raise TheoremViolation(
+            "the refinement scan found no failure, but the algebra "
+            "is no certified product of chains")
+    return scan
 
 
 def _refinement_scan(M: EffectAlgebra) -> RdpResult:
@@ -378,6 +378,7 @@ class SharpSet(NamedTuple):
     members: tuple[int, ...]
 
 
+@once
 def sharp_elements(M: EffectAlgebra) -> SharpSet:
     """The a with a /\\ a' = 0, in id order: that meet exists and is 0
     exactly when 0 is the only common lower bound of a and a', one AND of
@@ -385,10 +386,7 @@ def sharp_elements(M: EffectAlgebra) -> SharpSet:
     the common lower bounds of a and a' are the m with m_i at most
     min(m_i(a), h_i - m_i(a)), so the sharp elements are the m with each
     m_i in {0, h_i}: the corners of the box, a power set whose meet, join
-    and complement the isomorphism carries, so a Boolean algebra.  Cached
-    on the algebra."""
-    if M._sharp_cache is None:
-        M._sharp_cache = SharpSet(tuple(
-            a for a in M.elements()
-            if M.down_mask(a) & M.down_mask(M.comp(a)) == 1 << M.zero))
-    return M._sharp_cache
+    and complement the isomorphism carries, so a Boolean algebra."""
+    return SharpSet(tuple(
+        a for a in M.elements()
+        if M.down_mask(a) & M.down_mask(M.comp(a)) == 1 << M.zero))

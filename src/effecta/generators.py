@@ -40,7 +40,21 @@ def generate(spec: FamilySpec, *, max_size: int | None = None) -> EffectAlgebra:
 
 def _check_size(n: int, bound: int, what: str) -> None:
     if n > bound:
-        raise SizeLimitExceeded(f"{what} has {n} elements, exceeding the bound {bound}")
+        raise _too_large(what, _decimal(n), bound)
+
+
+def _too_large(what: str, count: str, bound: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(f"{what} has {count} elements, exceeding the bound {_decimal(bound)}")
+
+
+def _decimal(x: int) -> str:
+    """x in decimal or, past the digit limit of int-to-str conversion, the
+    power of two that it is or exceeds."""
+    try:
+        return str(x)
+    except ValueError:
+        e = x.bit_length() - 1
+        return f"{'more than ' * (x != 1 << e)}2**{e}"
 
 
 def _build(spec: FamilySpec, bound: int):
@@ -51,7 +65,7 @@ def _build(spec: FamilySpec, bound: int):
         (n,) = spec[1:]
         if n < 1:
             raise ParseError("chain needs n >= 1")
-        _check_size(n + 1, bound, f"chain({n})")
+        _check_size(n + 1, bound, f"chain({_decimal(n)})")
         labels = [str(k) for k in range(n + 1)]
         sums = [(str(i), str(j), str(i + j))
                 for i in range(n + 1) for j in range(i, n + 1 - i)]
@@ -61,7 +75,9 @@ def _build(spec: FamilySpec, bound: int):
         (k,) = spec[1:]
         if k < 1:
             raise ParseError("boolean needs k >= 1")
-        _check_size(2 ** k, bound, f"boolean({k})")
+        if k >= max(bound, 0).bit_length():     # 2**k > bound, not formed
+            raise _too_large(f"boolean({_decimal(k)})", f"2**{k}" if k > 1 << 16
+                             else _decimal(1 << k), bound)
         # the last coordinate is element 1, so ids run in subset-mask order
         return _product([("chain", 1)] * k, bound, lambda v: "{" + ",".join(
             str(i) for i, x in enumerate(reversed(v), 1) if x) + "}")
@@ -71,7 +87,8 @@ def _build(spec: FamilySpec, bound: int):
         u = tuple(int(x) for x in u)
         if not u or any(x < 1 for x in u):
             raise ParseError("interval needs a unit with all components >= 1")
-        _check_size(prod(x + 1 for x in u), bound, f"interval{u}")
+        _check_size(prod(x + 1 for x in u), bound, "interval({}{})".format(
+            ", ".join(map(_decimal, u)), "," * (len(u) == 1)))
         return _product([("chain", x) for x in u], bound)
 
     if family == "product":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import EffectAlgebra, iterated_sum
+from .algebra import EffectAlgebra, iterated_sum, once
 from .errors import (
     NotMeasurable,
     PreconditionFailed,
@@ -144,15 +144,14 @@ def atom_integrals(rep: Representation, values: Sequence | Mapping,
     """:func:`element_integrals` with ``values`` mapping element ids to
     integer numerators over ``den`` (rationals when den is None), as
     numerators over one denominator."""
-    if rep._atom_plan is None:
-        rep._atom_plan = _atom_plan(rep)
-    masses, rows, pden = rep._atom_plan
+    masses, rows, pden = _atom_plan(rep)
     w = [values[b] for b in masses]
     if den is None:
         w, den = over_common_denominator(w)
     return [sum(map(mul, row, w)) for row in rows], pden * den
 
 
+@once
 def _atom_plan(rep: Representation) -> tuple[tuple, tuple, int]:
     """The sharp observable xi of B0 on each of its atoms and every
     element's integer values on the atoms; raises at the first non-constant

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import EffectAlgebra, check_rdp, sharp_elements
+from .algebra import EffectAlgebra, check_rdp, once, sharp_elements
 from .errors import PreconditionFailed, RdpRequired, TheoremViolation
 from .linalg import over_common_denominator
 from .states import StatePolytope, state_polytope
@@ -64,9 +64,7 @@ class Representation:
             if a not in self._first_preimage:
                 raise PreconditionFailed(
                     f"element {target.label(a)} has no preimage")
-        self._b0: SigmaAlgebraB0 | None = None
-        self._spectral: dict[int, object] = {}   # verified measures per element
-        self._atom_plan = self._level_plan = None   # integration plans
+        self._memo: dict = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -92,9 +90,7 @@ class Representation:
         return self.evaluation[0][self._first_preimage[a]]
 
     def b0(self) -> "SigmaAlgebraB0":
-        if self._b0 is None:
-            self._b0 = compute_b0(self)
-        return self._b0
+        return compute_b0(self)
 
     @cached_property
     def sharp(self) -> frozenset[int]:
@@ -102,8 +98,9 @@ class Representation:
         return frozenset(sharp_elements(self.target).members)
 
 
+@once
 def canonical_representation(M: EffectAlgebra) -> Representation:
-    """Evaluate every element on the extremal states, once per algebra.
+    """Evaluate every element on the extremal states.
 
     The carrier is the vertex list of the state polytope in its canonical
     order; the function system is exactly the evaluation vectors; h sends
@@ -111,12 +108,10 @@ def canonical_representation(M: EffectAlgebra) -> Representation:
     property, comes before the states are solved; past it one order check
     certifies the build (see :func:`_evaluation_representation`).
     """
-    if M._rep is None:
-        rdp = check_rdp(M)
-        if not rdp.holds:
-            raise RdpRequired(rdp.witness_labels())
-        M._rep = _evaluation_representation(M, state_polytope(M))
-    return M._rep
+    rdp = check_rdp(M)
+    if not rdp.holds:
+        raise RdpRequired(rdp.witness_labels())
+    return _evaluation_representation(M, state_polytope(M))
 
 
 def _evaluation_representation(M: EffectAlgebra,
@@ -189,6 +184,7 @@ def _sorted_sets(family: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]
     return tuple(sorted(family, key=lambda A: (len(A), sorted(A))))
 
 
+@once
 def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     """The characteristic members, xi on them and their per-point atoms.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
-from .algebra import EffectAlgebra, iterated_sum, sharp_elements
+from .algebra import EffectAlgebra, iterated_sum, once, sharp_elements
 from .errors import NotAStateOnSharp, SpectralObstruction, TheoremViolation
 from .linalg import over_common_denominator
 from .observables import atom_integrals
@@ -41,15 +41,14 @@ class SpectralMeasure(NamedTuple):
     masses: Mapping                         # Fraction -> sharp element id
 
 
+@once
 def spectral_measure(rep: Representation, a: int) -> SpectralMeasure:
     """Level-set decomposition of the evaluation of a: its integer
-    :func:`levels` read as Fractions, cached on the representation."""
-    if a not in rep._spectral:
-        lv = levels(rep, a)
-        support = tuple(Fraction(lam, rep.evaluation[1]) for lam, _ in lv)
-        rep._spectral[a] = SpectralMeasure(
-            rep.target, a, support, dict(zip(support, (b for _, b in lv))))
-    return rep._spectral[a]
+    :func:`levels` read as Fractions."""
+    lv = levels(rep, a)
+    support = tuple(Fraction(lam, rep.evaluation[1]) for lam, _ in lv)
+    return SpectralMeasure(rep.target, a, support,
+                           dict(zip(support, (b for _, b in lv))))
 
 
 def levels(rep: Representation, a: int) -> tuple[tuple[int, int], ...]:
@@ -89,9 +88,7 @@ def level_integrals(rep: Representation, values, den: int | None = None,
     """:func:`spectral_integral` with ``values`` mapping element ids to
     integer numerators over ``den`` (rationals when den is None), as
     numerators over one denominator; phi sees each distinct lambda once."""
-    if rep._level_plan is None:
-        rep._level_plan = _level_plan(rep)
-    lvs, lams, masses = rep._level_plan
+    lvs, lams, masses = _level_plan(rep)
     if den is None:
         nums, den = over_common_denominator([values[b] for b in masses])
         values = dict(zip(masses, nums))
@@ -103,6 +100,7 @@ def level_integrals(rep: Representation, values, den: int | None = None,
     return [sum(c[lam] * values[b] for lam, b in lv) for lv in lvs], cden * den
 
 
+@once
 def _level_plan(rep: Representation) -> tuple:
     """Every element's levels, then the distinct lambdas and masses."""
     lvs = tuple(levels(rep, a) for a in rep.target.elements())

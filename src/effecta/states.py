@@ -9,11 +9,11 @@ states) are enumerated exactly and listed in lexicographic order of their
 value vectors, which fixes a canonical carrier order for the
 representation machinery.
 
-The polytope is cached on its algebra and holds its vertices as one
-integer matrix over one common denominator.  Non-emptiness, separation,
-the dimension (see :func:`_solve_polytope`) and the sample states of the
-gated suites, with their mixtures, read the integers; the Fraction
-vertices are built only when asked for.
+The polytope is solved once per algebra (see ``algebra.once``) and holds
+its vertices as one integer matrix over one common denominator.
+Non-emptiness, separation, the dimension (see :func:`state_polytope`) and
+the sample states of the gated suites, with their mixtures, read the
+integers; the Fraction vertices are built only when asked for.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .algebra import EffectAlgebra, atom_coordinates
+from .algebra import EffectAlgebra, atom_coordinates, once
 from .errors import EmptyStateSpace
 from .linalg import echelon, over_common_denominator
 from .polytope import HalfSpace, enumerate_vertices
@@ -58,7 +58,7 @@ class StatePolytope:
         self.numerators: tuple[tuple[int, ...], ...] = numerators
         self.den: int = den
         self.dimension: int = dimension
-        self._samples: dict[int, list] = {}
+        self._memo: dict = {}
 
     @cached_property
     def vertices(self) -> tuple[State, ...]:
@@ -69,16 +69,15 @@ class StatePolytope:
         return tuple(State(tuple(map(value.__getitem__, row)))
                      for row in self.numerators)
 
+    @once
     def samples(self, seed: int) -> list[tuple[tuple[int, ...], int]]:
         """The states the gated suites evaluate, drawn once per seed: the
         vertices, then ten seeded mixtures (a lone vertex alone, being every
         mixture of itself), as (numerators, denominator) pairs."""
-        if seed not in self._samples:
-            rows = [(row, self.den) for row in self.numerators]
-            if len(rows) != 1:
-                rows += mixture_rows(self, 10, seed)
-            self._samples[seed] = rows
-        return self._samples[seed]
+        rows = [(row, self.den) for row in self.numerators]
+        if len(rows) != 1:
+            rows += mixture_rows(self, 10, seed)
+        return rows
 
     @property
     def is_empty(self) -> bool:
@@ -89,25 +88,17 @@ class StatePolytope:
                 f"dim={self.dimension})")
 
 
+@once
 def state_polytope(M: EffectAlgebra) -> StatePolytope:
-    """The state polytope of M, solved on first use and cached on the
-    algebra.  A ``SizeLimitExceeded`` is not cached: below the default
-    element cap only an algebra without the refinement property hits it."""
-    if M._polytope is None:
-        M._polytope = _solve_polytope(M)
-    return M._polytope
-
-
-def _solve_polytope(M: EffectAlgebra) -> StatePolytope:
-    """A state is fixed by its values t on the atoms: s(x) = m(x) . t for
-    the integer vectors m of :func:`atom_coordinates`.  So the states are
-    the t with (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum,
-    m(1) . t = 1 and every m(x) . t in [0,1].  The integer echelon form of
-    the equalities, with the constant in column k, gives
-    t = t0 + sum_j u_j dirs[j], u_j the value of free atom j, so the
-    polytope is P = {u : 0 <= s_x(u) <= 1 for every element x}; the box of
-    the free atoms is among these constraints, since free atoms are
-    elements.
+    """The state polytope of M.  A state is fixed by its values t on the
+    atoms: s(x) = m(x) . t for the integer vectors m of
+    :func:`atom_coordinates`.  So the states are the t with
+    (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum, m(1) . t = 1 and
+    every m(x) . t in [0,1].  The integer echelon form of the equalities,
+    with the constant in column k, gives t = t0 + sum_j u_j dirs[j], u_j
+    the value of free atom j, so the polytope is
+    P = {u : 0 <= s_x(u) <= 1 for every element x}; the box of the free
+    atoms is among these constraints, since free atoms are elements.
 
     The dimension is d minus the rank of the implicit equalities, the
     constraints tight on all of P (Schrijver 1986, section 8.2).  P is the

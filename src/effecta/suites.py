@@ -17,10 +17,10 @@ record describes the canonical representation.
 
 Each check runs in its own process, so the states suite and the gated
 suites (representation, smearing, spectral, extension) import the layers
-behind them, and share the state polytope and canonical representation
-cached on the algebra: ``--suite axioms``, ``rdp`` or ``sharp`` never
-loads ``states``, and ``--suite states``, or an algebra that fails the
-refinement gate in ``canonical_representation``, never loads
+behind them, and share the state polytope and canonical representation,
+each computed once per algebra: ``--suite axioms``, ``rdp`` or ``sharp``
+never loads ``states``, and ``--suite states``, or an algebra that fails
+the refinement gate in ``canonical_representation``, never loads
 ``observables`` or ``spectral``.
 """
 
@@ -66,8 +66,8 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
                    max_size: int | None = None) -> list[Record]:
     """Validate the document, then run every requested suite.
 
-    The state polytope and the canonical representation are cached on the
-    algebra, so the suites that need them share one solve and one build.
+    The state polytope and the canonical representation are computed once
+    per algebra, so the suites that need them share one solve and one build.
     A failed refinement gate is each gated suite's
     ``canonical-representation`` FAIL, and a size cap is a suite's SKIP.
     Any other library error that escapes a suite becomes that suite's one

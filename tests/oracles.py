@@ -1447,8 +1447,7 @@ def sharp_table(rep, a, E):
     M = rep.target
     if a not in rep.sharp:
         raise PreconditionFailed(f"element {M.label(a)!r} is not sharp")
-    if rep._level_plan is None:
-        rep._level_plan = _level_plan(rep)
+    lvs = _level_plan(rep)[0]
     den = rep.evaluation[1]
 
     def inside(v):
@@ -1456,8 +1455,7 @@ def sharp_table(rep, a, E):
 
     result = ((M.one if inside(den) else M.comp(a)) if inside(0)
               else (a if inside(den) else M.zero))
-    actual = iterated_sum(M, [b for lam, b in rep._level_plan[0][a]
-                              if inside(lam)])
+    actual = iterated_sum(M, [b for lam, b in lvs[a] if inside(lam)])
     if actual is None:
         raise TheoremViolation("spectral masses failed to sum")
     if actual != result:

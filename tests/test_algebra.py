@@ -358,7 +358,8 @@ def test_generated_products_of_chains_are_certified(name, heights, M):
 
 def _with_coordinates(M, coords):
     """M with its cached atom coordinates replaced by ``coords``."""
-    M._coords = (algebra.atom_coordinates(M)[0], tuple(coords))
+    M._memo["atom_coordinates",] = (algebra.atom_coordinates(M)[0],
+                                    tuple(coords))
     return M
 
 

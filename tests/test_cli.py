@@ -104,6 +104,27 @@ def test_generate_reads_compact_tokens_and_rejects_bad_ones(capsys):
         assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("boolean", "15000"), "2**15000"),
+    (("boolean", "100000"), "2**100000"),
+    (("interval", "9" * 4000, "9" * 4000), "more than 2**26575"),
+    (("product", "interval:{0},{0}".format("9" * 4000), "chain1"),
+     "more than 2**26575"),
+    (("chain", "9" * 4300), "more than 2**14284")],
+    ids=["boolean15000", "boolean100000", "interval", "product", "chain"])
+def test_generate_refuses_a_huge_size_with_one_error_line(argv, count,
+                                                          capsys):
+    """A count past the digit limit of int-to-str conversion keeps the exit
+    code contract: exit 2 and one ``error:`` line."""
+    assert run("generate", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith(
+        f" has {count} elements, exceeding the bound 4096\n")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_passes_on_chain3(tmp_path, capsys):
     path = write_algebra(tmp_path, "c3.json", "chain", "3")
     assert run("check", "--input", str(path)) == 0

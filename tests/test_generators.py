@@ -103,6 +103,34 @@ def test_generate_respects_the_size_budget():
     assert generate(("boolean", 4), max_size=16).n == 16
 
 
+NINES = 10 ** 4000 - 1      # the largest int of 4,000 digits
+
+
+@pytest.mark.parametrize("spec, message", [
+    # 4,215 digits, below the limit on converting an int to a str
+    (("boolean", 14000), f"boolean(14000) has {2 ** 14000} elements"),
+    (("boolean", 15000), "boolean(15000) has 2**15000 elements"),
+    (("boolean", 100000), "boolean(100000) has 2**100000 elements"),
+    (("chain", NINES), f"chain({NINES}) has {NINES + 1} elements"),
+    (("chain", 10 ** 4300 - 1),
+     f"chain({10 ** 4300 - 1}) has more than 2**14284 elements"),
+    (("interval", (NINES, NINES)),
+     f"interval({NINES}, {NINES}) has more than 2**26575 elements"),
+    (("product", [("interval", (NINES, NINES)), ("chain", 1)]),
+     f"interval({NINES}, {NINES}) has more than 2**26575 elements"),
+    (("chain", 10 ** 5000),
+     "chain(more than 2**16609) has more than 2**16609 elements")],
+    ids=["boolean14000", "boolean15000", "boolean100000", "chain-4000-digits",
+         "chain-4300-digits", "interval", "product", "chain-5001-digits"])
+def test_a_huge_size_is_refused_without_writing_a_huge_int(spec, message):
+    """A count past the digit limit of int-to-str conversion is written as
+    the power of two it is or exceeds, and a Boolean algebra's size is
+    decided from k, so no huge 2**k is formed."""
+    with pytest.raises(SizeLimitExceeded) as exc:
+        generate(spec, max_size=4096)
+    assert str(exc.value) == message + ", exceeding the bound 4096"
+
+
 @pytest.mark.parametrize("family, message", [
     ("product", "product has 1048576 elements, exceeding the bound 1024"),
     ("horizontal_sum",

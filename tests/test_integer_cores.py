@@ -85,7 +85,7 @@ def test_the_integer_cores_match_the_fraction_route():
         assert [spectral_measure(rep, a) for a in M.elements()] == measures
         xi = oracles.sharp_observable(rep)
         element_integrals(rep, P.vertices[0].values)
-        assert rep._atom_plan[0] == tuple(map(xi, xi.atoms)), name
+        assert rep._memo["_atom_plan",][0] == tuple(map(xi, xi.atoms)), name
         for seed in range(4):
             samples = P.samples(seed)
             states = oracles.sample_states(P, seed, 10)
@@ -191,8 +191,8 @@ def _swapped_measure(M, a):
     rep = canonical_representation(M)
     lvs, lams, masses = _level_plan(rep)
     (l0, b0), (l1, b1) = lvs[a]
-    rep._level_plan = (lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:],
-                       lams, masses)
+    rep._memo["_level_plan",] = (
+        lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:], lams, masses)
     return rep
 
 
@@ -200,7 +200,8 @@ def _swapped_xi(M):
     """xi on the first two atoms of B0 swapped in the atom plan."""
     rep = canonical_representation(M)
     masses, rows, den = _atom_plan(rep)
-    rep._atom_plan = ((masses[1], masses[0]) + masses[2:], rows, den)
+    rep._memo["_atom_plan",] = ((masses[1], masses[0]) + masses[2:], rows,
+                                den)
     return rep
 
 

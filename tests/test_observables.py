@@ -81,7 +81,7 @@ def test_sharp_observable_on_boolean2():
     assert sharp_observable(rep) is xi      # built once, then cached
     # the library reads xi on the atoms alone
     element_integrals(rep, rep.polytope.vertices[0].values)
-    assert rep._atom_plan[0] == (2, 1)
+    assert rep._memo["_atom_plan",][0] == (2, 1)
 
 
 # ---------------------------------------------------------------------------

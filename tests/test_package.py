@@ -1,8 +1,8 @@
 """The package's export list names only what the package has, every error
-class is raised somewhere in the package, no module holds a float,
-importing the command line stays light, and each command loads only the
-layers it reaches; the elimination and vertex layers import no
-``fractions``."""
+class is raised somewhere in the package, no module holds a float or keeps
+a value on another object, importing the command line stays light, and
+each command loads only the layers it reaches; the elimination and vertex
+layers import no ``fractions``."""
 
 import ast
 import os
@@ -69,6 +69,35 @@ def test_the_package_has_no_float():
                     or isinstance(node, ast.Name) and node.id == "float"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_layer_keeps_values_on_another_object():
+    """A value computed once per object is kept by ``algebra.once`` in that
+    object's ``_memo``: no module assigns, deletes or ``setattr``s a
+    ``_``-prefixed attribute of any object but ``self``, and the algebra's
+    slots hold no cache but ``_memo``.  ``once`` keys a value by its
+    function's name, so no two kept functions share one."""
+    found, kept = [], []
+    for path in sorted(Path(effecta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "once"
+                    for d in node.decorator_list):
+                kept.append(node.name)
+            if (isinstance(node, ast.Attribute)
+                    and not isinstance(node.ctx, ast.Load)
+                    and node.attr.startswith("_")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")
+                    or isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert len(kept) == len(set(kept)) > 0
+    assert set(effecta.EffectAlgebra.__slots__) == {
+        "labels", "zero", "one", "_sum", "_comp", "_down", "_index", "_pairs",
+        "_memo"}
 
 
 @pytest.mark.parametrize("module", ["linalg", "polytope"])

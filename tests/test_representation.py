@@ -138,7 +138,7 @@ def test_canonical_representation_gates():
     # two elements apart, and an empty one
     for vertices, dimension, below in (([(Z, O, O)], 0, "1"), ([], -1, "0")):
         M = chain(2)
-        M._polytope = doctored_polytope(M, vertices, dimension)
+        M._memo["state_polytope",] = doctored_polytope(M, vertices, dimension)
         with pytest.raises(TheoremViolation) as err:
             canonical_representation(M)
         assert str(err.value).endswith(f"order below {below}")

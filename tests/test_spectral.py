@@ -127,8 +127,8 @@ def test_the_sharp_table_checks_the_planned_measure():
     assert _first_sharp_table_break(rep) is None
     lvs, lams, masses = spectral._level_plan(rep)
     (l0, b0), (l1, b1) = lvs[1]
-    rep._level_plan = (lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams,
-                       masses)
+    rep._memo["_level_plan",] = (
+        lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams, masses)
     assert _first_sharp_table_break(rep) == [
         "{1}", "point-0", "endpoint rule gives {2} but the measure gives {1}"]
 

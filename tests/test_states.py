@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effecta import State, generate, state_polytope
-from effecta.errors import EmptyStateSpace
+from effecta.errors import EmptyStateSpace, SizeLimitExceeded
 from effecta.algebra import atom_coordinates
 from effecta.states import inseparable_pair, is_state
 
@@ -236,7 +236,24 @@ def test_empty_polytope_gates():
     assert empty.is_empty
     with pytest.raises(EmptyStateSpace):
         seeded_mixtures(empty, 3, seed=0)
+    for _ in range(2):                  # a call that raises keeps nothing
+        with pytest.raises(EmptyStateSpace):
+            empty.samples(0)
     assert inseparable_pair(empty) == (0, 1)
+
+
+def test_a_size_cap_is_met_again_on_every_call(monkeypatch):
+    """The polytope is kept once solved, but an exception is not: with the
+    box cap at 0 every call raises, and with it lifted the same algebra is
+    solved."""
+    M = boolean(2)
+    monkeypatch.setattr("effecta.polytope.MAX_BOX_DIM", 0)
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded):
+            state_polytope(M)
+    monkeypatch.undo()
+    assert state_polytope(M) is state_polytope(M)
+    assert state_polytope(M).dimension == 1
 
 
 def test_convex_combination_values_and_weight_checks():

@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 
 from effecta import cli, generate, observables, suites
+from effecta.algebra import EffectAlgebra
 from effecta.errors import (NotMeasurable, ParseError, RdpRequired,
                             TheoremViolation)
 from effecta.linalg import over_common_denominator
-from effecta.representation import canonical_representation
+from effecta.representation import Representation, canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
 from effecta.spectral import spectral_measure
-from effecta.states import State, state_polytope
+from effecta.states import State, StatePolytope, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
 import oracles
@@ -95,11 +96,11 @@ def test_box_cap_skips_the_suites_that_need_the_polytope(monkeypatch):
 
 
 def _count_solves_and_builds(monkeypatch):
-    """Calls of the state polytope's solver and of the evaluation build of
-    the canonical representation."""
+    """Calls of the state polytope's vertex enumeration and of the
+    evaluation build of the canonical representation."""
     from effecta import representation, states
     calls = Counter()
-    for module, name in ((states, "_solve_polytope"),
+    for module, name in ((states, "enumerate_vertices"),
                          (representation, "_evaluation_representation")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
@@ -117,12 +118,12 @@ def test_the_polytope_and_the_representation_are_cached_on_the_algebra(
     M = boolean(4)
     recs = check_document(algebra_to_obj(M), "b4", SUITE_NAMES, 0)
     assert all(r.status == "pass" for r in recs)
-    assert calls == Counter(_solve_polytope=1, _evaluation_representation=1)
+    assert calls == Counter(enumerate_vertices=1, _evaluation_representation=1)
     calls.clear()
     assert state_polytope(M) is state_polytope(M)
     assert canonical_representation(M) is canonical_representation(M)
     assert canonical_representation(M).polytope is state_polytope(M)
-    assert calls == Counter(_solve_polytope=1, _evaluation_representation=1)
+    assert calls == Counter(enumerate_vertices=1, _evaluation_representation=1)
 
 
 def test_the_refinement_gate_comes_before_the_state_polytope(monkeypatch):
@@ -137,7 +138,7 @@ def test_the_refinement_gate_comes_before_the_state_polytope(monkeypatch):
     recs = check_document(doc, "mo2", ("states",) + gated, 0)
     assert [(r.check, r.status) for r in recs if r.suite == "states"] == [
         ("non-empty", "pass"), ("separating", "pass")]
-    assert calls == Counter(_solve_polytope=1)
+    assert calls == Counter(enumerate_vertices=1)
 
 
 def test_invalid_algebra_shorts_every_suite():
@@ -155,7 +156,7 @@ def test_invalid_algebra_shorts_every_suite():
 
 def test_an_empty_polytope_fails_non_empty_and_skips_separating():
     M = chain(2)
-    M._polytope = oracles.doctored_polytope(M, [], -1)
+    M._memo["state_polytope",] = oracles.doctored_polytope(M, [], -1)
     recs = suites.run_states(M, "c2")
     assert recs == [
         Record("states", "c2", "non-empty", FAIL, detail="0 extremal states"),
@@ -166,7 +167,7 @@ def test_sample_states_lists_a_lone_vertex_once():
     """The polytope's integer samples are its vertices, then ten seeded
     mixtures, or a lone vertex alone; the extension suite's vertices and
     three mixtures are a prefix.  Read as Fractions, they equal the Fraction
-    route's states, and each seed is drawn once."""
+    route's states, and each seed is drawn once, with its own draw."""
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
         for seed in (0, 3):
@@ -181,6 +182,7 @@ def test_sample_states_lists_a_lone_vertex_once():
             assert (got[:len(P.vertices) + 3]
                     == oracles.sample_states(P, seed, 3)), name
             assert P.samples(seed) is P.samples(seed), name
+        assert (P.samples(0) != P.samples(3)) == (len(P.vertices) > 1), name
 
 
 def test_malformed_document_raises():
@@ -233,33 +235,68 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
         ("smearing", "error")]
 
 
-def _count_plan_builds(monkeypatch):
-    from effecta import spectral
-    builds = []
-    for module, name in ((observables, "_atom_plan"), (spectral, "_level_plan")):
-        def counted(*args, _build=getattr(module, name), _name=name):
-            builds.append(_name)
-            return _build(*args)
-        monkeypatch.setattr(module, name, counted)
-    return builds
+def _count_memo_stores(monkeypatch):
+    """The values that ``once`` stores, by (object, name): every algebra,
+    state polytope and representation made from here on gets a ``_memo``
+    that counts its stores."""
+    stores = Counter()
+
+    class Memo(dict):
+        def __setitem__(self, key, value):
+            stores[id(self), key[0]] += 1
+            super().__setitem__(key, value)
+
+    for cls in (EffectAlgebra, StatePolytope, Representation):
+        def init(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            self._memo = Memo()
+        monkeypatch.setattr(cls, "__init__", init)
+    return stores
+
+
+def _names(stores):
+    return Counter(name for _, name in stores.elements())
 
 
 def test_the_smearing_suite_builds_its_integration_plan_once(monkeypatch):
     """One plan serves the tables of every state on boolean 4."""
-    builds = _count_plan_builds(monkeypatch)
+    stores = _count_memo_stores(monkeypatch)
     rep = canonical_representation(boolean(4))
     recs = suites.run_smearing(rep.target, "b4", 0, rep)
     assert [r.status for r in recs] == ["pass"]
-    assert builds == ["_atom_plan"]
+    assert (_names(stores)["_atom_plan"], _names(stores)["_level_plan"]) == (
+        1, 0)
 
 
 def test_a_full_check_builds_each_integration_plan_once(monkeypatch):
     """The smearing, spectral and extension suites share the
     representation's two plans."""
-    builds = _count_plan_builds(monkeypatch)
+    stores = _count_memo_stores(monkeypatch)
     recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
     assert all(r.status == "pass" for r in recs)
-    assert sorted(builds) == ["_atom_plan", "_level_plan"]
+    assert (_names(stores)["_atom_plan"], _names(stores)["_level_plan"]) == (
+        1, 1)
+
+
+ALGEBRA_VALUES = ("defined_sums", "atom_coordinates", "check_rdp",
+                  "sharp_elements", "state_polytope")
+
+
+@pytest.mark.parametrize("instance, kept", [
+    ("boolean4", ALGEBRA_VALUES + ("canonical_representation", "samples",
+                                   "compute_b0", "_atom_plan", "_level_plan")),
+    # the four gated suites each meet the refinement gate, which keeps nothing
+    ("loop4", ALGEBRA_VALUES)])
+def test_a_full_check_runs_each_kept_body_once_per_object(instance, kept,
+                                                          monkeypatch):
+    """Every value ``once`` keeps is computed once per object in a full
+    check, though the suites ask for most of them many times."""
+    stores = _count_memo_stores(monkeypatch)
+    doc = algebra_to_obj(boolean(4) if instance == "boolean4" else loop4())
+    stores.clear()
+    check_document(doc, instance, SUITE_NAMES, 0)
+    assert set(stores.values()) == {1}
+    assert _names(stores) == Counter(kept)
 
 
 def _count_refinement_work(monkeypatch):
@@ -276,7 +313,7 @@ def _count_refinement_work(monkeypatch):
     walk = algebra.atom_coordinates
 
     def walked(M):
-        work["walks"] += M._coords is None
+        work["walks"] += ("atom_coordinates",) not in M._memo
         return walk(M)
     monkeypatch.setattr(algebra, "atom_coordinates", walked)
     monkeypatch.setattr(states, "atom_coordinates", walked)
