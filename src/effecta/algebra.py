@@ -185,10 +185,10 @@ def validate_effect_algebra(
     bound = DEFAULT_MAX_SIZE if max_size is None else max_size
     if n > bound:
         raise SizeLimitExceeded(f"{n} elements exceeds the size bound {bound}")
-    if len(set(labels)) != n:
-        dup = [l for l in labels if labels.count(l) > 1]
-        raise AxiomViolation("i", (dup[0],), "duplicate element label")
-    index = {lbl: i for i, lbl in enumerate(labels)}
+    index = {lbl: i for i, lbl in enumerate(labels)}    # last positions
+    if len(index) != n:     # the first label in document order met again
+        dup = next(lbl for i, lbl in enumerate(labels) if index[lbl] != i)
+        raise AxiomViolation("i", (dup,), "duplicate element label")
     if zero not in index or one not in index:
         raise AxiomViolation("iv", (zero, one), "zero/one not among the elements")
     zi, oi = index[zero], index[one]

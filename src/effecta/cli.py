@@ -38,10 +38,14 @@ def _read_document(path: str):
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
+    """UTF-8 to ``output`` or to stdout, whatever stdout's encoding."""
+    if output is not None:
         Path(output).write_text(text, encoding="utf-8")
+    elif hasattr(sys.stdout, "buffer"):     # not a bare text stream
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
 
 
 def _instance_id(path: str) -> str:

@@ -2,7 +2,10 @@
 
 Every family builds a raw label/sum table and pushes it through the full
 validator, so a bug in a constructor surfaces as an axiom violation rather
-than as a quietly wrong structure.
+than as a quietly wrong structure.  It runs once per family: members of
+products and horizontal sums go in as raw tables, since a member's axioms
+restrict the whole's (a summand sits in a horizontal sum as itself, a
+factor F in a product as F x {0}), so a broken member breaks the whole.
 
 The chain is the one primitive.  Interval algebras and Boolean algebras
 are products of chains, built by the same componentwise product as the
@@ -102,57 +105,52 @@ def _build(spec: FamilySpec, bound: int):
             raise ParseError("horizontal sum needs at least one summand")
         _check_size(2 + sum(len(t[0]) - 2 for t in tables), bound,
                     "horizontal sum")
-        summands = [validate_effect_algebra(*t, max_size=bound) for t in tables]
-
-        def tr(i: int, a: int) -> str:
-            S = summands[i]
-            if a == S.zero:
-                return "0"
-            if a == S.one:
-                return "1"
-            return f"h{i}:{S.label(a)}"
-
-        labels = ["0", "1"]
-        for i, S in enumerate(summands):
-            labels.extend(tr(i, a) for a in S.elements()
-                          if a not in (S.zero, S.one))
-        sums_set = {}
-        for i, S in enumerate(summands):
-            for a, b, c in S.defined_sums():
-                sums_set[(tr(i, a), tr(i, b))] = tr(i, c)
-        # zero has id 0 in every generated family, so each summand's
-        # defined_sums already lists 0 + x for its every x
-        sums = [(a, b, c) for (a, b), c in sums_set.items()]
-        return labels, "0", "1", sums
+        labels, sums = ["0", "1"], {}
+        for i, (names, zero, one, triples) in enumerate(tables):
+            tr = {a: f"h{i}:{a}" for a in names}
+            tr[zero], tr[one] = "0", "1"
+            labels.extend(tr[a] for a in names if a not in (zero, one))
+            # each unordered pair once, the earlier label first; the pairs
+            # 0 + 0 and 0 + 1 come from every summand and are kept once
+            pos = {a: k for k, a in enumerate(names)}
+            for a, b, c in triples:
+                if pos[a] > pos[b]:
+                    a, b = b, a
+                sums[tr[a], tr[b], tr[c]] = None
+        return labels, "0", "1", list(sums)
 
     raise ParseError(f"unknown family {family!r}")
 
 
 def _product(subspecs, bound: int, name=None):
-    """The componentwise product of the generated factors.  Its ordered
+    """The componentwise product of the factors' raw tables.  Its ordered
     defined pairs are exactly the tuples of the factors' ordered defined
     pairs, so they are listed as such and no candidate pair is walked.
-    Element ids run over the factors' ids in row-major order, the first
-    factor outermost; ``name`` labels a tuple of factor ids, by default
-    as the tuple of the factors' labels.  The size is checked first."""
+    Element ids run over the factors' ids (their label positions) in
+    row-major order, the first factor outermost; ``name`` labels a tuple
+    of factor ids, by default as the tuple of the factors' labels.  The
+    size is checked first.  The factors are not validated: the product's
+    axioms on F x {0} are F's own, so a broken factor breaks the product."""
     tables = [_build(s, bound) for s in subspecs]
     if not tables:
         raise ParseError("product needs at least one factor")
     _check_size(prod(len(t[0]) for t in tables), bound, "product")
-    factors = [validate_effect_algebra(*t, max_size=bound) for t in tables]
     if name is None:
         name = lambda v: "(" + ",".join(
-            F.label(x) for F, x in zip(factors, v)) + ")"
-    labels = [name(v) for v in iproduct(*(F.elements() for F in factors))]
+            t[0][x] for t, x in zip(tables, v)) + ")"
+    labels = [name(v) for v in iproduct(*(range(len(t[0])) for t in tables))]
+    pos = [{a: k for k, a in enumerate(t[0])} for t in tables]
     triples = [(0, 0, 0)]
-    for F in factors:
-        pairs = F.defined_sums()
-        pairs += tuple((b, a, c) for a, b, c in pairs if a != b)
-        triples = [(v * F.n + a, w * F.n + b, s * F.n + c)
+    for (names, _, _, listed), p in zip(tables, pos):
+        # every ordered pair once, whether the table lists one order or both
+        pairs = dict.fromkeys(t for a, b, c in listed for t in (
+            (p[a], p[b], p[c]), (p[b], p[a], p[c])))
+        n = len(names)
+        triples = [(v * n + a, w * n + b, s * n + c)
                    for v, w, s in triples for a, b, c in pairs]
     sums = [(labels[v], labels[w], labels[s]) for v, w, s in triples]
-    zero = name(tuple(F.zero for F in factors))
-    one = name(tuple(F.one for F in factors))
+    zero, one = (name(tuple(p[t[k]] for p, t in zip(pos, tables)))
+                 for k in (1, 2))
     return labels, zero, one, sums
 
 

@@ -55,6 +55,18 @@ def test_size_bounds_default_to_64_in_the_library_and_4096_in_the_cli():
         assert parser.parse_args(argv + ["--max-size", "5"]).max_size == 5
 
 
+@pytest.mark.parametrize("labels, first", [
+    (["a", "b", "b", "a"], "a"), (["0", "b", "c", "c", "b"], "b"),
+    (["x", "0", "1", "1"], "1")])
+def test_a_duplicate_label_is_named_by_its_first_position(labels, first):
+    """The witness is the first label in document order that occurs again,
+    not the first repeat met: on [a, b, b, a] it is a."""
+    with pytest.raises(AxiomViolation) as err:
+        validate_effect_algebra(labels, "0", "1", [])
+    assert (err.value.axiom, err.value.witnesses) == ("i", (first,))
+    assert str(err.value).endswith("duplicate element label")
+
+
 def test_validate_rejects_commutativity_clash():
     with pytest.raises(AxiomViolation) as err:
         validate_effect_algebra(

@@ -6,7 +6,7 @@ import pytest
 import oracles
 import zoo_instances as zoo
 from effecta import generate, parse_family_tokens, validate_effect_algebra
-from effecta.errors import ParseError, SizeLimitExceeded
+from effecta.errors import AxiomViolation, ParseError, SizeLimitExceeded
 from effecta.generators import _build
 from effecta.serialize import algebra_to_obj, dumps
 
@@ -153,6 +153,51 @@ def test_an_oversize_composite_validates_no_large_factor(family, message,
         generate((family, [("boolean", 10), ("boolean", 10)]), max_size=1024)
     assert str(exc.value) == message
     assert large == []
+
+
+NESTED = ("product", [("chain", 1), ("horizontal_sum", [("chain", 2),
+                                                        ("chain", 1)])])
+
+
+@pytest.mark.parametrize("spec", [
+    ("chain", 3), ("boolean", 3), ("interval", (1, 2)),
+    ("product", [("chain", 2), ("boolean", 2)]),
+    ("horizontal_sum", [("boolean", 2), ("chain", 3)]), NESTED], ids=str)
+def test_generate_validates_once(spec, monkeypatch):
+    """Members of products and horizontal sums go in as raw tables: the
+    whole is the one table validated."""
+    from effecta import generators
+    calls = []
+    validate = generators.validate_effect_algebra
+
+    def counted(labels, *args, **kwargs):
+        calls.append(len(labels))
+        return validate(labels, *args, **kwargs)
+    monkeypatch.setattr(generators, "validate_effect_algebra", counted)
+    M = generate(spec)
+    assert calls == [M.n]
+
+
+@pytest.mark.parametrize("spec, witness", [
+    (("product", [("chain", 2), ("chain", 1)]), "(1,0)"),
+    (("horizontal_sum", [("chain", 2), ("boolean", 2)]), "h0:1"),
+    (NESTED, "(0,h0:1)")], ids=["product", "horizontal_sum", "nested"])
+def test_a_broken_member_breaks_the_whole(spec, witness, monkeypatch):
+    """A chain 2 whose table drops 1 + 1 = 2 leaves 1 with no
+    orthosupplement.  Unvalidated as a member, it fails the whole's
+    validation at its copy there."""
+    from effecta import generators
+    build = generators._build
+
+    def doctored(s, bound):
+        labels, zero, one, sums = build(s, bound)
+        if s == ("chain", 2):
+            sums = [t for t in sums if t != ("1", "1", "2")]
+        return labels, zero, one, sums
+    monkeypatch.setattr(generators, "_build", doctored)
+    with pytest.raises(AxiomViolation) as exc:
+        generate(spec)
+    assert (exc.value.axiom, exc.value.witnesses) == ("iii", (witness,))
 
 
 # the families whose generated pairs are set against the n^2 walk, with the

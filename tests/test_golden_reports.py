@@ -189,6 +189,42 @@ def test_smear_in_a_fresh_interpreter_matches_the_recorded_digest(
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+@pytest.mark.parametrize("command", ["check", "smear"])
+def test_text_reports_reach_a_non_utf8_stdout_as_utf8(command, encoding,
+                                                      tmp_path):
+    """A text report holds a non-ASCII dash.  On a stdout whose encoding
+    cannot write it, ``check`` and ``smear`` still exit with the report's
+    own code, with no traceback, and write the bytes ``--output`` writes."""
+    tokens, observable, seed, _ = SMEAR_GOLDEN["chain3"]
+    algebra, obs = tmp_path / "algebra.json", tmp_path / "obs.json"
+    if command == "check":
+        algebra.write_text(json.dumps(algebra_to_obj(loop4())))
+        argv = ["check", "--input", str(algebra)]
+    else:
+        assert cli.main(["generate", *tokens, "--output", str(algebra)]) == 0
+        obs.write_text(json.dumps(observable))
+        argv = ["smear", "--input", str(algebra), "--observable", str(obs),
+                "--seed", seed]
+    argv += ["--format", "text"]
+    src = str(Path(effecta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def effecta_cli(*argv, **extra):
+        return subprocess.run([sys.executable, "-m", "effecta.cli", *argv],
+                              env=dict(env, **extra), capture_output=True)
+
+    written = tmp_path / "report.txt"
+    code = effecta_cli(*argv, "--output", str(written)).returncode
+    expected = written.read_bytes()
+    assert "\u2014".encode("utf-8") in expected
+    done = effecta_cli(*argv, PYTHONIOENCODING=encoding)
+    assert b"Traceback" not in done.stderr
+    assert (done.returncode, done.stdout) == (code, expected)
+    assert code == (1 if command == "check" else 0)
+
+
 ZOO_GOLDEN = {
     "boolean1": "32a14ba1d230f5bb894686c7256c85c1"
                 "fb58a34199f9b3c437a62951339a5dd4",
