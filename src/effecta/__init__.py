@@ -42,13 +42,11 @@ _EXPORTS = {
     "algebra": ("EffectAlgebra", "RdpResult", "SharpSet", "check_rdp",
                 "iterated_sum", "sharp_elements", "validate_effect_algebra"),
     "generators": ("generate", "parse_family_tokens"),
-    "observables": ("Observable", "element_integrals", "make_observable",
-                    "smear", "summable_families"),
+    "observables": ("Observable", "make_observable", "smear",
+                    "summable_families"),
     "representation": ("EffectTribe", "Representation",
                        "canonical_representation"),
-    "spectral": ("SpectralMeasure", "extend_state", "spectral_integral",
-                 "spectral_measure"),
-    "states": ("State", "StatePolytope", "is_state", "state_polytope"),
+    "states": ("State", "StatePolytope", "state_polytope"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -106,13 +106,6 @@ class SpectralObstruction(EffectaError):
         )
 
 
-class NotAStateOnSharp(EffectaError):
-    def __init__(self, reason: str, witnesses: tuple):
-        self.reason = reason
-        self.witnesses = witnesses
-        super().__init__(f"not a state on the sharp elements ({reason}) at {witnesses!r}")
-
-
 class TheoremViolation(EffectaError):
     """A property that provably holds for the inputs accepted by the calling
     function turned out false.  Raised instead of silently returning wrong

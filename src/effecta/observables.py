@@ -13,7 +13,9 @@ and the state m, not on the observable: ``atom_integrals`` builds the
 right-hand side for every element in one table per state, so the identity
 is checked once per (element, state), and the kernel holds x(E) next to f_E
 for reading off the outcome set that breaks it.  One plan per representation
-holds every element's values on the atoms as integers over one denominator.
+holds every element's values on the atoms as integers over one denominator,
+and a state comes in, and its table goes out, as integer numerators over
+one denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     SumNotOne,
     SumUndefined,
 )
-from .linalg import over_common_denominator
 from .representation import Representation
 
 MAX_POINTS = 16       # a kernel holds one function per subset of its points
@@ -131,23 +132,14 @@ def _key_name(x: Observable, key: frozenset) -> str:
     return "{" + ",".join(str(x.support[i]) for i in sorted(key)) + "}"
 
 
-def element_integrals(rep: Representation,
-                      values: Sequence | Mapping) -> tuple[Fraction, ...]:
-    """The integral of every element's function against A -> values[xi(A)],
-    indexed by element id: m(a) for each a when ``values`` is a state."""
-    nums, den = atom_integrals(rep, values)
-    return tuple(Fraction(v, den) for v in nums)
-
-
 def atom_integrals(rep: Representation, values: Sequence | Mapping,
-                   den: int | None = None) -> tuple[list[int], int]:
-    """:func:`element_integrals` with ``values`` mapping element ids to
-    integer numerators over ``den`` (rationals when den is None), as
-    numerators over one denominator."""
+                   den: int) -> tuple[list[int], int]:
+    """The integral of every element's function against A -> values[xi(A)],
+    indexed by element id, as numerators over one denominator: m(a) for
+    each a when ``values`` is a state.  ``values`` maps element ids (at
+    least the sharp ones) to integer numerators over ``den``."""
     masses, rows, pden = _atom_plan(rep)
     w = [values[b] for b in masses]
-    if den is None:
-        w, den = over_common_denominator(w)
     return [sum(map(mul, row, w)) for row in rows], pden * den
 
 

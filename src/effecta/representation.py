@@ -169,13 +169,13 @@ class SigmaAlgebraB0(NamedTuple):
     In the pointwise order min(chi_A, 1 - chi_A) = 0, so no nonzero member
     lies below both chi_A and its complement: every characteristic member
     is sharp.  The sets are therefore exactly the A with chi_A in the
-    tribe, and ``xi`` maps each A to h of the first member equal to chi_A.
+    tribe, the keys of ``xi``, which maps each A to h of the first member
+    equal to chi_A.
     Each atom is the intersection of all members containing one of its
     points; the atoms partition the carrier when the sets are closed under
     complement, as on the canonical representation.
     """
 
-    sets: tuple[frozenset[int], ...]
     atoms: tuple[frozenset[int], ...]
     xi: dict[frozenset[int], int]
 
@@ -208,4 +208,4 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
             xi.setdefault(frozenset(i for i, v in enumerate(row) if v), a)
     full = frozenset(range(len(rep.carrier)))
     atoms = {full.intersection(*(A for A in xi if i in A)) for i in full}
-    return SigmaAlgebraB0(_sorted_sets(xi), _sorted_sets(atoms), xi)
+    return SigmaAlgebraB0(_sorted_sets(atoms), xi)

@@ -12,43 +12,31 @@ the lambdas as integers over one denominator.  Callers compare the table
 with the state, so the law is checked exactly wherever used, never assumed.
 A measure determines its element: its levels and their sets give back
 the evaluation, and h is one-to-one on the canonical representation.
+Every table and extension is integer numerators over one denominator,
+taken and returned as such; a Fraction is built only for a transform's
+lambdas and for a message.
 
 That the extension is unique is a theorem of the product-of-chains
 certificate, not a check: on prod C_{h_i} with k factors a state is fixed
 by its k atom values, and the top of each factor is sharp with h_i times
 its factor's atom value, so the sharp columns of the vertex differences
 have rank k - 1, the polytope's dimension.  ``oracles.sharp_kernel`` in the
-tests keeps that rank check.
+tests keeps that rank check.  That the extension of a restricted state is
+a state is not checked either: past the certificate the atom formula is
+the smearing identity, so the extension gives the state back, and a
+caller that compares the two has checked it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
-from .algebra import EffectAlgebra, iterated_sum, once, sharp_elements
-from .errors import NotAStateOnSharp, SpectralObstruction, TheoremViolation
+from .algebra import iterated_sum, once
+from .errors import SpectralObstruction, TheoremViolation
 from .linalg import over_common_denominator
 from .observables import atom_integrals
 from .representation import Representation
-from .states import State, is_state
-
-
-class SpectralMeasure(NamedTuple):
-    algebra: EffectAlgebra
-    element: int
-    support: tuple[Fraction, ...]          # ascending attained values
-    masses: Mapping                         # Fraction -> sharp element id
-
-
-@once
-def spectral_measure(rep: Representation, a: int) -> SpectralMeasure:
-    """Level-set decomposition of the evaluation of a: its integer
-    :func:`levels` read as Fractions."""
-    lv = levels(rep, a)
-    support = tuple(Fraction(lam, rep.evaluation[1]) for lam, _ in lv)
-    return SpectralMeasure(rep.target, a, support,
-                           dict(zip(support, (b for _, b in lv))))
 
 
 def levels(rep: Representation, a: int) -> tuple[tuple[int, int], ...]:
@@ -69,29 +57,16 @@ def levels(rep: Representation, a: int) -> tuple[tuple[int, int], ...]:
     return out
 
 
-def spectral_integral(rep: Representation, values,
-                      phi: Callable[[Fraction], Fraction] | None = None
-                      ) -> tuple[Fraction, ...]:
-    """The table a -> sum of phi(lambda) * values[mass_a(lambda)] over the
-    spectral measure of every element a; phi is the identity when None.
-
-    ``values`` is a state's value vector or any mapping over the sharp
-    elements.  For a state m, ``spectral_integral(rep, m.values)`` equals
-    ``m.values`` exactly when every measure reproduces m."""
-    nums, den = level_integrals(rep, values, None, phi)
-    return tuple(Fraction(v, den) for v in nums)
-
-
-def level_integrals(rep: Representation, values, den: int | None = None,
+def level_integrals(rep: Representation, values, den: int,
                     phi: Callable[[Fraction], Fraction] | None = None
                     ) -> tuple[list[int], int]:
-    """:func:`spectral_integral` with ``values`` mapping element ids to
-    integer numerators over ``den`` (rationals when den is None), as
-    numerators over one denominator; phi sees each distinct lambda once."""
+    """The table a -> sum of phi(lambda) * values[mass_a(lambda)] over the
+    spectral measure of every element a, phi the identity when None, as
+    numerators over one denominator.  ``values`` maps element ids (at
+    least the sharp ones) to integer numerators over ``den``; for a state
+    the table equals the state exactly when every measure reproduces it.
+    phi sees each distinct lambda once, as a Fraction."""
     lvs, lams, masses = _level_plan(rep)
-    if den is None:
-        nums, den = over_common_denominator([values[b] for b in masses])
-        values = dict(zip(masses, nums))
     c, cden = lams, rep.evaluation[1]
     if phi is not None:
         c, cden = over_common_denominator(
@@ -112,63 +87,23 @@ def _level_plan(rep: Representation) -> tuple:
 # state extension from the sharp elements
 
 
-def validate_sharp_state(M: EffectAlgebra, m: Mapping,
-                         den: int | None = None) -> tuple[dict, int]:
-    """Check a candidate weighting of the sharp elements, given as integer
-    numerators over ``den`` (rationals when den is None); numerators out."""
-    members = sharp_elements(M).members
-    if den is None:
-        vals = {b: Fraction(m[b]) for b in members if b in m}
-        nums, den = over_common_denominator(list(vals.values()))
-        m = dict(zip(vals, nums))
-    for b in members:
-        if b not in m:
-            raise NotAStateOnSharp("missing value", (M.label(b),))
-        if m[b] < 0 or m[b] > den:
-            raise NotAStateOnSharp("value outside [0,1]",
-                                   (M.label(b), str(Fraction(m[b], den))))
-    if m[M.one] != den:
-        raise NotAStateOnSharp("unit not sent to 1",
-                               (str(Fraction(m[M.one], den)),))
-    # each unordered pair once: the table is symmetric, the members ascend
-    for a, b, c in M.defined_sums():
-        if a not in m or b not in m:
-            continue
-        if c not in m:
-            raise NotAStateOnSharp(
-                "sharp sum escapes the sharp set", (M.label(a), M.label(b)))
-        if m[a] + m[b] != m[c]:
-            raise NotAStateOnSharp(
-                "not additive", (M.label(a), M.label(b), M.label(c)))
-    return m, den
-
-
-def extend_state(rep: Representation, m: Mapping) -> State:
-    """The unique full state restricting to a given sharp-element state."""
-    nums, den = extension_numerators(rep, m)
-    return State(tuple(Fraction(v, den) for v in nums))
-
-
 def extension_numerators(rep: Representation, m: Mapping,
-                         den: int | None = None) -> tuple[list[int], int]:
-    """:func:`extend_state` of m as in :func:`validate_sharp_state`, as
-    numerators over one denominator, by the atom formula: the value at a is
-    the integral of the evaluation of a against A -> m(xi(A)) on the atoms
-    of B0.  The restriction and the spectral form are checked on it."""
+                         den: int) -> tuple[list[int], int]:
+    """The full state extending a state m on the sharp elements, given as
+    integer numerators over ``den``, as numerators over one denominator, by
+    the atom formula: the value at a is the integral of the evaluation of a
+    against A -> m(xi(A)) on the atoms of B0.  The restriction and the
+    spectral form are checked on it, not that it is a state: a caller
+    restricts a state, and the extension is one whenever it gives that
+    state back, which the extension suite compares."""
     M = rep.target
-    num, den = validate_sharp_state(M, m, den)
-    ext, eden = atom_integrals(rep, num, den)
-    check = is_state(M, ext, eden)
-    if not check.ok:
-        raise TheoremViolation(
-            f"extension is not a state: {check.violation.kind} at "
-            f"{check.violation.witness!r}")
-    for bb, v in num.items():
+    ext, eden = atom_integrals(rep, m, den)
+    for bb, v in m.items():
         if ext[bb] * den != v * eden:
             raise TheoremViolation(
                 f"extension restricts to {Fraction(ext[bb], eden)} at "
                 f"{M.label(bb)}, expected {Fraction(v, den)}")
-    spectral_form, sden = level_integrals(rep, num, den)
+    spectral_form, sden = level_integrals(rep, m, den)
     for a in M.elements():
         if spectral_form[a] * eden != ext[a] * sden:
             raise TheoremViolation(

@@ -13,7 +13,10 @@ The polytope is solved once per algebra (see ``algebra.once``) and holds
 its vertices as one integer matrix over one common denominator.
 Non-emptiness, separation, the dimension (see :func:`state_polytope`) and
 the sample states of the gated suites, with their mixtures, read the
-integers; the Fraction vertices are built only when asked for.
+integers; the Fraction vertices are built only when asked for.  No state
+is taken from a caller, so none is checked here: every state a suite
+evaluates is a vertex or a mixture of vertices, and the tests check those
+with a Fraction state predicate of their own.
 """
 
 from __future__ import annotations
@@ -24,27 +27,17 @@ from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .algebra import EffectAlgebra, atom_coordinates, once
 from .errors import EmptyStateSpace
-from .linalg import echelon, over_common_denominator
+from .linalg import echelon
 from .polytope import HalfSpace, enumerate_vertices
 
 
 class State(NamedTuple):
     """Value vector aligned with the element ids of its algebra."""
     values: tuple[Fraction, ...]
-
-
-class StateViolation(NamedTuple):
-    kind: str          # "length" | "range" | "one" | "additivity"
-    witness: tuple
-
-
-class StateCheck(NamedTuple):
-    ok: bool
-    violation: StateViolation | None
 
 
 class StatePolytope:
@@ -159,30 +152,7 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
 
 
 # ---------------------------------------------------------------------------
-# predicates
-
-
-def is_state(M: EffectAlgebra, values: Sequence[Fraction] | State,
-             den: int | None = None) -> StateCheck:
-    """Exact check of integer numerators over ``den``, or of rationals (each
-    converted once) when den is None; names the first violated constraint."""
-    if isinstance(values, State):
-        values = values.values
-    if len(values) != M.n:
-        return StateCheck(False, StateViolation("length", (len(values), M.n)))
-    if den is None:
-        values, den = over_common_denominator(
-            [v if type(v) is Fraction else Fraction(v) for v in values])
-    for a, v in enumerate(values):
-        if v < 0 or v > den:
-            return StateCheck(False, StateViolation("range", (M.label(a),)))
-    if values[M.one] != den:
-        return StateCheck(False, StateViolation("one", (M.label(M.one),)))
-    for a, b, c in M.defined_sums():
-        if values[a] + values[b] != values[c]:
-            return StateCheck(False, StateViolation(
-                "additivity", (M.label(a), M.label(b), M.label(c))))
-    return StateCheck(True, None)
+# separation
 
 
 def inseparable_pair(polytope: StatePolytope) -> tuple[int, int] | None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
+from typing import NamedTuple
 
 from effecta.errors import AxiomViolation, EffectaError
 
@@ -1067,6 +1068,12 @@ def chi(rep, points):
     return tuple(ONE if i in points else ZERO for i in range(len(rep.carrier)))
 
 
+def b0_sets(rep):
+    """The sets of B0, the keys of the library's ``xi``, by size and then
+    by their sorted points."""
+    return tuple(sorted(rep.b0().xi, key=lambda A: (len(A), sorted(A))))
+
+
 def _characteristic_sets(rep):
     """The supports of the 0/1 members, in the order of their point
     bitmasks, which fixes the witness of a failed law."""
@@ -1156,7 +1163,7 @@ def sharp_observable(rep):
     alone (``effecta.observables._atom_plan``)."""
     if rep not in _XI:
         _XI[rep] = SharpObservable(
-            rep, {A: h_of(rep, chi(rep, A)) for A in rep.b0().sets})
+            rep, {A: h_of(rep, chi(rep, A)) for A in b0_sets(rep)})
     return _XI[rep]
 
 
@@ -1167,7 +1174,7 @@ def sharp_observable_failure(rep):
     from effecta.algebra import iterated_sum
     M = rep.target
     xi = sharp_observable(rep)
-    sets = rep.b0().sets
+    sets = b0_sets(rep)
     if set(xi.assignment) != set(sets):
         return "domain"
     for A in sets:
@@ -1200,12 +1207,10 @@ class InjectivityReport:
 def spectral_injectivity(rep):
     """Do distinct elements have distinct spectral measures?  The first
     collision is reported by label, in element order."""
-    from effecta.spectral import spectral_measure
-
     seen = {}
     M = rep.target
     for a in M.elements():
-        k = measure_key(spectral_measure(rep, a))
+        k = measure_key(measure_of(rep, a))
         if k in seen:
             return InjectivityReport(False, (M.label(seen[k]), M.label(a)))
         seen[k] = a
@@ -1509,19 +1514,18 @@ def sharp_kernel(rep):
 class ExtensionReport:
     unique: bool
     kernel: tuple | None       # see sharp_kernel
-    extension: object          # the State from effecta.spectral.extend_state
+    extension: object          # the State from ``extension_of``
 
 
 def extension_uniqueness(rep, m):
     """The extension of m, and whether it is the only one.
 
     Uniqueness is the rank certificate of ``sharp_kernel``, which does not
-    depend on m; the extension comes from ``extend_state``, which asserts
-    its restriction, that it is a state, and its spectral form.
+    depend on m; the extension comes from the library's
+    ``extension_numerators`` through ``extension_of``, which asserts its
+    restriction and its spectral form.
     """
-    from effecta.spectral import extend_state
-
-    extension = extend_state(rep, m)
+    extension = extension_of(rep, m)
     kernel = sharp_kernel(rep)
     return ExtensionReport(kernel is None, kernel, extension)
 
@@ -1540,12 +1544,11 @@ def spectral_uniqueness_probe(rep, a):
     point is inspected, so the search is not exhaustive.
     """
     from effecta.algebra import sharp_elements
-    from effecta.spectral import spectral_measure
 
     M = rep.target
     P = rep.polytope
     sharp = [b for b in sharp_elements(M).members if b != M.zero]
-    canonical = measure_key(spectral_measure(rep, a))
+    canonical = measure_key(measure_of(rep, a))
     found = []
 
     def families(prefix, acc, rest):
@@ -1682,10 +1685,21 @@ def detect_mv(M):
 # state predicate in Fraction arithmetic
 
 
+class StateViolation(NamedTuple):
+    kind: str          # "length" | "range" | "one" | "additivity"
+    witness: tuple
+
+
+class StateCheck(NamedTuple):
+    ok: bool
+    violation: StateViolation | None
+
+
 def fraction_is_state(M, values):
-    """The reference for ``effecta.states.is_state``: the same checks in
-    the same order, each value compared as a Fraction."""
-    from effecta.states import State, StateCheck, StateViolation
+    """Is the value vector a state?  Its length, each value in [0,1], the
+    unit at 1, then additivity on every defined sum, in that order, each
+    value compared as a Fraction; the first violation is named."""
+    from effecta.states import State
 
     if isinstance(values, State):
         values = values.values
@@ -1795,12 +1809,18 @@ def element_integrals_fraction(rep, values):
     return tuple(Fraction(sum(map(mul, row, w)), den * wden) for row in rows)
 
 
+class SpectralMeasure(NamedTuple):
+    algebra: object
+    element: int
+    support: tuple            # ascending attained values, as Fractions
+    masses: dict              # Fraction -> sharp element id
+
+
 def spectral_measure_fraction(rep, a):
     """The level sets of a's Fraction evaluation, each looked up in the
     Fraction tribe index, verified as the library verifies them."""
     from effecta.algebra import iterated_sum
     from effecta.errors import SpectralObstruction, TheoremViolation
-    from effecta.spectral import SpectralMeasure
 
     M = rep.target
     f = rep.function_of(a)
@@ -1838,11 +1858,18 @@ def spectral_integral_fraction(rep, values, phi=None, measures=None):
                  for row in rows)
 
 
+class NotAStateOnSharp(EffectaError):
+    def __init__(self, reason, witnesses):
+        self.reason = reason
+        self.witnesses = witnesses
+        super().__init__(
+            f"not a state on the sharp elements ({reason}) at {witnesses!r}")
+
+
 def validate_sharp_state_fraction(M, m):
     """Missing and out-of-range values, the unit, then additivity on the
     defined sums of sharp elements, compared as Fractions."""
     from effecta.algebra import sharp_elements
-    from effecta.errors import NotAStateOnSharp
 
     vals = {}
     for b in sharp_elements(M).members:
@@ -1892,3 +1919,61 @@ def extend_state_fraction(rep, m, measures=None):
                 f"atom form {result.values[a]} and spectral form "
                 f"{spectral_form[a]} disagree at {M.label(a)}")
     return result
+
+
+# ---------------------------------------------------------------------------
+# the library's integer cores read with Fraction values: a weighting goes
+# in over one denominator, and a table, measure or extension comes out as
+# Fractions, so a test states its values as rationals and still runs the
+# code the suites run
+
+
+def over_one_denominator(values):
+    """A weighting (a sequence, or a mapping over element ids) of rationals
+    as integer numerators over their least common denominator, in the same
+    shape."""
+    if isinstance(values, dict):
+        nums, den = _over_common_denominator(
+            [Fraction(v) for v in values.values()])
+        return dict(zip(values, nums)), den
+    return _over_common_denominator([Fraction(v) for v in values])
+
+
+def _read(nums, den):
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def integral_table(rep, values):
+    """``effecta.observables.atom_integrals`` on a rational weighting: the
+    integral of every element's function against A -> values[xi(A)]."""
+    from effecta.observables import atom_integrals
+
+    return _read(*atom_integrals(rep, *over_one_denominator(values)))
+
+
+def level_table(rep, values, phi=None):
+    """``effecta.spectral.level_integrals`` on a rational weighting: the sum
+    of phi(lambda) * values[mass_a(lambda)] over every element's levels."""
+    from effecta.spectral import level_integrals
+
+    return _read(*level_integrals(rep, *over_one_denominator(values), phi))
+
+
+def measure_of(rep, a):
+    """``effecta.spectral.levels`` of a as a SpectralMeasure: its levels
+    over the evaluation's denominator, each with its sharp mass."""
+    from effecta.spectral import levels
+
+    lv = levels(rep, a)
+    support = tuple(Fraction(lam, rep.evaluation[1]) for lam, _ in lv)
+    return SpectralMeasure(rep.target, a, support,
+                           dict(zip(support, (b for _, b in lv))))
+
+
+def extension_of(rep, m):
+    """``effecta.spectral.extension_numerators`` on a rational weighting of
+    the sharp elements, as a State."""
+    from effecta.spectral import extension_numerators
+    from effecta.states import State
+
+    return State(_read(*extension_numerators(rep, *over_one_denominator(m))))

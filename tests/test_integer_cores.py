@@ -1,14 +1,16 @@
 """The smearing, spectral and extension layers on integer numerators,
 against the Fraction route they replaced.
 
-The library's public functions (``element_integrals``, ``spectral_integral``,
-``spectral_measure``, ``extend_state``) wrap integer cores, and the suites
-call the cores on the polytope's integer samples.  ``oracles`` keeps the
-Fraction bodies those functions had before, with no cache on the
-representation; here both routes must give the same tables, measures,
-states and errors, on the refinement zoo, on the generated products, on
-representations built by hand, and on doctored representations whose
-records must keep the witnesses the Fraction route gave.
+The suites call the integer cores (``atom_integrals``, ``levels`` and
+``level_integrals``, ``extension_numerators``) on the polytope's integer
+samples.  ``oracles`` keeps the Fraction bodies the library had before,
+with no cache on the representation; here both routes must give the same
+tables, measures, states and errors, on the refinement zoo, on the
+generated products, on representations built by hand, and on doctored
+representations whose records must keep the witnesses the Fraction route
+gave.  The states the extension suite reads, and their extensions, are
+checked to be states by the Fraction references, since the suite relies on
+the theorems that make them so.
 """
 
 import hashlib
@@ -17,10 +19,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from effecta import (extend_state, generate, parse_family_tokens,
-                     sharp_elements, spectral_integral, spectral_measure)
+from effecta import generate, parse_family_tokens, sharp_elements
 from effecta.errors import EffectaError
-from effecta.observables import _atom_plan, atom_integrals, element_integrals
+from effecta.observables import _atom_plan, atom_integrals
 from effecta.report import render_jsonl
 from effecta.representation import Representation, canonical_representation
 from effecta.serialize import algebra_to_obj
@@ -82,10 +83,9 @@ def test_the_integer_cores_match_the_fraction_route():
         sharp = sharp_elements(M).members
         measures = [oracles.spectral_measure_fraction(rep, a)
                     for a in M.elements()]
-        assert [spectral_measure(rep, a) for a in M.elements()] == measures
+        assert [oracles.measure_of(rep, a) for a in M.elements()] == measures
         xi = oracles.sharp_observable(rep)
-        element_integrals(rep, P.vertices[0].values)
-        assert rep._memo["_atom_plan",][0] == tuple(map(xi, xi.atoms)), name
+        assert _atom_plan(rep)[0] == tuple(map(xi, xi.atoms)), name
         for seed in range(4):
             samples = P.samples(seed)
             states = oracles.sample_states(P, seed, 10)
@@ -94,41 +94,46 @@ def test_the_integer_cores_match_the_fraction_route():
             for (row, den), m in zip(samples, states):
                 values = m.values
                 atom = oracles.element_integrals_fraction(rep, values)
-                assert element_integrals(rep, values) == atom, name
                 assert _fractions(*atom_integrals(rep, row, den)) == atom
                 for phi in (None, _square):
                     level = oracles.spectral_integral_fraction(
                         rep, values, phi, measures)
-                    assert spectral_integral(rep, values, phi) == level, name
                     assert _fractions(*level_integrals(rep, row, den,
-                                                       phi)) == level
+                                                       phi)) == level, name
                 tables += 1
             # the extension suite's states: the vertices, three mixtures
             for (row, den), m in list(zip(samples, states))[:len(P.vertices)
                                                             + 3]:
                 restricted = {b: m.values[b] for b in sharp}
                 ext = oracles.extend_state_fraction(rep, restricted, measures)
-                assert extend_state(rep, restricted) == ext == m, name
+                assert ext == m, name
                 assert _fractions(*extension_numerators(
                     rep, {b: row[b] for b in sharp}, den)) == ext.values
     assert tables > 2000
 
 
-def test_both_routes_reject_the_same_sharp_weightings():
-    """Weightings that are no states (negative, above 1, not additive, a
-    missing value) fail both routes with the same error and witness."""
+def test_the_extension_suite_reads_states_and_extends_them_to_states():
+    """The extension suite checks neither that a sample restricts to a
+    state on the sharp elements nor that its extension is a state: each
+    sample is a vertex or a convex mixture of vertices, and past the
+    certificate the atom formula gives the sample back.  The Fraction
+    references check both on every state the suite reads, at seeds 0
+    and 3."""
     checked = 0
-    for seed, (name, M) in enumerate(rdp_zoo()):
+    for name, M in _instances():
         rep = canonical_representation(M)
+        P = rep.polytope
         sharp = sharp_elements(M).members
-        for _, restricted in oracles.sharp_weightings(M, sharp, 4, seed):
-            missing = dict(list(restricted.items())[1:])
-            for m in (restricted, missing):
-                expected = _outcome(oracles.extend_state_fraction, rep, m)
-                assert expected[0] == "raises", name
-                assert _outcome(extend_state, rep, m) == expected, name
+        for seed in (0, 3):
+            for row, den in P.samples(seed)[:len(P.numerators) + 3]:
+                restricted = {b: row[b] for b in sharp}
+                oracles.validate_sharp_state_fraction(
+                    M, {b: Fraction(v, den) for b, v in restricted.items()})
+                table = _fractions(*atom_integrals(rep, restricted, den))
+                check = oracles.fraction_is_state(M, table)
+                assert check.ok, (name, seed, check.violation)
                 checked += 1
-    assert checked == 8 * len(rdp_zoo())
+    assert checked == 502
 
 
 def test_a_representation_built_by_hand_needs_no_polytope():
@@ -143,12 +148,12 @@ def test_a_representation_built_by_hand_needs_no_polytope():
     state = (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))
     expected = _outcome(oracles.element_integrals_fraction, rep, state)
     assert expected[0] == "raises" and expected[4] == [0, 1]
-    assert _outcome(element_integrals, rep, state) == expected
+    assert _outcome(oracles.integral_table, rep, state) == expected
     for a in C.elements():
-        assert (_outcome(spectral_measure, rep, a)
+        assert (_outcome(oracles.measure_of, rep, a)
                 == _outcome(oracles.spectral_measure_fraction, rep, a)), a
     sharp_state = {0: Fraction(0), 3: Fraction(1)}
-    assert (_outcome(extend_state, rep, sharp_state)
+    assert (_outcome(oracles.extension_of, rep, sharp_state)
             == _outcome(oracles.extend_state_fraction, rep, sharp_state))
 
     for M in (chain(3), boolean(2), interval(1, 2)):
@@ -156,16 +161,16 @@ def test_a_representation_built_by_hand_needs_no_polytope():
         ext = oracles.extend_carrier_with_null_point(base, "null")
         sharp = sharp_elements(M).members
         for a in M.elements():
-            assert (spectral_measure(ext, a)
+            assert (oracles.measure_of(ext, a)
                     == oracles.spectral_measure_fraction(ext, a))
         for m in base.polytope.vertices:
-            assert (element_integrals(ext, m.values)
+            assert (oracles.integral_table(ext, m.values)
                     == oracles.element_integrals_fraction(ext, m.values))
-            assert (spectral_integral(ext, m.values, _square)
+            assert (oracles.level_table(ext, m.values, _square)
                     == oracles.spectral_integral_fraction(ext, m.values,
                                                           _square))
             restricted = {b: m.values[b] for b in sharp}
-            assert (extend_state(ext, restricted)
+            assert (oracles.extension_of(ext, restricted)
                     == oracles.extend_state_fraction(ext, restricted) == m)
 
 

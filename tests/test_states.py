@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from effecta import State, generate, state_polytope
 from effecta.errors import EmptyStateSpace, SizeLimitExceeded
 from effecta.algebra import atom_coordinates
-from effecta.states import inseparable_pair, is_state
+from effecta.states import inseparable_pair
 
 from oracles import (brute_vertices, convex_combination, doctored_polytope,
                      fraction_is_state, is_sigma_additive, matrix_rank,
@@ -60,7 +60,7 @@ def test_mo3_vertex_count_and_dimension():
     P = state_polytope(mo3())
     assert len(P.vertices) == 8
     assert P.dimension == 3
-    assert all(is_state(P.algebra, s).ok for s in P.vertices)
+    assert all(fraction_is_state(P.algebra, s).ok for s in P.vertices)
 
 
 @pytest.mark.parametrize("make", [
@@ -130,7 +130,7 @@ def test_a_product_of_chains_has_the_coordinate_simplex(make):
     P = state_polytope(M)
     atoms, m = atom_coordinates(M)
     k = len(atoms)
-    assert all(is_state(M, s).ok for s in P.vertices)
+    assert all(fraction_is_state(M, s).ok for s in P.vertices)
     assert sorted(tuple(s.values[a] for a in atoms) for s in P.vertices) == \
         sorted(tuple(F(1, m[M.one][i]) if j == i else Z for j in range(k))
                for i in range(k))
@@ -145,68 +145,29 @@ def test_inseparable_pair_is_the_first_pair_valued_alike():
         assert inseparable_pair(P) == next(iter(alike), None), name
 
 
-def test_is_state_violation_kinds():
+def test_the_state_reference_names_each_violation_kind():
+    """The Fraction predicate that the tests hold every vertex, mixture and
+    extension to names the first constraint a vector breaks."""
     M = chain(3)
     third = F(1, 3)
 
-    check = is_state(M, (Z, third, O))
+    check = fraction_is_state(M, (Z, third, O))
     assert not check.ok and check.violation.kind == "length"
     assert check.violation.witness == (3, 4)
 
-    check = is_state(M, (Z, F(-1, 3), F(2, 3), O))
+    check = fraction_is_state(M, (Z, F(-1, 3), F(2, 3), O))
     assert not check.ok and check.violation.kind == "range"
     assert check.violation.witness == ("1",)
 
-    check = is_state(M, (Z, F(1, 4), F(1, 2), F(3, 4)))
+    check = fraction_is_state(M, (Z, F(1, 4), F(1, 2), F(3, 4)))
     assert not check.ok and check.violation.kind == "one"
     assert check.violation.witness == ("3",)
 
-    check = is_state(M, (Z, F(1, 4), F(2, 3), O))
+    check = fraction_is_state(M, (Z, F(1, 4), F(2, 3), O))
     assert not check.ok and check.violation.kind == "additivity"
     assert check.violation.witness == ("1", "1", "2")
 
-    assert is_state(M, (Z, third, 2 * third, O)).ok
-
-
-def _doctored(M, values):
-    """One vector per violation kind, built from a state's values: the
-    range vectors move the last element other than the unit out of [0,1],
-    the unit vector halves every value, and the additivity vector moves
-    that element inside [0,1], which breaks its sum with its complement."""
-    a = max(x for x in M.elements() if x != M.one)
-    moved = values[a] / 2 if values[a] else F(1, 3)
-    return [("length", values[:-1]),
-            ("range", values[:a] + (-F(1, 7),) + values[a + 1:]),
-            ("range", values[:a] + (F(8, 7),) + values[a + 1:]),
-            ("one", tuple(v / 2 for v in values)),
-            ("additivity", values[:a] + (moved,) + values[a + 1:])]
-
-
-def test_integer_is_state_matches_the_fraction_reference():
-    """is_state compares integer numerators over a common denominator;
-    its verdict, kind and witness must equal the Fraction reference's on
-    every zoo vertex, the seeded mixtures, vectors doctored to break each
-    constraint, and int and str inputs."""
-    kinds = []
-    for name, M in rdp_zoo() + non_rdp_zoo():
-        P = state_polytope(M)
-        cases = list(P.vertices)
-        for seed in range(4):
-            cases += seeded_mixtures(P, 10, seed)
-        for kind, values in _doctored(M, P.vertices[-1].values):
-            assert fraction_is_state(M, values).violation.kind == kind, name
-            cases.append(values)
-        for values in cases:
-            check = is_state(M, values)
-            assert check == fraction_is_state(M, values), (name, values)
-            kinds.append("ok" if check.ok else check.violation.kind)
-    assert set(kinds) == {"ok", "length", "range", "one", "additivity"}
-    M = chain(3)
-    for values in [(0, 0, 1, 1), (0, "1/3", "2/3", "1"), ("0", "1/2", "1/2", 1),
-                   (0, "1/3", "4/3", 1), (0, "1/3", "2/3", "2/3"), (0, 1, 2)]:
-        assert is_state(M, values) == fraction_is_state(M, values), values
-    assert is_state(M, (0, "1/3", "2/3", 1)).ok
-    assert is_state(boolean(2), (0, 0, 1, 1)).ok
+    assert fraction_is_state(M, (Z, third, 2 * third, O)).ok
 
 
 def test_evaluate_and_separating():
@@ -274,7 +235,7 @@ def test_seeded_mixtures_deterministic_and_valid():
     second = seeded_mixtures(P, 10, seed=7)
     assert first == second
     assert len(first) == 10
-    assert all(is_state(M, s).ok for s in first)
+    assert all(fraction_is_state(M, s).ok for s in first)
     assert seeded_mixtures(P, 10, seed=8) != first
 
 
@@ -339,7 +300,7 @@ def test_mixtures_of_boolean2_vertices_are_states(raw):
     total = sum(raw)
     weights = [F(w, total) for w in raw]
     mix = convex_combination(P.vertices, weights)
-    assert is_state(M, mix).ok
+    assert fraction_is_state(M, mix).ok
 
 
 def test_sigma_additivity_on_a_finite_carrier():
@@ -347,22 +308,20 @@ def test_sigma_additivity_on_a_finite_carrier():
     P = state_polytope(M)
     assert all(is_sigma_additive(M, s) for s in P.vertices)
     assert not is_sigma_additive(M, State((Z, O, O, O)))
-    assert not is_state(M, State((Z, O, O, O))).ok
+    assert not fraction_is_state(M, State((Z, O, O, O))).ok
 
 
 def test_sigma_additivity_is_state_validity():
     """Every vertex and seeded mixture of the zoo is a state, by the
-    library's integer predicate and by the Fraction reference, and the
-    sigma-additivity oracle, which also scans monotonicity, agrees.  The
-    states suite reports no validity records: this is where vertex and
-    mixture validity are checked."""
+    Fraction reference, and the sigma-additivity oracle, which also scans
+    monotonicity, agrees.  The states suite reports no validity records:
+    this is where vertex and mixture validity are checked."""
     checked = 0
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
         states = (list(P.vertices) + seeded_mixtures(P, 10, seed=0)
                   + seeded_mixtures(P, 10, seed=3))
         for s in states:
-            assert is_state(M, s).ok, name
             assert fraction_is_state(M, s).ok, name
             assert is_sigma_additive(M, s), name
             checked += 1

@@ -16,7 +16,6 @@ from effecta.linalg import over_common_denominator
 from effecta.representation import Representation, canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
-from effecta.spectral import spectral_measure
 from effecta.states import State, StatePolytope, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
@@ -568,7 +567,7 @@ def test_the_dropped_records_hold_on_every_zoo_instance_past_the_gate():
             assert oracles.sandwich(rep, cf, cf, c) == cf, (name, c)
 
         for a in M.elements():
-            sm = spectral_measure(rep, a)
+            sm = oracles.measure_of(rep, a)
             assert oracles.measure_additivity_failure(M, sm) is None, (name, a)
 
         # the null point is a B0 atom of weight m(h(chi_null)) = m(0) = 0
