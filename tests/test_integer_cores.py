@@ -20,12 +20,13 @@ import pytest
 
 import oracles
 from effecta import generate, parse_family_tokens, sharp_elements
-from effecta.errors import EffectaError
+from effecta.errors import EffectaError, TheoremViolation
 from effecta.observables import _atom_plan, atom_integrals
 from effecta.report import render_jsonl
 from effecta.representation import Representation, canonical_representation
 from effecta.serialize import algebra_to_obj
 from effecta.spectral import _level_plan, extension_numerators, level_integrals
+from effecta.states import State
 from effecta.suites import (SUITE_NAMES, check_document, run_extension,
                             run_smearing, run_spectral)
 
@@ -134,6 +135,45 @@ def test_the_extension_suite_reads_states_and_extends_them_to_states():
                 assert check.ok, (name, seed, check.violation)
                 checked += 1
     assert checked == 502
+
+
+def test_the_extension_core_is_the_atom_formula_on_any_weighting():
+    """``extension_numerators`` does not check that its weighting is a
+    state.  A weighting that the atom formula does not give back is refused
+    at the first sharp element where they differ, with both values; an
+    affine, not convex, combination of two vertices is extended to the same
+    combination of the vertices, whose values may leave [0, 1]."""
+    refused = extended = 0
+    not_states = 0
+    for seed, (name, M) in enumerate(rdp_zoo()):
+        rep = canonical_representation(M)
+        sharp = sharp_elements(M).members
+        for _, restricted in oracles.sharp_weightings(M, sharp, 4, seed):
+            atom = oracles.element_integrals_fraction(rep, restricted)
+            outcome = _outcome(oracles.extension_of, rep, restricted)
+            bad = next((b for b in restricted if atom[b] != restricted[b]),
+                       None)
+            if bad is None:
+                assert outcome == ("value", State(atom)), name
+                extended += 1
+                continue
+            assert outcome[:3] == (
+                "raises", TheoremViolation,
+                f"extension restricts to {atom[bad]} at {M.label(bad)}, "
+                f"expected {Fraction(restricted[bad])}"), name
+            refused += 1
+        vertices = rep.polytope.vertices
+        if len(vertices) < 2:
+            continue
+        combo = tuple(2 * u - v for u, v in zip(vertices[0].values,
+                                                 vertices[1].values))
+        ext = oracles.extension_of(rep, {b: combo[b] for b in sharp})
+        assert ext == State(combo), name
+        not_states += not oracles.fraction_is_state(M, combo).ok
+        extended += 1
+    assert refused > 4 * len(rdp_zoo()) // 2
+    assert extended > len(rdp_zoo()) // 2
+    assert not_states > 0
 
 
 def test_a_representation_built_by_hand_needs_no_polytope():
