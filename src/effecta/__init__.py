@@ -44,9 +44,8 @@ _EXPORTS = {
     "generators": ("generate", "parse_family_tokens"),
     "observables": ("Observable", "make_observable", "smear",
                     "summable_families"),
-    "representation": ("EffectTribe", "Representation",
-                       "canonical_representation"),
-    "states": ("State", "StatePolytope", "state_polytope"),
+    "representation": ("Representation", "canonical_representation"),
+    "states": ("StatePolytope", "state_polytope"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

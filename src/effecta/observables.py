@@ -102,10 +102,11 @@ def summable_families(M: EffectAlgebra, max_parts: int) -> Iterable[tuple[int, .
 
 class SmearingKernel(NamedTuple):
     """One member function per outcome set generated by the support points,
-    keyed by the frozenset of support indices the set picks out, together
-    with the element x(E) that the function maps to."""
+    keyed by the frozenset of support indices the set picks out, as its
+    integer row over the representation's denominator, together with the
+    element x(E) that the function maps to."""
     observable: Observable
-    functions: Mapping  # frozenset[int] -> function values
+    functions: Mapping  # frozenset[int] -> integer row
     elements: Mapping   # frozenset[int] -> element id x(E)
 
 
@@ -121,7 +122,7 @@ def smear(rep: Representation, x: Observable) -> SmearingKernel:
     for mask in range(1 << k):
         key = frozenset(i for i in range(k) if mask >> i & 1)
         elements[key] = x.element_at(key)
-        f = kernel[key] = rep.function_of(elements[key])
+        f = kernel[key] = rep.row_of(elements[key])
         for atom in rep.b0().atoms:
             if len({f[i] for i in atom}) > 1:
                 raise NotMeasurable(_key_name(x, key), sorted(atom))

@@ -3,7 +3,8 @@
 A representation carries the algebra onto a system of rational fuzzy
 functions over a finite point set.  The canonical one is built by
 evaluation: every element becomes its vector of values on the extremal
-states, and one order check certifies that these vectors form an
+states, read as integers off the state polytope's numerators over its one
+denominator, and one order check certifies that these vectors form an
 effect-tribe and that h, which sends each vector back to its element, is
 an isomorphism.  This module also computes the sharp-set sigma-algebra B0
 of the function system; on the canonical representation B0 is the power
@@ -13,33 +14,11 @@ set of the carrier and h maps it onto the sharp elements (see
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, check_rdp, once, sharp_elements
 from .errors import PreconditionFailed, RdpRequired, TheoremViolation
-from .linalg import over_common_denominator
 from .states import StatePolytope, state_polytope
-
-FnValues = tuple[Fraction, ...]
-
-
-# ---------------------------------------------------------------------------
-# effect-tribes
-
-
-class EffectTribe(NamedTuple):
-    """A finite system of fuzzy functions closed under the effect operations.
-
-    ``functions`` is sorted lexicographically, which fixes every later
-    iteration order.  Closure under pointwise limits of monotone sequences
-    is automatic here: a monotone sequence drawn from a finite set is
-    eventually constant, so its limit is already a member.
-    """
-
-    carrier: tuple[str, ...]
-    functions: tuple[FnValues, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +26,24 @@ class EffectTribe(NamedTuple):
 
 
 class Representation:
-    """A triple (carrier, tribe, h) with h a sum-preserving surjection onto
-    the target algebra.  The constructor checks that h is onto, so every
-    element of the target has a first preimage."""
+    """A system of fuzzy functions on a carrier, with h a sum-preserving
+    surjection onto the target algebra.  ``evaluation`` holds the member
+    functions as integer rows over one denominator, lexicographically
+    sorted, which fixes every later iteration order; h sends row i to its
+    element.  Closure under pointwise limits of monotone sequences is
+    automatic: a monotone sequence drawn from a finite set is eventually
+    constant.  The constructor checks that h is onto, so every element of
+    the target has a first preimage."""
 
-    def __init__(self, tribe: EffectTribe, target: EffectAlgebra,
-                 h: Sequence[int], polytope: StatePolytope | None = None):
-        self.tribe = tribe
+    def __init__(self, carrier: Sequence[str], evaluation: tuple[tuple, int],
+                 target: EffectAlgebra, h: Sequence[int],
+                 polytope: StatePolytope | None = None):
+        self.carrier = tuple(carrier)
+        self.evaluation = evaluation
         self.target = target
         self.h = tuple(h)
         self.polytope = polytope
+        self.sharp = frozenset(sharp_elements(target).members)
         self._first_preimage: dict[int, int] = {}
         for i, a in enumerate(self.h):
             self._first_preimage.setdefault(a, i)
@@ -66,36 +53,12 @@ class Representation:
                     f"element {target.label(a)} has no preimage")
         self._memo: dict = {}
 
-    # -- basic access -------------------------------------------------------
-
-    @property
-    def carrier(self) -> tuple[str, ...]:
-        return self.tribe.carrier
-
-    def function_of(self, a: int) -> FnValues:
-        """A member function mapping to a (the first in sorted order)."""
-        return self.tribe.functions[self._first_preimage[a]]
-
-    @cached_property
-    def evaluation(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The member functions as integer rows over one common denominator,
-        in the tribe's order."""
-        nums, den = over_common_denominator(
-            [v for f in self.tribe.functions for v in f])
-        p = len(self.carrier)
-        return tuple(tuple(nums[i:i + p]) for i in range(0, len(nums), p)), den
-
     def row_of(self, a: int) -> tuple[int, ...]:
-        """The integer row of :meth:`function_of`."""
+        """The integer row of the first member mapping to a."""
         return self.evaluation[0][self._first_preimage[a]]
 
     def b0(self) -> "SigmaAlgebraB0":
         return compute_b0(self)
-
-    @cached_property
-    def sharp(self) -> frozenset[int]:
-        """The sharp elements of the target, as a set."""
-        return frozenset(sharp_elements(self.target).members)
 
 
 @once
@@ -116,8 +79,9 @@ def canonical_representation(M: EffectAlgebra) -> Representation:
 
 def _evaluation_representation(M: EffectAlgebra,
                                P: StatePolytope) -> Representation:
-    """The tribe of evaluation vectors ev(a) = (s(a) for s in the vertices),
-    sorted lexicographically, with h sending each back to its element.
+    """The evaluation vectors ev(a) = (s(a) for s in the vertices), the
+    columns of the vertices' numerators over their one denominator, sorted
+    lexicographically, with h sending each back to its element.
 
     One check certifies the build: ev(b) <= ev(a) pointwise exactly when
     b <= a in M.  The vertices are states, so ev is additive and
@@ -151,11 +115,11 @@ def _evaluation_representation(M: EffectAlgebra,
             raise TheoremViolation(
                 "the pointwise order on the extremal states differs from "
                 f"the algebra's order below {M.label(a)}")
-    evals = list(zip(*(s.values for s in P.vertices)))
-    h = sorted(M.elements(), key=evals.__getitem__)
-    carrier = tuple(f"s{i}" for i in range(len(P.vertices)))
-    tribe = EffectTribe(carrier, tuple(evals[a] for a in h))
-    return Representation(tribe, M, h, P)
+    columns = list(zip(*P.numerators))
+    h = sorted(M.elements(), key=columns.__getitem__)
+    rows = tuple(columns[a] for a in h)
+    carrier = [f"s{i}" for i in range(len(P.numerators))]
+    return Representation(carrier, (rows, P.den), M, h, P)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +132,8 @@ class SigmaAlgebraB0(NamedTuple):
 
     In the pointwise order min(chi_A, 1 - chi_A) = 0, so no nonzero member
     lies below both chi_A and its complement: every characteristic member
-    is sharp.  The sets are therefore exactly the A with chi_A in the
-    tribe, the keys of ``xi``, which maps each A to h of the first member
+    is sharp.  The sets are therefore exactly the A with chi_A among the
+    members, the keys of ``xi``, which maps each A to h of the first member
     equal to chi_A.
     Each atom is the intersection of all members containing one of its
     points; the atoms partition the carrier when the sets are closed under
@@ -198,8 +162,9 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     singletons, and every member is constant on them.  xi maps S to c_S,
     and the corners are exactly ``sharp_elements(M).members``, so xi maps
     B0 onto the sharp elements, and the separating states make it
-    one-to-one.  On a hand-built tribe the family may fail the laws, and
-    the atoms are still the intersections of the members through a point.
+    one-to-one.  On a hand-built representation the family may fail the
+    laws, and the atoms are still the intersections of the members through
+    a point.
     """
     rows, den = rep.evaluation
     xi: dict[frozenset[int], int] = {}

@@ -10,34 +10,25 @@ value vectors, which fixes a canonical carrier order for the
 representation machinery.
 
 The polytope is solved once per algebra (see ``algebra.once``) and holds
-its vertices as one integer matrix over one common denominator.
-Non-emptiness, separation, the dimension (see :func:`state_polytope`) and
-the sample states of the gated suites, with their mixtures, read the
-integers; the Fraction vertices are built only when asked for.  No state
-is taken from a caller, so none is checked here: every state a suite
-evaluates is a vertex or a mixture of vertices, and the tests check those
-with a Fraction state predicate of their own.
+its vertices as one integer matrix over one common denominator, and
+nothing else: non-emptiness, separation, the dimension (see
+:func:`state_polytope`), the sample states of the gated suites with their
+mixtures, and the canonical representation's member rows all read those
+integers.  No state is taken from a caller, so none is checked here: every
+state a suite evaluates is a vertex or a mixture of vertices, and the
+tests check those with a Fraction state predicate of their own.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from functools import cached_property
-from itertools import chain
 from math import lcm
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import EffectAlgebra, atom_coordinates, once
 from .errors import EmptyStateSpace
 from .linalg import echelon
 from .polytope import HalfSpace, enumerate_vertices
-
-
-class State(NamedTuple):
-    """Value vector aligned with the element ids of its algebra."""
-    values: tuple[Fraction, ...]
 
 
 class StatePolytope:
@@ -52,15 +43,6 @@ class StatePolytope:
         self.den: int = den
         self.dimension: int = dimension
         self._memo: dict = {}
-
-    @cached_property
-    def vertices(self) -> tuple[State, ...]:
-        """The extremal states as Fractions, built on first use with one
-        Fraction per distinct numerator."""
-        value = {v: Fraction(v, self.den)
-                 for v in set(chain.from_iterable(self.numerators))}
-        return tuple(State(tuple(map(value.__getitem__, row)))
-                     for row in self.numerators)
 
     @once
     def samples(self, seed: int) -> list[tuple[tuple[int, ...], int]]:

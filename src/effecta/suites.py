@@ -179,9 +179,10 @@ def run_representation(M: EffectAlgebra, instance: str,
     """The canonical representation.  Built, it is certified (see
     ``canonical_representation``), and B0, its atoms, measurability and the
     sharp image follow from the certificate (see ``compute_b0``)."""
+    rows, _ = rep.evaluation
     return [Record(
         "representation", instance, "canonical-representation", PASS,
-        detail=f"{len(rep.carrier)} points, {len(rep.tribe.functions)} functions")]
+        detail=f"{len(rep.carrier)} points, {len(rows)} functions")]
 
 
 def _zoo_observables(M: EffectAlgebra):
@@ -256,7 +257,6 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                           PASS if bad is None else FAIL, witness=bad,
                           detail=f"{M.n} elements x {len(states)} states"))
 
-    sharp = sharp_elements(M).members
     # a strictly increasing non-identity transform: the integral law must
     # survive exactly on sharp elements
     vertices = states[:len(rep.polytope.numerators)]
@@ -269,7 +269,7 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
         i = _first_mismatch(a, vertices, squared)
         if i is None:
             continue
-        if a in sharp:
+        if a in rep.sharp:
             bad = [M.label(a), "sharp element broke the integral"]
             break
         broken += 1

@@ -21,6 +21,42 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
+# Fraction views of the library's integer data: the extremal states and the
+# member functions are integer rows over one denominator there, and read as
+# rationals here, so a test states and compares values as rationals
+
+
+class State(NamedTuple):
+    """Value vector aligned with the element ids of its algebra."""
+    values: tuple[Fraction, ...]
+
+
+def vertices(P):
+    """The extremal states of the polytope P as States, in its order."""
+    return tuple(State(tuple(Fraction(v, P.den) for v in row))
+                 for row in P.numerators)
+
+
+def functions(rep):
+    """The member functions of rep as Fraction tuples, in its order."""
+    rows, den = rep.evaluation
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
+def function_of(rep, a):
+    """The first member function mapping to a, as a Fraction tuple."""
+    return tuple(Fraction(v, rep.evaluation[1]) for v in rep.row_of(a))
+
+
+def kernel_functions(rep, kernel):
+    """The member functions of a smearing kernel over rep, by outcome key,
+    as Fraction tuples."""
+    den = rep.evaluation[1]
+    return {key: tuple(Fraction(v, den) for v in f)
+            for key, f in kernel.functions.items()}
+
+
+# ---------------------------------------------------------------------------
 # generator families, by a walk over every candidate pair
 
 
@@ -790,12 +826,18 @@ def _compatible_sums(fns):
                 yield f, g, tuple(x + y for x, y in zip(f, g))
 
 
+class EffectTribe(NamedTuple):
+    """A finite system of fuzzy functions on a carrier, as Fraction tuples
+    sorted lexicographically."""
+
+    carrier: tuple[str, ...]
+    functions: tuple[tuple[Fraction, ...], ...]
+
+
 def validate_tribe(carrier, functions):
     """The functions, deduplicated and sorted, as an EffectTribe after every
     closure law is checked: distinct labels, arity, values in [0,1], the
     constant 1, complements and every compatible sum."""
-    from effecta.representation import EffectTribe
-
     carrier = tuple(carrier)
     if len(set(carrier)) != len(carrier):
         raise TribeAxiomViolation("carrier labels must be distinct", (carrier,))
@@ -819,12 +861,28 @@ def validate_tribe(carrier, functions):
     return EffectTribe(carrier, tuple(fns))
 
 
+def representation_of(tribe, target, h, polytope=None):
+    """The Representation of a Fraction tribe, unchecked: its functions as
+    integer rows over their least common denominator, with h."""
+    from effecta.linalg import over_common_denominator
+    from effecta.representation import Representation
+
+    p = len(tribe.carrier)
+    nums, den = over_common_denominator(
+        [v for f in tribe.functions for v in f])
+    rows = tuple(tuple(nums[i:i + p]) for i in range(0, len(nums), p))
+    return Representation(tribe.carrier, (rows, den), target, h, polytope)
+
+
+def tribe_of(rep):
+    """The member functions of rep with its carrier, as an EffectTribe."""
+    return EffectTribe(rep.carrier, functions(rep))
+
+
 def make_representation(tribe, target, h, polytope=None):
     """The Representation (tribe, target, h) after checking that h covers
     every member, is onto, sends 1 to 1 and 0 to 0, and preserves every
     compatible sum."""
-    from effecta.representation import Representation
-
     h = tuple(h)
     if len(h) != len(tribe.functions):
         raise RepresentationViolation("h must cover every member function")
@@ -842,16 +900,16 @@ def make_representation(tribe, target, h, polytope=None):
         if c is None or c != by_fn[s]:
             raise RepresentationViolation(
                 f"h does not preserve the sum at {_fmt(f)} + {_fmt(g)}")
-    return Representation(tribe, target, h, polytope)
+    return representation_of(tribe, target, h, polytope)
 
 
 def validated_representation(M, polytope):
     """The canonical representation by the validated route: the evaluation
     vectors on the vertices through validate_tribe, then
     make_representation."""
-    vertices = polytope.vertices
-    evals = {v: a for a, v in enumerate(zip(*(s.values for s in vertices)))}
-    carrier = tuple(f"s{i}" for i in range(len(vertices)))
+    states = vertices(polytope)
+    evals = {v: a for a, v in enumerate(zip(*(s.values for s in states)))}
+    carrier = tuple(f"s{i}" for i in range(len(states)))
     tribe = validate_tribe(carrier, evals)
     return make_representation(tribe, M, [evals[f] for f in tribe.functions],
                                polytope)
@@ -916,7 +974,7 @@ def irregular_member(rep, omega0):
     function of the omega0 support of f is a member mapping to 0"
     disagree; None when the representation is regular."""
     zero = rep.target.zero
-    for f in rep.tribe.functions:
+    for f in functions(rep):
         indicator = chi(rep, support(f, omega0))
         if (h_of(rep, f) == zero) != (indicator in members(rep)
                                      and h_of(rep, indicator) == zero):
@@ -928,7 +986,7 @@ def congruence_failure(rep, omega0, ideal):
     """The first pair (f, g) of members, g from f on in sorted order, where
     "h(f) = h(g)" and "f and g differ on a member of the ideal" disagree;
     None when h identifies exactly the members that differ negligibly."""
-    fns = rep.tribe.functions
+    fns = functions(rep)
     for i, f in enumerate(fns):
         for g in fns[i:]:
             diff = frozenset(w for w in omega0 if f[w] != g[w])
@@ -953,7 +1011,7 @@ def sandwich(rep, f, g, c):
     if not (M.leq(h_of(rep, f), c) and M.leq(c, h_of(rep, g))):
         raise PreconditionFailed("need h(f) <= c <= h(g) in the target")
     s = tuple(max(x, min(y, z))
-              for x, y, z in zip(f, g, rep.function_of(c)))
+              for x, y, z in zip(f, g, function_of(rep, c)))
     assert s in members(rep) and h_of(rep, s) == c, (s, c)
     return s
 
@@ -972,15 +1030,14 @@ def extend_carrier_with_null_point(rep, label):
     over the sorted grid keeps the functions sorted.
     """
     from effecta.errors import PreconditionFailed
-    from effecta.representation import EffectTribe, Representation
 
     if label in rep.carrier:
         raise PreconditionFailed(f"label {label!r} already used")
     tribe = EffectTribe(rep.carrier + (label,),
-                        tuple(f + (v,) for f in rep.tribe.functions
+                        tuple(f + (v,) for f in functions(rep)
                               for v in _NULL_GRID))
     h = tuple(a for a in rep.h for _ in _NULL_GRID)
-    return Representation(tribe, rep.target, h, polytope=rep.polytope)
+    return representation_of(tribe, rep.target, h, polytope=rep.polytope)
 
 
 def kernel_independence_check(rep, kernel, m, alternatives):
@@ -1002,7 +1059,7 @@ def kernel_independence_check(rep, kernel, m, alternatives):
         target = kernel.elements[frozenset(key)]
         if alt not in members(rep) or h_of(rep, alt) != target:
             raise PreconditionFailed(f"not a kernel function for {sorted(key)}")
-        if integral(alt) != integral(rep.function_of(target)):
+        if integral(alt) != integral(function_of(rep, target)):
             return False
     return True
 
@@ -1048,7 +1105,7 @@ def members(rep):
     """The tribe's index {member function: its first position}, built once
     per representation."""
     if rep not in _MEMBERS:
-        fns = rep.tribe.functions
+        fns = functions(rep)
         _MEMBERS[rep] = {f: i for i, f in reversed(list(enumerate(fns)))}
     return _MEMBERS[rep]
 
@@ -1078,7 +1135,7 @@ def _characteristic_sets(rep):
     """The supports of the 0/1 members, in the order of their point
     bitmasks, which fixes the witness of a failed law."""
     return [frozenset(i for i, v in enumerate(f) if v)
-            for f in sorted(rep.tribe.functions, key=lambda f: f[::-1])
+            for f in sorted(functions(rep), key=lambda f: f[::-1])
             if set(f) <= {ZERO, ONE}]
 
 
@@ -1115,7 +1172,7 @@ def measurable(rep, f):
 
 def non_measurable(rep):
     """The first member that is not measurable, or None."""
-    return next((f for f in rep.tribe.functions if not measurable(rep, f)),
+    return next((f for f in functions(rep) if not measurable(rep, f)),
                 None)
 
 
@@ -1135,7 +1192,7 @@ def sharp_image(rep):
     image = {h_of(rep, chi(rep, A)) for A in _characteristic_sets(rep)}
     sharp = {a for a in M.elements() if meet(M, a, M.comp(a)) == M.zero}
     min_closed = all(tuple(min(v, ONE - v) for v in f) in members(rep)
-                     for f in rep.tribe.functions)
+                     for f in functions(rep))
     return SharpImageReport(image == sharp, non_measurable(rep) is None,
                             min_closed)
 
@@ -1277,8 +1334,6 @@ def x_space_vertices(M):
 
 
 def convex_combination(states, weights):
-    from effecta import State
-
     total = sum(weights, start=ZERO)
     if total != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative and sum to one")
@@ -1293,24 +1348,24 @@ def seeded_mixtures_reference(polytope, count, seed):
     of one ``randint(1, 10)`` per vertex) but combined as Fraction weights
     raw / total through ``convex_combination``."""
     rng = random.Random(seed)
-    k = len(polytope.vertices)
+    states = vertices(polytope)
     out = []
     for _ in range(count):
-        raw = [rng.randint(1, 10) for _ in range(k)]
+        raw = [rng.randint(1, 10) for _ in states]
         total = sum(raw)
         out.append(convex_combination(
-            polytope.vertices, [Fraction(w, total) for w in raw]))
+            states, [Fraction(w, total) for w in raw]))
     return out
 
 
-def doctored_polytope(M, vertices, dimension):
+def doctored_polytope(M, states, dimension):
     """A StatePolytope over the given value vectors (States or sequences of
     rationals), kept in the given order and put over their least common
     denominator: the one way the tests build a polytope that
     ``state_polytope`` would not."""
     from effecta.states import StatePolytope
 
-    rows = [tuple(map(Fraction, getattr(v, "values", v))) for v in vertices]
+    rows = [tuple(map(Fraction, getattr(v, "values", v))) for v in states]
     den = lcm(*(x.denominator for row in rows for x in row))
     numerators = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                        for row in rows)
@@ -1320,12 +1375,12 @@ def doctored_polytope(M, vertices, dimension):
 def vertex_difference_rank(polytope):
     """Rank of the differences v_i - v_0 of the Fraction vertices, by dense
     elimination: the dimension of the polytope read off its vertices."""
-    vertices = polytope.vertices
-    if not vertices:
+    states = vertices(polytope)
+    if not states:
         return -1
-    v0 = vertices[0].values
+    v0 = states[0].values
     return matrix_rank([[a - b for a, b in zip(s.values, v0)]
-                        for s in vertices[1:]])
+                        for s in states[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -1336,7 +1391,7 @@ def spectral_form_value(rep, a, sharp_values):
     """Sum of lambda * m(mass(lambda)) over the spectral support of a,
     computed from the representation's raw data: level sets are read off
     the evaluation vector, their images looked up through h directly."""
-    f = rep.function_of(a)
+    f = function_of(rep, a)
     p = len(rep.carrier)
     total = ZERO
     for lam in sorted({f[i] for i in range(p)}):
@@ -1347,12 +1402,12 @@ def spectral_form_value(rep, a, sharp_values):
 
 def level_set_integral(M, P, values, phi):
     """Per element a, the sum of phi(lambda) * values[b] over the level sets
-    of a's evaluation column on the extremal states P.vertices, where b is
+    of a's evaluation column on the extremal states of P, where b is
     the element whose column is that level set's indicator.
 
     Each b is found by scanning every element's column: no spectral
     measure, no representation and no tribe index is consulted."""
-    columns = [tuple(v.values[a] for v in P.vertices) for a in M.elements()]
+    columns = list(zip(*(v.values for v in vertices(P))))
     table = []
     for col in columns:
         total = ZERO
@@ -1390,16 +1445,16 @@ def sharp_weightings(M, sharp, count, seed):
 
 def smearing_integral(rep, f, m):
     """Sum of f(A) * m(h(chi_A)) over the atoms A of B0, formed afresh on
-    every call: the characteristic function is found by a scan of the
-    member list and mapped through the raw h tuple, with no cache, no
-    sharp observable and no index lookup."""
-    p = len(rep.carrier)
+    every call: the characteristic row is found by a scan of the member
+    rows and mapped through the raw h tuple, with no cache, no sharp
+    observable and no index lookup."""
+    rows, den = rep.evaluation
     total = ZERO
     for A in rep.b0().atoms:
         values = {f[i] for i in A}
         assert len(values) == 1, f"integrand not constant on atom {sorted(A)}"
-        chi = tuple(ONE if i in A else ZERO for i in range(p))
-        total += values.pop() * m.values[rep.h[rep.tribe.functions.index(chi)]]
+        chi = tuple(den if i in A else 0 for i in range(len(rep.carrier)))
+        total += values.pop() * m.values[rep.h[rows.index(chi)]]
     return total
 
 
@@ -1422,7 +1477,7 @@ def smearing_residual_record(M, rep, states, shift=None):
         x = make_observable(M, supports[len(fam)], fam)
         kernel = smear(rep, x)
         for i, m in enumerate(states):
-            for key, f in kernel.functions.items():
+            for key, f in kernel_functions(rep, kernel).items():
                 a = x.element_at(key)
                 residual = (m.values[a] - smearing_integral(rep, f, m)
                             - shift.get((a, m.values), ZERO))
@@ -1494,8 +1549,8 @@ def sharp_kernel(rep):
     if P is None or P.is_empty:
         raise PreconditionFailed("the extension certificate needs the states")
     sharp = sharp_elements(rep.target).members
-    v0 = P.vertices[0].values
-    diffs = [[x - y for x, y in zip(v.values, v0)] for v in P.vertices[1:]]
+    v0, *rest = (v.values for v in vertices(P))
+    diffs = [[x - y for x, y in zip(v, v0)] for v in rest]
     if matrix_rank([[d[b] for b in sharp] for d in diffs]) == P.dimension:
         return None
     # combinations c with sum_i c_i d_i[b] = 0 at every sharp b; one basis
@@ -1549,6 +1604,7 @@ def spectral_uniqueness_probe(rep, a):
     P = rep.polytope
     sharp = [b for b in sharp_elements(M).members if b != M.zero]
     canonical = measure_key(measure_of(rep, a))
+    states = vertices(P)
     found = []
 
     def families(prefix, acc, rest):
@@ -1564,8 +1620,8 @@ def spectral_uniqueness_probe(rep, a):
 
     for fam in families((), M.zero, tuple(sharp)):
         for perm in permutations(fam):
-            rows = [[Fraction(s.values[b]) for b in perm] for s in P.vertices]
-            rhs = [s.values[a] for s in P.vertices]
+            rows = [[s.values[b] for b in perm] for s in states]
+            rhs = [s.values[a] for s in states]
             sol = dense_solve_affine(rows, rhs)
             if sol is None:
                 continue
@@ -1699,8 +1755,6 @@ def fraction_is_state(M, values):
     """Is the value vector a state?  Its length, each value in [0,1], the
     unit at 1, then additivity on every defined sum, in that order, each
     value compared as a Fraction; the first violation is named."""
-    from effecta.states import State
-
     if isinstance(values, State):
         values = values.values
     if len(values) != M.n:
@@ -1746,7 +1800,7 @@ def is_sigma_additive(M, state):
 def seeded_mixtures(polytope, count, seed):
     """The library's seeded mixtures, ``effecta.states.mixture_rows``, read
     as Fraction States."""
-    from effecta.states import State, mixture_rows
+    from effecta.states import mixture_rows
 
     return [State(tuple(Fraction(v, den) for v in row))
             for row, den in mixture_rows(polytope, count, seed)]
@@ -1759,7 +1813,6 @@ def seeded_mixtures_fraction(polytope, count, seed):
     from operator import mul
 
     from effecta.errors import EmptyStateSpace
-    from effecta.states import State
 
     if polytope.is_empty:
         raise EmptyStateSpace("cannot mix vertices of an empty polytope")
@@ -1778,9 +1831,10 @@ def seeded_mixtures_fraction(polytope, count, seed):
 def sample_states(P, seed, mixtures):
     """The states a gated suite evaluates, as Fraction States: the
     vertices, then seeded mixtures; a lone vertex alone."""
-    if len(P.vertices) == 1:
-        return list(P.vertices)
-    return list(P.vertices) + seeded_mixtures_fraction(P, mixtures, seed)
+    states = list(vertices(P))
+    if len(states) == 1:
+        return states
+    return states + seeded_mixtures_fraction(P, mixtures, seed)
 
 
 def _over_common_denominator(values):
@@ -1798,7 +1852,7 @@ def element_integrals_fraction(rep, values):
     w, wden = _over_common_denominator([values[xi(A)] for A in xi.atoms])
     flat = []
     for a in rep.target.elements():
-        f = rep.function_of(a)
+        f = function_of(rep, a)
         for A in xi.atoms:
             if len({f[i] for i in A}) > 1:
                 raise NotMeasurable("integrand", sorted(A))
@@ -1823,7 +1877,7 @@ def spectral_measure_fraction(rep, a):
     from effecta.errors import SpectralObstruction, TheoremViolation
 
     M = rep.target
-    f = rep.function_of(a)
+    f = function_of(rep, a)
     p = len(rep.carrier)
     values = sorted({f[i] for i in range(p)})
     masses = {}
@@ -1897,7 +1951,6 @@ def extend_state_fraction(rep, m, measures=None):
     """The atom formula over Fractions, then the state check, the
     restriction and the spectral form, each raising as the library does."""
     from effecta.errors import TheoremViolation
-    from effecta.states import State
 
     M = rep.target
     vals = validate_sharp_state_fraction(M, m)
@@ -1974,6 +2027,5 @@ def extension_of(rep, m):
     """``effecta.spectral.extension_numerators`` on a rational weighting of
     the sharp elements, as a State."""
     from effecta.spectral import extension_numerators
-    from effecta.states import State
 
     return State(_read(*extension_numerators(rep, *over_one_denominator(m))))

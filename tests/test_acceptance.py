@@ -19,6 +19,7 @@ from effecta.observables import smear, summable_families
 from effecta.representation import canonical_representation
 
 from oracles import (b0_sets, boolean_law_scan, brute_rdp, brute_vertices,
+                     vertices,
                      congruence_failure, extension_of, extension_uniqueness,
                      integral_table, irregular_member, level_table,
                      make_representation, measurable, measure_of,
@@ -74,7 +75,7 @@ def rep_of(name, M):
 
 def mixed_states_of(name, M, count, seed):
     P = polytope_of(name, M)
-    return list(P.vertices) + seeded_mixtures(P, count, seed)
+    return list(vertices(P)) + seeded_mixtures(P, count, seed)
 
 
 @contextmanager
@@ -160,14 +161,14 @@ def test_criterion_4_state_polytopes():
                 continue
             P = polytope_of(name, M)
             rows, rhs = raw_state_system(M)
-            assert sorted(s.values for s in P.vertices) == \
+            assert sorted(s.values for s in vertices(P)) == \
                 brute_vertices(rows, rhs, M.n)
             confirmed += 1
         assert confirmed >= 15
 
         C = dict(rdp_instances())["chain3"]
         P = polytope_of("chain3", C)
-        assert [s.values for s in P.vertices] == [(Z, F(1, 3), F(2, 3), O)]
+        assert [s.values for s in vertices(P)] == [(Z, F(1, 3), F(2, 3), O)]
 
 
 def test_criterion_5_representation_characterizations():
@@ -225,7 +226,7 @@ def test_criterion_7_spectral_measures():
 
         C = dict(rdp_instances())["chain3"]
         rep = rep_of("chain3", C)
-        vertex = rep.polytope.vertices[0]
+        vertex = vertices(rep.polytope)[0]
         squared = level_table(rep, vertex.values, lambda v: v * v)
         keys = set()
         for a in C.elements():
@@ -251,7 +252,7 @@ def test_criterion_8_unique_state_extension():
                 assert ext.values == report.extension.values == m.values
             if M.n <= 20:
                 # third route: level-set summation straight off the vertices
-                values = {b: polytope_of(name, M).vertices[0].values[b]
+                values = {b: vertices(polytope_of(name, M))[0].values[b]
                           for b in sharp}
                 direct = extension_of(rep, values)
                 for a in M.elements():

@@ -26,7 +26,6 @@ from effecta.report import render_jsonl
 from effecta.representation import Representation, canonical_representation
 from effecta.serialize import algebra_to_obj
 from effecta.spectral import _level_plan, extension_numerators, level_integrals
-from effecta.states import State
 from effecta.suites import (SUITE_NAMES, check_document, run_extension,
                             run_smearing, run_spectral)
 
@@ -103,8 +102,8 @@ def test_the_integer_cores_match_the_fraction_route():
                                                        phi)) == level, name
                 tables += 1
             # the extension suite's states: the vertices, three mixtures
-            for (row, den), m in list(zip(samples, states))[:len(P.vertices)
-                                                            + 3]:
+            for (row, den), m in list(zip(samples, states))[
+                    :len(P.numerators) + 3]:
                 restricted = {b: m.values[b] for b in sharp}
                 ext = oracles.extend_state_fraction(rep, restricted, measures)
                 assert ext == m, name
@@ -154,7 +153,7 @@ def test_the_extension_core_is_the_atom_formula_on_any_weighting():
             bad = next((b for b in restricted if atom[b] != restricted[b]),
                        None)
             if bad is None:
-                assert outcome == ("value", State(atom)), name
+                assert outcome == ("value", oracles.State(atom)), name
                 extended += 1
                 continue
             assert outcome[:3] == (
@@ -162,13 +161,13 @@ def test_the_extension_core_is_the_atom_formula_on_any_weighting():
                 f"extension restricts to {atom[bad]} at {M.label(bad)}, "
                 f"expected {Fraction(restricted[bad])}"), name
             refused += 1
-        vertices = rep.polytope.vertices
+        vertices = oracles.vertices(rep.polytope)
         if len(vertices) < 2:
             continue
         combo = tuple(2 * u - v for u, v in zip(vertices[0].values,
                                                  vertices[1].values))
         ext = oracles.extension_of(rep, {b: combo[b] for b in sharp})
-        assert ext == State(combo), name
+        assert ext == oracles.State(combo), name
         not_states += not oracles.fraction_is_state(M, combo).ok
         extended += 1
     assert refused > 4 * len(rdp_zoo()) // 2
@@ -178,10 +177,11 @@ def test_the_extension_core_is_the_atom_formula_on_any_weighting():
 
 def test_a_representation_built_by_hand_needs_no_polytope():
     """On the two-point tribe over the three-chain, with no polytope, the
-    integer evaluation is read off the functions: both routes fail the
-    middle layer's integrand and its level sets alike.  A carrier extended
-    by a null point keeps the canonical polytope but not its tribe, and
-    both routes agree there on every table, measure and extension."""
+    integer rows are its functions over their common denominator: both
+    routes fail the middle layer's integrand and its level sets alike.  A
+    carrier extended by a null point keeps the canonical polytope but not
+    its rows, and both routes agree there on every table, measure and
+    extension."""
     C = chain(3)
     rep = oracles.make_representation(two_point_tribe(), C, (0, 1, 2, 3))
     assert rep.polytope is None
@@ -203,7 +203,7 @@ def test_a_representation_built_by_hand_needs_no_polytope():
         for a in M.elements():
             assert (oracles.measure_of(ext, a)
                     == oracles.spectral_measure_fraction(ext, a))
-        for m in base.polytope.vertices:
+        for m in oracles.vertices(base.polytope):
             assert (oracles.integral_table(ext, m.values)
                     == oracles.element_integrals_fraction(ext, m.values))
             assert (oracles.level_table(ext, m.values, _square)
@@ -224,11 +224,12 @@ def _raised_last_vertex(M):
     P = rep.polytope
     sharp = sharp_elements(M).members
     a = next(a for a in M.elements() if a not in sharp)
-    last = list(P.vertices[-1].values)
+    *vertices, last = oracles.vertices(P)
+    last = list(last.values)
     last[a] += Fraction(1, 12)
-    doctored = oracles.doctored_polytope(M, [*P.vertices[:-1], last],
-                                         P.dimension)
-    return Representation(rep.tribe, M, rep.h, polytope=doctored)
+    doctored = oracles.doctored_polytope(M, [*vertices, last], P.dimension)
+    return Representation(rep.carrier, rep.evaluation, M, rep.h,
+                          polytope=doctored)
 
 
 def _swapped_measure(M, a):

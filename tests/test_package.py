@@ -1,9 +1,10 @@
 """The package's export list names only what the package has, every error
 class is raised somewhere in the package, every public function and class
 of a layer is read by package code, no module holds a float or keeps
-a value on another object, importing the command line stays light, and
-each command loads only the layers it reaches; the elimination and vertex
-layers import no ``fractions``."""
+a value on another object or through a ``functools`` cache, importing the
+command line stays light, and each command loads only the layers it
+reaches; the elimination, vertex, state and representation layers import
+no ``fractions``."""
 
 import ast
 import os
@@ -73,12 +74,16 @@ def test_the_package_has_no_float():
     assert found == []
 
 
+FUNCTOOLS_CACHES = {"cached_property", "cache", "lru_cache"}
+
+
 def test_no_layer_keeps_values_on_another_object():
     """A value computed once per object is kept by ``algebra.once`` in that
     object's ``_memo``: no module assigns, deletes or ``setattr``s a
-    ``_``-prefixed attribute of any object but ``self``, and the algebra's
-    slots hold no cache but ``_memo``.  ``once`` keys a value by its
-    function's name, so no two kept functions share one."""
+    ``_``-prefixed attribute of any object but ``self``, none names
+    ``functools``' ``cached_property``, ``cache`` or ``lru_cache``, and the
+    algebra's slots hold no cache but ``_memo``.  ``once`` keys a value by
+    its function's name, so no two kept functions share one."""
     found, kept = [], []
     for path in sorted(Path(effecta.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -93,7 +98,11 @@ def test_no_layer_keeps_values_on_another_object():
                              and node.value.id == "self")
                     or isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
-                    and node.func.id == "setattr"):
+                    and node.func.id == "setattr"
+                    or isinstance(node, ast.Name)
+                    and node.id in FUNCTOOLS_CACHES
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in FUNCTOOLS_CACHES):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert len(kept) == len(set(kept)) > 0
@@ -102,10 +111,12 @@ def test_no_layer_keeps_values_on_another_object():
         "_memo"}
 
 
-@pytest.mark.parametrize("module", ["linalg", "polytope"])
+@pytest.mark.parametrize("module", ["linalg", "polytope", "states",
+                                    "representation"])
 def test_the_elimination_and_vertex_layers_import_no_fraction(module):
-    """The state equations and the polytope's cuts and vertices are
-    integers: ``linalg`` and ``polytope`` import nothing from
+    """The state equations, the polytope's cuts and vertices, the extremal
+    states and the representation's member rows are integers: ``linalg``,
+    ``polytope``, ``states`` and ``representation`` import nothing from
     ``fractions``."""
     path = Path(effecta.__file__).parent / f"{module}.py"
     found = []

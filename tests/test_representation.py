@@ -27,22 +27,24 @@ from fractions import Fraction
 
 import pytest
 
-from effecta import (EffectTribe, Representation, canonical_representation,
-                     generate, sharp_elements)
+from effecta import (Representation, canonical_representation, generate,
+                     sharp_elements)
 from effecta.errors import PreconditionFailed, RdpRequired, TheoremViolation
 from effecta.observables import atom_integrals
 from effecta.representation import _evaluation_representation
 from effecta.spectral import levels
 from effecta.states import inseparable_pair, state_polytope
 
-from oracles import (RepresentationViolation, TribeAxiomViolation,
-                     b0_sets, b0_sigma_law_failure, chi, congruence_failure,
-                     doctored_polytope, extend_carrier_with_null_point, h_of,
+from oracles import (EffectTribe, RepresentationViolation,
+                     TribeAxiomViolation, b0_sets, b0_sigma_law_failure, chi,
+                     congruence_failure, doctored_polytope,
+                     extend_carrier_with_null_point, functions, h_of,
                      irregular_member, make_representation, measurable,
-                     negligible_ideal, non_measurable, sandwich, sharp_image,
-                     sharp_observable_failure, spectral_injectivity, support,
+                     negligible_ideal, non_measurable, representation_of,
+                     sandwich, sharp_image, sharp_observable_failure,
+                     spectral_injectivity, support, tribe_of,
                      tribe_to_algebra, validate_tribe,
-                     validated_representation)
+                     validated_representation, vertices)
 from zoo_instances import (boolean, chain, diamond, generated_products,
                            interval, mo2, non_sigma_tribe, product_of,
                            rdp_zoo, two_point_tribe)
@@ -105,24 +107,24 @@ def test_canonical_representation_of_boolean2():
     B = boolean(2)
     rep = canonical_representation(B)
     assert rep.carrier == ("s0", "s1")
-    assert rep.tribe.functions == ((Z, Z), (Z, O), (O, Z), (O, O))
+    assert functions(rep) == ((Z, Z), (Z, O), (O, Z), (O, O))
     assert rep.h == (0, 1, 2, 3)            # evaluation is bijective here
     b0 = rep.b0()
     assert b0_sets(rep) == (frozenset(), frozenset({0}), frozenset({1}),
                        frozenset({0, 1}))
     assert b0.atoms == (frozenset({0}), frozenset({1}))
-    assert all(measurable(rep, f) for f in rep.tribe.functions)
+    assert all(measurable(rep, f) for f in functions(rep))
 
 
 def test_canonical_representation_of_chain3_has_one_point():
     rep = canonical_representation(chain(3))
     assert rep.carrier == ("s0",)
-    assert rep.tribe.functions == ((Z,), (F(1, 3),), (F(2, 3),), (O,))
+    assert functions(rep) == ((Z,), (F(1, 3),), (F(2, 3),), (O,))
     assert rep.h == (0, 1, 2, 3)
     b0 = rep.b0()
     assert b0_sets(rep) == (frozenset(), frozenset({0}))
     assert b0.atoms == (frozenset({0}),)
-    assert all(measurable(rep, f) for f in rep.tribe.functions)
+    assert all(measurable(rep, f) for f in functions(rep))
 
 
 def test_canonical_representation_gates():
@@ -136,9 +138,9 @@ def test_canonical_representation_gates():
 
     # past the gate, the order check rejects a vertex list that cannot tell
     # two elements apart, and an empty one
-    for vertices, dimension, below in (([(Z, O, O)], 0, "1"), ([], -1, "0")):
+    for rows, dimension, below in (([(Z, O, O)], 0, "1"), ([], -1, "0")):
         M = chain(2)
-        M._memo["state_polytope",] = doctored_polytope(M, vertices, dimension)
+        M._memo["state_polytope",] = doctored_polytope(M, rows, dimension)
         with pytest.raises(TheoremViolation) as err:
             canonical_representation(M)
         assert str(err.value).endswith(f"order below {below}")
@@ -154,16 +156,21 @@ def _generated_rdp_algebras():
 
 
 def test_the_evaluation_build_matches_the_validated_route():
-    """Tribe, h and polytope of the certified build equal those of the
+    """Members, h and polytope of the certified build equal those of the
     evaluation vectors run through validate_tribe and make_representation
-    on a polytope computed apart."""
+    on a polytope computed apart, the members read as Fractions.  The
+    certified rows are the columns of the polytope's numerators in h
+    order, over its denominator."""
     for name, M in _generated_rdp_algebras():
         rep = canonical_representation(M)
         P = state_polytope(M)
         ref = validated_representation(M, P)
-        assert rep.tribe == ref.tribe, name
+        assert tribe_of(rep) == tribe_of(ref), name
         assert rep.h == ref.h, name
-        assert rep.polytope.vertices == P.vertices, name
+        columns = list(zip(*P.numerators))
+        assert rep.evaluation == (tuple(columns[a] for a in rep.h),
+                                  P.den), name
+        assert vertices(rep.polytope) == vertices(P), name
         assert rep.polytope.dimension == P.dimension, name
 
 
@@ -197,14 +204,14 @@ def test_the_order_certificate_fails_exactly_where_validation_does(name):
             "algebra's order below h0:1")
     else:
         rep = _evaluation_representation(M, P)
-        assert (rep.tribe, rep.h) == (ref.tribe, ref.h)
+        assert (tribe_of(rep), rep.h) == (tribe_of(ref), ref.h)
     assert (ref is None) == (name == "chain2+chain3")
 
 
 def test_make_representation_structural_checks():
     B = boolean(2)
     rep = canonical_representation(B)
-    tribe, h = rep.tribe, rep.h
+    tribe, h = tribe_of(rep), rep.h
     with pytest.raises(RepresentationViolation):
         make_representation(tribe, B, h[:-1])
     with pytest.raises(RepresentationViolation):        # constant map, not onto
@@ -213,7 +220,7 @@ def test_make_representation_structural_checks():
     C = chain(3)
     crep = canonical_representation(C)
     with pytest.raises(RepresentationViolation):        # sum not preserved
-        make_representation(crep.tribe, C, (0, 2, 1, 3))
+        make_representation(tribe_of(crep), C, (0, 2, 1, 3))
 
 
 def test_negligible_ideal_structural_checks():
@@ -297,15 +304,16 @@ def test_the_certificate_proves_b0_xi_and_the_sharp_image():
     rep = canonical_representation(boolean(2))
     M = rep.target
     swap = {M.zero: M.one, M.one: M.zero}
-    doctored = Representation(rep.tribe, M, [swap.get(a, a) for a in rep.h])
+    doctored = Representation(rep.carrier, rep.evaluation, M,
+                              [swap.get(a, a) for a in rep.h])
     assert sharp_observable_failure(doctored) == "not additive at [], []"
 
 
 @pytest.mark.parametrize("use", [
-    lambda rep: rep.function_of(1),
+    lambda rep: rep.row_of(1),
     lambda rep: atom_integrals(rep, {0: 0, 2: 1}, 1),
     lambda rep: levels(rep, 1),
-], ids=["function_of", "atom_integrals", "levels"])
+], ids=["row_of", "atom_integrals", "levels"])
 def test_a_representation_that_is_not_onto_is_refused_when_built(use):
     """h must reach every element of the target; the constructor names the
     first it misses, so no lookup later fails on a missing preimage."""
@@ -313,12 +321,12 @@ def test_a_representation_that_is_not_onto_is_refused_when_built(use):
     tribe = EffectTribe(("p",), ((Z,), (O,)))
     with pytest.raises(PreconditionFailed,
                        match="^element 1 has no preimage$"):
-        use(Representation(tribe, M, (M.zero, M.one)))
+        use(representation_of(tribe, M, (M.zero, M.one)))
 
 
 def test_b0_lists_a_repeated_function_once_with_xi_at_its_first_member():
     tribe = EffectTribe(("p",), ((Z,), (Z,), (O,)))
-    rep = Representation(tribe, chain(2), (0, 1, 2))
+    rep = representation_of(tribe, chain(2), (0, 1, 2))
     b0 = rep.b0()
     assert b0_sets(rep) == (frozenset(), frozenset({0}))
     assert b0.xi == {frozenset(): 0, frozenset({0}): 2}
@@ -347,7 +355,7 @@ def test_measurable_agrees_with_a_direct_atom_scan():
     cases = _lookup_cases()
     for rep in cases:
         atoms = rep.b0().atoms
-        for f in rep.tribe.functions:
+        for f in functions(rep):
             direct = all(len({f[i] for i in A}) == 1 for A in atoms)
             assert measurable(rep, f) == direct
         with pytest.raises(PreconditionFailed):
@@ -359,7 +367,7 @@ def test_sharp_functions_match_the_pointwise_definition():
     """B0 is the family of sets whose characteristic function is a sharp
     member: no nonzero member lies below both it and its complement."""
     for rep in _lookup_cases():
-        fns = rep.tribe.functions
+        fns = functions(rep)
         below_both = {f for f in fns for g in fns if any(g)
                       and all(x <= y for x, y in zip(g, f))
                       and all(x <= O - y for x, y in zip(g, f))}
@@ -397,7 +405,7 @@ def test_null_point_extension_outside_omega0():
     rep = canonical_representation(boolean(2))
     ext = extend_carrier_with_null_point(rep, "null")
     assert ext.carrier == ("s0", "s1", "null")
-    assert len(ext.tribe.functions) == 12           # 4 members x 3 grid values
+    assert len(functions(ext)) == 12           # 4 members x 3 grid values
     # the null point stays outside omega0
     assert irregular_member(ext, {0, 1}) is None
     assert congruence_failure(ext, {0, 1}, {frozenset()}) is None
@@ -430,12 +438,12 @@ def test_null_point_extension_matches_the_validated_construction():
             continue
         rep = canonical_representation(M)
         ext = extend_carrier_with_null_point(rep, "null")
-        fanned = {f + (v,): a for f, a in zip(rep.tribe.functions, rep.h)
+        fanned = {f + (v,): a for f, a in zip(functions(rep), rep.h)
                   for v in (Z, HALF, O)}
         tribe = validate_tribe(rep.carrier + ("null",), fanned)
         ref = make_representation(tribe, M, [fanned[f] for f in tribe.functions],
                                   polytope=rep.polytope)
-        assert ext.tribe == ref.tribe, name
+        assert tribe_of(ext) == tribe_of(ref), name
         assert ext.h == ref.h, name
         assert (ext.target, ext.polytope) == (ref.target, ref.polytope), name
 

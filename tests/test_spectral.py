@@ -20,7 +20,7 @@ from effecta.states import state_polytope
 from effecta.suites import run_extension, run_spectral
 from oracles import (NotAStateOnSharp, extension_of, level_table, measure_of,
                      seeded_mixtures, sharp_kernel, sharp_table,
-                     validate_sharp_state_fraction)
+                     validate_sharp_state_fraction, vertices)
 
 from zoo_instances import boolean, chain, generated_products, interval, rdp_zoo
 
@@ -60,7 +60,7 @@ def test_integral_reproduces_every_state_value():
     for M in (chain(3), boolean(2)):
         rep = canonical_representation(M)
         P = state_polytope(M)
-        for m in P.vertices:
+        for m in vertices(P):
             assert level_table(rep, m.values) == m.values
 
 
@@ -151,7 +151,7 @@ def identity(v):
 
 def test_identity_transform_changes_nothing():
     rep = canonical_representation(chain(3))
-    m = rep.polytope.vertices[0]
+    m = vertices(rep.polytope)[0]
     assert level_table(rep, m.values, identity) == m.values
     assert level_table(rep, m.values) == m.values
     # a mapping over the sharp elements alone gives the same table
@@ -160,7 +160,7 @@ def test_identity_transform_changes_nothing():
 
 def test_square_transform_breaks_the_integral_law():
     rep = canonical_representation(chain(3))
-    m = rep.polytope.vertices[0]
+    m = vertices(rep.polytope)[0]
     table = level_table(rep, m.values, square)
     # still injective across the whole algebra ...
     keys = {_squared_key(measure_of(rep, a)) for a in range(4)}
@@ -183,7 +183,7 @@ def test_integral_tables_match_the_level_set_oracle():
         P = state_polytope(M)
         rep = canonical_representation(M)
         sharp = sharp_elements(M).members
-        states = list(P.vertices)
+        states = list(vertices(P))
         for seed in (0, 1):
             states += seeded_mixtures(P, 10, seed)
         for m in states:
@@ -278,10 +278,11 @@ def test_rank_deficit_yields_a_kernel_witness():
     rep = canonical_representation(C)
     # only 0 and 1 are sharp; a second vertex that agrees with the true
     # state there leaves the sharp values unable to fix the state
-    v0 = rep.polytope.vertices[0].values
+    v0 = vertices(rep.polytope)[0].values
     v1 = (Z, F(1, 2), F(1, 2), O)
     doctored = oracles.doctored_polytope(C, [v0, v1], 1)
-    fake = Representation(rep.tribe, C, rep.h, polytope=doctored)
+    fake = Representation(rep.carrier, rep.evaluation, C, rep.h,
+                          polytope=doctored)
     report = oracles.extension_uniqueness(fake, {0: Z, 3: O})
     assert report.unique is False
     assert report.kernel == (Z, F(1, 6), F(-1, 6), Z)
@@ -308,12 +309,12 @@ def _doctored(M):
     P = rep.polytope
     sharp = sharp_elements(M).members
     a = next(a for a in M.elements() if a not in sharp)
-    last = list(P.vertices[-1].values)
+    *kept, last = vertices(P)
+    last = list(last.values)
     last[a] += F(1, 12)
-    vertices = [*P.vertices[:-1], last]
     return Representation(
-        rep.tribe, M, rep.h,
-        polytope=oracles.doctored_polytope(M, vertices, P.dimension))
+        rep.carrier, rep.evaluation, M, rep.h,
+        polytope=oracles.doctored_polytope(M, [*kept, last], P.dimension))
 
 
 DOCTORED = {
@@ -370,7 +371,7 @@ def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
             *oracles.raw_state_system(M))
         sharp = sharp_elements(M).members
         pins = [[O if i == b else Z for i in M.elements()] for b in sharp]
-        for m in list(P.vertices) + seeded_mixtures(P, 3, seed=1):
+        for m in list(vertices(P)) + seeded_mixtures(P, 3, seed=1):
             bounds = oracles.coordinate_bounds(
                 x0, directions, pins, [m.values[b] for b in sharp])
             ext = oracles.extension_uniqueness(

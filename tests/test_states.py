@@ -12,16 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effecta import State, generate, state_polytope
+from effecta import generate, state_polytope
 from effecta.errors import EmptyStateSpace, SizeLimitExceeded
 from effecta.algebra import atom_coordinates
 from effecta.states import inseparable_pair
 
-from oracles import (brute_vertices, convex_combination, doctored_polytope,
-                     fraction_is_state, is_sigma_additive, matrix_rank,
-                     raw_state_system, seeded_mixtures,
-                     seeded_mixtures_reference,
-                     vertex_difference_rank, x_space_vertices)
+from oracles import (State, brute_vertices, convex_combination,
+                     doctored_polytope, fraction_is_state, is_sigma_additive,
+                     matrix_rank, raw_state_system, seeded_mixtures,
+                     seeded_mixtures_reference, vertex_difference_rank,
+                     vertices, x_space_vertices)
 from zoo_instances import (boolean, chain, diamond, grid_pasting, interval,
                            mo2, mo3, non_rdp_zoo, product_of, rdp_zoo)
 
@@ -31,7 +31,7 @@ O = F(1)
 
 
 def values_of(polytope):
-    return tuple(s.values for s in polytope.vertices)
+    return tuple(s.values for s in vertices(polytope))
 
 
 def test_chain3_has_exactly_one_state():
@@ -58,9 +58,9 @@ def test_frozen_vertex_tables():
 
 def test_mo3_vertex_count_and_dimension():
     P = state_polytope(mo3())
-    assert len(P.vertices) == 8
+    assert len(vertices(P)) == 8
     assert P.dimension == 3
-    assert all(fraction_is_state(P.algebra, s).ok for s in P.vertices)
+    assert all(fraction_is_state(P.algebra, s).ok for s in vertices(P))
 
 
 @pytest.mark.parametrize("make", [
@@ -130,8 +130,8 @@ def test_a_product_of_chains_has_the_coordinate_simplex(make):
     P = state_polytope(M)
     atoms, m = atom_coordinates(M)
     k = len(atoms)
-    assert all(fraction_is_state(M, s).ok for s in P.vertices)
-    assert sorted(tuple(s.values[a] for a in atoms) for s in P.vertices) == \
+    assert all(fraction_is_state(M, s).ok for s in vertices(P))
+    assert sorted(tuple(s.values[a] for a in atoms) for s in vertices(P)) == \
         sorted(tuple(F(1, m[M.one][i]) if j == i else Z for j in range(k))
                for i in range(k))
     assert P.dimension == k - 1
@@ -140,8 +140,9 @@ def test_a_product_of_chains_has_the_coordinate_simplex(make):
 def test_inseparable_pair_is_the_first_pair_valued_alike():
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
+        states = vertices(P)
         alike = [(a, b) for b in M.elements() for a in range(b)
-                 if all(s.values[a] == s.values[b] for s in P.vertices)]
+                 if all(s.values[a] == s.values[b] for s in states)]
         assert inseparable_pair(P) == next(iter(alike), None), name
 
 
@@ -172,11 +173,11 @@ def test_the_state_reference_names_each_violation_kind():
 
 def test_evaluate_and_separating():
     P = state_polytope(chain(3))
-    assert [s.values[1] for s in P.vertices] == [F(1, 3)]
+    assert [s.values[1] for s in vertices(P)] == [F(1, 3)]
     assert inseparable_pair(P) is None
 
     Q = state_polytope(boolean(2))
-    assert [s.values[1] for s in Q.vertices] == [Z, O]
+    assert [s.values[1] for s in vertices(Q)] == [Z, O]
     assert inseparable_pair(Q) is None
 
 
@@ -188,7 +189,8 @@ def test_diamond_states_do_not_separate():
     a, b = inseparable_pair(P)
     assert (a, b) == (2, 3)
     assert M.label(a) != M.label(b)
-    assert [s.values[a] for s in P.vertices] == [s.values[b] for s in P.vertices]
+    assert [s.values[a] for s in vertices(P)] == [s.values[b]
+                                                  for s in vertices(P)]
 
 
 def test_empty_polytope_gates():
@@ -265,14 +267,15 @@ def test_the_grid_pasting_has_elements_every_state_values_0_or_1():
     dimension 4."""
     M = grid_pasting()
     P = state_polytope(M)
+    states = vertices(P)
     constant = {M.label(a) for a in M.elements()
-                if len({s.values[a] for s in P.vertices}) == 1
-                and P.vertices[0].values[a] in (Z, O)}
+                if len({s.values[a] for s in states}) == 1
+                and states[0].values[a] in (Z, O)}
     assert constant == {"0", "1", "x0", "x1", "x2", "g00+g10+g20",
                         "g01+g11+g21", "g02+g12+g22"}
     grid = [[M.index(f"g{i}{j}") for j in range(3)] for i in range(3)]
     permutations = [tuple(tuple(s.values[g] for g in row) for row in grid)
-                    for s in P.vertices]
+                    for s in states]
     assert len(set(permutations)) == 6
     assert all(sorted(map(sorted, (*p, *zip(*p)))) == [[Z, Z, O]] * 6
                for p in permutations)
@@ -299,14 +302,14 @@ def test_mixtures_of_boolean2_vertices_are_states(raw):
     P = state_polytope(M)
     total = sum(raw)
     weights = [F(w, total) for w in raw]
-    mix = convex_combination(P.vertices, weights)
+    mix = convex_combination(vertices(P), weights)
     assert fraction_is_state(M, mix).ok
 
 
 def test_sigma_additivity_on_a_finite_carrier():
     M = boolean(2)
     P = state_polytope(M)
-    assert all(is_sigma_additive(M, s) for s in P.vertices)
+    assert all(is_sigma_additive(M, s) for s in vertices(P))
     assert not is_sigma_additive(M, State((Z, O, O, O)))
     assert not fraction_is_state(M, State((Z, O, O, O))).ok
 
@@ -319,7 +322,7 @@ def test_sigma_additivity_is_state_validity():
     checked = 0
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
-        states = (list(P.vertices) + seeded_mixtures(P, 10, seed=0)
+        states = (list(vertices(P)) + seeded_mixtures(P, 10, seed=0)
                   + seeded_mixtures(P, 10, seed=3))
         for s in states:
             assert fraction_is_state(M, s).ok, name

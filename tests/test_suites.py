@@ -16,7 +16,7 @@ from effecta.linalg import over_common_denominator
 from effecta.representation import Representation, canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
-from effecta.states import State, StatePolytope, state_polytope
+from effecta.states import StatePolytope, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
 import oracles
@@ -169,19 +169,19 @@ def test_sample_states_lists_a_lone_vertex_once():
     route's states, and each seed is drawn once, with its own draw."""
     for name, M in rdp_zoo() + non_rdp_zoo():
         P = state_polytope(M)
+        vertices = list(oracles.vertices(P))
         for seed in (0, 3):
-            got = [State(tuple(Fraction(v, den) for v in row))
+            got = [oracles.State(tuple(Fraction(v, den) for v in row))
                    for row, den in P.samples(seed)]
-            if len(P.vertices) == 1:
-                assert got == list(P.vertices), name
+            if len(vertices) == 1:
+                assert got == vertices, name
             else:
-                assert got == (list(P.vertices)
-                               + seeded_mixtures(P, 10, seed)), name
+                assert got == vertices + seeded_mixtures(P, 10, seed), name
             assert got == oracles.sample_states(P, seed, 10), name
-            assert (got[:len(P.vertices) + 3]
+            assert (got[:len(vertices) + 3]
                     == oracles.sample_states(P, seed, 3)), name
             assert P.samples(seed) is P.samples(seed), name
-        assert (P.samples(0) != P.samples(3)) == (len(P.vertices) > 1), name
+        assert (P.samples(0) != P.samples(3)) == (len(vertices) > 1), name
 
 
 def test_malformed_document_raises():
@@ -450,7 +450,7 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
     assert first[early] < first[late]
     # a lone vertex is the only test state, so every doctoring lands on it
     last = len(states) - 1
-    mixture = min(len(rep.polytope.vertices) + 3, last)
+    mixture = min(len(rep.polytope.numerators) + 3, last)
     second = min(1, last)
     seventh = Fraction(1, 7)
     doctorings = [
@@ -560,9 +560,10 @@ def test_the_dropped_records_hold_on_every_zoo_instance_past_the_gate():
 
         # squeezed between 0 and 1, or between cf and cf, the sandwich of c
         # is c's function cf; the oracle asserts that it maps to c
-        zero_fn, one_fn = rep.function_of(M.zero), rep.function_of(M.one)
+        zero_fn = oracles.function_of(rep, M.zero)
+        one_fn = oracles.function_of(rep, M.one)
         for c in M.elements():
-            cf = rep.function_of(c)
+            cf = oracles.function_of(rep, c)
             assert oracles.sandwich(rep, zero_fn, one_fn, c) == cf, (name, c)
             assert oracles.sandwich(rep, cf, cf, c) == cf, (name, c)
 
@@ -584,7 +585,8 @@ def test_the_dropped_records_hold_on_every_zoo_instance_past_the_gate():
             # each kernel function has value 0 at the null point; move it
             # to 1/2 or 1, by turns
             alts = {key: f[:-1] + ((half, Fraction(1))[i % 2],)
-                    for i, (key, f) in enumerate(kernel.functions.items())}
+                    for i, (key, f) in enumerate(
+                        oracles.kernel_functions(ext, kernel).items())}
             for m in states:
                 assert oracles.kernel_independence_check(
                     ext, kernel, m, alts), name
