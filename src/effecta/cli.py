@@ -84,7 +84,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
     """As in ``check``: an invalid table is one FAIL with its witness, and
     a library error other than a size cap or the representation gate is
     one ``error`` FAIL."""
-    from .observables import atom_integrals, smear
+    from .observables import sample_tables, smear
     from .representation import canonical_representation
     from .suites import INVALID_ALGEBRA, witness_of
     try:
@@ -98,8 +98,8 @@ def _smear_records(doc, observable, instance: str, seed: int,
         kernel = smear(rep, x)
         states = rep.polytope.samples(seed)
         first_bad = None
-        for i, (row, den) in enumerate(states):
-            table, tden = atom_integrals(rep, row, den)
+        for i, ((row, den), (table, tden)) in enumerate(
+                zip(states, sample_tables(rep, seed))):
             key = next((k for k, a in kernel.elements.items()
                         if row[a] * tden != table[a] * den), None)
             if key is not None:

@@ -60,7 +60,11 @@ def make_observable(M: EffectAlgebra, support: Sequence, values: Sequence) -> Ob
     if len(support) != len(values) or not support:
         raise PreconditionFailed("support and values must align and be non-empty")
     pts = [Fraction(t) for t in support]
-    ids = [M.index(v) if isinstance(v, str) else int(v) for v in values]
+    try:
+        ids = [M.index(v) if isinstance(v, str) else int(v) for v in values]
+    except KeyError as exc:
+        raise PreconditionFailed(
+            f"unknown element label {exc.args[0]!r}") from None
     pairs = sorted(zip(pts, ids))
     pts = [t for t, _ in pairs]
     ids = [a for _, a in pairs]
@@ -142,6 +146,19 @@ def atom_integrals(rep: Representation, values: Sequence | Mapping,
     masses, rows, pden = _atom_plan(rep)
     w = [values[b] for b in masses]
     return [sum(map(mul, row, w)) for row in rows], pden * den
+
+
+@once
+def sample_tables(rep: Representation,
+                  seed: int) -> list[tuple[list[int], int]]:
+    """``atom_integrals`` of each state of ``rep.polytope.samples(seed)``,
+    one table per state, which the smearing and extension suites and
+    ``effecta smear`` share.  A state's table is also the extension of its
+    restriction to the sharp elements: ``_atom_plan`` reads a state only at
+    xi of the atoms of B0, which on the canonical representation are the
+    sharp corners (see ``compute_b0``)."""
+    return [atom_integrals(rep, row, den)
+            for row, den in rep.polytope.samples(seed)]
 
 
 @once

@@ -1,5 +1,4 @@
-"""Spectral measures of algebra elements, and unique state extension from
-the sharp elements.
+"""Spectral measures of algebra elements.
 
 The spectral measure of an element a collects, for each value lambda that
 the evaluation of a attains, the sharp element whose characteristic set is
@@ -12,30 +11,19 @@ the lambdas as integers over one denominator.  Callers compare the table
 with the state, so the law is checked exactly wherever used, never assumed.
 A measure determines its element: its levels and their sets give back
 the evaluation, and h is one-to-one on the canonical representation.
-Every table and extension is integer numerators over one denominator,
-taken and returned as such; a Fraction is built only for a transform's
-lambdas and for a message.
-
-That the extension is unique is a theorem of the product-of-chains
-certificate, not a check: on prod C_{h_i} with k factors a state is fixed
-by its k atom values, and the top of each factor is sharp with h_i times
-its factor's atom value, so the sharp columns of the vertex differences
-have rank k - 1, the polytope's dimension.  ``oracles.sharp_kernel`` in the
-tests keeps that rank check.  That the extension of a restricted state is
-a state is not checked either: past the certificate the atom formula is
-the smearing identity, so the extension gives the state back, and a
-caller that compares the two has checked it.
+Every table is integer numerators over one denominator, taken and returned
+as such; a Fraction is built only for a transform's lambdas and for a
+message.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .algebra import iterated_sum, once
 from .errors import SpectralObstruction, TheoremViolation
 from .linalg import over_common_denominator
-from .observables import atom_integrals
 from .representation import Representation
 
 
@@ -81,33 +69,3 @@ def _level_plan(rep: Representation) -> tuple:
     lvs = tuple(levels(rep, a) for a in rep.target.elements())
     return (lvs, tuple(dict.fromkeys(lam for lv in lvs for lam, _ in lv)),
             tuple(dict.fromkeys(b for lv in lvs for _, b in lv)))
-
-
-# ---------------------------------------------------------------------------
-# state extension from the sharp elements
-
-
-def extension_numerators(rep: Representation, m: Mapping,
-                         den: int) -> tuple[list[int], int]:
-    """The full state extending a state m on the sharp elements, given as
-    integer numerators over ``den``, as numerators over one denominator, by
-    the atom formula: the value at a is the integral of the evaluation of a
-    against A -> m(xi(A)) on the atoms of B0.  The restriction and the
-    spectral form are checked on it, not that it is a state: a caller
-    restricts a state, and the extension is one whenever it gives that
-    state back, which the extension suite compares."""
-    M = rep.target
-    ext, eden = atom_integrals(rep, m, den)
-    for bb, v in m.items():
-        if ext[bb] * den != v * eden:
-            raise TheoremViolation(
-                f"extension restricts to {Fraction(ext[bb], eden)} at "
-                f"{M.label(bb)}, expected {Fraction(v, den)}")
-    spectral_form, sden = level_integrals(rep, m, den)
-    for a in M.elements():
-        if spectral_form[a] * eden != ext[a] * sden:
-            raise TheoremViolation(
-                f"atom form {Fraction(ext[a], eden)} and spectral form "
-                f"{Fraction(spectral_form[a], sden)} disagree at {M.label(a)}")
-    return ext, eden
-

@@ -13,7 +13,8 @@ extension from the sharp elements, a theorem of the certificate whose rank
 check ``oracles.sharp_kernel`` keeps) is not re-checked: the sharp suite's
 one record lists the members, read off the down masks on any algebra and
 so without the refinement verdict, and the representation suite's one
-record describes the canonical representation.
+record describes the canonical representation.  The extension suite is
+the round trip through the smearing suite's atom tables (``sample_tables``).
 
 Each check runs in its own process, so the states suite and the gated
 suites (representation, smearing, spectral, extension) import the layers
@@ -213,9 +214,9 @@ def _first_residual(M: EffectAlgebra, rep: Representation, residuals):
 
 def run_smearing(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
-    from .observables import atom_integrals
+    from .observables import sample_tables
     states = rep.polytope.samples(seed)
-    tables = [atom_integrals(rep, row, den) for row, den in states]
+    tables = sample_tables(rep, seed)
     n_obs = _zoo_size(M)
     # every element is x(E) for some zoo observable (x(empty) = 0, (1,)
     # gives 1, (a, a') gives a), so one residual per element and state
@@ -286,25 +287,32 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
 
 def run_extension(M: EffectAlgebra, instance: str, seed: int,
                   rep: Representation) -> list[Record]:
-    from .spectral import extension_numerators
-    sharp = sharp_elements(M).members
+    """Each state's atom table is the extension of its restriction to the
+    sharp elements (see ``sample_tables``) and must give the state back.
+
+    That the extension is unique is a theorem of the product-of-chains
+    certificate, not a check: on prod C_{h_i} with k factors a state is
+    fixed by its k atom values, and the top of each factor is sharp with
+    h_i times its factor's atom value, so the sharp columns of the vertex
+    differences have rank k - 1, the polytope's dimension.
+    ``oracles.sharp_kernel`` in the tests keeps that rank check.  That the
+    extension of a restricted state is a state is not checked either: past
+    the certificate the atom formula is the smearing identity, so the
+    extension gives the state back, which this suite compares."""
+    from .observables import sample_tables
     P = rep.polytope
     # the vertices and the first three mixtures of the smearing suite's draw
     states = P.samples(seed)[:len(P.numerators) + 3]
-
     bad_round = None
-    try:
-        for i, (row, den) in enumerate(states):
-            ext, eden = extension_numerators(rep, {b: row[b] for b in sharp},
-                                             den)
-            a = next((a for a in M.elements()
-                      if ext[a] * den != row[a] * eden), None)
-            if a is not None and bad_round is None:
-                bad_round = [i, M.label(a), str(Fraction(ext[a], eden)),
-                             str(Fraction(row[a], den))]
-    except EffectaError as exc:
-        bad_round = bad_round or [i, str(exc)]
+    for i, ((row, den), (t, tden)) in enumerate(
+            zip(states, sample_tables(rep, seed))):
+        a = next((a for a in M.elements() if t[a] * den != row[a] * tden),
+                 None)
+        if a is not None:
+            bad_round = [i, M.label(a), str(Fraction(t[a], tden)),
+                         str(Fraction(row[a], den))]
+            break
     return [Record("extension", instance, "roundtrip",
                    PASS if bad_round is None else FAIL, witness=bad_round,
                    detail=f"{len(states)} states restricted to "
-                          f"{len(sharp)} sharp elements")]
+                          f"{len(rep.sharp)} sharp elements")]

@@ -1372,6 +1372,25 @@ def doctored_polytope(M, states, dimension):
     return StatePolytope(M, numerators, den, dimension)
 
 
+def raised_last_vertex(M):
+    """The canonical representation of M, with the first non-sharp value of
+    its last vertex raised by 1/12: no longer a state the measures
+    reproduce."""
+    from effecta.algebra import sharp_elements
+    from effecta.representation import Representation, canonical_representation
+
+    rep = canonical_representation(M)
+    P = rep.polytope
+    sharp = sharp_elements(M).members
+    a = next(a for a in M.elements() if a not in sharp)
+    *kept, last = vertices(P)
+    last = list(last.values)
+    last[a] += Fraction(1, 12)
+    return Representation(
+        rep.carrier, rep.evaluation, M, rep.h,
+        polytope=doctored_polytope(M, [*kept, last], P.dimension))
+
+
 def vertex_difference_rank(polytope):
     """Rank of the differences v_i - v_0 of the Fraction vertices, by dense
     elimination: the dimension of the polytope read off its vertices."""
@@ -1576,9 +1595,8 @@ def extension_uniqueness(rep, m):
     """The extension of m, and whether it is the only one.
 
     Uniqueness is the rank certificate of ``sharp_kernel``, which does not
-    depend on m; the extension comes from the library's
-    ``extension_numerators`` through ``extension_of``, which asserts its
-    restriction and its spectral form.
+    depend on m; the extension is the library's atom formula through
+    ``extension_of``.
     """
     extension = extension_of(rep, m)
     kernel = sharp_kernel(rep)
@@ -2024,8 +2042,9 @@ def measure_of(rep, a):
 
 
 def extension_of(rep, m):
-    """``effecta.spectral.extension_numerators`` on a rational weighting of
-    the sharp elements, as a State."""
-    from effecta.spectral import extension_numerators
-
-    return State(_read(*extension_numerators(rep, *over_one_denominator(m))))
+    """The extension of a rational weighting of the sharp elements, as a
+    State: the library's atom formula (``integral_table``) on the weighting,
+    which it reads only at xi of the atoms of B0.  It checks neither that
+    the weighting is a state nor that the extension gives it back;
+    ``extend_state_fraction`` checks both."""
+    return State(integral_table(rep, m))

@@ -245,7 +245,8 @@ def test_criterion_8_unique_state_extension():
             sharp = sharp_elements(M).members
             for m in mixed_states_of(name, M, 3, seed=1):
                 restricted = {b: m.values[b] for b in sharp}
-                # atom form; restriction and spectral form asserted inside
+                # the atom form on the restriction; the spectral form is
+                # the third route below
                 ext = extension_of(rep, restricted)
                 report = extension_uniqueness(rep, restricted)
                 assert report.unique

@@ -390,8 +390,10 @@ def test_check_fails_validation_on_unknown_or_coinciding_labels(
      "not a rational"),
     (("chain", "3"), {"support": ["0"]},
      "malformed observable document: KeyError('values')"),
+    (("chain", "3"), {"support": ["0", "1"], "values": ["x", "3"]},
+     "error: invalid observable: unknown element label 'x'"),
 ], ids=["sum-undefined", "sum-not-one", "duplicate-point", "empty", "strings",
-        "object", "exponent", "decimal", "no-values"])
+        "object", "exponent", "decimal", "no-values", "unknown-label"])
 def test_smear_rejects_an_invalid_observable(tmp_path, capsys, family,
                                              observable, error):
     path = write_algebra(tmp_path, "doc.json", *family)

@@ -1,12 +1,14 @@
 """The smearing, spectral and extension layers on integer numerators,
 against the Fraction route they replaced.
 
-The suites call the integer cores (``atom_integrals``, ``levels`` and
-``level_integrals``, ``extension_numerators``) on the polytope's integer
-samples.  ``oracles`` keeps the Fraction bodies the library had before,
-with no cache on the representation; here both routes must give the same
-tables, measures, states and errors, on the refinement zoo, on the
-generated products, on representations built by hand, and on doctored
+The suites call the integer cores (``atom_integrals``, kept per sample
+state by ``sample_tables``, ``levels`` and ``level_integrals``) on the
+polytope's integer samples; the extension suite reads the smearing suite's
+atom tables, each the extension of its state's sharp restriction.
+``oracles`` keeps the Fraction bodies the library had before, with no cache
+on the representation; here both routes must give the same tables,
+measures, states and errors, on the refinement zoo, on the generated
+products, on representations built by hand, and on doctored
 representations whose records must keep the witnesses the Fraction route
 gave.  The states the extension suite reads, and their extensions, are
 checked to be states by the Fraction references, since the suite relies on
@@ -21,11 +23,11 @@ import pytest
 import oracles
 from effecta import generate, parse_family_tokens, sharp_elements
 from effecta.errors import EffectaError, TheoremViolation
-from effecta.observables import _atom_plan, atom_integrals
+from effecta.observables import _atom_plan, atom_integrals, sample_tables
 from effecta.report import render_jsonl
 from effecta.representation import Representation, canonical_representation
 from effecta.serialize import algebra_to_obj
-from effecta.spectral import _level_plan, extension_numerators, level_integrals
+from effecta.spectral import _level_plan, level_integrals
 from effecta.suites import (SUITE_NAMES, check_document, run_extension,
                             run_smearing, run_spectral)
 
@@ -101,14 +103,17 @@ def test_the_integer_cores_match_the_fraction_route():
                     assert _fractions(*level_integrals(rep, row, den,
                                                        phi)) == level, name
                 tables += 1
-            # the extension suite's states: the vertices, three mixtures
-            for (row, den), m in list(zip(samples, states))[
+            # the extension suite's states: the vertices, three mixtures;
+            # their kept tables are the atom formula on the restriction
+            for (row, den), m, table in list(zip(
+                    samples, states, sample_tables(rep, seed)))[
                     :len(P.numerators) + 3]:
                 restricted = {b: m.values[b] for b in sharp}
                 ext = oracles.extend_state_fraction(rep, restricted, measures)
                 assert ext == m, name
-                assert _fractions(*extension_numerators(
+                assert _fractions(*atom_integrals(
                     rep, {b: row[b] for b in sharp}, den)) == ext.values
+                assert _fractions(*table) == ext.values
     assert tables > 2000
 
 
@@ -137,11 +142,13 @@ def test_the_extension_suite_reads_states_and_extends_them_to_states():
 
 
 def test_the_extension_core_is_the_atom_formula_on_any_weighting():
-    """``extension_numerators`` does not check that its weighting is a
-    state.  A weighting that the atom formula does not give back is refused
-    at the first sharp element where they differ, with both values; an
-    affine, not convex, combination of two vertices is extended to the same
-    combination of the vertices, whose values may leave [0, 1]."""
+    """The extension the suite reads is the atom formula, which checks no
+    weighting: on any weighting of the sharp elements it is the Fraction
+    atom formula.  A weighting that the formula does not give back is no
+    state on the sharp elements, and the Fraction reference refuses it as
+    such; an affine, not convex, combination of two vertices is extended
+    to the same combination of the vertices, whose values may leave
+    [0, 1], and the reference refuses it when it is no state."""
     refused = extended = 0
     not_states = 0
     for seed, (name, M) in enumerate(rdp_zoo()):
@@ -149,26 +156,26 @@ def test_the_extension_core_is_the_atom_formula_on_any_weighting():
         sharp = sharp_elements(M).members
         for _, restricted in oracles.sharp_weightings(M, sharp, 4, seed):
             atom = oracles.element_integrals_fraction(rep, restricted)
-            outcome = _outcome(oracles.extension_of, rep, restricted)
-            bad = next((b for b in restricted if atom[b] != restricted[b]),
-                       None)
-            if bad is None:
-                assert outcome == ("value", oracles.State(atom)), name
+            assert (oracles.extension_of(rep, restricted)
+                    == oracles.State(atom)), name
+            if all(atom[b] == restricted[b] for b in restricted):
                 extended += 1
                 continue
-            assert outcome[:3] == (
-                "raises", TheoremViolation,
-                f"extension restricts to {atom[bad]} at {M.label(bad)}, "
-                f"expected {Fraction(restricted[bad])}"), name
+            with pytest.raises(oracles.NotAStateOnSharp):
+                oracles.extend_state_fraction(rep, restricted)
             refused += 1
         vertices = oracles.vertices(rep.polytope)
         if len(vertices) < 2:
             continue
         combo = tuple(2 * u - v for u, v in zip(vertices[0].values,
                                                  vertices[1].values))
-        ext = oracles.extension_of(rep, {b: combo[b] for b in sharp})
-        assert ext == oracles.State(combo), name
-        not_states += not oracles.fraction_is_state(M, combo).ok
+        restricted = {b: combo[b] for b in sharp}
+        assert (oracles.extension_of(rep, restricted)
+                == oracles.State(combo)), name
+        if not oracles.fraction_is_state(M, combo).ok:
+            with pytest.raises(oracles.NotAStateOnSharp):
+                oracles.extend_state_fraction(rep, restricted)
+            not_states += 1
         extended += 1
     assert refused > 4 * len(rdp_zoo()) // 2
     assert extended > len(rdp_zoo()) // 2
@@ -218,20 +225,6 @@ def test_a_representation_built_by_hand_needs_no_polytope():
 # doctored representations keep the Fraction route's witnesses
 
 
-def _raised_last_vertex(M):
-    """The first non-sharp value of the last vertex raised by 1/12."""
-    rep = canonical_representation(M)
-    P = rep.polytope
-    sharp = sharp_elements(M).members
-    a = next(a for a in M.elements() if a not in sharp)
-    *vertices, last = oracles.vertices(P)
-    last = list(last.values)
-    last[a] += Fraction(1, 12)
-    doctored = oracles.doctored_polytope(M, [*vertices, last], P.dimension)
-    return Representation(rep.carrier, rep.evaluation, M, rep.h,
-                          polytope=doctored)
-
-
 def _swapped_measure(M, a):
     """The two masses of element a's measure swapped in the level plan."""
     rep = canonical_representation(M)
@@ -257,17 +250,22 @@ def _swapped_xi(M):
 # certificate proves (kernel-measurable, sharp-table and uniqueness), each
 # report being the earlier one minus exactly those lines.  boolean2-swap's
 # sharp-table witness is kept by the oracle test in test_spectral.py, on the
-# same doctored representation.
+# same doctored representation.  The four -swap and -xi digests were
+# re-recorded when the round trip came to read the smearing suite's atom
+# tables, each report differing in its roundtrip line alone: a swapped
+# measure no longer fails it (integral-identity still does), and a swapped
+# xi fails it at the first element the table does not give back.  The
+# Fraction reference keeps both refusals, in the test below.
 DOCTORED = {
     "chain3": (
-        lambda: _raised_last_vertex(chain(3)),
+        lambda: oracles.raised_last_vertex(chain(3)),
         "ab389036f61a96e60050cfb22dc6499803b83324a25831d995e57b82762a6e95",
         {"roundtrip": [0, "1", "1/3", "5/12"],
          "eq-residual-zero": [["0", "1", "2"], ["1/2"], 0, "1/12"],
          "integral-identity": ["1", 0, "spectral integral of 1 gives 1/3, "
                                        "but the state assigns 5/12"]}),
     "interval12": (
-        lambda: _raised_last_vertex(interval(1, 2)),
+        lambda: oracles.raised_last_vertex(interval(1, 2)),
         "5fbef0d19873393db37bdb850895a66ce0f5b70467de1c0b4b65c92c10b039b5",
         {"roundtrip": [1, "(0,1)", "1/2", "7/12"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 1,
@@ -276,7 +274,7 @@ DOCTORED = {
                                            "gives 1/2, but the state assigns "
                                            "7/12"]}),
     "chain2xchain3": (
-        lambda: _raised_last_vertex(product_of(("chain", 2), ("chain", 3))),
+        lambda: oracles.raised_last_vertex(product_of(("chain", 2), ("chain", 3))),
         "75aac227c946f99c9c4cc8fdbfd7b155413afacf27f9aa2883251c412b9f5384",
         {"roundtrip": [1, "(0,1)", "1/3", "5/12"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(2,2)"], ["1/2"], 1,
@@ -286,28 +284,25 @@ DOCTORED = {
                                            "5/12"]}),
     "boolean2-swap": (
         lambda: _swapped_measure(boolean(2), 1),
-        "554ca6a9b836fa03f7d43816cacd9c44894977d82e99ac2e61cec01ea9daa29a",
-        {"roundtrip": [0, "atom form 0 and spectral form 1 disagree at {1}"],
-         "integral-identity": ["{1}", 0, "spectral integral of {1} gives 1, "
+        "76e96474227e7e297f746c46092fb299f541fecfcee968838e83ab9299447b18",
+        {"integral-identity": ["{1}", 0, "spectral integral of {1} gives 1, "
                                          "but the state assigns 0"],
          "phi-square": ["{1}", "sharp element broke the integral"]}),
     "boolean2-xi": (
         lambda: _swapped_xi(boolean(2)),
-        "249df1b4c2c30c6625c311e6b13c95864c8280fb63af0667bf164fb2328147ac",
-        {"roundtrip": [0, "extension restricts to 1 at {1}, expected 0"],
+        "8092239f68498ec053cd1297c16c260b30e70598da406901175e7422f65715c8",
+        {"roundtrip": [0, "{1}", "1", "0"],
          "eq-residual-zero": [["{}", "{1}", "{2}"], ["1/2"], 0, "-1"]}),
     "interval12-xi": (
         lambda: _swapped_xi(interval(1, 2)),
-        "765dcc43bc336509361c5912564c4aa8619eaa2d2a815360e5a78b9ff1ee31ae",
-        {"roundtrip": [0, "extension restricts to 1 at (0,2), expected 0"],
+        "ee97d19c277b78230119693fbba8158cf54ed66ad4d9987b1b93b866dfb8dbe9",
+        {"roundtrip": [0, "(0,1)", "1/2", "0"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 0,
                               "-1/2"]}),
     "interval12-swap": (
         lambda: _swapped_measure(interval(1, 2), 1),
-        "d355f8a0103da2b39f4f54395c49c3ddf095433ae91c2804ddc943c82f7d5b77",
-        {"roundtrip": [0, "atom form 0 and spectral form 1/2 disagree at "
-                          "(0,1)"],
-         "integral-identity": ["(0,1)", 0, "spectral integral of (0,1) gives "
+        "572905156f83842748c95b60e229f9f0b68125556932903123a3e2d7f194944d",
+        {"integral-identity": ["(0,1)", 0, "spectral integral of (0,1) gives "
                                            "1/2, but the state assigns 0"]}),
 }
 
@@ -323,6 +318,43 @@ def test_doctored_representations_keep_the_fraction_witnesses(name):
             if r.status == "fail"} == failures
     report = render_jsonl(records).encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+@pytest.mark.parametrize("M, doctoring, message", [
+    (boolean(2), "xi", "extension restricts to 1 at {1}, expected 0"),
+    (interval(1, 2), "xi", "extension restricts to 1 at (0,2), expected 0"),
+    (boolean(2), "swap", "atom form 0 and spectral form 1 disagree at {1}"),
+    (interval(1, 2), "swap",
+     "atom form 0 and spectral form 1/2 disagree at (0,1)"),
+], ids=["boolean2-xi", "interval12-xi", "boolean2-swap", "interval12-swap"])
+def test_the_fraction_extension_refuses_a_doctored_xi_or_measure(
+        M, doctoring, message):
+    """The restriction and spectral-form checks the extension suite leaves
+    to its round trip and to ``spectral:integral-identity`` stay in the
+    Fraction reference: on the first vertex, with xi swapped on the first
+    two atoms of B0 or element 1's two masses swapped, as ``_swapped_xi``
+    and ``_swapped_measure`` doctor the library's plans, it names the first
+    sharp element the extension misses, or the first element whose atom
+    and spectral forms differ."""
+    base = canonical_representation(M)
+    rep = Representation(base.carrier, base.evaluation, M, base.h,
+                         polytope=base.polytope)
+    measures = [oracles.spectral_measure_fraction(rep, a)
+                for a in M.elements()]
+    if doctoring == "xi":
+        xi = oracles.sharp_observable(rep).assignment
+        A, B = rep.b0().atoms[:2]
+        xi[A], xi[B] = xi[B], xi[A]
+    else:
+        sm = measures[1]
+        l0, l1 = sm.support
+        measures[1] = sm._replace(masses={l0: sm.masses[l1],
+                                          l1: sm.masses[l0]})
+    m = oracles.vertices(rep.polytope)[0]
+    with pytest.raises(TheoremViolation) as err:
+        oracles.extend_state_fraction(
+            rep, {b: m.values[b] for b in rep.sharp}, measures)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ def test_make_observable_rejections():
         make_observable(M, (0, 0), (1, 2))          # duplicate outcome point
     with pytest.raises(PreconditionFailed):
         make_observable(M, (0, 1), (1, 99))         # id out of range
+    with pytest.raises(PreconditionFailed,
+                       match=r"^unknown element label 'nope'$"):
+        make_observable(M, (0, 1), ("nope", "3"))   # no such label
     with pytest.raises(SumUndefined):
         make_observable(M, (0, 1), (3, 3))          # 1 + 1 undefined
     with pytest.raises(SumNotOne):

@@ -301,22 +301,6 @@ def test_rank_deficit_yields_a_kernel_witness():
     assert [C.label(a), str(kernel[a])] == [C.label(1), "1/6"]
 
 
-def _doctored(M):
-    """The canonical representation of M, with the first non-sharp value of
-    its last vertex raised by 1/12: no longer a state the measures
-    reproduce."""
-    rep = canonical_representation(M)
-    P = rep.polytope
-    sharp = sharp_elements(M).members
-    a = next(a for a in M.elements() if a not in sharp)
-    *kept, last = vertices(P)
-    last = list(last.values)
-    last[a] += F(1, 12)
-    return Representation(
-        rep.carrier, rep.evaluation, M, rep.h,
-        polytope=oracles.doctored_polytope(M, [*kept, last], P.dimension))
-
-
 DOCTORED = {
     "chain3": (chain(3), [
         ("spectral", "integral-identity", FAIL,
@@ -345,7 +329,7 @@ def test_doctored_states_yield_the_recorded_failures(name):
     at 143056e: no golden document reaches these paths.  chain 3 has one
     state, so its suites evaluate that state alone."""
     M, checks = DOCTORED[name]
-    rep = _doctored(M)
+    rep = oracles.raised_last_vertex(M)
     records = run_spectral(M, name, 0, rep) + run_extension(M, name, 0, rep)
     assert records == [Record(suite, name, *rest) for suite, *rest in checks]
 

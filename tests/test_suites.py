@@ -206,9 +206,10 @@ def test_subset_runs_and_determinism():
 
 def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
                                                 monkeypatch):
-    """A ``NotMeasurable`` out of the smearing suite's integration (a
-    hand-built tribe whose B0 atoms are not singletons would raise one) is
-    that suite's one ``error`` FAIL; every other suite's records stand."""
+    """A ``NotMeasurable`` out of the atom tables (a hand-built tribe whose
+    B0 atoms are not singletons would raise one) is one ``error`` FAIL of
+    each suite that reads them, smearing and extension; every other suite's
+    records stand."""
     doc = algebra_to_obj(chain(3))
     clean = check_document(doc, "c3", SUITE_NAMES, seed=0)
 
@@ -217,11 +218,14 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
 
     monkeypatch.setattr("effecta.observables.atom_integrals", broken)
     recs = check_document(doc, "c3", SUITE_NAMES, seed=0)
-    (err,) = [r for r in recs if r.suite == "smearing"]
-    assert (err.check, err.status, err.witness, err.detail) == (
-        "error", "fail", None, "'integrand' is not constant on atom [0, 1]")
-    assert ([r for r in recs if r.suite != "smearing"]
-            == [r for r in clean if r.suite != "smearing"])
+    readers = ("smearing", "extension")
+    for suite in readers:
+        (err,) = [r for r in recs if r.suite == suite]
+        assert (err.check, err.status, err.witness, err.detail) == (
+            "error", "fail", None,
+            "'integrand' is not constant on atom [0, 1]"), suite
+    assert ([r for r in recs if r.suite not in readers]
+            == [r for r in clean if r.suite not in readers])
 
     path = tmp_path / "c3.json"
     path.write_text(dumps(doc))
@@ -231,7 +235,7 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
     failing = [p for p in map(json.loads, captured.out.splitlines())
                if p["status"] == "fail"]
     assert [(p["suite"], p["check"]) for p in failing] == [
-        ("smearing", "error")]
+        ("extension", "error"), ("smearing", "error")]
 
 
 def _count_memo_stores(monkeypatch):
@@ -283,7 +287,8 @@ ALGEBRA_VALUES = ("defined_sums", "atom_coordinates", "check_rdp",
 
 @pytest.mark.parametrize("instance, kept", [
     ("boolean4", ALGEBRA_VALUES + ("canonical_representation", "samples",
-                                   "compute_b0", "_atom_plan", "_level_plan")),
+                                   "compute_b0", "_atom_plan", "_level_plan",
+                                   "sample_tables")),
     # the four gated suites each meet the refinement gate, which keeps nothing
     ("loop4", ALGEBRA_VALUES)])
 def test_a_full_check_runs_each_kept_body_once_per_object(instance, kept,
@@ -296,6 +301,36 @@ def test_a_full_check_runs_each_kept_body_once_per_object(instance, kept,
     check_document(doc, instance, SUITE_NAMES, 0)
     assert set(stores.values()) == {1}
     assert _names(stores) == Counter(kept)
+
+
+@pytest.mark.parametrize("M, calls", [
+    pytest.param(boolean(4), (14, 14, 4), id="boolean4"),
+    pytest.param(chain(3), (1, 1, 1), id="chain3"),
+])
+def test_a_full_check_builds_one_table_per_sample_state(M, calls,
+                                                        monkeypatch):
+    """One atom table and one spectral table per sample state, and one
+    squared table per vertex: the extension suite reads the smearing
+    suite's atom tables and builds no table of its own.  boolean 4 has 4
+    vertices and 10 mixtures; chain 3 has one state."""
+    from effecta import spectral
+    counts = Counter()
+    # each atom table reads its plan once, whichever module calls for it
+    plan, level = observables._atom_plan, spectral.level_integrals
+
+    def counting_plan(rep):
+        counts["atom"] += 1
+        return plan(rep)
+
+    def counting_level(rep, values, den, phi=None):
+        counts["level" if phi is None else "phi"] += 1
+        return level(rep, values, den, phi)
+
+    monkeypatch.setattr(observables, "_atom_plan", counting_plan)
+    monkeypatch.setattr(spectral, "level_integrals", counting_level)
+    recs = check_document(algebra_to_obj(M), "x", SUITE_NAMES, 0)
+    assert all(r.status == "pass" for r in recs)
+    assert (counts["atom"], counts["level"], counts["phi"]) == calls
 
 
 def _count_refinement_work(monkeypatch):
@@ -466,6 +501,10 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
     ]
     real = observables.atom_integrals
     for doctored in doctorings:
+        # the tables are kept per representation, so each doctoring reads
+        # them on a fresh one
+        fresh = Representation(rep.carrier, rep.evaluation, M, rep.h,
+                               polytope=rep.polytope)
         shift = {(a, states[i].values): d for (a, i), d in doctored.items()}
 
         def table(rep_, row, den):
@@ -477,7 +516,7 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(observables, "atom_integrals", table)
-            got = _residual_record(M, rep)
+            got = _residual_record(M, fresh)
         expected = oracles.smearing_residual_record(M, rep, states, shift)
         assert expected[0] == "fail"
         assert got == expected, doctored
