@@ -84,7 +84,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
     """As in ``check``: an invalid table is one FAIL with its witness, and
     a library error other than a size cap or the representation gate is
     one ``error`` FAIL."""
-    from .observables import sample_tables, smear
+    from .observables import first_mismatch, sample_mismatches, smear
     from .representation import canonical_representation
     from .suites import INVALID_ALGEBRA, witness_of
     try:
@@ -95,16 +95,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
     x = observable_from_obj(M, observable)
     try:
         rep = canonical_representation(M)
-        kernel = smear(rep, x)
-        states = rep.polytope.samples(seed)
-        first_bad = None
-        for i, ((row, den), (table, tden)) in enumerate(
-                zip(states, sample_tables(rep, seed))):
-            key = next((k for k, a in kernel.elements.items()
-                        if row[a] * tden != table[a] * den), None)
-            if key is not None:
-                first_bad = [i, sorted(str(x.support[j]) for j in key)]
-                break
+        hit = first_mismatch(smear(rep, x), sample_mismatches(rep, seed))
     except RdpRequired as exc:
         return [Record("smearing", instance, "canonical-representation",
                        FAIL, detail=str(exc))]
@@ -114,8 +105,10 @@ def _smear_records(doc, observable, instance: str, seed: int,
         return [Record("smearing", instance, "error", FAIL,
                        witness=witness_of(exc), detail=str(exc))]
     return [Record("smearing", instance, "eq-residual-zero",
-                   PASS if first_bad is None else FAIL, witness=first_bad,
-                   detail=f"{len(states)} states")]
+                   PASS if hit is None else FAIL,
+                   witness=None if hit is None
+                   else [hit[0], sorted(str(x.support[j]) for j in hit[1])],
+                   detail=f"{len(rep.polytope.samples(seed))} states")]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,8 @@ reduced one at a time against the basis of the earlier ones by
 cross-multiplication, so no Fraction is built.  The state polytope calls it
 on its state equations, with k columns for the values of the k atoms plus
 one for the constant, and on the parameter forms of its implicit
-equalities, whose rank fixes the dimension.
+equalities, whose rank fixes the dimension.  ``mismatches`` is the one
+comparison of integer tables with the states they should give back.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ def over_common_denominator(values: Sequence) -> tuple[list[int], int]:
     """Integer numerators of the values over their least common denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def mismatches(states, tables) -> list[tuple[int, int]]:
+    """Every (i, a), state by state, at which table i differs from state i,
+    both integer numerators over their own denominators."""
+    return [(i, a) for i, ((row, den), (t, tden))
+            in enumerate(zip(states, tables))
+            for a, (x, y) in enumerate(zip(row, t)) if y * den != x * tden]
 
 
 def _primitive(row: list[int], lead: int) -> list[int]:

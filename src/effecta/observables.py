@@ -32,6 +32,7 @@ from .errors import (
     SumNotOne,
     SumUndefined,
 )
+from .linalg import mismatches
 from .representation import Representation
 
 MAX_POINTS = 16       # a kernel holds one function per subset of its points
@@ -60,8 +61,11 @@ def make_observable(M: EffectAlgebra, support: Sequence, values: Sequence) -> Ob
     if len(support) != len(values) or not support:
         raise PreconditionFailed("support and values must align and be non-empty")
     pts = [Fraction(t) for t in support]
+    for v in values:
+        if not isinstance(v, (str, int)):
+            raise PreconditionFailed(f"not an element label or id: {v!r}")
     try:
-        ids = [M.index(v) if isinstance(v, str) else int(v) for v in values]
+        ids = [M.index(v) if isinstance(v, str) else v for v in values]
     except KeyError as exc:
         raise PreconditionFailed(
             f"unknown element label {exc.args[0]!r}") from None
@@ -133,6 +137,14 @@ def smear(rep: Representation, x: Observable) -> SmearingKernel:
     return SmearingKernel(x, kernel, elements)
 
 
+def first_mismatch(kernel: SmearingKernel, bad: list) -> tuple | None:
+    """(state index, key) of the first state, then the first outcome set E,
+    at whose x(E) a state and its table differ, given each such pair."""
+    at = set(bad)
+    return next(((i, key) for i in dict.fromkeys(i for i, _ in bad)
+                 for key, a in kernel.elements.items() if (i, a) in at), None)
+
+
 def _key_name(x: Observable, key: frozenset) -> str:
     return "{" + ",".join(str(x.support[i]) for i in sorted(key)) + "}"
 
@@ -149,16 +161,15 @@ def atom_integrals(rep: Representation, values: Sequence | Mapping,
 
 
 @once
-def sample_tables(rep: Representation,
-                  seed: int) -> list[tuple[list[int], int]]:
-    """``atom_integrals`` of each state of ``rep.polytope.samples(seed)``,
-    one table per state, which the smearing and extension suites and
-    ``effecta smear`` share.  A state's table is also the extension of its
-    restriction to the sharp elements: ``_atom_plan`` reads a state only at
-    xi of the atoms of B0, which on the canonical representation are the
-    sharp corners (see ``compute_b0``)."""
-    return [atom_integrals(rep, row, den)
-            for row, den in rep.polytope.samples(seed)]
+def sample_mismatches(rep: Representation, seed: int) -> list:
+    """Every (state index, element) at which a state of
+    ``rep.polytope.samples(seed)`` and its ``atom_integrals`` table differ,
+    which the smearing and extension suites and ``effecta smear`` share.
+    A table extends its state's restriction to the sharp elements:
+    ``_atom_plan`` reads a state only at xi of the atoms of B0, the sharp
+    corners on the canonical representation (see ``compute_b0``)."""
+    states = rep.polytope.samples(seed)
+    return mismatches(states, [atom_integrals(rep, *s) for s in states])
 
 
 @once

@@ -19,10 +19,6 @@ if TYPE_CHECKING:
     from .observables import Observable
 
 
-def frac_to_str(v: Fraction) -> str:
-    return str(Fraction(v))
-
-
 # integers and "p/q" only: Fraction also reads exponents, and would spend
 # hours building 10**999999999 for "1e999999999"
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -54,7 +54,7 @@ def level_integrals(rep: Representation, values, den: int,
     least the sharp ones) to integer numerators over ``den``; for a state
     the table equals the state exactly when every measure reproduces it.
     phi sees each distinct lambda once, as a Fraction."""
-    lvs, lams, masses = _level_plan(rep)
+    lvs, lams = _level_plan(rep)
     c, cden = lams, rep.evaluation[1]
     if phi is not None:
         c, cden = over_common_denominator(
@@ -65,7 +65,6 @@ def level_integrals(rep: Representation, values, den: int,
 
 @once
 def _level_plan(rep: Representation) -> tuple:
-    """Every element's levels, then the distinct lambdas and masses."""
+    """Every element's levels, then the distinct lambdas."""
     lvs = tuple(levels(rep, a) for a in rep.target.elements())
-    return (lvs, tuple(dict.fromkeys(lam for lv in lvs for lam, _ in lv)),
-            tuple(dict.fromkeys(b for lv in lvs for _, b in lv)))
+    return lvs, tuple(dict.fromkeys(lam for lv in lvs for lam, _ in lv))

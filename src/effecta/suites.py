@@ -13,8 +13,9 @@ extension from the sharp elements, a theorem of the certificate whose rank
 check ``oracles.sharp_kernel`` keeps) is not re-checked: the sharp suite's
 one record lists the members, read off the down masks on any algebra and
 so without the refinement verdict, and the representation suite's one
-record describes the canonical representation.  The extension suite is
-the round trip through the smearing suite's atom tables (``sample_tables``).
+record describes the canonical representation.  The smearing and
+extension suites read one comparison of the sample states with their atom
+tables (``sample_mismatches``), the spectral suite two of its own tables.
 
 Each check runs in its own process, so the states suite and the gated
 suites (representation, smearing, spectral, extension) import the layers
@@ -39,7 +40,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .report import FAIL, PASS, SKIP, SUITE_NAMES, Record
-from .serialize import algebra_from_obj, frac_to_str
+from .serialize import algebra_from_obj
 
 if TYPE_CHECKING:
     from .representation import Representation
@@ -199,77 +200,69 @@ def _zoo_size(M: EffectAlgebra) -> int:
     return 1 + M.n + sum(2 - (a == b) for a, b, _ in M.defined_sums())
 
 
-def _first_residual(M: EffectAlgebra, rep: Representation, residuals):
-    """First nonzero residual, ordered by observable, state, outcome set."""
-    from .observables import smear
+def _first_residual(M: EffectAlgebra, rep: Representation, states, bad):
+    """First mismatch, ordered by observable, state, outcome set, with its
+    residual state minus table."""
+    from .observables import atom_integrals, first_mismatch, smear
     for x in _zoo_observables(M):
-        elements = smear(rep, x).elements
-        for i, (r, den) in enumerate(residuals):
-            for key, a in elements.items():
-                if r[a]:
-                    return [[M.label(b) for b in x.values],
-                            sorted(frac_to_str(x.support[j]) for j in key),
-                            i, str(Fraction(r[a], den))]
+        kernel = smear(rep, x)
+        if (hit := first_mismatch(kernel, bad)) is not None:
+            i, key = hit
+            a, (row, den) = kernel.elements[key], states[i]
+            t, tden = atom_integrals(rep, row, den)
+            return [[M.label(b) for b in x.values],
+                    sorted(str(x.support[j]) for j in key), i,
+                    str(Fraction(row[a], den) - Fraction(t[a], tden))]
 
 
 def run_smearing(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
-    from .observables import sample_tables
+    from .observables import sample_mismatches
     states = rep.polytope.samples(seed)
-    tables = sample_tables(rep, seed)
+    bad = sample_mismatches(rep, seed)
     n_obs = _zoo_size(M)
     # every element is x(E) for some zoo observable (x(empty) = 0, (1,)
-    # gives 1, (a, a') gives a), so one residual per element and state
+    # gives 1, (a, a') gives a), so one comparison per element and state
     # decides the identity; the zoo is walked only to name the first break
-    residuals = [([row[a] * tden - t[a] * den for a in M.elements()],
-                  den * tden) for (row, den), (t, tden) in zip(states, tables)]
-    first_bad = (_first_residual(M, rep, residuals)
-                 if any(any(r) for r, _ in residuals) else None)
+    first_bad = _first_residual(M, rep, states, bad) if bad else None
     return [Record("smearing", instance, "eq-residual-zero",
                    PASS if first_bad is None else FAIL, witness=first_bad,
                    detail=f"{n_obs} observables x {len(states)} states")]
 
 
-def _first_mismatch(a: int, states, tables) -> int | None:
-    """The first state whose table differs from it at element a."""
-    return next((i for i, ((row, den), (t, tden))
-                 in enumerate(zip(states, tables))
-                 if t[a] * den != row[a] * tden), None)
+def _first_states(bad: list[tuple[int, int]]) -> dict[int, int]:
+    """Each element that a state and its table differ at, ascending, with
+    the first such state."""
+    return dict(sorted({a: i for i, a in reversed(bad)}.items()))
 
 
 def run_spectral(M: EffectAlgebra, instance: str, seed: int,
                  rep: Representation) -> list[Record]:
+    from .linalg import mismatches
     from .spectral import level_integrals
     states = rep.polytope.samples(seed)
     tables = [level_integrals(rep, row, den) for row, den in states]
-    records = []
 
     bad = None
-    for a in M.elements():
-        i = _first_mismatch(a, states, tables)
-        if i is not None:
-            (row, den), (t, tden) = states[i], tables[i]
-            bad = [M.label(a), i,
-                   f"spectral integral of {M.label(a)} gives "
-                   f"{Fraction(t[a], tden)}, but the state assigns "
-                   f"{Fraction(row[a], den)}"]
-            break
-    records.append(Record("spectral", instance, "integral-identity",
-                          PASS if bad is None else FAIL, witness=bad,
-                          detail=f"{M.n} elements x {len(states)} states"))
+    for a, i in _first_states(mismatches(states, tables)).items():
+        (row, den), (t, tden) = states[i], tables[i]
+        bad = [M.label(a), i,
+               f"spectral integral of {M.label(a)} gives "
+               f"{Fraction(t[a], tden)}, but the state assigns "
+               f"{Fraction(row[a], den)}"]
+        break
+    identity = Record("spectral", instance, "integral-identity",
+                      PASS if bad is None else FAIL, witness=bad,
+                      detail=f"{M.n} elements x {len(states)} states")
 
     # a strictly increasing non-identity transform: the integral law must
     # survive exactly on sharp elements
     vertices = states[:len(rep.polytope.numerators)]
     squared = [level_integrals(rep, row, den, lambda lam: lam * lam)
                for row, den in vertices]
-    bad = None
+    bad = first_break = None
     broken = 0
-    first_break = None
-    for a in M.elements():
-        i = _first_mismatch(a, vertices, squared)
-        if i is None:
-            continue
+    for a, i in _first_states(mismatches(vertices, squared)).items():
         if a in rep.sharp:
             bad = [M.label(a), "sharp element broke the integral"]
             break
@@ -278,17 +271,16 @@ def run_spectral(M: EffectAlgebra, instance: str, seed: int,
             (row, den), (t, tden) = vertices[i], squared[i]
             first_break = [M.label(a), i, [str(Fraction(t[a], tden)),
                                            str(Fraction(row[a], den))]]
-    records.append(Record(
+    return [identity, Record(
         "spectral", instance, "phi-square", PASS if bad is None else FAIL,
         witness=bad if bad is not None else first_break,
-        detail=f"{broken} non-sharp elements break the integral"))
-    return records
+        detail=f"{broken} non-sharp elements break the integral")]
 
 
 def run_extension(M: EffectAlgebra, instance: str, seed: int,
                   rep: Representation) -> list[Record]:
     """Each state's atom table is the extension of its restriction to the
-    sharp elements (see ``sample_tables``) and must give the state back.
+    sharp elements (see ``sample_mismatches``) and must give the state back.
 
     That the extension is unique is a theorem of the product-of-chains
     certificate, not a check: on prod C_{h_i} with k factors a state is
@@ -299,16 +291,15 @@ def run_extension(M: EffectAlgebra, instance: str, seed: int,
     extension of a restricted state is a state is not checked either: past
     the certificate the atom formula is the smearing identity, so the
     extension gives the state back, which this suite compares."""
-    from .observables import sample_tables
+    from .observables import atom_integrals, sample_mismatches
     P = rep.polytope
     # the vertices and the first three mixtures of the smearing suite's draw
     states = P.samples(seed)[:len(P.numerators) + 3]
     bad_round = None
-    for i, ((row, den), (t, tden)) in enumerate(
-            zip(states, sample_tables(rep, seed))):
-        a = next((a for a in M.elements() if t[a] * den != row[a] * tden),
-                 None)
-        if a is not None:
+    for i, a in sample_mismatches(rep, seed):
+        if i < len(states):
+            row, den = states[i]
+            t, tden = atom_integrals(rep, row, den)
             bad_round = [i, M.label(a), str(Fraction(t[a], tden)),
                          str(Fraction(row[a], den))]
             break

@@ -1,10 +1,11 @@
 """The smearing, spectral and extension layers on integer numerators,
 against the Fraction route they replaced.
 
-The suites call the integer cores (``atom_integrals``, kept per sample
-state by ``sample_tables``, ``levels`` and ``level_integrals``) on the
-polytope's integer samples; the extension suite reads the smearing suite's
-atom tables, each the extension of its state's sharp restriction.
+The suites call the integer cores (``atom_integrals``, ``levels`` and
+``level_integrals``) on the polytope's integer samples; the extension
+suite reads the smearing suite's comparison of the sample states with
+their atom tables (``sample_mismatches``), each table the extension of its
+state's sharp restriction.
 ``oracles`` keeps the Fraction bodies the library had before, with no cache
 on the representation; here both routes must give the same tables,
 measures, states and errors, on the refinement zoo, on the generated
@@ -23,7 +24,7 @@ import pytest
 import oracles
 from effecta import generate, parse_family_tokens, sharp_elements
 from effecta.errors import EffectaError, TheoremViolation
-from effecta.observables import _atom_plan, atom_integrals, sample_tables
+from effecta.observables import _atom_plan, atom_integrals
 from effecta.report import render_jsonl
 from effecta.representation import Representation, canonical_representation
 from effecta.serialize import algebra_to_obj
@@ -104,16 +105,15 @@ def test_the_integer_cores_match_the_fraction_route():
                                                        phi)) == level, name
                 tables += 1
             # the extension suite's states: the vertices, three mixtures;
-            # their kept tables are the atom formula on the restriction
-            for (row, den), m, table in list(zip(
-                    samples, states, sample_tables(rep, seed)))[
+            # their atom tables are the atom formula on the restriction
+            for (row, den), m in list(zip(samples, states))[
                     :len(P.numerators) + 3]:
                 restricted = {b: m.values[b] for b in sharp}
                 ext = oracles.extend_state_fraction(rep, restricted, measures)
                 assert ext == m, name
                 assert _fractions(*atom_integrals(
                     rep, {b: row[b] for b in sharp}, den)) == ext.values
-                assert _fractions(*table) == ext.values
+                assert _fractions(*atom_integrals(rep, row, den)) == ext.values
     assert tables > 2000
 
 
@@ -228,10 +228,10 @@ def test_a_representation_built_by_hand_needs_no_polytope():
 def _swapped_measure(M, a):
     """The two masses of element a's measure swapped in the level plan."""
     rep = canonical_representation(M)
-    lvs, lams, masses = _level_plan(rep)
+    lvs, lams = _level_plan(rep)
     (l0, b0), (l1, b1) = lvs[a]
     rep._memo["_level_plan",] = (
-        lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:], lams, masses)
+        lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:], lams)
     return rep
 
 

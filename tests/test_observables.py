@@ -57,6 +57,12 @@ def test_make_observable_rejections():
     with pytest.raises(PreconditionFailed,
                        match=r"^unknown element label 'nope'$"):
         make_observable(M, (0, 1), ("nope", "3"))   # no such label
+    with pytest.raises(PreconditionFailed,
+                       match=r"^not an element label or id: 1\.9$"):
+        make_observable(M, (0, 1), (1.9, 2))        # no truncation to 1
+    with pytest.raises(PreconditionFailed,
+                       match=r"^not an element label or id: None$"):
+        make_observable(M, (0, 1), (None, "3"))     # neither label nor id
     with pytest.raises(SumUndefined):
         make_observable(M, (0, 1), (3, 3))          # 1 + 1 undefined
     with pytest.raises(SumNotOne):

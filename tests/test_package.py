@@ -62,6 +62,13 @@ def test_every_error_class_is_named_by_another_module():
     assert classes and unraised == []
 
 
+def test_every_module_parses_as_python_3_10():
+    """``pyproject.toml`` promises Python 3.10: no module uses syntax that
+    a later version brought, such as ``except*``."""
+    for path in sorted(Path(effecta.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_the_package_has_no_float():
     """Exactness: no module of the package holds a float literal or uses
     the name ``float``."""

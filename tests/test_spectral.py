@@ -123,10 +123,10 @@ def test_the_sharp_table_checks_the_planned_measure():
     B = boolean(2)
     rep = canonical_representation(B)
     assert _first_sharp_table_break(rep) is None
-    lvs, lams, masses = spectral._level_plan(rep)
+    lvs, lams = spectral._level_plan(rep)
     (l0, b0), (l1, b1) = lvs[1]
     rep._memo["_level_plan",] = (
-        lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams, masses)
+        lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams)
     assert _first_sharp_table_break(rep) == [
         "{1}", "point-0", "endpoint rule gives {2} but the measure gives {1}"]
 
@@ -332,6 +332,23 @@ def test_doctored_states_yield_the_recorded_failures(name):
     rep = oracles.raised_last_vertex(M)
     records = run_spectral(M, name, 0, rep) + run_extension(M, name, 0, rep)
     assert records == [Record(suite, name, *rest) for suite, *rest in checks]
+
+
+def test_phi_square_stops_at_the_first_sharp_element_that_breaks():
+    """With the two masses of the sharp (0,2) swapped in the level plan of
+    interval 1 2, the square law breaks at the non-sharp (0,1), at (0,2)
+    and at the non-sharp (1,1): the record names (0,2) and counts (0,1)
+    alone, the one non-sharp element before it."""
+    M = interval(1, 2)
+    rep = canonical_representation(M)
+    lvs, lams = spectral._level_plan(rep)
+    (l0, b0), (l1, b1) = lvs[2]
+    rep._memo["_level_plan",] = (
+        lvs[:2] + (((l0, b1), (l1, b0)),) + lvs[3:], lams)
+    assert run_spectral(M, "i12", 0, rep)[1] == Record(
+        "spectral", "i12", "phi-square", FAIL,
+        ["(0,2)", "sharp element broke the integral"],
+        "1 non-sharp elements break the integral")
 
 
 def test_the_rank_certificate_holds_on_every_product_of_chains():

@@ -14,7 +14,7 @@ from effecta.errors import (NotMeasurable, ParseError, RdpRequired,
                             TheoremViolation)
 from effecta.linalg import over_common_denominator
 from effecta.representation import Representation, canonical_representation
-from effecta.report import FAIL, SKIP, Record, render_jsonl
+from effecta.report import FAIL, PASS, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
 from effecta.states import StatePolytope, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
@@ -288,7 +288,7 @@ ALGEBRA_VALUES = ("defined_sums", "atom_coordinates", "check_rdp",
 @pytest.mark.parametrize("instance, kept", [
     ("boolean4", ALGEBRA_VALUES + ("canonical_representation", "samples",
                                    "compute_b0", "_atom_plan", "_level_plan",
-                                   "sample_tables")),
+                                   "sample_mismatches")),
     # the four gated suites each meet the refinement gate, which keeps nothing
     ("loop4", ALGEBRA_VALUES)])
 def test_a_full_check_runs_each_kept_body_once_per_object(instance, kept,
@@ -331,6 +331,45 @@ def test_a_full_check_builds_one_table_per_sample_state(M, calls,
     recs = check_document(algebra_to_obj(M), "x", SUITE_NAMES, 0)
     assert all(r.status == "pass" for r in recs)
     assert (counts["atom"], counts["level"], counts["phi"]) == calls
+
+
+def test_a_full_check_compares_each_table_set_with_its_states_once(
+        monkeypatch):
+    """Three comparisons on boolean 4: the atom tables of the sample states,
+    which the smearing and extension suites share, and the spectral suite's
+    identity and squared tables."""
+    from effecta import linalg
+    sizes = []
+    compare = linalg.mismatches
+
+    def counting(states, tables):
+        sizes.append((len(states), len(tables)))
+        return compare(states, tables)
+
+    monkeypatch.setattr(linalg, "mismatches", counting)
+    monkeypatch.setattr(observables, "mismatches", counting)
+    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
+    assert all(r.status == "pass" for r in recs)
+    assert sorted(sizes) == [(4, 4), (14, 14), (14, 14)]
+
+
+def test_the_round_trip_reads_the_vertices_and_three_mixtures_alone():
+    """A sample state past the vertices and the first three mixtures that
+    its atom table does not give back fails the smearing record and not
+    the extension suite's round trip.  Boolean 2 has two vertices; its
+    fourth mixture, sample 5, is doctored at the zero element."""
+    M = boolean(2)
+    rep = canonical_representation(M)
+    P = rep.polytope
+    samples = P.samples(0)
+    row, den = samples[5]
+    P._memo["samples", 0] = (samples[:5] + [((row[0] + 1, *row[1:]), den)]
+                             + samples[6:])
+    smearing, = suites.run_smearing(M, "b2", 0, rep)
+    assert (smearing.status, smearing.witness[2:]) == (FAIL, [5, "1/12"])
+    assert suites.run_extension(M, "b2", 0, rep) == [Record(
+        "extension", "b2", "roundtrip", PASS,
+        detail="5 states restricted to 4 sharp elements")]
 
 
 def _count_refinement_work(monkeypatch):
