@@ -27,6 +27,8 @@ from .serialize import (
 )
 
 DEFAULT_MAX_SIZE = 4096
+SEED_HELP = ("accepted for older scripts; reports are a function of the "
+             "document alone and do not depend on it")
 
 
 def _read_document(path: str):
@@ -64,7 +66,7 @@ def cmd_check(args) -> int:
     from .suites import check_document, resolve_suites
     doc = _read_document(args.input)
     records = check_document(doc, _instance_id(args.input),
-                             resolve_suites(args.suite), args.seed,
+                             resolve_suites(args.suite),
                              max_size=args.max_size)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
@@ -74,12 +76,12 @@ def cmd_smear(args) -> int:
     doc = _read_document(args.input)
     observable = _read_document(args.observable)
     records = _smear_records(
-        doc, observable, _instance_id(args.input), args.seed, args.max_size)
+        doc, observable, _instance_id(args.input), args.max_size)
     _emit(render(records, args.format), args.output)
     return exit_code(records)
 
 
-def _smear_records(doc, observable, instance: str, seed: int,
+def _smear_records(doc, observable, instance: str,
                    max_size: int) -> list[Record]:
     """As in ``check``: an invalid table is one FAIL with its witness, and
     a library error other than a size cap or the representation gate is
@@ -95,7 +97,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
     x = observable_from_obj(M, observable)
     try:
         rep = canonical_representation(M)
-        hit = first_mismatch(smear(rep, x), sample_mismatches(rep, seed))
+        hit = first_mismatch(smear(rep, x), sample_mismatches(rep))
     except RdpRequired as exc:
         return [Record("smearing", instance, "canonical-representation",
                        FAIL, detail=str(exc))]
@@ -108,7 +110,7 @@ def _smear_records(doc, observable, instance: str, seed: int,
                    PASS if hit is None else FAIL,
                    witness=None if hit is None
                    else [hit[0], sorted(str(x.support[j]) for j in hit[1])],
-                   detail=f"{len(rep.polytope.samples(seed))} states")]
+                   detail=f"{len(rep.polytope.numerators)} states")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run theorem suites over an algebra")
     chk.add_argument("--input", required=True, help="algebra document (JSON)")
     chk.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    chk.add_argument("--seed", type=int, default=0,
-                     help="seed for mixture states (default 0)")
+    chk.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     chk.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     chk.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     chk.add_argument("--output", help="destination file (default: stdout)")
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--input", required=True, help="algebra document (JSON)")
     sm.add_argument("--observable", required=True,
                     help="observable document (JSON)")
-    sm.add_argument("--seed", type=int, default=0)
+    sm.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     sm.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     sm.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     sm.add_argument("--output", help="destination file (default: stdout)")

@@ -47,13 +47,6 @@ class SizeLimitExceeded(EffectaError):
 
 
 # ---------------------------------------------------------------------------
-# states
-
-class EmptyStateSpace(EffectaError):
-    pass
-
-
-# ---------------------------------------------------------------------------
 # representations
 
 class RdpRequired(EffectaError):

@@ -22,11 +22,11 @@ def over_common_denominator(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def mismatches(states, tables) -> list[tuple[int, int]]:
-    """Every (i, a), state by state, at which table i differs from state i,
-    both integer numerators over their own denominators."""
-    return [(i, a) for i, ((row, den), (t, tden))
-            in enumerate(zip(states, tables))
+def mismatches(rows, den: int, tables) -> list[tuple[int, int]]:
+    """Every (i, a), state by state, at which table i differs from state i:
+    the states integer numerators over the one ``den``, each table integer
+    numerators over its own denominator."""
+    return [(i, a) for i, (row, (t, tden)) in enumerate(zip(rows, tables))
             for a, (x, y) in enumerate(zip(row, t)) if y * den != x * tden]
 
 

@@ -161,15 +161,19 @@ def atom_integrals(rep: Representation, values: Sequence | Mapping,
 
 
 @once
-def sample_mismatches(rep: Representation, seed: int) -> list:
-    """Every (state index, element) at which a state of
-    ``rep.polytope.samples(seed)`` and its ``atom_integrals`` table differ,
-    which the smearing and extension suites and ``effecta smear`` share.
-    A table extends its state's restriction to the sharp elements:
-    ``_atom_plan`` reads a state only at xi of the atoms of B0, the sharp
-    corners on the canonical representation (see ``compute_b0``)."""
-    states = rep.polytope.samples(seed)
-    return mismatches(states, [atom_integrals(rep, *s) for s in states])
+def sample_mismatches(rep: Representation) -> list:
+    """Every (vertex index, element) at which an extremal state of
+    ``rep.polytope`` and its ``atom_integrals`` table differ, which the
+    smearing and extension suites and ``effecta smear`` share.  A table is
+    linear in its state, so a mixture of the vertices differs from its
+    table only at an element where some vertex does: the vertices decide
+    the identity for every state.  A table extends its state's restriction
+    to the sharp elements: ``_atom_plan`` reads a state only at xi of the
+    atoms of B0, the sharp corners on the canonical representation (see
+    ``compute_b0``)."""
+    P = rep.polytope
+    return mismatches(P.numerators, P.den,
+                      [atom_integrals(rep, row, P.den) for row in P.numerators])
 
 
 @once

@@ -12,21 +12,20 @@ representation machinery.
 The polytope is solved once per algebra (see ``algebra.once``) and holds
 its vertices as one integer matrix over one common denominator, and
 nothing else: non-emptiness, separation, the dimension (see
-:func:`state_polytope`), the sample states of the gated suites with their
-mixtures, and the canonical representation's member rows all read those
-integers.  No state is taken from a caller, so none is checked here: every
-state a suite evaluates is a vertex or a mixture of vertices, and the
-tests check those with a Fraction state predicate of their own.
+:func:`state_polytope`), the states the gated suites evaluate, and the
+canonical representation's member rows all read those integers.  The
+gated suites evaluate the vertices alone: the identities they check are
+linear in the state, and every state is a convex combination of the
+vertices, so an identity that holds at every vertex holds at every state.
+No state is taken from a caller, so none is checked here: the tests check
+the vertices with a Fraction state predicate of their own.
 """
 
 from __future__ import annotations
 
-import random
 from math import lcm
-from operator import mul
 
 from .algebra import EffectAlgebra, atom_coordinates, once
-from .errors import EmptyStateSpace
 from .linalg import echelon
 from .polytope import HalfSpace, enumerate_vertices
 
@@ -42,17 +41,6 @@ class StatePolytope:
         self.numerators: tuple[tuple[int, ...], ...] = numerators
         self.den: int = den
         self.dimension: int = dimension
-        self._memo: dict = {}
-
-    @once
-    def samples(self, seed: int) -> list[tuple[tuple[int, ...], int]]:
-        """The states the gated suites evaluate, drawn once per seed: the
-        vertices, then ten seeded mixtures (a lone vertex alone, being every
-        mixture of itself), as (numerators, denominator) pairs."""
-        rows = [(row, self.den) for row in self.numerators]
-        if len(rows) != 1:
-            rows += mixture_rows(self, 10, seed)
-        return rows
 
     @property
     def is_empty(self) -> bool:
@@ -150,24 +138,3 @@ def inseparable_pair(polytope: StatePolytope) -> tuple[int, int] | None:
             return first, a
     return None
 
-
-# ---------------------------------------------------------------------------
-# seeded mixtures
-
-
-def mixture_rows(polytope: StatePolytope, count: int,
-                 seed: int) -> list[tuple[tuple[int, ...], int]]:
-    """Deterministic mixtures of the vertices, as (numerators, denominator)
-    pairs: with one ``randint(1, 10)`` weight raw_k per vertex, value_i =
-    sum_k raw_k * N_k,i / (sum(raw) * den), N the vertices' numerators."""
-    if polytope.is_empty:
-        raise EmptyStateSpace("cannot mix vertices of an empty polytope")
-    rng = random.Random(seed)
-    k = len(polytope.numerators)
-    columns = list(zip(*polytope.numerators))
-    out = []
-    for _ in range(count):
-        raw = [rng.randint(1, 10) for _ in range(k)]
-        out.append((tuple(sum(map(mul, raw, col)) for col in columns),
-                    sum(raw) * polytope.den))
-    return out

@@ -3,8 +3,8 @@
 Each suite turns one aspect of the library into a flat list of records:
 axioms, refinement, sharp structure, states, representation
 characterizations, smearing, spectral measures, and state extension.
-Everything that fails carries a reproducible witness; everything is
-deterministic for a fixed seed.  What validation or the product-of-chains
+Everything that fails carries a reproducible witness, and every record is
+a function of the document alone.  What validation or the product-of-chains
 certificate has proved (a'' = a, unique differences, the Boolean sharp
 set, B0 a power set that h maps onto the sharp elements, a spectral
 measure naming its element, every function constant on the singleton atoms
@@ -13,9 +13,12 @@ extension from the sharp elements, a theorem of the certificate whose rank
 check ``oracles.sharp_kernel`` keeps) is not re-checked: the sharp suite's
 one record lists the members, read off the down masks on any algebra and
 so without the refinement verdict, and the representation suite's one
-record describes the canonical representation.  The smearing and
-extension suites read one comparison of the sample states with their atom
-tables (``sample_mismatches``), the spectral suite two of its own tables.
+record describes the canonical representation.  The smearing, spectral
+and extension suites evaluate the extremal states alone: their identities
+are linear in the state, so they hold at every state when they hold at
+every vertex.  The smearing and extension suites read one comparison of
+the vertices with their atom tables (``sample_mismatches``), the spectral
+suite two of its own tables.
 
 Each check runs in its own process, so the states suite and the gated
 suites (representation, smearing, spectral, extension) import the layers
@@ -64,7 +67,7 @@ def resolve_suites(selector: str) -> tuple[str, ...]:
 INVALID_ALGEBRA = (AxiomViolation, NonUniqueSupplement)
 
 
-def check_document(doc, instance: str, suites: Sequence[str], seed: int,
+def check_document(doc, instance: str, suites: Sequence[str],
                    max_size: int | None = None) -> list[Record]:
     """Validate the document, then run every requested suite.
 
@@ -97,9 +100,9 @@ def check_document(doc, instance: str, suites: Sequence[str], seed: int,
         "sharp": lambda: run_sharp(M, instance),
         "states": lambda: run_states(M, instance),
         "representation": lambda: run_representation(M, instance, rep()),
-        "smearing": lambda: run_smearing(M, instance, seed, rep()),
-        "spectral": lambda: run_spectral(M, instance, seed, rep()),
-        "extension": lambda: run_extension(M, instance, seed, rep()),
+        "smearing": lambda: run_smearing(M, instance, rep()),
+        "spectral": lambda: run_spectral(M, instance, rep()),
+        "extension": lambda: run_extension(M, instance, rep()),
     }
     for s in suites:
         try:
@@ -157,8 +160,8 @@ def run_sharp(M: EffectAlgebra, instance: str) -> list[Record]:
 
 def run_states(M: EffectAlgebra, instance: str) -> list[Record]:
     """Non-emptiness and separation.  The vertices solve the equalities and
-    satisfy the cuts by construction, and every mixture is a convex
-    combination of them, so their validity is a test, not a record."""
+    satisfy the cuts by construction, so their validity is a test, not a
+    record."""
     from .states import inseparable_pair, state_polytope
     P = state_polytope(M)
     records = [Record("states", instance, "non-empty",
@@ -200,34 +203,35 @@ def _zoo_size(M: EffectAlgebra) -> int:
     return 1 + M.n + sum(2 - (a == b) for a, b, _ in M.defined_sums())
 
 
-def _first_residual(M: EffectAlgebra, rep: Representation, states, bad):
-    """First mismatch, ordered by observable, state, outcome set, with its
+def _first_residual(M: EffectAlgebra, rep: Representation, bad):
+    """First mismatch, ordered by observable, vertex, outcome set, with its
     residual state minus table."""
     from .observables import atom_integrals, first_mismatch, smear
+    P = rep.polytope
     for x in _zoo_observables(M):
         kernel = smear(rep, x)
         if (hit := first_mismatch(kernel, bad)) is not None:
             i, key = hit
-            a, (row, den) = kernel.elements[key], states[i]
+            a, row, den = kernel.elements[key], P.numerators[i], P.den
             t, tden = atom_integrals(rep, row, den)
             return [[M.label(b) for b in x.values],
                     sorted(str(x.support[j]) for j in key), i,
                     str(Fraction(row[a], den) - Fraction(t[a], tden))]
 
 
-def run_smearing(M: EffectAlgebra, instance: str, seed: int,
+def run_smearing(M: EffectAlgebra, instance: str,
                  rep: Representation) -> list[Record]:
     from .observables import sample_mismatches
-    states = rep.polytope.samples(seed)
-    bad = sample_mismatches(rep, seed)
+    bad = sample_mismatches(rep)
     n_obs = _zoo_size(M)
     # every element is x(E) for some zoo observable (x(empty) = 0, (1,)
-    # gives 1, (a, a') gives a), so one comparison per element and state
+    # gives 1, (a, a') gives a), so one comparison per element and vertex
     # decides the identity; the zoo is walked only to name the first break
-    first_bad = _first_residual(M, rep, states, bad) if bad else None
+    first_bad = _first_residual(M, rep, bad) if bad else None
     return [Record("smearing", instance, "eq-residual-zero",
                    PASS if first_bad is None else FAIL, witness=first_bad,
-                   detail=f"{n_obs} observables x {len(states)} states")]
+                   detail=f"{n_obs} observables x "
+                          f"{len(rep.polytope.numerators)} states")]
 
 
 def _first_states(bad: list[tuple[int, int]]) -> dict[int, int]:
@@ -236,51 +240,52 @@ def _first_states(bad: list[tuple[int, int]]) -> dict[int, int]:
     return dict(sorted({a: i for i, a in reversed(bad)}.items()))
 
 
-def run_spectral(M: EffectAlgebra, instance: str, seed: int,
+def run_spectral(M: EffectAlgebra, instance: str,
                  rep: Representation) -> list[Record]:
     from .linalg import mismatches
     from .spectral import level_integrals
-    states = rep.polytope.samples(seed)
-    tables = [level_integrals(rep, row, den) for row, den in states]
+    rows, den = rep.polytope.numerators, rep.polytope.den
+    tables = [level_integrals(rep, row, den) for row in rows]
 
     bad = None
-    for a, i in _first_states(mismatches(states, tables)).items():
-        (row, den), (t, tden) = states[i], tables[i]
+    for a, i in _first_states(mismatches(rows, den, tables)).items():
+        t, tden = tables[i]
         bad = [M.label(a), i,
                f"spectral integral of {M.label(a)} gives "
                f"{Fraction(t[a], tden)}, but the state assigns "
-               f"{Fraction(row[a], den)}"]
+               f"{Fraction(rows[i][a], den)}"]
         break
     identity = Record("spectral", instance, "integral-identity",
                       PASS if bad is None else FAIL, witness=bad,
-                      detail=f"{M.n} elements x {len(states)} states")
+                      detail=f"{M.n} elements x {len(rows)} states")
 
     # a strictly increasing non-identity transform: the integral law must
     # survive exactly on sharp elements
-    vertices = states[:len(rep.polytope.numerators)]
     squared = [level_integrals(rep, row, den, lambda lam: lam * lam)
-               for row, den in vertices]
+               for row in rows]
     bad = first_break = None
     broken = 0
-    for a, i in _first_states(mismatches(vertices, squared)).items():
+    for a, i in _first_states(mismatches(rows, den, squared)).items():
         if a in rep.sharp:
             bad = [M.label(a), "sharp element broke the integral"]
             break
         broken += 1
         if first_break is None:
-            (row, den), (t, tden) = vertices[i], squared[i]
+            t, tden = squared[i]
             first_break = [M.label(a), i, [str(Fraction(t[a], tden)),
-                                           str(Fraction(row[a], den))]]
+                                           str(Fraction(rows[i][a], den))]]
     return [identity, Record(
         "spectral", instance, "phi-square", PASS if bad is None else FAIL,
         witness=bad if bad is not None else first_break,
         detail=f"{broken} non-sharp elements break the integral")]
 
 
-def run_extension(M: EffectAlgebra, instance: str, seed: int,
+def run_extension(M: EffectAlgebra, instance: str,
                   rep: Representation) -> list[Record]:
-    """Each state's atom table is the extension of its restriction to the
-    sharp elements (see ``sample_mismatches``) and must give the state back.
+    """Each vertex's atom table is the extension of its restriction to the
+    sharp elements (see ``sample_mismatches``) and must give the vertex
+    back; the extension is linear in the state, so the vertices decide the
+    round trip for every state.
 
     That the extension is unique is a theorem of the product-of-chains
     certificate, not a check: on prod C_{h_i} with k factors a state is
@@ -293,17 +298,14 @@ def run_extension(M: EffectAlgebra, instance: str, seed: int,
     extension gives the state back, which this suite compares."""
     from .observables import atom_integrals, sample_mismatches
     P = rep.polytope
-    # the vertices and the first three mixtures of the smearing suite's draw
-    states = P.samples(seed)[:len(P.numerators) + 3]
     bad_round = None
-    for i, a in sample_mismatches(rep, seed):
-        if i < len(states):
-            row, den = states[i]
-            t, tden = atom_integrals(rep, row, den)
-            bad_round = [i, M.label(a), str(Fraction(t[a], tden)),
-                         str(Fraction(row[a], den))]
-            break
+    if bad := sample_mismatches(rep):
+        i, a = bad[0]
+        row = P.numerators[i]
+        t, tden = atom_integrals(rep, row, P.den)
+        bad_round = [i, M.label(a), str(Fraction(t[a], tden)),
+                     str(Fraction(row[a], P.den))]
     return [Record("extension", instance, "roundtrip",
                    PASS if bad_round is None else FAIL, witness=bad_round,
-                   detail=f"{len(states)} states restricted to "
+                   detail=f"{len(P.numerators)} states restricted to "
                           f"{len(rep.sharp)} sharp elements")]

@@ -1330,7 +1330,8 @@ def x_space_vertices(M):
 
 
 # ---------------------------------------------------------------------------
-# convex mixtures of states, summed weight by weight over Fractions
+# convex mixtures of states: seeded mixtures of the vertices as integer
+# rows, and summed weight by weight over Fractions
 
 
 def convex_combination(states, weights):
@@ -1343,19 +1344,42 @@ def convex_combination(states, weights):
         for i in range(n)))
 
 
-def seeded_mixtures_reference(polytope, count, seed):
-    """The library's seeded mixtures drawn the same way (``count`` rounds
-    of one ``randint(1, 10)`` per vertex) but combined as Fraction weights
-    raw / total through ``convex_combination``."""
+def mixture_weights(polytope, count, seed):
+    """``count`` rounds of one seeded ``randint(1, 10)`` weight per vertex
+    of the polytope."""
+    if polytope.is_empty:
+        raise ValueError("cannot mix vertices of an empty polytope")
     rng = random.Random(seed)
+    return [[rng.randint(1, 10) for _ in polytope.numerators]
+            for _ in range(count)]
+
+
+def mixture_rows(polytope, count, seed):
+    """The mixtures of ``mixture_weights`` as integer (numerators,
+    denominator) pairs: value_i = sum_k raw_k * N_k,i / (sum(raw) * den),
+    N the vertices' numerators.  The denominators differ from the
+    vertices', which is what lets a mixture catch a denominator slip in an
+    integer core that the vertices alone would not."""
+    from operator import mul
+
+    columns = list(zip(*polytope.numerators))
+    return [(tuple(sum(map(mul, raw, col)) for col in columns),
+             sum(raw) * polytope.den)
+            for raw in mixture_weights(polytope, count, seed)]
+
+
+def seeded_mixtures(polytope, count, seed):
+    """``mixture_rows`` read as Fraction States."""
+    return [State(tuple(Fraction(v, den) for v in row))
+            for row, den in mixture_rows(polytope, count, seed)]
+
+
+def seeded_mixtures_reference(polytope, count, seed):
+    """The seeded mixtures of ``mixture_weights`` combined as Fraction
+    weights raw / total through ``convex_combination``."""
     states = vertices(polytope)
-    out = []
-    for _ in range(count):
-        raw = [rng.randint(1, 10) for _ in states]
-        total = sum(raw)
-        out.append(convex_combination(
-            states, [Fraction(w, total) for w in raw]))
-    return out
+    return [convex_combination(states, [Fraction(w, sum(raw)) for w in raw])
+            for raw in mixture_weights(polytope, count, seed)]
 
 
 def doctored_polytope(M, states, dimension):
@@ -1813,46 +1837,6 @@ def is_sigma_additive(M, state):
 # library's bodies before it moved onto integer numerators, kept whole and
 # with no cache on the representation, so the integer cores have a
 # reference that builds a Fraction per value
-
-
-def seeded_mixtures(polytope, count, seed):
-    """The library's seeded mixtures, ``effecta.states.mixture_rows``, read
-    as Fraction States."""
-    from effecta.states import mixture_rows
-
-    return [State(tuple(Fraction(v, den) for v in row))
-            for row, den in mixture_rows(polytope, count, seed)]
-
-
-def seeded_mixtures_fraction(polytope, count, seed):
-    """``count`` rounds of one ``randint(1, 10)`` weight per vertex, each
-    value a Fraction of the weighted numerator sum over the weight total
-    times the polytope's denominator."""
-    from operator import mul
-
-    from effecta.errors import EmptyStateSpace
-
-    if polytope.is_empty:
-        raise EmptyStateSpace("cannot mix vertices of an empty polytope")
-    rng = random.Random(seed)
-    k = len(polytope.numerators)
-    columns = list(zip(*polytope.numerators))
-    out = []
-    for _ in range(count):
-        raw = [rng.randint(1, 10) for _ in range(k)]
-        den = sum(raw) * polytope.den
-        out.append(State(tuple(Fraction(sum(map(mul, raw, col)), den)
-                               for col in columns)))
-    return out
-
-
-def sample_states(P, seed, mixtures):
-    """The states a gated suite evaluates, as Fraction States: the
-    vertices, then seeded mixtures; a lone vertex alone."""
-    states = list(vertices(P))
-    if len(states) == 1:
-        return states
-    return states + seeded_mixtures_fraction(P, mixtures, seed)
 
 
 def _over_common_denominator(values):

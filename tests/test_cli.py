@@ -240,6 +240,30 @@ def test_check_output_is_byte_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command, family, code", [
+    ("check", ("interval", "1", "2"), 0),
+    ("check", ("horizontal-sum", "boolean2", "boolean2"), 1),
+    ("smear", ("interval", "1", "2"), 0),
+])
+def test_the_seed_changes_no_report_byte(tmp_path, capsys, command, family,
+                                         code):
+    """``--seed`` is still accepted, and a report is a function of the
+    document alone: seeds 0 and 7 print the same bytes and exit alike."""
+    path = write_algebra(tmp_path, "doc.json", *family)
+    capsys.readouterr()
+    argv = [command, "--input", str(path)]
+    if command == "smear":
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"support": ["0", "1"],
+                                   "values": ["(0,1)", "(1,1)"]}))
+        argv += ["--observable", str(obs)]
+    outputs = []
+    for seed in ("0", "7"):
+        assert run(*argv, "--seed", seed) == code
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
 def test_check_text_format_and_suite_subset(tmp_path, capsys):
     path = write_algebra(tmp_path, "c4.json", "chain", "4")
     assert run("check", "--input", str(path), "--suite", "axioms",

@@ -2,10 +2,12 @@
 against the Fraction route they replaced.
 
 The suites call the integer cores (``atom_integrals``, ``levels`` and
-``level_integrals``) on the polytope's integer samples; the extension
-suite reads the smearing suite's comparison of the sample states with
-their atom tables (``sample_mismatches``), each table the extension of its
-state's sharp restriction.
+``level_integrals``) on the polytope's integer vertices; the extension
+suite reads the smearing suite's comparison of the vertices with their
+atom tables (``sample_mismatches``), each table the extension of its
+state's sharp restriction.  The suites evaluate the vertices alone because
+every table is linear in its state; seeded mixtures of the vertices, with
+denominators of their own, cross-check that shortcut here.
 ``oracles`` keeps the Fraction bodies the library had before, with no cache
 on the representation; here both routes must give the same tables,
 measures, states and errors, on the refinement zoo, on the generated
@@ -76,9 +78,10 @@ def _instances():
 
 
 def test_the_integer_cores_match_the_fraction_route():
-    """Samples, atom integrals, spectral tables (identity and square),
-    measures, xi on the atoms and extensions, on every zoo algebra with the
-    refinement property and every generated product, at seeds 0 to 3."""
+    """Atom integrals, spectral tables (identity and square), measures, xi
+    on the atoms and extensions, on every zoo algebra with the refinement
+    property and every generated product: on the vertices, and on ten
+    seeded mixtures at each of seeds 0 to 3."""
     tables = 0
     for name, M in _instances():
         rep = canonical_representation(M)
@@ -89,56 +92,47 @@ def test_the_integer_cores_match_the_fraction_route():
         assert [oracles.measure_of(rep, a) for a in M.elements()] == measures
         xi = oracles.sharp_observable(rep)
         assert _atom_plan(rep)[0] == tuple(map(xi, xi.atoms)), name
+        states = [(row, P.den) for row in P.numerators]
         for seed in range(4):
-            samples = P.samples(seed)
-            states = oracles.sample_states(P, seed, 10)
-            assert [_fractions(*s) for s in samples] == [m.values
-                                                        for m in states]
-            for (row, den), m in zip(samples, states):
-                values = m.values
-                atom = oracles.element_integrals_fraction(rep, values)
-                assert _fractions(*atom_integrals(rep, row, den)) == atom
-                for phi in (None, _square):
-                    level = oracles.spectral_integral_fraction(
-                        rep, values, phi, measures)
-                    assert _fractions(*level_integrals(rep, row, den,
-                                                       phi)) == level, name
-                tables += 1
-            # the extension suite's states: the vertices, three mixtures;
-            # their atom tables are the atom formula on the restriction
-            for (row, den), m in list(zip(samples, states))[
-                    :len(P.numerators) + 3]:
-                restricted = {b: m.values[b] for b in sharp}
-                ext = oracles.extend_state_fraction(rep, restricted, measures)
-                assert ext == m, name
-                assert _fractions(*atom_integrals(
-                    rep, {b: row[b] for b in sharp}, den)) == ext.values
-                assert _fractions(*atom_integrals(rep, row, den)) == ext.values
+            states += oracles.mixture_rows(P, 10, seed)
+        for row, den in states:
+            values = _fractions(row, den)
+            atom = oracles.element_integrals_fraction(rep, values)
+            assert _fractions(*atom_integrals(rep, row, den)) == atom, name
+            for phi in (None, _square):
+                level = oracles.spectral_integral_fraction(
+                    rep, values, phi, measures)
+                assert _fractions(*level_integrals(rep, row, den,
+                                                   phi)) == level, name
+            # the atom table is the atom formula on the restriction
+            restricted = {b: values[b] for b in sharp}
+            ext = oracles.extend_state_fraction(rep, restricted, measures)
+            assert ext.values == values, name
+            assert _fractions(*atom_integrals(
+                rep, {b: row[b] for b in sharp}, den)) == values, name
+            tables += 1
     assert tables > 2000
 
 
 def test_the_extension_suite_reads_states_and_extends_them_to_states():
-    """The extension suite checks neither that a sample restricts to a
-    state on the sharp elements nor that its extension is a state: each
-    sample is a vertex or a convex mixture of vertices, and past the
-    certificate the atom formula gives the sample back.  The Fraction
-    references check both on every state the suite reads, at seeds 0
-    and 3."""
+    """The extension suite checks neither that a vertex restricts to a
+    state on the sharp elements nor that its extension is a state: past
+    the certificate the atom formula gives the vertex back.  The Fraction
+    references check both on every vertex the suite reads."""
     checked = 0
     for name, M in _instances():
         rep = canonical_representation(M)
         P = rep.polytope
         sharp = sharp_elements(M).members
-        for seed in (0, 3):
-            for row, den in P.samples(seed)[:len(P.numerators) + 3]:
-                restricted = {b: row[b] for b in sharp}
-                oracles.validate_sharp_state_fraction(
-                    M, {b: Fraction(v, den) for b, v in restricted.items()})
-                table = _fractions(*atom_integrals(rep, restricted, den))
-                check = oracles.fraction_is_state(M, table)
-                assert check.ok, (name, seed, check.violation)
-                checked += 1
-    assert checked == 502
+        for row in P.numerators:
+            restricted = {b: row[b] for b in sharp}
+            oracles.validate_sharp_state_fraction(
+                M, {b: Fraction(v, P.den) for b, v in restricted.items()})
+            table = _fractions(*atom_integrals(rep, restricted, P.den))
+            check = oracles.fraction_is_state(M, table)
+            assert check.ok, (name, row, check.violation)
+            checked += 1
+    assert checked == 119
 
 
 def test_the_extension_core_is_the_atom_formula_on_any_weighting():
@@ -244,7 +238,7 @@ def _swapped_xi(M):
     return rep
 
 
-# the smearing, spectral and extension records at seed 0, as the Fraction
+# the smearing, spectral and extension records, as the Fraction
 # route wrote them: the sha256 of the JSONL report, and each FAIL's witness.
 # The digests were re-recorded without the records the product-of-chains
 # certificate proves (kernel-measurable, sharp-table and uniqueness), each
@@ -255,7 +249,11 @@ def _swapped_xi(M):
 # tables, each report differing in its roundtrip line alone: a swapped
 # measure no longer fails it (integral-identity still does), and a swapped
 # xi fails it at the first element the table does not give back.  The
-# Fraction reference keeps both refusals, in the test below.
+# Fraction reference keeps both refusals, in the test below.  Every digest
+# but chain 3's, whose one vertex was always its one state, was re-recorded
+# again when the suites came to evaluate the vertices alone: each report
+# differs in the state counts of its eq-residual-zero, integral-identity
+# and roundtrip details alone, and every witness stayed.
 DOCTORED = {
     "chain3": (
         lambda: oracles.raised_last_vertex(chain(3)),
@@ -266,7 +264,7 @@ DOCTORED = {
                                        "but the state assigns 5/12"]}),
     "interval12": (
         lambda: oracles.raised_last_vertex(interval(1, 2)),
-        "5fbef0d19873393db37bdb850895a66ce0f5b70467de1c0b4b65c92c10b039b5",
+        "7290b4dc55d5fa87441e0b77d7bf5c67b5e18a4b1935fb5adc940d9e4b8921df",
         {"roundtrip": [1, "(0,1)", "1/2", "7/12"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 1,
                               "1/12"],
@@ -275,7 +273,7 @@ DOCTORED = {
                                            "7/12"]}),
     "chain2xchain3": (
         lambda: oracles.raised_last_vertex(product_of(("chain", 2), ("chain", 3))),
-        "75aac227c946f99c9c4cc8fdbfd7b155413afacf27f9aa2883251c412b9f5384",
+        "178c8078a87f055aba0f956c85d683289b17608c1c18801ccc4090290f70fb11",
         {"roundtrip": [1, "(0,1)", "1/3", "5/12"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(2,2)"], ["1/2"], 1,
                               "1/12"],
@@ -284,24 +282,24 @@ DOCTORED = {
                                            "5/12"]}),
     "boolean2-swap": (
         lambda: _swapped_measure(boolean(2), 1),
-        "76e96474227e7e297f746c46092fb299f541fecfcee968838e83ab9299447b18",
+        "343b8f95c6bee21ee0c883a7209dea22c63d90e21e667fef8329c9e4bf3b52b6",
         {"integral-identity": ["{1}", 0, "spectral integral of {1} gives 1, "
                                          "but the state assigns 0"],
          "phi-square": ["{1}", "sharp element broke the integral"]}),
     "boolean2-xi": (
         lambda: _swapped_xi(boolean(2)),
-        "8092239f68498ec053cd1297c16c260b30e70598da406901175e7422f65715c8",
+        "717e139b2bb083521daef8d56cb871560543c0aa2c3199585af2a2aab9eae773",
         {"roundtrip": [0, "{1}", "1", "0"],
          "eq-residual-zero": [["{}", "{1}", "{2}"], ["1/2"], 0, "-1"]}),
     "interval12-xi": (
         lambda: _swapped_xi(interval(1, 2)),
-        "ee97d19c277b78230119693fbba8158cf54ed66ad4d9987b1b93b866dfb8dbe9",
+        "e8bc5eebdc632e7e1385091e4da44327908d37f72f5c40cb662d2a91c63c6a5e",
         {"roundtrip": [0, "(0,1)", "1/2", "0"],
          "eq-residual-zero": [["(0,0)", "(0,1)", "(1,1)"], ["1/2"], 0,
                               "-1/2"]}),
     "interval12-swap": (
         lambda: _swapped_measure(interval(1, 2), 1),
-        "572905156f83842748c95b60e229f9f0b68125556932903123a3e2d7f194944d",
+        "1c736d993c575dcaa1b4482ca1acb72eb5bd93532382111a3a26503f99852f13",
         {"integral-identity": ["(0,1)", 0, "spectral integral of (0,1) gives "
                                            "1/2, but the state assigns 0"]}),
 }
@@ -312,12 +310,69 @@ def test_doctored_representations_keep_the_fraction_witnesses(name):
     doctor, digest, failures = DOCTORED[name]
     rep = doctor()
     M = rep.target
-    records = (run_smearing(M, name, 0, rep) + run_spectral(M, name, 0, rep)
-               + run_extension(M, name, 0, rep))
+    records = (run_smearing(M, name, rep) + run_spectral(M, name, rep)
+               + run_extension(M, name, rep))
     assert {r.check: r.witness for r in records
             if r.status == "fail"} == failures
     report = render_jsonl(records).encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the vertices decide every state
+
+
+def _linearity_inputs():
+    """The refinement zoo, the generated products, and every doctored
+    representation here and in ``test_spectral``."""
+    from test_spectral import DOCTORED as SPECTRAL_DOCTORED
+    for name, M in _instances():
+        yield name, canonical_representation(M)
+    for name, (doctor, _, _) in DOCTORED.items():
+        yield name, doctor()
+    for name, (M, _) in SPECTRAL_DOCTORED.items():
+        yield name, oracles.raised_last_vertex(M)
+
+
+def _squared_levels(rep, row, den):
+    return level_integrals(rep, row, den, _square)
+
+
+def test_a_mixture_misses_its_table_only_where_a_vertex_does():
+    """The smearing, spectral and extension suites evaluate the vertices
+    alone, since every table is linear in its state.  On ten seeded
+    mixtures at each of seeds 0 to 3, each over a denominator of its own,
+    the atom table and the spectral tables of the identity and the square
+    are the same mixture of the vertices' tables, summed as Fractions
+    (``test_the_integer_cores_match_the_fraction_route`` holds the
+    undoctored tables to the Fraction route), and an element at which some
+    mixture differs from its table is one at which some vertex differs from
+    its own."""
+    missed = 0
+    for name, rep in _linearity_inputs():
+        P = rep.polytope
+        for core in (atom_integrals, level_integrals, _squared_levels):
+            vertex_tables = [_fractions(*core(rep, row, P.den))
+                             for row in P.numerators]
+            at_vertices = {a for row, table in zip(P.numerators, vertex_tables)
+                           for a, v in enumerate(table)
+                           if v != Fraction(row[a], P.den)}
+            at_mixtures = set()
+            for seed in range(4):
+                for raw, (row, den) in zip(
+                        oracles.mixture_weights(P, 10, seed),
+                        oracles.mixture_rows(P, 10, seed)):
+                    table = _fractions(*core(rep, row, den))
+                    weights = [Fraction(w, sum(raw)) for w in raw]
+                    assert table == tuple(
+                        sum((w * t[a] for w, t in zip(weights, vertex_tables)),
+                            start=Fraction(0))
+                        for a in range(len(table))), (name, seed)
+                    at_mixtures |= {a for a, v in enumerate(table)
+                                    if v != Fraction(row[a], den)}
+            assert at_mixtures <= at_vertices, (name, core)
+            missed += bool(at_mixtures)
+    assert missed > len(DOCTORED)
 
 
 @pytest.mark.parametrize("M, doctoring, message", [
@@ -364,7 +419,7 @@ def test_the_fraction_extension_refuses_a_doctored_xi_or_measure(
 def _fractions_built(monkeypatch, doc, name, suites):
     """The records of a check, and the number of Fractions it built, after
     a first run that imports every layer it needs."""
-    check_document(doc, name, suites, 0)
+    check_document(doc, name, suites)
     built = 0
     new = Fraction.__new__
 
@@ -374,7 +429,7 @@ def _fractions_built(monkeypatch, doc, name, suites):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    records = check_document(doc, name, suites, 0)
+    records = check_document(doc, name, suites)
     monkeypatch.undo()
     return records, built
 

@@ -4,7 +4,7 @@ of a layer is read by package code, no module holds a float or keeps
 a value on another object or through a ``functools`` cache, importing the
 command line stays light, and each command loads only the layers it
 reaches; the elimination, vertex, state and representation layers import
-no ``fractions``."""
+no ``fractions``, and no module imports ``random``."""
 
 import ast
 import os
@@ -125,15 +125,29 @@ def test_the_elimination_and_vertex_layers_import_no_fraction(module):
     states and the representation's member rows are integers: ``linalg``,
     ``polytope``, ``states`` and ``representation`` import nothing from
     ``fractions``."""
-    path = Path(effecta.__file__).parent / f"{module}.py"
+    assert _imports_from(Path(effecta.__file__).parent / f"{module}.py",
+                         "fractions") == []
+
+
+def _imports_from(path: Path, package: str) -> list[str]:
+    """Every name the module at ``path`` imports from ``package``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             found += [a.name for a in node.names
-                      if a.name.split(".")[0] == "fractions"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
-            found += [f"fractions.{a.name}" for a in node.names]
-    assert found == []
+                      if a.name.split(".")[0] == package]
+        elif isinstance(node, ast.ImportFrom) and node.module == package:
+            found += [f"{package}.{a.name}" for a in node.names]
+    return found
+
+
+def test_no_module_imports_random():
+    """Every report is a function of the document alone: no module of the
+    package imports ``random``."""
+    found = {path.name: names
+             for path in sorted(Path(effecta.__file__).parent.glob("*.py"))
+             if (names := _imports_from(path, "random"))}
+    assert found == {}
 
 
 def _fresh(code: str):

@@ -14,13 +14,12 @@ from effecta.errors import (NotMeasurable, ParseError, RdpRequired,
                             TheoremViolation)
 from effecta.linalg import over_common_denominator
 from effecta.representation import Representation, canonical_representation
-from effecta.report import FAIL, PASS, SKIP, Record, render_jsonl
+from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
 from effecta.states import StatePolytope, state_polytope
 from effecta.suites import SUITE_NAMES, check_document, resolve_suites
 
 import oracles
-from oracles import seeded_mixtures
 from zoo_instances import (boolean, chain, interval, loop4, mo2,
                            non_rdp_zoo, product_of, rdp_zoo)
 
@@ -38,7 +37,7 @@ def test_resolve_suites():
 
 
 def test_chain3_full_inventory_passes():
-    recs = check_document(algebra_to_obj(chain(3)), "c3", SUITE_NAMES, seed=0)
+    recs = check_document(algebra_to_obj(chain(3)), "c3", SUITE_NAMES)
     assert len(recs) == 10
     assert all(r.status == "pass" for r in recs)
     assert all(r.instance == "c3" for r in recs)
@@ -54,7 +53,7 @@ def test_chain3_full_inventory_passes():
 
 
 def test_mo2_gating_and_skip():
-    recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES, seed=0)
+    recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES)
     k = by_key(recs)
     witness = ["h0:{1}", "h0:{2}", "h1:{1}", "h1:{2}"]
 
@@ -81,8 +80,7 @@ def test_mo2_gating_and_skip():
 
 def test_box_cap_skips_the_suites_that_need_the_polytope(monkeypatch):
     monkeypatch.setattr("effecta.polytope.MAX_BOX_DIM", 0)
-    recs = check_document(algebra_to_obj(boolean(2)), "b2", SUITE_NAMES,
-                          seed=0)
+    recs = check_document(algebra_to_obj(boolean(2)), "b2", SUITE_NAMES)
     k = by_key(recs)
     # the refinement property holds, so every gated suite reaches the cap
     for suite in ("states", "representation", "smearing", "spectral",
@@ -115,7 +113,7 @@ def test_the_polytope_and_the_representation_are_cached_on_the_algebra(
     calls return the values of the first."""
     calls = _count_solves_and_builds(monkeypatch)
     M = boolean(4)
-    recs = check_document(algebra_to_obj(M), "b4", SUITE_NAMES, 0)
+    recs = check_document(algebra_to_obj(M), "b4", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
     assert calls == Counter(enumerate_vertices=1, _evaluation_representation=1)
     calls.clear()
@@ -131,10 +129,10 @@ def test_the_refinement_gate_comes_before_the_state_polytope(monkeypatch):
     calls = _count_solves_and_builds(monkeypatch)
     doc = algebra_to_obj(mo2())
     gated = ("representation", "smearing", "spectral", "extension")
-    recs = check_document(doc, "mo2", gated, 0)
+    recs = check_document(doc, "mo2", gated)
     assert [r.check for r in recs] == ["canonical-representation"] * 4
     assert calls == Counter()
-    recs = check_document(doc, "mo2", ("states",) + gated, 0)
+    recs = check_document(doc, "mo2", ("states",) + gated)
     assert [(r.check, r.status) for r in recs if r.suite == "states"] == [
         ("non-empty", "pass"), ("separating", "pass")]
     assert calls == Counter(enumerate_vertices=1)
@@ -144,7 +142,7 @@ def test_invalid_algebra_shorts_every_suite():
     bad = algebra_to_obj(chain(3))
     bad["sum"] = [s if s != ["1", "1", "2"] else ["1", "1", "3"]
                   for s in bad["sum"]]
-    recs = check_document(bad, "broken", SUITE_NAMES, seed=0)
+    recs = check_document(bad, "broken", SUITE_NAMES)
     k = by_key(recs)
     r = k[("axioms", "validate")]
     assert r.status == "fail" and r.witness == ["1", "2"]
@@ -162,41 +160,19 @@ def test_an_empty_polytope_fails_non_empty_and_skips_separating():
         Record("states", "c2", "separating", SKIP, detail="no states")]
 
 
-def test_sample_states_lists_a_lone_vertex_once():
-    """The polytope's integer samples are its vertices, then ten seeded
-    mixtures, or a lone vertex alone; the extension suite's vertices and
-    three mixtures are a prefix.  Read as Fractions, they equal the Fraction
-    route's states, and each seed is drawn once, with its own draw."""
-    for name, M in rdp_zoo() + non_rdp_zoo():
-        P = state_polytope(M)
-        vertices = list(oracles.vertices(P))
-        for seed in (0, 3):
-            got = [oracles.State(tuple(Fraction(v, den) for v in row))
-                   for row, den in P.samples(seed)]
-            if len(vertices) == 1:
-                assert got == vertices, name
-            else:
-                assert got == vertices + seeded_mixtures(P, 10, seed), name
-            assert got == oracles.sample_states(P, seed, 10), name
-            assert (got[:len(vertices) + 3]
-                    == oracles.sample_states(P, seed, 3)), name
-            assert P.samples(seed) is P.samples(seed), name
-        assert (P.samples(0) != P.samples(3)) == (len(vertices) > 1), name
-
-
 def test_malformed_document_raises():
     with pytest.raises(ParseError):
-        check_document({"elements": ["0"]}, "x", SUITE_NAMES, seed=0)
+        check_document({"elements": ["0"]}, "x", SUITE_NAMES)
 
 
 def test_subset_runs_and_determinism():
     doc = algebra_to_obj(chain(4))
-    axioms_only = check_document(doc, "c4", ("axioms",), seed=0)
+    axioms_only = check_document(doc, "c4", ("axioms",))
     assert {r.suite for r in axioms_only} == {"axioms"}
     assert len(axioms_only) == 1
 
-    once = render_jsonl(check_document(doc, "c4", SUITE_NAMES, seed=3))
-    twice = render_jsonl(check_document(doc, "c4", SUITE_NAMES, seed=3))
+    once = render_jsonl(check_document(doc, "c4", SUITE_NAMES))
+    twice = render_jsonl(check_document(doc, "c4", SUITE_NAMES))
     assert once == twice
 
 
@@ -211,13 +187,13 @@ def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
     each suite that reads them, smearing and extension; every other suite's
     records stand."""
     doc = algebra_to_obj(chain(3))
-    clean = check_document(doc, "c3", SUITE_NAMES, seed=0)
+    clean = check_document(doc, "c3", SUITE_NAMES)
 
     def broken(rep, values, den=None):
         raise NotMeasurable("integrand", [0, 1])
 
     monkeypatch.setattr("effecta.observables.atom_integrals", broken)
-    recs = check_document(doc, "c3", SUITE_NAMES, seed=0)
+    recs = check_document(doc, "c3", SUITE_NAMES)
     readers = ("smearing", "extension")
     for suite in readers:
         (err,) = [r for r in recs if r.suite == suite]
@@ -262,10 +238,10 @@ def _names(stores):
 
 
 def test_the_smearing_suite_builds_its_integration_plan_once(monkeypatch):
-    """One plan serves the tables of every state on boolean 4."""
+    """One plan serves the tables of every vertex of boolean 4."""
     stores = _count_memo_stores(monkeypatch)
     rep = canonical_representation(boolean(4))
-    recs = suites.run_smearing(rep.target, "b4", 0, rep)
+    recs = suites.run_smearing(rep.target, "b4", rep)
     assert [r.status for r in recs] == ["pass"]
     assert (_names(stores)["_atom_plan"], _names(stores)["_level_plan"]) == (
         1, 0)
@@ -275,7 +251,7 @@ def test_a_full_check_builds_each_integration_plan_once(monkeypatch):
     """The smearing, spectral and extension suites share the
     representation's two plans."""
     stores = _count_memo_stores(monkeypatch)
-    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
+    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
     assert (_names(stores)["_atom_plan"], _names(stores)["_level_plan"]) == (
         1, 1)
@@ -286,8 +262,8 @@ ALGEBRA_VALUES = ("defined_sums", "atom_coordinates", "check_rdp",
 
 
 @pytest.mark.parametrize("instance, kept", [
-    ("boolean4", ALGEBRA_VALUES + ("canonical_representation", "samples",
-                                   "compute_b0", "_atom_plan", "_level_plan",
+    ("boolean4", ALGEBRA_VALUES + ("canonical_representation", "compute_b0",
+                                   "_atom_plan", "_level_plan",
                                    "sample_mismatches")),
     # the four gated suites each meet the refinement gate, which keeps nothing
     ("loop4", ALGEBRA_VALUES)])
@@ -298,21 +274,20 @@ def test_a_full_check_runs_each_kept_body_once_per_object(instance, kept,
     stores = _count_memo_stores(monkeypatch)
     doc = algebra_to_obj(boolean(4) if instance == "boolean4" else loop4())
     stores.clear()
-    check_document(doc, instance, SUITE_NAMES, 0)
+    check_document(doc, instance, SUITE_NAMES)
     assert set(stores.values()) == {1}
     assert _names(stores) == Counter(kept)
 
 
 @pytest.mark.parametrize("M, calls", [
-    pytest.param(boolean(4), (14, 14, 4), id="boolean4"),
+    pytest.param(boolean(4), (4, 4, 4), id="boolean4"),
     pytest.param(chain(3), (1, 1, 1), id="chain3"),
 ])
 def test_a_full_check_builds_one_table_per_sample_state(M, calls,
                                                         monkeypatch):
-    """One atom table and one spectral table per sample state, and one
-    squared table per vertex: the extension suite reads the smearing
-    suite's atom tables and builds no table of its own.  boolean 4 has 4
-    vertices and 10 mixtures; chain 3 has one state."""
+    """One atom table, one spectral table and one squared table per vertex:
+    the extension suite reads the smearing suite's atom tables and builds
+    no table of its own.  boolean 4 has 4 vertices; chain 3 has one."""
     from effecta import spectral
     counts = Counter()
     # each atom table reads its plan once, whichever module calls for it
@@ -328,48 +303,29 @@ def test_a_full_check_builds_one_table_per_sample_state(M, calls,
 
     monkeypatch.setattr(observables, "_atom_plan", counting_plan)
     monkeypatch.setattr(spectral, "level_integrals", counting_level)
-    recs = check_document(algebra_to_obj(M), "x", SUITE_NAMES, 0)
+    recs = check_document(algebra_to_obj(M), "x", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
     assert (counts["atom"], counts["level"], counts["phi"]) == calls
 
 
 def test_a_full_check_compares_each_table_set_with_its_states_once(
         monkeypatch):
-    """Three comparisons on boolean 4: the atom tables of the sample states,
+    """Three comparisons on boolean 4: the atom tables of the vertices,
     which the smearing and extension suites share, and the spectral suite's
     identity and squared tables."""
     from effecta import linalg
     sizes = []
     compare = linalg.mismatches
 
-    def counting(states, tables):
-        sizes.append((len(states), len(tables)))
-        return compare(states, tables)
+    def counting(rows, den, tables):
+        sizes.append((len(rows), len(tables)))
+        return compare(rows, den, tables)
 
     monkeypatch.setattr(linalg, "mismatches", counting)
     monkeypatch.setattr(observables, "mismatches", counting)
-    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
+    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
-    assert sorted(sizes) == [(4, 4), (14, 14), (14, 14)]
-
-
-def test_the_round_trip_reads_the_vertices_and_three_mixtures_alone():
-    """A sample state past the vertices and the first three mixtures that
-    its atom table does not give back fails the smearing record and not
-    the extension suite's round trip.  Boolean 2 has two vertices; its
-    fourth mixture, sample 5, is doctored at the zero element."""
-    M = boolean(2)
-    rep = canonical_representation(M)
-    P = rep.polytope
-    samples = P.samples(0)
-    row, den = samples[5]
-    P._memo["samples", 0] = (samples[:5] + [((row[0] + 1, *row[1:]), den)]
-                             + samples[6:])
-    smearing, = suites.run_smearing(M, "b2", 0, rep)
-    assert (smearing.status, smearing.witness[2:]) == (FAIL, [5, "1/12"])
-    assert suites.run_extension(M, "b2", 0, rep) == [Record(
-        "extension", "b2", "roundtrip", PASS,
-        detail="5 states restricted to 4 sharp elements")]
+    assert sorted(sizes) == [(4, 4), (4, 4), (4, 4)]
 
 
 def _count_refinement_work(monkeypatch):
@@ -398,7 +354,7 @@ def test_a_full_check_of_boolean4_certifies_refinement_without_scans(
     """The product-of-chains certificate decides refinement and the sharp
     Boolean algebra, and the state polytope reads the same coordinates."""
     work = _count_refinement_work(monkeypatch)
-    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES, 0)
+    recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
     assert work == Counter(walks=1)
 
@@ -408,7 +364,7 @@ def test_a_failed_certificate_leaves_its_coordinates_to_the_states(
     """Without refinement the scan names the witness, and the state polytope
     reuses the coordinates the failed certificate walked."""
     work = _count_refinement_work(monkeypatch)
-    recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES, 0)
+    recs = check_document(algebra_to_obj(mo2()), "mo2", SUITE_NAMES)
     assert by_key(recs)[("rdp", "refinement")].status == FAIL
     assert work["walks"] == 1 and work["_refine"] > 0
 
@@ -459,10 +415,10 @@ def test_a_failed_order_certificate_is_one_error_per_gated_suite(
     with pytest.raises(TheoremViolation) as err:
         representation._evaluation_representation(M, state_polytope(M))
     doc = algebra_to_obj(M)
-    clean = check_document(doc, "c2+c3", SUITE_NAMES, seed=0)
+    clean = check_document(doc, "c2+c3", SUITE_NAMES)
     monkeypatch.setattr(representation, "check_rdp",
                         lambda M: RdpResult(True, None, M))
-    recs = check_document(doc, "c2+c3", SUITE_NAMES, seed=0)
+    recs = check_document(doc, "c2+c3", SUITE_NAMES)
     for suite in ("representation", "smearing", "spectral", "extension"):
         assert [(r.check, r.status, r.witness, r.detail)
                 for r in recs if r.suite == suite] == [
@@ -478,12 +434,12 @@ def test_a_failed_order_certificate_is_one_error_per_gated_suite(
 # per-observable loop of oracles.smearing_residual_record
 
 
-def _states(rep, seed=0):
-    return oracles.sample_states(rep.polytope, seed, 10)
+def _states(rep):
+    return oracles.vertices(rep.polytope)
 
 
-def _residual_record(M, rep, seed=0):
-    (r,) = [r for r in suites.run_smearing(M, "x", seed, rep)
+def _residual_record(M, rep):
+    (r,) = [r for r in suites.run_smearing(M, "x", rep)
             if r.check == "eq-residual-zero"]
     return r.status, r.witness, r.detail
 
@@ -524,17 +480,17 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
     assert first[early] < first[late]
     # a lone vertex is the only test state, so every doctoring lands on it
     last = len(states) - 1
-    mixture = min(len(rep.polytope.numerators) + 3, last)
+    middle = len(states) // 2
     second = min(1, last)
     seventh = Fraction(1, 7)
     doctorings = [
         {(late, 0): seventh},
-        {(early, mixture): seventh},
+        {(early, middle): seventh},
         {(M.zero, last): seventh},
         {(M.one, second): seventh},
         # observable order puts the early element's break first, state
         # order the late element's
-        {(late, 0): seventh, (early, mixture): seventh},
+        {(late, 0): seventh, (early, middle): seventh},
         {(late, 0): -seventh, (M.zero, last): seventh,
          (early, second): seventh},
     ]
@@ -577,10 +533,10 @@ def test_a_passing_smearing_suite_smears_no_observable(monkeypatch):
 
     monkeypatch.setattr(observables, "smear", counting_smear)
     monkeypatch.setattr(observables, "atom_integrals", counting_tables)
-    recs = suites.run_smearing(M, "b3", 0, rep)
+    recs = suites.run_smearing(M, "b3", rep)
     assert all(r.status == "pass" for r in recs)
     # the zoo is counted in closed form and walked only to name a break,
-    # so a pass smears nothing; one table per state
+    # so a pass smears nothing; one table per vertex
     assert calls == {"smear": 0, "tables": len(_states(rep))}
 
 
@@ -620,7 +576,8 @@ def test_the_zoo_size_counts_the_walk(tokens):
 
 def test_the_dropped_records_hold_on_every_zoo_instance_past_the_gate():
     """Regularity, ideal congruence, the sandwich squeeze, kernel
-    independence at a null point (on the states of seeds 0 and 3) and
+    independence at a null point (on the vertices and the seeded mixtures
+    of seeds 0 and 3) and
     additivity of every spectral measure on all pairs of disjoint outcome
     sets, through the reference checks in ``oracles``."""
     half = Fraction(1, 2)
@@ -657,8 +614,9 @@ def test_the_dropped_records_hold_on_every_zoo_instance_past_the_gate():
         kernels = [observables.smear(ext, observables.make_observable(
                        M, (0, 1), (a, M.comp(a)))) for a in M.elements()]
         states = list(dict.fromkeys(
-            m for seed in (0, 3)
-            for m in oracles.sample_states(rep.polytope, seed, 10)))
+            list(oracles.vertices(rep.polytope))
+            + oracles.seeded_mixtures(rep.polytope, 10, 0)
+            + oracles.seeded_mixtures(rep.polytope, 10, 3)))
         for kernel in kernels:
             # each kernel function has value 0 at the null point; move it
             # to 1/2 or 1, by turns
