@@ -39,7 +39,7 @@ del _name
 
 # module -> the names it exports here
 _EXPORTS = {
-    "algebra": ("EffectAlgebra", "RdpResult", "SharpSet", "check_rdp",
+    "algebra": ("EffectAlgebra", "RdpResult", "check_rdp",
                 "iterated_sum", "sharp_elements", "validate_effect_algebra"),
     "generators": ("generate", "parse_family_tokens"),
     "observables": ("Observable", "make_observable", "smear",

@@ -373,13 +373,8 @@ def _refinement_scan(M: EffectAlgebra) -> RdpResult:
 # sharp elements
 
 
-class SharpSet(NamedTuple):
-    """The elements a with a /\\ a' existing and equal to zero."""
-    members: tuple[int, ...]
-
-
 @once
-def sharp_elements(M: EffectAlgebra) -> SharpSet:
+def sharp_elements(M: EffectAlgebra) -> tuple[int, ...]:
     """The a with a /\\ a' = 0, in id order: that meet exists and is 0
     exactly when 0 is the only common lower bound of a and a', one AND of
     their down masks, on any algebra.  On a certified product of chains
@@ -387,6 +382,5 @@ def sharp_elements(M: EffectAlgebra) -> SharpSet:
     min(m_i(a), h_i - m_i(a)), so the sharp elements are the m with each
     m_i in {0, h_i}: the corners of the box, a power set whose meet, join
     and complement the isomorphism carries, so a Boolean algebra."""
-    return SharpSet(tuple(
-        a for a in M.elements()
-        if M.down_mask(a) & M.down_mask(M.comp(a)) == 1 << M.zero))
+    return tuple(a for a in M.elements()
+                 if M.down_mask(a) & M.down_mask(M.comp(a)) == 1 << M.zero)

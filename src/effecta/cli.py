@@ -100,7 +100,7 @@ def _smear_records(doc, observable, instance: str,
         hit = first_mismatch(smear(rep, x), sample_mismatches(rep))
     except RdpRequired as exc:
         return [Record("smearing", instance, "canonical-representation",
-                       FAIL, detail=str(exc))]
+                       FAIL, witness=witness_of(exc), detail=str(exc))]
     except SizeLimitExceeded:
         raise
     except EffectaError as exc:

@@ -6,20 +6,26 @@ reduced one at a time against the basis of the earlier ones by
 cross-multiplication, so no Fraction is built.  The state polytope calls it
 on its state equations, with k columns for the values of the k atoms plus
 one for the constant, and on the parameter forms of its implicit
-equalities, whose rank fixes the dimension.  ``mismatches`` is the one
-comparison of integer tables with the states they should give back.
+equalities, whose rank fixes the dimension.  ``integrals`` is the one
+evaluator of the smearing and spectral plans: each element's terms
+(integer coefficient, sharp element id) over the plan's denominator,
+integrated against a state.  ``mismatches`` is the one comparison of
+integer tables with the states they should give back.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 
-def over_common_denominator(values: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of the values over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def integrals(plan: tuple, values, den: int) -> tuple[list[int], int]:
+    """The table a -> sum of c * values[b] over the terms (c, b) of a in
+    ``plan``, as numerators over the plan's denominator times ``den``.
+    ``values`` maps element ids (at least those the terms name) to integer
+    numerators over ``den``."""
+    rows, pden = plan
+    return [sum(c * values[b] for c, b in row) for row in rows], pden * den
 
 
 def mismatches(rows, den: int, tables) -> list[tuple[int, int]]:

@@ -9,19 +9,17 @@ member function f_E with h(f_E) = x(E), and the defining identity
     m(x(E)) = sum over atoms A of B0:  f_E(A) * m(xi(A))
 
 holds exactly, state by state.  Both sides depend only on the element x(E)
-and the state m, not on the observable: ``atom_integrals`` builds the
-right-hand side for every element in one table per state, so the identity
-is checked once per (element, state), and the kernel holds x(E) next to f_E
-for reading off the outcome set that breaks it.  One plan per representation
-holds every element's values on the atoms as integers over one denominator,
-and a state comes in, and its table goes out, as integer numerators over
-one denominator.
+and the state m, not on the observable, so the identity is checked once per
+(element, state), and the kernel holds x(E) next to f_E for reading off the
+outcome set that breaks it.  ``atom_plan`` writes the right-hand side of
+every element once per representation, as the terms (f(A), xi(A)) over one
+denominator; ``linalg.integrals`` turns the plan and a state, integer
+numerators over one denominator, into the state's table the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import EffectAlgebra, iterated_sum, once
@@ -32,7 +30,7 @@ from .errors import (
     SumNotOne,
     SumUndefined,
 )
-from .linalg import mismatches
+from .linalg import integrals, mismatches
 from .representation import Representation
 
 MAX_POINTS = 16       # a kernel holds one function per subset of its points
@@ -62,7 +60,7 @@ def make_observable(M: EffectAlgebra, support: Sequence, values: Sequence) -> Ob
         raise PreconditionFailed("support and values must align and be non-empty")
     pts = [Fraction(t) for t in support]
     for v in values:
-        if not isinstance(v, (str, int)):
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
             raise PreconditionFailed(f"not an element label or id: {v!r}")
     try:
         ids = [M.index(v) if isinstance(v, str) else v for v in values]
@@ -149,41 +147,32 @@ def _key_name(x: Observable, key: frozenset) -> str:
     return "{" + ",".join(str(x.support[i]) for i in sorted(key)) + "}"
 
 
-def atom_integrals(rep: Representation, values: Sequence | Mapping,
-                   den: int) -> tuple[list[int], int]:
-    """The integral of every element's function against A -> values[xi(A)],
-    indexed by element id, as numerators over one denominator: m(a) for
-    each a when ``values`` is a state.  ``values`` maps element ids (at
-    least the sharp ones) to integer numerators over ``den``."""
-    masses, rows, pden = _atom_plan(rep)
-    w = [values[b] for b in masses]
-    return [sum(map(mul, row, w)) for row in rows], pden * den
-
-
 @once
 def sample_mismatches(rep: Representation) -> list:
     """Every (vertex index, element) at which an extremal state of
-    ``rep.polytope`` and its ``atom_integrals`` table differ, which the
-    smearing and extension suites and ``effecta smear`` share.  A table is
-    linear in its state, so a mixture of the vertices differs from its
-    table only at an element where some vertex does: the vertices decide
-    the identity for every state.  A table extends its state's restriction
-    to the sharp elements: ``_atom_plan`` reads a state only at xi of the
-    atoms of B0, the sharp corners on the canonical representation (see
+    ``rep.polytope`` and its atom table differ, which the smearing and
+    extension suites and ``effecta smear`` share.  A table is linear in its
+    state, so a mixture of the vertices differs from its table only at an
+    element where some vertex does: the vertices decide the identity for
+    every state.  A table extends its state's restriction to the sharp
+    elements: ``atom_plan`` reads a state only at xi of the atoms of B0,
+    the sharp corners on the canonical representation (see
     ``compute_b0``)."""
     P = rep.polytope
+    plan = atom_plan(rep)
     return mismatches(P.numerators, P.den,
-                      [atom_integrals(rep, row, P.den) for row in P.numerators])
+                      [integrals(plan, row, P.den) for row in P.numerators])
 
 
 @once
-def _atom_plan(rep: Representation) -> tuple[tuple, tuple, int]:
-    """The sharp observable xi of B0 on each of its atoms and every
-    element's integer values on the atoms; raises at the first non-constant
-    (element, atom).  On the canonical representation xi(S) is the corner
-    with support S (see ``compute_b0``), additive, so its atoms fix it."""
+def atom_plan(rep: Representation) -> tuple[tuple, int]:
+    """Every element's terms (its value on atom A of B0, xi(A)), one per
+    atom, over the evaluation's denominator; raises at the first
+    non-constant (element, atom).  On the canonical representation xi(S)
+    is the corner with support S (see ``compute_b0``), additive, so its
+    atoms fix it."""
     b0 = rep.b0()
-    masses = tuple(b0.xi.get(A) for A in b0.atoms)
+    masses = [b0.xi.get(A) for A in b0.atoms]
     if None in masses:
         raise PreconditionFailed("an atom of B0 is no characteristic member")
     rows = []
@@ -192,5 +181,5 @@ def _atom_plan(rep: Representation) -> tuple[tuple, tuple, int]:
         for A in b0.atoms:
             if len(A) > 1 and len({f[i] for i in A}) > 1:
                 raise NotMeasurable("integrand", sorted(A))
-        rows.append(tuple(f[min(A)] for A in b0.atoms))
-    return masses, tuple(rows), rep.evaluation[1]
+        rows.append(tuple((f[min(A)], b) for A, b in zip(b0.atoms, masses)))
+    return tuple(rows), rep.evaluation[1]

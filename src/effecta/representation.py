@@ -43,7 +43,7 @@ class Representation:
         self.target = target
         self.h = tuple(h)
         self.polytope = polytope
-        self.sharp = frozenset(sharp_elements(target).members)
+        self.sharp = frozenset(sharp_elements(target))
         self._first_preimage: dict[int, int] = {}
         for i, a in enumerate(self.h):
             self._first_preimage.setdefault(a, i)
@@ -160,11 +160,10 @@ def compute_b0(rep: Representation) -> SigmaAlgebraB0:
     corner c_S with m(c_S)_i = h_i for i in S and 0 elsewhere evaluates to
     chi_S.  So B0 is the whole power set of the carrier, its atoms are the
     singletons, and every member is constant on them.  xi maps S to c_S,
-    and the corners are exactly ``sharp_elements(M).members``, so xi maps
-    B0 onto the sharp elements, and the separating states make it
-    one-to-one.  On a hand-built representation the family may fail the
-    laws, and the atoms are still the intersections of the members through
-    a point.
+    and the corners are exactly ``sharp_elements(M)``, so xi maps B0 onto
+    the sharp elements, and the separating states make it one-to-one.  On
+    a hand-built representation the family may fail the laws, and the
+    atoms are still the intersections of the members through a point.
     """
     rows, den = rep.evaluation
     xi: dict[frozenset[int], int] = {}

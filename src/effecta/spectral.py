@@ -3,27 +3,24 @@
 The spectral measure of an element a collects, for each value lambda that
 the evaluation of a attains, the sharp element whose characteristic set is
 the corresponding level set.  It reproduces the element under integration:
-m(a) = sum of lambda * m(mass(lambda)), for every state m.  That sum is
-written once, in :func:`level_integrals`, as one table over all elements
-per state; a transform phi of the outcome values is a plain function
-applied to each lambda.  One plan per representation holds every measure,
-the lambdas as integers over one denominator.  Callers compare the table
-with the state, so the law is checked exactly wherever used, never assumed.
-A measure determines its element: its levels and their sets give back
-the evaluation, and h is one-to-one on the canonical representation.
-Every table is integer numerators over one denominator, taken and returned
-as such; a Fraction is built only for a transform's lambdas and for a
-message.
+m(a) = sum of lambda * m(mass(lambda)), for every state m.  ``level_plan``
+holds every element's levels once per representation, as the terms
+(lambda, mass) over the evaluation's denominator, the plan shape of
+``observables.atom_plan``; ``linalg.integrals`` turns it and a state into
+the state's table, and ``squared_plan`` holds lambda squared, the standard
+transform under which the law breaks off the sharp elements.  Callers
+compare the table with the state, so the law is checked exactly wherever
+used, never assumed.  A measure determines its element: its levels and
+their sets give back the evaluation, and h is one-to-one on the canonical
+representation.  A Fraction is built only for a message.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from .algebra import iterated_sum, once
 from .errors import SpectralObstruction, TheoremViolation
-from .linalg import over_common_denominator
 from .representation import Representation
 
 
@@ -45,26 +42,16 @@ def levels(rep: Representation, a: int) -> tuple[tuple[int, int], ...]:
     return out
 
 
-def level_integrals(rep: Representation, values, den: int,
-                    phi: Callable[[Fraction], Fraction] | None = None
-                    ) -> tuple[list[int], int]:
-    """The table a -> sum of phi(lambda) * values[mass_a(lambda)] over the
-    spectral measure of every element a, phi the identity when None, as
-    numerators over one denominator.  ``values`` maps element ids (at
-    least the sharp ones) to integer numerators over ``den``; for a state
-    the table equals the state exactly when every measure reproduces it.
-    phi sees each distinct lambda once, as a Fraction."""
-    lvs, lams = _level_plan(rep)
-    c, cden = lams, rep.evaluation[1]
-    if phi is not None:
-        c, cden = over_common_denominator(
-            [phi(Fraction(lam, cden)) for lam in lams])
-    c = dict(zip(lams, c))
-    return [sum(c[lam] * values[b] for lam, b in lv) for lv in lvs], cden * den
-
-
 @once
-def _level_plan(rep: Representation) -> tuple:
-    """Every element's levels, then the distinct lambdas."""
+def level_plan(rep: Representation) -> tuple[tuple, int]:
+    """Every element's levels over the evaluation's denominator."""
     lvs = tuple(levels(rep, a) for a in rep.target.elements())
-    return lvs, tuple(dict.fromkeys(lam for lv in lvs for lam, _ in lv))
+    return lvs, rep.evaluation[1]
+
+
+def squared_plan(rep: Representation) -> tuple[tuple, int]:
+    """The level plan with every lambda squared, over the square of its
+    denominator."""
+    lvs, den = level_plan(rep)
+    squares = tuple(tuple((lam * lam, b) for lam, b in lv) for lv in lvs)
+    return squares, den * den

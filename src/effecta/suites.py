@@ -16,9 +16,12 @@ so without the refinement verdict, and the representation suite's one
 record describes the canonical representation.  The smearing, spectral
 and extension suites evaluate the extremal states alone: their identities
 are linear in the state, so they hold at every state when they hold at
-every vertex.  The smearing and extension suites read one comparison of
-the vertices with their atom tables (``sample_mismatches``), the spectral
-suite two of its own tables.
+every vertex.  Every table is one plan, each element's terms (integer
+coefficient, sharp element id) over one denominator, evaluated at a vertex
+by ``linalg.integrals``: the atom plan for the smearing and extension
+suites, which read one comparison of the vertices with their atom tables
+(``sample_mismatches``), and the level plan and its square for the
+spectral suite, which compares both table sets itself.
 
 Each check runs in its own process, so the states suite and the gated
 suites (representation, smearing, spectral, extension) import the layers
@@ -155,7 +158,7 @@ def run_sharp(M: EffectAlgebra, instance: str) -> list[Record]:
     construction (see ``sharp_elements``), so the listing is the suite's
     one record and does not fail."""
     return [Record("sharp", instance, "members", PASS,
-                   witness=[M.label(a) for a in sharp_elements(M).members])]
+                   witness=[M.label(a) for a in sharp_elements(M)])]
 
 
 def run_states(M: EffectAlgebra, instance: str) -> list[Record]:
@@ -206,14 +209,15 @@ def _zoo_size(M: EffectAlgebra) -> int:
 def _first_residual(M: EffectAlgebra, rep: Representation, bad):
     """First mismatch, ordered by observable, vertex, outcome set, with its
     residual state minus table."""
-    from .observables import atom_integrals, first_mismatch, smear
+    from .linalg import integrals
+    from .observables import atom_plan, first_mismatch, smear
     P = rep.polytope
     for x in _zoo_observables(M):
         kernel = smear(rep, x)
         if (hit := first_mismatch(kernel, bad)) is not None:
             i, key = hit
             a, row, den = kernel.elements[key], P.numerators[i], P.den
-            t, tden = atom_integrals(rep, row, den)
+            t, tden = integrals(atom_plan(rep), row, den)
             return [[M.label(b) for b in x.values],
                     sorted(str(x.support[j]) for j in key), i,
                     str(Fraction(row[a], den) - Fraction(t[a], tden))]
@@ -242,10 +246,11 @@ def _first_states(bad: list[tuple[int, int]]) -> dict[int, int]:
 
 def run_spectral(M: EffectAlgebra, instance: str,
                  rep: Representation) -> list[Record]:
-    from .linalg import mismatches
-    from .spectral import level_integrals
+    from .linalg import integrals, mismatches
+    from .spectral import level_plan, squared_plan
     rows, den = rep.polytope.numerators, rep.polytope.den
-    tables = [level_integrals(rep, row, den) for row in rows]
+    plan = level_plan(rep)
+    tables = [integrals(plan, row, den) for row in rows]
 
     bad = None
     for a, i in _first_states(mismatches(rows, den, tables)).items():
@@ -261,8 +266,8 @@ def run_spectral(M: EffectAlgebra, instance: str,
 
     # a strictly increasing non-identity transform: the integral law must
     # survive exactly on sharp elements
-    squared = [level_integrals(rep, row, den, lambda lam: lam * lam)
-               for row in rows]
+    plan = squared_plan(rep)
+    squared = [integrals(plan, row, den) for row in rows]
     bad = first_break = None
     broken = 0
     for a, i in _first_states(mismatches(rows, den, squared)).items():
@@ -296,13 +301,14 @@ def run_extension(M: EffectAlgebra, instance: str,
     extension of a restricted state is a state is not checked either: past
     the certificate the atom formula is the smearing identity, so the
     extension gives the state back, which this suite compares."""
-    from .observables import atom_integrals, sample_mismatches
+    from .linalg import integrals
+    from .observables import atom_plan, sample_mismatches
     P = rep.polytope
     bad_round = None
     if bad := sample_mismatches(rep):
         i, a = bad[0]
         row = P.numerators[i]
-        t, tden = atom_integrals(rep, row, P.den)
+        t, tden = integrals(atom_plan(rep), row, P.den)
         bad_round = [i, M.label(a), str(Fraction(t[a], tden)),
                      str(Fraction(row[a], P.den))]
     return [Record("extension", instance, "roundtrip",

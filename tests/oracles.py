@@ -157,9 +157,13 @@ def brute_rdp(labels, table):
 
     A refinement of a1 + a2 = b1 + b2 is any (c11, c12, c21, c22) with
     row sums a1, a2 and column sums b1, b2 — all four membership and sum
-    conditions checked literally against the table.
+    conditions checked literally against the table.  The candidate rows
+    (c11, c12) and (c21, c22) are the table's own pairs with sums a1 and
+    a2, since no other pair meets its row-sum condition.
     """
-    quads = list(product(labels, repeat=4))
+    pairs_to = {}
+    for pair, total in table.items():
+        pairs_to.setdefault(total, []).append(pair)
     for a1, a2 in product(labels, repeat=2):
         v = table.get((a1, a2))
         if v is None:
@@ -172,7 +176,8 @@ def brute_rdp(labels, table):
                 and table.get((c21, c22)) == a2
                 and table.get((c11, c21)) == b1
                 and table.get((c12, c22)) == b2
-                for c11, c12, c21, c22 in quads
+                for c11, c12 in pairs_to.get(a1, ())
+                for c21, c22 in pairs_to.get(a2, ())
             ):
                 return (a1, a2, b1, b2)
     return None
@@ -864,11 +869,10 @@ def validate_tribe(carrier, functions):
 def representation_of(tribe, target, h, polytope=None):
     """The Representation of a Fraction tribe, unchecked: its functions as
     integer rows over their least common denominator, with h."""
-    from effecta.linalg import over_common_denominator
     from effecta.representation import Representation
 
     p = len(tribe.carrier)
-    nums, den = over_common_denominator(
+    nums, den = _over_common_denominator(
         [v for f in tribe.functions for v in f])
     rows = tuple(tuple(nums[i:i + p]) for i in range(0, len(nums), p))
     return Representation(tribe.carrier, (rows, den), target, h, polytope)
@@ -1094,7 +1098,7 @@ def measure_additivity_failure(M, sm):
 # the sharp-set sigma-algebra, the sharp observable and the spectral
 # measures, checked pair by pair.  On the canonical representation the
 # product-of-chains certificate proves every one of these (see
-# ``compute_b0`` and ``effecta.observables._atom_plan``); on a hand-built
+# ``compute_b0`` and ``effecta.observables.atom_plan``); on a hand-built
 # tribe they can fail.
 
 
@@ -1217,7 +1221,7 @@ _XI = weakref.WeakKeyDictionary()
 def sharp_observable(rep):
     """The sharp observable on all of B0, through the Fraction tribe index,
     built once per representation.  The library reads xi on the atoms of B0
-    alone (``effecta.observables._atom_plan``)."""
+    alone (``effecta.observables.atom_plan``)."""
     if rep not in _XI:
         _XI[rep] = SharpObservable(
             rep, {A: h_of(rep, chi(rep, A)) for A in b0_sets(rep)})
@@ -1405,7 +1409,7 @@ def raised_last_vertex(M):
 
     rep = canonical_representation(M)
     P = rep.polytope
-    sharp = sharp_elements(M).members
+    sharp = sharp_elements(M)
     a = next(a for a in M.elements() if a not in sharp)
     *kept, last = vertices(P)
     last = list(last.values)
@@ -1545,12 +1549,12 @@ def sharp_table(rep, a, E):
     two equal on the canonical representation."""
     from effecta.algebra import iterated_sum
     from effecta.errors import PreconditionFailed, TheoremViolation
-    from effecta.spectral import _level_plan
+    from effecta.spectral import level_plan
 
     M = rep.target
     if a not in rep.sharp:
         raise PreconditionFailed(f"element {M.label(a)!r} is not sharp")
-    lvs = _level_plan(rep)[0]
+    lvs = level_plan(rep)[0]
     den = rep.evaluation[1]
 
     def inside(v):
@@ -1591,7 +1595,7 @@ def sharp_kernel(rep):
     P = rep.polytope
     if P is None or P.is_empty:
         raise PreconditionFailed("the extension certificate needs the states")
-    sharp = sharp_elements(rep.target).members
+    sharp = sharp_elements(rep.target)
     v0, *rest = (v.values for v in vertices(P))
     diffs = [[x - y for x, y in zip(v, v0)] for v in rest]
     if matrix_rank([[d[b] for b in sharp] for d in diffs]) == P.dimension:
@@ -1644,7 +1648,7 @@ def spectral_uniqueness_probe(rep, a):
 
     M = rep.target
     P = rep.polytope
-    sharp = [b for b in sharp_elements(M).members if b != M.zero]
+    sharp = [b for b in sharp_elements(M) if b != M.zero]
     canonical = measure_key(measure_of(rep, a))
     states = vertices(P)
     found = []
@@ -1928,7 +1932,7 @@ def validate_sharp_state_fraction(M, m):
     from effecta.algebra import sharp_elements
 
     vals = {}
-    for b in sharp_elements(M).members:
+    for b in sharp_elements(M):
         if b not in m:
             raise NotAStateOnSharp("missing value", (M.label(b),))
         v = Fraction(m[b])
@@ -1999,19 +2003,24 @@ def _read(nums, den):
 
 
 def integral_table(rep, values):
-    """``effecta.observables.atom_integrals`` on a rational weighting: the
-    integral of every element's function against A -> values[xi(A)]."""
-    from effecta.observables import atom_integrals
+    """``effecta.linalg.integrals`` of the atom plan on a rational
+    weighting: the integral of every element's function against
+    A -> values[xi(A)]."""
+    from effecta.linalg import integrals
+    from effecta.observables import atom_plan
 
-    return _read(*atom_integrals(rep, *over_one_denominator(values)))
+    return _read(*integrals(atom_plan(rep), *over_one_denominator(values)))
 
 
-def level_table(rep, values, phi=None):
-    """``effecta.spectral.level_integrals`` on a rational weighting: the sum
-    of phi(lambda) * values[mass_a(lambda)] over every element's levels."""
-    from effecta.spectral import level_integrals
+def level_table(rep, values, squared=False):
+    """``effecta.linalg.integrals`` of the level plan, or of its square, on
+    a rational weighting: the sum of lambda * values[mass_a(lambda)], or of
+    lambda squared, over every element's levels."""
+    from effecta.linalg import integrals
+    from effecta.spectral import level_plan, squared_plan
 
-    return _read(*level_integrals(rep, *over_one_denominator(values), phi))
+    plan = (squared_plan if squared else level_plan)(rep)
+    return _read(*integrals(plan, *over_one_denominator(values)))
 
 
 def measure_of(rep, a):

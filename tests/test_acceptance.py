@@ -145,10 +145,10 @@ def test_criterion_3_sharp_boolean_structure():
             # members in this zoo, so its k**3 triples stay small)
             ss = sharp_elements(M)
             assert check_rdp(M).holds
-            assert boolean_law_scan(M, ss.members) is None
-            assert M.zero in ss.members and M.one in ss.members
-            for a in ss.members:
-                assert M.comp(a) in ss.members
+            assert boolean_law_scan(M, ss) is None
+            assert M.zero in ss and M.one in ss
+            for a in ss:
+                assert M.comp(a) in ss
 
 
 def test_criterion_4_state_polytopes():
@@ -218,7 +218,7 @@ def test_criterion_7_spectral_measures():
             for m in mixed_states_of(name, M, 10, seed=0):
                 assert level_table(rep, m.values) == m.values
             assert spectral_injectivity(rep).ok
-            for a in sharp_elements(M).members:
+            for a in sharp_elements(M):
                 assert sharp_table(rep, a, lambda t: t == 1) == a
                 assert sharp_table(rep, a, lambda t: t == 0) == M.comp(a)
                 assert sharp_table(rep, a, lambda t: t in (0, 1)) == M.one
@@ -227,7 +227,7 @@ def test_criterion_7_spectral_measures():
         C = dict(rdp_instances())["chain3"]
         rep = rep_of("chain3", C)
         vertex = vertices(rep.polytope)[0]
-        squared = level_table(rep, vertex.values, lambda v: v * v)
+        squared = level_table(rep, vertex.values, squared=True)
         keys = set()
         for a in C.elements():
             sm = measure_of(rep, a)
@@ -242,7 +242,7 @@ def test_criterion_8_unique_state_extension():
     with criterion(8, "unique extension from the sharp elements", 20.0):
         for name, M in rdp_instances():
             rep = rep_of(name, M)
-            sharp = sharp_elements(M).members
+            sharp = sharp_elements(M)
             for m in mixed_states_of(name, M, 3, seed=1):
                 restricted = {b: m.values[b] for b in sharp}
                 # the atom form on the restriction; the spectral form is

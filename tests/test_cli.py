@@ -294,6 +294,11 @@ def test_smear_reports_the_representation_gate(tmp_path, capsys):
                 for line in capsys.readouterr().out.strip().splitlines()]
     assert [(p["check"], p["status"]) for p in payloads] == [
         ("canonical-representation", "fail")]
+    # the gate's witness, as ``check --suite smearing`` writes it
+    assert payloads[0]["witness"] == ["h0:{1}", "h0:{2}", "h1:{1}", "h1:{2}"]
+    assert run("check", "--input", str(path), "--suite", "smearing") == 1
+    (checked,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert checked == payloads[0]
 
 
 def test_exit_code_two_for_unusable_input(tmp_path, capsys):

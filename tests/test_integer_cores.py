@@ -1,8 +1,9 @@
 """The smearing, spectral and extension layers on integer numerators,
 against the Fraction route they replaced.
 
-The suites call the integer cores (``atom_integrals``, ``levels`` and
-``level_integrals``) on the polytope's integer vertices; the extension
+The suites evaluate the integer plans (``atom_plan``, ``level_plan`` and
+``squared_plan``) with ``linalg.integrals`` on the polytope's integer
+vertices, the spectral plans reading ``levels``; the extension
 suite reads the smearing suite's comparison of the vertices with their
 atom tables (``sample_mismatches``), each table the extension of its
 state's sharp restriction.  The suites evaluate the vertices alone because
@@ -26,11 +27,12 @@ import pytest
 import oracles
 from effecta import generate, parse_family_tokens, sharp_elements
 from effecta.errors import EffectaError, TheoremViolation
-from effecta.observables import _atom_plan, atom_integrals
+from effecta.linalg import integrals
+from effecta.observables import atom_plan
 from effecta.report import render_jsonl
 from effecta.representation import Representation, canonical_representation
 from effecta.serialize import algebra_to_obj
-from effecta.spectral import _level_plan, level_integrals
+from effecta.spectral import level_plan, squared_plan
 from effecta.suites import (SUITE_NAMES, check_document, run_extension,
                             run_smearing, run_spectral)
 
@@ -86,30 +88,33 @@ def test_the_integer_cores_match_the_fraction_route():
     for name, M in _instances():
         rep = canonical_representation(M)
         P = rep.polytope
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         measures = [oracles.spectral_measure_fraction(rep, a)
                     for a in M.elements()]
         assert [oracles.measure_of(rep, a) for a in M.elements()] == measures
         xi = oracles.sharp_observable(rep)
-        assert _atom_plan(rep)[0] == tuple(map(xi, xi.atoms)), name
+        assert {tuple(b for _, b in row) for row in atom_plan(rep)[0]} == {
+            tuple(map(xi, xi.atoms))}, name
         states = [(row, P.den) for row in P.numerators]
         for seed in range(4):
             states += oracles.mixture_rows(P, 10, seed)
         for row, den in states:
             values = _fractions(row, den)
             atom = oracles.element_integrals_fraction(rep, values)
-            assert _fractions(*atom_integrals(rep, row, den)) == atom, name
-            for phi in (None, _square):
+            table = integrals(atom_plan(rep), row, den)
+            assert _fractions(*table) == atom, name
+            for phi, plan in ((None, level_plan(rep)),
+                              (_square, squared_plan(rep))):
                 level = oracles.spectral_integral_fraction(
                     rep, values, phi, measures)
-                assert _fractions(*level_integrals(rep, row, den,
-                                                   phi)) == level, name
+                assert _fractions(*integrals(plan, row, den)) == level, name
             # the atom table is the atom formula on the restriction
             restricted = {b: values[b] for b in sharp}
             ext = oracles.extend_state_fraction(rep, restricted, measures)
             assert ext.values == values, name
-            assert _fractions(*atom_integrals(
-                rep, {b: row[b] for b in sharp}, den)) == values, name
+            assert _fractions(*integrals(
+                atom_plan(rep), {b: row[b] for b in sharp}, den)) == values, \
+                name
             tables += 1
     assert tables > 2000
 
@@ -123,12 +128,12 @@ def test_the_extension_suite_reads_states_and_extends_them_to_states():
     for name, M in _instances():
         rep = canonical_representation(M)
         P = rep.polytope
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         for row in P.numerators:
             restricted = {b: row[b] for b in sharp}
             oracles.validate_sharp_state_fraction(
                 M, {b: Fraction(v, P.den) for b, v in restricted.items()})
-            table = _fractions(*atom_integrals(rep, restricted, P.den))
+            table = _fractions(*integrals(atom_plan(rep), restricted, P.den))
             check = oracles.fraction_is_state(M, table)
             assert check.ok, (name, row, check.violation)
             checked += 1
@@ -147,7 +152,7 @@ def test_the_extension_core_is_the_atom_formula_on_any_weighting():
     not_states = 0
     for seed, (name, M) in enumerate(rdp_zoo()):
         rep = canonical_representation(M)
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         for _, restricted in oracles.sharp_weightings(M, sharp, 4, seed):
             atom = oracles.element_integrals_fraction(rep, restricted)
             assert (oracles.extension_of(rep, restricted)
@@ -200,14 +205,14 @@ def test_a_representation_built_by_hand_needs_no_polytope():
     for M in (chain(3), boolean(2), interval(1, 2)):
         base = canonical_representation(M)
         ext = oracles.extend_carrier_with_null_point(base, "null")
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         for a in M.elements():
             assert (oracles.measure_of(ext, a)
                     == oracles.spectral_measure_fraction(ext, a))
         for m in oracles.vertices(base.polytope):
             assert (oracles.integral_table(ext, m.values)
                     == oracles.element_integrals_fraction(ext, m.values))
-            assert (oracles.level_table(ext, m.values, _square)
+            assert (oracles.level_table(ext, m.values, squared=True)
                     == oracles.spectral_integral_fraction(ext, m.values,
                                                           _square))
             restricted = {b: m.values[b] for b in sharp}
@@ -222,19 +227,22 @@ def test_a_representation_built_by_hand_needs_no_polytope():
 def _swapped_measure(M, a):
     """The two masses of element a's measure swapped in the level plan."""
     rep = canonical_representation(M)
-    lvs, lams = _level_plan(rep)
+    lvs, den = level_plan(rep)
     (l0, b0), (l1, b1) = lvs[a]
-    rep._memo["_level_plan",] = (
-        lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:], lams)
+    rep._memo["level_plan",] = (
+        lvs[:a] + (((l0, b1), (l1, b0)),) + lvs[a + 1:], den)
     return rep
 
 
 def _swapped_xi(M):
-    """xi on the first two atoms of B0 swapped in the atom plan."""
+    """xi on the first two atoms of B0 swapped in the atom plan: in every
+    element's terms, one per atom in atom order, the sharp elements of the
+    first two trade places."""
     rep = canonical_representation(M)
-    masses, rows, den = _atom_plan(rep)
-    rep._memo["_atom_plan",] = ((masses[1], masses[0]) + masses[2:], rows,
-                                den)
+    rows, den = atom_plan(rep)
+    rep._memo["atom_plan",] = (
+        tuple(((c0, b1), (c1, b0)) + row[2:]
+              for row in rows for (c0, b0), (c1, b1) in [row[:2]]), den)
     return rep
 
 
@@ -334,10 +342,6 @@ def _linearity_inputs():
         yield name, oracles.raised_last_vertex(M)
 
 
-def _squared_levels(rep, row, den):
-    return level_integrals(rep, row, den, _square)
-
-
 def test_a_mixture_misses_its_table_only_where_a_vertex_does():
     """The smearing, spectral and extension suites evaluate the vertices
     alone, since every table is linear in its state.  On ten seeded
@@ -351,8 +355,10 @@ def test_a_mixture_misses_its_table_only_where_a_vertex_does():
     missed = 0
     for name, rep in _linearity_inputs():
         P = rep.polytope
-        for core in (atom_integrals, level_integrals, _squared_levels):
-            vertex_tables = [_fractions(*core(rep, row, P.den))
+        for kind, plan in (("atom", atom_plan(rep)),
+                           ("level", level_plan(rep)),
+                           ("squared", squared_plan(rep))):
+            vertex_tables = [_fractions(*integrals(plan, row, P.den))
                              for row in P.numerators]
             at_vertices = {a for row, table in zip(P.numerators, vertex_tables)
                            for a, v in enumerate(table)
@@ -362,7 +368,7 @@ def test_a_mixture_misses_its_table_only_where_a_vertex_does():
                 for raw, (row, den) in zip(
                         oracles.mixture_weights(P, 10, seed),
                         oracles.mixture_rows(P, 10, seed)):
-                    table = _fractions(*core(rep, row, den))
+                    table = _fractions(*integrals(plan, row, den))
                     weights = [Fraction(w, sum(raw)) for w in raw]
                     assert table == tuple(
                         sum((w * t[a] for w, t in zip(weights, vertex_tables)),
@@ -370,7 +376,7 @@ def test_a_mixture_misses_its_table_only_where_a_vertex_does():
                         for a in range(len(table))), (name, seed)
                     at_mixtures |= {a for a, v in enumerate(table)
                                     if v != Fraction(row[a], den)}
-            assert at_mixtures <= at_vertices, (name, core)
+            assert at_mixtures <= at_vertices, (name, kind)
             missed += bool(at_mixtures)
     assert missed > len(DOCTORED)
 
@@ -436,14 +442,15 @@ def _fractions_built(monkeypatch, doc, name, suites):
 
 def test_a_boolean6_check_builds_few_fractions(monkeypatch):
     """``check_document`` with every suite on boolean 6 at seed 0 built
-    6,692 Fractions on the Fraction route; on integer numerators it builds
-    a few dozen, for the outcome sets and the squared lambdas.  700 leaves
-    room for neither route's bulk."""
+    6,692 Fractions on the Fraction route.  On integer numerators a passing
+    check builds none: the outcome points are module constants, and the
+    squared plan holds lambda squared over the squared denominator, where a
+    transform of Fractions built a few dozen."""
     doc = algebra_to_obj(generate(parse_family_tokens(["boolean", "6"])))
     records, built = _fractions_built(monkeypatch, doc, "boolean6",
                                       SUITE_NAMES)
     assert all(r.status == "pass" for r in records)
-    assert 0 < built <= 700
+    assert built == 0
 
 
 @pytest.mark.parametrize("tokens,suites", [

@@ -14,7 +14,7 @@ import pytest
 from effecta import make_observable, sharp_elements
 from effecta.errors import (NotMeasurable, PreconditionFailed,
                             SizeLimitExceeded, SumNotOne, SumUndefined)
-from effecta.observables import atom_integrals, smear, summable_families
+from effecta.observables import atom_plan, smear, summable_families
 from effecta.representation import canonical_representation
 from effecta.states import state_polytope
 
@@ -63,6 +63,9 @@ def test_make_observable_rejections():
     with pytest.raises(PreconditionFailed,
                        match=r"^not an element label or id: None$"):
         make_observable(M, (0, 1), (None, "3"))     # neither label nor id
+    with pytest.raises(PreconditionFailed,
+                       match=r"^not an element label or id: True$"):
+        make_observable(M, (0, 1), (True, 2))       # a bool is no id
     with pytest.raises(SumUndefined):
         make_observable(M, (0, 1), (3, 3))          # 1 + 1 undefined
     with pytest.raises(SumNotOne):
@@ -90,8 +93,9 @@ def test_sharp_observable_on_boolean2():
     assert xi.atoms == (frozenset({0}), frozenset({1}))
     assert sharp_observable(rep) is xi      # built once, then cached
     # the library reads xi on the atoms alone
-    atom_integrals(rep, rep.polytope.numerators[0], rep.polytope.den)
-    assert rep._memo["_atom_plan",][0] == (2, 1)
+    atom_plan(rep)
+    rows, _ = rep._memo["atom_plan",]
+    assert {tuple(b for _, b in row) for row in rows} == {(2, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,7 @@ def test_atom_integrals_match_the_reference_off_states():
     checked = 0
     for seed, (name, M) in enumerate(instances):
         rep = canonical_representation(M)
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         for full, restricted in oracles.sharp_weightings(M, sharp, 3, seed):
             expected = tuple(
                 oracles.smearing_integral(rep, function_of(rep, a),
@@ -238,7 +242,7 @@ def test_atom_integrals_reject_a_non_measurable_integrand_every_time():
     rep = make_representation(two_point_tribe(), C, (0, 1, 2, 3))
     for _ in range(2):
         with pytest.raises(NotMeasurable) as err:
-            atom_integrals(rep, (0, 1, 2, 3), 3)
+            atom_plan(rep)
         assert err.value.what == "integrand"
         assert err.value.atom == [0, 1]
 

@@ -30,7 +30,7 @@ import pytest
 from effecta import (Representation, canonical_representation, generate,
                      sharp_elements)
 from effecta.errors import PreconditionFailed, RdpRequired, TheoremViolation
-from effecta.observables import atom_integrals
+from effecta.observables import atom_plan
 from effecta.representation import _evaluation_representation
 from effecta.spectral import levels
 from effecta.states import inseparable_pair, state_polytope
@@ -273,7 +273,7 @@ def test_two_point_tribe_over_chain3():
     assert sharp_observable_failure(rep) is None
     report = sharp_image(rep)
     image = {M.label(h_of(rep, chi(rep, A))) for A in b0_sets(rep)}
-    sharp = {M.label(a) for a in sharp_elements(M).members}
+    sharp = {M.label(a) for a in sharp_elements(M)}
     assert report.ok and image == {"0", "3"} == sharp
     assert not report.all_measurable and not report.min_closed
     assert irregular_member(rep, {0, 1}) is None
@@ -311,9 +311,9 @@ def test_the_certificate_proves_b0_xi_and_the_sharp_image():
 
 @pytest.mark.parametrize("use", [
     lambda rep: rep.row_of(1),
-    lambda rep: atom_integrals(rep, {0: 0, 2: 1}, 1),
+    atom_plan,
     lambda rep: levels(rep, 1),
-], ids=["row_of", "atom_integrals", "levels"])
+], ids=["row_of", "atom_plan", "levels"])
 def test_a_representation_that_is_not_onto_is_refused_when_built(use):
     """h must reach every element of the target; the constructor names the
     first it misses, so no lookup later fails on a missing preimage."""

@@ -106,7 +106,7 @@ def _first_sharp_table_break(rep):
     """[element, outcome set, message] of the first sharp element and
     outcome set where the endpoint rule and the measure disagree."""
     M = rep.target
-    for a in sharp_elements(M).members:
+    for a in sharp_elements(M):
         for name, E in SHARP_E_SETS:
             try:
                 sharp_table(rep, a, E)
@@ -123,10 +123,10 @@ def test_the_sharp_table_checks_the_planned_measure():
     B = boolean(2)
     rep = canonical_representation(B)
     assert _first_sharp_table_break(rep) is None
-    lvs, lams = spectral._level_plan(rep)
+    lvs, den = spectral.level_plan(rep)
     (l0, b0), (l1, b1) = lvs[1]
-    rep._memo["_level_plan",] = (
-        lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], lams)
+    rep._memo["level_plan",] = (
+        lvs[:1] + (((l0, b1), (l1, b0)),) + lvs[2:], den)
     assert _first_sharp_table_break(rep) == [
         "{1}", "point-0", "endpoint rule gives {2} but the measure gives {1}"]
 
@@ -152,7 +152,6 @@ def identity(v):
 def test_identity_transform_changes_nothing():
     rep = canonical_representation(chain(3))
     m = vertices(rep.polytope)[0]
-    assert level_table(rep, m.values, identity) == m.values
     assert level_table(rep, m.values) == m.values
     # a mapping over the sharp elements alone gives the same table
     assert level_table(rep, {0: Z, 3: O}) == m.values
@@ -161,7 +160,7 @@ def test_identity_transform_changes_nothing():
 def test_square_transform_breaks_the_integral_law():
     rep = canonical_representation(chain(3))
     m = vertices(rep.polytope)[0]
-    table = level_table(rep, m.values, square)
+    table = level_table(rep, m.values, squared=True)
     # still injective across the whole algebra ...
     keys = {_squared_key(measure_of(rep, a)) for a in range(4)}
     assert len(keys) == 4
@@ -182,46 +181,40 @@ def test_integral_tables_match_the_level_set_oracle():
     for name, M in rdp_zoo():
         P = state_polytope(M)
         rep = canonical_representation(M)
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         states = list(vertices(P))
         for seed in (0, 1):
             states += seeded_mixtures(P, 10, seed)
         for m in states:
             restricted = {b: m.values[b] for b in sharp}
-            for phi in (None, square):
-                expected = oracles.level_set_integral(
-                    M, P, m.values, phi or identity)
-                assert level_table(rep, m.values, phi) == expected, name
-                assert level_table(rep, restricted, phi) == expected, name
+            for squared, phi in ((False, identity), (True, square)):
+                expected = oracles.level_set_integral(M, P, m.values, phi)
+                assert level_table(rep, m.values, squared) == expected, name
+                assert level_table(rep, restricted, squared) == expected, \
+                    name
         # the square is injective, so it keeps distinct measures distinct
         keys = {_squared_key(measure_of(rep, a)) for a in M.elements()}
         assert len(keys) == M.n, name
 
 
-def thrice_floor(v):
-    return 3 * v.numerator // v.denominator
-
-
 def test_integral_tables_match_the_level_set_oracle_off_states():
     """The integer tables agree with the level-set oracle on weightings that
     are no states (negative, above 1, plain ints, mixed denominators, and
-    restricted to the sharp elements), for the identity, the square and an
-    int-valued transform."""
+    restricted to the sharp elements), for the identity and the square."""
     instances = rdp_zoo() + [("boolean5", boolean(5)), ("boolean6", boolean(6)),
                              ("interval222", interval(2, 2, 2))]
     checked = 0
     for seed, (name, M) in enumerate(instances):
         P = state_polytope(M)
         rep = canonical_representation(M)
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         for full, restricted in oracles.sharp_weightings(M, sharp, 3, seed):
-            for phi in (None, square, thrice_floor):
-                expected = oracles.level_set_integral(M, P, full,
-                                                      phi or identity)
-                assert level_table(rep, full, phi) == expected, name
-                assert level_table(rep, restricted, phi) == expected, name
+            for squared, phi in ((False, identity), (True, square)):
+                expected = oracles.level_set_integral(M, P, full, phi)
+                assert level_table(rep, full, squared) == expected, name
+                assert level_table(rep, restricted, squared) == expected, name
                 checked += 1
-    assert checked == 9 * len(instances)
+    assert checked == 6 * len(instances)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def test_rank_deficit_yields_a_kernel_witness():
     report = oracles.extension_uniqueness(fake, {0: Z, 3: O})
     assert report.unique is False
     assert report.kernel == (Z, F(1, 6), F(-1, 6), Z)
-    sharp = sharp_elements(C).members
+    sharp = sharp_elements(C)
     assert all(report.kernel[b] == 0 for b in sharp)
     assert any(report.kernel)
     # the LP oracle on the line through the two vertices agrees: the sharp
@@ -343,10 +336,10 @@ def test_phi_square_stops_at_the_first_sharp_element_that_breaks():
     alone, the one non-sharp element before it."""
     M = interval(1, 2)
     rep = canonical_representation(M)
-    lvs, lams = spectral._level_plan(rep)
+    lvs, den = spectral.level_plan(rep)
     (l0, b0), (l1, b1) = lvs[2]
-    rep._memo["_level_plan",] = (
-        lvs[:2] + (((l0, b1), (l1, b0)),) + lvs[3:], lams)
+    rep._memo["level_plan",] = (
+        lvs[:2] + (((l0, b1), (l1, b0)),) + lvs[3:], den)
     assert run_spectral(M, "i12", rep)[1] == Record(
         "spectral", "i12", "phi-square", FAIL,
         ["(0,2)", "sharp element broke the integral"],
@@ -372,7 +365,7 @@ def test_rank_certificate_agrees_with_the_lp_oracle_on_the_zoo():
         assert sharp_kernel(rep) is None, name
         x0, directions, _ = oracles.dense_solve_affine(
             *oracles.raw_state_system(M))
-        sharp = sharp_elements(M).members
+        sharp = sharp_elements(M)
         pins = [[O if i == b else Z for i in M.elements()] for b in sharp]
         for m in list(vertices(P)) + seeded_mixtures(P, 3, seed=1):
             bounds = oracles.coordinate_bounds(

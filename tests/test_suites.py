@@ -12,7 +12,6 @@ from effecta import cli, generate, observables, suites
 from effecta.algebra import EffectAlgebra
 from effecta.errors import (NotMeasurable, ParseError, RdpRequired,
                             TheoremViolation)
-from effecta.linalg import over_common_denominator
 from effecta.representation import Representation, canonical_representation
 from effecta.report import FAIL, SKIP, Record, render_jsonl
 from effecta.serialize import algebra_to_obj, dumps
@@ -182,17 +181,17 @@ def test_subset_runs_and_determinism():
 
 def test_an_internal_error_fails_only_its_suite(tmp_path, capsys,
                                                 monkeypatch):
-    """A ``NotMeasurable`` out of the atom tables (a hand-built tribe whose
+    """A ``NotMeasurable`` out of the atom plan (a hand-built tribe whose
     B0 atoms are not singletons would raise one) is one ``error`` FAIL of
-    each suite that reads them, smearing and extension; every other suite's
+    each suite that reads it, smearing and extension; every other suite's
     records stand."""
     doc = algebra_to_obj(chain(3))
     clean = check_document(doc, "c3", SUITE_NAMES)
 
-    def broken(rep, values, den=None):
+    def broken(rep):
         raise NotMeasurable("integrand", [0, 1])
 
-    monkeypatch.setattr("effecta.observables.atom_integrals", broken)
+    monkeypatch.setattr("effecta.observables.atom_plan", broken)
     recs = check_document(doc, "c3", SUITE_NAMES)
     readers = ("smearing", "extension")
     for suite in readers:
@@ -243,7 +242,7 @@ def test_the_smearing_suite_builds_its_integration_plan_once(monkeypatch):
     rep = canonical_representation(boolean(4))
     recs = suites.run_smearing(rep.target, "b4", rep)
     assert [r.status for r in recs] == ["pass"]
-    assert (_names(stores)["_atom_plan"], _names(stores)["_level_plan"]) == (
+    assert (_names(stores)["atom_plan"], _names(stores)["level_plan"]) == (
         1, 0)
 
 
@@ -253,7 +252,7 @@ def test_a_full_check_builds_each_integration_plan_once(monkeypatch):
     stores = _count_memo_stores(monkeypatch)
     recs = check_document(algebra_to_obj(boolean(4)), "b4", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
-    assert (_names(stores)["_atom_plan"], _names(stores)["_level_plan"]) == (
+    assert (_names(stores)["atom_plan"], _names(stores)["level_plan"]) == (
         1, 1)
 
 
@@ -263,7 +262,7 @@ ALGEBRA_VALUES = ("defined_sums", "atom_coordinates", "check_rdp",
 
 @pytest.mark.parametrize("instance, kept", [
     ("boolean4", ALGEBRA_VALUES + ("canonical_representation", "compute_b0",
-                                   "_atom_plan", "_level_plan",
+                                   "atom_plan", "level_plan",
                                    "sample_mismatches")),
     # the four gated suites each meet the refinement gate, which keeps nothing
     ("loop4", ALGEBRA_VALUES)])
@@ -287,25 +286,32 @@ def test_a_full_check_builds_one_table_per_sample_state(M, calls,
                                                         monkeypatch):
     """One atom table, one spectral table and one squared table per vertex:
     the extension suite reads the smearing suite's atom tables and builds
-    no table of its own.  boolean 4 has 4 vertices; chain 3 has one."""
-    from effecta import spectral
+    no table of its own, and the squared plan is derived once, not per
+    vertex.  boolean 4 has 4 vertices; chain 3 has one."""
+    from effecta import linalg, spectral
     counts = Counter()
-    # each atom table reads its plan once, whichever module calls for it
-    plan, level = observables._atom_plan, spectral.level_integrals
+    squares = []
+    evaluate, square = linalg.integrals, spectral.squared_plan
 
-    def counting_plan(rep):
-        counts["atom"] += 1
-        return plan(rep)
+    # observables evaluates the atom plan, the spectral suite the level plan
+    # and the plan squared_plan returned
+    def counting(kind):
+        def count(plan, values, den):
+            counts["squared" if any(plan is p for p in squares) else kind] += 1
+            return evaluate(plan, values, den)
+        return count
 
-    def counting_level(rep, values, den, phi=None):
-        counts["level" if phi is None else "phi"] += 1
-        return level(rep, values, den, phi)
+    def squaring(rep):
+        squares.append(square(rep))
+        return squares[-1]
 
-    monkeypatch.setattr(observables, "_atom_plan", counting_plan)
-    monkeypatch.setattr(spectral, "level_integrals", counting_level)
+    monkeypatch.setattr(observables, "integrals", counting("atom"))
+    monkeypatch.setattr(linalg, "integrals", counting("level"))
+    monkeypatch.setattr(spectral, "squared_plan", squaring)
     recs = check_document(algebra_to_obj(M), "x", SUITE_NAMES)
     assert all(r.status == "pass" for r in recs)
-    assert (counts["atom"], counts["level"], counts["phi"]) == calls
+    assert (counts["atom"], counts["level"], counts["squared"]) == calls
+    assert len(squares) == 1
 
 
 def test_a_full_check_compares_each_table_set_with_its_states_once(
@@ -494,7 +500,8 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
         {(late, 0): -seventh, (M.zero, last): seventh,
          (early, second): seventh},
     ]
-    real = observables.atom_integrals
+    from effecta import linalg
+    real = linalg.integrals
     for doctored in doctorings:
         # the tables are kept per representation, so each doctoring reads
         # them on a fresh one
@@ -502,15 +509,16 @@ def test_residual_record_matches_the_loop_on_doctored_tables(M, monkeypatch):
                                polytope=rep.polytope)
         shift = {(a, states[i].values): d for (a, i), d in doctored.items()}
 
-        def table(rep_, row, den):
+        def table(plan, row, den):
             values = tuple(Fraction(v, den) for v in row)
-            nums, tden = real(rep_, row, den)
-            return over_common_denominator(
+            nums, tden = real(plan, row, den)
+            return oracles.over_one_denominator(
                 [Fraction(t, tden) + shift.get((a, values), 0)
                  for a, t in enumerate(nums)])
 
         with monkeypatch.context() as mp:
-            mp.setattr(observables, "atom_integrals", table)
+            mp.setattr(linalg, "integrals", table)
+            mp.setattr(observables, "integrals", table)
             got = _residual_record(M, fresh)
         expected = oracles.smearing_residual_record(M, rep, states, shift)
         assert expected[0] == "fail"
@@ -521,7 +529,7 @@ def test_a_passing_smearing_suite_smears_no_observable(monkeypatch):
     M = boolean(3)
     rep = canonical_representation(M)
     calls = {"smear": 0, "tables": 0}
-    smear, atom_integrals = observables.smear, observables.atom_integrals
+    smear, integrals = observables.smear, observables.integrals
 
     def counting_smear(*args):
         calls["smear"] += 1
@@ -529,10 +537,10 @@ def test_a_passing_smearing_suite_smears_no_observable(monkeypatch):
 
     def counting_tables(*args):
         calls["tables"] += 1
-        return atom_integrals(*args)
+        return integrals(*args)
 
     monkeypatch.setattr(observables, "smear", counting_smear)
-    monkeypatch.setattr(observables, "atom_integrals", counting_tables)
+    monkeypatch.setattr(observables, "integrals", counting_tables)
     recs = suites.run_smearing(M, "b3", rep)
     assert all(r.status == "pass" for r in recs)
     # the zoo is counted in closed form and walked only to name a break,
