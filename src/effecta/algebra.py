@@ -56,10 +56,10 @@ class EffectAlgebra:
 
     __slots__ = (
         "labels", "zero", "one",
-        "_sum", "_comp", "_down", "_index", "_pairs", "_memo",
+        "_sum", "_comp", "_down", "_index", "_memo",
     )
 
-    def __init__(self, labels, zero, one, sum_table, comp, down, index, pairs):
+    def __init__(self, labels, zero, one, sum_table, comp, down, index):
         self.labels: tuple[str, ...] = labels
         self.zero: int = zero
         self.one: int = one
@@ -67,7 +67,6 @@ class EffectAlgebra:
         self._comp = comp              # tuple[int]
         self._down = down              # bitmask of {x : x <= a} per element
         self._index = index            # label -> id
-        self._pairs = pairs            # number of defined ordered pairs
         self._memo: dict = {}          # the values of ``once``
 
     # -- basic structure ----------------------------------------------------
@@ -134,6 +133,13 @@ def iterated_sum(M: EffectAlgebra, parts: Sequence[int]) -> Optional[int]:
         if acc is None:
             return None
     return acc
+
+
+def defined_pairs(M: EffectAlgebra) -> int:
+    """How many ordered pairs have a defined sum: a + b is defined exactly
+    when b <= a' (see ``EffectAlgebra.minus``), and ' permutes the
+    elements, so the count is the total size of the down masks."""
+    return sum(M.down_mask(a).bit_count() for a in M.elements())
 
 
 @once
@@ -278,7 +284,7 @@ def validate_effect_algebra(
     down = [dom[c] for c in comp]
 
     return EffectAlgebra(labels, zi, oi, tuple(table), tuple(comp),
-                         tuple(down), index, sum(map(len, defined)))
+                         tuple(down), index)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +333,12 @@ def _chain_heights(M: EffectAlgebra) -> tuple[int, ...] | None:
     that m adds along.  Every other defined pair has an m-sum outside the
     box.  So the defined pairs number prod (h_i + 1)(h_i + 2)/2 exactly
     when m adds along every defined sum and maps them onto the box pairs.
-    Validation counts the defined pairs once, from the rows it builds."""
+    The defined pairs are counted off the down masks (``defined_pairs``)."""
     _, m = atom_coordinates(M)
     heights = tuple(map(max, zip(*m)))
     if (M.n == prod(h + 1 for h in heights)
-            and M._pairs == prod((h + 1) * (h + 2) // 2 for h in heights)):
+            and defined_pairs(M) == prod((h + 1) * (h + 2) // 2
+                                         for h in heights)):
         return heights
     return None
 
@@ -355,13 +362,12 @@ def check_rdp(M: EffectAlgebra) -> RdpResult:
 
 
 def _refinement_scan(M: EffectAlgebra) -> RdpResult:
-    """Refine every pair of equal defined sums; the first failure is the witness."""
-    decomp: list[list[tuple[int, int]]] = [[] for _ in range(M.n)]
-    for a, row in enumerate(M._sum):
-        for b, v in enumerate(row):
-            if v is not None:
-                decomp[v].append((a, b))
-    for pairs in decomp:
+    """Refine every pair of equal defined sums; the first failure is the
+    witness.  The sums equal to v are a + (v - a) for the a below v (see
+    ``EffectAlgebra.minus``), listed by ascending a, which is the
+    row-major order of the sum table."""
+    for v in M.elements():
+        pairs = [(a, M.minus(v, a)) for a in _bits(M.down_mask(v))]
         for a1, a2 in pairs:
             for b1, b2 in pairs:
                 if not _refine(M, a1, a2, b1, b2):

@@ -6,6 +6,8 @@ than as a quietly wrong structure.  It runs once per family: members of
 products and horizontal sums go in as raw tables, since a member's axioms
 restrict the whole's (a summand sits in a horizontal sum as itself, a
 factor F in a product as F x {0}), so a broken member breaks the whole.
+A raw table's sums are a generator, read only once the whole has checked
+its size, so an oversize whole lists no member's pairs.
 
 The chain is the one primitive.  Interval algebras and Boolean algebras
 are products of chains, built by the same componentwise product as the
@@ -70,9 +72,9 @@ def _build(spec: FamilySpec, bound: int):
             raise ParseError("chain needs n >= 1")
         _check_size(n + 1, bound, f"chain({_decimal(n)})")
         labels = [str(k) for k in range(n + 1)]
-        sums = [(str(i), str(j), str(i + j))
-                for i in range(n + 1) for j in range(i, n + 1 - i)]
-        return labels, "0", str(n), sums
+        return labels, "0", str(n), ((str(i), str(j), str(i + j))
+                                     for i in range(n + 1)
+                                     for j in range(i, n + 1 - i))
 
     if family == "boolean":
         (k,) = spec[1:]
@@ -105,19 +107,25 @@ def _build(spec: FamilySpec, bound: int):
             raise ParseError("horizontal sum needs at least one summand")
         _check_size(2 + sum(len(t[0]) - 2 for t in tables), bound,
                     "horizontal sum")
-        labels, sums = ["0", "1"], {}
-        for i, (names, zero, one, triples) in enumerate(tables):
+        labels, renames = ["0", "1"], []
+        for i, (names, zero, one, _) in enumerate(tables):
             tr = {a: f"h{i}:{a}" for a in names}
             tr[zero], tr[one] = "0", "1"
             labels.extend(tr[a] for a in names if a not in (zero, one))
+            renames.append(tr)
+
+        def sums():
             # each unordered pair once, the earlier label first; the pairs
             # 0 + 0 and 0 + 1 come from every summand and are kept once
-            pos = {a: k for k, a in enumerate(names)}
-            for a, b, c in triples:
-                if pos[a] > pos[b]:
-                    a, b = b, a
-                sums[tr[a], tr[b], tr[c]] = None
-        return labels, "0", "1", list(sums)
+            glued = {}
+            for (names, _, _, triples), tr in zip(tables, renames):
+                pos = {a: k for k, a in enumerate(names)}
+                for a, b, c in triples:
+                    if pos[a] > pos[b]:
+                        a, b = b, a
+                    glued[tr[a], tr[b], tr[c]] = None
+            yield from glued
+        return labels, "0", "1", sums()
 
     raise ParseError(f"unknown family {family!r}")
 
@@ -129,8 +137,9 @@ def _product(subspecs, bound: int, name=None):
     Element ids run over the factors' ids (their label positions) in
     row-major order, the first factor outermost; ``name`` labels a tuple
     of factor ids, by default as the tuple of the factors' labels.  The
-    size is checked first.  The factors are not validated: the product's
-    axioms on F x {0} are F's own, so a broken factor breaks the product."""
+    size is checked first, and the pairs are listed only when read.  The
+    factors are not validated: the product's axioms on F x {0} are F's
+    own, so a broken factor breaks the product."""
     tables = [_build(s, bound) for s in subspecs]
     if not tables:
         raise ParseError("product needs at least one factor")
@@ -140,18 +149,21 @@ def _product(subspecs, bound: int, name=None):
             t[0][x] for t, x in zip(tables, v)) + ")"
     labels = [name(v) for v in iproduct(*(range(len(t[0])) for t in tables))]
     pos = [{a: k for k, a in enumerate(t[0])} for t in tables]
-    triples = [(0, 0, 0)]
-    for (names, _, _, listed), p in zip(tables, pos):
-        # every ordered pair once, whether the table lists one order or both
-        pairs = dict.fromkeys(t for a, b, c in listed for t in (
-            (p[a], p[b], p[c]), (p[b], p[a], p[c])))
-        n = len(names)
-        triples = [(v * n + a, w * n + b, s * n + c)
-                   for v, w, s in triples for a, b, c in pairs]
-    sums = [(labels[v], labels[w], labels[s]) for v, w, s in triples]
+
+    def sums():
+        triples = [(0, 0, 0)]
+        for (names, _, _, listed), p in zip(tables, pos):
+            # every ordered pair once, whatever orders the table lists
+            pairs = dict.fromkeys(t for a, b, c in listed for t in (
+                (p[a], p[b], p[c]), (p[b], p[a], p[c])))
+            n = len(names)
+            triples = [(v * n + a, w * n + b, s * n + c)
+                       for v, w, s in triples for a, b, c in pairs]
+        for v, w, s in triples:
+            yield labels[v], labels[w], labels[s]
     zero, one = (name(tuple(p[t[k]] for p, t in zip(pos, tables)))
                  for k in (1, 2))
-    return labels, zero, one, sums
+    return labels, zero, one, sums()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A state assigns a rational in [0,1] to every element, sends the unit to 1
 and is additive across every defined sum.  Every element is a sum of atoms,
 so a state is fixed by its values on the atoms, and the set of all states
 is a polytope in those few coordinates: cut out by one equation per
-distinct defined sum and by 0 <= s(x) <= 1.  Its vertices (the extremal
+defined step x + a of an element and an atom, which span the equations of
+every defined sum, and by 0 <= s(x) <= 1.  Its vertices (the extremal
 states) are enumerated exactly and listed in lexicographic order of their
 value vectors, which fixes a canonical carrier order for the
 representation machinery.
@@ -57,7 +58,14 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     atoms: s(x) = m(x) . t for the integer vectors m of
     :func:`atom_coordinates`.  So the states are the t with
     (m(a) + m(b) - m(a+b)) . t = 0 for every defined sum, m(1) . t = 1 and
-    every m(x) . t in [0,1].  The integer echelon form of the equalities,
+    every m(x) . t in [0,1].  The equalities of the steps x + a_i of an
+    element and an atom span those of every defined sum: for a + b = c,
+    with b = ((a_i1 + a_i2) + ...) + a_ir the walk's path to b and
+    b_0 = 0, ..., b_r = b its prefixes, each a + b_j is defined (b_j <= b),
+    and the rows of the steps (a + b_(j-1)) + a_ij = a + b_j sum by
+    telescoping to m(a) + (e_i1 + ... + e_ir) - m(c) = m(a) + m(b) - m(c).
+    Each step is a defined sum too, so about n k rows give the same echelon
+    form, which is unique, as the n^2 / 2 rows of the defined sums.  The integer echelon form of the equalities,
     with the constant in column k, gives t = t0 + sum_j u_j dirs[j], u_j
     the value of free atom j, so the polytope is
     P = {u : 0 <= s_x(u) <= 1 for every element x}; the box of the free
@@ -73,8 +81,9 @@ def state_polytope(M: EffectAlgebra) -> StatePolytope:
     so the elements valued 0 at every vertex carry the whole rank."""
     atoms, m = atom_coordinates(M)
     k = len(atoms)
-    rows = {(*(p + q - r for p, q, r in zip(m[a], m[b], m[c])), 0)
-            for a, b, c in M.defined_sums()}
+    rows = {(*(p + q - r for p, q, r in zip(m[x], m[a], m[y])), 0)
+            for x in M.elements() for a in atoms
+            if (y := M.add(x, a)) is not None}
     basis = echelon((*rows, (*m[M.one], 1)))
     if k in basis:                      # a pivot in the constant column
         return StatePolytope(M, (), 1, -1)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .algebra import EffectAlgebra, check_rdp, sharp_elements
+from .algebra import EffectAlgebra, check_rdp, defined_pairs, sharp_elements
 from .errors import (
     AxiomViolation,
     EffectaError,
@@ -203,7 +203,7 @@ def _zoo_size(M: EffectAlgebra) -> int:
     """How many observables ``_zoo_observables`` yields, without walking
     them: the family (1,), one (a, a') per element a, and one
     (a, b, (a + b)') per ordered pair with a + b defined."""
-    return 1 + M.n + sum(2 - (a == b) for a, b, _ in M.defined_sums())
+    return 1 + M.n + defined_pairs(M)
 
 
 def _first_residual(M: EffectAlgebra, rep: Representation, bad):

@@ -183,6 +183,30 @@ def brute_rdp(labels, table):
     return None
 
 
+def dense_pair_count(M):
+    """The defined ordered pairs, counted over all n^2 slots."""
+    return sum(M.add(a, b) is not None
+               for a in M.elements() for b in M.elements())
+
+
+def refinement_scan_reference(M):
+    """The refinement scan with each element's decompositions listed by a
+    walk of all n^2 slots in row-major order, refined by the library's
+    ``_refine``: the first failing quadruple, grouped by sum in id order."""
+    from effecta.algebra import RdpResult, _refine
+    decomp = [[] for _ in M.elements()]
+    for a in M.elements():
+        for b in M.elements():
+            if (v := M.add(a, b)) is not None:
+                decomp[v].append((a, b))
+    for pairs in decomp:
+        for a1, a2 in pairs:
+            for b1, b2 in pairs:
+                if not _refine(M, a1, a2, b1, b2):
+                    return RdpResult(False, (a1, a2, b1, b2), M)
+    return RdpResult(True, None, M)
+
+
 def chain_heights_reference(M):
     """The product-of-chains certificate with all four of its conditions
     tested literally: with h_i the largest atom count m_i, m must be
@@ -1304,6 +1328,17 @@ def raw_state_system(M):
     rows.append(unit)
     rhs.append(ONE)
     return rows, rhs
+
+
+def state_equation_rows(M):
+    """In the atom coordinates m of ``atom_coordinates``, one integer row
+    m(a) + m(b) - m(a+b) with constant 0 per defined sum, and the unit row
+    m(1) with constant 1."""
+    from effecta.algebra import atom_coordinates
+    _, m = atom_coordinates(M)
+    rows = [(*(p + q - r for p, q, r in zip(m[a], m[b], m[c])), 0)
+            for a, b, c in M.defined_sums()]
+    return rows + [(*m[M.one], 1)]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@
 import json
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,14 @@ from effecta import (
     sharp_elements,
     validate_effect_algebra,
 )
-from effecta import algebra, cli
+from effecta import algebra, cli, states
 from effecta.errors import (
     AxiomViolation,
     EffectaError,
     NonUniqueSupplement,
     SizeLimitExceeded,
 )
+from effecta.linalg import echelon
 from effecta.serialize import algebra_to_obj
 
 
@@ -417,6 +419,39 @@ def test_the_certificate_needs_each_of_its_conditions(broken, coords):
     assert oracles.chain_heights_reference(M) is None
 
 
+def _state_basis(M):
+    """The echelon basis of the state equations, caught at the first call
+    of ``echelon`` in a fresh ``state_polytope``."""
+    bases = []
+
+    def caught(rows):
+        bases.append(echelon(rows))
+        return bases[-1]
+    with mock.patch.object(states, "echelon", caught):
+        states.state_polytope.__wrapped__(M)
+    return bases[0]
+
+
+def _assert_dense_readings(M, name=None):
+    """The pair count and the refinement scan read off the down masks, and
+    the state equations read off the atom steps, against the readings of
+    the n^2 table: the same count, the same scan result and witness, and
+    the same echelon basis, which is unique, as the rows of every defined
+    sum."""
+    assert algebra.defined_pairs(M) == oracles.dense_pair_count(M), name
+    assert (algebra._refinement_scan(M)
+            == oracles.refinement_scan_reference(M)), name
+    assert _state_basis(M) == echelon(oracles.state_equation_rows(M)), name
+
+
+def test_the_down_mask_and_atom_step_readings_match_the_dense_table():
+    instances = (zoo.rdp_zoo() + [(name, M) for name, _, M in PRODUCTS]
+                 + zoo.non_rdp_zoo() + [("grid", zoo.grid_pasting())])
+    for name, M in instances:
+        _assert_dense_readings(M, name)
+    assert sum(not check_rdp(M).holds for _, M in instances) == 6
+
+
 FUZZ_BASES = [algebra_to_obj(M) for M in (
     generate(("chain", 4)), generate(("boolean", 3)),
     generate(("interval", (1, 2))),
@@ -479,6 +514,7 @@ def test_the_certificate_agrees_with_the_scan_on_mutated_tables(doc):
     assert check_rdp(M).holds == scan.holds
     if scan.holds:
         assert oracles.boolean_law_scan(M, sh) is None
+    _assert_dense_readings(M)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,30 @@ def test_generate_refuses_a_huge_size_with_one_error_line(argv, count,
     assert captured.err.endswith(
         f" has {count} elements, exceeding the bound 4096\n")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("product", "chain4000", "chain4000"), "product has 16008001 elements"),
+    (("horizontal-sum", "chain4000", "chain4000"),
+     "horizontal sum has 8000 elements"),
+    (("product", "chain4000", "chain1"), "product has 8002 elements"),
+    (("product", "interval:2000,1", "chain1"), "product has 8004 elements")],
+    ids=["product", "horizontal-sum", "product-chain1", "nested"])
+def test_an_oversize_composite_is_refused_before_a_member_lists_pairs(
+        argv, message, capsys):
+    """A product or a horizontal sum checks its size before any member
+    lists its pairs, nested members too.  Listed, the four million pairs
+    of one chain 4000 took about 1 GB; the refusal stays under 50 MB."""
+    tracemalloc.start()
+    try:
+        code = run("generate", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: {message}, exceeding the bound 4096\n")
+    assert peak < 50 * 2 ** 20
 
 
 def test_check_passes_on_chain3(tmp_path, capsys):

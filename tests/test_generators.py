@@ -226,6 +226,7 @@ def test_generators_list_the_pairs_of_the_dense_walk(spec):
     triple is listed twice, and the generated documents are the same
     bytes."""
     labels, zero, one, sums = _build(spec, 4096)
+    sums = list(sums)
     ref = oracles.dense_build(spec, 4096)
     assert (labels, zero, one) == ref[:3]
     assert len(sums) == len(set(sums))

@@ -114,8 +114,25 @@ def test_no_layer_keeps_values_on_another_object():
     assert found == []
     assert len(kept) == len(set(kept)) > 0
     assert set(effecta.EffectAlgebra.__slots__) == {
-        "labels", "zero", "one", "_sum", "_comp", "_down", "_index", "_pairs",
-        "_memo"}
+        "labels", "zero", "one", "_sum", "_comp", "_down", "_index", "_memo"}
+
+
+def test_only_the_algebra_methods_read_the_sum_table():
+    """Outside validation, which builds it, the n x n sum table is read
+    by ``EffectAlgebra``'s own methods alone; every other layer reads
+    ``add``, ``minus``, the down masks or ``defined_sums``."""
+    found = []
+    for path in sorted(Path(effecta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef)
+                   and cls.name == "EffectAlgebra"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_sum"
+                  and id(node) not in methods]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["linalg", "polytope", "states",
